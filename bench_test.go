@@ -423,7 +423,7 @@ func liveFixture(b *testing.B, subscribers int) (*core.Framework, *workload.Live
 // as many concurrent feeders as shards push the interleaved
 // multi-subscriber stream, then Drain flushes what is still open.
 // entries/s is the headline throughput; compare across the shards=N
-// sub-benchmarks and against BenchmarkSerialPipelineIngest.
+// sub-benchmarks.
 func BenchmarkEngineIngest(b *testing.B) {
 	for _, subs := range []int{32, 128} {
 		for _, shards := range []int{1, 2, 4, 8} {
@@ -726,27 +726,6 @@ func medianFloat(fs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// BenchmarkSerialPipelineIngest pushes the same streams through the
-// single-goroutine Analyzer — the baseline the engine's concurrency
-// speedup is measured against.
-func BenchmarkSerialPipelineIngest(b *testing.B) {
-	for _, subs := range []int{32, 128} {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			fw, live := liveFixture(b, subs)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				an := pipeline.New(fw, pipeline.DefaultConfig())
-				for _, e := range live.Entries {
-					an.Push(e)
-				}
-				an.Flush()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N*len(live.Entries))/b.Elapsed().Seconds(), "entries/s")
-		})
-	}
 }
 
 // ---- Ingest transport comparison ----

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"vqoe/internal/core"
+	"vqoe/internal/engine"
 	"vqoe/internal/flight"
 	"vqoe/internal/obs"
 	"vqoe/internal/packet"
@@ -184,16 +185,8 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 		return err
 	}
 
-	// stream through the serial analyzer — the same incremental flow
-	// table the live engine shards — so the flight recorder sees the
-	// capture exactly as a deployment would
-	an := pipeline.New(fw, pipeline.DefaultConfig())
 	rec := flight.New(flight.Config{Shards: 1, SampleN: flightN, Disabled: noFlight})
-	if rec != nil {
-		an.SetFlight(rec)
-	}
-	stages := obs.NewStageSet()
-	an.SetStages(stages)
+	ob := obs.NewObserver(1, 0)
 
 	// offline SLO pass: a manually-ticked engine whose clock is the
 	// capture's own timestamps, so staleness and latency rules judge
@@ -214,15 +207,18 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 	}
 	sloEng := pipeline.NewSLO(scfg, pipeline.SLOParts{
 		Entries: func() int64 { return pushed },
-		Stages: func() []obs.StageSetSnapshot {
-			return []obs.StageSetSnapshot{stages.Snapshot()}
-		},
-		Flight: rec,
+		Stages:  ob.StageSnapshots,
+		Flight:  rec,
 	})
 
+	// stream through the live engine at one shard, one entry per call,
+	// so the flight recorder sees the capture exactly as a deployment
+	// would; sweeps are off — sessions close on §5.2 boundaries and at
+	// end of capture
+	eng := engine.New(fw, engine.Config{Shards: 1, SweepEverySec: -1, Obs: ob, Flight: rec}, nil)
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Timestamp < entries[j].Timestamp })
 	n := 0
-	emit := func(reports []pipeline.SessionReport) {
+	emit := func(reports []engine.Report) {
 		for _, rep := range reports {
 			n++
 			fmt.Printf("session %2d  t=%8.1fs  %s\n", n, rep.Start, rep.Report)
@@ -242,9 +238,9 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 			capNow = e.Timestamp
 		}
 		pushed++
-		emit(an.Push(e))
+		emit(eng.Ingest([]weblog.Entry{e}))
 	}
-	emit(an.Flush())
+	emit(eng.Drain())
 	sloEng.Tick(capNow)
 	fmt.Printf("\n%d sessions assessed\n", n)
 

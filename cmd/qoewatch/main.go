@@ -10,9 +10,10 @@
 //	qoewatch -stall stall.model -rep rep.model < weblog.jsonl
 //
 // With -metrics-addr the same Prometheus exposition qoeserve offers is
-// served for this process, including the vqoe_stage_duration_seconds
-// pipeline-latency histograms (the serial path reports as shard 0), so
-// batch and live tooling share one instrumentation surface.
+// served for this process — qoewatch runs qoeserve's engine at one
+// shard, so every family is there: vqoe_engine_shard_* and
+// vqoe_stage_duration_seconds (as shard 0), model quality, cohorts,
+// flight recorder, alerts.
 //
 // The stream may interleave {"type":"label",...} lines (the delayed
 // ground-truth side-channel qoegen -label-rate emits); qoewatch feeds
@@ -25,7 +26,7 @@
 // summary: the five cohorts with the lowest median MOS, with their
 // impairment rates — the same rollup qoeserve serves at /debug/cohorts.
 //
-// A session flight recorder rides the same path: sessions that stall,
+// The session flight recorder rides along: sessions that stall,
 // score in the worst MOS decile, confuse a detector, or land on the
 // uniform 1-in-N sample keep their full event timeline, and the run
 // closes with a "worst sessions" report naming them. -flight-sample
@@ -51,6 +52,7 @@ import (
 
 	"vqoe/internal/cohort"
 	"vqoe/internal/core"
+	"vqoe/internal/engine"
 	"vqoe/internal/flight"
 	"vqoe/internal/obs"
 	"vqoe/internal/pipeline"
@@ -91,44 +93,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	an := pipeline.New(fw, pipeline.DefaultConfig())
-	metrics := pipeline.NewMetrics()
-	// the watch path shares the engine's instrumentation surface: one
-	// stage set, exposed as shard 0 of vqoe_stage_duration_seconds
-	stages := obs.NewStageSet()
-	an.SetStages(stages)
-	metrics.AttachStages(func() []obs.StageSetSnapshot {
-		return []obs.StageSetSnapshot{stages.Snapshot()}
-	})
-	// model-quality monitor over the same serial path (pseudo-shard 0)
-	qm := core.NewQualityMonitor(fw, 1, qualitymon.Thresholds{})
-	an.SetQuality(qm)
-	metrics.AttachQuality(qm.Snapshot)
-	// fleet rollup over the serial path: one stripe, same cohort keying
-	// and cardinality cap as qoeserve's sharded engine
-	rollup := cohort.NewRollup(cohort.Config{Shards: 1})
-	an.SetCohorts(rollup)
-	metrics.AttachCohorts(rollup.Snapshot)
-	// flight recorder over the serial path (stripe 0): tail-sampled
-	// per-session timelines behind the closing worst-sessions report
-	rec := flight.New(flight.Config{
-		Shards:   1,
-		SampleN:  *flightN,
-		MaxBytes: *flightBytes,
-		Disabled: *noFlight,
-	})
-	if rec != nil {
-		an.SetFlight(rec)
-		k := rec.Config().Exemplars
-		rollup.SetExemplars(func(key string) []string { return rec.CohortExemplars(key, k) })
-		pipeline.WireFlightQuality(qm, rec)
-		metrics.AttachFlight(rec.Metrics)
+	// the same server qoeserve runs, at one shard: a single flow table
+	// fed one entry per call, so each report prints the moment its
+	// session closes; sweeps are off because stdin has no live clock —
+	// sessions close on §5.2 boundaries and at end of stream
+	opts := pipeline.Options{
+		Engine: engine.Config{Shards: 1, SweepEverySec: -1},
+		Logger: log,
+		Flight: flight.Config{SampleN: *flightN, MaxBytes: *flightBytes, Disabled: *noFlight},
+		SLO:    slo.Config{CadenceSec: *sloCadence},
 	}
-	// SLO sampler and alert rules over the serial path: same built-in
-	// rule set as qoeserve minus the engine-only rules (no shards, no
-	// mailboxes here), fed from the entry counter and the shared
-	// subsystem snapshots
-	scfg := slo.Config{CadenceSec: *sloCadence}
 	if *alertLog != "" {
 		f, err := os.OpenFile(*alertLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -136,22 +110,12 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		scfg.AlertLog = f
+		opts.SLO.AlertLog = f
 	}
-	sloEng := pipeline.NewSLO(scfg, pipeline.SLOParts{
-		Entries: metrics.EntriesTotal,
-		Stages: func() []obs.StageSetSnapshot {
-			return []obs.StageSetSnapshot{stages.Snapshot()}
-		},
-		Quality: qm,
-		Cohorts: rollup,
-		Flight:  rec,
-	})
-	metrics.AttachAlerts(sloEng.StateRows)
-	sloEng.Start()
+	srv := pipeline.NewServerOpts(fw, opts)
 	if *metricsAt != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", metrics.Handler())
+		mux.Handle("/metrics", srv.Metrics().Handler())
 		go func() {
 			if err := http.ListenAndServe(*metricsAt, obs.HTTPMiddleware(log, mux)); err != nil {
 				log.Error("metrics server failed", "err", err)
@@ -181,7 +145,7 @@ func main() {
 					continue
 				}
 				labels++
-				an.ObserveLabel(l)
+				srv.Engine().ObserveLabel(l)
 				continue
 			}
 		}
@@ -191,9 +155,7 @@ func main() {
 			continue
 		}
 		lines++
-		metrics.ObserveEntry()
-		for _, rep := range an.Push(e) {
-			metrics.ObserveReport(rep)
+		for _, rep := range srv.Ingest([]weblog.Entry{e}) {
 			emitted += printReport(out, rep, *quietOK)
 		}
 	}
@@ -201,26 +163,25 @@ func main() {
 		log.Error("read failed", "err", err)
 		os.Exit(1)
 	}
-	for _, rep := range an.Flush() {
-		metrics.ObserveReport(rep)
+	// Drain stops the background SLO sampler before it flushes; one
+	// final tick then picks up the flush before the summary reads the
+	// alert table
+	for _, rep := range srv.Drain() {
 		emitted += printReport(out, rep, *quietOK)
 	}
-	// one final tick picks up the flush before the summary reads the
-	// alert table; Close stops the background sampler first
-	sloEng.Close()
-	sloEng.Tick(sloEng.Now())
-	sn := qm.Snapshot()
+	srv.SLO().Tick(srv.SLO().Now())
+	sn := srv.Engine().Quality().Snapshot()
 	fmt.Fprintf(out, "-- %d entries, %d session reports\n", lines, emitted)
 	if labels > 0 {
 		// matched from the monitor, not ObserveLabel's return: a label
 		// that arrives before its session closes is buffered and only
-		// matches when the prediction lands (possibly at Flush)
+		// matches when the prediction lands (possibly at Drain)
 		fmt.Fprintf(out, "-- %d ground-truth labels, %d matched\n", labels, sn.Labels.Matched)
 	}
 	printModelHealth(out, sn)
-	printWorstCohorts(out, rollup.Snapshot())
-	printWorstSessions(out, rec)
-	printAlertSummary(out, sloEng.Alerts())
+	printWorstCohorts(out, srv.Engine().Cohorts().Snapshot())
+	printWorstSessions(out, srv.Flight())
+	printAlertSummary(out, srv.SLO().Alerts())
 	log.Debug("stream finished", "entries", lines, "reports", emitted, "labels", labels)
 }
 

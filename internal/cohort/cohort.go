@@ -35,7 +35,6 @@ import (
 	"vqoe/internal/features"
 	"vqoe/internal/mos"
 	"vqoe/internal/stats"
-	"vqoe/internal/weblog"
 )
 
 // Key identifies one rollup cohort.
@@ -60,23 +59,6 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
-}
-
-// FromEntry extracts the cohort key from one weblog entry.
-func FromEntry(e *weblog.Entry) Key {
-	return Key{Region: e.Region, Device: e.Device, Cap: e.Cap}
-}
-
-// FromSession extracts the cohort key for a closed session: the first
-// entry carrying any metadata (all entries of a session normally agree;
-// sessions with no metadata map to the zero key → "unknown").
-func FromSession(entries []weblog.Entry) Key {
-	for i := range entries {
-		if k := FromEntry(&entries[i]); k != (Key{}) {
-			return k
-		}
-	}
-	return Key{}
 }
 
 // Config sizes a Rollup.

@@ -10,7 +10,6 @@ import (
 	"vqoe/internal/features"
 	"vqoe/internal/mos"
 	"vqoe/internal/stats"
-	"vqoe/internal/weblog"
 )
 
 func TestKeyString(t *testing.T) {
@@ -27,19 +26,6 @@ func TestKeyString(t *testing.T) {
 		if got := c.k.String(); got != c.want {
 			t.Errorf("%+v -> %q, want %q", c.k, got, c.want)
 		}
-	}
-}
-
-func TestFromSession(t *testing.T) {
-	es := []weblog.Entry{
-		{Subscriber: "s1"}, // stats beacon without metadata
-		{Subscriber: "s1", Region: "apac", Device: "tv", Cap: "hd"},
-	}
-	if k := FromSession(es); k != (Key{Region: "apac", Device: "tv", Cap: "hd"}) {
-		t.Errorf("FromSession = %+v", k)
-	}
-	if k := FromSession(es[:1]); k != (Key{}) {
-		t.Errorf("metadata-free session should map to zero key, got %+v", k)
 	}
 }
 

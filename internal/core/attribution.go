@@ -18,7 +18,7 @@ type FeatureAttribution struct {
 // (ties broken by name for determinism). Valid only until the scratch
 // is reused by another batch; the flight recorder calls it inside the
 // assess loop for sessions it retains. Returns nils when the scratch
-// carries no projected vectors (e.g. the quality-less serial path).
+// carries no projected vectors.
 func (f *Framework) Attribute(sc *AnalyzeScratch, i, k int) (stall, rep []FeatureAttribution) {
 	if f == nil || sc == nil || i < 0 {
 		return nil, nil

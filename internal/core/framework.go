@@ -65,36 +65,16 @@ type Report struct {
 	Chunks         int
 }
 
-// Analyze assesses one session from its traffic observations alone.
-func (f *Framework) Analyze(obs features.SessionObs) Report {
-	return f.AnalyzeObs(obs, nil)
-}
-
-// AnalyzeObs is Analyze with stage timing: when set is non-nil, the
-// wall time of the two-forest inference is recorded under StageForest
-// and the switch detector's scoring under StageCUSUM. A nil set makes
-// this identical to Analyze (observes on a nil StageSet are no-ops,
-// but skipping the clock reads keeps the uninstrumented path exact).
-func (f *Framework) AnalyzeObs(o features.SessionObs, set *obs.StageSet) Report {
-	if set == nil {
-		var r Report
-		r.Stall, r.StallConf = f.Stall.PredictConf(o)
-		r.Representation, r.RepConf = f.Rep.PredictConf(o)
-		r.SwitchScore = f.Switch.Score(o)
-		r.SwitchVariance = r.SwitchScore > f.Switch.Threshold
-		r.Chunks = o.Len()
-		return r
-	}
+// Analyze assesses one session from its traffic observations alone —
+// the paper's §4 detectors applied one session at a time, and the
+// reference the batched live path (AnalyzeBatchQuality) is tested
+// against.
+func (f *Framework) Analyze(o features.SessionObs) Report {
 	var r Report
-	t0 := time.Now()
 	r.Stall, r.StallConf = f.Stall.PredictConf(o)
 	r.Representation, r.RepConf = f.Rep.PredictConf(o)
-	set.ObserveSince(obs.StageForest, t0)
-	t0 = time.Now()
-	// Detect is a threshold on Score; compute the CUSUM chart once.
 	r.SwitchScore = f.Switch.Score(o)
 	r.SwitchVariance = r.SwitchScore > f.Switch.Threshold
-	set.ObserveSince(obs.StageCUSUM, t0)
 	r.Chunks = o.Len()
 	return r
 }
@@ -106,15 +86,7 @@ func (f *Framework) AnalyzeObs(o features.SessionObs, set *obs.StageSet) Report 
 // returned in input order and are identical to per-session Analyze
 // calls.
 func (f *Framework) AnalyzeBatch(obs []features.SessionObs) []Report {
-	return f.AnalyzeBatchObs(obs, nil)
-}
-
-// AnalyzeBatchObs is AnalyzeBatch with stage timing: when set is
-// non-nil, one StageForest observation covers the batched two-forest
-// pass and one StageCUSUM observation covers the switch scoring over
-// the whole batch. Reports are identical to AnalyzeBatch's.
-func (f *Framework) AnalyzeBatchObs(o []features.SessionObs, set *obs.StageSet) []Report {
-	return f.AnalyzeBatchInto(o, set, nil)
+	return f.AnalyzeBatchInto(obs, nil, nil)
 }
 
 // AnalyzeScratch carries the reusable buffers a long-lived caller (an
@@ -129,11 +101,13 @@ type AnalyzeScratch struct {
 	sw                 ScoreScratch
 }
 
-// AnalyzeBatchInto is AnalyzeBatchObs with caller-owned buffers: the
-// returned reports alias sc and are valid until the next call with the
-// same scratch (callers that retain them must copy, as the engine does
-// when it wraps them in engine.Reports). A nil sc makes this identical
-// to AnalyzeBatchObs.
+// AnalyzeBatchInto is AnalyzeBatch with stage timing and caller-owned
+// buffers. When set is non-nil, one StageForest observation covers the
+// batched two-forest pass and one StageCUSUM observation covers the
+// switch scoring over the whole batch. The returned reports alias sc
+// and are valid until the next call with the same scratch (callers that
+// retain them must copy, as the engine does when it wraps them in
+// engine.Reports); a nil sc allocates a fresh one.
 func (f *Framework) AnalyzeBatchInto(o []features.SessionObs, set *obs.StageSet, sc *AnalyzeScratch) []Report {
 	return f.AnalyzeBatchQuality(o, set, sc, nil)
 }

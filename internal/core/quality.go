@@ -3,9 +3,8 @@ package core
 import "vqoe/internal/qualitymon"
 
 // QualityHook routes one caller's predictions into the shared
-// model-quality monitor. Each engine shard (and the serial analyzer,
-// as pseudo-shard 0) holds its own hook so Observe writes land in that
-// shard's lock-free accumulator set.
+// model-quality monitor. Each engine shard holds its own hook so
+// Observe writes land in that shard's lock-free accumulator set.
 type QualityHook struct {
 	Monitor *qualitymon.Monitor
 	Shard   int

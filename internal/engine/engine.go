@@ -1,19 +1,27 @@
-// Package engine is the sharded live-session engine: the deployment
-// form of the paper's detection framework for an operator vantage
-// point observing many subscribers at once (§8 envisions >10M). The
-// serial streaming analyzer in internal/pipeline replays one entry
-// stream behind a single lock; this engine shards the flow table by
+// Package engine is the live-session engine: the one online form of
+// the paper's detection framework (§8: "the trained models can be
+// directly applied on the passively monitored traffic and report
+// issues in real time"), for an operator vantage point observing many
+// subscribers at once (§8 envisions >10M). It shards the flow table by
 // subscriber hash across N worker goroutines so ingest, §5.2
 // sessionization, and forest inference all run concurrently with no
-// cross-shard locking on the hot path.
+// cross-shard locking on the hot path. qoeserve runs it at one shard
+// per CPU; the CLI tools (qoewatch, qoepcap -analyze) run the same
+// engine at one shard with sweeps off, fed one entry per Ingest call.
 //
-// Each shard owns its slice of the flow table (a sessionizer.Tracker),
-// a bounded mailbox with explicit backpressure or drop accounting, an
-// idle-eviction clock driven by the shard's event-time high-water
-// mark, and a batched inference path (core.Framework.AnalyzeBatch)
-// over the sessions a mailbox batch closes together. Drain flushes
-// every shard for graceful shutdown; Snapshot exposes per-shard
-// gauges for the Prometheus exposition.
+// Each shard owns its slice of the flow table (a
+// sessionizer.ColTracker), a bounded mailbox with explicit
+// backpressure or drop accounting, an idle-eviction clock driven by
+// the shard's event-time high-water mark, and a batched inference path
+// (core.Framework.AnalyzeBatchQuality) over the sessions a mailbox
+// batch closes together. Drain flushes every shard for graceful
+// shutdown; Snapshot exposes per-shard gauges for the Prometheus
+// exposition.
+//
+// The reference the engine is tested against is the paper's offline
+// path: sessionizer.Group over one subscriber's entries (§5.2),
+// features.FromEntries, and core.Framework.Analyze (§4). With sweeps
+// off the engine emits exactly those sessions and reports.
 package engine
 
 import (
@@ -82,7 +90,8 @@ type Config struct {
 	Flight *flight.Recorder
 }
 
-// DefaultConfig mirrors the serial pipeline's session parameters.
+// DefaultConfig mirrors the offline sessionizer's parameters
+// (sessionizer.DefaultConfig's idle gap, page boundaries on).
 func DefaultConfig() Config {
 	return Config{
 		Shards:        runtime.GOMAXPROCS(0),
@@ -197,97 +206,97 @@ func (e *Engine) ObserveLabel(l qualitymon.Label) bool {
 	return e.cfg.Quality.ObserveLabel(l)
 }
 
-// route pre-digests a batch into a pooled slab of per-shard rec
-// sub-batches (see Engine.partition) and pre-accounts the slab's
-// refcount with the number of non-empty sub-batches, so delivery can
-// begin immediately: every delivered (or intentionally dropped)
-// sub-batch must be matched by exactly one release.
-func (e *Engine) route(entries []weblog.Entry) (*recSlab, int) {
-	b := e.partition(entries)
-	deliveries := 0
-	for _, batch := range b.per {
-		if len(batch) > 0 {
-			deliveries++
-		}
+// submit is the one route-and-mail loop behind Ingest, Feed and Offer:
+// it pre-digests the batch into a pooled slab of per-shard rec
+// sub-batches (see Engine.partition) and mails every non-empty one.
+// shed picks the full-mailbox policy — drop and count the sub-batch
+// instead of blocking; reply, when non-nil, receives each mailed
+// sub-batch's reports instead of the sink. It returns the entries
+// accepted and the sub-batches mailed (the replies to wait for).
+//
+// The caller's slice is never retained: entries become slab recs
+// during routing, so decode scratch can be reused on return.
+func (e *Engine) submit(entries []weblog.Entry, shed bool, reply chan []Report) (accepted, mailed int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.closed || len(entries) == 0 {
+		return 0, 0
 	}
-	b.pending.Store(int32(deliveries))
-	return b, deliveries
+	b, left := e.partition(entries)
+	// The slab's refcount covers exactly the left non-empty views, so
+	// it stays ours until the last of them is mailed or shed; after
+	// that a shard may release it and another feeder re-take it, so the
+	// loop must not look at b again — it ends on the count, not on per.
+	for i := 0; left > 0; i++ {
+		batch := b.per[i]
+		if len(batch) == 0 {
+			continue
+		}
+		left--
+		msg := message{recs: batch, slab: b, reply: reply}
+		if shed {
+			select {
+			case e.shards[i].mail <- msg:
+			default:
+				e.shards[i].dropped.Add(int64(len(batch)))
+				b.release() // undelivered sub-batch: drop its slab reference
+				continue
+			}
+		} else {
+			e.shards[i].mail <- msg
+		}
+		accepted += len(batch)
+		mailed++
+	}
+	return accepted, mailed
 }
 
 // Ingest processes a batch synchronously and returns the reports for
 // every session the batch completed (including sessions the batch's
 // eviction sweeps closed), ordered by session start time. It blocks
 // when mailboxes are full — the request/response backpressure path
-// used by the HTTP server's /ingest. Like Feed and Offer it converts
-// entries into pooled rec slabs during routing and never retains the
-// caller's slice, so decode scratch can be reused as soon as it
-// returns.
+// behind the HTTP server's /ingest and the CLI tools' entry loops.
 func (e *Engine) Ingest(entries []weblog.Entry) []Report {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed || len(entries) == 0 {
-		return nil
-	}
-	b, _ := e.route(entries)
-	replies := make([]chan []Report, len(b.per))
-	for i, batch := range b.per {
-		if len(batch) == 0 {
-			continue
-		}
-		replies[i] = make(chan []Report, 1)
-		e.shards[i].mail <- message{recs: batch, slab: b, reply: replies[i]}
-	}
-	var out []Report
-	for _, ch := range replies {
-		if ch != nil {
-			out = append(out, <-ch...)
-		}
-	}
-	sortReports(out)
-	return out
+	// one slot per shard, so no worker ever blocks on its reply
+	reply := make(chan []Report, len(e.shards))
+	_, mailed := e.submit(entries, false, reply)
+	return collect(reply, mailed)
 }
 
 // Feed processes a batch asynchronously: entries are enqueued (blocking
 // when mailboxes are full) and completed sessions flow to the sink.
-// This is the load-generator / capture-loop path.
+// This is the wire-listener / capture-loop path.
 func (e *Engine) Feed(entries []weblog.Entry) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed || len(entries) == 0 {
-		return
-	}
-	b, _ := e.route(entries)
-	for i, batch := range b.per {
-		if len(batch) > 0 {
-			e.shards[i].mail <- message{recs: batch, slab: b}
-		}
-	}
+	e.submit(entries, false, nil)
 }
 
 // Offer is Feed without backpressure: when a shard's mailbox is full
 // its slice of the batch is dropped and counted (load shedding under
 // overload). Returns how many entries were accepted.
 func (e *Engine) Offer(entries []weblog.Entry) int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed || len(entries) == 0 {
-		return 0
-	}
-	b, _ := e.route(entries)
-	accepted := 0
-	for i, batch := range b.per {
-		if len(batch) == 0 {
-			continue
-		}
-		select {
-		case e.shards[i].mail <- message{recs: batch, slab: b}:
-			accepted += len(batch)
-		default:
-			e.shards[i].dropped.Add(int64(len(batch)))
-			b.release() // undelivered sub-batch: drop its slab reference
-		}
-	}
+	accepted, _ := e.submit(entries, true, nil)
 	return accepted
+}
+
+// collect gathers n shard replies into one report list ordered by
+// start time.
+func collect(reply chan []Report, n int) []Report {
+	var out []Report
+	for ; n > 0; n-- {
+		out = append(out, <-reply...)
+	}
+	sortReports(out)
+	return out
+}
+
+// broadcast mails one control message to every shard and collects the
+// reports it produced.
+func (e *Engine) broadcast(m message) []Report {
+	m.reply = make(chan []Report, len(e.shards)) // one slot per shard
+	for _, s := range e.shards {
+		s.mail <- m
+	}
+	return collect(m.reply, len(e.shards))
 }
 
 // Advance closes every session idle at the given capture-clock time on
@@ -298,17 +307,7 @@ func (e *Engine) Advance(now float64) []Report {
 	if e.closed {
 		return nil
 	}
-	replies := make([]chan []Report, len(e.shards))
-	for i, s := range e.shards {
-		replies[i] = make(chan []Report, 1)
-		s.mail <- message{advance: now, reply: replies[i]}
-	}
-	var out []Report
-	for _, ch := range replies {
-		out = append(out, <-ch...)
-	}
-	sortReports(out)
-	return out
+	return e.broadcast(message{advance: now})
 }
 
 // Drain gracefully shuts the engine down: every shard flushes its
@@ -324,20 +323,11 @@ func (e *Engine) Drain() []Report {
 	e.closed = true
 	e.mu.Unlock()
 
-	replies := make([]chan []Report, len(e.shards))
-	for i, s := range e.shards {
-		replies[i] = make(chan []Report, 1)
-		s.mail <- message{flush: true, reply: replies[i]}
-	}
-	var out []Report
-	for _, ch := range replies {
-		out = append(out, <-ch...)
-	}
+	out := e.broadcast(message{flush: true})
 	for _, s := range e.shards {
 		close(s.mail)
 	}
 	e.wg.Wait()
-	sortReports(out)
 	return out
 }
 

@@ -7,7 +7,8 @@ import (
 
 	"vqoe/internal/core"
 	"vqoe/internal/engine"
-	"vqoe/internal/pipeline"
+	"vqoe/internal/features"
+	"vqoe/internal/sessionizer"
 	"vqoe/internal/weblog"
 	"vqoe/internal/workload"
 )
@@ -43,66 +44,92 @@ func fixtures(t *testing.T) (*core.Framework, *workload.Live) {
 	return fixFW, fixLive
 }
 
-// key identifies a report strictly enough that agreement means the
-// session boundaries and every model output matched.
+// key identifies a report exactly: agreement means the session
+// boundaries and every model output — classes, vote shares, switch
+// score — matched bit for bit.
 func key(sub string, start, end float64, r core.Report) string {
-	return fmt.Sprintf("%s|%.3f|%.3f|%d|%d|%d|%v", sub, start, end, r.Chunks, r.Stall, r.Representation, r.SwitchVariance)
+	return fmt.Sprintf("%s|%v|%v|%+v", sub, start, end, r)
 }
 
-// serialReports runs the same stream through the serial pipeline.
-func serialReports(fw *core.Framework, entries []weblog.Entry) map[string]int {
-	a := pipeline.New(fw, pipeline.DefaultConfig())
+// referenceReports is the paper's offline path, the single reference
+// the live engine is held to: §5.2 sessionizer.Group over each
+// subscriber's own entries, features.FromEntries per session, §4
+// Framework.Analyze one session at a time, fragments below MinChunks
+// suppressed.
+func referenceReports(fw *core.Framework, live *workload.Live) map[string]int {
 	out := map[string]int{}
-	add := func(rs []pipeline.SessionReport) {
-		for _, r := range rs {
-			out[key(r.Subscriber, r.Start, r.End, r.Report)]++
+	minChunks := engine.DefaultConfig().MinChunks
+	for _, own := range live.PerSubscriber {
+		for _, s := range sessionizer.Group(own, sessionizer.DefaultConfig()) {
+			es := make([]weblog.Entry, len(s.Indices))
+			for k, i := range s.Indices {
+				es[k] = own[i]
+			}
+			o := features.FromEntries(es)
+			if o.Len() < minChunks {
+				continue
+			}
+			out[key(es[0].Subscriber, s.Start, s.End, fw.Analyze(o))]++
 		}
 	}
-	for _, e := range entries {
-		add(a.Push(e))
-	}
-	add(a.Flush())
 	return out
 }
 
-func TestEngineMatchesSerialPipeline(t *testing.T) {
+// TestEngineMatchesOfflineReference holds the live path to the offline
+// one: every report the engine emits must be one the reference
+// produces, and vice versa — at one shard and at four with sweeps off,
+// and at four with the default idle sweep (an evicted session is one
+// Group would have split at the same place, because the subscriber's
+// next entry is further away than the idle gap).
+func TestEngineMatchesOfflineReference(t *testing.T) {
 	fw, live := fixtures(t)
-	want := serialReports(fw, live.Entries)
+	want := referenceReports(fw, live)
 
-	for _, shards := range []int{1, 4} {
-		cfg := engine.DefaultConfig()
-		cfg.Shards = shards
-		eng := engine.New(fw, cfg, nil)
-		var got []engine.Report
-		// feed the sorted stream in moderate synchronous batches, as
-		// the capture loop would
-		for lo := 0; lo < len(live.Entries); lo += 500 {
-			hi := lo + 500
-			if hi > len(live.Entries) {
-				hi = len(live.Entries)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		sweep  float64
+	}{
+		{"shards=1", 1, -1},
+		{"shards=4", 4, -1},
+		{"shards=4/default-sweep", 4, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := engine.Config{Shards: tc.shards, SweepEverySec: tc.sweep}
+			eng := engine.New(fw, cfg, nil)
+			var got []engine.Report
+			// feed the sorted stream in moderate synchronous batches, as
+			// the capture loop would
+			for lo := 0; lo < len(live.Entries); lo += 500 {
+				got = append(got, eng.Ingest(live.Entries[lo:min(lo+500, len(live.Entries))])...)
 			}
-			got = append(got, eng.Ingest(live.Entries[lo:hi])...)
-		}
-		got = append(got, eng.Drain()...)
+			got = append(got, eng.Drain()...)
 
-		if len(got) != sum(want) {
-			t.Errorf("shards=%d: engine emitted %d reports, serial %d", shards, len(got), sum(want))
-		}
-		matched := 0
-		seen := map[string]int{}
-		for _, r := range got {
-			seen[key(r.Subscriber, r.Start, r.End, r.Report)]++
-		}
-		for k, n := range seen {
-			if want[k] >= n {
-				matched += n
-			} else {
-				matched += want[k]
+			var evicted int64
+			for _, s := range eng.Snapshot() {
+				evicted += s.Evicted
 			}
-		}
-		if total := sum(want); matched*100 < total*95 {
-			t.Errorf("shards=%d: only %d/%d reports identical to the serial pipeline", shards, matched, total)
-		}
+			if swept := tc.sweep >= 0; swept != (evicted > 0) {
+				t.Errorf("idle sweep closed %d sessions with SweepEverySec=%v", evicted, tc.sweep)
+			}
+			if len(got) != sum(want) {
+				t.Errorf("engine emitted %d reports, reference %d", len(got), sum(want))
+			}
+			seen := map[string]int{}
+			for _, r := range got {
+				seen[key(r.Subscriber, r.Start, r.End, r.Report)]++
+			}
+			for k, n := range want {
+				if seen[k] != n {
+					t.Errorf("reference report %s: engine emitted it %d times, want %d", k, seen[k], n)
+				}
+			}
+			for k, n := range seen {
+				if want[k] == 0 {
+					t.Errorf("engine report %s (x%d) is not in the reference", k, n)
+				}
+			}
+		})
 	}
 }
 
@@ -116,7 +143,7 @@ func sum(m map[string]int) int {
 
 func TestEngineConcurrentFeeders(t *testing.T) {
 	fw, live := fixtures(t)
-	want := serialReports(fw, live.Entries)
+	want := referenceReports(fw, live)
 
 	cfg := engine.DefaultConfig()
 	cfg.Shards = 4
@@ -131,7 +158,7 @@ func TestEngineConcurrentFeeders(t *testing.T) {
 	got = append(got, eng.Drain()...)
 
 	if len(got) != sum(want) {
-		t.Errorf("concurrent feeders emitted %d reports, serial %d", len(got), sum(want))
+		t.Errorf("concurrent feeders emitted %d reports, reference %d", len(got), sum(want))
 	}
 	var events int64
 	for _, s := range eng.Snapshot() {

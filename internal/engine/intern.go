@@ -163,11 +163,11 @@ func (n *interner) resolve(entries []weblog.Entry, subs, cohorts, shards []uint3
 // Rec backing the per-shard sub-batches view into, and the scatter
 // bookkeeping (interned IDs, per-entry shard, per-shard counts). Slabs
 // live in a sync.Pool; the batch hand-off owns them by refcount —
-// pending is pre-set to the number of sub-batches that will be
-// delivered, each shard releases after fully processing its message,
-// and the last release returns the slab. Per-shard views are therefore
-// valid exactly until the owning shard's release — shards must not
-// retain them past the message.
+// partition pre-sets pending to the number of non-empty sub-batches,
+// each shard releases after fully processing its message (submit
+// releases for a sub-batch it sheds), and the last release returns the
+// slab. Per-shard views are therefore valid exactly until the owning
+// shard's release — shards must not retain them past the message.
 type recSlab struct {
 	pool     *sync.Pool
 	out      []sessionizer.Rec // scatter backing, shard-contiguous
@@ -199,10 +199,11 @@ func growCap[T any](s []T, n int) []T {
 // partition resolves a batch's identities and routes it into per-shard
 // sub-batches, constructing each Rec exactly once, directly at its
 // final position in the slab's shard-contiguous backing. The returned
-// slab's per[i] views are ready to mail; the caller must pre-account
-// pending (deliveries) before handing any view out, and release once
-// per view it does NOT deliver.
-func (e *Engine) partition(entries []weblog.Entry) *recSlab {
+// slab's per[i] views are ready to mail, and its refcount is
+// pre-accounted with the returned number of non-empty views: every one
+// of them must be matched by exactly one release — the shard's after
+// processing it, or the caller's for a view it does NOT deliver.
+func (e *Engine) partition(entries []weblog.Entry) (*recSlab, int) {
 	b := e.slabs.Get().(*recSlab)
 	n := len(entries)
 	nsh := len(e.shards)
@@ -220,10 +221,15 @@ func (e *Engine) partition(entries []weblog.Entry) *recSlab {
 	b.out = growCap(b.out, n)
 	b.per = growCap(b.per, nsh)
 	off := uint32(0)
+	views := 0
 	for s, c := range b.counts {
 		b.per[s] = b.out[off : off : off+c]
 		off += c
+		if c > 0 {
+			views++
+		}
 	}
+	b.pending.Store(int32(views))
 	for i := range entries {
 		e := &entries[i]
 		s := b.shardOf[i]
@@ -244,5 +250,5 @@ func (e *Engine) partition(entries []weblog.Entry) *recSlab {
 			Retrans: e.RetransPct,
 		})
 	}
-	return b
+	return b, views
 }

@@ -24,11 +24,11 @@
 //   - uniform: every Nth session, as an unbiased baseline.
 //
 // The open-session timeline costs nothing to accumulate: the flow
-// table (sessionizer.Tracker) already buffers every open session's
-// entries for feature extraction, so retention is a header copy plus
-// one float-only pass that compacts the buffer's video chunks into
+// table (sessionizer.ColTracker) already buffers every open session's
+// chunk observations for feature extraction, so retention is a header
+// copy plus one float-only pass that compacts the buffer into
 // pointer-free 24-byte records — compact at retention, replay on
-// demand. The raw buffer is dropped immediately, and because the
+// demand. The buffer goes back to the tracker's pool, and because the
 // compacted records hold no pointers, a full retained ring adds
 // nothing to the garbage collector's scan work while ingest runs hot.
 // The event timeline is materialized from the records only when an
@@ -57,7 +57,6 @@ import (
 	"vqoe/internal/features"
 	"vqoe/internal/mos"
 	"vqoe/internal/stats"
-	"vqoe/internal/weblog"
 )
 
 // Reason is the bitmask of retention policies a session matched.
@@ -188,19 +187,12 @@ type Assessment struct {
 	Subscriber string
 	Start, End float64
 	Report     core.Report
-	// Entries is the session's buffered traffic (the flow-table view
-	// the features came from). Retention compacts the video chunks out
-	// of it into pointer-free records in one pass and drops the slice —
-	// the recorder never references it afterwards.
-	Entries []weblog.Entry
-	// Chunks and RawEntries are the columnar alternative to Entries,
-	// used when Entries is nil: the session's media chunk observations
-	// in arrival order plus the total service-entry count the flow
-	// closed with. Compaction consumes them synchronously inside Retain
-	// and never references the slice afterwards, so callers may recycle
-	// it the moment Retain returns. The compacted records are
-	// bit-identical to the Entries path's (chunk end time, duration and
-	// size carry over unchanged).
+	// Chunks is the session's buffered traffic (the flow-table view
+	// the features came from): its media chunk observations in arrival
+	// order. RawEntries is the total service-entry count the flow
+	// closed with. Retention compacts Chunks into pointer-free records
+	// synchronously inside Retain and never references the slice
+	// afterwards, so callers may recycle it the moment Retain returns.
 	Chunks     []features.ChunkObs
 	RawEntries int
 	// Cohort is the session's rendered region/device/cap label (""
@@ -396,7 +388,7 @@ func (s *ShardRecorder) Retain(a Assessment, score float64, reasons Reason) {
 // retain compacts the session's raw material into a pointer-free
 // record and inserts it into the byte-capped ring, evicting
 // oldest-first past the budget. The cost is one float-only pass over
-// the entries (see newSession) plus ring and exemplar bookkeeping;
+// the chunks (see newSession) plus ring and exemplar bookkeeping;
 // the timeline is NOT materialized here — that happens at drill-down
 // render time.
 func (s *ShardRecorder) retain(a Assessment, score float64, reasons Reason) {

@@ -9,21 +9,18 @@ import (
 
 	"vqoe/internal/core"
 	"vqoe/internal/features"
-	"vqoe/internal/weblog"
 )
 
-// videoEntries synthesizes n chunk downloads on the media CDN, one
-// every stepSec seconds starting at start.
-func videoEntries(sub string, start float64, n int, stepSec float64) []weblog.Entry {
-	out := make([]weblog.Entry, n)
+// videoChunks synthesizes n chunk downloads, one requested every
+// stepSec seconds starting at start, in the columnar form the engine's
+// flow table buffers (Time is the chunk's end: request + transfer).
+func videoChunks(start float64, n int, stepSec float64) []features.ChunkObs {
+	out := make([]features.ChunkObs, n)
 	for i := range out {
-		out[i] = weblog.Entry{
-			Timestamp:      start + float64(i)*stepSec,
-			Subscriber:     sub,
-			Host:           "r3---sn-test.googlevideo.com",
-			Encrypted:      true,
-			Bytes:          500_000,
-			TransactionSec: 0.8,
+		out[i] = features.ChunkObs{
+			Time:        start + float64(i)*stepSec + 0.8,
+			SizeKB:      500,
+			DurationSec: 0.8,
 		}
 	}
 	return out
@@ -45,13 +42,14 @@ func stalledReport(chunks int) core.Report {
 	}
 }
 
-func assessment(sub string, start float64, rep core.Report, entries []weblog.Entry) Assessment {
+func assessment(sub string, start float64, rep core.Report, chunks []features.ChunkObs) Assessment {
 	return Assessment{
 		Subscriber: sub,
 		Start:      start,
 		End:        start + 60,
 		Report:     rep,
-		Entries:    entries,
+		Chunks:     chunks,
+		RawEntries: len(chunks),
 		Cohort:     "eu-west/mobile/50",
 		StallProj:  []float64{1.5, 42},
 		RepProj:    []float64{0.25, 7},
@@ -78,13 +76,13 @@ func TestFlightRetentionPolicies(t *testing.T) {
 	sh := rec.Shard(0)
 
 	// healthy, confident, before the worst-decile warm-up: dropped
-	sh.Assess(assessment("sub-ok", 10, goodReport(8), videoEntries("sub-ok", 10, 8, 4)))
+	sh.Assess(assessment("sub-ok", 10, goodReport(8), videoChunks(10, 8, 4)))
 	if got := rec.Metrics(); got.Recorded != 1 || got.Retained != 0 {
 		t.Fatalf("healthy session: recorded %d retained %d, want 1/0", got.Recorded, got.Retained)
 	}
 
 	// stalled: always retained
-	sh.Assess(assessment("sub-stall", 20, stalledReport(8), videoEntries("sub-stall", 20, 8, 6)))
+	sh.Assess(assessment("sub-stall", 20, stalledReport(8), videoChunks(20, 8, 6)))
 	sn := rec.Snapshot()
 	if len(sn.Retained) != 1 {
 		t.Fatalf("stalled session not retained: %+v", sn.Retained)
@@ -100,7 +98,7 @@ func TestFlightRetentionPolicies(t *testing.T) {
 	// model exemplar for the unsure detector only
 	lowConf := goodReport(8)
 	lowConf.StallConf = 0.3
-	sh.Assess(assessment("sub-unsure", 30, lowConf, videoEntries("sub-unsure", 30, 8, 4)))
+	sh.Assess(assessment("sub-unsure", 30, lowConf, videoChunks(30, 8, 4)))
 	sn = rec.Snapshot()
 	found := false
 	for _, e := range sn.Retained {
@@ -141,7 +139,7 @@ func TestFlightWorstDecilePolicy(t *testing.T) {
 	}
 	ld := goodReport(8)
 	ld.Representation = features.LD
-	sh.Assess(assessment("sub-worst", 9000, ld, videoEntries("sub-worst", 9000, 8, 4)))
+	sh.Assess(assessment("sub-worst", 9000, ld, videoChunks(9000, 8, 4)))
 
 	sn := rec.Snapshot()
 	if len(sn.Retained) == 0 {
@@ -204,7 +202,7 @@ func TestFlightEvictionHostileLoad(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		sub := fmt.Sprintf("sub-%03d", i)
 		sh := rec.Shard(i % 2)
-		sh.Assess(assessment(sub, float64(i*100), stalledReport(12), videoEntries(sub, float64(i*100), 12, 5)))
+		sh.Assess(assessment(sub, float64(i*100), stalledReport(12), videoChunks(float64(i*100), 12, 5)))
 	}
 
 	m := rec.Metrics()
@@ -263,7 +261,7 @@ func TestFlightEvictionHostileLoad(t *testing.T) {
 func TestFlightMaxEventsTruncation(t *testing.T) {
 	rec := New(Config{Shards: 1, SampleN: -1, MaxEvents: 4})
 	sh := rec.Shard(0)
-	sh.Assess(assessment("sub", 10, stalledReport(10), videoEntries("sub", 10, 10, 5)))
+	sh.Assess(assessment("sub", 10, stalledReport(10), videoChunks(10, 10, 5)))
 
 	got := rec.Get("sub", 10)
 	if got == nil {
@@ -292,7 +290,7 @@ func TestFlightTimelineShape(t *testing.T) {
 	sh := rec.Shard(0)
 	// chunks 5s apart with 0.8s transactions leave ~4.2s silences; the
 	// stalled policy synthesizes the largest as gap events
-	sh.Assess(assessment("sub", 10, stalledReport(8), videoEntries("sub", 10, 8, 5)))
+	sh.Assess(assessment("sub", 10, stalledReport(8), videoChunks(10, 8, 5)))
 
 	got := rec.Get("sub", 10)
 	if got == nil {
@@ -333,7 +331,7 @@ func TestFlightTimelineShape(t *testing.T) {
 func TestFlightObserveOutcome(t *testing.T) {
 	rec := New(Config{Shards: 1, SampleN: -1})
 	sh := rec.Shard(0)
-	sh.Assess(assessment("sub", 10, stalledReport(8), videoEntries("sub", 10, 8, 5)))
+	sh.Assess(assessment("sub", 10, stalledReport(8), videoChunks(10, 8, 5)))
 
 	// a label for a session that was never retained is a no-op
 	rec.ObserveOutcome("ghost", 99, 150, "stall", "predicted no stalls, labeled severe stalls")
@@ -368,7 +366,7 @@ func TestFlightObserveOutcome(t *testing.T) {
 func TestFlightChromeTrace(t *testing.T) {
 	rec := New(Config{Shards: 1, SampleN: -1})
 	sh := rec.Shard(0)
-	sh.Assess(assessment("sub", 10, stalledReport(8), videoEntries("sub", 10, 8, 5)))
+	sh.Assess(assessment("sub", 10, stalledReport(8), videoChunks(10, 8, 5)))
 
 	evs := rec.ChromeTrace("sub", 10)
 	if len(evs) == 0 {
@@ -446,63 +444,6 @@ func TestFlightSessionIDRoundTrip(t *testing.T) {
 		}
 		if back != start {
 			t.Fatalf("id %q parsed back to %v, want %v", id, back, start)
-		}
-	}
-}
-
-// chunksOf extracts the columnar form of a session's entries — the
-// same media-chunk observations the engine's ColTracker buffers, with
-// the chunk end time (Timestamp + TransactionSec) in the Time column.
-func chunksOf(entries []weblog.Entry) []features.ChunkObs {
-	var out []features.ChunkObs
-	for _, e := range entries {
-		if !weblog.IsVideoHost(e.Host) {
-			continue
-		}
-		out = append(out, features.ChunkObs{
-			Time:        e.Timestamp + e.TransactionSec,
-			SizeKB:      float64(e.Bytes) / 1000,
-			DurationSec: e.TransactionSec,
-		})
-	}
-	return out
-}
-
-// TestColumnarAssessmentMatchesEntries proves the columnar Retain
-// hand-off is bit-identical to the legacy entry walk: the same session
-// offered once as buffered entries and once as chunk columns must
-// compact to identical timelines — same chunk records, totals,
-// truncation, and memory accounting — including past the maxEvents
-// truncation horizon.
-func TestColumnarAssessmentMatchesEntries(t *testing.T) {
-	for _, n := range []int{3, 64, 700} { // below, at, and past maxEvents
-		entries := videoEntries("sub-a", 100, n, 2.0)
-		rep := goodReport(n)
-
-		byEntries := newSession(assessment("sub-a", 100, rep, entries), 4.2, 0, 1, 512)
-		a := assessment("sub-a", 100, rep, nil)
-		a.Chunks = chunksOf(entries)
-		a.RawEntries = len(entries)
-		byChunks := newSession(a, 4.2, 0, 1, 512)
-
-		if byEntries.rawEntries != byChunks.rawEntries {
-			t.Fatalf("n=%d: rawEntries %d vs %d", n, byEntries.rawEntries, byChunks.rawEntries)
-		}
-		if byEntries.chunkCount != byChunks.chunkCount ||
-			byEntries.totalKB != byChunks.totalKB ||
-			byEntries.totalSec != byChunks.totalSec ||
-			byEntries.truncated != byChunks.truncated ||
-			byEntries.bytes != byChunks.bytes {
-			t.Fatalf("n=%d: compaction state diverged: %+v vs %+v", n, byEntries, byChunks)
-		}
-		if len(byEntries.chunks) != len(byChunks.chunks) {
-			t.Fatalf("n=%d: kept %d chunk records vs %d", n, len(byEntries.chunks), len(byChunks.chunks))
-		}
-		for i := range byEntries.chunks {
-			if byEntries.chunks[i] != byChunks.chunks[i] {
-				t.Fatalf("n=%d: chunk record %d diverged: %+v vs %+v",
-					n, i, byEntries.chunks[i], byChunks.chunks[i])
-			}
 		}
 	}
 }

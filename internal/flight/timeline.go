@@ -5,7 +5,6 @@ import (
 
 	"vqoe/internal/core"
 	"vqoe/internal/mos"
-	"vqoe/internal/weblog"
 )
 
 // EventKind classifies one timeline event.
@@ -120,7 +119,7 @@ func (e *Event) render() EventJSON {
 }
 
 // chunkRec is one retained chunk download, compacted out of its
-// weblog.Entry at retention: the end timestamp, transfer duration,
+// features.ChunkObs at retention: the end timestamp, transfer duration,
 // and size are all a timeline render needs, and the record is
 // pointer-free — the garbage collector never scans a retained ring's
 // chunk arrays, which is what keeps a full flight ring's resident
@@ -175,13 +174,13 @@ type Session struct {
 }
 
 // newSession retains one session: a header copy plus one float-only
-// pass over the already-buffered entries that compacts the video
-// chunks into pointer-free records (capped at maxEvents) and folds
-// the whole-session totals. The raw entry buffer is not referenced
-// afterwards — it becomes garbage with the rest of the closed
-// session — so a full ring adds nothing to the collector's scan work
-// while ingest runs hot. No timeline exists yet; Session.timeline
-// materializes the event view when an operator actually drills down.
+// pass over the already-buffered chunk observations that compacts them
+// into pointer-free records (capped at maxEvents) and folds the
+// whole-session totals. The chunk buffer is not referenced afterwards
+// — the caller recycles it — so a full ring adds nothing to the
+// collector's scan work while ingest runs hot. No timeline exists yet;
+// Session.timeline materializes the event view when an operator
+// actually drills down.
 func newSession(a Assessment, score float64, reasons Reason, shard, maxEvents int) *Session {
 	sess := &Session{
 		Subscriber: a.Subscriber,
@@ -193,7 +192,7 @@ func newSession(a Assessment, score float64, reasons Reason, shard, maxEvents in
 		Verbal:     mos.Score(score).Verbal(),
 		Stall:      a.Report.Stall.String(),
 		Rep:        a.Report.Representation.String(),
-		rawEntries: len(a.Entries),
+		rawEntries: a.RawEntries,
 		report:     a.Report,
 		reasons:    reasons,
 	}
@@ -206,32 +205,13 @@ func newSession(a Assessment, score float64, reasons Reason, shard, maxEvents in
 	if keep > 0 {
 		sess.chunks = make([]chunkRec, 0, keep)
 	}
-	if a.Entries == nil {
-		// columnar hand-off: the chunks arrive pre-extracted in arrival
-		// order, so compaction is a straight fold — same values, same
-		// order, same truncation as the entry walk below.
-		sess.rawEntries = a.RawEntries
-		for i := range a.Chunks {
-			c := &a.Chunks[i]
-			sess.chunkCount++
-			sess.totalKB += c.SizeKB
-			sess.totalSec += c.DurationSec
-			if len(sess.chunks) < maxEvents {
-				sess.chunks = append(sess.chunks, chunkRec{ts: c.Time, dur: c.DurationSec, kb: c.SizeKB})
-			}
-		}
-	}
-	for i := range a.Entries {
-		e := &a.Entries[i]
-		if !weblog.IsVideoHost(e.Host) {
-			continue
-		}
+	for i := range a.Chunks {
+		c := &a.Chunks[i]
 		sess.chunkCount++
-		kb := float64(e.Bytes) / 1000
-		sess.totalKB += kb
-		sess.totalSec += e.TransactionSec
+		sess.totalKB += c.SizeKB
+		sess.totalSec += c.DurationSec
 		if len(sess.chunks) < maxEvents {
-			sess.chunks = append(sess.chunks, chunkRec{ts: e.Timestamp + e.TransactionSec, dur: e.TransactionSec, kb: kb})
+			sess.chunks = append(sess.chunks, chunkRec{ts: c.Time, dur: c.DurationSec, kb: c.SizeKB})
 		}
 	}
 	if t := int64(sess.chunkCount - len(sess.chunks)); t > 0 {

@@ -3,8 +3,7 @@ package obs
 import "log/slog"
 
 // Observer bundles one deployment's observability state: a StageSet
-// and Tracer per engine shard (index 0 doubles as the slot for serial,
-// unsharded paths such as qoewatch) plus the structured logger the
+// and Tracer per engine shard plus the structured logger the
 // instrumented code logs through. A nil *Observer disables all of it —
 // every accessor returns nil and the nil-safe hot-path types take over
 // from there — which is what the overhead benchmark's "off" arm and

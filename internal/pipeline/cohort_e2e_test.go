@@ -107,7 +107,7 @@ func TestCohortRollupConvergence(t *testing.T) {
 		for i := range bySub[rep.Subscriber] {
 			e := &bySub[rep.Subscriber][i]
 			if e.Timestamp >= rep.Start-1e-9 && e.Timestamp <= rep.End+1e-9 {
-				key, found = cohort.FromEntry(e), true
+				key, found = cohort.Key{Region: e.Region, Device: e.Device, Cap: e.Cap}, true
 				break
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"vqoe/internal/cohort"
 	"vqoe/internal/core"
@@ -24,6 +25,10 @@ func TestCohortExpositionCardinalityCap(t *testing.T) {
 	}
 	m := NewMetrics()
 	m.SetRuntimeMetrics(false)
+	// the uptime gauge would otherwise differ between the two renders
+	// compared below whenever they straddle a millisecond
+	start := time.Unix(1_700_000_000, 0)
+	m.SetProcessClock(start, func() time.Time { return start.Add(time.Minute) })
 	m.AttachCohorts(r.Snapshot)
 
 	var buf bytes.Buffer

@@ -58,8 +58,7 @@ type Metrics struct {
 	engineStats func() []engine.ShardStats
 
 	// stageStats, when attached, supplies the per-shard stage-latency
-	// histograms (typically Observer.StageSnapshots). Index 0 is the
-	// serial path's pseudo-shard in unsharded deployments (qoewatch).
+	// histograms (typically Observer.StageSnapshots).
 	stageStats func() []obs.StageSetSnapshot
 
 	// qualityStats, when attached, supplies the model-quality health
@@ -111,13 +110,6 @@ func NewMetrics() *Metrics {
 		procNow:   time.Now,
 	}
 }
-
-// ObserveEntry counts a processed weblog entry.
-func (m *Metrics) ObserveEntry() { m.entriesTotal.Add(1) }
-
-// EntriesTotal reads the processed-entry counter (the serial path's
-// SLO throughput source; the sharded engine reads its own counters).
-func (m *Metrics) EntriesTotal() int64 { return m.entriesTotal.Load() }
 
 // ObserveEntries counts a batch of processed weblog entries.
 func (m *Metrics) ObserveEntries(n int) { m.entriesTotal.Add(int64(n)) }

@@ -26,7 +26,7 @@ func sampleReport(stall features.StallLabel, rep features.RepLabel, varying bool
 func TestMetricsExposition(t *testing.T) {
 	m := NewMetrics()
 	for i := 0; i < 10; i++ {
-		m.ObserveEntry()
+		m.ObserveEntries(1)
 	}
 	m.ObserveReport(sampleReport(features.NoStall, features.SD, false, 40))
 	m.ObserveReport(sampleReport(features.MildStall, features.LD, true, 20))
@@ -82,7 +82,7 @@ func TestMetricsConcurrent(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 500; i++ {
-				m.ObserveEntry()
+				m.ObserveEntries(1)
 				m.ObserveReport(sampleReport(features.NoStall, features.SD, false, 25))
 			}
 		}()

@@ -1,250 +1,14 @@
 // Package pipeline runs the detection framework in the operator's
 // online deployment mode (§8: "the trained models can be directly
 // applied on the passively monitored traffic and report issues in real
-// time"). It consumes weblog entries incrementally — as the proxy
-// emits them — maintains per-subscriber open sessions using the §5.2
-// reconstruction heuristics, and emits a QoE report the moment a
-// session is considered finished.
+// time"). Server wraps the live engine (internal/engine) with
+// everything that watches it — Prometheus metrics, the model-quality
+// monitor, cohort rollups, the flight recorder, SLO rules — and offers
+// three doors onto that one path: HTTP /ingest, the binary wire
+// listener, and the in-process Server.Ingest the CLI tools call.
 package pipeline
 
-import (
-	"time"
-
-	"vqoe/internal/cohort"
-	"vqoe/internal/core"
-	"vqoe/internal/features"
-	"vqoe/internal/flight"
-	"vqoe/internal/obs"
-	"vqoe/internal/qualitymon"
-	"vqoe/internal/sessionizer"
-	"vqoe/internal/weblog"
-)
-
-// Config tunes the online sessionization.
-type Config struct {
-	// IdleGapSec closes a session after this much subscriber silence.
-	IdleGapSec float64
-	// MinChunks suppresses reports for fragments with fewer media
-	// chunks (signalling-only groups).
-	MinChunks int
-}
-
-// DefaultConfig mirrors the batch sessionizer's parameters.
-func DefaultConfig() Config {
-	return Config{IdleGapSec: 30, MinChunks: 3}
-}
+import "vqoe/internal/engine"
 
 // SessionReport is an emitted assessment of one finished session.
-type SessionReport struct {
-	Subscriber string
-	Start, End float64
-	Report     core.Report
-}
-
-// Analyzer is the serial streaming engine. Feed it entries in
-// timestamp order with Push; completed sessions come back from Push
-// and Flush. Session boundaries come from the same incremental §5.2
-// flow table (sessionizer.Tracker) the sharded engine uses, so the
-// two paths split identically. Analyzer is not safe for concurrent
-// use; internal/engine is the sharded deployment form.
-type Analyzer struct {
-	fw     *core.Framework
-	cfg    Config
-	tr     *sessionizer.Tracker
-	stages *obs.StageSet
-
-	// quality, when attached, receives every finished session's
-	// projected features, prediction, and confidence (as pseudo-shard
-	// 0) plus the prediction itself for delayed label matching.
-	quality *core.QualityHook
-	qsc     core.AnalyzeScratch
-	qobs    [1]features.SessionObs
-
-	// cohorts, when attached, folds every finished session's MOS into
-	// the fleet rollup (as stripe 0).
-	cohorts *cohort.Rollup
-
-	// flight, when attached, runs every finished session through the
-	// flight recorder's tail-sampling decision (as stripe 0).
-	flight *flight.ShardRecorder
-}
-
-// New creates an Analyzer emitting reports from the given framework.
-func New(fw *core.Framework, cfg Config) *Analyzer {
-	if cfg.IdleGapSec <= 0 {
-		cfg.IdleGapSec = 30
-	}
-	if cfg.MinChunks <= 0 {
-		cfg.MinChunks = 3
-	}
-	return &Analyzer{
-		fw:  fw,
-		cfg: cfg,
-		tr: sessionizer.NewTracker(sessionizer.Config{
-			IdleGap:      cfg.IdleGapSec,
-			PageBoundary: true,
-		}),
-	}
-}
-
-// OpenSessions reports the number of sessions currently being tracked.
-func (a *Analyzer) OpenSessions() int { return a.tr.Open() }
-
-// SetStages attaches stage-latency histograms to the serial path so
-// batch tooling (qoewatch) shares the sharded engine's instrumentation
-// surface: sessionize is timed per pushed entry, featurize and the
-// forest/CUSUM split per finished session, ingest end to end per
-// entry. Pass nil to detach (the default: no clock reads at all).
-func (a *Analyzer) SetStages(s *obs.StageSet) { a.stages = s }
-
-// SetQuality attaches a model-quality monitor to the serial path: the
-// analyzer feeds it as pseudo-shard 0, exactly as an engine shard
-// would. Pass nil to detach.
-func (a *Analyzer) SetQuality(m *qualitymon.Monitor) {
-	if m == nil {
-		a.quality = nil
-		return
-	}
-	a.quality = &core.QualityHook{Monitor: m, Shard: 0}
-}
-
-// SetCohorts attaches a fleet-rollup layer to the serial path: every
-// finished session's assessment folds into its cohort's quantiles as
-// stripe 0, exactly as an engine shard would. Pass nil to detach.
-func (a *Analyzer) SetCohorts(r *cohort.Rollup) { a.cohorts = r }
-
-// Cohorts returns the attached rollup (nil when detached).
-func (a *Analyzer) Cohorts() *cohort.Rollup { return a.cohorts }
-
-// SetFlight attaches a session flight recorder to the serial path:
-// every finished session runs the tail-sampling decision on the
-// recorder's stripe 0, exactly as an engine shard would. Pass nil to
-// detach.
-func (a *Analyzer) SetFlight(r *flight.Recorder) {
-	r.SetAttributor(a.fw.AttributeVectors)
-	a.flight = r.Shard(0)
-}
-
-// ObserveLabel feeds one delayed ground-truth label to the attached
-// quality monitor, reporting whether it matched a tracked prediction
-// (always false with no monitor attached).
-func (a *Analyzer) ObserveLabel(l qualitymon.Label) bool {
-	if a.quality == nil {
-		return false
-	}
-	return a.quality.Monitor.ObserveLabel(l)
-}
-
-// Push processes one weblog entry and returns any session reports that
-// became final because of it (a watch-page load or an idle gap closed
-// the subscriber's previous session). Entries for non-service hosts
-// are ignored. Entries must arrive in non-decreasing timestamp order
-// per subscriber.
-func (a *Analyzer) Push(e weblog.Entry) []SessionReport {
-	if a.stages == nil {
-		c, ok := a.tr.Push(e)
-		if !ok {
-			return nil
-		}
-		if rep, ok := a.finish(c); ok {
-			return []SessionReport{rep}
-		}
-		return nil
-	}
-	t0 := time.Now()
-	c, ok := a.tr.Push(e)
-	a.stages.ObserveSince(obs.StageSessionize, t0)
-	var out []SessionReport
-	if ok {
-		if rep, repOK := a.finish(c); repOK {
-			out = []SessionReport{rep}
-		}
-	}
-	a.stages.ObserveSince(obs.StageIngest, t0)
-	return out
-}
-
-// Advance closes every session idle at the given clock time and
-// returns their reports ordered by start time. Call it periodically
-// with the capture clock so quiet subscribers' last sessions don't
-// linger forever.
-func (a *Analyzer) Advance(now float64) []SessionReport {
-	return a.finishAll(a.tr.Advance(now))
-}
-
-// Flush closes all open sessions regardless of idle state (end of
-// capture) and returns their reports ordered by start time.
-func (a *Analyzer) Flush() []SessionReport {
-	return a.finishAll(a.tr.Flush())
-}
-
-func (a *Analyzer) finishAll(closed []sessionizer.Closed) []SessionReport {
-	var out []SessionReport
-	for _, c := range closed {
-		if rep, ok := a.finish(c); ok {
-			out = append(out, rep)
-		}
-	}
-	return out
-}
-
-func (a *Analyzer) finish(c sessionizer.Closed) (SessionReport, bool) {
-	var t0 time.Time
-	if a.stages != nil {
-		t0 = time.Now()
-	}
-	o := features.FromEntries(c.Entries)
-	if a.stages != nil {
-		a.stages.ObserveSince(obs.StageFeaturize, t0)
-	}
-	if o.Len() < a.cfg.MinChunks {
-		a.flight.Discard()
-		return SessionReport{}, false
-	}
-	var rep core.Report
-	if a.quality != nil || a.flight != nil {
-		// batch-of-one through the quality-hooked path: reports are
-		// identical to AnalyzeObs (the hook only observes), and the
-		// scratch exposes the projected vectors the monitor and the
-		// flight recorder's decision-path attribution both need
-		a.qobs[0] = o
-		rep = a.fw.AnalyzeBatchQuality(a.qobs[:], a.stages, &a.qsc, a.quality)[0]
-	} else {
-		rep = a.fw.AnalyzeObs(o, a.stages)
-	}
-	if a.quality != nil {
-		a.quality.Monitor.TrackPrediction(qualitymon.Prediction{
-			Subscriber: c.Subscriber,
-			Start:      c.Start,
-			End:        c.End,
-			Stall:      int(rep.Stall),
-			Rep:        int(rep.Representation),
-			StallConf:  rep.StallConf,
-			RepConf:    rep.RepConf,
-		})
-	}
-	if a.cohorts != nil {
-		a.cohorts.Observe(0, cohort.FromSession(c.Entries), rep)
-	}
-	if a.flight != nil {
-		if reasons, score, ok := a.flight.Decide(rep); ok {
-			stallProj, repProj := a.fw.ProjectedCopies(&a.qsc, 0)
-			a.flight.Retain(flight.Assessment{
-				Subscriber: c.Subscriber,
-				Start:      c.Start,
-				End:        c.End,
-				Report:     rep,
-				Entries:    c.Entries,
-				Cohort:     cohort.FromSession(c.Entries).String(),
-				StallProj:  stallProj,
-				RepProj:    repProj,
-			}, score, reasons)
-		}
-	}
-	return SessionReport{
-		Subscriber: c.Subscriber,
-		Start:      c.Start,
-		End:        c.End,
-		Report:     rep,
-	}, true
-}
+type SessionReport = engine.Report

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vqoe/internal/core"
+	"vqoe/internal/engine"
 	"vqoe/internal/features"
 	"vqoe/internal/weblog"
 	"vqoe/internal/workload"
@@ -40,39 +41,57 @@ func testFramework(t *testing.T) (*core.Framework, *workload.Study) {
 	return fw, study
 }
 
+// watchServer builds the server the way qoewatch does: the live engine
+// at one shard with sweeps off, so sessions close only on §5.2
+// boundaries, an explicit Advance, or Drain.
+func watchServer(t *testing.T, fw *core.Framework) *Server {
+	t.Helper()
+	s := NewServerOpts(fw, Options{Engine: engine.Config{Shards: 1, SweepEverySec: -1}})
+	t.Cleanup(func() { s.Drain() })
+	return s
+}
+
+// streamThrough feeds entries one per Ingest call — each report comes
+// back from the call whose entry closed its session — then drains.
+func streamThrough(s *Server, entries []weblog.Entry) []SessionReport {
+	var reports []SessionReport
+	for _, e := range entries {
+		reports = append(reports, s.Ingest([]weblog.Entry{e})...)
+	}
+	return append(reports, s.Drain()...)
+}
+
+func openSessions(s *Server) int {
+	n := 0
+	for _, sh := range s.Engine().Snapshot() {
+		n += sh.Open
+	}
+	return n
+}
+
 func TestStreamingMatchesBatchSessionCount(t *testing.T) {
 	fw, study := testFramework(t)
-	a := New(fw, DefaultConfig())
-	var reports []SessionReport
-	for _, e := range study.Stream {
-		reports = append(reports, a.Push(e)...)
-	}
-	reports = append(reports, a.Flush()...)
+	s := watchServer(t, fw)
+	reports := streamThrough(s, study.Stream)
 	// the study has 20 sequential sessions; each should emit one report
 	if len(reports) < 18 || len(reports) > 22 {
 		t.Errorf("emitted %d reports for 20 sessions", len(reports))
 	}
-	if a.OpenSessions() != 0 {
-		t.Errorf("%d sessions left open after flush", a.OpenSessions())
+	if n := openSessions(s); n != 0 {
+		t.Errorf("%d sessions left open after drain", n)
 	}
 }
 
 func TestReportsCarryAssessments(t *testing.T) {
 	fw, study := testFramework(t)
-	a := New(fw, DefaultConfig())
-	var reports []SessionReport
-	for _, e := range study.Stream {
-		reports = append(reports, a.Push(e)...)
-	}
-	reports = append(reports, a.Flush()...)
-	for _, r := range reports {
+	for _, r := range streamThrough(watchServer(t, fw), study.Stream) {
 		if r.Subscriber != "study-device" {
 			t.Fatalf("subscriber %q", r.Subscriber)
 		}
 		if r.End < r.Start {
 			t.Fatal("report interval inverted")
 		}
-		if r.Report.Chunks < DefaultConfig().MinChunks {
+		if r.Report.Chunks < engine.DefaultConfig().MinChunks {
 			t.Fatalf("report with %d chunks below minimum", r.Report.Chunks)
 		}
 		if int(r.Report.Stall) < 0 || int(r.Report.Stall) > 2 {
@@ -83,67 +102,63 @@ func TestReportsCarryAssessments(t *testing.T) {
 
 func TestPushIgnoresForeignHosts(t *testing.T) {
 	fw, _ := testFramework(t)
-	a := New(fw, DefaultConfig())
-	if got := a.Push(weblog.Entry{Host: "ads.example.com", Subscriber: "x"}); got != nil {
+	s := watchServer(t, fw)
+	if got := s.Ingest([]weblog.Entry{{Host: "ads.example.com", Subscriber: "x"}}); len(got) != 0 {
 		t.Error("foreign host should not emit")
 	}
-	if a.OpenSessions() != 0 {
+	if openSessions(s) != 0 {
 		t.Error("foreign host should not open a session")
 	}
 }
 
 func TestAdvanceClosesIdleSessions(t *testing.T) {
 	fw, study := testFramework(t)
-	a := New(fw, DefaultConfig())
+	s := watchServer(t, fw)
 	// feed only the first session's worth of entries
 	first := study.StreamLabels[0]
 	for i, e := range study.Stream {
 		if study.StreamLabels[i] != first {
 			break
 		}
-		a.Push(e)
+		s.Ingest([]weblog.Entry{e})
 	}
-	if a.OpenSessions() != 1 {
-		t.Fatalf("open sessions = %d", a.OpenSessions())
+	if n := openSessions(s); n != 1 {
+		t.Fatalf("open sessions = %d", n)
 	}
-	if got := a.Advance(1e9); len(got) != 1 {
+	if got := s.Engine().Advance(1e9); len(got) != 1 {
 		t.Errorf("advance emitted %d reports, want 1", len(got))
 	}
-	if a.OpenSessions() != 0 {
+	if openSessions(s) != 0 {
 		t.Error("advance should close the idle session")
 	}
 	// advancing again is a no-op
-	if got := a.Advance(2e9); len(got) != 0 {
+	if got := s.Engine().Advance(2e9); len(got) != 0 {
 		t.Error("second advance should be empty")
 	}
 }
 
 func TestFragmentsSuppressed(t *testing.T) {
 	fw, _ := testFramework(t)
-	a := New(fw, DefaultConfig())
 	// a lone page load with no media must not produce a report
-	a.Push(weblog.Entry{Host: weblog.HostPage, Subscriber: "s", Timestamp: 0})
-	if got := a.Flush(); len(got) != 0 {
+	got := streamThrough(watchServer(t, fw), []weblog.Entry{{Host: weblog.HostPage, Subscriber: "s", Timestamp: 0}})
+	if len(got) != 0 {
 		t.Errorf("fragment emitted %d reports", len(got))
 	}
 }
 
 func TestMultipleSubscribersInterleaved(t *testing.T) {
 	fw, study := testFramework(t)
-	a := New(fw, DefaultConfig())
 	// duplicate the stream under two subscriber IDs, interleaved
-	var reports []SessionReport
+	var both []weblog.Entry
 	for _, e := range study.Stream {
 		e1 := e
 		e1.Subscriber = "alice"
 		e2 := e
 		e2.Subscriber = "bob"
-		reports = append(reports, a.Push(e1)...)
-		reports = append(reports, a.Push(e2)...)
+		both = append(both, e1, e2)
 	}
-	reports = append(reports, a.Flush()...)
 	counts := map[string]int{}
-	for _, r := range reports {
+	for _, r := range streamThrough(watchServer(t, fw), both) {
 		counts[r.Subscriber]++
 	}
 	if counts["alice"] == 0 || counts["alice"] != counts["bob"] {
@@ -153,12 +168,7 @@ func TestMultipleSubscribersInterleaved(t *testing.T) {
 
 func TestStreamingAgreesWithDirectAnalysis(t *testing.T) {
 	fw, study := testFramework(t)
-	a := New(fw, DefaultConfig())
-	var reports []SessionReport
-	for _, e := range study.Stream {
-		reports = append(reports, a.Push(e)...)
-	}
-	reports = append(reports, a.Flush()...)
+	reports := streamThrough(watchServer(t, fw), study.Stream)
 
 	// compare against analyzing each true session's entries directly
 	direct := map[string]core.Report{}

@@ -6,8 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"vqoe/internal/core"
 	"vqoe/internal/qualitymon"
+	"vqoe/internal/weblog"
 	"vqoe/internal/workload"
 )
 
@@ -198,34 +198,33 @@ func TestLabelsEndpointRejections(t *testing.T) {
 	}
 }
 
-// TestPipelineObserveLabel covers the serial analyzer's label path the
-// way qoewatch drives it: labels interleaved with entries, summary
-// matched count from the monitor snapshot after Flush.
+// TestPipelineObserveLabel covers the label path the way qoewatch
+// drives it: entries through Server.Ingest one at a time, labels to the
+// engine's monitor, summary matched count from the monitor snapshot
+// after Drain.
 func TestPipelineObserveLabel(t *testing.T) {
 	fw, _ := testFramework(t)
 	live := labeledLive(t)
-	an := New(fw, DefaultConfig())
-	qm := core.NewQualityMonitor(fw, 1, qualitymon.Thresholds{})
-	an.SetQuality(qm)
+	s := watchServer(t, fw)
 
 	for _, e := range live.Entries {
-		an.Push(e)
+		s.Ingest([]weblog.Entry{e})
 	}
 	for _, l := range live.Labels {
-		an.ObserveLabel(qualitymon.Label{
+		s.Engine().ObserveLabel(qualitymon.Label{
 			Subscriber: l.Subscriber, Start: l.Start, End: l.End,
 			Stall: int(l.Stall), Rep: int(l.Rep),
 		})
 	}
-	an.Flush()
-	sn := qm.Snapshot()
+	s.Drain()
+	sn := s.Engine().Quality().Snapshot()
 	if sn.Labels.Total != int64(len(live.Labels)) {
 		t.Fatalf("monitor saw %d labels, sent %d", sn.Labels.Total, len(live.Labels))
 	}
 	if sn.Labels.Matched == 0 {
-		t.Fatal("no label matched across Push/Flush")
+		t.Fatal("no label matched across Ingest/Drain")
 	}
 	if sn.Models[0].Samples == 0 {
-		t.Fatal("serial analyzer fed no predictions to the monitor")
+		t.Fatal("one-shard engine fed no predictions to the monitor")
 	}
 }

@@ -31,7 +31,7 @@ func TestMetricsConcurrentExposition(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				switch g % 4 {
 				case 0:
-					m.ObserveEntry()
+					m.ObserveEntries(1)
 				case 1:
 					m.ObserveEntries(3)
 				case 2:

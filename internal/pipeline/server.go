@@ -66,10 +66,11 @@ import (
 //
 // Server is safe for concurrent use. /ingest routes through the
 // sharded live-session engine, so concurrent requests for different
-// subscribers proceed in parallel; /analyze stays on the serial
-// single-session path (the request carries one complete session, so
-// there is no flow state to shard). Call Drain before shutdown to
-// flush sessions still open in the engine.
+// subscribers proceed in parallel; /analyze runs the offline reference
+// (features.FromEntries → Framework.Analyze) directly, since the
+// request carries one complete session and there is no flow state to
+// track. Call Drain before shutdown to flush sessions still open in
+// the engine.
 type Server struct {
 	fw      *core.Framework
 	metrics *Metrics
@@ -168,8 +169,7 @@ func NewServerOpts(fw *core.Framework, opts Options) *Server {
 	}
 	// sink: reports produced outside a request — the wire listener's
 	// Feed path, capture loops, auto-eviction — still hit metrics
-	s.eng = engine.New(fw, ecfg, func(r engine.Report) {
-		rep := fromEngine(r)
+	s.eng = engine.New(fw, ecfg, func(rep engine.Report) {
 		s.metrics.ObserveReport(rep)
 		if opts.OnReport != nil {
 			opts.OnReport(rep)
@@ -245,16 +245,28 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 // the closing summary.
 func (s *Server) Drain() []SessionReport {
 	s.slo.Close()
-	var out []SessionReport
-	for _, r := range s.eng.Drain() {
-		rep := fromEngine(r)
+	reports := s.eng.Drain()
+	for _, rep := range reports {
 		s.metrics.ObserveReport(rep)
 		if s.opts.OnReport != nil {
 			s.opts.OnReport(rep)
 		}
-		out = append(out, rep)
 	}
-	return out
+	return reports
+}
+
+// Ingest is the in-process synchronous door: the batch counts into the
+// metrics, runs through the engine with backpressure, and the reports
+// for every session it completed come back ordered by start time (and
+// are recorded in the metrics). HTTP /ingest and the CLI tools' entry
+// loops both go through here.
+func (s *Server) Ingest(entries []weblog.Entry) []SessionReport {
+	s.metrics.ObserveEntries(len(entries))
+	reports := s.eng.Ingest(entries)
+	for _, rep := range reports {
+		s.metrics.ObserveReport(rep)
+	}
+	return reports
 }
 
 // WireHandler adapts the server for the binary ingest listener: entry
@@ -293,10 +305,6 @@ func (s *Server) NewWireServer() *wire.Server {
 	// share the engine but not separate SLO series
 	s.wireSLO.Do(func() { AttachWireSLO(s.slo, ws) })
 	return ws
-}
-
-func fromEngine(r engine.Report) SessionReport {
-	return SessionReport{Subscriber: r.Subscriber, Start: r.Start, End: r.End, Report: r.Report}
 }
 
 // Observer exposes the observability layer (for embedding: attach a
@@ -577,10 +585,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Query().Get("mode") {
 	case "", "sync":
 		resp.Accepted = len(entries)
-		s.metrics.ObserveEntries(len(entries))
-		for _, r := range s.eng.Ingest(entries) {
-			rep := fromEngine(r)
-			s.metrics.ObserveReport(rep)
+		for _, rep := range s.Ingest(entries) {
 			resp.Reports = append(resp.Reports, IngestReport{
 				Subscriber: rep.Subscriber,
 				Start:      rep.Start,

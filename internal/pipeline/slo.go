@@ -16,10 +16,12 @@ import (
 )
 
 // SLOParts names the in-process sources the built-in SLO rule set
-// samples. Engine is nil on the serial path (qoewatch); Entries then
-// supplies the processed-entry counter for throughput and freshness.
-// Any field may be nil/zero — the corresponding series and rules are
-// simply not installed.
+// samples. Engine is nil when the SLO clock is not wall time (qoepcap
+// -analyze ticks on the capture clock, where the shards' wall-clock
+// liveness taps mean nothing); Entries then supplies the
+// processed-entry counter for throughput and freshness. Any field may
+// be nil/zero — the corresponding series and rules are simply not
+// installed.
 type SLOParts struct {
 	Engine  *engine.Engine
 	Entries func() int64

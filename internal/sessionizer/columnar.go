@@ -67,17 +67,19 @@ type colSlot struct {
 	sub, ref uint32
 }
 
-// ColTracker is the Tracker rebuilt for the engine hot path: sessions
-// are keyed by interned subscriber IDs, looked up through an
-// open-addressing probe (integer multiply-shift hash, linear probing,
-// backward-shift deletion) instead of a map-on-string, and buffer only
-// the per-chunk observations featurization reads instead of whole
-// weblog entries. The §5.2 splitting rule is identical to Tracker's —
-// the equivalence property test in columnar_test.go proves the two
-// emit bit-identical sessions from the same trace.
+// ColTracker reconstructs sessions incrementally, one record at a
+// time, across many subscribers at once — the flow-table form of the
+// §5.2 heuristics a live monitor needs, where re-sorting whole traces
+// per decision is impossible. Sessions are keyed by interned subscriber
+// IDs, looked up through an open-addressing probe (integer
+// multiply-shift hash, linear probing, backward-shift deletion), and
+// buffer only the per-chunk observations featurization reads instead of
+// whole weblog entries. The splitting rule is Group's: the tests in
+// this package prove a trace pushed through a ColTracker yields, per
+// subscriber, exactly the sessions Group reconstructs from it.
 //
-// Like Tracker it is single-goroutine; the engine gives each shard its
-// own instance.
+// ColTracker is not safe for concurrent use; the engine gives each
+// shard its own instance.
 type ColTracker struct {
 	cfg   Config
 	slots []colSlot
@@ -335,7 +337,8 @@ func (t *ColTracker) Push(r *Rec) (ColClosed, bool) {
 
 // AdvanceInto closes every session idle at the given clock time,
 // appending them to out; the appended segment is ordered by start time
-// then subscriber, matching Tracker.Advance.
+// then subscriber. Call it periodically with the capture clock so quiet
+// subscribers' last sessions don't linger.
 func (t *ColTracker) AdvanceInto(now float64, out []ColClosed) []ColClosed {
 	n := len(out)
 	for fi := 0; fi < len(t.flows); {
@@ -375,9 +378,8 @@ func (t *ColTracker) FlushInto(out []ColClosed) []ColClosed {
 	return out
 }
 
-// sortClosed orders a closed batch by (start, subscriber) — the same
-// total order Tracker's sortClosed produces. Subscriber strings are
-// resolved only to break start-time ties, which are rare.
+// sortClosed orders a closed batch by (start, subscriber). Subscriber
+// strings are resolved only to break start-time ties, which are rare.
 func (t *ColTracker) sortClosed(cs []ColClosed) {
 	if len(cs) < 2 {
 		return
@@ -398,8 +400,9 @@ func (t *ColTracker) sortClosed(cs []ColClosed) {
 }
 
 // OpenSnapshot lists the open sessions ordered by start time then
-// subscriber — the same view Tracker.OpenSnapshot serves at
-// /debug/sessions.
+// subscriber — the view served at /debug/sessions. Like every
+// ColTracker method it must run on the owning goroutine (the engine
+// routes it through the shard mailbox).
 func (t *ColTracker) OpenSnapshot() []OpenSession {
 	out := make([]OpenSession, 0, len(t.flows))
 	for i := range t.flows {

@@ -3,6 +3,7 @@ package sessionizer
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"vqoe/internal/cohort"
@@ -70,14 +71,75 @@ func (n *testInterner) rec(e weblog.Entry) Rec {
 	return r
 }
 
-// TestColTrackerMatchesTrackerLive is the fast path's bit-identity
-// property test: a seeded concurrent live workload pushed entry by
-// entry through the legacy string-keyed Tracker and through the
-// interned-ID columnar ColTracker — with interleaved Advance sweeps
-// and open-table snapshots — must produce the same closed sessions in
-// the same order, with identical boundaries, entry/chunk counts,
-// cohort attribution, and bit-identical feature observations
-// (FromEntries over buffered entries vs FromChunks over columns).
+// refSession is one session of the offline reference: Group run over a
+// single subscriber's sub-stream, with the session's entries located
+// in the merged live stream (idx, ascending) so its state at any point
+// of that stream can be read off.
+type refSession struct {
+	sub        string
+	start, end float64
+	idx        []int // positions in the live stream, all service entries
+	media      []int // the media-chunk subset of idx
+	cohort     cohort.Key
+}
+
+// upTo counts how many of the ascending positions are <= i.
+func upTo(positions []int, i int) int { return sort.SearchInts(positions, i+1) }
+
+// groupReference runs Group per subscriber over the live stream and
+// returns the sessions keyed by the stream position of their first
+// entry.
+func groupReference(entries []weblog.Entry, cfg Config) map[int]*refSession {
+	perSub := map[string][]int{}
+	for i, e := range entries {
+		perSub[e.Subscriber] = append(perSub[e.Subscriber], i)
+	}
+	startsAt := map[int]*refSession{}
+	for sub, pos := range perSub {
+		own := make([]weblog.Entry, len(pos))
+		for k, i := range pos {
+			own[k] = entries[i]
+		}
+		for _, s := range Group(own, cfg) {
+			r := &refSession{sub: sub, start: s.Start, end: s.End}
+			for _, k := range s.Indices {
+				r.idx = append(r.idx, pos[k])
+				if e := own[k]; r.cohort == (cohort.Key{}) {
+					r.cohort = cohort.Key{Region: e.Region, Device: e.Device, Cap: e.Cap}
+				}
+			}
+			for _, k := range s.MediaIndices(own) {
+				r.media = append(r.media, pos[k])
+			}
+			startsAt[r.idx[0]] = r
+		}
+	}
+	return startsAt
+}
+
+// sortRefs orders reference sessions the way the tracker orders a
+// closed batch: by start time, then subscriber.
+func sortRefs(rs []*refSession) {
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].start != rs[j].start {
+			return rs[i].start < rs[j].start
+		}
+		return rs[i].sub < rs[j].sub
+	})
+}
+
+// TestColTrackerMatchesTrackerLive is the live path's property test
+// against the offline reference: a seeded concurrent live workload
+// pushed entry by entry through the interned-ID columnar ColTracker —
+// with interleaved AdvanceInto sweeps and open-table snapshots — must
+// close, per subscriber, exactly the sessions sessionizer.Group
+// reconstructs from that subscriber's entries alone: same order
+// (push closes in stream order, sweep and flush batches by start then
+// subscriber), same boundaries, entry and chunk counts, first-seen
+// cohort, OnOpen calls, and bit-identical feature observations
+// (FromEntries over the Group session's entries vs FromChunks over the
+// columns). A sweep must close exactly the sessions whose last entry
+// is more than IdleGap behind its clock.
 func TestColTrackerMatchesTrackerLive(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -87,84 +149,125 @@ func TestColTrackerMatchesTrackerLive(t *testing.T) {
 				Seed:                  seed,
 			})
 			cfg := DefaultConfig()
-			leg := NewTracker(cfg)
+			startsAt := groupReference(live.Entries, cfg)
 			in := newTestInterner()
 			col := NewColTracker(cfg)
 			col.Resolve = in.name
 
-			var legOpens, colOpens []string
-			leg.OnOpen = func(sub string, start float64) {
-				legOpens = append(legOpens, fmt.Sprintf("%s@%.6f", sub, start))
-			}
+			var wantOpens, gotOpens []string
 			col.OnOpen = func(sub uint32, start float64) {
-				colOpens = append(colOpens, fmt.Sprintf("%s@%.6f", in.name(sub), start))
+				gotOpens = append(gotOpens, fmt.Sprintf("%s@%.6f", in.name(sub), start))
 			}
 
-			var legC []Closed
-			colC := make([]ColClosed, 0)
+			open := map[string]*refSession{} // the reference's flow table
+			var want []*refSession
+			var got []ColClosed
+			sweeps, swept := 0, 0
 			for i := range live.Entries {
 				e := live.Entries[i]
-				if c, ok := leg.Push(e); ok {
-					legC = append(legC, c)
-				}
-				r := in.rec(e)
-				if c, ok := col.Push(&r); ok {
-					colC = append(colC, c)
-				}
-				if i%257 == 128 {
-					now := e.Timestamp
-					legC = append(legC, leg.Advance(now)...)
-					colC = col.AdvanceInto(now, colC)
-					if leg.Open() != col.Open() {
-						t.Fatalf("open count diverged at entry %d: legacy %d columnar %d",
-							i, leg.Open(), col.Open())
+				if r := startsAt[i]; r != nil {
+					if prev := open[r.sub]; prev != nil {
+						want = append(want, prev)
 					}
-					ls, cs := leg.OpenSnapshot(), col.OpenSnapshot()
-					if !reflect.DeepEqual(ls, cs) {
-						t.Fatalf("open snapshots diverged at entry %d:\nlegacy   %+v\ncolumnar %+v",
-							i, ls, cs)
+					open[r.sub] = r
+					wantOpens = append(wantOpens, fmt.Sprintf("%s@%.6f", r.sub, r.start))
+				}
+				rec := in.rec(e)
+				if c, ok := col.Push(&rec); ok {
+					got = append(got, c)
+				}
+				if i%257 != 128 {
+					continue
+				}
+				now := e.Timestamp
+				var idle []*refSession
+				for sub, r := range open {
+					lastSeen := live.Entries[r.idx[upTo(r.idx, i)-1]].Timestamp
+					if now-lastSeen > cfg.IdleGap {
+						idle = append(idle, r)
+						delete(open, sub)
 					}
+				}
+				sortRefs(idle)
+				want = append(want, idle...)
+				sweeps++
+				swept += len(idle)
+				got = col.AdvanceInto(now, got)
+				if col.Open() != len(open) {
+					t.Fatalf("open count diverged at entry %d: reference %d columnar %d",
+						i, len(open), col.Open())
+				}
+				ws := make([]OpenSession, 0, len(open))
+				for _, r := range open {
+					n := upTo(r.idx, i)
+					ws = append(ws, OpenSession{
+						Subscriber: r.sub,
+						Start:      r.start,
+						LastSeen:   live.Entries[r.idx[n-1]].Timestamp,
+						Entries:    n,
+						Chunks:     upTo(r.media, i),
+					})
+				}
+				sort.Slice(ws, func(a, b int) bool {
+					if ws[a].Start != ws[b].Start {
+						return ws[a].Start < ws[b].Start
+					}
+					return ws[a].Subscriber < ws[b].Subscriber
+				})
+				if cs := col.OpenSnapshot(); !reflect.DeepEqual(ws, cs) {
+					t.Fatalf("open snapshots diverged at entry %d:\nreference %+v\ncolumnar  %+v", i, ws, cs)
 				}
 			}
-			legC = append(legC, leg.Flush()...)
-			colC = col.FlushInto(colC)
+			var rest []*refSession
+			for _, r := range open {
+				rest = append(rest, r)
+			}
+			sortRefs(rest)
+			want = append(want, rest...)
+			got = col.FlushInto(got)
+			if sweeps == 0 || swept == 0 {
+				t.Fatalf("fixture never exercised eviction: %d sweeps closed %d sessions", sweeps, swept)
+			}
 
-			if !reflect.DeepEqual(legOpens, colOpens) {
-				t.Fatalf("OnOpen streams diverged: legacy %d columnar %d",
-					len(legOpens), len(colOpens))
+			if !reflect.DeepEqual(wantOpens, gotOpens) {
+				t.Fatalf("OnOpen streams diverged: reference %d columnar %d",
+					len(wantOpens), len(gotOpens))
 			}
-			if len(legC) != len(colC) {
-				t.Fatalf("closed %d legacy sessions, %d columnar", len(legC), len(colC))
+			if len(want) != len(got) || len(want) != len(startsAt) {
+				t.Fatalf("Group found %d sessions, reference walk closed %d, columnar %d",
+					len(startsAt), len(want), len(got))
 			}
-			for i := range legC {
-				l, c := legC[i], colC[i]
-				if in.name(c.Sub) != l.Subscriber {
-					t.Fatalf("session %d: subscriber %q vs %q", i, in.name(c.Sub), l.Subscriber)
+			for i, r := range want {
+				c := got[i]
+				if in.name(c.Sub) != r.sub {
+					t.Fatalf("session %d: subscriber %q vs %q", i, in.name(c.Sub), r.sub)
 				}
-				if c.Start != l.Start || c.End != l.End {
+				if c.Start != r.start || c.End != r.end {
 					t.Fatalf("session %d (%s): bounds [%v,%v] vs [%v,%v]",
-						i, l.Subscriber, c.Start, c.End, l.Start, l.End)
+						i, r.sub, c.Start, c.End, r.start, r.end)
 				}
-				if c.Entries != len(l.Entries) {
-					t.Fatalf("session %d (%s): %d entries vs %d",
-						i, l.Subscriber, c.Entries, len(l.Entries))
+				if c.Entries != len(r.idx) {
+					t.Fatalf("session %d (%s): %d entries vs %d", i, r.sub, c.Entries, len(r.idx))
 				}
-				if len(c.Chunks) != l.Chunks {
-					t.Fatalf("session %d (%s): %d chunks vs %d",
-						i, l.Subscriber, len(c.Chunks), l.Chunks)
+				if len(c.Chunks) != len(r.media) {
+					t.Fatalf("session %d (%s): %d chunks vs %d", i, r.sub, len(c.Chunks), len(r.media))
 				}
-				if got, want := in.key(c.Cohort), cohort.FromSession(l.Entries); got != want {
-					t.Fatalf("session %d (%s): cohort %v vs %v", i, l.Subscriber, got, want)
+				if k := in.key(c.Cohort); k != r.cohort {
+					t.Fatalf("session %d (%s): cohort %v vs %v", i, r.sub, k, r.cohort)
 				}
-				lo := features.FromEntries(l.Entries)
+				own := make([]weblog.Entry, len(r.idx))
+				for k, pos := range r.idx {
+					own[k] = live.Entries[pos]
+				}
+				ro := features.FromEntries(own)
 				co := features.FromChunks(c.Chunks, nil)
-				if !reflect.DeepEqual(lo, co) {
-					t.Fatalf("session %d (%s): feature observations diverged:\nlegacy   %+v\ncolumnar %+v",
-						i, l.Subscriber, lo, co)
+				if !reflect.DeepEqual(ro, co) {
+					t.Fatalf("session %d (%s): feature observations diverged:\nreference %+v\ncolumnar  %+v",
+						i, r.sub, ro, co)
 				}
-				if !reflect.DeepEqual(features.RepFeatures(lo), features.RepFeatures(co)) ||
-					!reflect.DeepEqual(features.StallFeatures(lo), features.StallFeatures(co)) {
-					t.Fatalf("session %d (%s): feature vectors diverged", i, l.Subscriber)
+				if !reflect.DeepEqual(features.RepFeatures(ro), features.RepFeatures(co)) ||
+					!reflect.DeepEqual(features.StallFeatures(ro), features.StallFeatures(co)) {
+					t.Fatalf("session %d (%s): feature vectors diverged", i, r.sub)
 				}
 			}
 		})

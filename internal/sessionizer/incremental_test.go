@@ -16,21 +16,31 @@ func splitsFromGroup(entries []weblog.Entry, cfg Config) [][3]float64 {
 	return out
 }
 
+// newTestTracker returns a ColTracker wired to a fresh test interner,
+// the way an engine shard wires one to the engine's.
+func newTestTracker(cfg Config) (*ColTracker, *testInterner) {
+	in := newTestInterner()
+	tr := NewColTracker(cfg)
+	tr.Resolve = in.name
+	return tr, in
+}
+
 // splitsFromTracker pushes the same entries one at a time through a
-// Tracker and collects the splits in start order.
+// ColTracker and collects the splits in start order.
 func splitsFromTracker(entries []weblog.Entry, cfg Config) [][3]float64 {
-	tr := NewTracker(cfg)
-	var closed []Closed
+	tr, in := newTestTracker(cfg)
+	var closed []ColClosed
 	for _, e := range entries {
-		if c, ok := tr.Push(e); ok {
+		r := in.rec(e)
+		if c, ok := tr.Push(&r); ok {
 			closed = append(closed, c)
 		}
 	}
-	closed = append(closed, tr.Flush()...)
-	sortClosed(closed)
+	closed = tr.FlushInto(closed)
+	tr.sortClosed(closed)
 	var out [][3]float64
 	for _, c := range closed {
-		out = append(out, [3]float64{c.Start, c.End, float64(len(c.Entries))})
+		out = append(out, [3]float64{c.Start, c.End, float64(c.Entries)})
 	}
 	return out
 }
@@ -84,8 +94,9 @@ func TestTrackerMatchesGroupParallelPlayback(t *testing.T) {
 }
 
 func TestTrackerIgnoresForeignHosts(t *testing.T) {
-	tr := NewTracker(DefaultConfig())
-	if _, ok := tr.Push(weblog.Entry{Host: "ads.example.com", Subscriber: "x"}); ok {
+	tr, in := newTestTracker(DefaultConfig())
+	r := in.rec(weblog.Entry{Host: "ads.example.com", Subscriber: "x"})
+	if _, ok := tr.Push(&r); ok {
 		t.Error("foreign host closed a session")
 	}
 	if tr.Open() != 0 {
@@ -113,23 +124,24 @@ func TestTrackerMultiSubscriber(t *testing.T) {
 		}
 	}
 
-	tr := NewTracker(DefaultConfig())
+	tr, in := newTestTracker(DefaultConfig())
 	perSub := map[string][][3]float64{}
-	collect := func(cs []Closed) {
+	collect := func(cs []ColClosed) {
 		for _, c := range cs {
-			perSub[c.Subscriber] = append(perSub[c.Subscriber],
-				[3]float64{c.Start, c.End, float64(len(c.Entries))})
+			sub := in.name(c.Sub)
+			perSub[sub] = append(perSub[sub], [3]float64{c.Start, c.End, float64(c.Entries)})
 		}
 	}
 	for _, e := range merged {
-		if c, ok := tr.Push(e); ok {
-			collect([]Closed{c})
+		r := in.rec(e)
+		if c, ok := tr.Push(&r); ok {
+			collect([]ColClosed{c})
 		}
 	}
 	if tr.Open() != 2 {
 		t.Fatalf("open sessions = %d, want 2", tr.Open())
 	}
-	collect(tr.Flush())
+	collect(tr.FlushInto(nil))
 
 	for sub, stream := range map[string][]weblog.Entry{"sub": ea, "other": eb} {
 		want := splitsFromGroup(stream, DefaultConfig())
@@ -147,20 +159,21 @@ func TestTrackerMultiSubscriber(t *testing.T) {
 
 func TestTrackerAdvanceEvictsIdle(t *testing.T) {
 	entries, _ := buildStream(t, 1, 0, 17)
-	tr := NewTracker(DefaultConfig())
+	tr, in := newTestTracker(DefaultConfig())
 	for _, e := range entries {
-		tr.Push(e)
+		r := in.rec(e)
+		tr.Push(&r)
 	}
 	if tr.Open() != 1 {
 		t.Fatalf("open = %d", tr.Open())
 	}
 	end := entries[len(entries)-1].Timestamp
 	// not idle yet
-	if got := tr.Advance(end + 1); len(got) != 0 {
+	if got := tr.AdvanceInto(end+1, nil); len(got) != 0 {
 		t.Errorf("advance before the gap evicted %d sessions", len(got))
 	}
 	// past the gap
-	got := tr.Advance(end + DefaultConfig().IdleGap + 1)
+	got := tr.AdvanceInto(end+DefaultConfig().IdleGap+1, nil)
 	if len(got) != 1 {
 		t.Fatalf("advance evicted %d sessions, want 1", len(got))
 	}

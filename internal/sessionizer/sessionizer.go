@@ -54,9 +54,8 @@ func (s Session) MediaIndices(entries []weblog.Entry) []int {
 
 // boundary decides whether a service entry starts a new session given
 // the time of the subscriber's previous service entry (§5.2 steps 2
-// and 3). It is the single splitting rule shared by the batch Group
-// path and the incremental Tracker path, so both reconstruct the same
-// sessions from the same trace.
+// and 3). ColTracker.Push applies the same rule to pre-digested
+// records; the equivalence tests hold the two together.
 func boundary(cfg Config, open bool, lastT float64, e weblog.Entry) bool {
 	return !open ||
 		e.Timestamp-lastT > cfg.IdleGap ||
@@ -105,125 +104,6 @@ func Group(entries []weblog.Entry, cfg Config) []Session {
 	return sessions
 }
 
-// Closed is one finished session emitted by the incremental Tracker:
-// the entries it grouped, in arrival order. Chunks counts the media
-// downloads among them (maintained incrementally, so lifecycle tracing
-// does not rescan entries).
-type Closed struct {
-	Subscriber string
-	Entries    []weblog.Entry
-	Start, End float64
-	Chunks     int
-}
-
-// Tracker reconstructs sessions incrementally, one entry at a time,
-// across many subscribers at once — the flow-table form of the §5.2
-// heuristics a live monitor needs, where re-sorting whole traces per
-// decision is impossible. The splitting rule is byte-identical to
-// Group's: the same trace pushed through a Tracker yields the same
-// session boundaries as the batch path.
-//
-// Tracker is not safe for concurrent use; shard by subscriber for
-// parallel deployments (see internal/engine).
-type Tracker struct {
-	cfg  Config
-	open map[string]*openFlow
-
-	// OnOpen, when set, is called with the subscriber and start time
-	// each time a new session enters the flow table (the observability
-	// layer's session-lifecycle tracer hangs off this). It runs inline
-	// on the Push path — keep it cheap.
-	OnOpen func(subscriber string, start float64)
-}
-
-type openFlow struct {
-	entries    []weblog.Entry
-	start, end float64
-	media      int // entries on the media CDN (chunk downloads)
-}
-
-// NewTracker returns an empty flow table with the given splitting
-// parameters.
-func NewTracker(cfg Config) *Tracker {
-	if cfg.IdleGap <= 0 {
-		cfg.IdleGap = 30
-	}
-	return &Tracker{cfg: cfg, open: map[string]*openFlow{}}
-}
-
-// Open reports how many sessions are currently being tracked.
-func (t *Tracker) Open() int { return len(t.open) }
-
-// Push feeds one entry. Entries for non-service hosts are ignored;
-// entries must arrive in non-decreasing timestamp order per
-// subscriber. If the entry closes the subscriber's previous session
-// (page-load or idle-gap boundary), that session is returned.
-func (t *Tracker) Push(e weblog.Entry) (Closed, bool) {
-	if !e.IsServiceHost() {
-		return Closed{}, false
-	}
-	var out Closed
-	var closed bool
-	cur := t.open[e.Subscriber]
-	if boundary(t.cfg, cur != nil, lastEnd(cur), e) {
-		if cur != nil {
-			out = Closed{
-				Subscriber: e.Subscriber,
-				Entries:    cur.entries,
-				Start:      cur.start,
-				End:        cur.end,
-				Chunks:     cur.media,
-			}
-			closed = true
-		}
-		cur = &openFlow{start: e.Timestamp}
-		t.open[e.Subscriber] = cur
-		if t.OnOpen != nil {
-			t.OnOpen(e.Subscriber, e.Timestamp)
-		}
-	}
-	cur.entries = append(cur.entries, e)
-	cur.end = e.Timestamp
-	if e.IsVideoHost() {
-		cur.media++
-	}
-	return out, closed
-}
-
-func lastEnd(f *openFlow) float64 {
-	if f == nil {
-		return 0
-	}
-	return f.end
-}
-
-// Advance closes every session idle at the given clock time and
-// returns them ordered by start time. Call it periodically with the
-// capture clock so quiet subscribers' last sessions don't linger.
-func (t *Tracker) Advance(now float64) []Closed {
-	var out []Closed
-	for sub, f := range t.open {
-		if now-f.end > t.cfg.IdleGap {
-			out = append(out, Closed{Subscriber: sub, Entries: f.entries, Start: f.start, End: f.end, Chunks: f.media})
-			delete(t.open, sub)
-		}
-	}
-	sortClosed(out)
-	return out
-}
-
-// Flush closes all open sessions regardless of idle state (end of
-// capture) and returns them ordered by start time.
-func (t *Tracker) Flush() []Closed {
-	out := make([]Closed, 0, len(t.open))
-	for sub, f := range t.open {
-		out = append(out, Closed{Subscriber: sub, Entries: f.entries, Start: f.start, End: f.end, Chunks: f.media})
-		delete(t.open, sub)
-	}
-	sortClosed(out)
-	return out
-}
-
 // OpenSession is a point-in-time view of one session still in the
 // flow table — what an operator sees at /debug/sessions.
 type OpenSession struct {
@@ -232,38 +112,6 @@ type OpenSession struct {
 	LastSeen   float64 `json:"last_seen"`
 	Entries    int     `json:"entries"`
 	Chunks     int     `json:"chunks"`
-}
-
-// OpenSnapshot lists the open sessions ordered by start time then
-// subscriber. Like every Tracker method it must run on the owning
-// goroutine (the engine routes it through the shard mailbox).
-func (t *Tracker) OpenSnapshot() []OpenSession {
-	out := make([]OpenSession, 0, len(t.open))
-	for sub, f := range t.open {
-		out = append(out, OpenSession{
-			Subscriber: sub,
-			Start:      f.start,
-			LastSeen:   f.end,
-			Entries:    len(f.entries),
-			Chunks:     f.media,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Subscriber < out[j].Subscriber
-	})
-	return out
-}
-
-func sortClosed(cs []Closed) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Start != cs[j].Start {
-			return cs[i].Start < cs[j].Start
-		}
-		return cs[i].Subscriber < cs[j].Subscriber
-	})
 }
 
 // Evaluation summarizes how well reconstructed sessions match the

@@ -2,8 +2,10 @@
 # End-to-end smoke test for the observability surface: boot qoeserve,
 # replay a generated live stream into /ingest, then assert every
 # operator endpoint answers and the exposition carries the expected
-# families. CI runs this after the unit suite; it is also the fastest
-# way to sanity-check a local build:
+# families; then run the two CLI tools that embed the same engine at
+# one shard (qoewatch, qoepcap -analyze) and assert their reports and
+# closing sections. CI runs this after the unit suite; it is also the
+# fastest way to sanity-check a local build:
 #
 #   ./scripts/smoke.sh
 set -euo pipefail
@@ -14,11 +16,15 @@ ADDR="127.0.0.1:18080"
 WADDR="127.0.0.1:19090"
 BASE="http://$ADDR"
 TMP="$(mktemp -d)"
-trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+SERVE_PID=
+WATCH_PID=
+trap 'kill $SERVE_PID $WATCH_PID 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 echo "== build"
 go build -o "$TMP/qoeserve" ./cmd/qoeserve
 go build -o "$TMP/qoegen" ./cmd/qoegen
+go build -o "$TMP/qoewatch" ./cmd/qoewatch
+go build -o "$TMP/qoepcap" ./cmd/qoepcap
 
 echo "== boot qoeserve"
 "$TMP/qoeserve" -addr "$ADDR" -wire "$WADDR" -train-n 200 -shards 4 -pprof \
@@ -264,4 +270,88 @@ echo "   slo surface ok"
 
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
+SERVE_PID=
+
+echo "== qoewatch: stdin stream through the one-shard engine"
+# the stream arrives over a fifo held open until /metrics has been
+# scraped, so the exposition is read while the engine is live; closing
+# the fifo is end of stream — qoewatch drains and prints its summary
+WATCH_SUBS=30
+WATCH_N=2
+MADDR="127.0.0.1:18081"
+"$TMP/qoegen" -kind live -subscribers $WATCH_SUBS -n $WATCH_N -seed 11 -label-rate 0.5 \
+    -format jsonl >"$TMP/watch.jsonl"
+WATCH_ENTRIES=$(grep -vc '"type":"label"' "$TMP/watch.jsonl")
+mkfifo "$TMP/watch.in"
+"$TMP/qoewatch" -train-n 200 -metrics-addr "$MADDR" <"$TMP/watch.in" \
+    >"$TMP/watch.out" 2>"$TMP/watch.log" &
+WATCH_PID=$!
+exec 3>"$TMP/watch.in"
+cat "$TMP/watch.jsonl" >&3
+for i in $(seq 1 100); do
+    if curl -fsS "http://$MADDR/metrics" 2>/dev/null |
+        grep -q "^vqoe_entries_total $WATCH_ENTRIES\$"; then
+        break
+    fi
+    if ! kill -0 "$WATCH_PID" 2>/dev/null; then
+        echo "qoewatch died mid-stream:" >&2
+        cat "$TMP/watch.log" >&2
+        exit 1
+    fi
+    sleep 0.2
+done
+curl -fsS "http://$MADDR/metrics" >"$TMP/watch-metrics.txt"
+for family in \
+    "vqoe_entries_total $WATCH_ENTRIES" \
+    'vqoe_engine_shard_entries_total{shard="0"}' \
+    'vqoe_engine_shard_open_sessions{shard="0"}' \
+    vqoe_stage_duration_seconds_bucket \
+    vqoe_model_predictions_total \
+    vqoe_cohort_sessions_total \
+    vqoe_flight_recorded_sessions_total \
+    vqoe_alert_state; do
+    grep -q "^$family" "$TMP/watch-metrics.txt" ||
+        { echo "qoewatch /metrics lacks $family" >&2; exit 1; }
+done
+exec 3>&-
+wait "$WATCH_PID"
+WATCH_PID=
+WATCH_REPORTS=$(grep -c '^[ !] ' "$TMP/watch.out")
+grep -q "^-- $WATCH_ENTRIES entries, $WATCH_REPORTS session reports\$" "$TMP/watch.out" ||
+    { echo "qoewatch summary disagrees with its $WATCH_REPORTS report lines" >&2; cat "$TMP/watch.out" >&2; exit 1; }
+test "$WATCH_REPORTS" -eq $((WATCH_SUBS * WATCH_N)) ||
+    { echo "qoewatch reported $WATCH_REPORTS sessions, generated $((WATCH_SUBS * WATCH_N))" >&2; exit 1; }
+for section in \
+    '-- [0-9]* ground-truth labels, [0-9]* matched' \
+    '-- model stall: ' \
+    '-- model rep: ' \
+    '-- worst cohorts (' \
+    '-- worst sessions (' \
+    '-- slo'; do
+    grep -q "^$section" "$TMP/watch.out" ||
+        { echo "qoewatch output lacks closing section: $section" >&2; exit 1; }
+done
+echo "   $WATCH_REPORTS reports over $WATCH_ENTRIES entries, closing sections present"
+
+echo "== qoepcap -analyze: capture through the one-shard engine"
+PCAP_SESSIONS=15
+"$TMP/qoepcap" -export "$TMP/t.pcap" -sessions $PCAP_SESSIONS -seed 4 >/dev/null
+# -flight-sample 1 retains every session, so the worst-sessions section
+# does not depend on what the quick-trained model happens to flag
+"$TMP/qoepcap" -analyze "$TMP/t.pcap" -train-n 200 -flight-sample 1 \
+    >"$TMP/pcap.out" 2>"$TMP/pcap.log"
+PCAP_REPORTS=$(grep -c '^session ' "$TMP/pcap.out")
+grep -q "^$PCAP_REPORTS sessions assessed\$" "$TMP/pcap.out" ||
+    { echo "qoepcap summary disagrees with its $PCAP_REPORTS report lines" >&2; cat "$TMP/pcap.out" >&2; exit 1; }
+test "$PCAP_REPORTS" -eq $PCAP_SESSIONS ||
+    { echo "qoepcap assessed $PCAP_REPORTS sessions, exported $PCAP_SESSIONS" >&2; exit 1; }
+for section in \
+    'metered [0-9]* transactions from [0-9]* packets' \
+    'slo alerts over the capture (' \
+    "worst sessions ($PCAP_SESSIONS retained of $PCAP_SESSIONS recorded)"; do
+    grep -q "^$section" "$TMP/pcap.out" ||
+        { echo "qoepcap output lacks section: $section" >&2; exit 1; }
+done
+echo "   $PCAP_REPORTS sessions assessed, closing sections present"
+
 echo "== smoke ok"
