@@ -667,7 +667,8 @@ func BenchmarkSLOOverhead(b *testing.B) {
 			eng := engine.New(fw, cfg, func(engine.Report) {})
 			var se *slo.Engine
 			if withSLO {
-				se = pipeline.NewSLO(slo.Config{CadenceSec: 0.01}, pipeline.SLOParts{Engine: eng})
+				se = slo.New(slo.Config{CadenceSec: 0.01})
+				pipeline.EngineTelemetry(nil, se, eng)
 				se.Start()
 			}
 			runtime.GC()

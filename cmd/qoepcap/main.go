@@ -205,11 +205,10 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 		defer lf.Close()
 		scfg.AlertLog = lf
 	}
-	sloEng := pipeline.NewSLO(scfg, pipeline.SLOParts{
-		Entries: func() int64 { return pushed },
-		Stages:  ob.StageSnapshots,
-		Flight:  rec,
-	})
+	sloEng := slo.New(scfg)
+	pipeline.EntriesTelemetry(sloEng, func() int64 { return pushed }, nil)
+	pipeline.StageTelemetry(nil, sloEng, ob.StageSnapshots)
+	pipeline.FlightTelemetry(nil, sloEng, rec)
 
 	// stream through the live engine at one shard, one entry per call,
 	// so the flight recorder sees the capture exactly as a deployment

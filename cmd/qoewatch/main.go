@@ -40,7 +40,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -129,25 +128,18 @@ func main() {
 	defer out.Flush()
 
 	var lines, emitted, labels int
-	typeProbe := []byte(`"type"`)
 	for in.Scan() {
 		if len(in.Bytes()) == 0 {
 			continue
 		}
-		if bytes.Contains(in.Bytes(), typeProbe) {
-			var probe struct {
-				Type string `json:"type"`
-			}
-			if json.Unmarshal(in.Bytes(), &probe) == nil && probe.Type == qualitymon.LabelType {
-				var l qualitymon.Label
-				if err := json.Unmarshal(in.Bytes(), &l); err != nil {
-					log.Warn("skipping malformed label line", "err", err)
-					continue
-				}
-				labels++
-				srv.Engine().ObserveLabel(l)
+		if l, isLabel, err := qualitymon.ParseLabelLine(in.Bytes()); isLabel {
+			if err != nil {
+				log.Warn("skipping malformed label line", "err", err)
 				continue
 			}
+			labels++
+			srv.Engine().ObserveLabel(l)
+			continue
 		}
 		var e weblog.Entry
 		if err := json.Unmarshal(in.Bytes(), &e); err != nil {

@@ -207,14 +207,6 @@ func NewRollup(cfg Config) *Rollup {
 	return r
 }
 
-// MaxCohorts reports the configured cardinality cap.
-func (r *Rollup) MaxCohorts() int {
-	if r == nil {
-		return 0
-	}
-	return r.cfg.MaxCohorts
-}
-
 // Observe attributes one completed session assessment to its cohort:
 // the report is converted to a MOS and folded into the shard's stripe.
 // Called from the engine shard worker that owns the session.

@@ -167,9 +167,6 @@ func TestNilRollupSafe(t *testing.T) {
 	if s := r.Snapshot(); s == nil || len(s.Cohorts) != 0 {
 		t.Errorf("nil rollup snapshot = %+v", s)
 	}
-	if r.MaxCohorts() != 0 {
-		t.Error("nil MaxCohorts")
-	}
 }
 
 // Striped ingest under concurrency with racing snapshots: counters

@@ -180,10 +180,6 @@ func New(fw *core.Framework, cfg Config, sink func(Report)) *Engine {
 // Shards reports the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// Observer returns the attached observability layer (nil when the
-// engine runs uninstrumented).
-func (e *Engine) Observer() *obs.Observer { return e.cfg.Obs }
-
 // Quality returns the attached model-quality monitor (nil when quality
 // monitoring is off).
 func (e *Engine) Quality() *qualitymon.Monitor { return e.cfg.Quality }

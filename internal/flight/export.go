@@ -218,21 +218,6 @@ func (r *Recorder) ChromeTrace(subscriber string, start float64) []obs.ChromeEve
 	return out
 }
 
-// LastEvictUnixNano returns the wall-clock time any shard last
-// evicted a retained session for byte pressure (0 = never).
-func (r *Recorder) LastEvictUnixNano() int64 {
-	if r == nil {
-		return 0
-	}
-	var last int64
-	for _, s := range r.shards {
-		if n := s.lastEvictNano.Load(); n > last {
-			last = n
-		}
-	}
-	return last
-}
-
 // Metrics sums the per-shard counters. Safe to call on a nil recorder
 // (all-zero snapshot with the capacity reported as 0).
 func (r *Recorder) Metrics() MetricsSnapshot {

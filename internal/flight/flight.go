@@ -51,7 +51,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vqoe/internal/core"
 	"vqoe/internal/features"
@@ -85,15 +84,6 @@ const (
 const NumReasons = 5
 
 var reasonNames = [NumReasons]string{"stalled", "worst_mos", "low_confidence", "labeled_wrong", "uniform"}
-
-// ReasonName returns the label value for one retention-policy counter
-// index (the bit position in Reason).
-func ReasonName(i int) string {
-	if i < 0 || i >= NumReasons {
-		return "unknown"
-	}
-	return reasonNames[i]
-}
 
 // Names expands the bitmask into sorted policy names (deterministic
 // JSON).
@@ -314,11 +304,6 @@ type ShardRecorder struct {
 	evicted   atomic.Int64
 	truncated atomic.Int64
 	byReason  [NumReasons]atomic.Int64
-
-	// lastEvictNano is the wall-clock time (unix nanos) this shard
-	// last evicted a retained session for byte pressure — the SLO
-	// layer's retention-pressure tap (0 = never).
-	lastEvictNano atomic.Int64
 }
 
 // Discard records a session that closed below the assessment floor
@@ -328,17 +313,6 @@ func (s *ShardRecorder) Discard() {
 		return
 	}
 	s.recorded.Add(1)
-}
-
-// Assess runs the tail-sampling decision for one closed, assessed
-// session: score it, update the shard's MOS percentile, and retain the
-// session's raw material if any policy matches. Called from the owning
-// shard worker only. Hot paths that want to skip building the
-// Assessment for dropped sessions call Decide and Retain directly.
-func (s *ShardRecorder) Assess(a Assessment) {
-	if reasons, score, ok := s.Decide(a.Report); ok {
-		s.retain(a, score, reasons)
-	}
 }
 
 // Decide runs the tail-sampling decision alone, without touching the
@@ -378,20 +352,15 @@ func (s *ShardRecorder) Decide(rep core.Report) (Reason, float64, bool) {
 
 // Retain keeps one session Decide said to keep, taking ownership of
 // its raw material. Callers pass Decide's reasons and score through.
+// It compacts the raw material into a pointer-free record and inserts
+// it into the byte-capped ring, evicting oldest-first past the budget.
+// The cost is one float-only pass over the chunks (see newSession)
+// plus ring and exemplar bookkeeping; the timeline is NOT materialized
+// here — that happens at drill-down render time.
 func (s *ShardRecorder) Retain(a Assessment, score float64, reasons Reason) {
 	if s == nil {
 		return
 	}
-	s.retain(a, score, reasons)
-}
-
-// retain compacts the session's raw material into a pointer-free
-// record and inserts it into the byte-capped ring, evicting
-// oldest-first past the budget. The cost is one float-only pass over
-// the chunks (see newSession) plus ring and exemplar bookkeeping;
-// the timeline is NOT materialized here — that happens at drill-down
-// render time.
-func (s *ShardRecorder) retain(a Assessment, score float64, reasons Reason) {
 	sess := newSession(a, score, reasons, s.shard, s.rec.cfg.MaxEvents)
 	s.retained.Add(1)
 	for i := 0; i < NumReasons; i++ {
@@ -424,7 +393,6 @@ func (s *ShardRecorder) retain(a Assessment, score float64, reasons Reason) {
 	s.mu.Unlock()
 	if len(evicted) > 0 {
 		s.evicted.Add(int64(len(evicted)))
-		s.lastEvictNano.Store(time.Now().UnixNano())
 	}
 }
 

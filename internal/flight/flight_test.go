@@ -42,6 +42,14 @@ func stalledReport(chunks int) core.Report {
 	}
 }
 
+// assess runs Decide and, on a keep, Retain — what the engine's shard
+// does around the lazily built Assessment.
+func assess(s *ShardRecorder, a Assessment) {
+	if reasons, score, ok := s.Decide(a.Report); ok {
+		s.Retain(a, score, reasons)
+	}
+}
+
 func assessment(sub string, start float64, rep core.Report, chunks []features.ChunkObs) Assessment {
 	return Assessment{
 		Subscriber: sub,
@@ -76,13 +84,13 @@ func TestFlightRetentionPolicies(t *testing.T) {
 	sh := rec.Shard(0)
 
 	// healthy, confident, before the worst-decile warm-up: dropped
-	sh.Assess(assessment("sub-ok", 10, goodReport(8), videoChunks(10, 8, 4)))
+	assess(sh, assessment("sub-ok", 10, goodReport(8), videoChunks(10, 8, 4)))
 	if got := rec.Metrics(); got.Recorded != 1 || got.Retained != 0 {
 		t.Fatalf("healthy session: recorded %d retained %d, want 1/0", got.Recorded, got.Retained)
 	}
 
 	// stalled: always retained
-	sh.Assess(assessment("sub-stall", 20, stalledReport(8), videoChunks(20, 8, 6)))
+	assess(sh, assessment("sub-stall", 20, stalledReport(8), videoChunks(20, 8, 6)))
 	sn := rec.Snapshot()
 	if len(sn.Retained) != 1 {
 		t.Fatalf("stalled session not retained: %+v", sn.Retained)
@@ -98,7 +106,7 @@ func TestFlightRetentionPolicies(t *testing.T) {
 	// model exemplar for the unsure detector only
 	lowConf := goodReport(8)
 	lowConf.StallConf = 0.3
-	sh.Assess(assessment("sub-unsure", 30, lowConf, videoChunks(30, 8, 4)))
+	assess(sh, assessment("sub-unsure", 30, lowConf, videoChunks(30, 8, 4)))
 	sn = rec.Snapshot()
 	found := false
 	for _, e := range sn.Retained {
@@ -135,11 +143,11 @@ func TestFlightWorstDecilePolicy(t *testing.T) {
 	// sessions, then close one LD session: lower MOS than everything
 	// seen, so it lands at or below the rolling P10
 	for i := 0; i < 48; i++ {
-		sh.Assess(assessment("warm", float64(i*100), goodReport(8), nil))
+		assess(sh, assessment("warm", float64(i*100), goodReport(8), nil))
 	}
 	ld := goodReport(8)
 	ld.Representation = features.LD
-	sh.Assess(assessment("sub-worst", 9000, ld, videoChunks(9000, 8, 4)))
+	assess(sh, assessment("sub-worst", 9000, ld, videoChunks(9000, 8, 4)))
 
 	sn := rec.Snapshot()
 	if len(sn.Retained) == 0 {
@@ -169,7 +177,7 @@ func TestFlightUniformSample(t *testing.T) {
 	rec := New(Config{Shards: 1, SampleN: 4, LowConfidence: -1})
 	sh := rec.Shard(0)
 	for i := 0; i < 16; i++ {
-		sh.Assess(assessment("sub", float64(i*100), goodReport(8), nil))
+		assess(sh, assessment("sub", float64(i*100), goodReport(8), nil))
 	}
 	sn := rec.Snapshot()
 	if len(sn.Retained) != 4 {
@@ -185,7 +193,7 @@ func TestFlightUniformSample(t *testing.T) {
 	off := New(Config{Shards: 1, SampleN: -1, LowConfidence: -1})
 	osh := off.Shard(0)
 	for i := 0; i < 16; i++ {
-		osh.Assess(assessment("sub", float64(i*100), goodReport(8), nil))
+		assess(osh, assessment("sub", float64(i*100), goodReport(8), nil))
 	}
 	if got := off.Metrics().Retained; got != 0 {
 		t.Fatalf("retained %d with uniform sampling off", got)
@@ -202,7 +210,7 @@ func TestFlightEvictionHostileLoad(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		sub := fmt.Sprintf("sub-%03d", i)
 		sh := rec.Shard(i % 2)
-		sh.Assess(assessment(sub, float64(i*100), stalledReport(12), videoChunks(float64(i*100), 12, 5)))
+		assess(sh, assessment(sub, float64(i*100), stalledReport(12), videoChunks(float64(i*100), 12, 5)))
 	}
 
 	m := rec.Metrics()
@@ -261,7 +269,7 @@ func TestFlightEvictionHostileLoad(t *testing.T) {
 func TestFlightMaxEventsTruncation(t *testing.T) {
 	rec := New(Config{Shards: 1, SampleN: -1, MaxEvents: 4})
 	sh := rec.Shard(0)
-	sh.Assess(assessment("sub", 10, stalledReport(10), videoChunks(10, 10, 5)))
+	assess(sh, assessment("sub", 10, stalledReport(10), videoChunks(10, 10, 5)))
 
 	got := rec.Get("sub", 10)
 	if got == nil {
@@ -290,7 +298,7 @@ func TestFlightTimelineShape(t *testing.T) {
 	sh := rec.Shard(0)
 	// chunks 5s apart with 0.8s transactions leave ~4.2s silences; the
 	// stalled policy synthesizes the largest as gap events
-	sh.Assess(assessment("sub", 10, stalledReport(8), videoChunks(10, 8, 5)))
+	assess(sh, assessment("sub", 10, stalledReport(8), videoChunks(10, 8, 5)))
 
 	got := rec.Get("sub", 10)
 	if got == nil {
@@ -331,7 +339,7 @@ func TestFlightTimelineShape(t *testing.T) {
 func TestFlightObserveOutcome(t *testing.T) {
 	rec := New(Config{Shards: 1, SampleN: -1})
 	sh := rec.Shard(0)
-	sh.Assess(assessment("sub", 10, stalledReport(8), videoChunks(10, 8, 5)))
+	assess(sh, assessment("sub", 10, stalledReport(8), videoChunks(10, 8, 5)))
 
 	// a label for a session that was never retained is a no-op
 	rec.ObserveOutcome("ghost", 99, 150, "stall", "predicted no stalls, labeled severe stalls")
@@ -366,7 +374,7 @@ func TestFlightObserveOutcome(t *testing.T) {
 func TestFlightChromeTrace(t *testing.T) {
 	rec := New(Config{Shards: 1, SampleN: -1})
 	sh := rec.Shard(0)
-	sh.Assess(assessment("sub", 10, stalledReport(8), videoChunks(10, 8, 5)))
+	assess(sh, assessment("sub", 10, stalledReport(8), videoChunks(10, 8, 5)))
 
 	evs := rec.ChromeTrace("sub", 10)
 	if len(evs) == 0 {
@@ -407,7 +415,7 @@ func TestFlightNilSafety(t *testing.T) {
 		t.Fatal("nil recorder should hand out nil shards")
 	}
 	sh.Discard()
-	sh.Assess(assessment("sub", 10, stalledReport(8), nil))
+	assess(sh, assessment("sub", 10, stalledReport(8), nil))
 	rec.ObserveOutcome("sub", 10, 70, "stall", "x")
 	if got := rec.ExemplarIDs("cohort/x", 4); got != nil {
 		t.Fatalf("nil recorder exemplars = %v", got)

@@ -29,7 +29,7 @@ func BenchmarkRetain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.retain(a, 2.5, ReasonStalled)
+		sh.Retain(a, 2.5, ReasonStalled)
 		if i%64 == 0 {
 			sh.mu.Lock()
 			sh.ring = sh.ring[:0]

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -179,9 +180,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestWriteRuntimeMetrics(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteRuntimeMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
+	WriteRuntimeMetrics(func(format string, args ...any) { fmt.Fprintf(&buf, format, args...) })
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE vqoe_go_goroutines gauge",

@@ -4,8 +4,8 @@ import "sync"
 
 // Ring is a fixed-capacity mutex-guarded ring buffer: Push overwrites
 // the oldest element once full and never allocates, so a hot path can
-// record into it at a bounded, constant cost. The lifecycle Tracer and
-// the flight recorder's retained-session index are both built on it.
+// record into it at a bounded, constant cost. The lifecycle Tracer is
+// built on it.
 // A nil *Ring is the "off" mode: every method is a no-op.
 type Ring[T any] struct {
 	mu  sync.Mutex

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 )
 
@@ -14,17 +13,13 @@ import (
 // is slow inference or a GC death spiral).
 //
 // runtime.ReadMemStats stops the world for a moment, so this belongs
-// on the scrape path (seconds apart), never the ingest path.
-func WriteRuntimeMetrics(w io.Writer) (int64, error) {
+// on the scrape path (seconds apart), never the ingest path. The
+// families go out through the caller's printf, so byte counting and
+// the first write error stay with the writer that owns the response.
+func WriteRuntimeMetrics(printf func(format string, args ...any)) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 
-	var n int64
-	p := func(format string, args ...any) error {
-		k, err := fmt.Fprintf(w, format, args...)
-		n += int64(k)
-		return err
-	}
 	lastPause := float64(ms.PauseNs[(ms.NumGC+255)%256]) / 1e9
 	if ms.NumGC == 0 {
 		lastPause = 0
@@ -41,10 +36,7 @@ func WriteRuntimeMetrics(w io.Writer) (int64, error) {
 		{"vqoe_go_gc_pause_last_seconds", "Most recent GC stop-the-world pause.", "gauge", fmt.Sprintf("%g", lastPause)},
 		{"vqoe_go_gc_pause_total_seconds", "Cumulative GC stop-the-world pause time.", "counter", fmt.Sprintf("%g", float64(ms.PauseTotalNs)/1e9)},
 	} {
-		if err := p("# HELP %s %s\n# TYPE %s %s\n%s %s\n",
-			fam.name, fam.help, fam.name, fam.typ, fam.name, fam.value); err != nil {
-			return n, err
-		}
+		printf("# HELP %s %s\n# TYPE %s %s\n%s %s\n",
+			fam.name, fam.help, fam.name, fam.typ, fam.name, fam.value)
 	}
-	return n, nil
 }

@@ -10,6 +10,7 @@ import (
 	"vqoe/internal/cohort"
 	"vqoe/internal/core"
 	"vqoe/internal/features"
+	"vqoe/internal/slo"
 )
 
 // A hostile or misconfigured metadata feed minting unbounded cohort
@@ -29,7 +30,7 @@ func TestCohortExpositionCardinalityCap(t *testing.T) {
 	// compared below whenever they straddle a millisecond
 	start := time.Unix(1_700_000_000, 0)
 	m.SetProcessClock(start, func() time.Time { return start.Add(time.Minute) })
-	m.AttachCohorts(r.Snapshot)
+	cohortTelemetry(m, slo.New(slo.Config{Manual: true}), r)
 
 	var buf bytes.Buffer
 	if _, err := m.WriteTo(&buf); err != nil {
@@ -101,7 +102,7 @@ func TestCohortExpositionCardinalityCap(t *testing.T) {
 func TestCohortExpositionSuppressedWhenEmpty(t *testing.T) {
 	m := NewMetrics()
 	m.SetRuntimeMetrics(false)
-	m.AttachCohorts(cohort.NewRollup(cohort.Config{Shards: 1}).Snapshot)
+	cohortTelemetry(m, slo.New(slo.Config{Manual: true}), cohort.NewRollup(cohort.Config{Shards: 1}))
 	var buf bytes.Buffer
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)

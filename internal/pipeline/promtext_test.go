@@ -20,6 +20,7 @@ import (
 	"vqoe/internal/engine"
 	"vqoe/internal/flight"
 	"vqoe/internal/obs"
+	"vqoe/internal/slo"
 	"vqoe/internal/workload"
 )
 
@@ -596,7 +597,7 @@ func BenchmarkExpositionWrite(b *testing.B) {
 	for i := 0; i < 1000; i++ {
 		set.Observe(obs.StageIngest, float64(i)*1e-6)
 	}
-	m.AttachStages(func() []obs.StageSetSnapshot {
+	StageTelemetry(m, slo.New(slo.Config{Manual: true}), func() []obs.StageSetSnapshot {
 		return []obs.StageSetSnapshot{set.Snapshot()}
 	})
 	var buf bytes.Buffer

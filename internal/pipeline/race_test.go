@@ -20,8 +20,9 @@ import (
 // estimators are never touched outside the lock.
 func TestMetricsConcurrentExposition(t *testing.T) {
 	m := NewMetrics()
-	m.AttachEngine(func() []engine.ShardStats {
-		return []engine.ShardStats{{Shard: 0, Open: 1}}
+	m.collect(func(e *expoWriter) {
+		e.family("vqoe_engine_shard_open_sessions", "Sessions tracked per shard.", "gauge")
+		e.printf("vqoe_engine_shard_open_sessions{shard=\"%d\"} %d\n", 0, 1)
 	})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -58,7 +59,7 @@ func TestMetricsConcurrentExposition(t *testing.T) {
 // coherent. Meaningful under -race.
 func TestServerConcurrentIngest(t *testing.T) {
 	fw, study := testFramework(t)
-	srv := NewServerWith(fw, engine.Config{Shards: 4})
+	srv := NewServerOpts(fw, Options{Engine: engine.Config{Shards: 4}})
 	h := srv.Handler()
 
 	const clients = 4

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -80,7 +79,8 @@ type Server struct {
 	slo     *slo.Engine
 	opts    Options
 
-	wireSLO sync.Once
+	wireOnce sync.Once
+	wire     *wire.Server
 }
 
 // Options tunes the server beyond the engine layout.
@@ -133,17 +133,13 @@ type Options struct {
 // NewServer wraps a trained framework with the default engine layout
 // (one shard per CPU).
 func NewServer(fw *core.Framework) *Server {
-	return NewServerWith(fw, engine.DefaultConfig())
-}
-
-// NewServerWith wraps a trained framework, tuning the live engine
-// behind /ingest.
-func NewServerWith(fw *core.Framework, ecfg engine.Config) *Server {
-	return NewServerOpts(fw, Options{Engine: ecfg})
+	return NewServerOpts(fw, Options{Engine: engine.DefaultConfig()})
 }
 
 // NewServerOpts wraps a trained framework with full control over the
-// observability surface.
+// observability surface. Each monitored subsystem is wired into
+// /metrics, the SLO sampler and the alert rules by its one telemetry
+// call below.
 func NewServerOpts(fw *core.Framework, opts Options) *Server {
 	s := &Server{fw: fw, metrics: NewMetrics(), opts: opts}
 	ecfg := opts.Engine.WithDefaults()
@@ -165,7 +161,7 @@ func NewServerOpts(fw *core.Framework, opts Options) *Server {
 		ecfg.Cohorts.SetExemplars(func(key string) []string {
 			return rec.CohortExemplars(key, k)
 		})
-		WireFlightQuality(qm, rec)
+		wireFlightQuality(qm, rec)
 	}
 	// sink: reports produced outside a request — the wire listener's
 	// Feed path, capture loops, auto-eviction — still hit metrics
@@ -175,32 +171,22 @@ func NewServerOpts(fw *core.Framework, opts Options) *Server {
 			opts.OnReport(rep)
 		}
 	})
-	s.metrics.AttachEngine(s.eng.Snapshot)
-	s.metrics.AttachStages(s.obs.StageSnapshots)
-	if qm != nil {
-		s.metrics.AttachQuality(qm.Snapshot)
-	}
-	s.metrics.AttachCohorts(ecfg.Cohorts.Snapshot)
-	if rec != nil {
-		s.metrics.AttachFlight(rec.Metrics)
-	}
-	s.slo = NewSLO(opts.SLO, SLOParts{
-		Engine:  s.eng,
-		Stages:  s.obs.StageSnapshots,
-		Quality: qm,
-		Cohorts: ecfg.Cohorts,
-		Flight:  rec,
-	})
-	s.metrics.AttachAlerts(s.slo.StateRows)
+	s.slo = slo.New(opts.SLO)
+	EngineTelemetry(s.metrics, s.slo, s.eng)
+	StageTelemetry(s.metrics, s.slo, s.obs.StageSnapshots)
+	qualityTelemetry(s.metrics, s.slo, qm)
+	cohortTelemetry(s.metrics, s.slo, ecfg.Cohorts)
+	FlightTelemetry(s.metrics, s.slo, rec)
+	alertTelemetry(s.metrics, s.slo)
 	s.slo.Start()
 	return s
 }
 
-// WireFlightQuality connects the model-quality monitor to the flight
+// wireFlightQuality connects the model-quality monitor to the flight
 // recorder: degraded-model verdicts expose exemplar session IDs, and
 // mispredicted labels promote the retained session (labeled_wrong)
 // with a note naming both classes. Both arguments must be non-nil.
-func WireFlightQuality(qm *qualitymon.Monitor, rec *flight.Recorder) {
+func wireFlightQuality(qm *qualitymon.Monitor, rec *flight.Recorder) {
 	qm.SetExemplarSource(rec.ModelExemplars)
 	qm.SetOutcomeHook(func(o qualitymon.Outcome) {
 		if !o.StallCorrect {
@@ -288,28 +274,25 @@ func (s *Server) WireHandler() wire.Handler {
 	}
 }
 
-// NewWireServer builds the binary ingest listener wired into this
-// server's engine, metrics (vqoe_wire_* families), and logger, with
-// per-connection stage timings on whenever the HTTP surface is
-// instrumented. The caller owns its lifecycle: Serve listeners on
-// their own goroutines and Close it before Drain.
+// NewWireServer returns the binary ingest listener wired into this
+// server's engine, logger and telemetry (vqoe_wire_* families, wire.*
+// series, the wire-errors rule), with per-connection stage timings on.
+// A server has one: the first call builds and attaches it, later calls
+// return the same listener, so /metrics and the SLO sampler can never
+// watch different ones — Serve it on as many sockets as needed. The
+// caller owns its lifecycle: Serve listeners on their own goroutines
+// and Close it before Drain.
 func (s *Server) NewWireServer() *wire.Server {
-	ws := wire.NewServer(wire.Config{
-		Handler: s.WireHandler(),
-		Logger:  s.opts.Logger,
-		Stages:  true,
+	s.wireOnce.Do(func() {
+		s.wire = wire.NewServer(wire.Config{
+			Handler: s.WireHandler(),
+			Logger:  s.opts.Logger,
+			Stages:  true,
+		})
+		wireTelemetry(s.metrics, s.slo, s.wire)
 	})
-	s.metrics.AttachWire(ws.Snapshot)
-	// first wire server also feeds the SLO sampler (series registered
-	// mid-flight backfill as missing samples); additional listeners
-	// share the engine but not separate SLO series
-	s.wireSLO.Do(func() { AttachWireSLO(s.slo, ws) })
-	return ws
+	return s.wire
 }
-
-// Observer exposes the observability layer (for embedding: attach a
-// logger, read trace events, snapshot stage histograms).
-func (s *Server) Observer() *obs.Observer { return s.obs }
 
 // Handler returns the HTTP routing for the server.
 func (s *Server) Handler() http.Handler {
@@ -618,11 +601,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // maxBodyLines bounds a single request's entry count.
 const maxBodyLines = 1_000_000
 
-// typeProbe is the cheap screen for side-channel lines: weblog entries
-// never carry a "type" key, so only lines containing it pay the extra
-// unmarshal to check for "type":"label".
-var typeProbe = []byte(`"type"`)
-
 // decodeJSONL splits a JSONL body into weblog entries and any
 // interleaved ground-truth labels (lines with "type":"label").
 func decodeJSONL(r *http.Request) ([]weblog.Entry, []qualitymon.Label, error) {
@@ -639,18 +617,12 @@ func decodeJSONL(r *http.Request) ([]weblog.Entry, []qualitymon.Label, error) {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		if bytes.Contains(sc.Bytes(), typeProbe) {
-			var probe struct {
-				Type string `json:"type"`
+		if l, isLabel, err := qualitymon.ParseLabelLine(sc.Bytes()); isLabel {
+			if err != nil {
+				return nil, nil, fmt.Errorf("line %d: %v", line, err)
 			}
-			if json.Unmarshal(sc.Bytes(), &probe) == nil && probe.Type == qualitymon.LabelType {
-				var l qualitymon.Label
-				if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-					return nil, nil, fmt.Errorf("line %d: %v", line, err)
-				}
-				labels = append(labels, l)
-				continue
-			}
+			labels = append(labels, l)
+			continue
 		}
 		var e weblog.Entry
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {

@@ -51,7 +51,7 @@ func TestAlertExpositionDeterministic(t *testing.T) {
 	start := time.Unix(1700000000, 0)
 	m.SetProcessClock(start, func() time.Time { return start.Add(12500 * time.Millisecond) })
 	se := scriptedEngine()
-	m.AttachAlerts(se.StateRows)
+	alertTelemetry(m, se)
 
 	var buf bytes.Buffer
 	if _, err := m.WriteTo(&buf); err != nil {

@@ -1,6 +1,8 @@
 package qualitymon
 
 import (
+	"bytes"
+	"encoding/json"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -94,6 +96,30 @@ type Label struct {
 // LabelType is the Type value that marks a JSONL line as a Label
 // rather than a weblog entry.
 const LabelType = "label"
+
+// typeProbe is the cheap screen for side-channel lines: weblog entries
+// never carry a "type" key, so only lines containing it pay the extra
+// unmarshal to check for "type":"label".
+var typeProbe = []byte(`"type"`)
+
+// ParseLabelLine demuxes one line of a JSONL stream that interleaves
+// labels with weblog entries. isLabel reports whether the line is a
+// label ("type":"label"); err is set when it is one but does not
+// decode — whether to reject the stream or skip the line is the
+// caller's policy.
+func ParseLabelLine(line []byte) (l Label, isLabel bool, err error) {
+	if !bytes.Contains(line, typeProbe) {
+		return l, false, nil
+	}
+	var probe struct {
+		Type string `json:"type"`
+	}
+	if json.Unmarshal(line, &probe) != nil || probe.Type != LabelType {
+		return l, false, nil
+	}
+	err = json.Unmarshal(line, &l)
+	return l, true, err
+}
 
 // Prediction identifies one emitted session assessment for later
 // matching against a Label.
@@ -194,14 +220,6 @@ func New(cfg Config) *Monitor {
 		m.switchVarying[i] = obs.NewCounters(1)
 	}
 	return m
-}
-
-// Thresholds returns the effective tripwires.
-func (m *Monitor) Thresholds() Thresholds {
-	if m == nil {
-		return DefaultThresholds()
-	}
-	return m.th
 }
 
 // ObserveSwitch records one session's CUSUM switch score.

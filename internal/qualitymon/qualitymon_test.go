@@ -388,3 +388,28 @@ func TestSwitchSnapshot(t *testing.T) {
 		t.Errorf("score histogram holds %d sessions, want 3", n)
 	}
 }
+
+// ParseLabelLine is the one demux both JSONL doors share: entries and
+// foreign "type" values fall through, label lines decode, and a label
+// line that does not decode is reported as a label with an error so
+// each door can apply its own policy.
+func TestParseLabelLine(t *testing.T) {
+	for _, tc := range []struct {
+		line            string
+		isLabel, hasErr bool
+	}{
+		{`{"subscriber":"s","timestamp":1}`, false, false},
+		{`{"type":"probe","subscriber":"s"}`, false, false},
+		{`{"uri":"/x?\"type\"","subscriber":"s"}`, false, false},
+		{`{"type":"label","subscriber":"s","start":1,"end":2,"stall":1,"rep":2}`, true, false},
+		{`{"type":"label","subscriber":"s","stall":"severe"}`, true, true},
+	} {
+		l, isLabel, err := ParseLabelLine([]byte(tc.line))
+		if isLabel != tc.isLabel || (err != nil) != tc.hasErr {
+			t.Errorf("%s: isLabel=%v err=%v, want %v/%v", tc.line, isLabel, err, tc.isLabel, tc.hasErr)
+		}
+		if tc.isLabel && !tc.hasErr && (l.Subscriber != "s" || l.Stall != 1 || l.Rep != 2) {
+			t.Errorf("%s: decoded %+v", tc.line, l)
+		}
+	}
+}

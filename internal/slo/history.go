@@ -94,9 +94,6 @@ func NewHistory(capacity int) *History {
 	return &History{cap: capacity, times: make([]float64, capacity)}
 }
 
-// Capacity returns the per-series ring capacity.
-func (h *History) Capacity() int { return h.cap }
-
 // Prelude registers a hook run once at the start of every Sample, in
 // registration order. Glue code uses it to take one snapshot of an
 // expensive source (engine shard stats, qualitymon verdicts) that

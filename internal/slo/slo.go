@@ -78,9 +78,6 @@ func (e *Engine) History() *History { return e.hist }
 // configured with.
 func (e *Engine) Objectives() Objectives { return e.cfg.Objectives }
 
-// CadenceSec returns the sampler period in seconds.
-func (e *Engine) CadenceSec() float64 { return e.cfg.CadenceSec }
-
 // AddRule registers a rule with the alert manager.
 func (e *Engine) AddRule(r Rule) {
 	if r.ForSec == 0 {
