@@ -24,9 +24,10 @@ test-fast:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# throughput sweep of the live engine across shard counts
+# throughput sweep of the live engine across shard counts, and the
+# close path's featurization on its own (B/op and allocs/op must read 0)
 bench-engine:
-	$(GO) test -run xxx -bench 'EngineIngest' -benchmem .
+	$(GO) test -run xxx -bench 'EngineIngest|SessionEval' -benchmem .
 
 cover:
 	$(GO) test -cover ./...

@@ -25,6 +25,7 @@ import (
 	"vqoe/internal/core"
 	"vqoe/internal/engine"
 	"vqoe/internal/experiments"
+	"vqoe/internal/features"
 	"vqoe/internal/flight"
 	"vqoe/internal/ml"
 	"vqoe/internal/obs"
@@ -442,6 +443,50 @@ func BenchmarkEngineIngest(b *testing.B) {
 				b.ReportMetric(float64(b.N*len(live.Entries))/b.Elapsed().Seconds(), "entries/s")
 			})
 		}
+	}
+}
+
+// BenchmarkSessionEval measures the close path's featurization on its
+// own: the two-model sparse evaluator, built from the suite's two
+// CFS selections, over one session of 10, 45 and 120 chunks (a
+// session_churn fragment, a wire_steady session, a long one). ns/op
+// grows with the sorts the selections need; B/op and allocs/op must
+// read 0 — they are deterministic, and CI gates on them.
+func BenchmarkSessionEval(b *testing.B) {
+	fw, _ := liveFixture(b, 32)
+	cols := func(selected, all []string) []int {
+		out := make([]int, len(selected))
+		for i, name := range selected {
+			out[i] = slices.Index(all, name)
+		}
+		return out
+	}
+	sp := features.NewSparse(
+		cols(fw.Stall.Selected, features.StallFeatureNames()),
+		cols(fw.Rep.Selected, features.RepFeatureNames()))
+	stall, rep := make([]float64, len(fw.Stall.Selected)), make([]float64, len(fw.Rep.Selected))
+	for _, n := range []int{10, 45, 120} {
+		b.Run(fmt.Sprintf("chunks=%d", n), func(b *testing.B) {
+			r := stats.NewRand(int64(n))
+			o := features.SessionObs{Chunks: make([]features.ChunkObs, n)}
+			at := 0.0
+			for i := range o.Chunks {
+				at += 2 + 4*r.Float64()
+				o.Chunks[i] = features.ChunkObs{
+					Time: at, SizeKB: 100 + 500*r.Float64(), DurationSec: 0.5 + r.Float64(),
+					RTTMin: 0.05 * r.Float64(), RTTAvg: 0.08 * r.Float64(), RTTMax: 0.2 * r.Float64(),
+					BDP: 5e4 * r.Float64(), BIFAvg: 3e4 * r.Float64(), BIFMax: 6e4 * r.Float64(),
+					LossPct: r.Float64(), RetransPct: r.Float64(),
+				}
+			}
+			var sc features.SeriesScratch
+			sp.EvalBoth(o, stall, rep, &sc) // grow the scratch outside the timing
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sp.EvalBoth(o, stall, rep, &sc)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 
@@ -350,25 +351,56 @@ func TestDetectorSaveWriteErrors(t *testing.T) {
 	}
 }
 
-// TestPredictBatchMatchesSingle locks the sparse batched featurize
-// path to the dense per-session path: for every corpus session, the
-// engine-style PredictBatch (sparse metrics, scratch buffers,
-// tree-major forest) must produce exactly the per-session Predict
-// (dense featurize, projection, per-instance walk).
+// TestPredictBatchMatchesSingle locks the batched close path to the
+// dense per-session path: for every corpus session, AnalyzeBatch (one
+// two-model sparse featurization, scratch buffers, tree-major forests)
+// must produce exactly the per-session Predict (dense featurize,
+// projection, per-instance walk) of each detector.
 func TestPredictBatchMatchesSingle(t *testing.T) {
 	testCorpora(t)
-	obs := make([]features.SessionObs, len(encCorpus.Sessions))
+	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
+	batch := fw.AnalyzeBatch(obsFrom(encCorpus.Sessions))
 	for i, s := range encCorpus.Sessions {
-		obs[i] = s.Obs
-	}
-	stallBatch := stallDet.PredictBatch(obs)
-	repBatch := repDet.PredictBatch(obs)
-	for i, o := range obs {
-		if want := stallDet.Predict(o); stallBatch[i] != want {
-			t.Fatalf("stall session %d: batch %v != single %v", i, stallBatch[i], want)
+		if want := stallDet.Predict(s.Obs); batch[i].Stall != want {
+			t.Fatalf("stall session %d: batch %v != single %v", i, batch[i].Stall, want)
 		}
-		if want := repDet.Predict(o); repBatch[i] != want {
-			t.Fatalf("rep session %d: batch %v != single %v", i, repBatch[i], want)
+		if want := repDet.Predict(s.Obs); batch[i].Representation != want {
+			t.Fatalf("rep session %d: batch %v != single %v", i, batch[i].Representation, want)
+		}
+	}
+}
+
+// TestProjectedVectorsMatchDense: the vectors the close path hands to
+// the quality monitor and to flight attribution — the rows the
+// two-model evaluator filled, read back through ProjectedCopies — must
+// be, bit for bit, the dense feature vector projected onto each
+// detector's selection, across batches that reuse one scratch.
+func TestProjectedVectorsMatchDense(t *testing.T) {
+	testCorpora(t)
+	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
+	obs := obsFrom(encCorpus.Sessions)
+	var sc AnalyzeScratch
+	for lo := 0; lo < len(obs); lo += 32 {
+		batch := obs[lo:min(lo+32, len(obs))]
+		fw.AnalyzeBatchInto(batch, nil, &sc)
+		for i, o := range batch {
+			stall, rep := fw.ProjectedCopies(&sc, i)
+			for _, m := range []struct {
+				name      string
+				got, want []float64
+			}{
+				{"stall", stall, stallDet.project(features.StallFeatures(o))},
+				{"rep", rep, repDet.project(features.RepFeatures(o))},
+			} {
+				if len(m.got) != len(m.want) {
+					t.Fatalf("session %d %s: %d projected features, dense has %d", lo+i, m.name, len(m.got), len(m.want))
+				}
+				for k := range m.want {
+					if math.Float64bits(m.got[k]) != math.Float64bits(m.want[k]) {
+						t.Fatalf("session %d %s feature %d: sparse %v != dense %v", lo+i, m.name, k, m.got[k], m.want[k])
+					}
+				}
+			}
 		}
 	}
 }

@@ -29,9 +29,9 @@ type Detector struct {
 	selIdx []int
 }
 
-// indexSelected precomputes selIdx. Called at construction (Train,
-// LoadDetector); a detector assembled by hand falls back to the
-// name-matching path.
+// indexSelected precomputes selIdx. Every detector passes through it:
+// Train and LoadDetector are the only constructors (a hand-assembled
+// Detector{} has no full schema to project from).
 func (d *Detector) indexSelected() {
 	idx := make([]int, len(d.Selected))
 	for i, name := range d.Selected {
@@ -176,56 +176,27 @@ func (d *Detector) Evaluate(ds *ml.Dataset) (*ml.Confusion, error) {
 // predictVector classifies one raw feature vector given in the full
 // schema.
 func (d *Detector) predictVector(raw []float64) int {
-	return d.Forest.Predict(d.project(raw, nil))
+	return d.Forest.Predict(d.project(raw))
 }
 
 // predictVectorConf is predictVector plus the forest's top-vote
 // confidence; the class always equals predictVector's.
 func (d *Detector) predictVectorConf(raw []float64) (int, float64) {
-	return d.Forest.PredictConf(d.project(raw, nil))
+	return d.Forest.PredictConf(d.project(raw))
 }
 
-// confidences derives per-instance top-vote confidences from the vote
-// distributions a predictBatchInto call left in the scratch, appending
-// nothing the class path didn't already compute. out is grown as
-// needed and returned with one confidence per instance.
-func (d *Detector) confidences(s *PredictScratch, n int, out []float64) []float64 {
-	out = grow(out, n)
-	nc := len(d.Forest.Classes)
-	nTrees := float64(len(d.Forest.Trees))
-	for i := 0; i < n; i++ {
-		row := s.dist[i*nc : (i+1)*nc]
-		best := row[0]
-		for _, v := range row[1:] {
-			if v > best {
-				best = v
-			}
-		}
-		out[i] = best / nTrees
-	}
-	return out
-}
-
-// PredictScratch holds the reusable buffers one caller (e.g. an
-// engine shard) threads through a detector's batched prediction path
-// so steady-state batches allocate nothing past featurization. The
-// zero value is ready to use; a scratch must not be shared across
-// goroutines or across detectors of different schemas concurrently.
+// PredictScratch holds one detector's reusable batch buffers: the
+// projected vectors the session evaluator fills (proj[i] views row i of
+// projBuf), and the vote distributions and classes the forest pass
+// leaves. A long-lived caller (an engine shard, through AnalyzeScratch)
+// threads it through every batch so the steady state allocates
+// nothing. The zero value is ready to use; a scratch is
+// single-goroutine.
 type PredictScratch struct {
-	raw     [][]float64 // full-schema vector headers
-	proj    [][]float64 // projected vector headers into projBuf
+	proj    [][]float64
 	projBuf []float64
 	dist    []float64
 	out     []int
-	// sparse is the lazily built sparse featurizer for this scratch's
-	// detector: it evaluates only the metrics the selected features
-	// touch, directly into the projected layout. Living in the scratch
-	// (per shard) rather than on the shared detector keeps its
-	// construction race-free without a lock on the predict path.
-	sparse *features.Sparse
-	// series holds the sparse featurizer's reusable per-metric series
-	// buffers, so steady-state featurization allocates nothing.
-	series features.SeriesScratch
 }
 
 // grow returns b resized to n, reallocating only when capacity is
@@ -238,78 +209,49 @@ func grow[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-// predictVectors classifies a batch of raw feature vectors given in
-// the full schema, sharing the tree-major traversal of
-// Forest.PredictBatchInto. The one-shot entry point: allocates its own
-// buffers.
-func (d *Detector) predictVectors(raw [][]float64) []int {
-	var s PredictScratch
-	return d.predictVectorsInto(raw, &s)
-}
-
-// predictVectorsInto is predictVectors with caller-owned buffers. The
-// returned slice aliases s.out and is valid until the next call with
-// the same scratch.
-func (d *Detector) predictVectorsInto(raw [][]float64, s *PredictScratch) []int {
-	n := len(raw)
-	if n == 0 {
-		return nil
-	}
+// rows sizes the scratch for n projected vectors of this detector's
+// Selected width and returns them for the featurizer to fill.
+func (d *Detector) rows(s *PredictScratch, n int) [][]float64 {
 	k := len(d.Selected)
-	nc := len(d.Forest.Classes)
 	s.projBuf = grow(s.projBuf, n*k)
 	s.proj = grow(s.proj, n)
-	for i, r := range raw {
-		s.proj[i] = d.project(r, s.projBuf[i*k:(i+1)*k])
+	for i := range s.proj {
+		s.proj[i] = s.projBuf[i*k : (i+1)*k]
 	}
-	s.dist = grow(s.dist, n*nc)
-	s.out = grow(s.out, n)
-	return d.Forest.PredictBatchInto(s.proj, s.dist, s.out)
+	return s.proj
 }
 
-// predictSparseInto featurizes obs directly into the projected layout
-// — only the metrics the selected features touch are computed — and
-// classifies the batch tree-major. s.sparse must be built for this
-// detector's schema. The returned class indices alias the scratch.
-func (d *Detector) predictSparseInto(obs []features.SessionObs, s *PredictScratch) []int {
-	n := len(obs)
-	if n == 0 {
-		return nil
-	}
-	k := len(d.Selected)
+// predictRows classifies the vectors rows handed out, tree-major, and
+// appends each instance's top-vote confidence — read off the vote
+// distributions the forest pass just left — to conf[:0]. The class
+// indices alias the scratch.
+func (d *Detector) predictRows(s *PredictScratch, conf []float64) ([]int, []float64) {
+	n := len(s.proj)
 	nc := len(d.Forest.Classes)
-	s.projBuf = grow(s.projBuf, n*k)
-	s.proj = grow(s.proj, n)
-	for i, o := range obs {
-		dst := s.projBuf[i*k : (i+1)*k]
-		s.sparse.EvalIntoScratch(o, dst, &s.series)
-		s.proj[i] = dst
-	}
 	s.dist = grow(s.dist, n*nc)
 	s.out = grow(s.out, n)
-	return d.Forest.PredictBatchInto(s.proj, s.dist, s.out)
-}
-
-// project maps a full-schema vector onto the selected feature subset,
-// writing into dst when it is non-nil.
-func (d *Detector) project(raw, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(d.Selected))
-	}
-	if d.selIdx != nil {
-		for i, j := range d.selIdx {
-			if j >= 0 {
-				dst[i] = raw[j]
+	classes := d.Forest.PredictBatchInto(s.proj, s.dist, s.out)
+	conf = grow(conf, n)
+	nTrees := float64(len(d.Forest.Trees))
+	for i := range conf {
+		row := s.dist[i*nc : (i+1)*nc]
+		best := row[0]
+		for _, v := range row[1:] {
+			if v > best {
+				best = v
 			}
 		}
-		return dst
+		conf[i] = best / nTrees
 	}
-	for i, name := range d.Selected {
-		for j, n := range d.full {
-			if n == name {
-				dst[i] = raw[j]
-				break
-			}
+	return classes, conf
+}
+
+// project maps a full-schema vector onto the selected feature subset.
+func (d *Detector) project(raw []float64) []float64 {
+	dst := make([]float64, len(d.selIdx))
+	for i, j := range d.selIdx {
+		if j >= 0 {
+			dst[i] = raw[j]
 		}
 	}
 	return dst
@@ -400,38 +342,6 @@ func (d *StallDetector) PredictConf(obs features.SessionObs) (features.StallLabe
 	return features.StallLabel(c), conf
 }
 
-// PredictBatch classifies many sessions' stalling levels in one
-// tree-major forest pass.
-func (d *StallDetector) PredictBatch(obs []features.SessionObs) []features.StallLabel {
-	var s PredictScratch
-	preds := d.predictBatchInto(obs, &s)
-	out := make([]features.StallLabel, len(preds))
-	for i, p := range preds {
-		out[i] = features.StallLabel(p)
-	}
-	return out
-}
-
-// predictBatchInto featurizes obs and classifies the batch through the
-// scratch's buffers. With an indexed selection it runs the sparse
-// featurizer — only the metrics the selected features touch are
-// summarized; a hand-assembled detector without selIdx falls back to
-// dense featurize plus name-matched projection. The returned class
-// indices alias the scratch.
-func (d *StallDetector) predictBatchInto(obs []features.SessionObs, s *PredictScratch) []int {
-	if d.selIdx == nil {
-		s.raw = grow(s.raw, len(obs))
-		for i, o := range obs {
-			s.raw[i] = features.StallFeatures(o)
-		}
-		return d.predictVectorsInto(s.raw, s)
-	}
-	if s.sparse == nil {
-		s.sparse = features.NewStallSparse(d.selIdx)
-	}
-	return d.predictSparseInto(obs, s)
-}
-
 // EvaluateCorpus applies the model to a labelled corpus (e.g. the
 // encrypted study) and returns the confusion matrix.
 func (d *StallDetector) EvaluateCorpus(c *workload.Corpus) (*ml.Confusion, error) {
@@ -461,34 +371,6 @@ func (d *RepresentationDetector) Predict(obs features.SessionObs) features.RepLa
 func (d *RepresentationDetector) PredictConf(obs features.SessionObs) (features.RepLabel, float64) {
 	c, conf := d.predictVectorConf(features.RepFeatures(obs))
 	return features.RepLabel(c), conf
-}
-
-// PredictBatch classifies many sessions' average representations in
-// one tree-major forest pass.
-func (d *RepresentationDetector) PredictBatch(obs []features.SessionObs) []features.RepLabel {
-	var s PredictScratch
-	preds := d.predictBatchInto(obs, &s)
-	out := make([]features.RepLabel, len(preds))
-	for i, p := range preds {
-		out[i] = features.RepLabel(p)
-	}
-	return out
-}
-
-// predictBatchInto is the representation model's scratch-threaded
-// batch path; see StallDetector.predictBatchInto.
-func (d *RepresentationDetector) predictBatchInto(obs []features.SessionObs, s *PredictScratch) []int {
-	if d.selIdx == nil {
-		s.raw = grow(s.raw, len(obs))
-		for i, o := range obs {
-			s.raw[i] = features.RepFeatures(o)
-		}
-		return d.predictVectorsInto(s.raw, s)
-	}
-	if s.sparse == nil {
-		s.sparse = features.NewRepSparse(d.selIdx)
-	}
-	return d.predictSparseInto(obs, s)
 }
 
 // EvaluateCorpus applies the model to a labelled corpus.

@@ -90,11 +90,19 @@ func (f *Framework) AnalyzeBatch(obs []features.SessionObs) []Report {
 }
 
 // AnalyzeScratch carries the reusable buffers a long-lived caller (an
-// engine shard) threads through AnalyzeBatchInto so the predict side
-// of the featurize→predict loop performs zero allocations per batch
-// once the buffers have grown to the working-set size. The zero value
-// is ready; a scratch is single-goroutine.
+// engine shard) threads through AnalyzeBatchInto so the
+// featurize→predict loop performs zero allocations per batch once the
+// buffers have grown to the working-set size. The zero value is ready;
+// a scratch is single-goroutine and serves one framework.
 type AnalyzeScratch struct {
+	// sparse is the two-model session evaluator, built on first use
+	// from the framework's two selections. Living in the scratch (per
+	// shard) rather than on the shared framework keeps its construction
+	// race-free without a lock on the predict path. series holds its
+	// per-metric series buffers.
+	sparse *features.Sparse
+	series features.SeriesScratch
+
 	stall, rep         PredictScratch
 	stallConf, repConf []float64
 	reports            []Report
@@ -102,12 +110,13 @@ type AnalyzeScratch struct {
 }
 
 // AnalyzeBatchInto is AnalyzeBatch with stage timing and caller-owned
-// buffers. When set is non-nil, one StageForest observation covers the
-// batched two-forest pass and one StageCUSUM observation covers the
-// switch scoring over the whole batch. The returned reports alias sc
-// and are valid until the next call with the same scratch (callers that
-// retain them must copy, as the engine does when it wraps them in
-// engine.Reports); a nil sc allocates a fresh one.
+// buffers. When set is non-nil, one StageFeaturize observation covers
+// the batch's summary-statistic extraction, one StageForest
+// observation the two tree passes, and one StageCUSUM observation the
+// switch scoring. The returned reports alias sc and are valid until
+// the next call with the same scratch (callers that retain them must
+// copy, as the engine does when it wraps them in engine.Reports); a
+// nil sc allocates a fresh one.
 func (f *Framework) AnalyzeBatchInto(o []features.SessionObs, set *obs.StageSet, sc *AnalyzeScratch) []Report {
 	return f.AnalyzeBatchQuality(o, set, sc, nil)
 }
@@ -118,6 +127,11 @@ func (f *Framework) AnalyzeBatchInto(o []features.SessionObs, set *obs.StageSet,
 // per-shard accumulators, and the switch score into its score
 // histogram. Reports are identical to AnalyzeBatchInto's (the hook
 // only observes). A nil hook (or hook monitor) skips all of it.
+//
+// Each session is featurized once: one evaluator built from both
+// models' selections extracts every metric either model needs a single
+// time and fills both projected layouts, then each forest runs over
+// its filled vectors.
 func (f *Framework) AnalyzeBatchQuality(o []features.SessionObs, set *obs.StageSet, sc *AnalyzeScratch, qh *QualityHook) []Report {
 	if len(o) == 0 {
 		return nil
@@ -128,11 +142,22 @@ func (f *Framework) AnalyzeBatchQuality(o []features.SessionObs, set *obs.StageS
 	if qh != nil && qh.Monitor == nil {
 		qh = nil
 	}
+	if sc.sparse == nil {
+		sc.sparse = features.NewSparse(f.Stall.selIdx, f.Rep.selIdx)
+	}
 	t0 := time.Now()
-	stalls := f.Stall.predictBatchInto(o, &sc.stall)
-	reps := f.Rep.predictBatchInto(o, &sc.rep)
-	sc.stallConf = f.Stall.confidences(&sc.stall, len(o), sc.stallConf)
-	sc.repConf = f.Rep.confidences(&sc.rep, len(o), sc.repConf)
+	stallRows := f.Stall.rows(&sc.stall, len(o))
+	repRows := f.Rep.rows(&sc.rep, len(o))
+	for i, so := range o {
+		sc.sparse.EvalBoth(so, stallRows[i], repRows[i], &sc.series)
+	}
+	if set != nil {
+		set.ObserveSince(obs.StageFeaturize, t0)
+		t0 = time.Now()
+	}
+	var stalls, reps []int
+	stalls, sc.stallConf = f.Stall.predictRows(&sc.stall, sc.stallConf)
+	reps, sc.repConf = f.Rep.predictRows(&sc.rep, sc.repConf)
 	if set != nil {
 		set.ObserveSince(obs.StageForest, t0)
 		t0 = time.Now()
@@ -151,10 +176,10 @@ func (f *Framework) AnalyzeBatchQuality(o []features.SessionObs, set *obs.StageS
 			Chunks:         so.Len(),
 		}
 		if qh != nil {
-			// sc.*.proj holds each model's projected (baseline-order)
-			// feature vector for session i, written by predictBatchInto
-			qh.Monitor.Stall.Observe(qh.Shard, sc.stall.proj[i], stalls[i], sc.stallConf[i])
-			qh.Monitor.Rep.Observe(qh.Shard, sc.rep.proj[i], reps[i], sc.repConf[i])
+			// the rows are each model's projected (baseline-order)
+			// feature vector for session i
+			qh.Monitor.Stall.Observe(qh.Shard, stallRows[i], stalls[i], sc.stallConf[i])
+			qh.Monitor.Rep.Observe(qh.Shard, repRows[i], reps[i], sc.repConf[i])
 			qh.Monitor.ObserveSwitch(qh.Shard, score, out[i].SwitchVariance)
 		}
 	}

@@ -15,13 +15,23 @@ import (
 // mailboxes works integer-keyed: the flow-table probe hashes a uint32
 // instead of a string, and routing reuses the shard index computed
 // once per unique subscriber instead of re-hashing fnv32a per entry.
-// Strings are resolved back only at session close (reports, cohort
-// rollups, flight retention, traces).
+// Strings are resolved back at session close (reports, cohort rollups,
+// flight retention) and per lifecycle-trace event.
 //
 // Lookup is two-phase: a batch conversion runs entirely under the read
 // lock, marking misses, and only batches that actually carry new
 // subscribers/cohorts take the write lock once. IDs start at 1; 0
 // means "absent" (no cohort metadata, not-yet-interned marker).
+//
+// The reverse direction takes no lock at all: names and keys only ever
+// grow by append, and every write-locked section that grew them
+// publishes the new slice headers as one internView before it unlocks.
+// An ID reaches a shard only through a mailbox, after the resolve call
+// that interned it has published, so any view a shard loads covers
+// every ID it holds; later appends write past the view's length (or
+// into a fresh backing array) and never touch what it reads. IDs are
+// never reused — a reclaiming interner must first resolve or epoch-tag
+// whatever still holds an old ID (open flows, the trace ring).
 type interner struct {
 	mu     sync.RWMutex
 	shards uint32
@@ -31,6 +41,8 @@ type interner struct {
 
 	cohorts map[cohort.Key]uint32
 	keys    []cohort.Key // id → key; keys[0] is the zero key
+
+	view atomic.Pointer[internView]
 
 	// interned counts unique subscribers, readable without the lock
 	// (Snapshot/debug use).
@@ -45,14 +57,23 @@ type subEntry struct {
 	id, shard uint32
 }
 
+// internView is the lock-free read side of the interner: the id →
+// string tables as of one publication. Immutable once stored.
+type internView struct {
+	names []string
+	keys  []cohort.Key
+}
+
 func newInterner(shards int) *interner {
-	return &interner{
+	n := &interner{
 		shards:  uint32(shards),
 		subs:    make(map[string]subEntry),
 		names:   make([]string, 1),
 		cohorts: make(map[cohort.Key]uint32),
 		keys:    make([]cohort.Key, 1),
 	}
+	n.view.Store(&internView{n.names, n.keys})
+	return n
 }
 
 // fnvShard is hash/fnv's 32-bit FNV-1a over s, reduced mod n — the
@@ -65,22 +86,13 @@ func fnvShard(s string, n uint32) uint32 {
 	return h % n
 }
 
-// name resolves an interned subscriber ID. Safe for concurrent use
-// (shards resolve at session close while feeders intern new batches).
-func (n *interner) name(id uint32) string {
-	n.mu.RLock()
-	s := n.names[id]
-	n.mu.RUnlock()
-	return s
-}
+// name resolves an interned subscriber ID through the published view.
+// Safe for concurrent use (shards resolve per traced chunk and at
+// session close while feeders intern new batches).
+func (n *interner) name(id uint32) string { return n.view.Load().names[id] }
 
 // cohortKey resolves an interned cohort ID; id 0 is the zero key.
-func (n *interner) cohortKey(id uint32) cohort.Key {
-	n.mu.RLock()
-	k := n.keys[id]
-	n.mu.RUnlock()
-	return k
-}
+func (n *interner) cohortKey(id uint32) cohort.Key { return n.view.Load().keys[id] }
 
 // resolve pre-digests a batch's identities: entry i's interned
 // subscriber lands in subs[i], its cohort in cohorts[i], its target
@@ -155,6 +167,9 @@ func (n *interner) resolve(entries []weblog.Entry, subs, cohorts, shards []uint3
 			}
 			cohorts[i] = id
 		}
+	}
+	if v := n.view.Load(); len(v.names) != len(n.names) || len(v.keys) != len(n.keys) {
+		n.view.Store(&internView{n.names, n.keys})
 	}
 	n.mu.Unlock()
 }

@@ -46,7 +46,7 @@ type shard struct {
 	sink    func(Report)
 
 	// resolve and cohortOf map interned IDs back to their strings/keys
-	// (the engine interner's read side) — paid only at session close.
+	// (the engine interner's lock-free read side).
 	resolve  func(uint32) string
 	cohortOf func(uint32) cohort.Key
 
@@ -91,6 +91,11 @@ type shard struct {
 	keptBuf   []sessionizer.ColClosed
 	outBuf    []Report
 
+	// traceBuf collects the message's lifecycle events in order; they
+	// enter the tracer's ring under one lock (flushTrace) before the
+	// message's reports are handed on, not under one lock per event.
+	traceBuf []obs.SpanEvent
+
 	// counters/gauges read by Snapshot
 	open    atomic.Int64
 	events  atomic.Int64
@@ -133,122 +138,140 @@ func newShard(id int, fw *core.Framework, cfg Config, sink func(Report), in *int
 	s.cohorts = cfg.Cohorts
 	s.flight = cfg.Flight.Shard(id) // nil when recording is off
 	if s.tracer != nil {
-		tr, sid := s.tracer, int32(id)
 		s.tracker.OnOpen = func(sub uint32, start float64) {
-			tr.Record(obs.SpanEvent{Kind: obs.EvOpen, Shard: sid, TS: start, Start: start, Subscriber: in.name(sub)})
+			s.trace(obs.SpanEvent{Kind: obs.EvOpen, Shard: int32(id), TS: start, Start: start, Subscriber: in.name(sub)})
 		}
 	}
 	return s
 }
 
+// traceBatchMax bounds traceBuf: a wire-sized message (256 entries,
+// most of them media chunks) stays under it and pays one ring lock; a
+// sweep that closes thousands of sessions at once flushes every
+// traceBatchMax events instead of growing the buffer without limit
+// (16 KB per shard at 64 bytes an event).
+const traceBatchMax = 256
+
+// trace queues one lifecycle event for the message's flush. Callers
+// have checked s.tracer != nil.
+func (s *shard) trace(ev obs.SpanEvent) {
+	if len(s.traceBuf) == traceBatchMax {
+		s.flushTrace()
+	}
+	s.traceBuf = append(s.traceBuf, ev)
+}
+
+// flushTrace moves the queued events into the tracer's ring, in order,
+// under one lock.
+func (s *shard) flushTrace() {
+	s.tracer.RecordBatch(s.traceBuf)
+	s.traceBuf = s.traceBuf[:0]
+}
+
 func (s *shard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for msg := range s.mail {
-		if msg.sessions != nil {
-			msg.sessions <- ShardSessions{
-				Shard:     s.id,
-				HighWater: s.highWater,
-				Sessions:  s.tracker.OpenSnapshot(),
-			}
-			continue
-		}
-		timed := s.stages != nil
-		var tIngest, t0 time.Time
-		if timed {
-			tIngest = time.Now()
-			t0 = tIngest
-		}
-		closed := s.closedBuf[:0]
-		recs := msg.recs
-		if len(recs) > 0 {
-			// hoisted per-batch accounting: one counter add for the
-			// whole sub-batch instead of one per entry
-			s.events.Add(int64(len(recs)))
-		}
-		if s.tracer == nil {
-			// fast path: no per-entry tracer checks, no string work
-			for i := range recs {
-				r := &recs[i]
-				if c, ok := s.tracker.Push(r); ok {
-					closed = append(closed, c)
-				}
-				if r.Ts > s.highWater {
-					s.highWater = r.Ts
-				}
-			}
-		} else {
-			for i := range recs {
-				r := &recs[i]
-				if c, ok := s.tracker.Push(r); ok {
-					closed = append(closed, c)
-					s.traceClosed(obs.EvClose, r.Ts, &c)
-				}
-				if r.Kind == weblog.HostMedia {
-					s.tracer.Record(obs.SpanEvent{Kind: obs.EvChunk, Shard: int32(s.id), TS: r.Ts, Subscriber: s.resolve(r.Sub)})
-				}
-				if r.Ts > s.highWater {
-					s.highWater = r.Ts
-				}
-			}
-		}
-		if timed && len(recs) > 0 {
-			s.stages.ObserveSince(obs.StageSessionize, t0)
-		}
-		// idle-eviction clock: sweep when event time has advanced
-		// enough, lagging the horizon by the configured slack so
-		// bounded cross-feeder skew cannot close a live session early.
-		if s.sweepEvery >= 0 && s.highWater-s.lastSweep >= s.sweepEvery {
-			closed = s.sweep(s.highWater-s.evictSlack, closed)
-			s.lastSweep = s.highWater
-		}
-		if msg.advance > 0 {
-			closed = s.sweep(msg.advance, closed)
-			if msg.advance > s.highWater {
-				s.highWater = msg.advance
-			}
-		}
-		if msg.flush {
-			n := len(closed)
-			closed = s.tracker.FlushInto(closed)
-			fl := closed[n:]
-			for i := range fl {
-				s.traceClosed(obs.EvClose, fl[i].End, &fl[i])
-			}
-			if s.log != nil {
-				s.log.Debug("shard drained", "shard", s.id, "flushed", len(fl), "high_water", s.highWater)
-			}
-		}
-		s.open.Store(int64(s.tracker.Open()))
+		s.handle(msg)
+	}
+}
 
-		// reports sent to a reply channel escape this goroutine before
-		// the next message is processed, so only the sink path may hand
-		// out the reusable buffer
-		out := s.assess(closed, msg.reply == nil)
-		s.closedBuf = closed[:0]
-		s.reports.Add(int64(len(out)))
-		if s.tracer != nil {
-			for _, r := range out {
-				s.tracer.Record(obs.SpanEvent{
-					Kind: obs.EvReport, Shard: int32(s.id), TS: r.End,
-					Start: r.Start, End: r.End, Subscriber: r.Subscriber,
-					Chunks: int32(r.Report.Chunks),
-				})
-			}
+// handle processes one message on the worker goroutine: push the
+// sub-batch through the flow table, run whatever sweeps are due, assess
+// the sessions that closed, and hand their reports on.
+func (s *shard) handle(msg message) {
+	if msg.sessions != nil {
+		msg.sessions <- ShardSessions{
+			Shard:     s.id,
+			HighWater: s.highWater,
+			Sessions:  s.tracker.OpenSnapshot(),
 		}
-		if msg.reply != nil {
-			msg.reply <- out
-		} else if s.sink != nil {
-			for _, r := range out {
-				s.sink(r)
-			}
+		return
+	}
+	timed := s.stages != nil
+	var tIngest, t0 time.Time
+	if timed {
+		tIngest = time.Now()
+		t0 = tIngest
+	}
+	closed := s.closedBuf[:0]
+	recs := msg.recs
+	if len(recs) > 0 {
+		// hoisted per-batch accounting: one counter add for the
+		// whole sub-batch instead of one per entry
+		s.events.Add(int64(len(recs)))
+	}
+	traced := s.tracer != nil
+	for i := range recs {
+		r := &recs[i]
+		if c, ok := s.tracker.Push(r); ok {
+			closed = append(closed, c)
+			s.traceClosed(obs.EvClose, r.Ts, &c)
 		}
-		if msg.slab != nil {
-			msg.slab.release()
+		if traced && r.Kind == weblog.HostMedia {
+			s.trace(obs.SpanEvent{Kind: obs.EvChunk, Shard: int32(s.id), TS: r.Ts, Subscriber: s.resolve(r.Sub)})
 		}
-		if timed {
-			s.stages.ObserveSince(obs.StageIngest, tIngest)
-			s.lastWork.Store(tIngest.UnixNano())
+		if r.Ts > s.highWater {
+			s.highWater = r.Ts
 		}
+	}
+	if timed && len(recs) > 0 {
+		s.stages.ObserveSince(obs.StageSessionize, t0)
+	}
+	// idle-eviction clock: sweep when event time has advanced
+	// enough, lagging the horizon by the configured slack so
+	// bounded cross-feeder skew cannot close a live session early.
+	if s.sweepEvery >= 0 && s.highWater-s.lastSweep >= s.sweepEvery {
+		closed = s.sweep(s.highWater-s.evictSlack, closed)
+		s.lastSweep = s.highWater
+	}
+	if msg.advance > 0 {
+		closed = s.sweep(msg.advance, closed)
+		if msg.advance > s.highWater {
+			s.highWater = msg.advance
+		}
+	}
+	if msg.flush {
+		n := len(closed)
+		closed = s.tracker.FlushInto(closed)
+		fl := closed[n:]
+		for i := range fl {
+			s.traceClosed(obs.EvClose, fl[i].End, &fl[i])
+		}
+		if s.log != nil {
+			s.log.Debug("shard drained", "shard", s.id, "flushed", len(fl), "high_water", s.highWater)
+		}
+	}
+	s.open.Store(int64(s.tracker.Open()))
+
+	// reports sent to a reply channel escape this goroutine before
+	// the next message is processed, so only the sink path may hand
+	// out the reusable buffer
+	out := s.assess(closed, msg.reply == nil)
+	s.closedBuf = closed[:0]
+	s.reports.Add(int64(len(out)))
+	if traced {
+		for _, r := range out {
+			s.trace(obs.SpanEvent{
+				Kind: obs.EvReport, Shard: int32(s.id), TS: r.End,
+				Start: r.Start, End: r.End, Subscriber: r.Subscriber,
+				Chunks: int32(r.Report.Chunks),
+			})
+		}
+		s.flushTrace()
+	}
+	if msg.reply != nil {
+		msg.reply <- out
+	} else if s.sink != nil {
+		for _, r := range out {
+			s.sink(r)
+		}
+	}
+	if msg.slab != nil {
+		msg.slab.release()
+	}
+	if timed {
+		s.stages.ObserveSince(obs.StageIngest, tIngest)
+		s.lastWork.Store(tIngest.UnixNano())
 	}
 }
 
@@ -273,13 +296,13 @@ func (s *shard) sweep(horizon float64, closed []sessionizer.ColClosed) []session
 	return closed
 }
 
-// traceClosed records one session-lifecycle event if tracing is
+// traceClosed queues one session-lifecycle event if tracing is
 // attached; the subscriber string is resolved only on that path.
 func (s *shard) traceClosed(kind obs.EventKind, ts float64, c *sessionizer.ColClosed) {
 	if s.tracer == nil {
 		return
 	}
-	s.tracer.Record(obs.SpanEvent{
+	s.trace(obs.SpanEvent{
 		Kind: kind, Shard: int32(s.id), TS: ts,
 		Start: c.Start, End: c.End, Subscriber: s.resolve(c.Sub),
 		Chunks: int32(len(c.Chunks)),

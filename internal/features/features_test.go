@@ -2,6 +2,8 @@ package features
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -295,48 +297,201 @@ func TestRunningMean(t *testing.T) {
 	}
 }
 
-// TestSparseMatchesDenseProperty: over randomized sessions and
-// randomized column subsets (including absent columns and repeated
-// metrics), the sparse evaluator must agree bit-for-bit with building
-// the dense vector and projecting it — the property the live predict
-// path relies on to skip the unselected metrics.
+// sameFloat is the sparse evaluator's contract with the dense builders:
+// bit-for-bit, except that mixed-sign zeros compare with == (which of
+// two equal zeros a sort leaves first is the sort's business) and a
+// NaN matches a NaN.
+func sameFloat(a, b float64) bool { return a == b || (a != a && b != b) }
+
+// randomObs draws a session of n chunks. A hostile one carries NaN,
+// ±Inf and signed zeros in any field, Time included; ordered ones pass
+// through finishChunks like every observation the live path builds.
+func randomObs(r *stats.Rand, n int, hostile, ordered bool) SessionObs {
+	odd := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	draw := func(scale float64) float64 {
+		if hostile && r.Intn(6) == 0 {
+			return odd[r.Intn(len(odd))]
+		}
+		if r.Intn(4) == 0 {
+			return scale * float64(r.Intn(3)) // ties
+		}
+		return scale * r.Float64()
+	}
+	obs := SessionObs{Chunks: make([]ChunkObs, n)}
+	for i := range obs.Chunks {
+		obs.Chunks[i] = ChunkObs{
+			Time: draw(300), SizeKB: draw(900), DurationSec: draw(2),
+			RTTMin: draw(0.1), RTTAvg: draw(0.2), RTTMax: draw(0.4),
+			BDP: draw(1e5), BIFAvg: draw(5e4), BIFMax: draw(1e5),
+			LossPct: draw(3), RetransPct: draw(3),
+		}
+	}
+	if ordered {
+		finishChunks(obs.Chunks)
+	}
+	return obs
+}
+
+// randomCols draws k columns of a width-wide schema: absent (-1)
+// columns, duplicates, and clusters on one metric included.
+func randomCols(r *stats.Rand, k, width, perMetric int) []int {
+	cols := make([]int, k)
+	for i := range cols {
+		switch r.Intn(8) {
+		case 0:
+			cols[i] = -1
+		case 1:
+			if i > 0 {
+				cols[i] = cols[i-1] // duplicate
+				continue
+			}
+			fallthrough
+		case 2:
+			cols[i] = r.Intn(3) * perMetric // a min column: scan-only groups
+		default:
+			cols[i] = r.Intn(width)
+		}
+	}
+	return cols
+}
+
+// TestSparseMatchesDenseProperty: over randomized sessions — real
+// player traces, and drawn ones of 0 to 69 chunks carrying NaN, ±Inf,
+// signed zeros and unordered times — and randomized column subsets of
+// both schemas (stall-only, rep-only, absent, duplicate and repeated-
+// metric columns), the two-model evaluator and the two one-model
+// evaluators must each agree with building the dense vectors and
+// projecting them: the property the live close path relies on to
+// extract each metric once and skip the passes nothing selected. In
+// particular the min/max scan must reproduce sort.Float64s'
+// sorted[0]/sorted[N-1], NaNs sorting first.
 func TestSparseMatchesDenseProperty(t *testing.T) {
 	r := stats.NewRand(91)
-	for trial := 0; trial < 12; trial++ {
-		obs, _ := sessionObs(t, int64(100+trial), trial%2 == 0)
-		for _, schema := range []struct {
-			dense  []float64
-			width  int
-			sparse func(cols []int) *Sparse
-		}{
-			{StallFeatures(obs), len(StallFeatureNames()), NewStallSparse},
-			{RepFeatures(obs), len(RepFeatureNames()), NewRepSparse},
-		} {
-			k := 1 + r.Intn(12)
-			cols := make([]int, k)
-			for i := range cols {
-				if r.Intn(10) == 0 {
-					cols[i] = -1 // absent feature
-				} else {
-					cols[i] = r.Intn(schema.width)
-				}
-			}
-			dst := make([]float64, k)
-			for i := range dst {
-				dst[i] = math.NaN() // stale scratch content must be overwritten
-			}
-			schema.sparse(cols).EvalInto(obs, dst)
+	nStall, nRep := len(StallFeatureNames()), len(RepFeatureNames())
+	stale := func(k int) []float64 {
+		dst := make([]float64, k)
+		for i := range dst {
+			dst[i] = -12345 // stale scratch content must be overwritten
+		}
+		return dst
+	}
+	var sc SeriesScratch // shared across every session, like a shard's
+	for trial := 0; trial < 600; trial++ {
+		var obs SessionObs
+		switch {
+		case trial < 12:
+			obs, _ = sessionObs(t, int64(100+trial), trial%2 == 0)
+		case trial < 24:
+			obs = randomObs(r, trial%3, trial%2 == 0, true) // 0, 1, 2 chunks
+		default:
+			obs = randomObs(r, r.Intn(70), trial%2 == 0, trial%3 != 0)
+		}
+		denseStall, denseRep := StallFeatures(obs), RepFeatures(obs)
+		stallCols := randomCols(r, r.Intn(13), nStall, len(stallStats))
+		repCols := randomCols(r, r.Intn(13), nRep, len(repStats))
+		check := func(what string, cols []int, got, dense []float64) {
+			t.Helper()
 			for i, j := range cols {
 				want := 0.0
 				if j >= 0 {
-					want = schema.dense[j]
+					want = dense[j]
 				}
-				if dst[i] != want {
-					t.Fatalf("trial %d col %d (full %d): sparse %v != dense %v",
-						trial, i, j, dst[i], want)
+				if !sameFloat(got[i], want) {
+					t.Fatalf("trial %d (%d chunks) %s col %d (full %d): sparse %v != dense %v",
+						trial, obs.Len(), what, i, j, got[i], want)
 				}
 			}
 		}
+
+		stall, rep := stale(len(stallCols)), stale(len(repCols))
+		NewSparse(stallCols, repCols).EvalBoth(obs, stall, rep, &sc)
+		check("two-model stall", stallCols, stall, denseStall)
+		check("two-model rep", repCols, rep, denseRep)
+
+		stall, rep = stale(len(stallCols)), stale(len(repCols))
+		NewStallSparse(stallCols).EvalIntoScratch(obs, stall, &sc)
+		NewRepSparse(repCols).EvalInto(obs, rep)
+		check("one-model stall", stallCols, stall, denseStall)
+		check("one-model rep", repCols, rep, denseRep)
+	}
+}
+
+// TestEvalBothAllocatesNothing pins the close path's featurization at
+// zero allocations once the series scratch has grown, for the shape of
+// selection the bench-trained forests make (percentiles, std, mean,
+// and min/max-only metrics across both models).
+func TestEvalBothAllocatesNothing(t *testing.T) {
+	names := func(all []string, want ...string) []int {
+		cols := make([]int, len(want))
+		for i, w := range want {
+			if cols[i] = slices.Index(all, w); cols[i] < 0 {
+				t.Fatalf("no feature named %q", w)
+			}
+		}
+		return cols
+	}
+	stallCols := names(StallFeatureNames(), "chunk time 25%", "chunk size min", "chunk size 50%",
+		"BIF avg min", "RTT maximum max", "packet loss max")
+	repCols := names(RepFeatureNames(), "chunk size 75%", "chunk size 90%", "chunk size std", "chunk size max",
+		"chunk Δsize 15%", "chunk Δsize mean", "cusum throughput max")
+	sp := NewSparse(stallCols, repCols)
+	obs := benchObs(45)
+	stall, rep := make([]float64, len(stallCols)), make([]float64, len(repCols))
+	var sc SeriesScratch
+	sp.EvalBoth(obs, stall, rep, &sc)
+	if allocs := testing.AllocsPerRun(200, func() { sp.EvalBoth(obs, stall, rep, &sc) }); allocs != 0 {
+		t.Errorf("EvalBoth allocates %v times per session, want 0", allocs)
+	}
+}
+
+// TestFinishChunksMatchesSortSlice: finishChunks returns before
+// sort.Slice when the chunks already arrive in non-decreasing time
+// order, which is only sound because sort.Slice is the identity on such
+// input — and on any other input finishChunks must still leave exactly
+// sort.Slice's permutation, ties included. Tie-heavy inputs (a handful
+// of distinct times over up to 80 chunks, with SizeKB as the witness of
+// which tied chunk went where) pin both.
+func TestFinishChunksMatchesSortSlice(t *testing.T) {
+	r := stats.NewRand(17)
+	skipped := 0
+	for trial := 0; trial < 2000; trial++ {
+		n := r.Intn(81)
+		chunks := make([]ChunkObs, n)
+		distinct := 1 + r.Intn(6)
+		for i := range chunks {
+			chunks[i] = ChunkObs{Time: float64(10 + r.Intn(distinct)), SizeKB: float64(i)}
+		}
+		if trial%2 == 0 {
+			sort.SliceStable(chunks, func(i, j int) bool { return chunks[i].Time < chunks[j].Time })
+			for i := range chunks {
+				chunks[i].SizeKB = float64(i)
+			}
+			skipped++
+		}
+		want := append([]ChunkObs(nil), chunks...)
+		sort.Slice(want, func(i, j int) bool { return want[i].Time < want[j].Time })
+		if trial%2 == 0 {
+			for i := range want {
+				if want[i].SizeKB != float64(i) {
+					t.Fatalf("trial %d: sort.Slice moved chunk %d of an ordered input to %d", trial, int(want[i].SizeKB), i)
+				}
+			}
+		}
+		if n > 0 {
+			base := want[0].Time
+			for i := range want {
+				want[i].Time -= base
+			}
+		}
+		finishChunks(chunks)
+		for i := range chunks {
+			if chunks[i] != want[i] {
+				t.Fatalf("trial %d (%d chunks): chunk %d is %+v, sort.Slice + rebase leaves %+v", trial, n, i, chunks[i], want[i])
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no ordered input exercised the early return")
 	}
 }
 

@@ -1,18 +1,44 @@
 package features
 
 import (
+	"sort"
+
 	"vqoe/internal/stats"
 	"vqoe/internal/timeseries"
 )
 
-// A metric is one named per-chunk series. series returns a freshly
-// allocated slice; into writes the same values through a SeriesScratch
-// so the engine's steady-state prediction path allocates nothing. The
-// two are bit-identical by construction (same loops, same float order).
+// metricID names one per-chunk series across both schemas: the nine
+// base metrics are shared by the stall and representation sets, chunk
+// time completes the stall set, the five constructed series the
+// representation set. It is what the sparse evaluator groups selected
+// columns by, so a metric both models selected is extracted once.
+type metricID uint8
+
+const (
+	mRTTMin metricID = iota
+	mRTTAvg
+	mRTTMax
+	mBDP
+	mBIFAvg
+	mBIFMax
+	mLoss
+	mRetrans
+	mSize
+	mTime
+	mAvgSize
+	mDeltaSize
+	mDeltaTime
+	mThroughput
+	mCusumThroughput
+)
+
+// A metric is one named per-chunk series. series is the dense
+// builders' allocating extraction — the reference; the sparse
+// evaluator extracts the same values through seriesInto.
 type metric struct {
+	id     metricID
 	name   string
 	series func(SessionObs) []float64
-	into   func(SessionObs, *SeriesScratch) []float64
 }
 
 // SeriesScratch carries the reusable series buffers one sparse
@@ -33,136 +59,189 @@ func (sc *SeriesScratch) primary(n int) []float64 {
 	return sc.a
 }
 
-func (s SessionObs) fieldInto(sc *SeriesScratch, f func(ChunkObs) float64) []float64 {
-	out := sc.primary(len(s.Chunks))
-	for i, c := range s.Chunks {
-		out[i] = f(c)
+// seriesInto writes metric id's per-chunk series through sc: the
+// values the metric's dense series function yields (same loops, same
+// float order, so bit-identical), read field by field off &cs[i]
+// without a per-element call. The result aliases sc and is nil for a
+// series with no values.
+func seriesInto(id metricID, cs []ChunkObs, sc *SeriesScratch) []float64 {
+	switch id {
+	case mDeltaSize, mDeltaTime:
+		if len(cs) < 2 {
+			return nil
+		}
+		out := sc.primary(len(cs) - 1)
+		if id == mDeltaSize {
+			for i := range out {
+				out[i] = cs[i+1].SizeKB - cs[i].SizeKB
+			}
+		} else {
+			for i := range out {
+				out[i] = cs[i+1].Time - cs[i].Time
+			}
+		}
+		return out
 	}
-	return out
-}
-
-// diffInto writes the consecutive differences of per-chunk values —
-// stats.Diff of the extracted series, computed straight off the chunks.
-func (s SessionObs) diffInto(sc *SeriesScratch, f func(ChunkObs) float64) []float64 {
-	if len(s.Chunks) < 2 {
+	if len(cs) == 0 {
 		return nil
 	}
-	out := sc.primary(len(s.Chunks) - 1)
-	for i := 1; i < len(s.Chunks); i++ {
-		out[i-1] = f(s.Chunks[i]) - f(s.Chunks[i-1])
+	out := sc.primary(len(cs))
+	switch id {
+	case mRTTMin:
+		for i := range cs {
+			out[i] = cs[i].RTTMin
+		}
+	case mRTTAvg:
+		for i := range cs {
+			out[i] = cs[i].RTTAvg
+		}
+	case mRTTMax:
+		for i := range cs {
+			out[i] = cs[i].RTTMax
+		}
+	case mBDP:
+		for i := range cs {
+			out[i] = cs[i].BDP
+		}
+	case mBIFAvg:
+		for i := range cs {
+			out[i] = cs[i].BIFAvg
+		}
+	case mBIFMax:
+		for i := range cs {
+			out[i] = cs[i].BIFMax
+		}
+	case mLoss:
+		for i := range cs {
+			out[i] = cs[i].LossPct
+		}
+	case mRetrans:
+		for i := range cs {
+			out[i] = cs[i].RetransPct
+		}
+	case mSize:
+		for i := range cs {
+			out[i] = cs[i].SizeKB
+		}
+	case mTime:
+		for i := range cs {
+			out[i] = cs[i].Time
+		}
+	case mAvgSize:
+		var sum float64
+		for i := range cs {
+			sum += cs[i].SizeKB
+			out[i] = sum / float64(i+1)
+		}
+	case mThroughput, mCusumThroughput:
+		for i := range cs {
+			out[i] = cs[i].ThroughputKBps()
+		}
+		if id == mCusumThroughput {
+			sc.b = timeseries.ChartInto(out, sc.b)
+			return sc.b
+		}
 	}
 	return out
 }
 
-// runningMeanSizesInto is runningMean(sizes) in one pass: the same
-// cumulative sum in the same order, so values are bit-identical.
-func (s SessionObs) runningMeanSizesInto(sc *SeriesScratch) []float64 {
-	out := sc.primary(len(s.Chunks))
-	var sum float64
-	for i, c := range s.Chunks {
-		sum += c.SizeKB
-		out[i] = sum / float64(i+1)
-	}
-	return out
-}
-
-// baseMetrics are the ten Table-1 network features, one series per
-// chunk.
+// baseMetrics are the nine Table-1 network features both sets share,
+// one series per chunk.
 var baseMetrics = []metric{
-	fieldMetric("RTT minimum", func(c ChunkObs) float64 { return c.RTTMin }),
-	fieldMetric("RTT average", func(c ChunkObs) float64 { return c.RTTAvg }),
-	fieldMetric("RTT maximum", func(c ChunkObs) float64 { return c.RTTMax }),
-	fieldMetric("BDP", func(c ChunkObs) float64 { return c.BDP }),
-	fieldMetric("BIF avg", func(c ChunkObs) float64 { return c.BIFAvg }),
-	fieldMetric("BIF maximum", func(c ChunkObs) float64 { return c.BIFMax }),
-	fieldMetric("packet loss", func(c ChunkObs) float64 { return c.LossPct }),
-	fieldMetric("packet retransmissions", func(c ChunkObs) float64 { return c.RetransPct }),
-	fieldMetric("chunk size", func(c ChunkObs) float64 { return c.SizeKB }),
+	fieldMetric(mRTTMin, "RTT minimum", func(c ChunkObs) float64 { return c.RTTMin }),
+	fieldMetric(mRTTAvg, "RTT average", func(c ChunkObs) float64 { return c.RTTAvg }),
+	fieldMetric(mRTTMax, "RTT maximum", func(c ChunkObs) float64 { return c.RTTMax }),
+	fieldMetric(mBDP, "BDP", func(c ChunkObs) float64 { return c.BDP }),
+	fieldMetric(mBIFAvg, "BIF avg", func(c ChunkObs) float64 { return c.BIFAvg }),
+	fieldMetric(mBIFMax, "BIF maximum", func(c ChunkObs) float64 { return c.BIFMax }),
+	fieldMetric(mLoss, "packet loss", func(c ChunkObs) float64 { return c.LossPct }),
+	fieldMetric(mRetrans, "packet retransmissions", func(c ChunkObs) float64 { return c.RetransPct }),
+	fieldMetric(mSize, "chunk size", func(c ChunkObs) float64 { return c.SizeKB }),
 }
 
-func fieldMetric(name string, f func(ChunkObs) float64) metric {
-	return metric{
-		name:   name,
-		series: func(s SessionObs) []float64 { return s.field(f) },
-		into:   func(s SessionObs, sc *SeriesScratch) []float64 { return s.fieldInto(sc, f) },
-	}
+func fieldMetric(id metricID, name string, f func(ChunkObs) float64) metric {
+	return metric{id, name, func(s SessionObs) []float64 { return s.field(f) }}
 }
 
 // chunkTimeMetric completes the stall set's ten metrics.
-var chunkTimeMetric = fieldMetric("chunk time", func(c ChunkObs) float64 { return c.Time })
+var chunkTimeMetric = fieldMetric(mTime, "chunk time", func(c ChunkObs) float64 { return c.Time })
 
 // constructedMetrics are the five engineered series of §4.2: the
 // running chunk average size, the chunk size delta, the inter-arrival
 // delta, the per-chunk throughput, and its CUSUM chart.
 var constructedMetrics = []metric{
-	{"chunk avg size",
-		func(s SessionObs) []float64 { return runningMean(s.sizes()) },
-		func(s SessionObs, sc *SeriesScratch) []float64 { return s.runningMeanSizesInto(sc) }},
-	{"chunk Δsize",
-		func(s SessionObs) []float64 { return stats.Diff(s.sizes()) },
-		func(s SessionObs, sc *SeriesScratch) []float64 {
-			return s.diffInto(sc, func(c ChunkObs) float64 { return c.SizeKB })
-		}},
-	{"chunk Δt",
-		func(s SessionObs) []float64 { return stats.Diff(s.times()) },
-		func(s SessionObs, sc *SeriesScratch) []float64 {
-			return s.diffInto(sc, func(c ChunkObs) float64 { return c.Time })
-		}},
-	{"throughput",
-		func(s SessionObs) []float64 { return s.throughputs() },
-		func(s SessionObs, sc *SeriesScratch) []float64 {
-			return s.fieldInto(sc, ChunkObs.ThroughputKBps)
-		}},
-	{"cusum throughput",
-		func(s SessionObs) []float64 { return timeseries.Chart(s.throughputs()) },
-		func(s SessionObs, sc *SeriesScratch) []float64 {
-			tp := s.fieldInto(sc, ChunkObs.ThroughputKBps)
-			chart := timeseries.ChartInto(tp, sc.b)
-			if chart != nil {
-				sc.b = chart // keep the grown buffer across empty sessions
-			}
-			return chart
-		}},
+	{mAvgSize, "chunk avg size", func(s SessionObs) []float64 { return runningMean(s.sizes()) }},
+	{mDeltaSize, "chunk Δsize", func(s SessionObs) []float64 { return stats.Diff(s.sizes()) }},
+	{mDeltaTime, "chunk Δt", func(s SessionObs) []float64 { return stats.Diff(s.times()) }},
+	{mThroughput, "throughput", func(s SessionObs) []float64 { return s.throughputs() }},
+	{mCusumThroughput, "cusum throughput", func(s SessionObs) []float64 { return timeseries.Chart(s.throughputs()) }},
 }
 
-// A stat is one named summary statistic of a series.
+// statKind says which part of a Summary a statistic reads, and so how
+// much work it asks of the sparse evaluator: min and max need one scan,
+// a percentile the sorted series, mean the ascending sum on top of
+// that, std the squared pass on top of the mean.
+type statKind uint8
+
+const (
+	statMin statKind = iota
+	statMean
+	statMax
+	statStd
+	statPct
+)
+
+// A stat is one named summary statistic of a series; p is the
+// percentile of a statPct.
 type stat struct {
-	name  string
-	apply func(stats.Summary) float64
+	name string
+	kind statKind
+	p    float64
 }
 
-func pct(p float64) func(stats.Summary) float64 {
-	return func(s stats.Summary) float64 { return s.Percentile(p) }
+// of reads the statistic off a summary.
+func (st stat) of(s stats.Summary) float64 {
+	switch st.kind {
+	case statMin:
+		return s.Min
+	case statMean:
+		return s.Mean
+	case statMax:
+		return s.Max
+	case statStd:
+		return s.Std
+	}
+	return s.Percentile(st.p)
 }
 
 // stallStats are the seven summary statistics of §4.1.
 var stallStats = []stat{
-	{"min", func(s stats.Summary) float64 { return s.Min }},
-	{"mean", func(s stats.Summary) float64 { return s.Mean }},
-	{"max", func(s stats.Summary) float64 { return s.Max }},
-	{"std", func(s stats.Summary) float64 { return s.Std }},
-	{"25%", pct(25)},
-	{"50%", pct(50)},
-	{"75%", pct(75)},
+	{"min", statMin, 0},
+	{"mean", statMean, 0},
+	{"max", statMax, 0},
+	{"std", statStd, 0},
+	{"25%", statPct, 25},
+	{"50%", statPct, 50},
+	{"75%", statPct, 75},
 }
 
 // repStats are the fifteen summary statistics of §4.2.
 var repStats = []stat{
-	{"min", func(s stats.Summary) float64 { return s.Min }},
-	{"mean", func(s stats.Summary) float64 { return s.Mean }},
-	{"max", func(s stats.Summary) float64 { return s.Max }},
-	{"std", func(s stats.Summary) float64 { return s.Std }},
-	{"5%", pct(5)},
-	{"10%", pct(10)},
-	{"15%", pct(15)},
-	{"20%", pct(20)},
-	{"25%", pct(25)},
-	{"50%", pct(50)},
-	{"75%", pct(75)},
-	{"80%", pct(80)},
-	{"85%", pct(85)},
-	{"90%", pct(90)},
-	{"95%", pct(95)},
+	{"min", statMin, 0},
+	{"mean", statMean, 0},
+	{"max", statMax, 0},
+	{"std", statStd, 0},
+	{"5%", statPct, 5},
+	{"10%", statPct, 10},
+	{"15%", statPct, 15},
+	{"20%", statPct, 20},
+	{"25%", statPct, 25},
+	{"50%", statPct, 50},
+	{"75%", statPct, 75},
+	{"80%", statPct, 80},
+	{"85%", statPct, 85},
+	{"90%", statPct, 90},
+	{"95%", statPct, 95},
 }
 
 func stallMetrics() []metric {
@@ -194,69 +273,115 @@ func buildVector(obs SessionObs, ms []metric, ss []stat) []float64 {
 				out = append(out, 0)
 				continue
 			}
-			out = append(out, st.apply(sum))
+			out = append(out, st.of(sum))
 		}
 	}
 	return out
 }
 
-// Sparse evaluates a projected subset of a feature schema for the live
-// prediction path: only the metrics the requested columns touch are
-// extracted and summarized, instead of building the full 70- or
-// 210-wide vector and projecting it down to the handful of
-// CFS-selected features. Column j of the full schema decomposes as
-// metric j/len(ss), statistic j%len(ss) (the schema is metric-major;
-// see buildNames).
+// Sparse evaluates projected subsets of the feature schemas for the
+// live prediction path: instead of building the full 70- and 210-wide
+// vectors and projecting them down to the handful of CFS-selected
+// features, it extracts each metric the requested columns touch once —
+// whichever model asked — and does per metric only the work the
+// selected statistics of it need (see statKind), writing straight into
+// the models' projected layouts. Column j of a full schema decomposes
+// as metric j/len(stats), statistic j%len(stats) (the schemas are
+// metric-major; see buildNames).
 type Sparse struct {
-	ms     []metric
-	ss     []stat
 	groups []sparseGroup
-	zeros  []int // dst positions whose column is absent (-1)
+	zeros  []sparseSlot // slots whose column is absent (-1)
 }
 
-// sparseGroup is one metric worth summarizing and the statistics of it
-// the selection wants.
+// sparseSlot addresses position i of output vector out: an evaluator
+// built for both models has two outputs (stall, representation), a
+// one-model evaluator one.
+type sparseSlot struct {
+	out, i int
+}
+
+// sparseGroup is one metric worth extracting, the statistics of it the
+// selections want, and the passes those statistics need.
 type sparseGroup struct {
-	metric int
-	emits  []sparseEmit
+	metric            metricID
+	sorted, mean, std bool
+	emits             []sparseEmit
 }
 
-// sparseEmit writes statistic stat of the group's summary to dst[dst].
+// sparseEmit writes one statistic of the group's summary to its slot.
 type sparseEmit struct {
-	stat, dst int
+	st   stat
+	slot sparseSlot
 }
 
-// NewStallSparse builds a sparse evaluator over the stall schema:
+// NewSparse builds the two-model evaluator the engine's close path
+// runs: stallCols[i] is the stall-schema column whose value lands in
+// stallDst[i] of EvalBoth, repCols[i] the representation-schema column
+// for repDst[i] (-1 zeroes the slot).
+func NewSparse(stallCols, repCols []int) *Sparse {
+	return newSparse(
+		sparseOut{stallMetrics(), stallStats, stallCols},
+		sparseOut{repMetrics(), repStats, repCols})
+}
+
+// NewStallSparse builds a one-model evaluator over the stall schema:
 // cols[i] is the full-schema column whose value lands in dst[i] of
 // EvalInto (-1 zeroes the slot).
-func NewStallSparse(cols []int) *Sparse { return newSparse(stallMetrics(), stallStats, cols) }
+func NewStallSparse(cols []int) *Sparse {
+	return newSparse(sparseOut{stallMetrics(), stallStats, cols})
+}
 
 // NewRepSparse is NewStallSparse over the representation schema.
-func NewRepSparse(cols []int) *Sparse { return newSparse(repMetrics(), repStats, cols) }
+func NewRepSparse(cols []int) *Sparse {
+	return newSparse(sparseOut{repMetrics(), repStats, cols})
+}
 
-func newSparse(ms []metric, ss []stat, cols []int) *Sparse {
-	sp := &Sparse{ms: ms, ss: ss}
-	byMetric := make(map[int]int)
-	for i, j := range cols {
-		if j < 0 || j >= len(ms)*len(ss) {
-			sp.zeros = append(sp.zeros, i)
-			continue
+// sparseOut is one output vector's selection: cols index the schema
+// ms × ss.
+type sparseOut struct {
+	ms   []metric
+	ss   []stat
+	cols []int
+}
+
+func newSparse(outs ...sparseOut) *Sparse {
+	sp := &Sparse{}
+	byMetric := make(map[metricID]int)
+	for o, out := range outs {
+		for i, j := range out.cols {
+			slot := sparseSlot{o, i}
+			if j < 0 || j >= len(out.ms)*len(out.ss) {
+				sp.zeros = append(sp.zeros, slot)
+				continue
+			}
+			m, st := out.ms[j/len(out.ss)].id, out.ss[j%len(out.ss)]
+			gi, ok := byMetric[m]
+			if !ok {
+				gi = len(sp.groups)
+				byMetric[m] = gi
+				sp.groups = append(sp.groups, sparseGroup{metric: m})
+			}
+			g := &sp.groups[gi]
+			g.emits = append(g.emits, sparseEmit{st, slot})
+			switch st.kind { // each pass builds on the one below it
+			case statStd:
+				g.std = true
+				fallthrough
+			case statMean:
+				g.mean = true
+				fallthrough
+			case statPct:
+				g.sorted = true
+			}
 		}
-		m, st := j/len(ss), j%len(ss)
-		gi, ok := byMetric[m]
-		if !ok {
-			gi = len(sp.groups)
-			byMetric[m] = gi
-			sp.groups = append(sp.groups, sparseGroup{metric: m})
-		}
-		sp.groups[gi].emits = append(sp.groups[gi].emits, sparseEmit{stat: st, dst: i})
 	}
 	return sp
 }
 
 // EvalInto writes the selected features of obs into dst, which must
-// have the length of the cols the evaluator was built with. Values are
-// bit-identical to building the dense vector and projecting it.
+// have the length of the cols a one-model evaluator was built with.
+// Values are bit-identical to building the dense vector and projecting
+// it.
 func (sp *Sparse) EvalInto(obs SessionObs, dst []float64) {
 	var sc SeriesScratch
 	sp.EvalIntoScratch(obs, dst, &sc)
@@ -264,23 +389,45 @@ func (sp *Sparse) EvalInto(obs SessionObs, dst []float64) {
 
 // EvalIntoScratch is EvalInto with caller-owned series buffers: each
 // metric's series is written through sc instead of freshly allocated,
-// so a long-lived caller (an engine shard) featurizes with zero
-// steady-state allocations. The summary still sorts the series in
-// place — the scratch is refilled per metric — and every value is
-// bit-identical to EvalInto's.
+// so a long-lived caller featurizes with zero steady-state
+// allocations. Every value is bit-identical to EvalInto's.
 func (sp *Sparse) EvalIntoScratch(obs SessionObs, dst []float64, sc *SeriesScratch) {
-	for _, g := range sp.groups {
-		sum := stats.SummarizeInPlace(sp.ms[g.metric].into(obs, sc))
-		for _, e := range g.emits {
-			if sum.N == 0 {
-				dst[e.dst] = 0
-				continue
+	sp.eval(obs, [2][]float64{dst}, sc)
+}
+
+// EvalBoth is EvalIntoScratch for the two-model evaluator of
+// NewSparse: one pass over obs fills the stall and the representation
+// projected vectors.
+func (sp *Sparse) EvalBoth(obs SessionObs, stallDst, repDst []float64, sc *SeriesScratch) {
+	sp.eval(obs, [2][]float64{stallDst, repDst}, sc)
+}
+
+func (sp *Sparse) eval(obs SessionObs, dst [2][]float64, sc *SeriesScratch) {
+	for gi := range sp.groups {
+		g := &sp.groups[gi]
+		xs := seriesInto(g.metric, obs.Chunks, sc)
+		var sum stats.Summary
+		if len(xs) > 0 && !g.sorted {
+			sum.N = len(xs)
+			sum.Min, sum.Max = stats.Extremes(xs)
+		} else if len(xs) > 0 {
+			// chunk time arrives ordered (finishChunks), and so does any
+			// series that happens to be monotone: skip the sort then
+			if !sort.Float64sAreSorted(xs) {
+				sort.Float64s(xs)
 			}
-			dst[e.dst] = sp.ss[e.stat].apply(sum)
+			sum = stats.SummarizeSorted(xs, g.mean, g.std)
+		}
+		for _, e := range g.emits {
+			v := 0.0
+			if sum.N > 0 {
+				v = e.st.of(sum)
+			}
+			dst[e.slot.out][e.slot.i] = v
 		}
 	}
-	for _, i := range sp.zeros {
-		dst[i] = 0
+	for _, z := range sp.zeros {
+		dst[z.out][z.i] = 0
 	}
 }
 

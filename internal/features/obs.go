@@ -95,11 +95,20 @@ func FromChunks(chunks []ChunkObs, buf []ChunkObs) SessionObs {
 // order becomes chunk-time order, and times are rebased to the first
 // chunk ("chunk time", §3.1). Both construction paths run the same
 // sort.Slice over the same comparator, so equal inputs produce equal
-// permutations even among tied timestamps.
+// permutations even among tied timestamps. Chunks that already arrive
+// in non-decreasing chunk-time order — the live path's common case —
+// skip the sort and the three allocations sort.Slice makes: on such
+// input it is the identity (TestFinishChunksMatchesSortSlice), so
+// out-of-order sessions keep their permutation and ordered ones theirs.
 func finishChunks(chunks []ChunkObs) {
-	sort.Slice(chunks, func(i, j int) bool {
-		return chunks[i].Time < chunks[j].Time
-	})
+	for i := 1; i < len(chunks); i++ {
+		if chunks[i].Time < chunks[i-1].Time {
+			sort.Slice(chunks, func(i, j int) bool {
+				return chunks[i].Time < chunks[j].Time
+			})
+			break
+		}
+	}
 	if len(chunks) > 0 {
 		base := chunks[0].Time
 		for i := range chunks {

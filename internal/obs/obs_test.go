@@ -87,6 +87,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var tr *Tracer
 	tr.Record(SpanEvent{})
+	tr.RecordBatch([]SpanEvent{{}})
 	if tr.Snapshot() != nil || tr.Len() != 0 || tr.Total() != 0 {
 		t.Error("nil tracer not inert")
 	}
@@ -94,6 +95,32 @@ func TestNilSafety(t *testing.T) {
 	o.EnsureShards(4)
 	if o.Stages(0) != nil || o.Tracer(0) != nil || o.StageSnapshots() != nil || o.TraceEvents() != nil || o.Logger() != nil {
 		t.Error("nil observer not inert")
+	}
+}
+
+// TestRecordBatchEqualsRecords: a batch leaves the ring exactly as the
+// same events recorded one by one would — contents, Seqs, wrap — for
+// batches shorter than, equal to and longer than the ring.
+func TestRecordBatchEqualsRecords(t *testing.T) {
+	one, batched := NewTracer(8), NewTracer(8)
+	next := 0
+	for _, n := range []int{3, 0, 8, 1, 21, 5} {
+		evs := make([]SpanEvent, n)
+		for i := range evs {
+			evs[i] = SpanEvent{Kind: EventKind(next % 6), TS: float64(next), Subscriber: "s", Seq: 999}
+			next++
+			one.Record(evs[i])
+		}
+		batched.RecordBatch(evs)
+		a, b := one.Snapshot(), batched.Snapshot()
+		if len(a) != len(b) || one.Total() != batched.Total() {
+			t.Fatalf("after a batch of %d: %d/%d events retained, %d/%d recorded", n, len(a), len(b), one.Total(), batched.Total())
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("after a batch of %d: event %d is %+v batched, %+v one by one", n, i, b[i], a[i])
+			}
+		}
 	}
 }
 

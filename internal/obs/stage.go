@@ -13,11 +13,15 @@ const (
 	// StageSessionize is the incremental §5.2 flow-table update (one
 	// observation per ingested entry batch).
 	StageSessionize Stage = iota
-	// StageFeaturize is feature-vector extraction for one closed
-	// session (one observation per session).
+	// StageFeaturize is feature extraction for closed sessions: one
+	// observation per session for assembling its chunk-time-ordered
+	// observation (features.FromChunks), and one per closed-session
+	// batch for the summary-statistic extraction that fills both
+	// models' projected vectors.
 	StageFeaturize
-	// StageForest is the batched random-forest inference over the
-	// sessions a batch closed (stall + representation models).
+	// StageForest is the two batched random-forest passes (stall +
+	// representation models) over those vectors — tree walks and vote
+	// confidences only.
 	StageForest
 	// StageCUSUM is the switch detector's CUSUM scoring over the same
 	// closed-session batch.

@@ -49,11 +49,11 @@ type SpanEvent struct {
 }
 
 // Tracer is a fixed-capacity ring buffer of span events, built on the
-// generic Ring. Each engine shard owns one, so Record's mutex is
-// effectively uncontended (the only other locker is an operator
-// hitting /debug/trace); recording overwrites the oldest event once
-// the ring wraps and never allocates. A nil *Tracer is the "tracing
-// off" mode: Record is a no-op.
+// generic Ring. Each engine shard owns one and is its only recorder, so
+// the ring's mutex is effectively uncontended (the only other locker is
+// an operator hitting /debug/trace); recording overwrites the oldest
+// event once the ring wraps and never allocates. A nil *Tracer is the
+// "tracing off" mode: Record and RecordBatch are no-ops.
 type Tracer struct {
 	ring Ring[SpanEvent]
 }
@@ -77,12 +77,32 @@ func (t *Tracer) Record(ev SpanEvent) {
 	if t == nil {
 		return
 	}
+	t.ring.mu.Lock()
+	t.put(ev)
+	t.ring.mu.Unlock()
+}
+
+// RecordBatch appends evs in order under one acquisition of the ring
+// lock — what a shard worker pays per message instead of one lock per
+// event. The ring afterwards holds exactly what len(evs) Record calls
+// would have left: same events, same consecutive Seqs.
+func (t *Tracer) RecordBatch(evs []SpanEvent) {
+	if t == nil || len(evs) == 0 {
+		return
+	}
+	t.ring.mu.Lock()
+	for i := range evs {
+		t.put(evs[i])
+	}
+	t.ring.mu.Unlock()
+}
+
+// put stores ev at the next sequence number; the caller holds the lock.
+func (t *Tracer) put(ev SpanEvent) {
 	r := &t.ring
-	r.mu.Lock()
 	ev.Seq = r.seq
 	r.buf[r.seq%uint64(len(r.buf))] = ev
 	r.seq++
-	r.mu.Unlock()
 }
 
 // Len reports how many events the ring currently holds.

@@ -34,33 +34,61 @@ type Summary struct {
 func Summarize(xs []float64) Summary {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
-	return SummarizeInPlace(sorted)
+	sort.Float64s(sorted)
+	return SummarizeSorted(sorted, true, true)
 }
 
-// SummarizeInPlace is Summarize for callers that own xs: the sample is
-// sorted in place and becomes the Summary's backing (no copy). Results
-// are bit-identical to Summarize of the same values.
-func SummarizeInPlace(xs []float64) Summary {
+// SummarizeSorted is Summarize for a sample the caller owns and has
+// already put in sort.Float64s order (ascending, NaNs first): sorted
+// becomes the Summary's backing, no copy. N, Min, Max and Percentile
+// are always available; Sum and Mean are computed only when mean or
+// std is set, Std only when std is set. The sums run in ascending
+// order, so every computed field is bit-identical to Summarize's.
+func SummarizeSorted(sorted []float64, mean, std bool) Summary {
 	var s Summary
-	s.N = len(xs)
+	s.N = len(sorted)
 	if s.N == 0 {
 		return s
 	}
-	s.sorted = xs
-	sort.Float64s(s.sorted)
-	s.Min = s.sorted[0]
-	s.Max = s.sorted[s.N-1]
-	for _, x := range s.sorted {
+	s.sorted = sorted
+	s.Min = sorted[0]
+	s.Max = sorted[s.N-1]
+	if !mean && !std {
+		return s
+	}
+	for _, x := range sorted {
 		s.Sum += x
 	}
 	s.Mean = s.Sum / float64(s.N)
+	if !std {
+		return s
+	}
 	var ss float64
-	for _, x := range s.sorted {
+	for _, x := range sorted {
 		d := x - s.Mean
 		ss += d * d
 	}
 	s.Std = math.Sqrt(ss / float64(s.N))
 	return s
+}
+
+// Extremes returns the Min and Max Summarize would report for xs,
+// from one scan instead of a sort. sort.Float64s orders NaNs first, so
+// the minimum is NaN as soon as one sample is and the maximum is the
+// largest non-NaN sample (NaN only when every sample is); a scan that
+// compared naively would let a NaN's position decide. It panics on an
+// empty slice.
+func Extremes(xs []float64) (lo, hi float64) {
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if x < lo || x != x {
+			lo = x
+		}
+		if x > hi || hi != hi {
+			hi = x
+		}
+	}
+	return lo, hi
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) of the summarized

@@ -199,6 +199,48 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
+// TestExtremesAndSortedPartsMatchSummarize: the pieces the sparse
+// featurizer composes — the sort-free extremes scan, and the summary of
+// an already-sorted sample with the sums switched off — must report
+// what Summarize reports, on samples carrying NaN, ±Inf and signed
+// zeros (a NaN matches a NaN; equal zeros compare with ==).
+func TestExtremesAndSortedPartsMatchSummarize(t *testing.T) {
+	same := func(a, b float64) bool { return a == b || (a != a && b != b) }
+	odd := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	r := NewRand(5)
+	for trial := 0; trial < 2000; trial++ {
+		xs := make([]float64, 1+r.Intn(12))
+		for i := range xs {
+			if r.Intn(3) == 0 {
+				xs[i] = odd[r.Intn(len(odd))]
+			} else {
+				xs[i] = float64(r.Intn(7)) - 3
+			}
+		}
+		want := Summarize(xs)
+		if lo, hi := Extremes(xs); !same(lo, want.Min) || !same(hi, want.Max) {
+			t.Fatalf("Extremes(%v) = %v, %v; Summarize has %v, %v", xs, lo, hi, want.Min, want.Max)
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, tc := range []struct{ mean, std bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+			got := SummarizeSorted(sorted, tc.mean, tc.std)
+			if got.N != want.N || !same(got.Min, want.Min) || !same(got.Max, want.Max) || !same(got.Percentile(37), want.Percentile(37)) {
+				t.Fatalf("SummarizeSorted(%v): order statistics differ from Summarize", xs)
+			}
+			if (tc.mean || tc.std) && (!same(got.Sum, want.Sum) || !same(got.Mean, want.Mean)) {
+				t.Fatalf("SummarizeSorted(%v): mean %v, Summarize %v", xs, got.Mean, want.Mean)
+			}
+			if tc.std && !same(got.Std, want.Std) {
+				t.Fatalf("SummarizeSorted(%v): std %v, Summarize %v", xs, got.Std, want.Std)
+			}
+		}
+	}
+	if s := SummarizeSorted(nil, true, true); s.N != 0 || s.Mean != 0 {
+		t.Error("empty sorted sample should summarize to the zero Summary")
+	}
+}
+
 func TestECDFBasic(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 3, 4})
 	cases := []struct{ x, want float64 }{
