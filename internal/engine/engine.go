@@ -202,23 +202,35 @@ func (e *Engine) ObserveLabel(l qualitymon.Label) bool {
 	return e.cfg.Quality.ObserveLabel(l)
 }
 
-// submit is the one route-and-mail loop behind Ingest, Feed and Offer:
-// it pre-digests the batch into a pooled slab of per-shard rec
-// sub-batches (see Engine.partition) and mails every non-empty one.
-// shed picks the full-mailbox policy — drop and count the sub-batch
-// instead of blocking; reply, when non-nil, receives each mailed
-// sub-batch's reports instead of the sink. It returns the entries
-// accepted and the sub-batches mailed (the replies to wait for).
+// submit is the one scatter-and-mail loop behind every door. The Entry
+// doors (Ingest, Feed, Offer) pass entries, which are first digested
+// into recs (see interner.digest); the fused wire door passes the recs
+// and shards its decoder already resolved. Either way the recs are
+// scattered into a pooled slab of per-shard sub-batches and every
+// non-empty one is mailed. shed picks the full-mailbox policy — drop
+// and count the sub-batch instead of blocking; reply, when non-nil,
+// receives each mailed sub-batch's reports instead of the sink; done,
+// when non-nil, is called once the last shard has processed its
+// sub-batch (see FeedRecs). It returns the entries accepted and the
+// sub-batches mailed (the replies to wait for).
 //
-// The caller's slice is never retained: entries become slab recs
-// during routing, so decode scratch can be reused on return.
-func (e *Engine) submit(entries []weblog.Entry, shed bool, reply chan []Report) (accepted, mailed int) {
+// The caller's slices are never retained: the scatter copies, so decode
+// scratch can be reused on return.
+func (e *Engine) submit(entries []weblog.Entry, recs []sessionizer.Rec, shardOf []uint32, shed bool, reply chan []Report, done func()) (accepted, mailed int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.closed || len(entries) == 0 {
+	if e.closed || len(entries)+len(recs) == 0 {
+		if done != nil {
+			done()
+		}
 		return 0, 0
 	}
-	b, left := e.partition(entries)
+	b := e.slabs.Get().(*recSlab)
+	b.done = done
+	if len(entries) > 0 {
+		recs, shardOf = e.interner.digest(b, entries)
+	}
+	left := b.scatter(recs, shardOf, len(e.shards))
 	// The slab's refcount covers exactly the left non-empty views, so
 	// it stays ours until the last of them is mailed or shed; after
 	// that a shard may release it and another feeder re-take it, so the
@@ -255,22 +267,45 @@ func (e *Engine) submit(entries []weblog.Entry, shed bool, reply chan []Report) 
 func (e *Engine) Ingest(entries []weblog.Entry) []Report {
 	// one slot per shard, so no worker ever blocks on its reply
 	reply := make(chan []Report, len(e.shards))
-	_, mailed := e.submit(entries, false, reply)
+	_, mailed := e.submit(entries, nil, nil, false, reply, nil)
 	return collect(reply, mailed)
 }
 
 // Feed processes a batch asynchronously: entries are enqueued (blocking
 // when mailboxes are full) and completed sessions flow to the sink.
-// This is the wire-listener / capture-loop path.
+// This is the pcap-replay / capture-loop path (the wire listener feeds
+// recs: FeedRecs).
 func (e *Engine) Feed(entries []weblog.Entry) {
-	e.submit(entries, false, nil)
+	e.submit(entries, nil, nil, false, nil, nil)
+}
+
+// Intern and FeedRecs are the fused wire door (wire.RecSink): the
+// listener's decoder resolves identities through per-connection caches,
+// asks Intern only about the ones a frame missed, and hands FeedRecs
+// recs it built itself, so no weblog.Entry exists on that path.
+//
+// Intern resolves subscriber names into refs and region/device/cap
+// triples into cohort IDs (0 for an all-empty triple), interning what
+// is new under one write lock. Nothing passed in is retained.
+func (e *Engine) Intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
+	e.interner.intern(subs, refs, cohorts, ids)
+}
+
+// FeedRecs is Feed for recs already resolved through Intern: recs[i]
+// goes to shard shardOf[i], which must be what Intern returned for its
+// subscriber. done, when non-nil, is called exactly once: by the last
+// shard worker to finish its share of the batch, or at once when the
+// engine takes none of it (closed, or no recs) — the listener bounds
+// each connection's batches in flight with it.
+func (e *Engine) FeedRecs(recs []sessionizer.Rec, shardOf []uint32, done func()) {
+	e.submit(nil, recs, shardOf, false, nil, done)
 }
 
 // Offer is Feed without backpressure: when a shard's mailbox is full
 // its slice of the batch is dropped and counted (load shedding under
 // overload). Returns how many entries were accepted.
 func (e *Engine) Offer(entries []weblog.Entry) int {
-	accepted, _ := e.submit(entries, true, nil)
+	accepted, _ := e.submit(entries, nil, nil, true, nil, nil)
 	return accepted
 }
 

@@ -95,12 +95,11 @@ func (n *interner) name(id uint32) string { return n.view.Load().names[id] }
 func (n *interner) cohortKey(id uint32) cohort.Key { return n.view.Load().keys[id] }
 
 // resolve pre-digests a batch's identities: entry i's interned
-// subscriber lands in subs[i], its cohort in cohorts[i], its target
-// shard in shards[i]. The common case — everything already interned —
-// runs entirely under the read lock; a batch with misses takes the
-// write lock once for all of them. Only uint32s are written here; the
-// caller constructs the full Rec directly at its routed position.
-func (n *interner) resolve(entries []weblog.Entry, subs, cohorts, shards []uint32) {
+// subscriber lands in recs[i].Sub, its cohort in recs[i].Cohort, its
+// target shard in shards[i]. The common case — everything already
+// interned — runs entirely under the read lock; a batch with misses
+// takes the write lock once for all of them.
+func (n *interner) resolve(entries []weblog.Entry, recs []sessionizer.Rec, shards []uint32) {
 	misses := false
 	// one-entry cohort cache: a batch usually cycles through a handful
 	// of cohort keys, and the repeat compare is three pointer-equal
@@ -109,27 +108,25 @@ func (n *interner) resolve(entries []weblog.Entry, subs, cohorts, shards []uint3
 	var lastID uint32
 	n.mu.RLock()
 	for i := range entries {
-		e := &entries[i]
+		e, r := &entries[i], &recs[i]
 		if se, ok := n.subs[e.Subscriber]; ok {
-			subs[i] = se.id
+			r.Sub = se.id
 			shards[i] = se.shard
 		} else {
-			subs[i] = 0 // not-yet-interned marker
+			r.Sub = 0 // not-yet-interned marker
 			misses = true
 		}
+		r.Cohort = 0
 		if e.Region != "" || e.Device != "" || e.Cap != "" {
 			k := cohort.Key{Region: e.Region, Device: e.Device, Cap: e.Cap}
 			if k == lastK && lastID != 0 {
-				cohorts[i] = lastID
+				r.Cohort = lastID
 			} else if id, ok := n.cohorts[k]; ok {
-				cohorts[i] = id
+				r.Cohort = id
 				lastK, lastID = k, id
 			} else {
-				cohorts[i] = 0 // 0 + metadata present = miss
-				misses = true
+				misses = true // 0 + metadata present = miss
 			}
-		} else {
-			cohorts[i] = 0
 		}
 	}
 	n.mu.RUnlock()
@@ -138,66 +135,119 @@ func (n *interner) resolve(entries []weblog.Entry, subs, cohorts, shards []uint3
 	}
 	n.mu.Lock()
 	for i := range entries {
-		e := &entries[i]
-		if subs[i] == 0 {
+		e, r := &entries[i], &recs[i]
+		if r.Sub == 0 {
 			se, ok := n.subs[e.Subscriber]
 			if !ok {
 				// clone: the caller's entry (and its string backing) may
 				// be decode scratch reused after the feed call returns
-				sub := strings.Clone(e.Subscriber)
-				se = subEntry{id: uint32(len(n.names)), shard: fnvShard(sub, n.shards)}
-				n.subs[sub] = se
-				n.names = append(n.names, sub)
-				n.interned.Add(1)
+				se = n.addSub(strings.Clone(e.Subscriber))
 			}
-			subs[i] = se.id
+			r.Sub = se.id
 			shards[i] = se.shard
 		}
-		if cohorts[i] == 0 && (e.Region != "" || e.Device != "" || e.Cap != "") {
-			k := cohort.Key{
-				Region: strings.Clone(e.Region),
-				Device: strings.Clone(e.Device),
-				Cap:    strings.Clone(e.Cap),
-			}
-			id, ok := n.cohorts[k]
+		if r.Cohort == 0 && (e.Region != "" || e.Device != "" || e.Cap != "") {
+			id, ok := n.cohorts[cohort.Key{Region: e.Region, Device: e.Device, Cap: e.Cap}]
 			if !ok {
-				id = uint32(len(n.keys))
-				n.cohorts[k] = id
-				n.keys = append(n.keys, k)
+				id = n.addCohort(cohort.Key{
+					Region: strings.Clone(e.Region),
+					Device: strings.Clone(e.Device),
+					Cap:    strings.Clone(e.Cap),
+				})
 			}
-			cohorts[i] = id
+			r.Cohort = id
 		}
 	}
-	if v := n.view.Load(); len(v.names) != len(n.names) || len(v.keys) != len(n.keys) {
-		n.view.Store(&internView{n.names, n.keys})
-	}
+	n.publish()
 	n.mu.Unlock()
 }
 
-// recSlab is one batch's reusable routing storage: the shard-contiguous
-// Rec backing the per-shard sub-batches view into, and the scatter
-// bookkeeping (interned IDs, per-entry shard, per-shard counts). Slabs
-// live in a sync.Pool; the batch hand-off owns them by refcount —
-// partition pre-sets pending to the number of non-empty sub-batches,
-// each shard releases after fully processing its message (submit
-// releases for a sub-batch it sheds), and the last release returns the
-// slab. Per-shard views are therefore valid exactly until the owning
-// shard's release — shards must not retain them past the message.
-type recSlab struct {
-	pool     *sync.Pool
-	out      []sessionizer.Rec // scatter backing, shard-contiguous
-	subID    []uint32
-	cohortID []uint32
-	shardOf  []uint32
-	counts   []uint32
-	per      [][]sessionizer.Rec
-	pending  atomic.Int32
+// intern is resolve for the fused wire door, which keeps its own
+// per-connection caches and asks only about what they missed: subs[i]
+// resolves into refs[i], the region/device/cap triple cohorts[i] into
+// ids[i]. One write lock covers the call; strings are built only for
+// identities the engine has not seen either.
+func (n *interner) intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
+	n.mu.Lock()
+	for i, b := range subs {
+		se, ok := n.subs[string(b)]
+		if !ok {
+			se = n.addSub(string(b))
+		}
+		refs[i] = sessionizer.SubRef{Name: n.names[se.id], ID: se.id, Shard: se.shard}
+	}
+	for i, c := range cohorts {
+		ids[i] = 0
+		if len(c[0])+len(c[1])+len(c[2]) == 0 {
+			continue // no metadata, as on the Entry door
+		}
+		id, ok := n.cohorts[cohort.Key{Region: string(c[0]), Device: string(c[1]), Cap: string(c[2])}]
+		if !ok {
+			id = n.addCohort(cohort.Key{Region: string(c[0]), Device: string(c[1]), Cap: string(c[2])})
+		}
+		ids[i] = id
+	}
+	n.publish()
+	n.mu.Unlock()
 }
 
-// release drops one reference; the last one returns the slab to its
-// pool.
+// addSub interns a subscriber the table does not hold; name must be
+// the interner's own copy. The caller holds the write lock.
+func (n *interner) addSub(name string) subEntry {
+	se := subEntry{id: uint32(len(n.names)), shard: fnvShard(name, n.shards)}
+	n.subs[name] = se
+	n.names = append(n.names, name)
+	n.interned.Add(1)
+	return se
+}
+
+// addCohort is addSub for a cohort key (whose strings the interner
+// must own).
+func (n *interner) addCohort(k cohort.Key) uint32 {
+	id := uint32(len(n.keys))
+	n.cohorts[k] = id
+	n.keys = append(n.keys, k)
+	return id
+}
+
+// publish makes what the write-locked section appended visible to the
+// lock-free readers. The caller holds the write lock.
+func (n *interner) publish() {
+	if v := n.view.Load(); len(v.names) != len(n.names) || len(v.keys) != len(n.keys) {
+		n.view.Store(&internView{n.names, n.keys})
+	}
+}
+
+// recSlab is one batch's reusable routing storage: the shard-contiguous
+// Rec backing the per-shard sub-batches view into, the scatter's
+// per-shard counts, and the Entry doors' digest scratch (flat, shardOf;
+// the wire door brings its own). Slabs live in a sync.Pool; the batch
+// hand-off owns them by refcount — scatter pre-sets pending to the
+// number of non-empty sub-batches, each shard releases after fully
+// processing its message (submit releases for a sub-batch it sheds), and
+// the last release returns the slab. Per-shard views are therefore
+// valid exactly until the owning shard's release — shards must not
+// retain them past the message.
+type recSlab struct {
+	pool    *sync.Pool
+	out     []sessionizer.Rec // scatter backing, shard-contiguous
+	counts  []uint32
+	per     [][]sessionizer.Rec
+	pending atomic.Int32
+	done    func() // the batch's completion callback, if any
+
+	flat    []sessionizer.Rec // digest: entry order
+	shardOf []uint32
+}
+
+// release drops one reference; the last one reports the batch done and
+// returns the slab to its pool.
 func (b *recSlab) release() {
 	if b.pending.Add(-1) == 0 {
+		if done := b.done; done != nil {
+			b.done = nil
+			done()
+		}
 		b.pool.Put(b)
 	}
 }
@@ -211,59 +261,58 @@ func growCap[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// partition resolves a batch's identities and routes it into per-shard
-// sub-batches, constructing each Rec exactly once, directly at its
-// final position in the slab's shard-contiguous backing. The returned
-// slab's per[i] views are ready to mail, and its refcount is
-// pre-accounted with the returned number of non-empty views: every one
-// of them must be matched by exactly one release — the shard's after
-// processing it, or the caller's for a view it does NOT deliver.
-func (e *Engine) partition(entries []weblog.Entry) (*recSlab, int) {
-	b := e.slabs.Get().(*recSlab)
-	n := len(entries)
-	nsh := len(e.shards)
-	b.subID = growCap(b.subID, n)
-	b.cohortID = growCap(b.cohortID, n)
-	b.shardOf = growCap(b.shardOf, n)
+// digest is the Entry doors' front half: it resolves the batch's
+// identities and builds its recs, in entry order, in the slab's digest
+// scratch — what the wire door's decoder hands over ready-made.
+func (n *interner) digest(b *recSlab, entries []weblog.Entry) ([]sessionizer.Rec, []uint32) {
+	b.flat = growCap(b.flat, len(entries))
+	b.shardOf = growCap(b.shardOf, len(entries))
+	n.resolve(entries, b.flat, b.shardOf)
+	for i := range entries {
+		e, r := &entries[i], &b.flat[i]
+		r.Kind = weblog.ClassifyHost(e.Host)
+		r.Ts = e.Timestamp
+		r.Dur = e.TransactionSec
+		r.KB = float64(e.Bytes) / 1000
+		r.RTTMin, r.RTTAvg, r.RTTMax = e.RTTMin, e.RTTAvg, e.RTTMax
+		r.BDP = e.BDP
+		r.BIFAvg, r.BIFMax = e.BIFAvg, e.BIFMax
+		r.Loss, r.Retrans = e.LossPct, e.RetransPct
+	}
+	return b.flat, b.shardOf
+}
+
+// scatter routes recs — recs[i] bound for shard shardOf[i] — into the
+// slab's shard-contiguous backing, copying each exactly once. The per[s]
+// views are then ready to mail, and the refcount is pre-accounted with
+// the returned number of non-empty views: every one of them must be
+// matched by exactly one release — the shard's after processing it, or
+// the caller's for a view it does NOT deliver.
+func (b *recSlab) scatter(recs []sessionizer.Rec, shardOf []uint32, nsh int) int {
 	b.counts = growCap(b.counts, nsh)
 	for i := range b.counts {
 		b.counts[i] = 0
 	}
-	e.interner.resolve(entries, b.subID, b.cohortID, b.shardOf)
-	for _, s := range b.shardOf[:n] {
+	for _, s := range shardOf {
 		b.counts[s]++
 	}
-	b.out = growCap(b.out, n)
+	b.out = growCap(b.out, len(recs))
 	b.per = growCap(b.per, nsh)
 	off := uint32(0)
 	views := 0
 	for s, c := range b.counts {
-		b.per[s] = b.out[off : off : off+c]
+		b.per[s] = b.out[off : off+c]
+		b.counts[s] = off // from here on: shard s's next write position
 		off += c
 		if c > 0 {
 			views++
 		}
 	}
 	b.pending.Store(int32(views))
-	for i := range entries {
-		e := &entries[i]
-		s := b.shardOf[i]
-		b.per[s] = append(b.per[s], sessionizer.Rec{
-			Sub:     b.subID[i],
-			Cohort:  b.cohortID[i],
-			Kind:    weblog.ClassifyHost(e.Host),
-			Ts:      e.Timestamp,
-			Dur:     e.TransactionSec,
-			KB:      float64(e.Bytes) / 1000,
-			RTTMin:  e.RTTMin,
-			RTTAvg:  e.RTTAvg,
-			RTTMax:  e.RTTMax,
-			BDP:     e.BDP,
-			BIFAvg:  e.BIFAvg,
-			BIFMax:  e.BIFMax,
-			Loss:    e.LossPct,
-			Retrans: e.RetransPct,
-		})
+	for i := range recs {
+		s := shardOf[i]
+		b.out[b.counts[s]] = recs[i]
+		b.counts[s]++
 	}
-	return b, views
+	return views
 }

@@ -27,11 +27,17 @@ const (
 	// closed-session batch.
 	StageCUSUM
 	// StageIngest is the end-to-end handling of one entry batch:
-	// sessionize + featurize + forest + CUSUM + report emission.
+	// sessionize + featurize + forest + CUSUM + report emission. On a
+	// wire connection's stage set it is one frame from read to handed
+	// to the shard mailboxes, the wait for a full mailbox or for the
+	// connection's feed window included.
 	StageIngest
 	// StageWireDecode is the binary wire protocol's frame decode (one
 	// observation per frame, recorded per connection by the wire
-	// listener rather than per engine shard).
+	// listener rather than per engine shard). The listener decodes to
+	// routed recs, so this includes identity resolution: the
+	// per-connection cache lookups and, for a frame with misses, the
+	// engine's Intern call.
 	StageWireDecode
 
 	// NumStages is the number of instrumented stages.

@@ -258,20 +258,35 @@ func (s *Server) Ingest(entries []weblog.Entry) []SessionReport {
 // WireHandler adapts the server for the binary ingest listener: entry
 // batches count into the metrics and Feed the engine (asynchronous
 // with backpressure — completed sessions flow to the report sink),
-// labels go to the model-quality monitor. The same handler drives
-// pcap replay.
+// labels go to the model-quality monitor. The listener takes the fused
+// door (Recs: frames decoded straight into the engine's recs, counted
+// the same way); pcap replay, which meters entries out of packets,
+// drives Entries.
 func (s *Server) WireHandler() wire.Handler {
 	return wire.Handler{
 		Entries: func(entries []weblog.Entry) {
 			s.metrics.ObserveEntries(len(entries))
 			s.eng.Feed(entries)
 		},
+		Recs: wireDoor{s.eng, s.metrics},
 		Labels: func(labels []qualitymon.Label) {
 			for i := range labels {
 				s.eng.ObserveLabel(labels[i])
 			}
 		},
 	}
+}
+
+// wireDoor is the engine's fused door with the server's entry count in
+// front of it.
+type wireDoor struct {
+	*engine.Engine
+	metrics *Metrics
+}
+
+func (d wireDoor) FeedRecs(recs []sessionizer.Rec, shardOf []uint32, done func()) {
+	d.metrics.ObserveEntries(len(recs))
+	d.Engine.FeedRecs(recs, shardOf, done)
 }
 
 // NewWireServer returns the binary ingest listener wired into this

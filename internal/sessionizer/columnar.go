@@ -35,6 +35,15 @@ type Rec struct {
 	Loss, Retrans          float64
 }
 
+// SubRef is one interned subscriber as the engine front door hands it
+// to a decoder that builds Recs itself: the ID for Rec.Sub, the home
+// shard to route by, and the engine's own copy of the name (a cache
+// keyed by it allocates nothing).
+type SubRef struct {
+	Name      string
+	ID, Shard uint32
+}
+
 // ColClosed is one finished session emitted by the columnar tracker:
 // the session identity as interned IDs plus the media chunk
 // observations in arrival order. Chunks aliases a pooled buffer —

@@ -118,14 +118,22 @@ const (
 // exactly IsServiceHost/IsVideoHost/HostPage restated: class != HostOther
 // iff IsServiceHost, class == HostMedia iff IsVideoHost, and class ==
 // HostWatchPage iff host == HostPage.
-func ClassifyHost(host string) HostClass {
-	switch host {
+func ClassifyHost(host string) HostClass { return classifyHost(host) }
+
+// ClassifyHostBytes is ClassifyHost for a name still in a decode
+// buffer: same partition (one body serves both), no string built.
+func ClassifyHostBytes(host []byte) HostClass { return classifyHost(host) }
+
+func classifyHost[S string | []byte](host S) HostClass {
+	// string(host) in a switch or a comparison does not allocate
+	switch string(host) {
 	case HostPage:
 		return HostWatchPage
 	case HostImage, HostStats:
 		return HostSignal
 	}
-	if IsVideoHost(host) {
+	if len(host) > len(videoHostSuffix) &&
+		string(host[len(host)-len(videoHostSuffix):]) == videoHostSuffix {
 		return HostMedia
 	}
 	return HostOther

@@ -230,6 +230,40 @@ func TestVideoHostDetection(t *testing.T) {
 	}
 }
 
+// TestClassifyHostPartition: ClassifyHost restates the Is*Host
+// predicates, and the bytes form — what the wire decoder calls on a
+// name still in its frame buffer — agrees on every name, long ones
+// included, without building a string.
+func TestClassifyHostPartition(t *testing.T) {
+	hosts := []string{
+		"", HostPage, HostImage, HostStats, "example.com", videoHostSuffix,
+		"r3---sn-1234.googlevideo.com", "x" + videoHostSuffix, "googlevideo.com",
+		strings.Repeat("edge-", 40) + videoHostSuffix, strings.Repeat("y", 300),
+	}
+	for _, h := range hosts {
+		e := Entry{Host: h}
+		c := ClassifyHost(h)
+		if (c != HostOther) != e.IsServiceHost() || (c == HostMedia) != e.IsVideoHost() || (c == HostWatchPage) != (h == HostPage) {
+			t.Errorf("ClassifyHost(%q) = %d disagrees with the predicates", h, c)
+		}
+		if b := ClassifyHostBytes([]byte(h)); b != c {
+			t.Errorf("ClassifyHostBytes(%q) = %d, ClassifyHost %d", h, b, c)
+		}
+	}
+	raw := make([][]byte, len(hosts))
+	for i, h := range hosts {
+		raw[i] = []byte(h)
+	}
+	var sum HostClass
+	if n := testing.AllocsPerRun(100, func() {
+		for _, b := range raw {
+			sum += ClassifyHostBytes(b)
+		}
+	}); n != 0 {
+		t.Errorf("ClassifyHostBytes allocates %v times over %d names, want 0", n, len(raw))
+	}
+}
+
 func TestStableHostsAndIPs(t *testing.T) {
 	if videoHost("abc") != videoHost("abc") {
 		t.Error("video host not stable")

@@ -53,26 +53,46 @@ func benchFrame(tb testing.TB, n int) (Header, []byte) {
 }
 
 // BenchmarkFrameDecode is the serve-side hot path in isolation: one
-// warmed decoder replaying a 512-entry frame. allocs/op must read 0 —
-// the zero-copy contract the replay and listener paths rely on
-// (TestDecodeFrameSteadyStateZeroAlloc enforces it as a test).
+// warmed decoder replaying a 512-entry frame, through each emitter.
+// allocs/op must read 0 on both — the zero-copy contract the replay and
+// listener paths rely on (TestDecodeFrameSteadyStateZeroAlloc and
+// TestDecodeRecsSteadyStateZeroAlloc enforce it as tests, CI gates the
+// benchmark's reading).
 func BenchmarkFrameDecode(b *testing.B) {
 	const n = 512
 	h, payload := benchFrame(b, n)
-	dec := NewDecoder()
-	if _, _, err := dec.DecodeFrame(h, payload); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		entries, _, err := dec.DecodeFrame(h, payload)
-		if err != nil || len(entries) != n {
-			b.Fatalf("decode: %d entries, %v", len(entries), err)
+	b.Run("entries", func(b *testing.B) {
+		dec := NewDecoder()
+		if _, _, err := dec.DecodeFrame(h, payload); err != nil {
+			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "entries/s")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			entries, _, err := dec.DecodeFrame(h, payload)
+			if err != nil || len(entries) != n {
+				b.Fatalf("decode: %d entries, %v", len(entries), err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "entries/s")
+	})
+	b.Run("recs", func(b *testing.B) {
+		rd := newRecDecoder(newStubSink(2), internMax)
+		if _, _, _, err := rd.DecodeFrame(h, payload); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			recs, _, _, err := rd.DecodeFrame(h, payload)
+			if err != nil || len(recs) != n {
+				b.Fatalf("decode: %d recs, %v", len(recs), err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "entries/s")
+	})
 }
 
 // TestDecodeFrameSteadyStateZeroAlloc pins the acceptance criterion

@@ -11,12 +11,12 @@ import (
 	"vqoe/internal/weblog"
 )
 
-// internMax bounds the decoder's string-intern table. Live traffic
-// cycles through a bounded vocabulary (subscribers, hosts, server
-// addresses), so the table converges and the steady state does no
+// internMax bounds each content-keyed table a decoder keeps (the Entry
+// emitter's string table; the rec emitter's subscriber and cohort
+// caches, each on its own). Live traffic cycles through a bounded
+// vocabulary, so the tables converge and the steady state does no
 // per-entry string allocation; if a hostile or pathological stream
-// keeps minting new strings the table is reset rather than growing
-// without bound.
+// keeps minting new strings a full table is dropped rather than grown.
 const internMax = 1 << 16
 
 // Decoder turns validated frame payloads back into entries and
@@ -29,6 +29,7 @@ type Decoder struct {
 	labels  []qualitymon.Label
 	ack     Ack
 	interns map[string]string
+	raw     rawEntry
 }
 
 // Ack is a decoded ack record: the peer's cumulative accepted counts.
@@ -46,39 +47,65 @@ func NewDecoder() *Decoder {
 // length) and parses its records. The entry and label slices alias
 // decoder scratch and are only valid until the next call.
 func (d *Decoder) DecodeFrame(h Header, payload []byte) (entries []weblog.Entry, labels []qualitymon.Label, err error) {
+	d.entries = d.entries[:0]
+	if err := d.decodeFrame(h, payload, nil); err != nil {
+		return nil, nil, err
+	}
+	return d.entries, d.labels, nil
+}
+
+// decodeFrame is the one frame walk behind both emitters: every check
+// of the frame and of each record happens here (and in the parsers it
+// calls), whichever form the entries leave in. With recs == nil entry
+// records become weblog.Entry values and label subscribers are
+// interned; otherwise both are handed to the rec emitter.
+func (d *Decoder) decodeFrame(h Header, payload []byte, recs *recDecoder) error {
 	if len(payload) != h.Len {
-		return nil, nil, fmt.Errorf("%w: %d payload bytes, header says %d", ErrTruncated, len(payload), h.Len)
+		return fmt.Errorf("%w: %d payload bytes, header says %d", ErrTruncated, len(payload), h.Len)
 	}
 	if crc32.ChecksumIEEE(payload) != h.CRC {
-		return nil, nil, ErrCRC
+		return ErrCRC
 	}
-	d.entries = d.entries[:0]
 	d.labels = d.labels[:0]
 	d.ack = Ack{}
 	for rec := 0; rec < h.Records; rec++ {
 		if len(payload) == 0 {
-			return nil, nil, fmt.Errorf("%w: payload ends at record %d of %d", ErrRecord, rec, h.Records)
+			return fmt.Errorf("%w: payload ends at record %d of %d", ErrRecord, rec, h.Records)
 		}
 		kind := payload[0]
 		payload = payload[1:]
+		var err error
 		switch kind {
 		case recEntry:
-			payload, err = d.decodeEntry(payload)
+			if payload, err = parseEntry(payload, &d.raw); err == nil {
+				if recs != nil {
+					recs.emit(&d.raw)
+				} else {
+					d.emitEntry(&d.raw)
+				}
+			}
 		case recLabel:
-			payload, err = d.decodeLabel(payload)
+			var sub []byte
+			if sub, payload, err = d.decodeLabel(payload); err == nil {
+				if recs != nil {
+					recs.labelSubs = append(recs.labelSubs, sub)
+				} else {
+					d.labels[len(d.labels)-1].Subscriber = d.intern(sub)
+				}
+			}
 		case recAck:
 			payload, err = d.decodeAck(payload)
 		default:
-			return nil, nil, fmt.Errorf("%w: unknown record kind %d", ErrRecord, kind)
+			return fmt.Errorf("%w: unknown record kind %d", ErrRecord, kind)
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("record %d: %w", rec, err)
+			return fmt.Errorf("record %d: %w", rec, err)
 		}
 	}
 	if len(payload) != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes after %d records", ErrRecord, len(payload), h.Records)
+		return fmt.Errorf("%w: %d trailing bytes after %d records", ErrRecord, len(payload), h.Records)
 	}
-	return d.entries, d.labels, nil
+	return nil
 }
 
 // LastAck returns the ack decoded from the most recent frame, if any.
@@ -113,6 +140,11 @@ func takeUvarint(b []byte) (uint64, []byte, error) {
 // takeString decodes a uvarint-prefixed string without copying: the
 // returned bytes alias b.
 func takeString(b []byte) ([]byte, []byte, error) {
+	// a length under 128 is its own uvarint, and under MaxString
+	if len(b) > 0 && b[0] < 0x80 && int(b[0]) < len(b) {
+		n := 1 + int(b[0])
+		return b[1:n], b[n:], nil
+	}
 	n, rest, err := takeUvarint(b)
 	if err != nil {
 		return nil, nil, err
@@ -133,109 +165,145 @@ func takeFloat(b []byte) (float64, []byte, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
 }
 
-func (d *Decoder) decodeEntry(b []byte) ([]byte, error) {
-	var sub, host, uri, ip []byte
+// entryFloats is the number of little-endian float64s an entry record
+// carries after its integers: timestamp, transaction_sec, rtt_min,
+// rtt_avg, rtt_max, bdp, bif_avg, bif_max, loss_pct, retrans_pct.
+const entryFloats = 10
+
+// rawEntry is one parsed entry record: every field bounds- and
+// range-checked, nothing converted. The byte slices alias the payload.
+type rawEntry struct {
+	sub, host, uri, ip []byte
+	flags              byte
+	port, size         uint64
+	floats             []byte // entryFloats*8 bytes, wire order
+	// cohort is the region‖device‖cap suffix exactly as on the wire,
+	// length prefixes included (so equal spans are equal triples); nil
+	// when the flag bit is clear. region, device and cp are its parts.
+	cohort, region, device, cp []byte
+}
+
+// f64 reads the i-th little-endian float64 of b.
+func f64(b []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+}
+
+// parseEntry is the one entry-record parser: it validates the record
+// at the head of b into r and returns what follows it. Both emitters
+// run behind it, so a record either passes every check or reaches
+// neither.
+func parseEntry(b []byte, r *rawEntry) ([]byte, error) {
 	var err error
-	if sub, b, err = takeString(b); err != nil {
+	if r.sub, b, err = takeString(b); err != nil {
 		return nil, err
 	}
-	if host, b, err = takeString(b); err != nil {
+	if r.host, b, err = takeString(b); err != nil {
 		return nil, err
 	}
-	if uri, b, err = takeString(b); err != nil {
+	if r.uri, b, err = takeString(b); err != nil {
 		return nil, err
 	}
-	if ip, b, err = takeString(b); err != nil {
+	if r.ip, b, err = takeString(b); err != nil {
 		return nil, err
 	}
 	if len(b) < 1 {
 		return nil, fmt.Errorf("%w: missing entry flags", ErrRecord)
 	}
-	fl := b[0]
+	r.flags = b[0]
 	b = b[1:]
-	var port, size uint64
-	if port, b, err = takeUvarint(b); err != nil {
+	if r.port, b, err = takeUvarint(b); err != nil {
 		return nil, err
 	}
-	if port > 65535 {
-		return nil, fmt.Errorf("%w: port %d", ErrRecord, port)
+	if r.port > 65535 {
+		return nil, fmt.Errorf("%w: port %d", ErrRecord, r.port)
 	}
-	if size, b, err = takeUvarint(b); err != nil {
+	if r.size, b, err = takeUvarint(b); err != nil {
 		return nil, err
 	}
-	if size > math.MaxInt64/2 {
-		return nil, fmt.Errorf("%w: object size %d", ErrRecord, size)
+	if r.size > math.MaxInt64/2 {
+		return nil, fmt.Errorf("%w: object size %d", ErrRecord, r.size)
 	}
-	d.entries = append(d.entries, weblog.Entry{
-		Subscriber: d.intern(sub),
-		Host:       d.intern(host),
-		URI:        d.intern(uri),
-		ServerIP:   d.intern(ip),
-		Encrypted:  fl&entryEncrypted != 0,
-		Cached:     fl&entryCached != 0,
-		Compressed: fl&entryCompressed != 0,
-		ServerPort: int(port),
-		Bytes:      int(size),
-	})
-	en := &d.entries[len(d.entries)-1]
-	for _, dst := range [...]*float64{
-		&en.Timestamp, &en.TransactionSec,
-		&en.RTTMin, &en.RTTAvg, &en.RTTMax,
-		&en.BDP, &en.BIFAvg, &en.BIFMax,
-		&en.LossPct, &en.RetransPct,
-	} {
-		if *dst, b, err = takeFloat(b); err != nil {
-			d.entries = d.entries[:len(d.entries)-1]
+	if len(b) < 8*entryFloats {
+		return nil, fmt.Errorf("%w: short float64", ErrRecord)
+	}
+	r.floats, b = b[:8*entryFloats], b[8*entryFloats:]
+	r.cohort, r.region, r.device, r.cp = nil, nil, nil, nil
+	if r.flags&entryCohort != 0 {
+		span := b
+		if r.region, b, err = takeString(b); err != nil {
 			return nil, err
 		}
-	}
-	if fl&entryCohort != 0 {
-		var region, device, cp []byte
-		if region, b, err = takeString(b); err == nil {
-			if device, b, err = takeString(b); err == nil {
-				cp, b, err = takeString(b)
-			}
-		}
-		if err != nil {
-			d.entries = d.entries[:len(d.entries)-1]
+		if r.device, b, err = takeString(b); err != nil {
 			return nil, err
 		}
-		en.Region = d.intern(region)
-		en.Device = d.intern(device)
-		en.Cap = d.intern(cp)
+		if r.cp, b, err = takeString(b); err != nil {
+			return nil, err
+		}
+		r.cohort = span[:len(span)-len(b)]
 	}
 	return b, nil
 }
 
-func (d *Decoder) decodeLabel(b []byte) ([]byte, error) {
-	sub, b, err := takeString(b)
-	if err != nil {
-		return nil, err
+// emitEntry appends a parsed record as a weblog.Entry, its strings
+// interned.
+func (d *Decoder) emitEntry(r *rawEntry) {
+	f := r.floats
+	d.entries = append(d.entries, weblog.Entry{
+		Timestamp:      f64(f, 0),
+		Subscriber:     d.intern(r.sub),
+		Host:           d.intern(r.host),
+		URI:            d.intern(r.uri),
+		Encrypted:      r.flags&entryEncrypted != 0,
+		ServerIP:       d.intern(r.ip),
+		ServerPort:     int(r.port),
+		Bytes:          int(r.size),
+		TransactionSec: f64(f, 1),
+		RTTMin:         f64(f, 2),
+		RTTAvg:         f64(f, 3),
+		RTTMax:         f64(f, 4),
+		BDP:            f64(f, 5),
+		BIFAvg:         f64(f, 6),
+		BIFMax:         f64(f, 7),
+		LossPct:        f64(f, 8),
+		RetransPct:     f64(f, 9),
+		Cached:         r.flags&entryCached != 0,
+		Compressed:     r.flags&entryCompressed != 0,
+		Region:         d.intern(r.region),
+		Device:         d.intern(r.device),
+		Cap:            d.intern(r.cp),
+	})
+}
+
+// decodeLabel parses one label record onto d.labels, leaving its
+// Subscriber for the caller to fill from the returned bytes (which
+// alias b).
+func (d *Decoder) decodeLabel(b []byte) (sub, rest []byte, err error) {
+	if sub, b, err = takeString(b); err != nil {
+		return nil, nil, err
 	}
 	var l qualitymon.Label
-	l.Subscriber = d.intern(sub)
 	if l.Start, b, err = takeFloat(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if l.End, b, err = takeFloat(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if l.AvailableAt, b, err = takeFloat(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var stall, rep uint64
 	if stall, b, err = takeUvarint(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if rep, b, err = takeUvarint(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if stall > 255 || rep > 255 {
-		return nil, fmt.Errorf("%w: label classes %d/%d", ErrRecord, stall, rep)
+		return nil, nil, fmt.Errorf("%w: label classes %d/%d", ErrRecord, stall, rep)
 	}
 	l.Stall, l.Rep = int(stall), int(rep)
 	d.labels = append(d.labels, l)
-	return b, nil
+	return sub, b, nil
 }
 
 func (d *Decoder) decodeAck(b []byte) ([]byte, error) {

@@ -16,7 +16,10 @@ import (
 // input. The invariants under fuzz are exactly the package contract:
 // no panic, no over-allocation (payload and string bounds hold), and
 // every malformed stream surfaces as a clean error rather than
-// garbage records. Seed corpus lives in
+// garbage records. Every frame also goes through the rec emitter (over
+// a map-backed resolver), which must take the same accept/reject
+// decision with the same error class and, on accept, emit the same
+// records field for field. Seed corpus lives in
 // testdata/fuzz/FuzzFrameStream/.
 func FuzzFrameStream(f *testing.F) {
 	// valid single-frame stream
@@ -59,6 +62,8 @@ func FuzzFrameStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))
 		dec := NewDecoder()
+		sink := newStubSink(3)
+		rd := newRecDecoder(sink, internMax)
 		for {
 			h, payload, err := fr.Next()
 			if err != nil {
@@ -71,9 +76,16 @@ func FuzzFrameStream(f *testing.F) {
 				t.Fatalf("payload bound breached: %d", len(payload))
 			}
 			entries, labels, err := dec.DecodeFrame(h, payload)
+			recs, shardOf, rlabels, rerr := rd.DecodeFrame(h, payload)
+			if wireClass(err) != wireClass(rerr) || (err == nil) != (rerr == nil) {
+				t.Fatalf("emitters disagree: entries %v, recs %v", err, rerr)
+			}
 			if err != nil {
 				// a framing error poisons the stream; the server closes here
 				return
+			}
+			if err := sameRecords(sink, entries, labels, recs, shardOf, rlabels); err != nil {
+				t.Fatalf("rec emitter diverges: %v", err)
 			}
 			if len(entries)+len(labels) > h.Records {
 				t.Fatalf("decoded %d records from a %d-record frame",

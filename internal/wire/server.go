@@ -15,19 +15,26 @@ import (
 
 	"vqoe/internal/obs"
 	"vqoe/internal/qualitymon"
+	"vqoe/internal/sessionizer"
 	"vqoe/internal/weblog"
 )
 
-// Handler receives the decoded batches. Both callbacks run on the
+// Handler receives the decoded batches. The callbacks run on the
 // connection's goroutine, one frame at a time; the slices they are
 // handed alias per-connection scratch and must not be retained past
 // the call (the engine's Ingest/Feed/Offer copy, so handing them
 // straight through is safe). Entries runs before Labels for a frame
 // that carries both, mirroring the HTTP ingest path. A nil callback
 // drops that record type.
+//
+// Recs, when set, is the fused door and takes the listener's entry
+// records instead of Entries: connections decode frames straight into
+// routed recs (see RecSink) and build no weblog.Entry. Entries then
+// serves only callers that have entries to begin with (pcap replay).
 type Handler struct {
 	Entries func([]weblog.Entry)
 	Labels  func([]qualitymon.Label)
+	Recs    RecSink
 }
 
 // Config tunes the listener subsystem.
@@ -69,6 +76,18 @@ type Server struct {
 
 	wg sync.WaitGroup
 }
+
+// feedWindow is how many frames one fused-door connection may have in
+// the engine — mailed, not yet processed by every shard they touch —
+// before its reader waits for one to finish. Whenever a shard worker
+// loses the CPU for a scheduler quantum, a reader that costs a third of
+// what the shards do would otherwise run hundreds of frames ahead
+// (each pinning a routing slab and queueing in front of every verdict),
+// and nothing is gained by it: 32 frames are 8k entries, a few
+// milliseconds of shard work, and the reader refills them faster than
+// the shards drain them. The wait counts into the connection's ingest
+// stage, like a full mailbox does.
+const feedWindow = 32
 
 type serverConn struct {
 	nc     net.Conn
@@ -175,7 +194,18 @@ func (s *Server) handle(c *serverConn) {
 	}
 	var connEntries, connLabels int64
 	fr := NewFrameReader(bufio.NewReaderSize(c.nc, 64<<10))
-	dec := NewDecoder()
+	// one decoder per connection, by door
+	var dec *Decoder
+	var recDec *recDecoder
+	var window chan struct{}
+	var done func()
+	if sink := s.cfg.Handler.Recs; sink != nil {
+		recDec = newRecDecoder(sink, internMax)
+		window = make(chan struct{}, feedWindow) // one slot per frame in the engine
+		done = func() { <-window }
+	} else {
+		dec = NewDecoder()
+	}
 	var bw *bufio.Writer
 	var enc *Encoder
 	for {
@@ -194,7 +224,15 @@ func (s *Server) handle(c *serverConn) {
 		if timed {
 			t0 = time.Now()
 		}
-		entries, labels, err := dec.DecodeFrame(h, payload)
+		var entries []weblog.Entry
+		var recs []sessionizer.Rec
+		var shardOf []uint32
+		var labels []qualitymon.Label
+		if recDec != nil {
+			recs, shardOf, labels, err = recDec.DecodeFrame(h, payload)
+		} else {
+			entries, labels, err = dec.DecodeFrame(h, payload)
+		}
 		if timed {
 			c.stages.ObserveSince(obs.StageWireDecode, t0)
 		}
@@ -209,15 +247,19 @@ func (s *Server) handle(c *serverConn) {
 		}
 		s.frames.Add(1)
 		s.bytes.Add(int64(HeaderLen + h.Len))
-		if len(entries) > 0 && s.cfg.Handler.Entries != nil {
+		if len(recs) > 0 {
+			window <- struct{}{} // done takes it back
+			s.cfg.Handler.Recs.FeedRecs(recs, shardOf, done)
+		} else if len(entries) > 0 && s.cfg.Handler.Entries != nil {
 			s.cfg.Handler.Entries(entries)
 		}
 		if len(labels) > 0 && s.cfg.Handler.Labels != nil {
 			s.cfg.Handler.Labels(labels)
 		}
-		connEntries += int64(len(entries))
+		n := int64(len(entries) + len(recs))
+		connEntries += n
 		connLabels += int64(len(labels))
-		s.entries.Add(int64(len(entries)))
+		s.entries.Add(n)
 		s.labels.Add(int64(len(labels)))
 		if h.Flags&FlagAckRequest != 0 {
 			if bw == nil {

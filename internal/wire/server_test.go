@@ -97,7 +97,13 @@ func testServerRoundTrip(t *testing.T, addr string) {
 		t.Errorf("labels through server:\n got %+v\nwant %+v", gotL, wantL)
 	}
 
+	// the ack reaches the client before the server counts it and closes
+	// the frame's ingest span
 	snap := s.Snapshot()
+	for deadline := time.Now().Add(5 * time.Second); (snap.Acks == 0 || snap.Stages[obs.StageIngest].Count == 0) &&
+		time.Now().Before(deadline); snap = s.Snapshot() {
+		time.Sleep(time.Millisecond)
+	}
 	if snap.ConnsTotal != 1 || snap.ConnsActive != 1 {
 		t.Errorf("conns %d/%d, want 1/1", snap.ConnsTotal, snap.ConnsActive)
 	}

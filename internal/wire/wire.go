@@ -13,6 +13,13 @@
 // per-connection table, and frame payloads read into a reusable
 // buffer that the decoded batch aliases until the next frame.
 //
+// One frame walk and one record parser (decode.go) validate everything;
+// two emitters sit behind them. Decoder.DecodeFrame yields
+// weblog.Entry batches for clients, replay and tests. The listener,
+// when its Handler carries a RecSink (the engine), decodes straight
+// into routed sessionizer.Recs through per-connection identity caches
+// (recs.go) and builds no Entry at all.
+//
 // Frame layout (byte offsets, little-endian):
 //
 //	off size field

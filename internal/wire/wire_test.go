@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -258,6 +259,9 @@ func oneFrame(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// readOne reads raw's first frame and decodes it through both
+// emitters, which must accept or reject it alike and with the same
+// error class; a disagreement comes back as an error of no class.
 func readOne(raw []byte) (Header, []byte, error) {
 	fr := NewFrameReader(bytes.NewReader(raw))
 	h, payload, err := fr.Next()
@@ -265,6 +269,10 @@ func readOne(raw []byte) (Header, []byte, error) {
 		return h, nil, err
 	}
 	_, _, err = NewDecoder().DecodeFrame(h, payload)
+	_, _, _, rerr := newRecDecoder(newStubSink(2), internMax).DecodeFrame(h, payload)
+	if wireClass(err) != wireClass(rerr) {
+		return h, payload, fmt.Errorf("emitters disagree: entries %v, recs %v", err, rerr)
+	}
 	return h, payload, err
 }
 
@@ -373,6 +381,57 @@ func TestDecoderRollsBackPartialEntry(t *testing.T) {
 	}
 }
 
+// TestRecDecoderFailedFrameTouchesNothing is the rec emitter's side of
+// all-or-nothing: a CRC-valid frame whose last record is cut short,
+// after records that introduce a subscriber and a cohort, must reach
+// the engine not at all — no Intern call — and leave the ID caches as
+// they were, and the decoder must go on to decode a valid frame.
+func TestRecDecoderFailedFrameTouchesNothing(t *testing.T) {
+	sink := newStubSink(2)
+	rd := newRecDecoder(sink, internMax)
+	known := testEntries()[1] // carries cohort metadata
+	var buf bytes.Buffer
+	if err := EncodeBatch(&buf, []weblog.Entry{known}, nil); err != nil {
+		t.Fatal(err)
+	}
+	good := append([]byte(nil), buf.Bytes()[HeaderLen:]...)
+	h := Header{Records: 1, Len: len(good), CRC: crc32.ChecksumIEEE(good)}
+	if _, _, _, err := rd.DecodeFrame(h, good); err != nil {
+		t.Fatal(err)
+	}
+	interns, subs, cohorts := sink.interns, len(rd.subs), len(rd.cohorts)
+	knownRef := rd.subs[known.Subscriber]
+
+	fresh := known
+	fresh.Subscriber, fresh.Region = "sub-new", "mars"
+	buf.Reset()
+	if err := EncodeBatch(&buf, []weblog.Entry{fresh, known}, nil); err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), buf.Bytes()[HeaderLen:]...)
+	bad = bad[:len(bad)-3] // cut inside the last record's cohort suffix
+	h = Header{Records: 2, Len: len(bad), CRC: crc32.ChecksumIEEE(bad)}
+	if _, _, _, err := rd.DecodeFrame(h, bad); !errors.Is(err, ErrRecord) {
+		t.Fatalf("got %v, want ErrRecord", err)
+	}
+	if sink.interns != interns || len(sink.names) != 1 || len(sink.keys) != 1 {
+		t.Errorf("failed frame reached the engine: %d Intern calls (was %d), %d subscribers, %d cohorts",
+			sink.interns, interns, len(sink.names), len(sink.keys))
+	}
+	if len(rd.subs) != subs || len(rd.cohorts) != cohorts || rd.subs[known.Subscriber] != knownRef {
+		t.Errorf("failed frame changed the ID caches: %d subs (was %d), %d cohorts (was %d)",
+			len(rd.subs), subs, len(rd.cohorts), cohorts)
+	}
+	h = Header{Records: 1, Len: len(good), CRC: crc32.ChecksumIEEE(good)}
+	recs, _, _, err := rd.DecodeFrame(h, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Sub != knownRef.ID {
+		t.Errorf("scratch carried %d recs across a failed decode (sub %d)", len(recs), recs[0].Sub)
+	}
+}
+
 func TestFrameReaderEOFSemantics(t *testing.T) {
 	// clean EOF between frames
 	fr := NewFrameReader(bytes.NewReader(nil))
@@ -415,8 +474,28 @@ func TestDecodeNaNAndInfSurvive(t *testing.T) {
 	if err := EncodeBatch(&buf, []weblog.Entry{e}, nil); err != nil {
 		t.Fatal(err)
 	}
+	raw := append([]byte(nil), buf.Bytes()...)
 	got, _ := decodeStream(t, &buf)
 	if !math.IsInf(got[0].RTTMin, 1) || !math.IsInf(got[0].RTTMax, -1) || !math.IsNaN(got[0].BDP) {
 		t.Errorf("non-finite floats mangled: %+v", got[0])
+	}
+	// the rec emitter carries the same bits, payloads of NaNs included
+	h, err := parseHeader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := raw[HeaderLen:]
+	nan := math.Float64frombits(0x7ff8dead0000beef)
+	binary.LittleEndian.PutUint64(payload[len(payload)-8:], math.Float64bits(nan)) // retrans_pct
+	h.CRC = crc32.ChecksumIEEE(payload)
+	recs, _, _, err := newRecDecoder(newStubSink(1), internMax).DecodeFrame(h, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := recs[0]
+	if !math.IsInf(r.RTTMin, 1) || !math.IsInf(r.RTTMax, -1) ||
+		math.Float64bits(r.BDP) != math.Float64bits(e.BDP) ||
+		math.Float64bits(r.Retrans) != math.Float64bits(nan) {
+		t.Errorf("rec emitter mangled non-finite floats: %+v", r)
 	}
 }
