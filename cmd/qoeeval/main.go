@@ -118,31 +118,20 @@ func stallConfusion(suite *experiments.Suite, path string) (*ml.Confusion, error
 	if path == "" {
 		return suite.Table8and9()
 	}
-	det, err := loadDetector(path)
+	det, err := core.LoadDetectorFile(path)
 	if err != nil {
 		return nil, err
 	}
-	sd := &core.StallDetector{Detector: *det}
-	return sd.EvaluateCorpus(suite.Study().Corpus)
+	return det.Evaluate(core.BuildStallDataset(suite.Study().Corpus))
 }
 
 func repConfusion(suite *experiments.Suite, path string) (*ml.Confusion, error) {
 	if path == "" {
 		return suite.Table10and11()
 	}
-	det, err := loadDetector(path)
+	det, err := core.LoadDetectorFile(path)
 	if err != nil {
 		return nil, err
 	}
-	rd := &core.RepresentationDetector{Detector: *det}
-	return rd.EvaluateCorpus(suite.Study().Corpus)
-}
-
-func loadDetector(path string) (*core.Detector, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadDetector(f)
+	return det.Evaluate(core.BuildRepDataset(suite.Study().Corpus))
 }

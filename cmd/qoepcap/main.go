@@ -27,7 +27,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -128,40 +127,20 @@ func doExport(path string, sessions int, seed int64) error {
 
 // openCapture opens a pcap reader with server names restored from the
 // hosts file (default: the companion <path>.hosts -export writes).
-func openCapture(path, hostsPath string) (*os.File, *pcapio.Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
+func openCapture(path, hostsPath string) (*pcapio.Reader, error) {
+	r, err := pcapio.Open(path, hostsPath)
+	if err == nil && r.Hosts() == 0 {
+		fmt.Fprintln(os.Stderr, "qoepcap: no host map; media-host detection will fail")
 	}
-	r, err := pcapio.NewReader(bufio.NewReader(f))
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if hostsPath == "" {
-		hostsPath = path + ".hosts"
-	}
-	if hf, err := os.Open(hostsPath); err == nil {
-		sc := bufio.NewScanner(hf)
-		for sc.Scan() {
-			parts := strings.Fields(sc.Text())
-			if len(parts) == 2 {
-				r.ResolveHost(parts[0], parts[1])
-			}
-		}
-		hf.Close()
-	} else {
-		fmt.Fprintf(os.Stderr, "qoepcap: no host map (%v); media-host detection will fail\n", err)
-	}
-	return f, r, nil
+	return r, err
 }
 
 func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFlight bool, alertLog string, sloCadence float64) error {
-	f, r, err := openCapture(path, hostsPath)
+	r, err := openCapture(path, hostsPath)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer r.Close()
 
 	pkts, err := r.ReadAll()
 	if err != nil {
@@ -281,11 +260,11 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 // transactions complete, finishing with a sync barrier so the printed
 // ack count proves server-side delivery.
 func doReplay(path, hostsPath, addr string) error {
-	f, r, err := openCapture(path, hostsPath)
+	r, err := openCapture(path, hostsPath)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer r.Close()
 
 	c, err := wire.Dial(addr)
 	if err != nil {

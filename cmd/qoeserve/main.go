@@ -68,7 +68,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -89,7 +88,6 @@ import (
 	"vqoe/internal/qualitymon"
 	"vqoe/internal/slo"
 	"vqoe/internal/wire"
-	"vqoe/internal/workload"
 )
 
 func main() {
@@ -126,9 +124,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	fw, err := buildFramework(*stallPath, *repPath, *trainN, *seed, func(msg string, args ...any) {
-		log.Info(msg, args...)
-	})
+	var fw *core.Framework
+	if *stallPath != "" && *repPath != "" {
+		fw, err = core.LoadFramework(*stallPath, *repPath)
+	} else {
+		log.Info("training on synthetic corpus", "sessions", *trainN)
+		fw, err = core.TrainServingFramework(*trainN, *seed)
+	}
 	if err != nil {
 		log.Error("startup failed", "err", err)
 		os.Exit(1)
@@ -258,75 +260,14 @@ func main() {
 	<-done
 }
 
-func buildFramework(stallPath, repPath string, trainN int, seed int64, logf func(string, ...any)) (*core.Framework, error) {
-	if stallPath != "" && repPath != "" {
-		stall, err := loadDetector(stallPath)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := loadDetector(repPath)
-		if err != nil {
-			return nil, err
-		}
-		return &core.Framework{
-			Stall:  &core.StallDetector{Detector: *stall},
-			Rep:    &core.RepresentationDetector{Detector: *rep},
-			Switch: core.NewSwitchDetector(),
-		}, nil
-	}
-	logf("training on synthetic corpus", "sessions", trainN)
-	// train on the traffic the live engine serves — encrypted adaptive
-	// streams — so the quality monitor's baseline describes the live
-	// population rather than flagging a train/serve mismatch at once
-	stallCfg := workload.DefaultConfig(trainN)
-	stallCfg.AdaptiveFraction = 1
-	stallCfg.Encrypted = true
-	stallCfg.Seed = seed
-	hasCfg := workload.DefaultConfig(trainN / 2)
-	hasCfg.AdaptiveFraction = 1
-	hasCfg.Encrypted = true
-	hasCfg.Seed = seed + 1
-	tcfg := core.DefaultTrainConfig()
-	tcfg.CVFolds = 3
-	tcfg.Forest.Trees = 30
-	fw, _, err := core.TrainFramework(workload.Generate(stallCfg), workload.Generate(hasCfg), tcfg)
-	return fw, err
-}
-
-func loadDetector(path string) (*core.Detector, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadDetector(f)
-}
-
 // replayCapture streams a pcap through the flow meter into the wire
 // handler (the same entry path the listener feeds), restoring server
 // names from the companion hosts file when present.
 func replayCapture(path, hostsPath string, h wire.Handler) (wire.ReplayStats, error) {
-	f, err := os.Open(path)
+	r, err := pcapio.Open(path, hostsPath)
 	if err != nil {
 		return wire.ReplayStats{}, err
 	}
-	defer f.Close()
-	r, err := pcapio.NewReader(bufio.NewReader(f))
-	if err != nil {
-		return wire.ReplayStats{}, err
-	}
-	if hostsPath == "" {
-		hostsPath = path + ".hosts"
-	}
-	if hf, err := os.Open(hostsPath); err == nil {
-		sc := bufio.NewScanner(hf)
-		for sc.Scan() {
-			parts := strings.Fields(sc.Text())
-			if len(parts) == 2 {
-				r.ResolveHost(parts[0], parts[1])
-			}
-		}
-		hf.Close()
-	}
+	defer r.Close()
 	return wire.ReplayPcap(r, h, wire.ReplayOptions{})
 }

@@ -44,7 +44,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"os"
 	"strings"
@@ -58,7 +57,6 @@ import (
 	"vqoe/internal/qualitymon"
 	"vqoe/internal/slo"
 	"vqoe/internal/weblog"
-	"vqoe/internal/workload"
 )
 
 func main() {
@@ -86,7 +84,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	fw, err := buildFramework(*trainN, *seed, *stallPath, *repPath, log)
+	var fw *core.Framework
+	if *stallPath != "" && *repPath != "" {
+		fw, err = core.LoadFramework(*stallPath, *repPath)
+	} else {
+		log.Info("no model files given; training on synthetic corpus", "sessions", *trainN)
+		fw, err = core.TrainServingFramework(*trainN, *seed)
+	}
 	if err != nil {
 		log.Error("startup failed", "err", err)
 		os.Exit(1)
@@ -284,48 +288,4 @@ func printReport(w io.Writer, rep pipeline.SessionReport, problemsOnly bool) int
 	fmt.Fprintf(w, "%s %-12s t=%8.1fs dur=%6.1fs  %s\n",
 		marker, rep.Subscriber, rep.Start, rep.End-rep.Start, rep.Report)
 	return 1
-}
-
-func buildFramework(trainN int, seed int64, stallPath, repPath string, log *slog.Logger) (*core.Framework, error) {
-	if stallPath != "" && repPath != "" {
-		stall, err := loadDetector(stallPath)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := loadDetector(repPath)
-		if err != nil {
-			return nil, err
-		}
-		return &core.Framework{
-			Stall:  &core.StallDetector{Detector: *stall},
-			Rep:    &core.RepresentationDetector{Detector: *rep},
-			Switch: core.NewSwitchDetector(),
-		}, nil
-	}
-	log.Info("no model files given; training on synthetic corpus", "sessions", trainN)
-	// train on the traffic this tool serves — encrypted adaptive
-	// streams — so the quality monitor's baseline describes the live
-	// population rather than flagging a train/serve mismatch at once
-	stallCfg := workload.DefaultConfig(trainN)
-	stallCfg.AdaptiveFraction = 1
-	stallCfg.Encrypted = true
-	stallCfg.Seed = seed
-	hasCfg := workload.DefaultConfig(trainN / 2)
-	hasCfg.AdaptiveFraction = 1
-	hasCfg.Encrypted = true
-	hasCfg.Seed = seed + 1
-	tcfg := core.DefaultTrainConfig()
-	tcfg.CVFolds = 3
-	tcfg.Forest.Trees = 30
-	fw, _, err := core.TrainFramework(workload.Generate(stallCfg), workload.Generate(hasCfg), tcfg)
-	return fw, err
-}
-
-func loadDetector(path string) (*core.Detector, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadDetector(f)
 }

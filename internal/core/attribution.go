@@ -11,27 +11,6 @@ type FeatureAttribution struct {
 	Weight  float64 `json:"weight"`
 }
 
-// Attribute explains session i of the most recent AnalyzeBatchInto /
-// AnalyzeBatchQuality call through sc: it replays both detectors'
-// decision paths over the projected feature vectors still held in the
-// scratch and returns the top-k features per model, heaviest first
-// (ties broken by name for determinism). Valid only until the scratch
-// is reused by another batch; the flight recorder calls it inside the
-// assess loop for sessions it retains. Returns nils when the scratch
-// carries no projected vectors.
-func (f *Framework) Attribute(sc *AnalyzeScratch, i, k int) (stall, rep []FeatureAttribution) {
-	if f == nil || sc == nil || i < 0 {
-		return nil, nil
-	}
-	if f.Stall != nil && i < len(sc.stall.proj) {
-		stall = f.Stall.Attribute(sc.stall.proj[i], k)
-	}
-	if f.Rep != nil && i < len(sc.rep.proj) {
-		rep = f.Rep.Attribute(sc.rep.proj[i], k)
-	}
-	return stall, rep
-}
-
 // ProjectedCopies returns fresh copies of session i's projected
 // feature vectors from the most recent batch through sc, in the two
 // detectors' Selected layouts. Unlike Attribute, the copies stay valid

@@ -15,8 +15,8 @@ func obsFrom(sessions []*workload.Session) []features.SessionObs {
 	return out
 }
 
-// AnalyzeBatch is the live engine's inference entry point; it must be
-// indistinguishable from per-session Analyze calls.
+// AnalyzeBatchInto is the live engine's inference entry point; it must
+// be indistinguishable from per-session Analyze calls.
 func TestAnalyzeBatchMatchesAnalyze(t *testing.T) {
 	testCorpora(t)
 	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
@@ -25,7 +25,7 @@ func TestAnalyzeBatchMatchesAnalyze(t *testing.T) {
 	if len(sessions) > 60 {
 		sessions = sessions[:60]
 	}
-	batch := fw.AnalyzeBatch(obsFrom(sessions))
+	batch := fw.AnalyzeBatchInto(obsFrom(sessions), nil, nil)
 	if len(batch) != len(sessions) {
 		t.Fatalf("batch returned %d reports for %d sessions", len(batch), len(sessions))
 	}
@@ -35,7 +35,7 @@ func TestAnalyzeBatchMatchesAnalyze(t *testing.T) {
 			t.Fatalf("session %d: batch %+v vs single %+v", i, batch[i], want)
 		}
 	}
-	if got := fw.AnalyzeBatch(nil); got != nil {
+	if got := fw.AnalyzeBatchInto(nil, nil, nil); got != nil {
 		t.Error("empty batch should produce no reports")
 	}
 }

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,7 +28,7 @@ var (
 	repRep      *TrainReport
 )
 
-func testCorpora(t *testing.T) {
+func testCorpora(t testing.TB) {
 	t.Helper()
 	corpusOnce.Do(func() {
 		cfg := workload.DefaultConfig(1500)
@@ -183,12 +187,136 @@ func TestDetectorSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range encCorpus.Sessions[:30] {
-		a := stallDet.predictVector(features.StallFeatures(s.Obs))
-		b := loaded.predictVector(features.StallFeatures(s.Obs))
-		if a != b {
+		a, ac := stallDet.predictVectorConf(features.StallFeatures(s.Obs))
+		b, bc := loaded.predictVectorConf(features.StallFeatures(s.Obs))
+		if a != b || ac != bc {
 			t.Fatal("loaded detector diverges from original")
 		}
 	}
+}
+
+// TestLoadFrameworkMatchesAssembled: the two files qoetrain -save-stall
+// and -save-rep write (Detector.Save), loaded through the path-level
+// loader, give a framework whose reports over the encrypted corpus are
+// bit-identical to one assembled from the in-memory detectors — and
+// the loader refuses the two files in each other's slot.
+func TestLoadFrameworkMatchesAssembled(t *testing.T) {
+	testCorpora(t)
+	dir := t.TempDir()
+	save := func(name string, d *Detector) string {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Save(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	stallPath, repPath := save("stall.model", &stallDet.Detector), save("rep.model", &repDet.Detector)
+	loaded, err := LoadFramework(stallPath, repPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assembled := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
+	all := obsFrom(encCorpus.Sessions)
+	want := append([]Report(nil), assembled.AnalyzeBatchInto(all, nil, nil)...)
+	got := loaded.AnalyzeBatchInto(all, nil, nil)
+	for i := range want {
+		if got[i] != want[i] || loaded.Analyze(all[i]) != want[i] {
+			t.Fatalf("session %d: loaded %+v, assembled %+v", i, got[i], want[i])
+		}
+	}
+	if _, err := LoadFramework(repPath, stallPath); err == nil {
+		t.Error("swapped model files loaded as a framework")
+	}
+	if _, err := LoadFramework(stallPath, filepath.Join(dir, "absent.model")); err == nil {
+		t.Error("missing model file loaded as a framework")
+	}
+}
+
+// savedDetector is stallDet's model file, split after the text header.
+func savedDetector(t testing.TB) (header []string, forest []byte) {
+	testCorpora(t)
+	var buf bytes.Buffer
+	if err := stallDet.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n := 1 + len(stallDet.Selected) + len(stallDet.full)
+	lines := bytes.SplitAfterN(buf.Bytes(), []byte("\n"), n+1)
+	for _, l := range lines[:n] {
+		header = append(header, string(l))
+	}
+	return header, lines[n]
+}
+
+// TestLoadDetectorRejectsMalformed: every header the parent either
+// sized an allocation from or accepted into a detector that panics or
+// mispredicts on a shard is an error.
+func TestLoadDetectorRejectsMalformed(t *testing.T) {
+	header, forest := savedDetector(t)
+	nSel, nFull := len(stallDet.Selected), len(stallDet.full)
+	build := func(first string, names []string) []byte {
+		return append([]byte(first+strings.Join(names, "")), forest...)
+	}
+	swapped := append([]string(nil), header[1:]...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	foreign := append([]string(nil), header[1:]...)
+	for i := nSel; i < len(foreign); i++ {
+		if foreign[i] == foreign[0] {
+			foreign[i] = "renamed\n"
+		}
+	}
+	cases := []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"valid", build(header[0], header[1:]), ""},
+		{"huge selected count", build("vqoe-detector 4000000000000 70\n", header[1:]), "header counts"},
+		{"huge full count", build(fmt.Sprintf("vqoe-detector %d 1000000000\n", nSel), header[1:]), "header counts"},
+		{"negative count", build(fmt.Sprintf("vqoe-detector -1 %d\n", nFull), header[1:]), "header counts"},
+		{"one selected name short", build(fmt.Sprintf("vqoe-detector %d %d\n", nSel-1, nFull+1), header[1:]), "selected features"},
+		{"selection in another order", build(header[0], swapped), "selected features"},
+		{"selected name absent from the full schema", build(header[0], foreign), "full schema"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			det, err := LoadDetector(bytes.NewReader(tc.file))
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid detector refused: %v", err)
+				}
+				det.predictVectorConf(make([]float64, nFull))
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzLoadDetector: whatever the bytes, LoadDetector returns a detector
+// or an error — and a detector it returns predicts without panicking.
+func FuzzLoadDetector(f *testing.F) {
+	header, forest := savedDetector(f)
+	f.Add(append([]byte(strings.Join(header, "")), forest...))
+	f.Add([]byte("vqoe-detector 1 1\na\na\n"))
+	f.Fuzz(func(t *testing.T, file []byte) {
+		det, err := LoadDetector(bytes.NewReader(file))
+		if err != nil {
+			return
+		}
+		det.predictVectorConf(make([]float64, len(det.full)))
+		det.Forest.PredictBatchInto([][]float64{make([]float64, len(det.Selected))},
+			make([]float64, len(det.Forest.Classes)), make([]int, 1))
+		det.Forest.PathAttribution(make([]float64, len(det.Selected)), nil)
+	})
 }
 
 func TestLoadDetectorBadInput(t *testing.T) {
@@ -352,14 +480,14 @@ func TestDetectorSaveWriteErrors(t *testing.T) {
 }
 
 // TestPredictBatchMatchesSingle locks the batched close path to the
-// dense per-session path: for every corpus session, AnalyzeBatch (one
+// dense per-session path: for every corpus session, AnalyzeBatchInto (one
 // two-model sparse featurization, scratch buffers, tree-major forests)
 // must produce exactly the per-session Predict (dense featurize,
 // projection, per-instance walk) of each detector.
 func TestPredictBatchMatchesSingle(t *testing.T) {
 	testCorpora(t)
 	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
-	batch := fw.AnalyzeBatch(obsFrom(encCorpus.Sessions))
+	batch := fw.AnalyzeBatchInto(obsFrom(encCorpus.Sessions), nil, nil)
 	for i, s := range encCorpus.Sessions {
 		if want := stallDet.Predict(s.Obs); batch[i].Stall != want {
 			t.Fatalf("stall session %d: batch %v != single %v", i, batch[i].Stall, want)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"os"
+	"slices"
 
 	"vqoe/internal/features"
 	"vqoe/internal/ml"
@@ -173,14 +176,8 @@ func (d *Detector) Evaluate(ds *ml.Dataset) (*ml.Confusion, error) {
 	return ml.Evaluate(d.Forest, reduced), nil
 }
 
-// predictVector classifies one raw feature vector given in the full
-// schema.
-func (d *Detector) predictVector(raw []float64) int {
-	return d.Forest.Predict(d.project(raw))
-}
-
-// predictVectorConf is predictVector plus the forest's top-vote
-// confidence; the class always equals predictVector's.
+// predictVectorConf classifies one raw feature vector given in the
+// full schema and returns the forest's top-vote confidence with it.
 func (d *Detector) predictVectorConf(raw []float64) (int, float64) {
 	return d.Forest.PredictConf(d.project(raw))
 }
@@ -232,16 +229,8 @@ func (d *Detector) predictRows(s *PredictScratch, conf []float64) ([]int, []floa
 	s.out = grow(s.out, n)
 	classes := d.Forest.PredictBatchInto(s.proj, s.dist, s.out)
 	conf = grow(conf, n)
-	nTrees := float64(len(d.Forest.Trees))
-	for i := range conf {
-		row := s.dist[i*nc : (i+1)*nc]
-		best := row[0]
-		for _, v := range row[1:] {
-			if v > best {
-				best = v
-			}
-		}
-		conf[i] = best / nTrees
+	for i, c := range classes {
+		conf[i] = d.Forest.Confidence(s.dist[i*nc:(i+1)*nc], c)
 	}
 	return classes, conf
 }
@@ -275,11 +264,22 @@ func (d *Detector) Save(w io.Writer) error {
 	return d.Forest.Save(w)
 }
 
-// LoadDetector restores a detector written by Save.
+// maxSchemaNames bounds the two name counts of a detector header (the
+// schemas here have under a hundred columns), so a hostile header
+// cannot size an allocation.
+const maxSchemaNames = 4096
+
+// LoadDetector restores a detector written by Save. Like the forest
+// inside it the file is outside input: header counts beyond
+// maxSchemaNames, a selection that is not the forest's schema and a
+// selected name missing from the full schema are errors.
 func LoadDetector(r io.Reader) (*Detector, error) {
 	var nSel, nFull int
 	if _, err := fmt.Fscanf(r, "vqoe-detector %d %d\n", &nSel, &nFull); err != nil {
 		return nil, fmt.Errorf("core: bad detector header: %w", err)
+	}
+	if nSel < 0 || nSel > maxSchemaNames || nFull < 0 || nFull > maxSchemaNames {
+		return nil, fmt.Errorf("core: detector header counts %d/%d outside [0, %d]", nSel, nFull, maxSchemaNames)
 	}
 	// feature names may contain spaces, so Fscanf's %s cannot read
 	// them; consume whole lines instead
@@ -295,8 +295,29 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !slices.Equal(sel, forest.Features) {
+		return nil, fmt.Errorf("core: detector's %d selected features are not the %d its forest was trained on", len(sel), len(forest.Features))
+	}
 	det := &Detector{Forest: forest, Selected: sel, full: full}
 	det.indexSelected()
+	if i := slices.Index(det.selIdx, -1); i >= 0 {
+		return nil, fmt.Errorf("core: selected feature %q is not in the detector's full schema", sel[i])
+	}
+	return det, nil
+}
+
+// LoadDetectorFile is LoadDetector on a model file written by
+// qoetrain -save-stall / -save-rep.
+func LoadDetectorFile(path string) (*Detector, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	det, err := LoadDetector(bufio.NewReader(f))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
 	return det, nil
 }
 
@@ -333,7 +354,8 @@ func TrainStall(c *workload.Corpus, cfg TrainConfig) (*StallDetector, *TrainRepo
 
 // Predict classifies one session's stalling level.
 func (d *StallDetector) Predict(obs features.SessionObs) features.StallLabel {
-	return features.StallLabel(d.predictVector(features.StallFeatures(obs)))
+	l, _ := d.PredictConf(obs)
+	return l
 }
 
 // PredictConf is Predict plus the forest's top-vote confidence.
@@ -364,7 +386,8 @@ func TrainRepresentation(c *workload.Corpus, cfg TrainConfig) (*RepresentationDe
 
 // Predict classifies one session's average representation.
 func (d *RepresentationDetector) Predict(obs features.SessionObs) features.RepLabel {
-	return features.RepLabel(d.predictVector(features.RepFeatures(obs)))
+	l, _ := d.PredictConf(obs)
+	return l
 }
 
 // PredictConf is Predict plus the forest's top-vote confidence.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"vqoe/internal/features"
@@ -51,6 +52,53 @@ func TrainFramework(stallCorpus, repCorpus *workload.Corpus, cfg TrainConfig) (*
 	return fw, &FrameworkReport{Stall: stallRep, Rep: repRep}, nil
 }
 
+// LoadFramework assembles the deployable unit from the two model files
+// qoetrain -save-stall and -save-rep write. Each detector must have
+// been trained on the schema its slot featurizes sessions into —
+// swapped or foreign files are an error, not a misprediction.
+func LoadFramework(stallPath, repPath string) (*Framework, error) {
+	stall, err := LoadDetectorFile(stallPath)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := LoadDetectorFile(repPath)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Equal(stall.full, features.StallFeatureNames()) {
+		return nil, fmt.Errorf("%s: not a stall model (feature schema differs)", stallPath)
+	}
+	if !slices.Equal(rep.full, features.RepFeatureNames()) {
+		return nil, fmt.Errorf("%s: not a representation model (feature schema differs)", repPath)
+	}
+	return &Framework{
+		Stall:  &StallDetector{Detector: *stall},
+		Rep:    &RepresentationDetector{Detector: *rep},
+		Switch: NewSwitchDetector(),
+	}, nil
+}
+
+// TrainServingFramework is what the live tools do without model files:
+// train on the traffic the engine serves — trainN encrypted adaptive
+// sessions for the stall model, half as many for the representation
+// model — so the quality monitor's baseline describes the live
+// population rather than flagging a train/serve mismatch at once.
+func TrainServingFramework(trainN int, seed int64) (*Framework, error) {
+	stallCfg := workload.DefaultConfig(trainN)
+	stallCfg.AdaptiveFraction = 1
+	stallCfg.Encrypted = true
+	stallCfg.Seed = seed
+	hasCfg := workload.DefaultConfig(trainN / 2)
+	hasCfg.AdaptiveFraction = 1
+	hasCfg.Encrypted = true
+	hasCfg.Seed = seed + 1
+	tcfg := DefaultTrainConfig()
+	tcfg.CVFolds = 3
+	tcfg.Forest.Trees = 30
+	fw, _, err := TrainFramework(workload.Generate(stallCfg), workload.Generate(hasCfg), tcfg)
+	return fw, err
+}
+
 // Report is the per-session QoE assessment the framework produces for
 // an operator dashboard.
 type Report struct {
@@ -79,16 +127,6 @@ func (f *Framework) Analyze(o features.SessionObs) Report {
 	return r
 }
 
-// AnalyzeBatch assesses many sessions at once. The two forests run in
-// tree-major batch mode (each tree traverses the whole batch while its
-// nodes are cache-hot), which is how the live engine amortizes
-// inference over the sessions a shard closes together. Reports are
-// returned in input order and are identical to per-session Analyze
-// calls.
-func (f *Framework) AnalyzeBatch(obs []features.SessionObs) []Report {
-	return f.AnalyzeBatchInto(obs, nil, nil)
-}
-
 // AnalyzeScratch carries the reusable buffers a long-lived caller (an
 // engine shard) threads through AnalyzeBatchInto so the
 // featurize→predict loop performs zero allocations per batch once the
@@ -109,16 +147,21 @@ type AnalyzeScratch struct {
 	sw                 ScoreScratch
 }
 
-// AnalyzeBatchInto is AnalyzeBatch with stage timing and caller-owned
-// buffers. When set is non-nil, one StageFeaturize observation covers
-// the batch's summary-statistic extraction, one StageForest
-// observation the two tree passes, and one StageCUSUM observation the
-// switch scoring. The returned reports alias sc and are valid until
-// the next call with the same scratch (callers that retain them must
-// copy, as the engine does when it wraps them in engine.Reports); a
-// nil sc allocates a fresh one.
+// AnalyzeBatchInto assesses many sessions at once, with stage timing
+// and caller-owned buffers. The two forests run in tree-major batch
+// mode (each tree traverses the whole batch while its nodes are
+// cache-hot), which is how the live engine amortizes inference over
+// the sessions a shard closes together; reports come back in input
+// order and are identical to per-session Analyze calls. When set is
+// non-nil, one StageFeaturize observation covers the batch's
+// summary-statistic extraction, one StageForest observation the two
+// tree passes, and one StageCUSUM observation the switch scoring. The
+// returned reports alias sc and are valid until the next call with the
+// same scratch (callers that retain them must copy, as the engine does
+// when it wraps them in engine.Reports); a nil sc allocates a fresh
+// one.
 func (f *Framework) AnalyzeBatchInto(o []features.SessionObs, set *obs.StageSet, sc *AnalyzeScratch) []Report {
-	return f.AnalyzeBatchQuality(o, set, sc, nil)
+	return f.AnalyzeBatchQuality(o, time.Now(), set, sc, nil)
 }
 
 // AnalyzeBatchQuality is AnalyzeBatchInto with the model-quality
@@ -126,13 +169,16 @@ func (f *Framework) AnalyzeBatchInto(o []features.SessionObs, set *obs.StageSet,
 // predicted classes, and vote confidences are fed into the hook's
 // per-shard accumulators, and the switch score into its score
 // histogram. Reports are identical to AnalyzeBatchInto's (the hook
-// only observes). A nil hook (or hook monitor) skips all of it.
+// only observes). A nil hook (or hook monitor) skips all of it. The
+// StageFeaturize observation runs from t0 — when the caller began
+// assembling o, so the engine's chunk ordering is inside it — to the
+// end of the statistics pass.
 //
 // Each session is featurized once: one evaluator built from both
 // models' selections extracts every metric either model needs a single
 // time and fills both projected layouts, then each forest runs over
 // its filled vectors.
-func (f *Framework) AnalyzeBatchQuality(o []features.SessionObs, set *obs.StageSet, sc *AnalyzeScratch, qh *QualityHook) []Report {
+func (f *Framework) AnalyzeBatchQuality(o []features.SessionObs, t0 time.Time, set *obs.StageSet, sc *AnalyzeScratch, qh *QualityHook) []Report {
 	if len(o) == 0 {
 		return nil
 	}
@@ -145,7 +191,6 @@ func (f *Framework) AnalyzeBatchQuality(o []features.SessionObs, set *obs.StageS
 	if sc.sparse == nil {
 		sc.sparse = features.NewSparse(f.Stall.selIdx, f.Rep.selIdx)
 	}
-	t0 := time.Now()
 	stallRows := f.Stall.rows(&sc.stall, len(o))
 	repRows := f.Rep.rows(&sc.rep, len(o))
 	for i, so := range o {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 
 	"vqoe/internal/features"
 	"vqoe/internal/ml"
@@ -90,11 +91,11 @@ func TestAnalyzeBatchQualityFeedsMonitor(t *testing.T) {
 	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
 	obsList := buildObs(t)
 
-	plain := fw.AnalyzeBatch(obsList)
+	plain := fw.AnalyzeBatchInto(obsList, nil, nil)
 	mon := NewQualityMonitor(fw, 2, qualitymon.Thresholds{})
 	hook := &QualityHook{Monitor: mon, Shard: 1}
 	var sc AnalyzeScratch
-	hooked := fw.AnalyzeBatchQuality(obsList, nil, &sc, hook)
+	hooked := fw.AnalyzeBatchQuality(obsList, time.Now(), nil, &sc, hook)
 
 	for i := range plain {
 		if plain[i] != hooked[i] {

@@ -188,10 +188,6 @@ func (e *Engine) Quality() *qualitymon.Monitor { return e.cfg.Quality }
 // are off).
 func (e *Engine) Cohorts() *cohort.Rollup { return e.cfg.Cohorts }
 
-// Flight returns the attached session flight recorder (nil when
-// recording is off).
-func (e *Engine) Flight() *flight.Recorder { return e.cfg.Flight }
-
 // ObserveLabel feeds one delayed ground-truth label into the quality
 // monitor and reports whether it matched an already-assessed session
 // (unmatched labels wait, bounded, for the session to close). Safe at

@@ -154,7 +154,17 @@ func TestEngineConcurrentFeeders(t *testing.T) {
 		got = append(got, r)
 		mu.Unlock()
 	})
-	live.Feed(4, 128, eng.Feed)
+	var wg sync.WaitGroup
+	for _, part := range live.Partition(4) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo := 0; lo < len(part); lo += 128 {
+				eng.Feed(part[lo:min(lo+128, len(part))])
+			}
+		}()
+	}
+	wg.Wait()
 	got = append(got, eng.Drain()...)
 
 	if len(got) != sum(want) {

@@ -325,19 +325,17 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 	if len(closed) == 0 {
 		return nil
 	}
-	timed := s.stages != nil
+	// the featurize stage starts here — one observation per batch,
+	// closed inside AnalyzeBatchQuality after the statistics pass
+	var t0 time.Time
+	if s.stages != nil {
+		t0 = time.Now()
+	}
 	sobs := s.sobsBuf[:0]
 	kept := s.keptBuf[:0]
 	for i := range closed {
 		c := &closed[i]
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
 		o := features.FromChunks(c.Chunks, s.tracker.TakeChunks(len(c.Chunks)))
-		if timed {
-			s.stages.ObserveSince(obs.StageFeaturize, t0)
-		}
 		if o.Len() < s.minChunks {
 			s.flight.Discard()
 			s.tracker.Recycle(o.Chunks)
@@ -348,7 +346,7 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 		kept = append(kept, *c)
 	}
 	s.sobsBuf, s.keptBuf = sobs, kept
-	reps := s.fw.AnalyzeBatchQuality(sobs, s.stages, &s.scratch, s.quality)
+	reps := s.fw.AnalyzeBatchQuality(sobs, t0, s.stages, &s.scratch, s.quality)
 	var out []Report
 	if reuse {
 		out = s.outBuf[:0]

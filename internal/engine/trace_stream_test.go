@@ -31,6 +31,15 @@ func TestTraceStreamPinned(t *testing.T) {
 	}
 	eng.Drain()
 
+	// the close path's three stages are each one observation per closed
+	// batch, so their histograms count the same thing on every shard
+	for shard, st := range ob.StageSnapshots() {
+		feat, forest, cusum := st[obs.StageFeaturize].Count, st[obs.StageForest].Count, st[obs.StageCUSUM].Count
+		if feat == 0 || feat != forest || feat != cusum {
+			t.Errorf("shard %d: %d featurize, %d forest_predict, %d cusum observations", shard, feat, forest, cusum)
+		}
+	}
+
 	var got bytes.Buffer
 	for _, ev := range ob.TraceEvents() {
 		fmt.Fprintf(&got, "%d %d %s %s ts=%v start=%v end=%v chunks=%d\n",

@@ -35,11 +35,6 @@ type Scale struct {
 	Seed int64
 }
 
-// DefaultScale is the full reproduction scale used by the cmd tools.
-func DefaultScale() Scale {
-	return Scale{Cleartext: 12000, HAS: 3000, Encrypted: 722, Trees: 60, Folds: 10, Seed: 1}
-}
-
 // QuickScale is a reduced scale for benchmarks and smoke runs.
 func QuickScale() Scale {
 	return Scale{Cleartext: 1500, HAS: 800, Encrypted: 250, Trees: 30, Folds: 5, Seed: 1}

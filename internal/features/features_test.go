@@ -410,7 +410,7 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 
 		stall, rep = stale(len(stallCols)), stale(len(repCols))
 		NewStallSparse(stallCols).EvalIntoScratch(obs, stall, &sc)
-		NewRepSparse(repCols).EvalInto(obs, rep)
+		NewRepSparse(repCols).EvalIntoScratch(obs, rep, new(SeriesScratch))
 		check("one-model stall", stallCols, stall, denseStall)
 		check("one-model rep", repCols, rep, denseRep)
 	}
@@ -500,7 +500,7 @@ func TestFinishChunksMatchesSortSlice(t *testing.T) {
 func TestSparseEmptySession(t *testing.T) {
 	cols := []int{0, 5, 17, 33, -1}
 	dst := []float64{1, 2, 3, 4, 5}
-	NewStallSparse(cols).EvalInto(SessionObs{}, dst)
+	NewStallSparse(cols).EvalIntoScratch(SessionObs{}, dst, new(SeriesScratch))
 	for i, v := range dst {
 		if v != 0 {
 			t.Errorf("dst[%d] = %v, want 0 for empty session", i, v)
@@ -529,7 +529,7 @@ func TestEvalScratchReuseMatchesFresh(t *testing.T) {
 			shared := make([]float64, width)
 			fresh := make([]float64, width)
 			sparse.EvalIntoScratch(obs, shared, &sc)
-			sparse.EvalInto(obs, fresh)
+			sparse.EvalIntoScratch(obs, fresh, new(SeriesScratch))
 			for i := range shared {
 				if shared[i] != fresh[i] {
 					t.Fatalf("session %d col %d: shared scratch %v != fresh %v",

@@ -326,7 +326,7 @@ func NewSparse(stallCols, repCols []int) *Sparse {
 
 // NewStallSparse builds a one-model evaluator over the stall schema:
 // cols[i] is the full-schema column whose value lands in dst[i] of
-// EvalInto (-1 zeroes the slot).
+// EvalIntoScratch (-1 zeroes the slot).
 func NewStallSparse(cols []int) *Sparse {
 	return newSparse(sparseOut{stallMetrics(), stallStats, cols})
 }
@@ -378,19 +378,12 @@ func newSparse(outs ...sparseOut) *Sparse {
 	return sp
 }
 
-// EvalInto writes the selected features of obs into dst, which must
-// have the length of the cols a one-model evaluator was built with.
-// Values are bit-identical to building the dense vector and projecting
-// it.
-func (sp *Sparse) EvalInto(obs SessionObs, dst []float64) {
-	var sc SeriesScratch
-	sp.EvalIntoScratch(obs, dst, &sc)
-}
-
-// EvalIntoScratch is EvalInto with caller-owned series buffers: each
-// metric's series is written through sc instead of freshly allocated,
-// so a long-lived caller featurizes with zero steady-state
-// allocations. Every value is bit-identical to EvalInto's.
+// EvalIntoScratch writes the selected features of obs into dst, which
+// must have the length of the cols a one-model evaluator was built
+// with. Values are bit-identical to building the dense vector and
+// projecting it. Each metric's series is written through the
+// caller-owned sc instead of freshly allocated, so a long-lived caller
+// featurizes with zero steady-state allocations.
 func (sp *Sparse) EvalIntoScratch(obs SessionObs, dst []float64, sc *SeriesScratch) {
 	sp.eval(obs, [2][]float64{dst}, sc)
 }

@@ -46,37 +46,21 @@ func (f *Forest) PathAttribution(x []float64, out []float64) []float64 {
 func (t *Tree) pathAttribution(x []float64, acc []float64) bool {
 	var path [maxPathDepth]int32
 	n := 0
-	if t.flat != nil {
-		nodes := t.flat.nodes
-		for i := 0; ; {
-			nd := nodes[i]
-			fi := int(nd.feature)
-			if fi < 0 {
-				break
-			}
-			if n < maxPathDepth {
-				path[n] = int32(fi)
-				n++
-			}
-			if x[fi] <= nd.threshold {
-				i++
-			} else {
-				i = int(nd.right)
-			}
+	nodes := t.flat.nodes
+	for i := 0; ; {
+		nd := nodes[i]
+		fi := int(nd.feature)
+		if fi < 0 {
+			break
 		}
-	} else {
-		// pointer fallback for trees assembled by hand (mirrors
-		// probaPointer's traversal exactly)
-		for nd := t.root; nd != nil && !nd.leaf; {
-			if n < maxPathDepth {
-				path[n] = int32(nd.feature)
-				n++
-			}
-			if x[nd.feature] <= nd.threshold {
-				nd = nd.left
-			} else {
-				nd = nd.right
-			}
+		if n < maxPathDepth {
+			path[n] = int32(fi)
+			n++
+		}
+		if x[fi] <= nd.threshold {
+			i++
+		} else {
+			i = int(nd.right)
 		}
 	}
 	if n == 0 {

@@ -41,9 +41,29 @@ func TestPathAttributionSumsToOne(t *testing.T) {
 	}
 }
 
-// TestPathAttributionFlatMatchesPointer: stripping the compiled slabs
-// must not change the attribution — the flat walk and the pointer walk
-// visit the same path.
+// pathAttributionPointer is pathAttribution over the induction form of
+// a tree (probaPointer's traversal with the path recorded): the
+// reference the slab walk is compared against.
+func (t *Tree) pathAttributionPointer(x []float64, acc []float64) bool {
+	var path []int
+	for nd := t.root; !nd.leaf; {
+		if len(path) < maxPathDepth {
+			path = append(path, nd.feature)
+		}
+		if x[nd.feature] <= nd.threshold {
+			nd = nd.left
+		} else {
+			nd = nd.right
+		}
+	}
+	for _, fi := range path {
+		acc[fi] += 1.0 / float64(len(path))
+	}
+	return len(path) > 0
+}
+
+// TestPathAttributionFlatMatchesPointer: the slab walk and the pointer
+// walk visit the same path, so the attribution agrees bit for bit.
 func TestPathAttributionFlatMatchesPointer(t *testing.T) {
 	r := stats.NewRand(97)
 	ds := randomDataset(r, 300, 6, 3)
@@ -51,19 +71,17 @@ func TestPathAttributionFlatMatchesPointer(t *testing.T) {
 	for probe := 0; probe < 30; probe++ {
 		x := randomProbe(r, len(ds.Names))
 		flat := f.PathAttribution(x, nil)
-		saved := make([]*flatTree, len(f.Trees))
-		for i, tr := range f.Trees {
-			saved[i] = tr.flat
-			tr.flat = nil
-		}
-		ptr := f.PathAttribution(x, nil)
-		for i, tr := range f.Trees {
-			tr.flat = saved[i]
+		ptr := make([]float64, len(f.Features))
+		trees := 0
+		for _, tr := range f.Trees {
+			if tr.pathAttributionPointer(x, ptr) {
+				trees++
+			}
 		}
 		for i := range flat {
-			if flat[i] != ptr[i] {
+			if want := ptr[i] * (1.0 / float64(trees)); flat[i] != want {
 				t.Fatalf("probe %d feature %s: flat %g != pointer %g",
-					probe, f.Features[i], flat[i], ptr[i])
+					probe, f.Features[i], flat[i], want)
 			}
 		}
 	}

@@ -257,14 +257,11 @@ func crossValidate(ds *Dataset, k int, cfg ForestConfig, seed int64, parallelism
 		// per-instance vote accumulation: same tree-order float
 		// additions as the batch kernel, so the argmax — and with it
 		// the matrix — is bit-identical to Evaluate's
-		dist := make([]float64, forest.numClasses)
-		nTrees := float64(len(forest.Trees))
 		for i, x := range test.X {
-			d := forest.accumulate(x, dist)
-			p := argmax(d)
+			p, c := forest.PredictConf(x)
 			conf.Observe(test.Y[i], p)
 			if cal != nil {
-				cal.Observe(d[p]/nTrees, p == test.Y[i])
+				cal.Observe(c, p == test.Y[i])
 			}
 		}
 		confs[f], cals[f] = conf, cal

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"vqoe/internal/stats"
@@ -41,11 +42,26 @@ func randomProbe(r *stats.Rand, m int) []float64 {
 	return x
 }
 
+// probaPointer is the pointer-chasing walk over the induction form of
+// a tree: the reference the slab walk — the only one non-test code
+// has — is property-tested against.
+func (t *Tree) probaPointer(x []float64) []float64 {
+	n := t.root
+	for !n.leaf {
+		if x[n.feature] <= n.threshold {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return n.dist
+}
+
 // TestFlatMatchesPointerProperty is the tentpole's equivalence
 // property: over randomized forests (shape, depth caps, leaf sizes)
 // and randomized inputs, the flattened slab walk must agree
 // bit-for-bit with the pointer-chasing reference walk — per tree
-// (Proba) and per forest (Proba/Predict/PredictBatch).
+// (Proba) and per forest (Proba/Predict/PredictBatchInto).
 func TestFlatMatchesPointerProperty(t *testing.T) {
 	r := stats.NewRand(71)
 	for trial := 0; trial < 8; trial++ {
@@ -102,35 +118,47 @@ func TestFlatMatchesPointerProperty(t *testing.T) {
 		for i := range probes {
 			probes[i] = randomProbe(r, m)
 		}
-		batch := f.PredictBatch(probes)
 		dist := make([]float64, len(probes)*f.numClasses)
 		out := make([]int, len(probes))
-		into := f.PredictBatchInto(probes, dist, out)
-		for i, x := range probes {
-			if want := f.Predict(x); batch[i] != want || into[i] != want {
-				t.Fatalf("trial %d instance %d: batch=%d into=%d single=%d",
-					trial, i, batch[i], into[i], want)
+		for pass := 0; pass < 2; pass++ {
+			into := f.PredictBatchInto(probes, dist, out)
+			for i, x := range probes {
+				if want := f.Predict(x); into[i] != want {
+					t.Fatalf("trial %d pass %d instance %d: into=%d single=%d",
+						trial, pass, i, into[i], want)
+				}
 			}
 		}
 	}
 }
 
-// TestPredictBatchIntoParallelMatchesSerial drives a batch large
-// enough to cross the worker-pool threshold and checks it against
-// per-instance predictions.
+// TestPredictBatchIntoParallelMatchesSerial drives batches on both
+// sides of every worker-count boundary (one worker per 256 instances)
+// and checks classes and confidences against per-instance predictions,
+// with the pool available and on a single CPU.
 func TestPredictBatchIntoParallelMatchesSerial(t *testing.T) {
 	r := stats.NewRand(5)
 	ds := randomDataset(r, 500, 6, 3)
 	f := TrainForest(ds, ForestConfig{Trees: 12, Seed: 2})
-	n := 4 * batchChunk
-	probes := make([][]float64, n)
+	probes := make([][]float64, 4*batchChunk)
 	for i := range probes {
 		probes[i] = randomProbe(r, 6)
 	}
-	out := f.PredictBatchInto(probes, make([]float64, n*f.numClasses), make([]int, n))
-	for i, x := range probes {
-		if want := f.Predict(x); out[i] != want {
-			t.Fatalf("parallel batch instance %d: got %d want %d", i, out[i], want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{4, 1} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{257, 511, 512, 513, 4 * batchChunk} {
+			dist := make([]float64, n*f.numClasses)
+			out := f.PredictBatchInto(probes[:n], dist, make([]int, n))
+			for i, x := range probes[:n] {
+				class, conf := f.PredictConf(x)
+				if out[i] != class {
+					t.Fatalf("procs=%d n=%d instance %d: got %d want %d", procs, n, i, out[i], class)
+				}
+				if got := f.Confidence(dist[i*f.numClasses:(i+1)*f.numClasses], out[i]); got != conf {
+					t.Fatalf("procs=%d n=%d instance %d: confidence %v want %v", procs, n, i, got, conf)
+				}
+			}
 		}
 	}
 }

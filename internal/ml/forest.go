@@ -120,22 +120,16 @@ func bootstrap(ds *Dataset, r *stats.Rand) *Dataset {
 
 // Predict returns the majority-vote class for one instance.
 func (f *Forest) Predict(x []float64) int {
-	var dist [maxInlineClasses]float64
-	if f.numClasses <= maxInlineClasses {
-		return argmax(f.accumulate(x, dist[:f.numClasses]))
-	}
-	return argmax(f.Proba(x))
+	class, _ := f.PredictConf(x)
+	return class
 }
 
-// maxInlineClasses bounds the stack-allocated distribution Predict
+// maxInlineClasses bounds the stack-allocated distribution PredictConf
 // uses; every model in this repo has ≤ 4 classes.
 const maxInlineClasses = 8
 
 // PredictConf returns the majority-vote class plus the forest's
-// confidence in it: the winning class's share of the tree votes
-// (max votes / ensemble size). The class is computed on the same
-// unnormalized vote accumulation as Predict, so the two always agree
-// bit for bit.
+// confidence in it (see Confidence).
 func (f *Forest) PredictConf(x []float64) (int, float64) {
 	var buf [maxInlineClasses]float64
 	var dist []float64
@@ -146,7 +140,14 @@ func (f *Forest) PredictConf(x []float64) (int, float64) {
 	}
 	dist = f.accumulate(x, dist)
 	best := argmax(dist)
-	return best, dist[best] / float64(len(f.Trees))
+	return best, f.Confidence(dist, best)
+}
+
+// Confidence is the forest's confidence in class given one instance's
+// unnormalized votes (a row PredictBatchInto left in dist): the
+// class's share of the tree votes.
+func (f *Forest) Confidence(votes []float64, class int) float64 {
+	return votes[class] / float64(len(f.Trees))
 }
 
 // Proba returns the mean class distribution over all trees.
@@ -177,12 +178,6 @@ func (f *Forest) accumulate(x []float64, dist []float64) []float64 {
 	nc := int32(f.numClasses)
 	for _, t := range f.Trees {
 		ft := t.flat
-		if ft == nil {
-			for c, p := range t.probaPointer(x) {
-				dist[c] += p
-			}
-			continue
-		}
 		off := ft.leafOff(x)
 		leaf := ft.dists[off : off+nc]
 		for c, p := range leaf {
@@ -192,17 +187,6 @@ func (f *Forest) accumulate(x []float64, dist []float64) []float64 {
 	return dist
 }
 
-// PredictBatch classifies a batch of instances in tree-major order:
-// every tree is walked over the full batch before moving to the next,
-// so a tree's node slab stays hot in cache across the batch instead of
-// the whole ensemble being re-faulted per instance.
-func (f *Forest) PredictBatch(xs [][]float64) []int {
-	if len(xs) == 0 {
-		return nil
-	}
-	return f.PredictBatchInto(xs, make([]float64, len(xs)*f.numClasses), make([]int, len(xs)))
-}
-
 // batchChunk is the smallest instance range one batch worker takes;
 // batches below twice this size run serially on the caller goroutine
 // and perform zero allocations, which is the live engine's steady
@@ -210,11 +194,13 @@ func (f *Forest) PredictBatch(xs [][]float64) []int {
 // thousands).
 const batchChunk = 256
 
-// PredictBatchInto is PredictBatch with caller-owned buffers: dist
-// must have length ≥ len(xs)·numClasses and out length ≥ len(xs). It
-// returns out[:len(xs)]. Sub-threshold batches allocate nothing;
-// larger batches are split into instance ranges walked tree-major by a
-// bounded worker pool (disjoint slices of dist/out, no merging).
+// PredictBatchInto classifies a batch of instances into caller-owned
+// buffers: dist must have length ≥ len(xs)·numClasses and out length
+// ≥ len(xs). It returns out[:len(xs)] and leaves each instance's
+// unnormalized votes in its row of dist. Sub-threshold batches
+// allocate nothing; larger batches are split into instance ranges
+// walked tree-major by a bounded worker pool (disjoint slices of
+// dist/out, no merging).
 func (f *Forest) PredictBatchInto(xs [][]float64, dist []float64, out []int) []int {
 	n := len(xs)
 	out = out[:n]
@@ -252,9 +238,10 @@ func (f *Forest) PredictBatchInto(xs [][]float64, dist []float64, out []int) []i
 	return out
 }
 
-// predictRange is the serial tree-major kernel: votes for xs are
-// accumulated into dist (len(xs)·numClasses, overwritten) and the
-// argmax classes written to out (len(xs)).
+// predictRange is the serial tree-major kernel — every tree is walked
+// over the whole range before the next, so its node slab stays hot in
+// cache: votes for xs are accumulated into dist (len(xs)·numClasses,
+// overwritten) and the argmax classes written to out (len(xs)).
 func (f *Forest) predictRange(xs [][]float64, dist []float64, out []int) {
 	for i := range dist {
 		dist[i] = 0
@@ -262,15 +249,6 @@ func (f *Forest) predictRange(xs [][]float64, dist []float64, out []int) {
 	nc := int32(f.numClasses)
 	for _, t := range f.Trees {
 		ft := t.flat
-		if ft == nil {
-			for i, x := range xs {
-				row := dist[i*int(nc) : (i+1)*int(nc)]
-				for c, p := range t.probaPointer(x) {
-					row[c] += p
-				}
-			}
-			continue
-		}
 		for i, x := range xs {
 			off := ft.leafOff(x)
 			leaf := ft.dists[off : off+nc]
@@ -287,36 +265,11 @@ func (f *Forest) predictRange(xs [][]float64, dist []float64, out []int) {
 }
 
 // PredictAll classifies every instance of ds and returns the
-// predictions in row order. Work is split across CPUs in contiguous
-// ranges, each walked with the tree-major batch kernel.
+// predictions in row order.
 func (f *Forest) PredictAll(ds *Dataset) []int {
 	n := ds.Len()
 	if n == 0 {
 		return nil
 	}
-	out := make([]int, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > (n+batchChunk-1)/batchChunk {
-		workers = (n + batchChunk - 1) / batchChunk
-	}
-	if workers <= 1 {
-		f.predictRange(ds.X, make([]float64, n*f.numClasses), out)
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f.predictRange(ds.X[lo:hi], make([]float64, (hi-lo)*f.numClasses), out[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
+	return f.PredictBatchInto(ds.X, make([]float64, n*f.numClasses), make([]int, n))
 }

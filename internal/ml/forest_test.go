@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"runtime"
 	"testing"
 
 	"vqoe/internal/stats"
@@ -91,14 +92,30 @@ func TestForestSchemaCaptured(t *testing.T) {
 	}
 }
 
+// TestPredictAllMatchesPredict holds PredictAll to per-instance Predict
+// on both sides of every worker-count boundary of the one batch split
+// (the two splits it replaced rounded n/256 differently), with the
+// pool available and with a single CPU.
 func TestPredictAllMatchesPredict(t *testing.T) {
-	ds := noisyThreeClass(200, 9)
-	f := TrainForest(ds, ForestConfig{Trees: 10, Seed: 2})
-	all := f.PredictAll(ds)
-	for i, x := range ds.X {
-		if all[i] != f.Predict(x) {
-			t.Fatalf("PredictAll[%d] disagrees with Predict", i)
+	f := TrainForest(noisyThreeClass(200, 9), ForestConfig{Trees: 10, Seed: 2})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{1, 200, 257, 511, 512, 513, 1100} {
+			ds := noisyThreeClass(n, 9)
+			all := f.PredictAll(ds)
+			if len(all) != n {
+				t.Fatalf("procs=%d n=%d: %d predictions", procs, n, len(all))
+			}
+			for i, x := range ds.X {
+				if all[i] != f.Predict(x) {
+					t.Fatalf("procs=%d n=%d: PredictAll[%d] disagrees with Predict", procs, n, i)
+				}
+			}
 		}
+	}
+	if got := f.PredictAll(NewDataset(f.Features, f.Classes)); got != nil {
+		t.Error("empty dataset should predict nothing")
 	}
 }
 
@@ -117,7 +134,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	ds := noisyThreeClass(600, 4)
 	f := TrainForest(ds, ForestConfig{Trees: 15, Seed: 5})
 	probe := noisyThreeClass(200, 6)
-	batch := f.PredictBatch(probe.X)
+	batch := f.PredictBatchInto(probe.X, make([]float64, probe.Len()*f.numClasses), make([]int, probe.Len()))
 	if len(batch) != probe.Len() {
 		t.Fatalf("batch returned %d predictions for %d instances", len(batch), probe.Len())
 	}
@@ -126,7 +143,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			t.Fatalf("instance %d: batch %d vs single %d", i, batch[i], want)
 		}
 	}
-	if got := f.PredictBatch(nil); got != nil {
+	if got := f.PredictBatchInto(nil, nil, nil); len(got) != 0 {
 		t.Error("empty batch should predict nothing")
 	}
 }

@@ -6,87 +6,12 @@ import (
 	"vqoe/internal/stats"
 )
 
-// Model-inspection utilities: out-of-bag error estimation and
-// permutation feature importance. Neither appears in the paper's
-// method, but both are standard Random Forest diagnostics an operator
-// deploying the framework would want when deciding whether to retrain
-// after a service change (§7: "the models... need to be trained and
-// evaluated again with an updated dataset").
-
-// OOBResult reports the out-of-bag evaluation of a forest trained with
-// TrainForestOOB.
-type OOBResult struct {
-	// Confusion over instances that had at least one tree not trained
-	// on them.
-	Confusion *Confusion
-	// Covered is the number of instances with an OOB vote.
-	Covered int
-}
-
-// TrainForestOOB trains a Random Forest like TrainForest and
-// additionally scores every training instance with only the trees
-// whose bootstrap sample excluded it — an unbiased error estimate
-// without a held-out set.
-func TrainForestOOB(ds *Dataset, cfg ForestConfig) (*Forest, OOBResult) {
-	cfg = cfg.withDefaults(ds.NumFeatures())
-	master := stats.NewRand(cfg.Seed)
-	seeds := make([]int64, cfg.Trees)
-	for i := range seeds {
-		seeds[i] = master.Int63()
-	}
-	treeCfg := TreeConfig{
-		MaxDepth:         cfg.MaxDepth,
-		MinLeaf:          cfg.MinLeaf,
-		FeaturesPerSplit: cfg.FeaturesPerSplit,
-		MaxThresholds:    cfg.MaxThresholds,
-	}
-
-	f := &Forest{
-		Trees:      make([]*Tree, cfg.Trees),
-		Features:   append([]string(nil), ds.Names...),
-		Classes:    append([]string(nil), ds.Classes...),
-		numClasses: ds.NumClasses(),
-	}
-	n := ds.Len()
-	votes := make([][]float64, n)
-	for i := range votes {
-		votes[i] = make([]float64, ds.NumClasses())
-	}
-	hasVote := make([]bool, n)
-
-	for t := 0; t < cfg.Trees; t++ {
-		r := stats.NewRand(seeds[t])
-		idx := make([]int, n)
-		inBag := make([]bool, n)
-		for i := range idx {
-			j := r.Intn(n)
-			idx[i] = j
-			inBag[j] = true
-		}
-		tree := TrainTree(ds.Subset(idx), treeCfg, r)
-		f.Trees[t] = tree
-		for i := 0; i < n; i++ {
-			if inBag[i] {
-				continue
-			}
-			for c, p := range tree.Proba(ds.X[i]) {
-				votes[i][c] += p
-			}
-			hasVote[i] = true
-		}
-	}
-
-	conf := NewConfusion(ds.Classes)
-	covered := 0
-	for i := 0; i < n; i++ {
-		if !hasVote[i] {
-			continue
-		}
-		covered++
-		conf.Observe(ds.Y[i], argmax(votes[i]))
-	}
-	return f, OOBResult{Confusion: conf, Covered: covered}
-}
+// Model inspection: permutation feature importance. It does not
+// appear in the paper's method, but it is a standard Random Forest
+// diagnostic an operator deploying the framework would want when
+// deciding whether to retrain after a service change (§7: "the
+// models... need to be trained and evaluated again with an updated
+// dataset").
 
 // Importance is one feature's permutation importance: the accuracy
 // drop when that feature's column is shuffled.

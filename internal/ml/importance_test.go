@@ -4,40 +4,6 @@ import (
 	"testing"
 )
 
-func TestTrainForestOOB(t *testing.T) {
-	ds := noisyThreeClass(600, 41)
-	f, oob := TrainForestOOB(ds, ForestConfig{Trees: 30, Seed: 1})
-	if len(f.Trees) != 30 {
-		t.Fatalf("forest has %d trees", len(f.Trees))
-	}
-	// with 30 trees nearly every instance is OOB for some tree
-	if oob.Covered < ds.Len()*9/10 {
-		t.Errorf("OOB covered only %d of %d", oob.Covered, ds.Len())
-	}
-	acc := oob.Confusion.Accuracy()
-	if acc < 0.75 {
-		t.Errorf("OOB accuracy %.3f too low for separable-ish data", acc)
-	}
-	// OOB estimate should roughly agree with held-out accuracy
-	test := noisyThreeClass(300, 42)
-	held := Evaluate(f, test).Accuracy()
-	if diff := acc - held; diff > 0.12 || diff < -0.12 {
-		t.Errorf("OOB %.3f vs held-out %.3f diverge", acc, held)
-	}
-}
-
-func TestTrainForestOOBPredictsLikeTrainForest(t *testing.T) {
-	ds := noisyThreeClass(300, 43)
-	f1, _ := TrainForestOOB(ds, ForestConfig{Trees: 10, Seed: 7})
-	f2 := TrainForest(ds, ForestConfig{Trees: 10, Seed: 7})
-	for i := 0; i < 50; i++ {
-		x := []float64{float64(i) / 5, 0.5, float64(i) / 10}
-		if f1.Predict(x) != f2.Predict(x) {
-			t.Fatal("OOB training should produce the same forest for a seed")
-		}
-	}
-}
-
 func TestPermutationImportanceFindsSignal(t *testing.T) {
 	ds := informativeAndNoise(1500, 44)
 	f := TrainForest(ds, ForestConfig{Trees: 30, Seed: 2})

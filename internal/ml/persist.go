@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"vqoe/internal/qualitymon"
 )
@@ -55,18 +56,38 @@ func toDTO(n *node) *nodeDTO {
 	}
 }
 
-func fromDTO(d *nodeDTO) *node {
-	if d == nil {
-		return nil
+// fromDTO rebuilds one subtree from its wire form, refusing what the
+// prediction paths would trip over: a missing child, a split on a
+// column the schema does not have, a leaf distribution that is not one
+// finite value per class, a tree deeper than maxTreeDepth.
+func fromDTO(d *nodeDTO, numFeatures, numClasses, depth int) (*node, error) {
+	switch {
+	case d == nil:
+		return nil, fmt.Errorf("missing node at depth %d", depth)
+	case depth > maxTreeDepth:
+		return nil, fmt.Errorf("deeper than %d", maxTreeDepth)
+	case d.Leaf:
+		if len(d.Dist) != numClasses {
+			return nil, fmt.Errorf("leaf has %d class weights, want %d", len(d.Dist), numClasses)
+		}
+		for _, p := range d.Dist {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				return nil, fmt.Errorf("leaf has non-finite class weight %v", p)
+			}
+		}
+		return &node{leaf: true, dist: d.Dist}, nil
+	case d.Feature < 0 || d.Feature >= numFeatures:
+		return nil, fmt.Errorf("split on feature %d of %d", d.Feature, numFeatures)
 	}
-	return &node{
-		feature:   d.Feature,
-		threshold: d.Threshold,
-		leaf:      d.Leaf,
-		dist:      d.Dist,
-		left:      fromDTO(d.Left),
-		right:     fromDTO(d.Right),
+	left, err := fromDTO(d.Left, numFeatures, numClasses, depth+1)
+	if err != nil {
+		return nil, err
 	}
+	right, err := fromDTO(d.Right, numFeatures, numClasses, depth+1)
+	if err != nil {
+		return nil, err
+	}
+	return &node{feature: d.Feature, threshold: d.Threshold, left: left, right: right}, nil
 }
 
 // Save writes the forest to w.
@@ -84,7 +105,9 @@ func (f *Forest) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&dto)
 }
 
-// LoadForest reads a forest previously written with Save.
+// LoadForest reads a forest previously written with Save. A model file
+// is outside input: anything in it that would panic or mispredict at
+// serve time is an error here (see fromDTO and Baseline.Check).
 func LoadForest(r io.Reader) (*Forest, error) {
 	var dto forestDTO
 	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
@@ -92,6 +115,12 @@ func LoadForest(r io.Reader) (*Forest, error) {
 	}
 	if len(dto.Trees) == 0 {
 		return nil, fmt.Errorf("ml: forest has no trees")
+	}
+	if len(dto.Classes) == 0 {
+		return nil, fmt.Errorf("ml: forest has no classes")
+	}
+	if err := dto.Baseline.Check(len(dto.Features), len(dto.Classes)); err != nil {
+		return nil, fmt.Errorf("ml: forest baseline: %w", err)
 	}
 	f := &Forest{
 		Features:   dto.Features,
@@ -101,14 +130,13 @@ func LoadForest(r io.Reader) (*Forest, error) {
 		Baseline:   dto.Baseline,
 	}
 	for i, d := range dto.Trees {
-		if d == nil {
-			return nil, fmt.Errorf("ml: forest tree %d is empty", i)
+		root, err := fromDTO(d, len(f.Features), f.numClasses, 0)
+		if err != nil {
+			return nil, fmt.Errorf("ml: forest tree %d: %w", i, err)
 		}
-		t := &Tree{root: fromDTO(d), numClasses: len(dto.Classes)}
 		// the wire format stays pointer-shaped (gob-friendly); the flat
 		// slabs the prediction paths walk are rebuilt on load
-		t.flat = compile(t.root, t.numClasses)
-		f.Trees[i] = t
+		f.Trees[i] = &Tree{root: root, flat: compile(root, f.numClasses), numClasses: f.numClasses}
 	}
 	return f, nil
 }

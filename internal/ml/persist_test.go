@@ -3,7 +3,9 @@ package ml
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vqoe/internal/qualitymon"
@@ -95,6 +97,11 @@ func TestPredictConfMatchesPredict(t *testing.T) {
 	f := TrainForest(ds, ForestConfig{Trees: 11, Seed: 5})
 	for probe := 0; probe < 300; probe++ {
 		x := randomProbe(r, 5)
+		if probe%3 == 0 {
+			// a NaN fails every ≤ test and walks right: still one leaf
+			// per tree, so class and confidence stay defined
+			x[probe%5] = math.NaN()
+		}
 		pred, conf := f.PredictConf(x)
 		if want := f.Predict(x); pred != want {
 			t.Fatalf("probe %d: PredictConf class %d, Predict %d", probe, pred, want)
@@ -105,5 +112,81 @@ func TestPredictConfMatchesPredict(t *testing.T) {
 		if want := f.Proba(x)[pred]; conf != want {
 			t.Fatalf("probe %d: confidence %v != winning proba %v", probe, conf, want)
 		}
+	}
+}
+
+// TestLoadForestRejectsMalformed: a model file is outside input, so
+// every shape that would panic at load (missing child), panic on a
+// shard at the first prediction (feature index out of range), or
+// silently mispredict (misaligned leaf slab) is an error from
+// LoadForest — never a panic, never a forest.
+func TestLoadForestRejectsMalformed(t *testing.T) {
+	leaf := func(dist ...float64) *nodeDTO { return &nodeDTO{Leaf: true, Dist: dist} }
+	split := func(f int, l, r *nodeDTO) *nodeDTO { return &nodeDTO{Feature: f, Threshold: 1, Left: l, Right: r} }
+	deep := leaf(1, 0)
+	for i := 0; i <= maxTreeDepth; i++ {
+		deep = split(0, deep, leaf(0, 1))
+	}
+	good := forestDTO{
+		Features: []string{"a", "b"},
+		Classes:  []string{"x", "y"},
+		Trees:    []*nodeDTO{split(1, leaf(1, 0), leaf(0, 1))},
+	}
+	base := qualitymon.CaptureBaseline(good.Features, [][]float64{{1, 2}, {3, 4}}, []int{0, 1}, good.Classes, 4)
+	base.Calibration = *qualitymon.NewCalibrationCurve(0)
+	cases := []struct {
+		name   string
+		mutate func(*forestDTO)
+		want   string
+	}{
+		{"valid", func(*forestDTO) {}, ""},
+		{"valid with baseline", func(d *forestDTO) { d.Baseline = base }, ""},
+		{"no trees", func(d *forestDTO) { d.Trees = nil }, "no trees"},
+		{"no classes", func(d *forestDTO) { d.Classes = nil; d.Trees = []*nodeDTO{leaf()} }, "no classes"},
+		{"missing left child", func(d *forestDTO) { d.Trees = []*nodeDTO{split(0, nil, leaf(0, 1))} }, "missing node"},
+		{"missing right child", func(d *forestDTO) { d.Trees = []*nodeDTO{split(0, leaf(1, 0), nil)} }, "missing node"},
+		{"feature past schema", func(d *forestDTO) { d.Trees = []*nodeDTO{split(2, leaf(1, 0), leaf(0, 1))} }, "feature 2 of 2"},
+		{"negative feature on split", func(d *forestDTO) { d.Trees = []*nodeDTO{split(-1, leaf(1, 0), leaf(0, 1))} }, "feature -1"},
+		{"short leaf", func(d *forestDTO) { d.Trees = []*nodeDTO{split(0, leaf(1), leaf(0, 1))} }, "1 class weights"},
+		{"long leaf", func(d *forestDTO) { d.Trees = []*nodeDTO{leaf(1, 0, 0)} }, "3 class weights"},
+		{"NaN leaf", func(d *forestDTO) { d.Trees = []*nodeDTO{leaf(math.NaN(), 0)} }, "non-finite"},
+		{"Inf leaf", func(d *forestDTO) { d.Trees = []*nodeDTO{leaf(0, math.Inf(1))} }, "non-finite"},
+		{"too deep", func(d *forestDTO) { d.Trees = []*nodeDTO{deep} }, "deeper than"},
+		{"baseline of another schema", func(d *forestDTO) {
+			b := *base
+			b.Edges = b.Edges[:1]
+			d.Baseline = &b
+		}, "baseline"},
+		{"baseline with ragged edges", func(d *forestDTO) {
+			b := *base
+			b.Edges = [][]float64{b.Edges[0], b.Edges[1][:1]}
+			d.Baseline = &b
+		}, "baseline"},
+		{"baseline priors of another schema", func(d *forestDTO) {
+			b := *base
+			b.Priors = []float64{1}
+			d.Baseline = &b
+		}, "baseline"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dto := good
+			tc.mutate(&dto)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&dto); err != nil {
+				t.Fatal(err)
+			}
+			f, err := LoadForest(&buf)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid forest refused: %v", err)
+				}
+				f.Predict([]float64{0, 0})
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

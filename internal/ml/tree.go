@@ -21,6 +21,12 @@ type TreeConfig struct {
 	MaxThresholds int
 }
 
+// maxTreeDepth bounds every tree the package builds or loads: induction
+// stops splitting there (the paper's corpora grow trees of depth ≈ 25)
+// and LoadForest refuses anything deeper, so the recursive walks over a
+// pointer tree — compile, toDTO — run on a bounded stack.
+const maxTreeDepth = 512
+
 // Tree is a trained CART classification tree.
 type Tree struct {
 	root       *node
@@ -95,7 +101,7 @@ func build(ds *Dataset, idx []int, cfg TreeConfig, r *stats.Rand, depth int, sc 
 		counts[ds.Y[i]]++
 	}
 	if len(idx) < 2*cfg.MinLeaf ||
-		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) ||
+		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) || depth >= maxTreeDepth ||
 		pure(counts) {
 		return leafNode(counts, len(idx))
 	}
@@ -228,52 +234,8 @@ func (t *Tree) Predict(x []float64) int {
 // instance falls into. The returned slice aliases the tree's leaf slab
 // and must not be mutated.
 func (t *Tree) Proba(x []float64) []float64 {
-	if t.flat == nil {
-		return t.probaPointer(x)
-	}
 	off := t.flat.leafOff(x)
 	return t.flat.dists[off : off+int32(t.numClasses)]
-}
-
-// probaPointer is the original pointer-chasing walk, kept as the
-// reference implementation the flat layout is property-tested against.
-func (t *Tree) probaPointer(x []float64) []float64 {
-	n := t.root
-	for !n.leaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.dist
-}
-
-// Depth returns the height of the tree (a single leaf has depth 0).
-func (t *Tree) Depth() int { return depth(t.root) }
-
-func depth(n *node) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depth(n.left), depth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// NumLeaves counts the leaves of the tree.
-func (t *Tree) NumLeaves() int { return leaves(t.root) }
-
-func leaves(n *node) int {
-	if n == nil {
-		return 0
-	}
-	if n.leaf {
-		return 1
-	}
-	return leaves(n.left) + leaves(n.right)
 }
 
 func argmax(xs []float64) int {

@@ -52,22 +52,35 @@ func TestTreeGeneralizes(t *testing.T) {
 	}
 }
 
+// depth is the height of a subtree (a single leaf has depth 0).
+func depth(n *node) int {
+	if n.leaf {
+		return 0
+	}
+	return 1 + max(depth(n.left), depth(n.right))
+}
+
+func leaves(n *node) int {
+	_, l := countTree(n)
+	return l
+}
+
 func TestTreePureNodeIsLeaf(t *testing.T) {
 	ds := NewDataset([]string{"x"}, []string{"only"})
 	for i := 0; i < 10; i++ {
 		ds.Add([]float64{float64(i)}, 0)
 	}
 	tree := TrainTree(ds, TreeConfig{}, stats.NewRand(1))
-	if tree.Depth() != 0 || tree.NumLeaves() != 1 {
+	if depth(tree.root) != 0 || leaves(tree.root) != 1 {
 		t.Errorf("pure data should yield a single leaf; depth=%d leaves=%d",
-			tree.Depth(), tree.NumLeaves())
+			depth(tree.root), leaves(tree.root))
 	}
 }
 
 func TestTreeMaxDepthRespected(t *testing.T) {
 	ds := linearlySeparable(500, 3)
 	tree := TrainTree(ds, TreeConfig{MaxDepth: 2, MinLeaf: 1}, stats.NewRand(1))
-	if d := tree.Depth(); d > 2 {
+	if d := depth(tree.root); d > 2 {
 		t.Errorf("depth %d exceeds max 2", d)
 	}
 }
@@ -78,8 +91,8 @@ func TestTreeConstantFeaturesYieldLeaf(t *testing.T) {
 		ds.Add([]float64{42}, i%2)
 	}
 	tree := TrainTree(ds, TreeConfig{}, stats.NewRand(1))
-	if tree.NumLeaves() != 1 {
-		t.Errorf("constant features can't split; leaves=%d", tree.NumLeaves())
+	if leaves(tree.root) != 1 {
+		t.Errorf("constant features can't split; leaves=%d", leaves(tree.root))
 	}
 	// majority vote on a tie must still return a valid class
 	if c := tree.Predict([]float64{42}); c != 0 && c != 1 {
@@ -134,7 +147,7 @@ func TestTreeMinLeafRespected(t *testing.T) {
 	ds := linearlySeparable(100, 13)
 	tree := TrainTree(ds, TreeConfig{MinLeaf: 50}, stats.NewRand(1))
 	// with MinLeaf 50 of 100 instances, at most one split is possible
-	if tree.Depth() > 1 {
-		t.Errorf("depth %d with MinLeaf=50", tree.Depth())
+	if depth(tree.root) > 1 {
+		t.Errorf("depth %d with MinLeaf=50", depth(tree.root))
 	}
 }

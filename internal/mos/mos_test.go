@@ -112,7 +112,10 @@ func TestFromTraceHealthyVsStarved(t *testing.T) {
 	v := cat.Videos[0]
 	v.Duration = 120
 
-	good := player.Run(v, player.FastNetwork(), player.DefaultConfig(player.Adaptive), stats.NewRand(2))
+	fast := &netsim.Scripted{Steps: []netsim.ScriptStep{
+		{Cond: netsim.Conditions{BandwidthBps: 20e6, RTT: 0.05}},
+	}}
+	good := player.Run(v, fast, player.DefaultConfig(player.Adaptive), stats.NewRand(2))
 	slow := &netsim.Scripted{Steps: []netsim.ScriptStep{
 		{Cond: netsim.Conditions{BandwidthBps: 150e3, RTT: 0.2, LossProb: 0.01}},
 	}}

@@ -37,7 +37,7 @@ func TestPathDeterministicForSeed(t *testing.T) {
 func TestPathPiecewiseConstant(t *testing.T) {
 	p := NewPath(StaticProfile(), stats.NewRand(1))
 	c := p.At(0)
-	b := p.SegmentBoundary(0)
+	b := p.segs[0].until
 	// everywhere inside the first segment conditions are identical
 	for _, tt := range []float64{0, b / 3, b / 2, b * 0.99} {
 		if p.At(tt) != c {
@@ -103,8 +103,9 @@ func TestStaticBetterThanCommuter(t *testing.T) {
 func TestStateAtCoversTimeline(t *testing.T) {
 	p := NewPath(CommuterProfile(), stats.NewRand(4))
 	seen := map[State]bool{}
-	for tt := 0.0; tt < 5000; tt += 5 {
-		seen[p.StateAt(tt)] = true
+	p.At(5000) // extend the timeline
+	for _, seg := range p.segs {
+		seen[seg.state] = true
 	}
 	if len(seen) < 3 {
 		t.Errorf("commuter path visited only %d states in 5000s", len(seen))

@@ -253,29 +253,6 @@ func (p *Path) At(t float64) Conditions {
 	return p.segs[0].cond
 }
 
-// StateAt reports the channel state at time t, for tests and tools.
-func (p *Path) StateAt(t float64) State {
-	p.At(t) // ensure timeline coverage
-	for i := len(p.segs) - 1; i >= 0; i-- {
-		if i == 0 || p.segs[i-1].until <= t {
-			return p.segs[i].state
-		}
-	}
-	return p.segs[0].state
-}
-
-// SegmentBoundary returns the end time of the segment containing t,
-// letting the transfer loop step exactly to condition changes.
-func (p *Path) SegmentBoundary(t float64) float64 {
-	p.At(t)
-	for i := len(p.segs) - 1; i >= 0; i-- {
-		if i == 0 || p.segs[i-1].until <= t {
-			return p.segs[i].until
-		}
-	}
-	return p.segs[0].until
-}
-
 // Scripted is a deterministic Network built from explicit steps, used
 // by the controlled experiments behind Figures 1 and 3.
 type Scripted struct {

@@ -37,37 +37,12 @@ func (c *Counters) Inc(i int) {
 	c.v[i].Add(1)
 }
 
-// Add adds d to cell i.
-func (c *Counters) Add(i int, d int64) {
-	if c == nil {
-		return
-	}
-	c.v[i].Add(d)
-}
-
 // Get atomically reads cell i.
 func (c *Counters) Get(i int) int64 {
 	if c == nil {
 		return 0
 	}
 	return c.v[i].Load()
-}
-
-// Snapshot copies the current cell values into dst (grown when too
-// small) and returns it. A nil receiver yields a zeroed slice of the
-// requested length 0.
-func (c *Counters) Snapshot(dst []int64) []int64 {
-	if c == nil {
-		return dst[:0]
-	}
-	if cap(dst) < len(c.v) {
-		dst = make([]int64, len(c.v))
-	}
-	dst = dst[:len(c.v)]
-	for i := range c.v {
-		dst[i] = c.v[i].Load()
-	}
-	return dst
 }
 
 // AddInto accumulates the current cell values into dst, which must be

@@ -13,11 +13,11 @@ const (
 	// StageSessionize is the incremental §5.2 flow-table update (one
 	// observation per ingested entry batch).
 	StageSessionize Stage = iota
-	// StageFeaturize is feature extraction for closed sessions: one
-	// observation per session for assembling its chunk-time-ordered
-	// observation (features.FromChunks), and one per closed-session
-	// batch for the summary-statistic extraction that fills both
-	// models' projected vectors.
+	// StageFeaturize is feature extraction for closed sessions, one
+	// observation per closed-session batch (as StageForest and
+	// StageCUSUM): assembling each session's chunk-time-ordered
+	// observation (features.FromChunks) and the summary-statistic
+	// extraction that fills both models' projected vectors.
 	StageFeaturize
 	// StageForest is the two batched random-forest passes (stall +
 	// representation models) over those vectors — tree walks and vote

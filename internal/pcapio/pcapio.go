@@ -12,10 +12,13 @@
 package pcapio
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"strings"
 	"time"
 
 	"vqoe/internal/packet"
@@ -174,7 +177,51 @@ type Reader struct {
 	set  bool
 	// hosts resolves server endpoints back to names; optional.
 	hosts map[string]string
+	// file is the capture Open opened, nil for a NewReader stream.
+	file *os.File
 }
+
+// Open opens the capture file at path with server names restored from
+// a hosts file ("ip host" per line): hostsPath, or when that is empty
+// the companion <path>.hosts that qoepcap -export writes. A capture
+// whose hosts file cannot be read still opens — Hosts then reports 0
+// and no media host will be recognised. Close releases the file.
+func Open(path, hostsPath string) (*Reader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	pr, err := NewReader(bufio.NewReader(f))
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	pr.file = f
+	if hostsPath == "" {
+		hostsPath = path + ".hosts"
+	}
+	if hf, err := os.Open(hostsPath); err == nil {
+		defer hf.Close()
+		sc := bufio.NewScanner(hf)
+		for sc.Scan() {
+			if parts := strings.Fields(sc.Text()); len(parts) == 2 {
+				pr.ResolveHost(parts[0], parts[1])
+			}
+		}
+	}
+	return pr, nil
+}
+
+// Close releases the file behind a reader Open returned.
+func (pr *Reader) Close() error {
+	if pr.file == nil {
+		return nil
+	}
+	return pr.file.Close()
+}
+
+// Hosts is the number of server names the reader can restore.
+func (pr *Reader) Hosts() int { return len(pr.hosts) }
 
 // NewReader validates the global header.
 func NewReader(r io.Reader) (*Reader, error) {

@@ -23,6 +23,9 @@ func constantNet(bps, rtt, loss float64) netsim.Network {
 	}}
 }
 
+// fastNetwork has ample fixed capacity, for problem-free sessions.
+var fastNetwork = constantNet(20e6, 0.05, 0)
+
 func TestModeString(t *testing.T) {
 	if Progressive.String() != "progressive" || Adaptive.String() != "adaptive" {
 		t.Error("mode names wrong")
@@ -31,7 +34,7 @@ func TestModeString(t *testing.T) {
 
 func TestAdaptiveHealthySession(t *testing.T) {
 	v := testVideo(120, 1)
-	tr := Run(v, FastNetwork(), DefaultConfig(Adaptive), stats.NewRand(2))
+	tr := Run(v, fastNetwork, DefaultConfig(Adaptive), stats.NewRand(2))
 
 	if len(tr.SessionID) != 16 {
 		t.Errorf("session ID %q not 16 chars", tr.SessionID)
@@ -63,7 +66,7 @@ func TestAdaptiveRampsUpQuality(t *testing.T) {
 	v := testVideo(180, 3)
 	cfg := DefaultConfig(Adaptive)
 	cfg.MaxQuality = video.Q1080
-	tr := Run(v, FastNetwork(), cfg, stats.NewRand(4))
+	tr := Run(v, fastNetwork, cfg, stats.NewRand(4))
 
 	// fast start at the middle rung, then upswitches on a fat pipe
 	first := tr.Chunks[0]
@@ -126,7 +129,7 @@ func TestHealthySessionHasNoTinyChunks(t *testing.T) {
 	// problem-free sessions never issue small range requests — the
 	// property that makes "chunk size min" a stall signature (§4.1)
 	v := testVideo(120, 9)
-	tr := Run(v, FastNetwork(), DefaultConfig(Adaptive), stats.NewRand(10))
+	tr := Run(v, fastNetwork, DefaultConfig(Adaptive), stats.NewRand(10))
 	if len(tr.Stalls) != 0 {
 		t.Fatal("expected a stall-free session")
 	}
@@ -173,7 +176,7 @@ func TestPostStallRefillUsesSmallChunks(t *testing.T) {
 
 func TestAdaptiveAudioInterleaved(t *testing.T) {
 	v := testVideo(60, 11)
-	tr := Run(v, FastNetwork(), DefaultConfig(Adaptive), stats.NewRand(12))
+	tr := Run(v, fastNetwork, DefaultConfig(Adaptive), stats.NewRand(12))
 	var audio, vid int
 	for _, c := range tr.Chunks {
 		if c.Audio {
@@ -197,7 +200,7 @@ func TestProgressiveHealthySession(t *testing.T) {
 	v := testVideo(90, 13)
 	cfg := DefaultConfig(Progressive)
 	cfg.MaxQuality = video.Q360
-	tr := Run(v, FastNetwork(), cfg, stats.NewRand(14))
+	tr := Run(v, fastNetwork, cfg, stats.NewRand(14))
 
 	if tr.Mode != Progressive {
 		t.Error("mode not recorded")
@@ -236,7 +239,7 @@ func TestWatchFractionEndsEarly(t *testing.T) {
 	v := testVideo(300, 17)
 	cfg := DefaultConfig(Adaptive)
 	cfg.WatchFraction = 0.3
-	tr := Run(v, FastNetwork(), cfg, stats.NewRand(18))
+	tr := Run(v, fastNetwork, cfg, stats.NewRand(18))
 	if tr.PlayedSeconds > 0.3*v.Duration+video.SegmentSeconds {
 		t.Errorf("played %v, want ≈%v", tr.PlayedSeconds, 0.3*v.Duration)
 	}
@@ -258,7 +261,7 @@ func TestAbandonmentOnEndlessStall(t *testing.T) {
 
 func TestSignalsEmitted(t *testing.T) {
 	v := testVideo(120, 21)
-	tr := Run(v, FastNetwork(), DefaultConfig(Adaptive), stats.NewRand(22))
+	tr := Run(v, fastNetwork, DefaultConfig(Adaptive), stats.NewRand(22))
 	var page, img, report, final int
 	for _, s := range tr.Signals {
 		switch s.Kind {
@@ -366,7 +369,7 @@ func TestChunkTimesMonotone(t *testing.T) {
 func TestInitialDelayDecomposition(t *testing.T) {
 	v := testVideo(120, 29)
 	for _, mode := range []Mode{Adaptive, Progressive} {
-		tr := Run(v, FastNetwork(), DefaultConfig(mode), stats.NewRand(30))
+		tr := Run(v, fastNetwork, DefaultConfig(mode), stats.NewRand(30))
 		if tr.NetworkDelay <= 0 {
 			t.Errorf("%v: network delay %v", mode, tr.NetworkDelay)
 		}

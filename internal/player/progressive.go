@@ -101,15 +101,3 @@ func runProgressive(tr *SessionTrace, net netsim.Network, cfg Config, r *stats.R
 	pb.finish(watched)
 	emitFinalReport(tr, r)
 }
-
-// fastNetwork is a Network with ample fixed capacity, handy for tests
-// and examples that need problem-free sessions.
-type fastNetwork struct{}
-
-// At implements netsim.Network.
-func (fastNetwork) At(float64) netsim.Conditions {
-	return netsim.Conditions{BandwidthBps: 20e6, RTT: 0.05, LossProb: 0}
-}
-
-// FastNetwork returns a constant 20 Mbit/s, 50 ms, lossless network.
-func FastNetwork() netsim.Network { return fastNetwork{} }

@@ -19,6 +19,7 @@
 package qualitymon
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -100,6 +101,34 @@ func CaptureBaseline(names []string, X [][]float64, Y []int, classes []string, b
 		}
 	}
 	return b
+}
+
+// Check reports whether a baseline read from a model file has the
+// shape the monitor indexes by: one equal-length edge list and one
+// bins-long expectation per feature of the model, one prior per class,
+// and a calibration curve whose three columns agree. A nil baseline
+// (a pre-baseline model file) passes.
+func (b *Baseline) Check(numFeatures, numClasses int) error {
+	if b == nil {
+		return nil
+	}
+	if len(b.Features) != numFeatures || len(b.Edges) != numFeatures || len(b.Expected) != numFeatures {
+		return fmt.Errorf("%d names, %d edge lists, %d expectations for %d features",
+			len(b.Features), len(b.Edges), len(b.Expected), numFeatures)
+	}
+	for f := range b.Edges {
+		if len(b.Edges[f])+1 != b.Bins() || len(b.Expected[f]) != b.Bins() {
+			return fmt.Errorf("feature %d has %d edges and %d expectations, want %d bins",
+				f, len(b.Edges[f]), len(b.Expected[f]), b.Bins())
+		}
+	}
+	if len(b.Priors) != numClasses {
+		return fmt.Errorf("%d priors for %d classes", len(b.Priors), numClasses)
+	}
+	if c := b.Calibration; len(c.ConfSum) != len(c.Count) || len(c.Correct) != len(c.Count) {
+		return fmt.Errorf("calibration columns of %d, %d and %d bins", len(c.Count), len(c.ConfSum), len(c.Correct))
+	}
+	return nil
 }
 
 // Bins reports the feature-bin count (edges + 1); DefaultBins when the

@@ -433,14 +433,6 @@ func newModelMonitor(cfg ModelConfig, shards int) *ModelMonitor {
 	return mm
 }
 
-// Name returns the model label.
-func (mm *ModelMonitor) Name() string {
-	if mm == nil {
-		return ""
-	}
-	return mm.name
-}
-
 // Observe records one prediction: x is the projected feature vector
 // (baseline column order), pred the class index, conf the forest's
 // top-vote fraction. Called only by shard's own worker; the counters

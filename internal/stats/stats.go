@@ -7,13 +7,9 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by computations that require at least one sample.
-var ErrEmpty = errors.New("stats: empty sample")
 
 // Summary holds the descriptive statistics of a sample. It is the unit
 // from which session feature vectors are assembled (a "chunk size min",
@@ -114,9 +110,6 @@ func (s Summary) Percentile(p float64) float64 {
 	return s.sorted[lo]*(1-frac) + s.sorted[hi]*frac
 }
 
-// Median is shorthand for the 50th percentile.
-func (s Summary) Median() float64 { return s.Percentile(50) }
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -165,17 +158,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// CumSum returns the cumulative sum of xs: out[i] = Σ xs[0..i].
-func CumSum(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	var run float64
-	for i, x := range xs {
-		run += x
-		out[i] = run
-	}
-	return out
 }
 
 // Diff returns consecutive differences: out[i] = xs[i+1] - xs[i].

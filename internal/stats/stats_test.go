@@ -133,20 +133,6 @@ func TestMeanStdHelpers(t *testing.T) {
 	}
 }
 
-func TestCumSum(t *testing.T) {
-	got := CumSum([]float64{1, 2, 3})
-	want := []float64{1, 3, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CumSum = %v, want %v", got, want)
-		}
-	}
-	if CumSum(nil) == nil {
-		// allowed: zero-length output
-		return
-	}
-}
-
 func TestDiff(t *testing.T) {
 	got := Diff([]float64{1, 4, 9})
 	want := []float64{3, 5}
@@ -163,14 +149,19 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-// Property: CumSum final element equals the sum; Diff inverts CumSum.
+// Property: Diff inverts a running sum.
 func TestCumSumDiffInverseProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := sanitize(raw)
 		if len(xs) < 2 {
 			return true
 		}
-		cs := CumSum(xs)
+		cs := make([]float64, len(xs))
+		run := 0.0
+		for i, x := range xs {
+			run += x
+			cs[i] = run
+		}
 		d := Diff(cs)
 		for i := range d {
 			// relative tolerance: cancellation across large magnitudes

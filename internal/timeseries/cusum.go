@@ -53,11 +53,6 @@ func (c *CUSUM) Update(x float64) float64 {
 // Reset clears the accumulated sums.
 func (c *CUSUM) Reset() { c.hi, c.lo = 0, 0 }
 
-// High and Low expose the one-sided sums (useful for direction-aware
-// diagnostics and tests).
-func (c *CUSUM) High() float64 { return c.hi }
-func (c *CUSUM) Low() float64  { return c.lo }
-
 // Chart runs a two-sided CUSUM over the whole series and returns the
 // per-point chart magnitudes. The target is the series mean and the
 // allowance is half its standard deviation — the self-referencing

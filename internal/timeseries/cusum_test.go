@@ -34,8 +34,8 @@ func TestCUSUMDetectsUpShift(t *testing.T) {
 	if !almost(last, 90, 1e-9) {
 		t.Errorf("magnitude after shift = %v, want 90", last)
 	}
-	if c.High() != last || c.Low() != 0 {
-		t.Errorf("one-sided sums wrong: hi=%v lo=%v", c.High(), c.Low())
+	if c.hi != last || c.lo != 0 {
+		t.Errorf("one-sided sums wrong: hi=%v lo=%v", c.hi, c.lo)
 	}
 }
 
@@ -48,7 +48,7 @@ func TestCUSUMDetectsDownShift(t *testing.T) {
 	if !almost(last, 25, 1e-9) {
 		t.Errorf("magnitude = %v, want 25", last)
 	}
-	if c.Low() != last {
+	if c.lo != last {
 		t.Error("down shift should accumulate in the low sum")
 	}
 }
@@ -57,7 +57,7 @@ func TestCUSUMReset(t *testing.T) {
 	c := NewCUSUM(0, 0)
 	c.Update(10)
 	c.Reset()
-	if c.High() != 0 || c.Low() != 0 {
+	if c.hi != 0 || c.lo != 0 {
 		t.Error("reset did not clear sums")
 	}
 }

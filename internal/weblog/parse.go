@@ -171,20 +171,3 @@ func (g *GroundTruth) AverageQuality() float64 {
 	}
 	return sum / float64(n)
 }
-
-// QualitySwitches counts representation changes across consecutive
-// video chunks.
-func (g *GroundTruth) QualitySwitches() int {
-	var prev video.Quality
-	n := 0
-	for _, c := range g.Chunks {
-		if c.Audio || c.Quality == 0 {
-			continue
-		}
-		if prev != 0 && c.Quality != prev {
-			n++
-		}
-		prev = c.Quality
-	}
-	return n
-}

@@ -208,11 +208,8 @@ func TestGroundTruthQualityMetrics(t *testing.T) {
 	if got := g.AverageQuality(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("avg quality %v, want %v", got, want)
 	}
-	if g.QualitySwitches() != 1 {
-		t.Errorf("switches %d, want 1", g.QualitySwitches())
-	}
 	empty := &GroundTruth{}
-	if empty.AverageQuality() != 0 || empty.QualitySwitches() != 0 {
+	if empty.AverageQuality() != 0 {
 		t.Error("empty ground truth metrics should be 0")
 	}
 }

@@ -52,16 +52,6 @@ func (c *Client) SendEntries(entries []weblog.Entry) error {
 	return nil
 }
 
-// SendLabels appends ground-truth labels to the stream.
-func (c *Client) SendLabels(labels []qualitymon.Label) error {
-	for i := range labels {
-		if err := c.enc.AppendLabel(&labels[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AppendEntry appends one entry (the per-record path for replay
 // loops).
 func (c *Client) AppendEntry(e *weblog.Entry) error { return c.enc.AppendEntry(e) }

@@ -2,8 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,8 +19,9 @@ import (
 )
 
 // capture synthesizes a study, serializes it through pcapio, and
-// returns the raw capture bytes plus the packets it holds.
-func capture(t *testing.T, sessions int) ([]byte, []packet.Packet) {
+// returns the raw capture bytes and the study's "ip host" lines (what
+// qoepcap -export writes beside a capture).
+func capture(t *testing.T, sessions int) ([]byte, string) {
 	t.Helper()
 	cfg := workload.DefaultStudyConfig()
 	cfg.Sessions = sessions
@@ -32,7 +37,15 @@ func capture(t *testing.T, sessions int) ([]byte, []packet.Packet) {
 	if err := w.WriteAll(pkts); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), pkts
+	var hosts strings.Builder
+	seen := map[string]bool{}
+	for _, e := range study.Stream {
+		if !seen[e.ServerIP] {
+			seen[e.ServerIP] = true
+			fmt.Fprintf(&hosts, "%s %s\n", e.ServerIP, e.Host)
+		}
+	}
+	return buf.Bytes(), hosts.String()
 }
 
 func sortEntries(es []weblog.Entry) {
@@ -60,65 +73,87 @@ func sortEntries(es []weblog.Entry) {
 
 // TestReplayMatchesBatchMetering proves the streaming replay path —
 // incremental FlushIdle harvests on the capture clock — synthesizes
-// the same entries as the one-shot MeterEntries over the full trace.
+// the same entries as the one-shot MeterEntries over the full trace,
+// on a capture file opened the way the tools open it, with and without
+// its companion hosts file.
 func TestReplayMatchesBatchMetering(t *testing.T) {
-	raw, _ := capture(t, 12)
-
-	// the reference runs on the packets as read back from the capture,
-	// so both paths see identical timestamps (pcap truncates to
-	// microseconds) and the same name resolution
-	br, err := pcapio.NewReader(bytes.NewReader(raw))
-	if err != nil {
+	raw, hosts := capture(t, 12)
+	path := filepath.Join(t.TempDir(), "c.pcap")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := br.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := packet.MeterEntries(pkts)
-
-	r, err := pcapio.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []weblog.Entry
-	h := Handler{Entries: func(es []weblog.Entry) {
-		got = append(got, es...) // copy semantics: append copies values
-	}}
-	// IdleGapSec beyond the capture span: transactions close only via
-	// the meter's own boundaries (new request, FIN), so streaming must
-	// reproduce batch metering bit for bit. Idle eviction legitimately
-	// forgets per-flow RTT history and is covered separately.
-	st, err := ReplayPcap(r, h, ReplayOptions{IdleGapSec: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Packets != len(pkts) {
-		t.Errorf("replayed %d of %d packets", st.Packets, len(pkts))
-	}
-	if st.Entries != len(want) {
-		t.Errorf("replay emitted %d entries, batch metering %d", st.Entries, len(want))
-	}
-	if st.Batches < 2 {
-		t.Errorf("replay used %d batches — streaming never happened", st.Batches)
-	}
-	if st.SpanSec <= 0 {
-		t.Error("no capture span measured")
-	}
-
-	sortEntries(got)
-	sortEntries(want)
-	if !reflect.DeepEqual(got, want) {
-		n := len(got)
-		if len(want) < n {
-			n = len(want)
-		}
-		for i := 0; i < n; i++ {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("entry %d diverges:\n got %+v\nwant %+v", i, got[i], want[i])
+	for _, withHosts := range []bool{false, true} {
+		if withHosts {
+			if err := os.WriteFile(path+".hosts", []byte(hosts), 0o644); err != nil {
+				t.Fatal(err)
 			}
 		}
-		t.Fatalf("entry streams diverge in length: %d vs %d", len(got), len(want))
+		open := func() *pcapio.Reader {
+			r, err := pcapio.Open(path, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { r.Close() })
+			if (r.Hosts() > 0) != withHosts {
+				t.Fatalf("hosts file present=%v, reader restores %d names", withHosts, r.Hosts())
+			}
+			return r
+		}
+
+		// the reference runs on the packets as read back from the
+		// capture, so both paths see identical timestamps (pcap
+		// truncates to microseconds) and the same name resolution
+		pkts, err := open().ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := packet.MeterEntries(pkts)
+		named := 0
+		for _, e := range want {
+			if e.Host != "" {
+				named++
+			}
+		}
+		if (named > 0) != withHosts {
+			t.Fatalf("hosts file present=%v, %d of %d entries carry a server name", withHosts, named, len(want))
+		}
+
+		var got []weblog.Entry
+		h := Handler{Entries: func(es []weblog.Entry) {
+			got = append(got, es...) // copy semantics: append copies values
+		}}
+		// IdleGapSec beyond the capture span: transactions close only
+		// via the meter's own boundaries (new request, FIN), so
+		// streaming must reproduce batch metering bit for bit. Idle
+		// eviction legitimately forgets per-flow RTT history and is
+		// covered separately.
+		st, err := ReplayPcap(open(), h, ReplayOptions{IdleGapSec: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Packets != len(pkts) {
+			t.Errorf("replayed %d of %d packets", st.Packets, len(pkts))
+		}
+		if st.Entries != len(want) {
+			t.Errorf("replay emitted %d entries, batch metering %d", st.Entries, len(want))
+		}
+		if st.Batches < 2 {
+			t.Errorf("replay used %d batches — streaming never happened", st.Batches)
+		}
+		if st.SpanSec <= 0 {
+			t.Error("no capture span measured")
+		}
+
+		sortEntries(got)
+		sortEntries(want)
+		if !reflect.DeepEqual(got, want) {
+			for i := 0; i < min(len(got), len(want)); i++ {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("hosts=%v entry %d diverges:\n got %+v\nwant %+v", withHosts, i, got[i], want[i])
+				}
+			}
+			t.Fatalf("hosts=%v entry streams diverge in length: %d vs %d", withHosts, len(got), len(want))
+		}
 	}
 }
 

@@ -78,8 +78,10 @@ func testServerRoundTrip(t *testing.T, addr string) {
 	if err := c.SendEntries(wantE); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SendLabels(wantL); err != nil {
-		t.Fatal(err)
+	for i := range wantL {
+		if err := c.AppendLabel(&wantL[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ack, err := c.Sync()
 	if err != nil {

@@ -341,33 +341,3 @@ func (l *Live) Partition(n int) [][]weblog.Entry {
 	l.partCache[n] = out
 	return out
 }
-
-// Feed drives fn from n goroutines, each pushing successive batches of
-// at most batchSize entries from its own partition — the concurrent
-// load-generator mode. fn must be safe for concurrent use (the
-// engine's ingest paths are). Feed returns once every entry has been
-// delivered.
-func (l *Live) Feed(n, batchSize int, fn func([]weblog.Entry)) {
-	if batchSize <= 0 {
-		batchSize = 256
-	}
-	parts := l.Partition(n)
-	var wg sync.WaitGroup
-	for _, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(part []weblog.Entry) {
-			defer wg.Done()
-			for lo := 0; lo < len(part); lo += batchSize {
-				hi := lo + batchSize
-				if hi > len(part) {
-					hi = len(part)
-				}
-				fn(part[lo:hi])
-			}
-		}(part)
-	}
-	wg.Wait()
-}

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"sync"
 	"testing"
 
 	"vqoe/internal/weblog"
@@ -211,22 +210,5 @@ func TestLivePartitionPreservesOrder(t *testing.T) {
 			}
 			where[e.Subscriber] = i
 		}
-	}
-}
-
-func TestLiveFeedDeliversEverything(t *testing.T) {
-	l := smallLive(t)
-	var mu sync.Mutex
-	var got int
-	l.Feed(4, 64, func(batch []weblog.Entry) {
-		if len(batch) == 0 || len(batch) > 64 {
-			t.Errorf("batch size %d", len(batch))
-		}
-		mu.Lock()
-		got += len(batch)
-		mu.Unlock()
-	})
-	if got != len(l.Entries) {
-		t.Errorf("fed %d of %d entries", got, len(l.Entries))
 	}
 }

@@ -71,15 +71,6 @@ func (c *Corpus) StallDistribution() [3]int {
 	return d
 }
 
-// RepDistribution returns the per-class session counts.
-func (c *Corpus) RepDistribution() [3]int {
-	var d [3]int
-	for _, s := range c.Sessions {
-		d[s.Rep]++
-	}
-	return d
-}
-
 // Config parameterizes corpus generation.
 type Config struct {
 	// Sessions is the corpus size.
