@@ -40,9 +40,20 @@ cover:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-# regenerate the paper-vs-measured comparison (about a minute)
+# regenerate the paper-vs-measured comparison (about a minute): only the
+# generated part of EXPERIMENTS.md, which ends at the marker line
+# qoereport prints last. The hand-written sections below the marker are
+# spliced back, and a file without the marker is left alone.
+# `make report REPORT_FLAGS=-quick EXPERIMENTS=/tmp/copy.md` is the fast
+# check of the splice (scripts/smoke.sh runs it).
+EXPERIMENTS ?= EXPERIMENTS.md
+REPORT_FLAGS ?=
+REPORT_END := ^<!-- end of generated report
 report:
-	$(GO) run ./cmd/qoereport > EXPERIMENTS.md
+	@grep -q '$(REPORT_END)' $(EXPERIMENTS) || { echo "$(EXPERIMENTS) has no end-of-report marker: refusing to overwrite it" >&2; exit 1; }
+	$(GO) run ./cmd/qoereport $(REPORT_FLAGS) > $(EXPERIMENTS).tmp || { rm -f $(EXPERIMENTS).tmp; exit 1; }
+	sed '1,/$(REPORT_END)/d' $(EXPERIMENTS) >> $(EXPERIMENTS).tmp
+	mv $(EXPERIMENTS).tmp $(EXPERIMENTS)
 
 report-quick:
 	$(GO) run ./cmd/qoereport -quick

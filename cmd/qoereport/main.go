@@ -1,11 +1,15 @@
 // Command qoereport runs the complete reproduction — every table and
 // figure of the paper — and emits a Markdown report comparing the
-// paper's numbers against the measured ones. EXPERIMENTS.md is
-// generated with this tool.
+// paper's numbers against the measured ones. The first part of
+// EXPERIMENTS.md, down to the marker line this tool prints last, is
+// generated with it; the sections below the marker are written by hand.
+// `make report` replaces only the generated part — do not redirect the
+// output over EXPERIMENTS.md.
 //
 // Usage:
 //
-//	qoereport [-quick] [-n 12000] [-has 3000] [-sessions 722] > EXPERIMENTS.md
+//	qoereport [-quick] [-n 12000] [-has 3000] [-sessions 722]
+//	make report [REPORT_FLAGS=-quick]
 package main
 
 import (
@@ -18,6 +22,11 @@ import (
 	"vqoe/internal/stats"
 	"vqoe/internal/viz"
 )
+
+// endOfReport is the last line of the report. `make report` splices on
+// it (the Makefile matches its first words): what EXPERIMENTS.md holds
+// above it is replaced, what it holds below is kept.
+const endOfReport = "<!-- end of generated report: `make report` rewrites everything above this line and keeps what is below -->"
 
 func main() {
 	var (
@@ -56,8 +65,9 @@ func main() {
 	fmt.Fprintf(out, "DESIGN.md §2); the comparison targets *shape*: class ordering,\n")
 	fmt.Fprintf(out, "confusion structure, cleartext-vs-encrypted degradation, and which\n")
 	fmt.Fprintf(out, "features carry the signal.\n\n")
-	fmt.Fprintf(out, "Regenerate with `go run ./cmd/qoereport > EXPERIMENTS.md` (about a\n")
-	fmt.Fprintf(out, "minute at default scale) or `-quick` for a fast pass.\n\n")
+	fmt.Fprintf(out, "Regenerate with `make report` (about a minute at default scale; it\n")
+	fmt.Fprintf(out, "replaces this file down to the marker line and keeps the hand-written\n")
+	fmt.Fprintf(out, "sections below it) or print a fast pass with `make report-quick`.\n\n")
 
 	// ---- Figures 1-3 ----
 	fmt.Fprintf(out, "## Figure 1 — chunk sizes around stalls\n\n")
@@ -238,7 +248,7 @@ func main() {
 	fmt.Fprintf(out, "| %s | %.3f | %.3f |\n", r.Name, r.Reference, r.Variant)
 	fmt.Fprintln(out)
 
-	fmt.Fprintf(out, "%s\n", `**Ablation notes.** Two substrate-specific divergences are worth naming:
+	fmt.Fprintf(out, "%s\n\n", `**Ablation notes.** Two substrate-specific divergences are worth naming:
 (1) the ML classifier for switch detection *outperforms* CUSUM here,
 whereas the paper found the opposite — plausibly because the synthetic
 ABR's switching patterns are more regular than real YouTube's, which
@@ -254,7 +264,7 @@ what shifts with the substrate.`)
 		fmt.Fprintf(out, "| %.2f | %.1f%% | %.0fp | %.2f |\n",
 			p.Safety, 100*p.StallRate, p.AvgQuality, p.SwitchPerMin)
 	}
-	fmt.Fprintln(out)
+	fmt.Fprintf(out, "\n%s\n", endOfReport)
 
 	if *htmlOut != "" {
 		if err := writeHTMLFigures(*htmlOut, suite); err != nil {

@@ -147,6 +147,13 @@ type AnalyzeScratch struct {
 	sw                 ScoreScratch
 }
 
+// ChunkFields reports which per-chunk fields AnalyzeBatchQuality reads
+// with this framework's two selections — what a flow store feeding it
+// has to keep (the switch detector's are among features.CoreFields).
+func (f *Framework) ChunkFields() features.FieldSet {
+	return features.NewSparse(f.Stall.selIdx, f.Rep.selIdx).Fields()
+}
+
 // AnalyzeBatchInto assesses many sessions at once, with stage timing
 // and caller-owned buffers. The two forests run in tree-major batch
 // mode (each tree traverses the whole batch while its nodes are

@@ -364,6 +364,10 @@ type ShardStats struct {
 	Shard int
 	// Open is the number of sessions currently tracked.
 	Open int
+	// StoreBytes is the memory the shard's flow store holds for its open
+	// sessions' chunks (sessionizer.ColTracker.StoreBytes), read at the
+	// end of the last message like Open.
+	StoreBytes int
 	// Mailbox is the current queue depth, in messages.
 	Mailbox int
 	// Events counts entries processed.
@@ -393,6 +397,7 @@ func (e *Engine) Snapshot() []ShardStats {
 		out[i] = ShardStats{
 			Shard:            i,
 			Open:             int(s.open.Load()),
+			StoreBytes:       int(s.storeBytes.Load()),
 			Mailbox:          len(s.mail),
 			Events:           s.events.Load(),
 			Dropped:          s.dropped.Load(),
@@ -405,12 +410,14 @@ func (e *Engine) Snapshot() []ShardStats {
 }
 
 // ShardSessions is one shard's live flow-table view for the
-// /debug/sessions endpoint: the open sessions plus the shard's
-// event-time high-water mark, against which session ages are read.
+// /debug/sessions endpoint: the open sessions, the shard's event-time
+// high-water mark, against which session ages are read, and the bytes
+// its flow store holds for those sessions' chunks.
 type ShardSessions struct {
-	Shard     int                       `json:"shard"`
-	HighWater float64                   `json:"high_water"`
-	Sessions  []sessionizer.OpenSession `json:"sessions"`
+	Shard      int                       `json:"shard"`
+	HighWater  float64                   `json:"high_water"`
+	StoreBytes int                       `json:"store_bytes"`
+	Sessions   []sessionizer.OpenSession `json:"sessions"`
 }
 
 // OpenSessions snapshots every shard's open sessions. The request

@@ -97,11 +97,12 @@ type shard struct {
 	traceBuf []obs.SpanEvent
 
 	// counters/gauges read by Snapshot
-	open    atomic.Int64
-	events  atomic.Int64
-	dropped atomic.Int64
-	reports atomic.Int64
-	evicted atomic.Int64
+	open       atomic.Int64
+	storeBytes atomic.Int64
+	events     atomic.Int64
+	dropped    atomic.Int64
+	reports    atomic.Int64
+	evicted    atomic.Int64
 
 	// lastWork is the wall-clock time (unix nanos) this worker last
 	// finished a message — the freshness watchdog's liveness tap. It
@@ -112,14 +113,16 @@ type shard struct {
 }
 
 func newShard(id int, fw *core.Framework, cfg Config, sink func(Report), in *interner) *shard {
+	tcfg := sessionizer.Config{IdleGap: cfg.IdleGapSec, PageBoundary: true}
+	if fw != nil {
+		// the flow table stores only what this framework's close path reads
+		tcfg.Fields = fw.ChunkFields()
+	}
 	s := &shard{
-		id:   id,
-		mail: make(chan message, cfg.Mailbox),
-		fw:   fw,
-		tracker: sessionizer.NewColTracker(sessionizer.Config{
-			IdleGap:      cfg.IdleGapSec,
-			PageBoundary: true,
-		}),
+		id:         id,
+		mail:       make(chan message, cfg.Mailbox),
+		fw:         fw,
+		tracker:    sessionizer.NewColTracker(tcfg),
 		sink:       sink,
 		resolve:    in.name,
 		cohortOf:   in.cohortKey,
@@ -181,9 +184,10 @@ func (s *shard) run(wg *sync.WaitGroup) {
 func (s *shard) handle(msg message) {
 	if msg.sessions != nil {
 		msg.sessions <- ShardSessions{
-			Shard:     s.id,
-			HighWater: s.highWater,
-			Sessions:  s.tracker.OpenSnapshot(),
+			Shard:      s.id,
+			HighWater:  s.highWater,
+			StoreBytes: s.tracker.StoreBytes(),
+			Sessions:   s.tracker.OpenSnapshot(),
 		}
 		return
 	}
@@ -242,6 +246,7 @@ func (s *shard) handle(msg message) {
 		}
 	}
 	s.open.Store(int64(s.tracker.Open()))
+	s.storeBytes.Store(int64(s.tracker.StoreBytes()))
 
 	// reports sent to a reply channel escape this goroutine before
 	// the next message is processed, so only the sink path may hand
@@ -317,8 +322,9 @@ func (s *shard) traceClosed(kind obs.EventKind, ts float64, c *sessionizer.ColCl
 // only valid until the next assess call — the sink path consumes it
 // immediately, while reply paths need a fresh slice.
 //
-// Chunk-buffer ownership: each closed session's flow buffer plus the
-// sorted featurization copy are recycled here once the session is
+// Chunk-buffer ownership: each closed session's chunk buffer (filled
+// from the flow's pages at close, arrival order) plus the sorted
+// featurization copy are recycled here once the session is
 // fully consumed — flight retention compacts synchronously inside
 // Retain, so nothing references either buffer after the report loop.
 func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
@@ -398,7 +404,7 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 		s.traceClosed(obs.EvAssess, c.End, c)
 	}
 	// batch fully consumed: recycle both the featurization copies and
-	// the flow buffers
+	// the closed sessions' buffers
 	for i := range sobs {
 		s.tracker.Recycle(sobs[i].Chunks)
 	}

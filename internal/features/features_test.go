@@ -566,3 +566,85 @@ func TestSwitchSeriesIntoReuseMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestFieldSetFromSelection: the field set a Sparse derives while it
+// builds its plan is what its metrics read and no more — by name for
+// the shapes the flow store's sizing rests on, and as a property: a
+// session whose other fields are wiped evaluates to the same vectors.
+func TestFieldSetFromSelection(t *testing.T) {
+	stallNames, repNames := StallFeatureNames(), RepFeatureNames()
+	col := func(names []string, want string) int {
+		t.Helper()
+		i := slices.Index(names, want)
+		if i < 0 {
+			t.Fatalf("no feature %q", want)
+		}
+		return i
+	}
+	all := func(n int) []int {
+		cols := make([]int, n)
+		for i := range cols {
+			cols[i] = i
+		}
+		return cols
+	}
+	for _, tc := range []struct {
+		what       string
+		stall, rep []int
+		want       FieldSet
+	}{
+		{"nothing selected", nil, nil, CoreFields},
+		{"absent columns add nothing", []int{-1, -1}, []int{-1, len(repNames)}, CoreFields},
+		{"Δsize and BIF avg", []int{col(stallNames, "BIF avg min")}, []int{col(repNames, "chunk Δsize 85%")},
+			FieldTime | FieldSizeKB | FieldDurationSec | FieldBIFAvg},
+		{"throughput series read size and duration", nil,
+			[]int{col(repNames, "throughput 50%"), col(repNames, "cusum throughput max")}, CoreFields},
+		{"the benchmark models' series", []int{col(stallNames, "chunk time max"), col(stallNames, "RTT maximum 75%")},
+			[]int{col(repNames, "chunk size mean"), col(repNames, "packet loss std"), col(repNames, "BIF avg 25%")},
+			CoreFields | FieldRTTMax | FieldBIFAvg | FieldLossPct},
+		{"one model is enough", []int{col(stallNames, "packet retransmissions mean")}, []int{col(repNames, "RTT minimum 5%")},
+			CoreFields | FieldRetransPct | FieldRTTMin},
+		{"dense stall schema", all(len(stallNames)), nil, AllFields},
+		{"dense rep schema", nil, all(len(repNames)), AllFields},
+	} {
+		if got := NewSparse(tc.stall, tc.rep).Fields(); got != tc.want {
+			t.Errorf("%s: fields %#b, want %#b", tc.what, got, tc.want)
+		}
+	}
+	if got := NewStallSparse([]int{col(stallNames, "BDP max")}).Fields(); got != CoreFields|FieldBDP {
+		t.Errorf("one-model evaluator: fields %#b", got)
+	}
+
+	r := stats.NewRand(17)
+	var sc SeriesScratch
+	for trial := 0; trial < 300; trial++ {
+		obs := randomObs(r, r.Intn(40), trial%2 == 0, true)
+		stallCols := randomCols(r, r.Intn(5), len(stallNames), len(stallStats))
+		repCols := randomCols(r, r.Intn(5), len(repNames), len(repStats))
+		sp := NewSparse(stallCols, repCols)
+		wiped := SessionObs{Chunks: slices.Clone(obs.Chunks)}
+		for i := range wiped.Chunks {
+			c, keep := &wiped.Chunks[i], sp.Fields()
+			for b, f := range []*float64{&c.Time, &c.SizeKB, &c.DurationSec, &c.RTTMin, &c.RTTAvg, &c.RTTMax,
+				&c.BDP, &c.BIFAvg, &c.BIFMax, &c.LossPct, &c.RetransPct} {
+				if keep&(1<<b) == 0 {
+					*f = 0
+				}
+			}
+		}
+		stall, rep := make([]float64, len(stallCols)), make([]float64, len(repCols))
+		stallW, repW := make([]float64, len(stallCols)), make([]float64, len(repCols))
+		sp.EvalBoth(obs, stall, rep, &sc)
+		sp.EvalBoth(wiped, stallW, repW, &sc)
+		for i := range stall {
+			if math.Float64bits(stall[i]) != math.Float64bits(stallW[i]) {
+				t.Fatalf("trial %d: stall slot %d reads a field outside %#b", trial, i, sp.Fields())
+			}
+		}
+		for i := range rep {
+			if math.Float64bits(rep[i]) != math.Float64bits(repW[i]) {
+				t.Fatalf("trial %d: rep slot %d reads a field outside %#b", trial, i, sp.Fields())
+			}
+		}
+	}
+}

@@ -32,6 +32,17 @@ const (
 	mCusumThroughput
 )
 
+// fields is what seriesInto reads off a chunk for the metric beyond
+// CoreFields: the eight transport metrics lead both the metricID list
+// and, after the three core fields, ChunkObs, in the same order; size,
+// time and the constructed series read core fields only.
+func (m metricID) fields() FieldSet {
+	if m <= mRetrans {
+		return FieldRTTMin << m
+	}
+	return 0
+}
+
 // A metric is one named per-chunk series. series is the dense
 // builders' allocating extraction — the reference; the sparse
 // evaluator extracts the same values through seriesInto.
@@ -291,7 +302,13 @@ func buildVector(obs SessionObs, ms []metric, ss []stat) []float64 {
 type Sparse struct {
 	groups []sparseGroup
 	zeros  []sparseSlot // slots whose column is absent (-1)
+	fields FieldSet     // what the groups' metrics read, CoreFields included
 }
+
+// Fields reports which ChunkObs fields evaluation reads — every
+// selected metric's, plus CoreFields. A session whose other fields were
+// never stored evaluates to the same vectors.
+func (sp *Sparse) Fields() FieldSet { return sp.fields }
 
 // sparseSlot addresses position i of output vector out: an evaluator
 // built for both models has two outputs (stall, representation), a
@@ -345,7 +362,7 @@ type sparseOut struct {
 }
 
 func newSparse(outs ...sparseOut) *Sparse {
-	sp := &Sparse{}
+	sp := &Sparse{fields: CoreFields}
 	byMetric := make(map[metricID]int)
 	for o, out := range outs {
 		for i, j := range out.cols {
@@ -360,6 +377,7 @@ func newSparse(outs ...sparseOut) *Sparse {
 				gi = len(sp.groups)
 				byMetric[m] = gi
 				sp.groups = append(sp.groups, sparseGroup{metric: m})
+				sp.fields |= m.fields()
 			}
 			g := &sp.groups[gi]
 			g.emits = append(g.emits, sparseEmit{st, slot})

@@ -30,6 +30,32 @@ type ChunkObs struct {
 	LossPct, RetransPct    float64
 }
 
+// FieldSet is a set of ChunkObs fields, one bit per field in
+// declaration order. A flow store told which fields anything downstream
+// reads (sessionizer.Config.Fields) buffers only those per open chunk;
+// the others read zero in the sessions it closes.
+type FieldSet uint16
+
+const (
+	FieldTime FieldSet = 1 << iota
+	FieldSizeKB
+	FieldDurationSec
+	FieldRTTMin
+	FieldRTTAvg
+	FieldRTTMax
+	FieldBDP
+	FieldBIFAvg
+	FieldBIFMax
+	FieldLossPct
+	FieldRetransPct
+
+	// CoreFields are read whatever the models selected: the switch
+	// detector's Δsize×Δt series, the flight timeline, throughput.
+	CoreFields = FieldTime | FieldSizeKB | FieldDurationSec
+	// AllFields is the dense layout.
+	AllFields = FieldRetransPct<<1 - 1
+)
+
 // ThroughputKBps returns the chunk goodput in KB/s.
 func (c ChunkObs) ThroughputKBps() float64 {
 	if c.DurationSec <= 0 {

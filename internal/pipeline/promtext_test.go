@@ -548,8 +548,28 @@ func TestDebugSessionsEndpoint(t *testing.T) {
 	if resp.Open == 0 {
 		t.Fatal("no open sessions reported mid-stream")
 	}
+	// the flow store's bytes read the same from the debug view, the
+	// engine snapshot and /metrics (Ingest returned, so the shards are idle)
+	stats := srv.Engine().Snapshot()
+	var expo bytes.Buffer
+	if _, err := srv.Metrics().WriteTo(&expo); err != nil {
+		t.Fatal(err)
+	}
 	total := 0
-	for _, sh := range resp.Shards {
+	for i, sh := range resp.Shards {
+		chunks := 0
+		for _, sess := range sh.Sessions {
+			chunks += sess.Chunks
+		}
+		if (sh.StoreBytes > 0) != (chunks > 0) || chunks == 0 {
+			t.Errorf("shard %d: %d store bytes for %d buffered chunks", i, sh.StoreBytes, chunks)
+		}
+		if sh.StoreBytes != stats[i].StoreBytes {
+			t.Errorf("shard %d: store_bytes %d in /debug/sessions, %d in the snapshot", i, sh.StoreBytes, stats[i].StoreBytes)
+		}
+		if want := fmt.Sprintf("vqoe_engine_shard_flow_store_bytes{shard=\"%d\"} %d\n", i, sh.StoreBytes); !strings.Contains(expo.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
 		total += len(sh.Sessions)
 		for _, sess := range sh.Sessions {
 			if sess.Subscriber == "" {

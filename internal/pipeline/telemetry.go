@@ -42,6 +42,8 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 		}{
 			{"vqoe_engine_shard_open_sessions", "Sessions tracked per shard.", "gauge",
 				func(s engine.ShardStats) int64 { return int64(s.Open) }},
+			{"vqoe_engine_shard_flow_store_bytes", "Memory the shard's flow store holds for open sessions' chunks.", "gauge",
+				func(s engine.ShardStats) int64 { return int64(s.StoreBytes) }},
 			{"vqoe_engine_shard_mailbox_depth", "Queued messages per shard mailbox.", "gauge",
 				func(s engine.ShardStats) int64 { return int64(s.Mailbox) }},
 			{"vqoe_engine_shard_entries_total", "Entries processed per shard.", "counter",

@@ -91,6 +91,10 @@ func TestTelemetrySurfacePinned(t *testing.T) {
 	} else if ack.Labels == 0 {
 		t.Fatal("fixture carries no labels")
 	}
+	// the ack reaches the client before the listener counts it
+	for deadline := time.Now().Add(5 * time.Second); ws.Snapshot().Acks < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	srv.SLO().Tick(fixed)
 
 	h := srv.Handler()

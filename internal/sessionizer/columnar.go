@@ -46,9 +46,11 @@ type SubRef struct {
 
 // ColClosed is one finished session emitted by the columnar tracker:
 // the session identity as interned IDs plus the media chunk
-// observations in arrival order. Chunks aliases a pooled buffer —
-// consumers hand it back via ColTracker.Recycle once the session has
-// been assessed and compacted.
+// observations in arrival order. Chunks is a pooled buffer the tracker
+// filled from the flow's pages at close: fields outside the tracker's
+// Config.Fields read exactly zero. The consumer owns it until it hands
+// it back via ColTracker.Recycle, once the session has been assessed
+// and compacted; a session without media chunks has none.
 type ColClosed struct {
 	Sub        uint32
 	Cohort     uint32 // first non-zero cohort ID seen, 0 when none
@@ -57,17 +59,18 @@ type ColClosed struct {
 	Chunks     []features.ChunkObs
 }
 
-// colFlow is one open session: fixed-width header plus the growing
-// chunk column. The struct is pointer-free except the chunk slice,
-// whose backing arrays are themselves pointer-free — a full flow table
-// contributes almost nothing to a GC scan.
+// colFlow is one open session: a fixed-width header and its chunk
+// rows as a chain of arena pages, head to tail, named by page index.
+// The struct holds no pointer (TestColFlowIsPointerFree), so the flow
+// array is never scanned by the collector.
 type colFlow struct {
 	sub        uint32
 	cohort     uint32
 	slot       uint32 // back-pointer into slots for swap-delete fixup
 	entries    int32
 	start, end float64
-	chunks     []features.ChunkObs
+	head, tail uint32 // first and last page; meaningful while chunks > 0
+	chunks     uint32
 }
 
 // colSlot is one open-addressing table slot; ref is the flow index + 1
@@ -82,10 +85,13 @@ type colSlot struct {
 // per decision is impossible. Sessions are keyed by interned subscriber
 // IDs, looked up through an open-addressing probe (integer
 // multiply-shift hash, linear probing, backward-shift deletion), and
-// buffer only the per-chunk observations featurization reads instead of
-// whole weblog entries. The splitting rule is Group's: the tests in
-// this package prove a trace pushed through a ColTracker yields, per
-// subscriber, exactly the sessions Group reconstructs from it.
+// buffer, per media chunk, only the Config.Fields of the observation
+// featurization reads — in fixed pages of a pointer-free arena (see
+// pageArena), so an open flow costs its chunks rounded up to a page and
+// growing one neither allocates nor copies. The splitting rule is
+// Group's: the tests in this package prove a trace pushed through a
+// ColTracker yields, per subscriber, exactly the sessions Group
+// reconstructs from it.
 //
 // ColTracker is not safe for concurrent use; the engine gives each
 // shard its own instance.
@@ -95,7 +101,13 @@ type ColTracker struct {
 	mask  uint32
 	shift uint32
 	flows []colFlow
-	free  [chunkClasses][][]features.ChunkObs
+	arena pageArena
+	// net lists the live transport fields (0 = RTTMin … 7 = RetransPct)
+	// in row order; a row is time, size, duration, then these.
+	net []uint8
+	// free pools the transient buffers of the close path by capacity
+	// class: a closed session's Chunks and its featurization copy.
+	free [chunkClasses][][]features.ChunkObs
 
 	// Resolve maps an interned subscriber ID back to its string — used
 	// only off the hot path: ordering ties in Advance/Flush, the
@@ -108,19 +120,21 @@ type ColTracker struct {
 	OnOpen func(sub uint32, start float64)
 }
 
-// maxFreeChunkBufs bounds each size class of the recycled chunk-buffer
-// pool; beyond it, returned buffers are dropped for the collector.
-const maxFreeChunkBufs = 1 << 11
-
 // minChunkCap is the smallest capacity a pooled chunk buffer is
 // allocated with; chunkClasses power-of-two size classes start there
-// (64 … 2048). Bucketing by capacity means a take never misses on a
-// too-small top-of-stack buffer: any buffer in class k or above fits a
-// request that rounds to class k.
+// (8 … 2048), so a buffer taken at a closed session's final length is
+// at most twice its size. Bucketing by capacity means a take never
+// misses on a too-small top-of-stack buffer: any buffer in class k or
+// above fits a request that rounds to class k.
 const (
-	minChunkCap  = 64
-	chunkClasses = 6
+	minChunkCap  = 8
+	chunkClasses = 9
 )
+
+// maxFreeChunks bounds each size class of the recycled chunk-buffer
+// pool, in chunks of capacity (1,024 buffers of 8, four of 2,048);
+// beyond it, returned buffers are dropped for the collector.
+const maxFreeChunks = 1 << 13
 
 // NewColTracker returns an empty columnar flow table with the given
 // splitting parameters.
@@ -128,13 +142,23 @@ func NewColTracker(cfg Config) *ColTracker {
 	if cfg.IdleGap <= 0 {
 		cfg.IdleGap = 30
 	}
+	if cfg.Fields == 0 {
+		cfg.Fields = features.AllFields
+	}
 	const initSlots = 256
-	return &ColTracker{
+	t := &ColTracker{
 		cfg:   cfg,
 		slots: make([]colSlot, initSlots),
 		mask:  initSlots - 1,
 		shift: 32 - uint32(bits.TrailingZeros32(initSlots)),
 	}
+	for i := uint8(0); i < 8; i++ {
+		if cfg.Fields&(features.FieldRTTMin<<i) != 0 {
+			t.net = append(t.net, i)
+		}
+	}
+	t.arena.k = 3 + len(t.net)
+	return t
 }
 
 // Open reports how many sessions are currently being tracked.
@@ -201,7 +225,6 @@ func (t *ColTracker) remove(fi int) {
 		t.flows[fi] = t.flows[last]
 		t.slots[t.flows[fi].slot].ref = uint32(fi) + 1
 	}
-	t.flows[last] = colFlow{} // clear the moved-from chunk slice header
 	t.flows = t.flows[:last]
 }
 
@@ -227,11 +250,14 @@ func (t *ColTracker) delSlot(i uint32) {
 	t.slots[i] = colSlot{}
 }
 
-// takeChunks pops a recycled chunk buffer with capacity at least min,
+// TakeChunks pops a recycled chunk buffer with capacity at least min,
 // searching the smallest size class that fits and walking up; only
 // when every fitting class is empty does it allocate (at the class
-// capacity, so the new buffer re-buckets exactly on Recycle).
-func (t *ColTracker) takeChunks(min int) []features.ChunkObs {
+// capacity, so the new buffer re-buckets exactly on Recycle). The
+// tracker takes a closed session's Chunks here; callers that need
+// scratch chunk storage with the same recycling discipline (the
+// engine's featurization copies) do too.
+func (t *ColTracker) TakeChunks(min int) []features.ChunkObs {
 	k := 0
 	for minChunkCap<<k < min {
 		k++
@@ -264,21 +290,19 @@ func (t *ColTracker) Recycle(chunks []features.ChunkObs) {
 	for k+1 < chunkClasses && minChunkCap<<(k+1) <= cp {
 		k++
 	}
-	if len(t.free[k]) >= maxFreeChunkBufs {
+	if len(t.free[k]) >= maxFreeChunks/(minChunkCap<<k) {
 		return
 	}
 	t.free[k] = append(t.free[k], chunks[:0])
 }
 
-// TakeChunks hands out a pooled buffer with capacity at least min for
-// callers that need scratch chunk storage with the same recycling
-// discipline (the engine's featurization copies).
-func (t *ColTracker) TakeChunks(min int) []features.ChunkObs { return t.takeChunks(min) }
-
 // Push feeds one pre-digested entry. Records for non-service hosts are
 // ignored; records must arrive in non-decreasing timestamp order per
-// subscriber. If the record closes the subscriber's previous session
-// (page-load or idle-gap boundary), that session is returned.
+// subscriber. A media record's chunk observation goes into the tail
+// row of the flow's last page — only the live fields are written; the
+// rest of the record is dropped here. If the record closes the
+// subscriber's previous session (page-load or idle-gap boundary), that
+// session is returned.
 func (t *ColTracker) Push(r *Rec) (ColClosed, bool) {
 	if r.Kind == weblog.HostOther {
 		return ColClosed{}, false
@@ -288,25 +312,15 @@ func (t *ColTracker) Push(r *Rec) (ColClosed, bool) {
 	slot, fi := t.find(r.Sub)
 	if fi < 0 {
 		fi = t.insert(slot, r.Sub)
-		f := &t.flows[fi]
-		f.start = r.Ts
-		f.chunks = t.takeChunks(0)
+		t.flows[fi].start = r.Ts
 		if t.OnOpen != nil {
 			t.OnOpen(r.Sub, r.Ts)
 		}
 	} else if f := &t.flows[fi]; r.Ts-f.end > t.cfg.IdleGap ||
 		(t.cfg.PageBoundary && r.Kind == weblog.HostWatchPage) {
-		out = ColClosed{
-			Sub: f.sub, Cohort: f.cohort,
-			Start: f.start, End: f.end,
-			Entries: int(f.entries), Chunks: f.chunks,
-		}
-		closed = true
-		// reopen in place: same subscriber, same slot, fresh buffers
-		f.cohort = 0
-		f.entries = 0
-		f.start = r.Ts
-		f.chunks = t.takeChunks(0)
+		out, closed = t.close(f), true
+		// reopen in place: same subscriber, same slot
+		*f = colFlow{sub: f.sub, slot: f.slot, start: r.Ts}
 		if t.OnOpen != nil {
 			t.OnOpen(r.Sub, r.Ts)
 		}
@@ -318,30 +332,64 @@ func (t *ColTracker) Push(r *Rec) (ColClosed, bool) {
 		f.cohort = r.Cohort
 	}
 	if r.Kind == weblog.HostMedia {
-		if len(f.chunks) == cap(f.chunks) {
-			// grow by hand so the outgrown buffer goes back to the
-			// pool instead of the collector
-			nb := t.takeChunks(2 * cap(f.chunks))
-			nb = nb[:len(f.chunks)]
-			copy(nb, f.chunks)
-			t.Recycle(f.chunks)
-			f.chunks = nb
+		a := &t.arena
+		k := a.k
+		row := int(f.chunks%pageRows) * k
+		if row == 0 {
+			p := a.take()
+			if f.chunks == 0 {
+				f.head = p
+			} else {
+				a.page(f.tail)[pageRows*k] = float64(p)
+			}
+			f.tail = p
 		}
-		f.chunks = append(f.chunks, features.ChunkObs{
-			Time:        r.Ts + r.Dur,
-			SizeKB:      r.KB,
-			DurationSec: r.Dur,
-			RTTMin:      r.RTTMin,
-			RTTAvg:      r.RTTAvg,
-			RTTMax:      r.RTTMax,
-			BDP:         r.BDP,
-			BIFAvg:      r.BIFAvg,
-			BIFMax:      r.BIFMax,
-			LossPct:     r.Loss,
-			RetransPct:  r.Retrans,
-		})
+		dst := a.page(f.tail)[row : row+k]
+		dst[0], dst[1], dst[2] = r.Ts+r.Dur, r.KB, r.Dur
+		net := [8]float64{r.RTTMin, r.RTTAvg, r.RTTMax, r.BDP, r.BIFAvg, r.BIFMax, r.Loss, r.Retrans}
+		for i, j := range t.net {
+			dst[3+i] = net[j]
+		}
+		f.chunks++
 	}
 	return out, closed
+}
+
+// close builds f's closed record: the chunk rows are read off the page
+// chain into a pooled buffer of the session's final length, non-live
+// fields zero, and the pages go back on the free stack. The caller
+// resets or removes f.
+func (t *ColTracker) close(f *colFlow) ColClosed {
+	c := ColClosed{
+		Sub: f.sub, Cohort: f.cohort,
+		Start: f.start, End: f.end,
+		Entries: int(f.entries),
+	}
+	n := int(f.chunks)
+	if n == 0 {
+		return c
+	}
+	c.Chunks = t.TakeChunks(n)[:n]
+	a := &t.arena
+	k := a.k
+	for i, p := 0, f.head; i < n; {
+		page := a.page(p)
+		for row := 0; row < pageRows*k && i < n; row, i = row+k, i+1 {
+			src := page[row : row+k]
+			var net [8]float64
+			for x, j := range t.net {
+				net[j] = src[3+x]
+			}
+			c.Chunks[i] = features.ChunkObs{
+				Time: src[0], SizeKB: src[1], DurationSec: src[2],
+				RTTMin: net[0], RTTAvg: net[1], RTTMax: net[2], BDP: net[3],
+				BIFAvg: net[4], BIFMax: net[5], LossPct: net[6], RetransPct: net[7],
+			}
+		}
+		a.free = append(a.free, p)
+		p = uint32(page[pageRows*k])
+	}
+	return c
 }
 
 // AdvanceInto closes every session idle at the given clock time,
@@ -351,19 +399,14 @@ func (t *ColTracker) Push(r *Rec) (ColClosed, bool) {
 func (t *ColTracker) AdvanceInto(now float64, out []ColClosed) []ColClosed {
 	n := len(out)
 	for fi := 0; fi < len(t.flows); {
-		f := &t.flows[fi]
-		if now-f.end > t.cfg.IdleGap {
-			out = append(out, ColClosed{
-				Sub: f.sub, Cohort: f.cohort,
-				Start: f.start, End: f.end,
-				Entries: int(f.entries), Chunks: f.chunks,
-			})
-			f.chunks = nil // ownership moved to the closed record
+		if f := &t.flows[fi]; now-f.end > t.cfg.IdleGap {
+			out = append(out, t.close(f))
 			t.remove(fi)
 			continue // the swapped-in flow lands at fi; re-examine it
 		}
 		fi++
 	}
+	t.arena.trim(false)
 	t.sortClosed(out[n:])
 	return out
 }
@@ -374,18 +417,18 @@ func (t *ColTracker) FlushInto(out []ColClosed) []ColClosed {
 	n := len(out)
 	for fi := range t.flows {
 		f := &t.flows[fi]
-		out = append(out, ColClosed{
-			Sub: f.sub, Cohort: f.cohort,
-			Start: f.start, End: f.end,
-			Entries: int(f.entries), Chunks: f.chunks,
-		})
+		out = append(out, t.close(f))
 		t.slots[f.slot] = colSlot{}
-		t.flows[fi] = colFlow{}
 	}
 	t.flows = t.flows[:0]
+	t.arena.trim(true)
 	t.sortClosed(out[n:])
 	return out
 }
+
+// StoreBytes is the memory the flow store's page slabs hold — what the
+// open sessions' chunks cost, free pages of held slabs included.
+func (t *ColTracker) StoreBytes() int { return t.arena.bytes() }
 
 // sortClosed orders a closed batch by (start, subscriber). Subscriber
 // strings are resolved only to break start-time ties, which are rare.
@@ -421,7 +464,7 @@ func (t *ColTracker) OpenSnapshot() []OpenSession {
 			Start:      f.start,
 			LastSeen:   f.end,
 			Entries:    int(f.entries),
-			Chunks:     len(f.chunks),
+			Chunks:     int(f.chunks),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {

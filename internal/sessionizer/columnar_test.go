@@ -277,8 +277,10 @@ func TestColTrackerMatchesTrackerLive(t *testing.T) {
 // TestColTrackerRecycledBuffersStayIdentical re-runs the same trace
 // through one long-lived ColTracker twice, recycling every closed
 // session's chunk buffer the way the engine shard does, and checks the
-// second pass emits bit-identical sessions — proving buffer reuse
-// never leaks observations across sessions.
+// second pass emits bit-identical sessions — proving neither a reused
+// page nor a reused buffer leaks observations across sessions. A flow
+// that outlives both passes pins the arena's slab, so the second pass
+// runs entirely on pages the first one freed.
 func TestColTrackerRecycledBuffersStayIdentical(t *testing.T) {
 	live := workload.GenerateLive(workload.LiveConfig{
 		Subscribers:           8,
@@ -286,8 +288,13 @@ func TestColTrackerRecycledBuffersStayIdentical(t *testing.T) {
 		Seed:                  99,
 	})
 	in := newTestInterner()
-	col := NewColTracker(DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Fields = benchFields
+	col := NewColTracker(cfg)
 	col.Resolve = in.name
+	const far = 1e9
+	pin := in.rec(weblog.Entry{Subscriber: "pinned", Host: "r1.googlevideo.com", Timestamp: far})
+	col.Push(&pin)
 
 	run := func() []ColClosed {
 		var out []ColClosed
@@ -297,7 +304,7 @@ func TestColTrackerRecycledBuffersStayIdentical(t *testing.T) {
 				out = append(out, c)
 			}
 		}
-		return col.FlushInto(out)
+		return col.AdvanceInto(far, out) // everything but the pinned flow
 	}
 	freeze := func(cs []ColClosed) []ColClosed {
 		// deep-copy chunks before recycling the live buffers
@@ -313,8 +320,13 @@ func TestColTrackerRecycledBuffersStayIdentical(t *testing.T) {
 	}
 
 	first := freeze(run())
+	held := col.StoreBytes()
 	second := freeze(run())
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("recycled second pass diverged: %d vs %d sessions", len(first), len(second))
+	}
+	if col.Open() != 1 || held == 0 || col.StoreBytes() != held {
+		t.Fatalf("second pass ran on %d store bytes after %d, %d flows left open: it did not reuse the first pass's pages",
+			col.StoreBytes(), held, col.Open())
 	}
 }

@@ -16,6 +16,7 @@ package sessionizer
 import (
 	"sort"
 
+	"vqoe/internal/features"
 	"vqoe/internal/weblog"
 )
 
@@ -26,6 +27,11 @@ type Config struct {
 	IdleGap float64
 	// PageBoundary treats every watch-page load as a session start.
 	PageBoundary bool
+	// Fields is which chunk-observation fields a ColTracker stores for
+	// its open flows. It is derived, not tuned: the engine sets it to
+	// what its framework reads (core.Framework.ChunkFields). The zero
+	// value keeps all eleven; Group ignores it.
+	Fields features.FieldSet
 }
 
 // DefaultConfig returns the parameters used in the evaluation.

@@ -4,7 +4,9 @@
 # operator endpoint answers and the exposition carries the expected
 # families; then run the two CLI tools that embed the same engine at
 # one shard (qoewatch, qoepcap -analyze) and assert their reports and
-# closing sections. CI runs this after the unit suite; it is also the
+# closing sections; last, run `make report` at quick scale on a copy of
+# EXPERIMENTS.md and assert the hand-written record below the generated
+# part survives. CI runs this after the unit suite; it is also the
 # fastest way to sanity-check a local build:
 #
 #   ./scripts/smoke.sh
@@ -353,5 +355,20 @@ for section in \
         { echo "qoepcap output lacks section: $section" >&2; exit 1; }
 done
 echo "   $PCAP_REPORTS sessions assessed, closing sections present"
+
+echo "== make report: regenerates above the marker, keeps the record below it"
+cp EXPERIMENTS.md "$TMP/EXPERIMENTS.md"
+make -s report REPORT_FLAGS=-quick EXPERIMENTS="$TMP/EXPERIMENTS.md"
+grep -q '^adaptive sessions, 250 encrypted sessions' "$TMP/EXPERIMENTS.md" ||
+    { echo "make report did not regenerate the report part" >&2; exit 1; }
+diff <(grep '^## ' EXPERIMENTS.md) <(grep '^## ' "$TMP/EXPERIMENTS.md") >&2 ||
+    { echo "make report changed the file's sections" >&2; exit 1; }
+diff <(sed '1,/^<!-- end of generated report/d' EXPERIMENTS.md) \
+     <(sed '1,/^<!-- end of generated report/d' "$TMP/EXPERIMENTS.md") >/dev/null ||
+    { echo "make report touched the hand-written sections below the marker" >&2; exit 1; }
+HAND=$(sed '1,/^<!-- end of generated report/d' "$TMP/EXPERIMENTS.md" | grep -c '^## ')
+test "$HAND" -ge 11 ||
+    { echo "only $HAND hand-written sections below the marker" >&2; exit 1; }
+echo "   $HAND hand-written sections kept"
 
 echo "== smoke ok"
