@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"vqoe/internal/core"
 	"vqoe/internal/experiments"
@@ -50,23 +49,7 @@ func main() {
 	}
 	suite := experiments.NewSuite(scale)
 
-	want := map[string]bool{}
-	for _, s := range strings.Split(*only, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			want[s] = true
-		}
-	}
-	sel := func(keys ...string) bool {
-		if len(want) == 0 {
-			return true
-		}
-		for _, k := range keys {
-			if want[k] {
-				return true
-			}
-		}
-		return false
-	}
+	sel := experiments.Only(*only)
 	out := os.Stdout
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "qoeeval:", err)

@@ -47,6 +47,7 @@ func main() {
 	}
 	if *quick {
 		scale = experiments.QuickScale()
+		scale.Seed = *seed
 	}
 	suite := experiments.NewSuite(scale)
 	out := os.Stdout

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"vqoe/internal/experiments"
 	"vqoe/internal/obs"
@@ -54,23 +53,7 @@ func main() {
 	}
 	suite := experiments.NewSuite(scale)
 
-	want := map[string]bool{}
-	for _, s := range strings.Split(*only, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			want[s] = true
-		}
-	}
-	sel := func(keys ...string) bool {
-		if len(want) == 0 {
-			return true
-		}
-		for _, k := range keys {
-			if want[k] {
-				return true
-			}
-		}
-		return false
-	}
+	sel := experiments.Only(*only)
 	out := os.Stdout
 	fail := func(err error) {
 		log.Error("experiment failed", "err", err)

@@ -138,8 +138,9 @@ type Report struct {
 
 // Engine is the sharded live-session engine. All methods are safe for
 // concurrent use; per-subscriber event order must be preserved by the
-// caller (any one subscriber's entries must arrive through one path in
-// timestamp order, which Live.Feed and Ingest both guarantee).
+// caller: any one subscriber's entries must arrive through one door,
+// from one goroutine at a time, in timestamp order — a subscriber always
+// routes to the same shard, and a shard's mailbox is FIFO.
 type Engine struct {
 	cfg    Config
 	shards []*shard
@@ -282,7 +283,7 @@ func (e *Engine) Feed(entries []weblog.Entry) {
 //
 // Intern resolves subscriber names into refs and region/device/cap
 // triples into cohort IDs (0 for an all-empty triple), interning what
-// is new under one write lock. Nothing passed in is retained.
+// is new, under one lock acquisition. Nothing passed in is retained.
 func (e *Engine) Intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
 	e.interner.intern(subs, refs, cohorts, ids)
 }

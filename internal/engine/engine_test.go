@@ -187,13 +187,19 @@ func TestEngineOfferShedsUnderOverload(t *testing.T) {
 	cfg := engine.DefaultConfig()
 	cfg.Shards = 1
 	cfg.Mailbox = 1
-	eng := engine.New(fw, cfg, nil)
+	// the worker stalls in the sink from its first report until the burst
+	// is over: overload that does not depend on the scheduler running the
+	// feeder ahead of the worker (on a loaded 2-CPU box it sometimes did
+	// not, and nothing was shed)
+	burstOver := make(chan struct{})
+	eng := engine.New(fw, cfg, func(engine.Report) { <-burstOver })
 	defer eng.Drain()
 
 	accepted := 0
 	for lo := 0; lo+50 <= len(live.Entries); lo += 50 {
 		accepted += eng.Offer(live.Entries[lo : lo+50])
 	}
+	close(burstOver)
 	var dropped int64
 	for _, s := range eng.Snapshot() {
 		dropped += s.Dropped

@@ -14,26 +14,28 @@ import (
 // keys at the engine front door, so everything behind the shard
 // mailboxes works integer-keyed: the flow-table probe hashes a uint32
 // instead of a string, and routing reuses the shard index computed
-// once per unique subscriber instead of re-hashing fnv32a per entry.
-// Strings are resolved back at session close (reports, cohort rollups,
-// flight retention) and per lifecycle-trace event.
+// once per unique subscriber instead of re-hashing per entry. Strings
+// are resolved back at session close (reports, cohort rollups, flight
+// retention) and per lifecycle-trace event.
 //
-// Lookup is two-phase: a batch conversion runs entirely under the read
-// lock, marking misses, and only batches that actually carry new
-// subscribers/cohorts take the write lock once. IDs start at 1; 0
-// means "absent" (no cohort metadata, not-yet-interned marker).
+// Both doors intern through the same two lookup-or-add routines
+// (lookupSub, lookupCohort), under one acquisition of mu per call: the
+// wire door for the identities its per-connection caches missed
+// (intern), the Entry doors for every entry of a batch (digest). IDs
+// start at 1 and are assigned in first-sight order; 0 means "absent"
+// (no cohort metadata).
 //
 // The reverse direction takes no lock at all: names and keys only ever
-// grow by append, and every write-locked section that grew them
-// publishes the new slice headers as one internView before it unlocks.
-// An ID reaches a shard only through a mailbox, after the resolve call
-// that interned it has published, so any view a shard loads covers
-// every ID it holds; later appends write past the view's length (or
-// into a fresh backing array) and never touch what it reads. IDs are
-// never reused — a reclaiming interner must first resolve or epoch-tag
-// whatever still holds an old ID (open flows, the trace ring).
+// grow by append, and every locked section that grew them publishes the
+// new slice headers as one internView before it unlocks. An ID reaches
+// a shard only through a mailbox, after the call that interned it has
+// published, so any view a shard loads covers every ID it holds; later
+// appends write past the view's length (or into a fresh backing array)
+// and never touch what it reads. IDs are never reused — a reclaiming
+// interner must first resolve or epoch-tag whatever still holds an old
+// ID (open flows, the trace ring).
 type interner struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	shards uint32
 
 	subs  map[string]subEntry
@@ -49,10 +51,8 @@ type interner struct {
 	interned atomic.Int64
 }
 
-// subEntry is one interned subscriber: its dense ID and its home shard
-// (fnv32a(subscriber) mod shard count — computed once, at intern time,
-// with exactly the hash the legacy per-entry router used, so the
-// subscriber→shard mapping is unchanged).
+// subEntry is one interned subscriber: its dense ID and its home shard,
+// FNV-1a(subscriber) mod shard count, computed once, at intern time.
 type subEntry struct {
 	id, shard uint32
 }
@@ -76,8 +76,8 @@ func newInterner(shards int) *interner {
 	return n
 }
 
-// fnvShard is hash/fnv's 32-bit FNV-1a over s, reduced mod n — the
-// same value the legacy Engine.split computed per entry.
+// fnvShard is the routing rule: hash/fnv's 32-bit FNV-1a over the
+// subscriber, reduced mod the shard count.
 func fnvShard(s string, n uint32) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -94,124 +94,67 @@ func (n *interner) name(id uint32) string { return n.view.Load().names[id] }
 // cohortKey resolves an interned cohort ID; id 0 is the zero key.
 func (n *interner) cohortKey(id uint32) cohort.Key { return n.view.Load().keys[id] }
 
-// resolve pre-digests a batch's identities: entry i's interned
-// subscriber lands in recs[i].Sub, its cohort in recs[i].Cohort, its
-// target shard in shards[i]. The common case — everything already
-// interned — runs entirely under the read lock; a batch with misses
-// takes the write lock once for all of them.
-func (n *interner) resolve(entries []weblog.Entry, recs []sessionizer.Rec, shards []uint32) {
-	misses := false
-	// one-entry cohort cache: a batch usually cycles through a handful
-	// of cohort keys, and the repeat compare is three pointer-equal
-	// string checks instead of a three-string map hash
-	var lastK cohort.Key
-	var lastID uint32
-	n.mu.RLock()
-	for i := range entries {
-		e, r := &entries[i], &recs[i]
-		if se, ok := n.subs[e.Subscriber]; ok {
-			r.Sub = se.id
-			shards[i] = se.shard
-		} else {
-			r.Sub = 0 // not-yet-interned marker
-			misses = true
-		}
-		r.Cohort = 0
-		if e.Region != "" || e.Device != "" || e.Cap != "" {
-			k := cohort.Key{Region: e.Region, Device: e.Device, Cap: e.Cap}
-			if k == lastK && lastID != 0 {
-				r.Cohort = lastID
-			} else if id, ok := n.cohorts[k]; ok {
-				r.Cohort = id
-				lastK, lastID = k, id
-			} else {
-				misses = true // 0 + metadata present = miss
-			}
-		}
+// lookupSub returns name's entry, interning it on first sight. name may
+// be decode scratch: a lookup builds no string, and a new subscriber is
+// stored under the interner's own copy. The caller holds n.mu and
+// publishes before it unlocks.
+func lookupSub[S string | []byte](n *interner, name S) subEntry {
+	se, ok := n.subs[string(name)]
+	if !ok {
+		own := owned(name)
+		se = subEntry{id: uint32(len(n.names)), shard: fnvShard(own, n.shards)}
+		n.subs[own] = se
+		n.names = append(n.names, own)
+		n.interned.Add(1)
 	}
-	n.mu.RUnlock()
-	if !misses {
-		return
-	}
-	n.mu.Lock()
-	for i := range entries {
-		e, r := &entries[i], &recs[i]
-		if r.Sub == 0 {
-			se, ok := n.subs[e.Subscriber]
-			if !ok {
-				// clone: the caller's entry (and its string backing) may
-				// be decode scratch reused after the feed call returns
-				se = n.addSub(strings.Clone(e.Subscriber))
-			}
-			r.Sub = se.id
-			shards[i] = se.shard
-		}
-		if r.Cohort == 0 && (e.Region != "" || e.Device != "" || e.Cap != "") {
-			id, ok := n.cohorts[cohort.Key{Region: e.Region, Device: e.Device, Cap: e.Cap}]
-			if !ok {
-				id = n.addCohort(cohort.Key{
-					Region: strings.Clone(e.Region),
-					Device: strings.Clone(e.Device),
-					Cap:    strings.Clone(e.Cap),
-				})
-			}
-			r.Cohort = id
-		}
-	}
-	n.publish()
-	n.mu.Unlock()
-}
-
-// intern is resolve for the fused wire door, which keeps its own
-// per-connection caches and asks only about what they missed: subs[i]
-// resolves into refs[i], the region/device/cap triple cohorts[i] into
-// ids[i]. One write lock covers the call; strings are built only for
-// identities the engine has not seen either.
-func (n *interner) intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
-	n.mu.Lock()
-	for i, b := range subs {
-		se, ok := n.subs[string(b)]
-		if !ok {
-			se = n.addSub(string(b))
-		}
-		refs[i] = sessionizer.SubRef{Name: n.names[se.id], ID: se.id, Shard: se.shard}
-	}
-	for i, c := range cohorts {
-		ids[i] = 0
-		if len(c[0])+len(c[1])+len(c[2]) == 0 {
-			continue // no metadata, as on the Entry door
-		}
-		id, ok := n.cohorts[cohort.Key{Region: string(c[0]), Device: string(c[1]), Cap: string(c[2])}]
-		if !ok {
-			id = n.addCohort(cohort.Key{Region: string(c[0]), Device: string(c[1]), Cap: string(c[2])})
-		}
-		ids[i] = id
-	}
-	n.publish()
-	n.mu.Unlock()
-}
-
-// addSub interns a subscriber the table does not hold; name must be
-// the interner's own copy. The caller holds the write lock.
-func (n *interner) addSub(name string) subEntry {
-	se := subEntry{id: uint32(len(n.names)), shard: fnvShard(name, n.shards)}
-	n.subs[name] = se
-	n.names = append(n.names, name)
-	n.interned.Add(1)
 	return se
 }
 
-// addCohort is addSub for a cohort key (whose strings the interner
-// must own).
-func (n *interner) addCohort(k cohort.Key) uint32 {
-	id := uint32(len(n.keys))
-	n.cohorts[k] = id
-	n.keys = append(n.keys, k)
+// lookupCohort is lookupSub for a region/device/cap triple; an all-empty
+// one is no metadata, cohort 0, and is not interned.
+func lookupCohort[S string | []byte](n *interner, region, device, cp S) uint32 {
+	if len(region)+len(device)+len(cp) == 0 {
+		return 0
+	}
+	id, ok := n.cohorts[cohort.Key{Region: string(region), Device: string(device), Cap: string(cp)}]
+	if !ok {
+		k := cohort.Key{Region: owned(region), Device: owned(device), Cap: owned(cp)}
+		id = uint32(len(n.keys))
+		n.cohorts[k] = id
+		n.keys = append(n.keys, k)
+	}
 	return id
 }
 
-// publish makes what the write-locked section appended visible to the
-// lock-free readers. The caller holds the write lock.
+// owned copies s into a string the interner may keep: a []byte converts
+// by copy, a string is cloned, since the caller's may alias a decode
+// buffer reused after the call returns.
+func owned[S string | []byte](s S) string {
+	if str, ok := any(s).(string); ok {
+		return strings.Clone(str)
+	}
+	return string(s)
+}
+
+// intern is the fused wire door's half: the listener keeps its own
+// per-connection caches and asks only about what they missed. subs[i]
+// resolves into refs[i], the region/device/cap triple cohorts[i] into
+// ids[i].
+func (n *interner) intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
+	n.mu.Lock()
+	for i, b := range subs {
+		se := lookupSub(n, b)
+		refs[i] = sessionizer.SubRef{Name: n.names[se.id], ID: se.id, Shard: se.shard}
+	}
+	for i, c := range cohorts {
+		ids[i] = lookupCohort(n, c[0], c[1], c[2])
+	}
+	n.publish()
+	n.mu.Unlock()
+}
+
+// publish makes what the locked section appended visible to the
+// lock-free readers. The caller holds n.mu.
 func (n *interner) publish() {
 	if v := n.view.Load(); len(v.names) != len(n.names) || len(v.keys) != len(n.keys) {
 		n.view.Store(&internView{n.names, n.keys})
@@ -261,13 +204,22 @@ func growCap[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// digest is the Entry doors' front half: it resolves the batch's
-// identities and builds its recs, in entry order, in the slab's digest
-// scratch — what the wire door's decoder hands over ready-made.
+// digest is the Entry doors' front half: it interns every entry's
+// identities under one lock acquisition, then builds the batch's recs,
+// in entry order, in the slab's digest scratch — what the wire door's
+// decoder hands over ready-made.
 func (n *interner) digest(b *recSlab, entries []weblog.Entry) ([]sessionizer.Rec, []uint32) {
 	b.flat = growCap(b.flat, len(entries))
 	b.shardOf = growCap(b.shardOf, len(entries))
-	n.resolve(entries, b.flat, b.shardOf)
+	n.mu.Lock()
+	for i := range entries {
+		e, r := &entries[i], &b.flat[i]
+		se := lookupSub(n, e.Subscriber)
+		r.Sub, b.shardOf[i] = se.id, se.shard
+		r.Cohort = lookupCohort(n, e.Region, e.Device, e.Cap)
+	}
+	n.publish()
+	n.mu.Unlock()
 	for i := range entries {
 		e, r := &entries[i], &b.flat[i]
 		r.Kind = weblog.ClassifyHost(e.Host)

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
+	"vqoe/internal/cohort"
 	"vqoe/internal/obs"
 	"vqoe/internal/sessionizer"
 	"vqoe/internal/weblog"
@@ -20,9 +22,7 @@ import (
 // none).
 func TestTracedPushLoopAllocatesNothing(t *testing.T) {
 	in := newInterner(1)
-	var first [1]sessionizer.Rec
-	var sh [1]uint32
-	in.resolve([]weblog.Entry{{Subscriber: "sub-a"}}, first[:], sh[:])
+	first, _ := in.digest(&recSlab{}, []weblog.Entry{{Subscriber: "sub-a"}})
 	sub := [1]uint32{first[0].Sub}
 
 	cfg := Config{Shards: 1, MinChunks: 1 << 30, SweepEverySec: -1, Obs: obs.NewObserver(1, 0)}.WithDefaults()
@@ -151,5 +151,139 @@ func TestFeedRecsReportsDone(t *testing.T) {
 	case <-calls:
 		t.Fatal("done ran more than once for some batch")
 	default:
+	}
+}
+
+// TestDigestSteadyStateZeroAlloc pins the Entry doors' front half the
+// way TestScatterSteadyStateZeroAlloc pins the wire door's: a warm
+// 256-entry batch — every subscriber and every region/device/cap triple
+// already interned — digested into a slab and scattered allocates
+// nothing: the lookups build no strings, the slab's scratch is reused,
+// and publish has nothing new to store.
+func TestDigestSteadyStateZeroAlloc(t *testing.T) {
+	const nsh = 2
+	in := newInterner(nsh)
+	entries := make([]weblog.Entry, 256)
+	for i := range entries {
+		entries[i] = weblog.Entry{
+			Timestamp: float64(i), Subscriber: fmt.Sprintf("sub-%d", i%37),
+			Host: "r1---sn-aaaa.googlevideo.com", Bytes: 300_000, TransactionSec: 0.5,
+			Region: fmt.Sprintf("region-%d", i%5), Device: fmt.Sprintf("device-%d", i%3), Cap: "cap-a",
+		}
+	}
+	b := &recSlab{}
+	batch := func() {
+		recs, shardOf := in.digest(b, entries)
+		if views := b.scatter(recs, shardOf, nsh); views != nsh {
+			t.Fatalf("scatter filled %d of %d shards", views, nsh)
+		}
+	}
+	batch()
+	view := in.view.Load()
+	if allocs := testing.AllocsPerRun(50, batch); allocs != 0 {
+		t.Errorf("a warm digested batch allocates %v times, want 0", allocs)
+	}
+	if in.view.Load() != view {
+		t.Error("a batch that interned nothing published a new view")
+	}
+	if got := in.interned.Load(); got != 37 {
+		t.Errorf("%d subscribers interned, want 37", got)
+	}
+	if len(in.keys) != 1+15 {
+		t.Errorf("%d cohort keys, want 15", len(in.keys)-1)
+	}
+	for i, r := range b.flat {
+		if r.Sub == 0 || r.Cohort == 0 || r.Kind != weblog.HostMedia || r.KB != 300 {
+			t.Fatalf("rec %d digested as %+v", i, r)
+		}
+	}
+}
+
+// TestDoorsInternAlike: the two doors are adapters onto one interning
+// routine, so an identity gets the same ID, home shard and cohort ID
+// whichever door saw it first — offered through Intern and then Feed,
+// and in the other order on a fresh engine — and an all-empty triple is
+// cohort 0 through both. IDs go out in first-sight order either way.
+func TestDoorsInternAlike(t *testing.T) {
+	const nsh = 4
+	subs := []string{"sub-a", "sub-b", "sub-c", "sub-d", "sub-e", "sub-f", "sub-g"}
+	triples := [][3]string{{"eu-west", "phone", "10M"}, {"", "", ""}, {"eu-west", "", ""}, {"", "tv", ""}, {"us-east", "tv", "50M"}}
+	var entries []weblog.Entry
+	var names [][]byte
+	var wireTriples [][3][]byte
+	for i, s := range subs {
+		tr := triples[i%len(triples)]
+		entries = append(entries, weblog.Entry{Timestamp: float64(i), Subscriber: s, Region: tr[0], Device: tr[1], Cap: tr[2]})
+		names = append(names, []byte(s))
+		wireTriples = append(wireTriples, [3][]byte{[]byte(tr[0]), []byte(tr[1]), []byte(tr[2])})
+	}
+	type identity struct {
+		sub    subEntry
+		cohort uint32
+	}
+	// viaWire and viaEntries offer everything through one door and read
+	// back what each entry's identities resolved to
+	viaWire := func(e *Engine) []identity {
+		refs, ids := make([]sessionizer.SubRef, len(names)), make([]uint32, len(names))
+		e.Intern(names, refs, wireTriples, ids)
+		out := make([]identity, len(names))
+		for i, ref := range refs {
+			if ref.Name != subs[i] {
+				t.Fatalf("Intern resolved %q as %q", subs[i], ref.Name)
+			}
+			out[i] = identity{subEntry{ref.ID, ref.Shard}, ids[i]}
+		}
+		return out
+	}
+	viaEntries := func(e *Engine) []identity {
+		e.Feed(entries)
+		in := e.interner
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		out := make([]identity, len(entries))
+		for i, en := range entries {
+			out[i] = identity{in.subs[en.Subscriber], in.cohorts[cohort.Key{Region: en.Region, Device: en.Device, Cap: en.Cap}]}
+		}
+		return out
+	}
+	check := func(order string, first, second []identity, e *Engine) {
+		t.Helper()
+		for i := range first {
+			if first[i] != second[i] {
+				t.Errorf("%s: %q resolved to %+v through the first door, %+v through the second", order, subs[i], first[i], second[i])
+			}
+			id := first[i]
+			if id.sub.id != uint32(i+1) || id.sub.shard != fnvShard(subs[i], nsh) || e.interner.name(id.sub.id) != subs[i] {
+				t.Errorf("%s: %q is ID %d on shard %d, want first-sight ID %d on shard %d", order, subs[i], id.sub.id, id.sub.shard, i+1, fnvShard(subs[i], nsh))
+			}
+			tr := triples[i%len(triples)]
+			if empty := tr == [3]string{}; empty != (id.cohort == 0) {
+				t.Errorf("%s: triple %q is cohort %d", order, tr, id.cohort)
+			} else if !empty && e.interner.cohortKey(id.cohort) != (cohort.Key{Region: tr[0], Device: tr[1], Cap: tr[2]}) {
+				t.Errorf("%s: cohort %d resolves to %+v, want %q", order, id.cohort, e.interner.cohortKey(id.cohort), tr)
+			}
+		}
+		if got := len(e.interner.keys) - 1; got != len(triples)-1 {
+			t.Errorf("%s: %d cohort keys interned, want %d", order, got, len(triples)-1)
+		}
+		if got := e.interner.interned.Load(); got != int64(len(subs)) {
+			t.Errorf("%s: %d subscribers interned, want %d", order, got, len(subs))
+		}
+	}
+	cfg := Config{Shards: nsh, MinChunks: 1 << 30, SweepEverySec: -1}
+
+	e := New(nil, cfg, nil)
+	w := viaWire(e)
+	check("Intern then Feed", w, viaEntries(e), e)
+	e.Drain()
+
+	e = New(nil, cfg, nil)
+	f := viaEntries(e)
+	check("Feed then Intern", f, viaWire(e), e)
+	e.Drain()
+	for i := range w {
+		if w[i] != f[i] {
+			t.Errorf("%q is %+v wire-first, %+v entry-first", subs[i], w[i], f[i])
+		}
 	}
 }

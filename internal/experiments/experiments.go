@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"strings"
 	"sync"
 
 	"vqoe/internal/core"
@@ -38,6 +39,29 @@ type Scale struct {
 // QuickScale is a reduced scale for benchmarks and smoke runs.
 func QuickScale() Scale {
 	return Scale{Cleartext: 1500, HAS: 800, Encrypted: 250, Trees: 30, Folds: 5, Seed: 1}
+}
+
+// Only parses a tool's -only flag — a comma-separated list of experiment
+// keys — into its selector: with an empty list every experiment runs,
+// otherwise one runs when any of its keys was named.
+func Only(list string) func(keys ...string) bool {
+	want := map[string]bool{}
+	for _, s := range strings.Split(list, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			want[s] = true
+		}
+	}
+	return func(keys ...string) bool {
+		if len(want) == 0 {
+			return true
+		}
+		for _, k := range keys {
+			if want[k] {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // Suite owns the corpora and trained models of one reproduction run.

@@ -219,3 +219,30 @@ func TestRenderers(t *testing.T) {
 		}
 	}
 }
+
+// TestOnly: the -only selector qoetrain and qoeeval share — an empty or
+// blank list selects everything, otherwise an experiment runs when any
+// of its keys was named; spaces around a key are ignored.
+func TestOnly(t *testing.T) {
+	for _, list := range []string{"", " , ,"} {
+		if sel := Only(list); !sel("table3") || !sel() {
+			t.Errorf("Only(%q) does not select everything", list)
+		}
+	}
+	sel := Only("table3, fig4 ,")
+	for _, tc := range []struct {
+		keys []string
+		want bool
+	}{
+		{[]string{"table3"}, true},
+		{[]string{"fig4"}, true},
+		{[]string{"table2", "fig4"}, true},
+		{[]string{"table2"}, false},
+		{[]string{"table33"}, false},
+		{nil, false},
+	} {
+		if got := sel(tc.keys...); got != tc.want {
+			t.Errorf("Only(\"table3, fig4 ,\")(%q) = %v, want %v", tc.keys, got, tc.want)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package features
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"slices"
 	"sort"
@@ -297,10 +299,10 @@ func TestRunningMean(t *testing.T) {
 	}
 }
 
-// sameFloat is the sparse evaluator's contract with the dense builders:
-// bit-for-bit, except that mixed-sign zeros compare with == (which of
-// two equal zeros a sort leaves first is the sort's business) and a
-// NaN matches a NaN.
+// sameFloat is the evaluator's contract with the dense oracle
+// (dense_test.go) on arbitrary selections: bit-for-bit, except that
+// mixed-sign zeros compare with == (which of two equal zeros a sort
+// leaves first is the sort's business) and a NaN matches a NaN.
 func sameFloat(a, b float64) bool { return a == b || (a != a && b != b) }
 
 // randomObs draws a session of n chunks. A hostile one carries NaN,
@@ -360,8 +362,9 @@ func randomCols(r *stats.Rand, k, width, perMetric int) []int {
 // signed zeros and unordered times — and randomized column subsets of
 // both schemas (stall-only, rep-only, absent, duplicate and repeated-
 // metric columns), the two-model evaluator and the two one-model
-// evaluators must each agree with building the dense vectors and
-// projecting them: the property the live close path relies on to
+// evaluators must each agree with building the oracle's dense vectors
+// (dense_test.go) and projecting them: the property the live close path
+// relies on to
 // extract each metric once and skip the passes nothing selected. In
 // particular the min/max scan must reproduce sort.Float64s'
 // sorted[0]/sorted[N-1], NaNs sorting first.
@@ -386,7 +389,7 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 		default:
 			obs = randomObs(r, r.Intn(70), trial%2 == 0, trial%3 != 0)
 		}
-		denseStall, denseRep := StallFeatures(obs), RepFeatures(obs)
+		denseStall, denseRep := denseStallFeatures(obs), denseRepFeatures(obs)
 		stallCols := randomCols(r, r.Intn(13), nStall, len(stallStats))
 		repCols := randomCols(r, r.Intn(13), nRep, len(repStats))
 		check := func(what string, cols []int, got, dense []float64) {
@@ -414,6 +417,73 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 		check("one-model stall", stallCols, stall, denseStall)
 		check("one-model rep", repCols, rep, denseRep)
 	}
+}
+
+// TestFeatureVectorsPinned pins the values themselves across PRs:
+// FNV-64a over the bits of StallFeatures ‖ RepFeatures for 64 seeded
+// player sessions, each in its cleartext and its encrypted view. Every
+// other test here compares one implementation with another; this one
+// would catch both drifting together. The constant was computed at
+// d8b0c16, when the dense builder (dense_test.go) was still the product
+// path.
+func TestFeatureVectorsPinned(t *testing.T) {
+	const want = 0x7105a0f71a865dc1
+	h := fnv.New64a()
+	var b [8]byte
+	for seed := int64(1); seed <= 64; seed++ {
+		for _, encrypted := range []bool{false, true} {
+			obs, _ := sessionObs(t, seed, encrypted)
+			for _, v := range append(StallFeatures(obs), RepFeatures(obs)...) {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("feature vectors hash to %#x, pinned %#x: the values the models train on and serve from changed", got, want)
+	}
+}
+
+// TestFullWidthMatchesDenseBitwise holds StallFeatures and RepFeatures —
+// the full-width evaluator every training vector now comes from — to
+// the dense oracle with Float64bits equality, stricter than sameFloat:
+// on player traces not even the sign of a zero may differ (that is what
+// keeps model files byte-identical across the change). Drawn sessions
+// carrying NaN, ±Inf, signed zeros and unordered times may differ in
+// which of two equal zeros a sort left first and in nothing else; those
+// are counted and reported.
+func TestFullWidthMatchesDenseBitwise(t *testing.T) {
+	diff := func(what string, obs SessionObs, got, want []float64, tolerateZeroSign bool) (n int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, oracle %d", what, len(got), len(want))
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) == math.Float64bits(want[j]) {
+				continue
+			}
+			if tolerateZeroSign && got[j] == 0 && want[j] == 0 {
+				n++
+				continue
+			}
+			t.Fatalf("%s (%d chunks) col %d: full-width %v (%#x) != dense %v (%#x)", what, obs.Len(), j,
+				got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+		return n
+	}
+	for seed := int64(700); seed < 748; seed++ {
+		obs, _ := sessionObs(t, seed, seed%2 == 0)
+		diff("trace stall", obs, StallFeatures(obs), denseStallFeatures(obs), false)
+		diff("trace rep", obs, RepFeatures(obs), denseRepFeatures(obs), false)
+	}
+	r := stats.NewRand(23)
+	flips := 0
+	for trial := 0; trial < 600; trial++ {
+		obs := randomObs(r, r.Intn(70), trial%2 == 0, trial%3 != 0)
+		flips += diff("drawn stall", obs, StallFeatures(obs), denseStallFeatures(obs), true)
+		flips += diff("drawn rep", obs, RepFeatures(obs), denseRepFeatures(obs), true)
+	}
+	t.Logf("zero-sign differences over 600 drawn sessions × 280 columns: %d", flips)
 }
 
 // TestEvalBothAllocatesNothing pins the close path's featurization at
@@ -543,9 +613,11 @@ func TestEvalScratchReuseMatchesFresh(t *testing.T) {
 }
 
 // TestSwitchSeriesIntoReuseMatchesFresh checks the buffer-reusing
-// switch-series extraction against the allocating one across a session
-// sequence, including sessions short enough to yield no series (the
-// buffer's capacity must survive those for the next session).
+// switch-series extraction against the allocating loop it replaced
+// (denseSwitchSeries — SwitchSeries itself is SwitchSeriesInto now, so
+// comparing those two would compare the function with itself) across a
+// session sequence, including sessions short enough to yield no series
+// (the buffer's capacity must survive those for the next session).
 func TestSwitchSeriesIntoReuseMatchesFresh(t *testing.T) {
 	var obsSeq []SessionObs
 	for trial := 0; trial < 6; trial++ {
@@ -554,8 +626,15 @@ func TestSwitchSeriesIntoReuseMatchesFresh(t *testing.T) {
 	}
 	var buf []float64
 	for si, obs := range obsSeq {
+		had := cap(buf)
 		buf = SwitchSeriesInto(obs, StartupFilterSec, buf)
-		want := SwitchSeries(obs, StartupFilterSec)
+		if cap(buf) < had {
+			t.Fatalf("session %d: buffer capacity fell from %d to %d", si, had, cap(buf))
+		}
+		want := denseSwitchSeries(obs, StartupFilterSec)
+		if fresh := SwitchSeries(obs, StartupFilterSec); (fresh == nil) != (want == nil) {
+			t.Fatalf("session %d: SwitchSeries nil=%v, the parent's loop nil=%v", si, fresh == nil, want == nil)
+		}
 		if len(buf) != len(want) {
 			t.Fatalf("session %d: into kept %d values, fresh %d", si, len(buf), len(want))
 		}

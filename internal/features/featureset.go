@@ -43,13 +43,11 @@ func (m metricID) fields() FieldSet {
 	return 0
 }
 
-// A metric is one named per-chunk series. series is the dense
-// builders' allocating extraction — the reference; the sparse
-// evaluator extracts the same values through seriesInto.
+// A metric is one named per-chunk series of a schema; seriesInto
+// extracts it by id.
 type metric struct {
-	id     metricID
-	name   string
-	series func(SessionObs) []float64
+	id   metricID
+	name string
 }
 
 // SeriesScratch carries the reusable series buffers one sparse
@@ -70,10 +68,12 @@ func (sc *SeriesScratch) primary(n int) []float64 {
 	return sc.a
 }
 
-// seriesInto writes metric id's per-chunk series through sc: the
-// values the metric's dense series function yields (same loops, same
-// float order, so bit-identical), read field by field off &cs[i]
-// without a per-element call. The result aliases sc and is nil for a
+// seriesInto writes metric id's per-chunk series through sc, read field
+// by field off &cs[i] without a per-element call. It is the only code
+// that reads a metric's series off a session: training, /analyze, the
+// tools and the engine all featurize through these loops, and their
+// float order is pinned bit for bit against the allocating builder they
+// replaced (dense_test.go). The result aliases sc and is nil for a
 // series with no values.
 func seriesInto(id metricID, cs []ChunkObs, sc *SeriesScratch) []float64 {
 	switch id {
@@ -159,33 +159,29 @@ func seriesInto(id metricID, cs []ChunkObs, sc *SeriesScratch) []float64 {
 // baseMetrics are the nine Table-1 network features both sets share,
 // one series per chunk.
 var baseMetrics = []metric{
-	fieldMetric(mRTTMin, "RTT minimum", func(c ChunkObs) float64 { return c.RTTMin }),
-	fieldMetric(mRTTAvg, "RTT average", func(c ChunkObs) float64 { return c.RTTAvg }),
-	fieldMetric(mRTTMax, "RTT maximum", func(c ChunkObs) float64 { return c.RTTMax }),
-	fieldMetric(mBDP, "BDP", func(c ChunkObs) float64 { return c.BDP }),
-	fieldMetric(mBIFAvg, "BIF avg", func(c ChunkObs) float64 { return c.BIFAvg }),
-	fieldMetric(mBIFMax, "BIF maximum", func(c ChunkObs) float64 { return c.BIFMax }),
-	fieldMetric(mLoss, "packet loss", func(c ChunkObs) float64 { return c.LossPct }),
-	fieldMetric(mRetrans, "packet retransmissions", func(c ChunkObs) float64 { return c.RetransPct }),
-	fieldMetric(mSize, "chunk size", func(c ChunkObs) float64 { return c.SizeKB }),
-}
-
-func fieldMetric(id metricID, name string, f func(ChunkObs) float64) metric {
-	return metric{id, name, func(s SessionObs) []float64 { return s.field(f) }}
+	{mRTTMin, "RTT minimum"},
+	{mRTTAvg, "RTT average"},
+	{mRTTMax, "RTT maximum"},
+	{mBDP, "BDP"},
+	{mBIFAvg, "BIF avg"},
+	{mBIFMax, "BIF maximum"},
+	{mLoss, "packet loss"},
+	{mRetrans, "packet retransmissions"},
+	{mSize, "chunk size"},
 }
 
 // chunkTimeMetric completes the stall set's ten metrics.
-var chunkTimeMetric = fieldMetric(mTime, "chunk time", func(c ChunkObs) float64 { return c.Time })
+var chunkTimeMetric = metric{mTime, "chunk time"}
 
 // constructedMetrics are the five engineered series of §4.2: the
 // running chunk average size, the chunk size delta, the inter-arrival
 // delta, the per-chunk throughput, and its CUSUM chart.
 var constructedMetrics = []metric{
-	{mAvgSize, "chunk avg size", func(s SessionObs) []float64 { return runningMean(s.sizes()) }},
-	{mDeltaSize, "chunk Δsize", func(s SessionObs) []float64 { return stats.Diff(s.sizes()) }},
-	{mDeltaTime, "chunk Δt", func(s SessionObs) []float64 { return stats.Diff(s.times()) }},
-	{mThroughput, "throughput", func(s SessionObs) []float64 { return s.throughputs() }},
-	{mCusumThroughput, "cusum throughput", func(s SessionObs) []float64 { return timeseries.Chart(s.throughputs()) }},
+	{mAvgSize, "chunk avg size"},
+	{mDeltaSize, "chunk Δsize"},
+	{mDeltaTime, "chunk Δt"},
+	{mThroughput, "throughput"},
+	{mCusumThroughput, "cusum throughput"},
 }
 
 // statKind says which part of a Summary a statistic reads, and so how
@@ -275,30 +271,17 @@ func buildNames(ms []metric, ss []stat) []string {
 	return names
 }
 
-func buildVector(obs SessionObs, ms []metric, ss []stat) []float64 {
-	out := make([]float64, 0, len(ms)*len(ss))
-	for _, m := range ms {
-		sum := stats.Summarize(m.series(obs))
-		for _, st := range ss {
-			if sum.N == 0 {
-				out = append(out, 0)
-				continue
-			}
-			out = append(out, st.of(sum))
-		}
-	}
-	return out
-}
-
-// Sparse evaluates projected subsets of the feature schemas for the
-// live prediction path: instead of building the full 70- and 210-wide
-// vectors and projecting them down to the handful of CFS-selected
-// features, it extracts each metric the requested columns touch once —
-// whichever model asked — and does per metric only the work the
-// selected statistics of it need (see statKind), writing straight into
-// the models' projected layouts. Column j of a full schema decomposes
-// as metric j/len(stats), statistic j%len(stats) (the schemas are
-// metric-major; see buildNames).
+// Sparse is the one evaluator of the feature schemas: a selection of
+// columns — the handful a CFS-projected forest reads on the live close
+// path, or every column of a schema for training and the one-session
+// tools (stallFull, repFull) — compiled into a plan that extracts each
+// metric the selection touches once, whichever model asked, and does
+// per metric only the work the selected statistics of it need (see
+// statKind), writing straight into the caller's layout. Column j of a
+// full schema decomposes as metric j/len(stats), statistic j%len(stats)
+// (the schemas are metric-major; see buildNames). A Sparse is read-only
+// once built — eval writes only to the caller's dst and scratch — so
+// one may be shared by any number of goroutines.
 type Sparse struct {
 	groups []sparseGroup
 	zeros  []sparseSlot // slots whose column is absent (-1)
@@ -398,10 +381,13 @@ func newSparse(outs ...sparseOut) *Sparse {
 
 // EvalIntoScratch writes the selected features of obs into dst, which
 // must have the length of the cols a one-model evaluator was built
-// with. Values are bit-identical to building the dense vector and
-// projecting it. Each metric's series is written through the
-// caller-owned sc instead of freshly allocated, so a long-lived caller
-// featurizes with zero steady-state allocations.
+// with. Values are the same columns of the full-width evaluation
+// (StallFeatures, RepFeatures — itself pinned against the test oracle)
+// bit for bit, except that a min or max over mixed-sign zeros may read
+// the other zero where no selected statistic asked for the sort. Each
+// metric's series is written through the caller-owned sc instead of
+// freshly allocated, so a long-lived caller featurizes with zero
+// steady-state allocations.
 func (sp *Sparse) EvalIntoScratch(obs SessionObs, dst []float64, sc *SeriesScratch) {
 	sp.eval(obs, [2][]float64{dst}, sc)
 }
@@ -442,16 +428,43 @@ func (sp *Sparse) eval(obs SessionObs, dst [2][]float64, sc *SeriesScratch) {
 	}
 }
 
+// fullWidth builds the evaluator of a whole schema — the identity
+// selection, column j into slot j — and reports the schema's width.
+func fullWidth(ms []metric, ss []stat) (*Sparse, int) {
+	cols := make([]int, len(ms)*len(ss))
+	for j := range cols {
+		cols[j] = j
+	}
+	return newSparse(sparseOut{ms, ss, cols}), len(cols)
+}
+
+// stallFull and repFull are the full-width evaluators behind
+// StallFeatures and RepFeatures, built once and shared (a Sparse is
+// immutable).
+var (
+	stallFull, stallWidth = fullWidth(stallMetrics(), stallStats)
+	repFull, repWidth     = fullWidth(repMetrics(), repStats)
+)
+
+// evalFull evaluates a full-width Sparse into a fresh vector through a
+// fresh scratch: the allocating form training and the one-session tools
+// use.
+func evalFull(sp *Sparse, width int, obs SessionObs) []float64 {
+	out := make([]float64, width)
+	sp.EvalIntoScratch(obs, out, new(SeriesScratch))
+	return out
+}
+
 // StallFeatureNames returns the 70 feature names of the stall set
 // (10 metrics × 7 statistics).
 func StallFeatureNames() []string { return buildNames(stallMetrics(), stallStats) }
 
 // StallFeatures computes the stall feature vector of a session.
-func StallFeatures(obs SessionObs) []float64 { return buildVector(obs, stallMetrics(), stallStats) }
+func StallFeatures(obs SessionObs) []float64 { return evalFull(stallFull, stallWidth, obs) }
 
 // RepFeatureNames returns the 210 feature names of the representation
 // set (14 metrics × 15 statistics).
 func RepFeatureNames() []string { return buildNames(repMetrics(), repStats) }
 
 // RepFeatures computes the representation feature vector of a session.
-func RepFeatures(obs SessionObs) []float64 { return buildVector(obs, repMetrics(), repStats) }
+func RepFeatures(obs SessionObs) []float64 { return evalFull(repFull, repWidth, obs) }

@@ -145,49 +145,3 @@ func finishChunks(chunks []ChunkObs) {
 
 // Len returns the number of chunks.
 func (s SessionObs) Len() int { return len(s.Chunks) }
-
-// series extracts one named per-chunk series.
-func (s SessionObs) sizes() []float64 {
-	out := make([]float64, len(s.Chunks))
-	for i, c := range s.Chunks {
-		out[i] = c.SizeKB
-	}
-	return out
-}
-
-func (s SessionObs) times() []float64 {
-	out := make([]float64, len(s.Chunks))
-	for i, c := range s.Chunks {
-		out[i] = c.Time
-	}
-	return out
-}
-
-func (s SessionObs) throughputs() []float64 {
-	out := make([]float64, len(s.Chunks))
-	for i, c := range s.Chunks {
-		out[i] = c.ThroughputKBps()
-	}
-	return out
-}
-
-func (s SessionObs) field(f func(ChunkObs) float64) []float64 {
-	out := make([]float64, len(s.Chunks))
-	for i, c := range s.Chunks {
-		out[i] = f(c)
-	}
-	return out
-}
-
-// runningMean returns the cumulative average of xs: out[i] is the mean
-// of xs[0..i] — the "chunk average size" constructed feature evolves
-// along the session.
-func runningMean(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	var sum float64
-	for i, x := range xs {
-		sum += x
-		out[i] = sum / float64(i+1)
-	}
-	return out
-}

@@ -17,31 +17,15 @@ const StartupFilterSec = 10.0
 // Sessions shorter than skipSec or with fewer than three remaining
 // chunks return nil.
 func SwitchSeries(obs SessionObs, skipSec float64) []float64 {
-	var kept []ChunkObs
-	for _, c := range obs.Chunks {
-		if c.Time >= skipSec {
-			kept = append(kept, c)
-		}
-	}
-	if len(kept) < 3 {
-		return nil
-	}
-	out := make([]float64, 0, len(kept)-1)
-	for i := 1; i < len(kept); i++ {
-		dsize := kept[i].SizeKB - kept[i-1].SizeKB
-		dt := kept[i].Time - kept[i-1].Time
-		out = append(out, dsize*dt)
-	}
-	return out
+	return SwitchSeriesInto(obs, skipSec, nil)
 }
 
 // SwitchSeriesInto is SwitchSeries appending into buf (reused across
-// calls; grown only when capacity is exhausted) without materializing
-// the kept-chunk slice: the products stream off consecutive surviving
-// chunks with identical operand order, so the values are bit-identical
-// to SwitchSeries's. Sessions with fewer than three surviving chunks
-// return buf truncated to length zero — the same zero change score as
-// SwitchSeries's nil, with the buffer's capacity preserved.
+// calls; grown only when capacity is exhausted): the products stream
+// off consecutive surviving chunks, no kept-chunk slice in between.
+// Sessions with fewer than three surviving chunks return buf truncated
+// to length zero — the zero change score of no series, nil for a nil
+// buf, a reused buffer's capacity preserved.
 func SwitchSeriesInto(obs SessionObs, skipSec float64, buf []float64) []float64 {
 	out := buf[:0]
 	kept := 0
@@ -59,7 +43,7 @@ func SwitchSeriesInto(obs SessionObs, skipSec float64, buf []float64) []float64 
 		prev = c
 	}
 	if kept < 3 {
-		return out[:0]
+		return buf[:0]
 	}
 	return out
 }

@@ -109,9 +109,9 @@ const (
 	// DefaultLowConfidence is the winning-vote-share floor under which
 	// a session is retained as low-confidence.
 	DefaultLowConfidence = 0.55
-	// DefaultExemplars is how many retained session IDs each cohort or
-	// degraded-model entry links to.
-	DefaultExemplars = 4
+	// exemplarsPerKey is how many retained session IDs each exemplar key
+	// (cohort, degraded model) holds and links to.
+	exemplarsPerKey = 4
 	// worstMinSamples gates the worst-decile policy until the shard's
 	// P² estimator has seen enough sessions to mean something.
 	worstMinSamples = 32
@@ -138,9 +138,6 @@ type Config struct {
 	// LowConfidence is the confidence floor for the low_confidence
 	// policy (DefaultLowConfidence when 0; negative disables it).
 	LowConfidence float64
-	// Exemplars is how many retained session IDs each exemplar key
-	// (cohort, degraded model) holds (DefaultExemplars when 0).
-	Exemplars int
 	// Disabled makes New return nil — the recorder-off mode callers
 	// wire through unconditionally (every method is nil-safe).
 	Disabled bool
@@ -162,9 +159,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.LowConfidence == 0 {
 		c.LowConfidence = DefaultLowConfidence
-	}
-	if c.Exemplars <= 0 {
-		c.Exemplars = DefaultExemplars
 	}
 	return c
 }
@@ -256,14 +250,6 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// Config reports the effective configuration.
-func (r *Recorder) Config() Config {
-	if r == nil {
-		return Config{Disabled: true}
-	}
-	return r.cfg
-}
-
 // Shard returns the recorder stripe owned by one engine shard worker
 // (nil on a nil recorder — the zero-cost off mode).
 func (r *Recorder) Shard(i int) *ShardRecorder {
@@ -290,7 +276,7 @@ type ShardRecorder struct {
 	ring  []*Session // retained sessions, oldest first
 	bytes int64
 	// exemplars indexes this shard's retained sessions by exemplar
-	// key, each list the worst-MOS cfg.Exemplars sessions, sorted.
+	// key, each list the worst-MOS exemplarsPerKey sessions, sorted.
 	// Cohort entries use the bare region/device/cap key — a static
 	// string on the retention path, no per-retention concatenation —
 	// and model entries the literals "model/<stall|rep>"; the shapes
@@ -409,8 +395,8 @@ func exemplarLess(a, b *Session) bool {
 }
 
 // register indexes a retained session under one exemplar key on this
-// shard, keeping the cfg.Exemplars worst (lowest-MOS) live sessions
-// per key. Callers hold s.mu; the list is tiny (cfg.Exemplars), so
+// shard, keeping the exemplarsPerKey worst (lowest-MOS) live sessions
+// per key. Callers hold s.mu; the list is that tiny, so
 // the compact-and-insert below is a handful of pointer moves — cheap
 // enough for the retention path, and strictly shard-local so
 // concurrent shards never serialize on it.
@@ -426,20 +412,20 @@ func (s *ShardRecorder) register(key string, sess *Session) {
 	for i := len(kept) - 1; i > 0 && exemplarLess(kept[i], kept[i-1]); i-- {
 		kept[i], kept[i-1] = kept[i-1], kept[i]
 	}
-	if len(kept) > s.rec.cfg.Exemplars {
-		kept = kept[:s.rec.cfg.Exemplars]
+	if len(kept) > exemplarsPerKey {
+		kept = kept[:exemplarsPerKey]
 	}
 	s.exemplars[key] = kept
 }
 
-// ExemplarIDs returns up to k retained session IDs for one exemplar
-// key (a bare "region/device/cap" cohort key or "model/<stall|rep>"),
-// worst MOS first. IDs are "subscriber/start" — the /debug/flight
-// path form. The per-shard lists are merged here, on the rare
-// debug-read path, so the retention path never touches shared state.
-// Evicted sessions drop out lazily.
-func (r *Recorder) ExemplarIDs(key string, k int) []string {
-	if r == nil || k <= 0 {
+// ExemplarIDs returns up to exemplarsPerKey retained session IDs for
+// one exemplar key (a bare "region/device/cap" cohort key — the cohort
+// rollup's hook — or "model/<stall|rep>"), worst MOS first. IDs are
+// "subscriber/start" — the /debug/flight path form. The per-shard lists
+// are merged here, on the rare debug-read path, so the retention path
+// never touches shared state. Evicted sessions drop out lazily.
+func (r *Recorder) ExemplarIDs(key string) []string {
+	if r == nil {
 		return nil
 	}
 	var merged []*Session
@@ -456,8 +442,8 @@ func (r *Recorder) ExemplarIDs(key string, k int) []string {
 		return nil
 	}
 	sort.Slice(merged, func(i, j int) bool { return exemplarLess(merged[i], merged[j]) })
-	if len(merged) > k {
-		merged = merged[:k]
+	if len(merged) > exemplarsPerKey {
+		merged = merged[:exemplarsPerKey]
 	}
 	out := make([]string, len(merged))
 	for i, e := range merged {
@@ -466,18 +452,10 @@ func (r *Recorder) ExemplarIDs(key string, k int) []string {
 	return out
 }
 
-// CohortExemplars adapts ExemplarIDs to the cohort rollup's hook shape.
-func (r *Recorder) CohortExemplars(cohortKey string, k int) []string {
-	return r.ExemplarIDs(cohortKey, k)
-}
-
 // ModelExemplars adapts ExemplarIDs to the quality monitor's hook
 // shape (model is "stall" or "rep").
 func (r *Recorder) ModelExemplars(model string) []string {
-	if r == nil {
-		return nil
-	}
-	return r.ExemplarIDs("model/"+model, r.cfg.Exemplars)
+	return r.ExemplarIDs("model/" + model)
 }
 
 // ObserveOutcome promotes a retained session whose delayed

@@ -129,7 +129,7 @@ func TestFlightRetentionPolicies(t *testing.T) {
 
 	// cohort exemplars: both retained sessions share the cohort key,
 	// worst MOS first
-	ex := rec.CohortExemplars("eu-west/mobile/50", 4)
+	ex := rec.ExemplarIDs("eu-west/mobile/50")
 	if len(ex) != 2 || !strings.HasPrefix(ex[0], "sub-stall/") {
 		t.Fatalf("cohort exemplars = %v, want stalled session first", ex)
 	}
@@ -254,7 +254,7 @@ func TestFlightEvictionHostileLoad(t *testing.T) {
 	}
 
 	// exemplar links never point at evicted sessions
-	for _, id := range rec.CohortExemplars("eu-west/mobile/50", 8) {
+	for _, id := range rec.ExemplarIDs("eu-west/mobile/50") {
 		slash := strings.LastIndex(id, "/")
 		start, err := strconv.ParseFloat(id[slash+1:], 64)
 		if err != nil {
@@ -417,7 +417,7 @@ func TestFlightNilSafety(t *testing.T) {
 	sh.Discard()
 	assess(sh, assessment("sub", 10, stalledReport(8), nil))
 	rec.ObserveOutcome("sub", 10, 70, "stall", "x")
-	if got := rec.ExemplarIDs("cohort/x", 4); got != nil {
+	if got := rec.ExemplarIDs("cohort/x"); got != nil {
 		t.Fatalf("nil recorder exemplars = %v", got)
 	}
 	if got := rec.ModelExemplars("stall"); got != nil {
@@ -432,9 +432,6 @@ func TestFlightNilSafety(t *testing.T) {
 	sn := rec.Snapshot()
 	if sn.Retained == nil || len(sn.Retained) != 0 {
 		t.Fatalf("nil recorder snapshot retained = %v, want empty non-nil", sn.Retained)
-	}
-	if !rec.Config().Disabled {
-		t.Fatal("nil recorder Config should read as Disabled")
 	}
 	m := rec.Metrics()
 	if len(m.ByReason) != NumReasons {

@@ -157,10 +157,7 @@ func NewServerOpts(fw *core.Framework, opts Options) *Server {
 	if rec != nil {
 		// the drill-down chain: cohort and quality snapshots link to
 		// retained sessions, labeled-wrong outcomes promote them
-		k := rec.Config().Exemplars
-		ecfg.Cohorts.SetExemplars(func(key string) []string {
-			return rec.CohortExemplars(key, k)
-		})
+		ecfg.Cohorts.SetExemplars(rec.ExemplarIDs)
 		wireFlightQuality(qm, rec)
 	}
 	// sink: reports produced outside a request — the wire listener's

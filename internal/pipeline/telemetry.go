@@ -189,8 +189,7 @@ func StageTelemetry(m *Metrics, se *slo.Engine, stages func() []obs.StageSetSnap
 
 // qualityTelemetry declares the model-quality monitor: the
 // vqoe_model_* and vqoe_quality_labels_* families, the label/drift
-// series and the model-degraded and label-stale rules. No-op when the
-// monitor is off.
+// series and the model-degraded rule. No-op when the monitor is off.
 func qualityTelemetry(m *Metrics, se *slo.Engine, qm *qualitymon.Monitor) {
 	if qm == nil {
 		return
@@ -277,7 +276,7 @@ func qualityTelemetry(m *Metrics, se *slo.Engine, qm *qualitymon.Monitor) {
 		e.printf("vqoe_quality_labels_matched_total %d\n", q.Labels.Matched)
 	})
 
-	h, o := se.History(), se.Objectives()
+	h := se.History()
 	var cur qualitymon.Snapshot
 	h.Prelude(func() { cur = qm.Snapshot() })
 	// degraded counts the models past a degradation threshold and
@@ -316,7 +315,7 @@ func qualityTelemetry(m *Metrics, se *slo.Engine, qm *qualitymon.Monitor) {
 	h.AddGauge("model.max_ece", func() float64 {
 		return worst(func(ms qualitymon.ModelSnapshot) float64 { return ms.ECE })
 	})
-	labelAge := h.AddGauge("fresh.label_age_seconds", func() float64 {
+	h.AddGauge("fresh.label_age_seconds", func() float64 {
 		return ageSince(se, qm.LastLabelUnixNano())
 	})
 
@@ -328,11 +327,6 @@ func qualityTelemetry(m *Metrics, se *slo.Engine, qm *qualitymon.Monitor) {
 			return float64(n), n > 0, detail
 		},
 	})
-	if o.LabelStaleAfterSec > 0 {
-		se.AddRule(slo.StaleRule("label-stale",
-			"The ground-truth label side-channel has gone silent; online accuracy and calibration are going blind.",
-			labelAge, o.LabelStaleAfterSec, o))
-	}
 }
 
 // cohortTelemetry declares the fleet rollup: the vqoe_cohort_*

@@ -54,11 +54,9 @@ type Objectives struct {
 	// over the fast window exceed it (retention pressure: exemplars
 	// are being pushed out faster than they can be read).
 	FlightEvictPerSec float64
-	// StaleAfterSec breaches the freshness rules when the engine has
-	// processed nothing (or qualitymon has seen no label, if
-	// LabelStaleAfterSec > 0) for that long.
-	StaleAfterSec      float64
-	LabelStaleAfterSec float64 // 0 = label freshness rule disabled
+	// StaleAfterSec breaches the ingest-stale rule when the engine has
+	// processed nothing for that long.
+	StaleAfterSec float64
 	// ForSec / ClearForSec default the per-rule hysteresis.
 	ForSec      float64
 	ClearForSec float64

@@ -22,8 +22,9 @@ const internMax = 1 << 16
 // Decoder turns validated frame payloads back into entries and
 // labels. The returned slices are scratch owned by the decoder —
 // valid only until the next DecodeFrame call — which is exactly the
-// lifetime the engine's Ingest/Feed contract needs (they copy during
-// the shard split). Not safe for concurrent use.
+// lifetime the engine's Ingest/Feed contract needs (the engine digests
+// entries into its own recs and clones any string it interns before the
+// call returns). Not safe for concurrent use.
 type Decoder struct {
 	entries []weblog.Entry
 	labels  []qualitymon.Label

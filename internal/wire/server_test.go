@@ -200,6 +200,13 @@ func TestServerCloseDrains(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	// the claim is about a connection the server has: one still in the
+	// kernel's accept queue when the listener closes is never served
+	for deadline := time.Now().Add(5 * time.Second); s.Snapshot().ConnsTotal == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("connection never accepted")
+		}
+	}
 	// Close must deliver the already-written frame before cutting
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -358,9 +358,12 @@ echo "   $PCAP_REPORTS sessions assessed, closing sections present"
 
 echo "== make report: regenerates above the marker, keeps the record below it"
 cp EXPERIMENTS.md "$TMP/EXPERIMENTS.md"
-make -s report REPORT_FLAGS=-quick EXPERIMENTS="$TMP/EXPERIMENTS.md"
+make -s report REPORT_FLAGS="-quick -seed 2" EXPERIMENTS="$TMP/EXPERIMENTS.md"
 grep -q '^adaptive sessions, 250 encrypted sessions' "$TMP/EXPERIMENTS.md" ||
     { echo "make report did not regenerate the report part" >&2; exit 1; }
+# -quick used to reset the seed to 1 whatever -seed said
+grep -q 'cross-validation, seed 2\.$' "$TMP/EXPERIMENTS.md" ||
+    { echo "qoereport -quick -seed 2 did not run seed 2" >&2; exit 1; }
 diff <(grep '^## ' EXPERIMENTS.md) <(grep '^## ' "$TMP/EXPERIMENTS.md") >&2 ||
     { echo "make report changed the file's sections" >&2; exit 1; }
 diff <(sed '1,/^<!-- end of generated report/d' EXPERIMENTS.md) \
