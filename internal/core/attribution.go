@@ -11,36 +11,37 @@ type FeatureAttribution struct {
 	Weight  float64 `json:"weight"`
 }
 
-// ProjectedCopies returns fresh copies of session i's projected
-// feature vectors from the most recent batch through sc, in the two
-// detectors' Selected layouts. Unlike Attribute, the copies stay valid
-// after the scratch is reused by another batch, so a caller can defer
-// the comparatively expensive decision-path replay to a colder moment
-// (the flight recorder runs it at drill-down time, not on the ingest
-// path). Returns nils when the scratch carries no projected vectors.
-// Both copies share one backing allocation — they are only ever read.
-func (f *Framework) ProjectedCopies(sc *AnalyzeScratch, i int) (stall, rep []float64) {
+// Projected returns session i's projected feature vectors from the most
+// recent batch through sc, in the two detectors' Selected layouts, as
+// views of the scratch: valid until sc takes another batch (the flight
+// recorder copies them at retention). Nils when sc carries none.
+func (f *Framework) Projected(sc *AnalyzeScratch, i int) (stall, rep []float64) {
 	if f == nil || sc == nil || i < 0 {
 		return nil, nil
 	}
-	var ns, nr int
 	if f.Stall != nil && i < len(sc.stall.proj) {
-		ns = len(sc.stall.proj[i])
+		stall = sc.stall.proj[i]
 	}
 	if f.Rep != nil && i < len(sc.rep.proj) {
-		nr = len(sc.rep.proj[i])
+		rep = sc.rep.proj[i]
 	}
-	if ns+nr == 0 {
+	return stall, rep
+}
+
+// ProjectedCopies is Projected cloned, for a caller that defers the
+// decision-path replay (AttributeVectors) past the scratch's reuse. Both
+// copies share one backing allocation — they are only ever read.
+func (f *Framework) ProjectedCopies(sc *AnalyzeScratch, i int) (stall, rep []float64) {
+	s, r := f.Projected(sc, i)
+	if len(s)+len(r) == 0 {
 		return nil, nil
 	}
-	buf := make([]float64, ns+nr)
-	if ns > 0 {
-		stall = buf[:ns:ns]
-		copy(stall, sc.stall.proj[i])
+	buf := append(append(make([]float64, 0, len(s)+len(r)), s...), r...)
+	if len(s) > 0 {
+		stall = buf[:len(s):len(s)]
 	}
-	if nr > 0 {
-		rep = buf[ns:]
-		copy(rep, sc.rep.proj[i])
+	if len(r) > 0 {
+		rep = buf[len(s):]
 	}
 	return stall, rep
 }

@@ -25,15 +25,22 @@ import (
 // start at 1 and are assigned in first-sight order; 0 means "absent"
 // (no cohort metadata).
 //
-// The reverse direction takes no lock at all: names and keys only ever
-// grow by append, and every locked section that grew them publishes the
-// new slice headers as one internView before it unlocks. An ID reaches
-// a shard only through a mailbox, after the call that interned it has
-// published, so any view a shard loads covers every ID it holds; later
-// appends write past the view's length (or into a fresh backing array)
-// and never touch what it reads. IDs are never reused — a reclaiming
-// interner must first resolve or epoch-tag whatever still holds an old
-// ID (open flows, the trace ring).
+// What the interner keeps of an identity it cuts from name blocks
+// (DESIGN §13): each new subscriber name and each new cohort's rendered
+// label is appended to the current nameBlockBytes block and kept as a
+// substring of it, so first sight allocates per block, not per identity,
+// through either door. A substring pins its whole block.
+//
+// The reverse direction takes no lock at all: names, keys and labels
+// only ever grow by append, and every locked section that grew them
+// publishes the new slice headers as one internView before it unlocks.
+// An ID reaches a shard only through a mailbox, after the call that
+// interned it has published, so any view a shard loads covers every ID
+// it holds; later appends write past the view's length (or into a fresh
+// backing array) and never touch what it reads. IDs are never reused —
+// a reclaiming interner must first resolve or epoch-tag whatever still
+// holds an old ID (open flows, the trace ring), and it frees names a
+// block at a time.
 type interner struct {
 	mu     sync.Mutex
 	shards uint32
@@ -43,6 +50,9 @@ type interner struct {
 
 	cohorts map[cohort.Key]uint32
 	keys    []cohort.Key // id → key; keys[0] is the zero key
+	labels  []string     // id → keys[id].String(), rendered once
+
+	block strings.Builder // what new names and labels are cut from
 
 	view atomic.Pointer[internView]
 
@@ -60,9 +70,13 @@ type subEntry struct {
 // internView is the lock-free read side of the interner: the id →
 // string tables as of one publication. Immutable once stored.
 type internView struct {
-	names []string
-	keys  []cohort.Key
+	names  []string
+	keys   []cohort.Key
+	labels []string
 }
+
+// nameBlockBytes is one name block: over a thousand subscriber names.
+const nameBlockBytes = 16 << 10
 
 func newInterner(shards int) *interner {
 	n := &interner{
@@ -71,8 +85,9 @@ func newInterner(shards int) *interner {
 		names:   make([]string, 1),
 		cohorts: make(map[cohort.Key]uint32),
 		keys:    make([]cohort.Key, 1),
+		labels:  []string{cohort.Key{}.String()},
 	}
-	n.view.Store(&internView{n.names, n.keys})
+	n.view.Store(&internView{n.names, n.keys, n.labels})
 	return n
 }
 
@@ -94,14 +109,44 @@ func (n *interner) name(id uint32) string { return n.view.Load().names[id] }
 // cohortKey resolves an interned cohort ID; id 0 is the zero key.
 func (n *interner) cohortKey(id uint32) cohort.Key { return n.view.Load().keys[id] }
 
+// cohortLabel is cohortKey(id).String(), rendered once at first sight.
+func (n *interner) cohortLabel(id uint32) string { return n.view.Load().labels[id] }
+
+// room starts a new block unless the current one takes size more bytes;
+// what was cut from the old one keeps it alive. The caller holds n.mu.
+func (n *interner) room(size int) {
+	if n.block.Cap()-n.block.Len() < size {
+		n.block.Reset()
+		n.block.Grow(max(size, nameBlockBytes))
+	}
+}
+
+// put appends s, or "-" for an empty s when dash is set, to the block.
+// The caller has made room.
+func put[S string | []byte](b *strings.Builder, s S, dash bool) {
+	if dash && len(s) == 0 {
+		b.WriteByte('-')
+		return
+	}
+	switch v := any(s).(type) {
+	case string:
+		b.WriteString(v)
+	case []byte:
+		b.Write(v)
+	}
+}
+
 // lookupSub returns name's entry, interning it on first sight. name may
 // be decode scratch: a lookup builds no string, and a new subscriber is
-// stored under the interner's own copy. The caller holds n.mu and
-// publishes before it unlocks.
+// stored under the interner's own copy, cut from the current block. The
+// caller holds n.mu and publishes before it unlocks.
 func lookupSub[S string | []byte](n *interner, name S) subEntry {
 	se, ok := n.subs[string(name)]
 	if !ok {
-		own := owned(name)
+		n.room(len(name))
+		off := n.block.Len()
+		put(&n.block, name, false)
+		own := n.block.String()[off:]
 		se = subEntry{id: uint32(len(n.names)), shard: fnvShard(own, n.shards)}
 		n.subs[own] = se
 		n.names = append(n.names, own)
@@ -111,29 +156,31 @@ func lookupSub[S string | []byte](n *interner, name S) subEntry {
 }
 
 // lookupCohort is lookupSub for a region/device/cap triple; an all-empty
-// one is no metadata, cohort 0, and is not interned.
+// one is no metadata, cohort 0, and is not interned. A new cohort's
+// label — what cohort.Key.String renders — is written to the block
+// once, and the key's own three strings are its substrings.
 func lookupCohort[S string | []byte](n *interner, region, device, cp S) uint32 {
 	if len(region)+len(device)+len(cp) == 0 {
 		return 0
 	}
 	id, ok := n.cohorts[cohort.Key{Region: string(region), Device: string(device), Cap: string(cp)}]
 	if !ok {
-		k := cohort.Key{Region: owned(region), Device: owned(device), Cap: owned(cp)}
+		dev := max(len(region), 1) + 1 // where the device starts in the label
+		n.room(dev + max(len(device), 1) + 1 + max(len(cp), 1))
+		off := n.block.Len()
+		put(&n.block, region, true)
+		n.block.WriteByte('/')
+		put(&n.block, device, true)
+		n.block.WriteByte('/')
+		put(&n.block, cp, true)
+		label := n.block.String()[off:]
+		k := cohort.Key{Region: label[:len(region)], Device: label[dev : dev+len(device)], Cap: label[len(label)-len(cp):]}
 		id = uint32(len(n.keys))
 		n.cohorts[k] = id
 		n.keys = append(n.keys, k)
+		n.labels = append(n.labels, label)
 	}
 	return id
-}
-
-// owned copies s into a string the interner may keep: a []byte converts
-// by copy, a string is cloned, since the caller's may alias a decode
-// buffer reused after the call returns.
-func owned[S string | []byte](s S) string {
-	if str, ok := any(s).(string); ok {
-		return strings.Clone(str)
-	}
-	return string(s)
 }
 
 // intern is the fused wire door's half: the listener keeps its own
@@ -157,7 +204,7 @@ func (n *interner) intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3
 // lock-free readers. The caller holds n.mu.
 func (n *interner) publish() {
 	if v := n.view.Load(); len(v.names) != len(n.names) || len(v.keys) != len(n.keys) {
-		n.view.Store(&internView{n.names, n.keys})
+		n.view.Store(&internView{n.names, n.keys, n.labels})
 	}
 }
 

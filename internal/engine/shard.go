@@ -45,10 +45,12 @@ type shard struct {
 	tracker *sessionizer.ColTracker
 	sink    func(Report)
 
-	// resolve and cohortOf map interned IDs back to their strings/keys
-	// (the engine interner's lock-free read side).
+	// resolve, cohortOf and labelOf map interned IDs back to their
+	// strings, keys and rendered cohort labels (the engine interner's
+	// lock-free read side).
 	resolve  func(uint32) string
 	cohortOf func(uint32) cohort.Key
+	labelOf  func(uint32) string
 
 	minChunks  int
 	evictSlack float64
@@ -126,6 +128,7 @@ func newShard(id int, fw *core.Framework, cfg Config, sink func(Report), in *int
 		sink:       sink,
 		resolve:    in.name,
 		cohortOf:   in.cohortKey,
+		labelOf:    in.cohortLabel,
 		minChunks:  cfg.MinChunks,
 		evictSlack: cfg.EvictSlackSec,
 		sweepEvery: cfg.SweepEverySec,
@@ -325,8 +328,9 @@ func (s *shard) traceClosed(kind obs.EventKind, ts float64, c *sessionizer.ColCl
 // Chunk-buffer ownership: each closed session's chunk buffer (filled
 // from the flow's pages at close, arrival order) plus the sorted
 // featurization copy are recycled here once the session is
-// fully consumed — flight retention compacts synchronously inside
-// Retain, so nothing references either buffer after the report loop.
+// fully consumed — flight retention copies chunks and projected vectors
+// into its own store synchronously inside Retain, so nothing references
+// either buffer or the batch scratch after the report loop.
 func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 	if len(closed) == 0 {
 		return nil
@@ -384,10 +388,12 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 			})
 		}
 		if s.flight != nil {
-			// decide first; the cohort render and the projected-vector
-			// copies below are paid only by the retained tail
+			// decide first, so only the retained tail is copied anywhere;
+			// what Retain keeps as it is — the subscriber name and the
+			// cohort label — are the interner's strings, and the vectors
+			// are views of the scratch, so nothing is allocated here
 			if reasons, score, ok := s.flight.Decide(r); ok {
-				stallProj, repProj := s.fw.ProjectedCopies(&s.scratch, i)
+				stallProj, repProj := s.fw.Projected(&s.scratch, i)
 				s.flight.Retain(flight.Assessment{
 					Subscriber: name,
 					Start:      c.Start,
@@ -395,7 +401,7 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 					Report:     r,
 					Chunks:     c.Chunks,
 					RawEntries: c.Entries,
-					Cohort:     key.String(),
+					Cohort:     s.labelOf(c.Cohort),
 					StallProj:  stallProj,
 					RepProj:    repProj,
 				}, score, reasons)

@@ -5,9 +5,13 @@ import (
 	"testing"
 
 	"vqoe/internal/cohort"
+	"vqoe/internal/core"
+	"vqoe/internal/flight"
 	"vqoe/internal/obs"
+	"vqoe/internal/qualitymon"
 	"vqoe/internal/sessionizer"
 	"vqoe/internal/weblog"
+	"vqoe/internal/workload"
 )
 
 // TestTracedPushLoopAllocatesNothing pins the lifecycle trace's cost on
@@ -285,5 +289,187 @@ func TestDoorsInternAlike(t *testing.T) {
 		if w[i] != f[i] {
 			t.Errorf("%q is %+v wire-first, %+v entry-first", subs[i], w[i], f[i])
 		}
+	}
+}
+
+// TestInternAllocatesPerBatchNotPerName pins first sight through both
+// doors: a batch of 256 never-seen subscribers and 8 never-seen cohorts
+// costs the heap a handful of objects — the published view, a fifth of
+// a name block, a step of the id → string tables now and then — not one
+// per name and four per cohort. The two Go maps are sized ahead, so the
+// count is the interner's own and the same under every toolchain: what
+// a growing map adds is the runtime's business (four objects per table
+// split, a split per ≈450 inserts, since Go 1.24; overflow buckets
+// before). Every stored label equals what cohort.Key.String renders.
+func TestInternAllocatesPerBatchNotPerName(t *testing.T) {
+	const names, triples, maxObjects = 256, 8, 2
+	batch := 0
+	fresh := func() ([][]byte, [][3][]byte) {
+		batch++
+		subs := make([][]byte, 0, 2*names)
+		for i := 0; i < names; i++ {
+			b := []byte(fmt.Sprintf("sub-%d-%d", batch, i))
+			subs = append(subs, b, b) // a frame repeats what its caches missed
+		}
+		cohorts := make([][3][]byte, triples)
+		for i := range cohorts {
+			cohorts[i] = [3][]byte{[]byte(fmt.Sprintf("region-%d", batch)), []byte(fmt.Sprintf("dev-%d", i)), nil}
+		}
+		return subs, cohorts
+	}
+	// AllocsPerRun calls f runs+1 times; every call gets its own batch.
+	// The first batches go in unmeasured: young tables double often
+	const warm, runs = 16, 64
+
+	in := newInterner(2)
+	in.subs = make(map[string]subEntry, 4*(warm+2*(runs+1))*names)
+	in.cohorts = make(map[cohort.Key]uint32, 4*(warm+2*(runs+1))*triples)
+	var subs [][][]byte
+	var cohorts [][][3][]byte
+	for i := 0; i <= warm+runs; i++ {
+		s, c := fresh()
+		subs, cohorts = append(subs, s), append(cohorts, c)
+	}
+	refs, ids := make([]sessionizer.SubRef, 2*names), make([]uint32, triples)
+	k := 0
+	for ; k < warm; k++ {
+		in.intern(subs[k], refs, cohorts[k], ids)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() {
+		in.intern(subs[k], refs, cohorts[k], ids)
+		k++
+	}); allocs > maxObjects {
+		t.Errorf("Intern of %d new names and %d new cohorts allocates %v objects, want ≤ %d", names, triples, allocs, maxObjects)
+	}
+	if got := in.interned.Load(); got != (warm+runs+1)*names {
+		t.Errorf("%d subscribers interned, want %d", got, (warm+runs+1)*names)
+	}
+	for i, ref := range refs {
+		if want := string(subs[warm+runs][i]); ref.Name != want || in.name(ref.ID) != want {
+			t.Fatalf("ref %d resolved %q as %q (view: %q)", i, want, ref.Name, in.name(ref.ID))
+		}
+	}
+
+	entries := make([][]weblog.Entry, runs+1)
+	for i := range entries {
+		s, c := fresh()
+		for j, b := range s {
+			tr := c[j%triples]
+			entries[i] = append(entries[i], weblog.Entry{Subscriber: string(b), Region: string(tr[0]), Device: string(tr[1]), Cap: string(tr[2])})
+		}
+	}
+	slab := &recSlab{}
+	in.digest(slab, entries[0]) // grows the slab's scratch
+	k = 1
+	if allocs := testing.AllocsPerRun(runs-1, func() {
+		in.digest(slab, entries[k])
+		k++
+	}); allocs > maxObjects {
+		t.Errorf("digest of %d new names and %d new cohorts allocates %v objects, want ≤ %d", names, triples, allocs, maxObjects)
+	}
+
+	if got, want := len(in.keys)-1, (warm+2*(runs+1))*triples; got != want {
+		t.Fatalf("%d cohorts interned, want %d", got, want)
+	}
+	for id, key := range in.keys {
+		if got := in.cohortLabel(uint32(id)); got != key.String() {
+			t.Errorf("cohort %d: stored label %q, key renders %q", id, got, key.String())
+		}
+	}
+	for _, tr := range [][3]string{{"eu", "", ""}, {"", "tv", ""}, {"", "", "10M"}, {"a/b", "-", ""}} {
+		id := lookupCohort(in, tr[0], tr[1], tr[2])
+		key := cohort.Key{Region: tr[0], Device: tr[1], Cap: tr[2]}
+		if in.keys[id] != key || in.labels[id] != key.String() {
+			t.Errorf("triple %q interned as %+v labelled %q, want label %q", tr, in.keys[id], in.labels[id], key.String())
+		}
+	}
+}
+
+// TestAssessSteadyStateZeroAlloc pins the whole close path of a deployed
+// process: a warm shard with the cohort rollup, the quality monitor and
+// the flight recorder all on, closing 45-chunk sessions of subscribers
+// it knows, allocates nothing per closed session — with the recorder at
+// its budget and retaining every one of them (SampleN 1), and the
+// monitor's pending stripes full, as both are for good after the first
+// hours of traffic. Flow pages, featurization scratch and report buffer
+// recycle; the retained session's strings are the interner's and its
+// floats go into reused segments; the tracked prediction overwrites the
+// oldest.
+func TestAssessSteadyStateZeroAlloc(t *testing.T) {
+	clearCfg, hasCfg := workload.DefaultConfig(300), workload.DefaultConfig(150)
+	clearCfg.Seed, hasCfg.Seed, hasCfg.AdaptiveFraction = 71, 72, 1
+	tcfg := core.DefaultTrainConfig()
+	tcfg.CVFolds, tcfg.Forest.Trees = 3, 8
+	fw, _, err := core.TrainFramework(workload.Generate(clearCfg), workload.Generate(hasCfg), tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const subs, chunks = 8, 45
+	in := newInterner(1)
+	names := make([][]byte, subs)
+	for i := range names {
+		names[i] = []byte(fmt.Sprintf("sub-%d", i))
+	}
+	refs, cohorts := make([]sessionizer.SubRef, subs), make([]uint32, 1)
+	in.intern(names, refs, [][3][]byte{{[]byte("eu-west"), []byte("phone"), nil}}, cohorts)
+
+	rec := flight.New(flight.Config{Shards: 1, SampleN: 1, MaxBytes: 64 << 10})
+	rec.SetAttributor(fw.AttributeVectors)
+	qm := core.NewQualityMonitor(fw, 1, qualitymon.Thresholds{})
+	for _, ref := range refs {
+		for i := 0; i < 4096; i++ { // fill the subscriber's pending stripe
+			qm.TrackPrediction(qualitymon.Prediction{Subscriber: ref.Name, Start: -2, End: -1})
+		}
+	}
+	reports := 0
+	cfg := Config{Shards: 1, SweepEverySec: -1, Quality: qm, Cohorts: cohort.NewRollup(cohort.Config{Shards: 1}), Flight: rec}.WithDefaults()
+	s := newShard(0, fw, cfg, func(Report) { reports++ }, in)
+
+	// one message: every subscriber loads a watch page — closing its
+	// previous session — and plays 45 chunks
+	var recs []sessionizer.Rec
+	for _, ref := range refs {
+		recs = append(recs, sessionizer.Rec{Sub: ref.ID, Cohort: cohorts[0], Kind: weblog.HostWatchPage})
+		for c := 0; c < chunks; c++ {
+			recs = append(recs, sessionizer.Rec{
+				Sub: ref.ID, Cohort: cohorts[0], Kind: weblog.HostMedia,
+				Dur: 0.4 + 0.01*float64(c%7), KB: 300 + 40*float64(c%5),
+				RTTMin: 20, RTTAvg: 30, RTTMax: 50 + float64(c%3), BDP: 90, BIFAvg: 40, BIFMax: 80,
+			})
+		}
+	}
+	clock := 0.0
+	message := func() {
+		for i := range recs {
+			clock += 0.5
+			recs[i].Ts = clock
+		}
+		s.handle(message{recs: recs})
+	}
+	for rec.Metrics().Evicted < 2*rec.Metrics().Resident+subs {
+		message()
+	}
+	const runs = 20
+	before, retained := reports, rec.Metrics().Retained
+	if allocs := testing.AllocsPerRun(runs, message); allocs != 0 {
+		t.Errorf("a message closing %d sessions allocates %v objects, want 0", subs, allocs)
+	}
+	if got, want := reports-before, (runs+1)*subs; got != want {
+		t.Errorf("%d sessions reported, want %d", got, want)
+	}
+	if got, want := rec.Metrics().Retained-retained, int64((runs+1)*subs); got != want {
+		t.Errorf("%d sessions retained, want every one of %d", got, want)
+	}
+	if got := qm.Snapshot().Labels.PredsEvicted; got < int64(reports) {
+		t.Errorf("%d pending predictions evicted, want every one of %d tracked sessions to have replaced one", got, reports)
+	}
+	ex := rec.ExemplarIDs("eu-west/phone/-")
+	if len(ex) == 0 {
+		t.Fatal("no retained session under the interner's cohort label")
+	}
+	sess := rec.Snapshot().Retained[0]
+	if got := rec.Get(sess.Subscriber, sess.Start); got == nil || got.Cohort != "eu-west/phone/-" || got.Chunks != chunks {
+		t.Errorf("retained session drills down as %+v", got)
 	}
 }

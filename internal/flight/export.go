@@ -54,24 +54,23 @@ type SessionJSON struct {
 	Timeline  []EventJSON `json:"timeline"`
 }
 
-// indexEntry renders one session's index row. Callers must hold the
-// owning shard's ring lock: reasons (and the label list behind the
-// entry count) may be grown by ObserveOutcome.
-func indexEntry(s *Session) IndexEntry {
+// indexEntry renders one session's index row from its header: a copy,
+// or the one in the store with the owning shard's ring lock held.
+func indexEntry(h *header, shard int) IndexEntry {
 	return IndexEntry{
-		ID:         sessionID(s.Subscriber, s.Start),
-		Subscriber: s.Subscriber,
-		Start:      s.Start,
-		End:        s.End,
-		Shard:      s.Shard,
-		Chunks:     s.Chunks,
-		MOS:        s.MOS,
-		Verbal:     s.Verbal,
-		Stall:      s.Stall,
-		Rep:        s.Rep,
-		Cohort:     s.Cohort,
-		Reasons:    s.reasons.Names(),
-		Entries:    s.rawEntries,
+		ID:         sessionID(h.subscriber, h.start),
+		Subscriber: h.subscriber,
+		Start:      h.start,
+		End:        h.end,
+		Shard:      shard,
+		Chunks:     h.report.Chunks,
+		MOS:        h.mos,
+		Verbal:     h.verbal(),
+		Stall:      h.stall(),
+		Rep:        h.rep(),
+		Cohort:     h.cohort,
+		Reasons:    h.reasons.Names(),
+		Entries:    h.rawEntries,
 	}
 }
 
@@ -87,8 +86,8 @@ func (r *Recorder) Snapshot() Snapshot {
 	out.Counters = r.Metrics()
 	for _, s := range r.shards {
 		s.mu.Lock()
-		for _, sess := range s.ring {
-			out.Retained = append(out.Retained, indexEntry(sess))
+		for seq := s.hdrs.head; seq < s.hdrs.tail; seq++ {
+			out.Retained = append(out.Retained, indexEntry(s.hdrs.at(seq), s.shard))
 		}
 		s.mu.Unlock()
 	}
@@ -105,33 +104,26 @@ func (r *Recorder) Snapshot() Snapshot {
 	return out
 }
 
-// find returns the retained session with this exact subscriber and
-// start, materializing its timeline. The index row and a copy of the
-// mutable label list are taken under the owning ring lock; the
-// timeline itself is built outside it, from raw material that is
-// immutable after retention.
-func (r *Recorder) find(subscriber string, start float64) (*Session, IndexEntry, []Event) {
+// find returns a copy of the retained session with this exact
+// subscriber and start, or nil. Header, floats and labels are copied
+// under the owning ring lock (see replay); index row and timeline are
+// then built from the copy with the lock released.
+func (r *Recorder) find(subscriber string, start float64) *replay {
 	if r == nil {
-		return nil, IndexEntry{}, nil
+		return nil
 	}
 	for _, s := range r.shards {
 		s.mu.Lock()
-		for _, sess := range s.ring {
-			if sess.Subscriber != subscriber || sess.Start != start {
-				continue
-			}
-			idx := indexEntry(sess)
-			var labels []Event
-			if len(sess.labels) > 0 {
-				labels = make([]Event, len(sess.labels))
-				copy(labels, sess.labels)
-			}
-			s.mu.Unlock()
-			return sess, idx, sess.timeline(labels)
+		var sess *replay
+		if seq, h := s.lookup(subscriber, start); h != nil {
+			sess = s.copyOut(seq, h)
 		}
 		s.mu.Unlock()
+		if sess != nil {
+			return sess
+		}
 	}
-	return nil, IndexEntry{}, nil
+	return nil
 }
 
 // Get returns one retained session's full timeline, or nil when no
@@ -142,11 +134,12 @@ func (r *Recorder) find(subscriber string, start float64) (*Session, IndexEntry,
 // time, from the raw material the session retained — the ingest path
 // never pays for either.
 func (r *Recorder) Get(subscriber string, start float64) *SessionJSON {
-	sess, idx, evs := r.find(subscriber, start)
+	sess := r.find(subscriber, start)
 	if sess == nil {
 		return nil
 	}
-	out := &SessionJSON{IndexEntry: idx, Truncated: sess.truncated}
+	evs := sess.timeline()
+	out := &SessionJSON{IndexEntry: indexEntry(&sess.header, sess.shard), Truncated: sess.truncated()}
 	out.Events = len(evs)
 	out.Timeline = make([]EventJSON, len(evs))
 	stallAttr, repAttr := r.attribute(sess, attrTopK)
@@ -168,10 +161,11 @@ func (r *Recorder) Get(subscriber string, start float64) *SessionJSON {
 // the owning shard's track. Returns nil when the session is not
 // retained.
 func (r *Recorder) ChromeTrace(subscriber string, start float64) []obs.ChromeEvent {
-	sess, _, evs := r.find(subscriber, start)
+	sess := r.find(subscriber, start)
 	if sess == nil {
 		return nil
 	}
+	evs := sess.timeline()
 	const usec = 1e6
 	out := make([]obs.ChromeEvent, 0, len(evs))
 	for i := range evs {
@@ -181,8 +175,8 @@ func (r *Recorder) ChromeTrace(subscriber string, start float64) []obs.ChromeEve
 			Cat:  "flight",
 			TS:   ev.TS * usec,
 			PID:  1,
-			TID:  int32(sess.Shard),
-			Args: map[string]any{"subscriber": sess.Subscriber},
+			TID:  int32(sess.shard),
+			Args: map[string]any{"subscriber": sess.subscriber},
 		}
 		switch ev.Kind {
 		case EvChunk:
@@ -237,7 +231,7 @@ func (r *Recorder) Metrics() MetricsSnapshot {
 			out.ByReason[reasonNames[i]] += s.byReason[i].Load()
 		}
 		s.mu.Lock()
-		out.Resident += int64(len(s.ring))
+		out.Resident += int64(s.hdrs.live())
 		out.Bytes += s.bytes
 		s.mu.Unlock()
 		out.CapacityBytes += r.cfg.MaxBytes

@@ -26,24 +26,24 @@
 // The open-session timeline costs nothing to accumulate: the flow
 // table (sessionizer.ColTracker) already buffers every open session's
 // chunk observations for feature extraction, so retention is a header
-// copy plus one float-only pass that compacts the buffer into
+// write plus one float-only pass that compacts the buffer into
 // pointer-free 24-byte records — compact at retention, replay on
-// demand. The buffer goes back to the tracker's pool, and because the
-// compacted records hold no pointers, a full retained ring adds
-// nothing to the garbage collector's scan work while ingest runs hot.
-// The event timeline is materialized from the records only when an
+// demand. The buffer goes back to the tracker's pool; records, vectors
+// and headers go into two per-shard FIFO stores of fixed segments
+// (arena.go), reused oldest-first once the budget is reached, so a
+// recorder at its budget allocates nothing per retained session. The
+// event timeline is materialized from the records only when an
 // operator actually drills down. The hot path pays one Decide call
 // per *closed session* — a MOS score, a P² update, and a few
 // branches — with the compaction pass only for the retained tail; a
 // nil *Recorder (or nil *ShardRecorder) is the "off" mode with zero
 // cost.
 //
-// Memory is hard-capped: retained sessions enter a per-shard FIFO ring
-// accounted in bytes; the oldest sessions are evicted (and counted)
-// when a shard exceeds its budget, and each timeline caps its event
-// count (truncation counted). Exemplar registries index the worst
-// retained sessions per cohort key and per degraded model so
-// /debug/cohorts and /debug/quality can link to them.
+// Memory is hard-capped: retained sessions are accounted in bytes; the
+// oldest are evicted (and counted) when a shard exceeds its budget, and
+// each timeline caps its event count (truncation counted). Exemplar
+// registries index the worst retained sessions per cohort key and per
+// degraded model so /debug/cohorts and /debug/quality can link to them.
 package flight
 
 import (
@@ -85,18 +85,23 @@ const NumReasons = 5
 
 var reasonNames = [NumReasons]string{"stalled", "worst_mos", "low_confidence", "labeled_wrong", "uniform"}
 
-// Names expands the bitmask into sorted policy names (deterministic
-// JSON).
-func (r Reason) Names() []string {
-	var out []string
-	for i := 0; i < NumReasons; i++ {
-		if r&(1<<i) != 0 {
-			out = append(out, reasonNames[i])
+// reasonSets holds every bitmask's sorted policy names: an index render
+// asks for one per row.
+var reasonSets = func() (sets [1 << NumReasons][]string) {
+	for r := range sets {
+		for i := 0; i < NumReasons; i++ {
+			if r&(1<<i) != 0 {
+				sets[r] = append(sets[r], reasonNames[i])
+			}
 		}
+		sort.Strings(sets[r])
 	}
-	sort.Strings(out)
-	return out
-}
+	return sets
+}()
+
+// Names expands the bitmask into sorted policy names (deterministic
+// JSON). The slice is shared by every caller and must not be modified.
+func (r Reason) Names() []string { return reasonSets[r&(1<<NumReasons-1)] }
 
 // Defaults for Config's zero fields.
 const (
@@ -164,9 +169,9 @@ func (c Config) WithDefaults() Config {
 }
 
 // Assessment carries one closed session's outcome to the retention
-// decision. Hot paths build it only after Decide says keep, so the
-// cohort render and the vector copies below are paid exclusively by
-// the retained tail — never by the dropped majority.
+// decision. Hot paths build it only after Decide says keep. Retain
+// copies the floats it wants and keeps the two strings as they are — the
+// engine passes its interned subscriber and the interner's cohort label.
 type Assessment struct {
 	Subscriber string
 	Start, End float64
@@ -182,12 +187,12 @@ type Assessment struct {
 	// Cohort is the session's rendered region/device/cap label (""
 	// when the traffic carried no cohort metadata).
 	Cohort string
-	// StallProj and RepProj are copies of both detectors' projected
-	// feature vectors, taken out of the batch scratch before it is
-	// reused. They ride the retained session so decision-path
+	// StallProj and RepProj are both detectors' projected feature
+	// vectors; Retain copies them, so callers pass views of the batch
+	// scratch. They ride the retained session so decision-path
 	// attribution can run at drill-down time (see
 	// Recorder.SetAttributor) instead of on the ingest path; either
-	// may be nil.
+	// may be empty.
 	StallProj, RepProj []float64
 }
 
@@ -219,11 +224,10 @@ func (r *Recorder) SetAttributor(fn Attributor) {
 	r.attr.Store(&fn)
 }
 
-// attribute replays the session's retained projected vectors through
+// attribute replays a copied-out session's projected vectors through
 // the installed attributor, or returns nils when either side is
-// missing. Sessions' vectors are immutable after buildSession, so this
-// needs no ring lock.
-func (r *Recorder) attribute(s *Session, k int) (stall, rep []core.FeatureAttribution) {
+// missing.
+func (r *Recorder) attribute(s *replay, k int) (stall, rep []core.FeatureAttribution) {
 	p := r.attr.Load()
 	if p == nil || (s.stallProj == nil && s.repProj == nil) {
 		return nil, nil
@@ -244,7 +248,10 @@ func New(cfg Config) *Recorder {
 		r.shards[i] = &ShardRecorder{
 			rec: r, shard: i,
 			p10:       stats.NewP2Quantile(0.10),
-			exemplars: make(map[string][]*Session),
+			hdrs:      fifo[header]{segLen: headerSegLen},
+			floats:    fifo[float64]{segLen: floatSegLen},
+			labels:    make(map[uint64][]Event),
+			exemplars: make(map[string]exemplarList),
 		}
 	}
 	return r
@@ -259,9 +266,9 @@ func (r *Recorder) Shard(i int) *ShardRecorder {
 	return r.shards[i%len(r.shards)]
 }
 
-// ShardRecorder is one engine shard's slice of the recorder. Assess
-// and Discard are called only by the owning shard worker; the mutex
-// guards only the retained ring (snapshot readers and label
+// ShardRecorder is one engine shard's slice of the recorder. Decide,
+// Retain and Discard are called only by the owning shard worker; the
+// mutex guards only the retained stores (snapshot readers and label
 // promotion), never the per-session hot path state.
 type ShardRecorder struct {
 	rec   *Recorder
@@ -272,9 +279,16 @@ type ShardRecorder struct {
 	nScores int64
 	nth     int64
 
-	mu    sync.Mutex
-	ring  []*Session // retained sessions, oldest first
-	bytes int64
+	mu sync.Mutex
+	// the retained sessions, oldest first: a header each — its position
+	// in hdrs is the session's sequence number, alive iff at or past
+	// hdrs.head — and its chunk records and vectors in floats
+	hdrs   fifo[header]
+	floats fifo[float64]
+	bytes  int64 // accounted footprint of the live sessions
+	// labels holds the delayed EvLabel events of ObserveOutcome, by
+	// sequence number, until the session is evicted
+	labels map[uint64][]Event
 	// exemplars indexes this shard's retained sessions by exemplar
 	// key, each list the worst-MOS exemplarsPerKey sessions, sorted.
 	// Cohort entries use the bare region/device/cap key — a static
@@ -283,7 +297,7 @@ type ShardRecorder struct {
 	// can't collide (cohort keys always carry two slashes). Guarded by
 	// mu; reads merge the per-shard lists so retention never touches
 	// recorder-global state.
-	exemplars map[string][]*Session
+	exemplars map[string]exemplarList
 
 	recorded  atomic.Int64
 	retained  atomic.Int64
@@ -336,86 +350,84 @@ func (s *ShardRecorder) Decide(rep core.Report) (Reason, float64, bool) {
 	return reasons, score, reasons != 0
 }
 
-// Retain keeps one session Decide said to keep, taking ownership of
-// its raw material. Callers pass Decide's reasons and score through.
-// It compacts the raw material into a pointer-free record and inserts
-// it into the byte-capped ring, evicting oldest-first past the budget.
-// The cost is one float-only pass over the chunks (see newSession)
-// plus ring and exemplar bookkeeping; the timeline is NOT materialized
-// here — that happens at drill-down render time.
+// Retain keeps one session Decide said to keep. Callers pass Decide's
+// reasons and score through. It compacts the raw material into the
+// shard's stores (see push) and evicts oldest-first past the byte
+// budget: one float-only pass over the chunks plus store and exemplar
+// bookkeeping, at the budget no allocation. The timeline is NOT
+// materialized here — that happens at drill-down render time.
 func (s *ShardRecorder) Retain(a Assessment, score float64, reasons Reason) {
 	if s == nil {
 		return
 	}
-	sess := newSession(a, score, reasons, s.shard, s.rec.cfg.MaxEvents)
 	s.retained.Add(1)
 	for i := 0; i < NumReasons; i++ {
 		if reasons&(1<<i) != 0 {
 			s.byReason[i].Add(1)
 		}
 	}
-	s.truncated.Add(sess.truncated)
 
-	var evicted []*Session
+	evicted := int64(0)
 	s.mu.Lock()
-	s.ring = append(s.ring, sess)
-	s.bytes += sess.bytes
-	for s.bytes > s.rec.cfg.MaxBytes && len(s.ring) > 1 {
-		old := s.ring[0]
-		s.ring = s.ring[1:]
-		s.bytes -= old.bytes
-		old.dead.Store(true)
-		evicted = append(evicted, old)
+	seq, h := s.push(&a, score, reasons)
+	truncated := h.truncated()
+	for s.bytes > s.rec.cfg.MaxBytes && s.hdrs.live() > 1 {
+		s.evictOldest()
+		evicted++
 	}
-	s.register(sess.Cohort, sess)
+	s.register(a.Cohort, seq)
 	if reasons&ReasonLowConfidence != 0 {
 		if a.Report.StallConf < s.rec.cfg.LowConfidence {
-			s.register("model/stall", sess)
+			s.register("model/stall", seq)
 		}
 		if a.Report.RepConf < s.rec.cfg.LowConfidence {
-			s.register("model/rep", sess)
+			s.register("model/rep", seq)
 		}
 	}
 	s.mu.Unlock()
-	if len(evicted) > 0 {
-		s.evicted.Add(int64(len(evicted)))
-	}
+	s.truncated.Add(truncated)
+	s.evicted.Add(evicted)
+}
+
+// exemplarList is one key's worst retained sessions on one shard, by
+// sequence number, worst first; the extra slot is the newcomer's.
+type exemplarList struct {
+	n   int
+	seq [exemplarsPerKey + 1]uint64
 }
 
 // exemplarLess is the worst-first exemplar order: lowest MOS, then
 // subscriber, then start — total, so merged renders are deterministic.
-func exemplarLess(a, b *Session) bool {
-	if a.MOS != b.MOS {
-		return a.MOS < b.MOS
+func exemplarLess(a, b *header) bool {
+	if a.mos != b.mos {
+		return a.mos < b.mos
 	}
-	if a.Subscriber != b.Subscriber {
-		return a.Subscriber < b.Subscriber
+	if a.subscriber != b.subscriber {
+		return a.subscriber < b.subscriber
 	}
-	return a.Start < b.Start
+	return a.start < b.start
 }
 
 // register indexes a retained session under one exemplar key on this
 // shard, keeping the exemplarsPerKey worst (lowest-MOS) live sessions
-// per key. Callers hold s.mu; the list is that tiny, so
-// the compact-and-insert below is a handful of pointer moves — cheap
-// enough for the retention path, and strictly shard-local so
-// concurrent shards never serialize on it.
-func (s *ShardRecorder) register(key string, sess *Session) {
-	list := s.exemplars[key]
-	kept := list[:0]
-	for _, e := range list {
-		if !e.dead.Load() {
-			kept = append(kept, e)
+// per key; evicted ones drop out here, lazily. Callers hold s.mu. The
+// list is tiny and shard-local, and lives in the map by value, so only a
+// key's first registration allocates.
+func (s *ShardRecorder) register(key string, seq uint64) {
+	l := s.exemplars[key]
+	n := 0
+	for _, e := range l.seq[:l.n] {
+		if e >= s.hdrs.head {
+			l.seq[n] = e
+			n++
 		}
 	}
-	kept = append(kept, sess)
-	for i := len(kept) - 1; i > 0 && exemplarLess(kept[i], kept[i-1]); i-- {
-		kept[i], kept[i-1] = kept[i-1], kept[i]
+	l.seq[n] = seq
+	for i := n; i > 0 && exemplarLess(s.hdrs.at(l.seq[i]), s.hdrs.at(l.seq[i-1])); i-- {
+		l.seq[i], l.seq[i-1] = l.seq[i-1], l.seq[i]
 	}
-	if len(kept) > exemplarsPerKey {
-		kept = kept[:exemplarsPerKey]
-	}
-	s.exemplars[key] = kept
+	l.n = min(n+1, exemplarsPerKey)
+	s.exemplars[key] = l
 }
 
 // ExemplarIDs returns up to exemplarsPerKey retained session IDs for
@@ -428,12 +440,13 @@ func (r *Recorder) ExemplarIDs(key string) []string {
 	if r == nil {
 		return nil
 	}
-	var merged []*Session
+	var merged []header
 	for _, s := range r.shards {
 		s.mu.Lock()
-		for _, e := range s.exemplars[key] {
-			if !e.dead.Load() {
-				merged = append(merged, e)
+		l := s.exemplars[key]
+		for _, e := range l.seq[:l.n] {
+			if e >= s.hdrs.head {
+				merged = append(merged, *s.hdrs.at(e))
 			}
 		}
 		s.mu.Unlock()
@@ -441,13 +454,13 @@ func (r *Recorder) ExemplarIDs(key string) []string {
 	if len(merged) == 0 {
 		return nil
 	}
-	sort.Slice(merged, func(i, j int) bool { return exemplarLess(merged[i], merged[j]) })
+	sort.Slice(merged, func(i, j int) bool { return exemplarLess(&merged[i], &merged[j]) })
 	if len(merged) > exemplarsPerKey {
 		merged = merged[:exemplarsPerKey]
 	}
 	out := make([]string, len(merged))
-	for i, e := range merged {
-		out[i] = sessionID(e.Subscriber, e.Start)
+	for i := range merged {
+		out[i] = sessionID(merged[i].subscriber, merged[i].start)
 	}
 	return out
 }
@@ -471,22 +484,21 @@ func (r *Recorder) ObserveOutcome(subscriber string, start, end float64, model, 
 	}
 	for _, s := range r.shards {
 		s.mu.Lock()
-		for _, sess := range s.ring {
-			if sess.Subscriber != subscriber || sess.Start != start {
-				continue
-			}
-			sess.reasons |= ReasonLabeledWrong
-			ev := Event{TS: end, Kind: EvLabel, Note: model + ": " + note}
-			sess.labels = append(sess.labels, ev)
-			b := eventBytes(&ev)
-			sess.bytes += b
-			s.bytes += b
-			s.register("model/"+model, sess)
+		seq, h := s.lookup(subscriber, start)
+		if h == nil {
 			s.mu.Unlock()
-			s.byReason[reasonIndex(ReasonLabeledWrong)].Add(1)
-			return
+			continue
 		}
+		h.reasons |= ReasonLabeledWrong
+		ev := Event{TS: end, Kind: EvLabel, Note: model + ": " + note}
+		s.labels[seq] = append(s.labels[seq], ev)
+		b := eventBytes(&ev)
+		h.bytes += b
+		s.bytes += b
+		s.register("model/"+model, seq)
 		s.mu.Unlock()
+		s.byReason[reasonIndex(ReasonLabeledWrong)].Add(1)
+		return
 	}
 }
 
@@ -504,5 +516,7 @@ func reasonIndex(r Reason) int {
 // round-trips exactly, so the rendered start parses back to the same
 // float64 for lookup.
 func sessionID(subscriber string, start float64) string {
-	return subscriber + "/" + strconv.FormatFloat(start, 'g', -1, 64)
+	var buf [64]byte // an index render builds one per row: one object, not two
+	b := append(append(buf[:0], subscriber...), '/')
+	return string(strconv.AppendFloat(b, start, 'g', -1, 64))
 }

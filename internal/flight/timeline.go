@@ -1,11 +1,6 @@
 package flight
 
-import (
-	"sync/atomic"
-
-	"vqoe/internal/core"
-	"vqoe/internal/mos"
-)
+import "vqoe/internal/core"
 
 // EventKind classifies one timeline event.
 type EventKind uint8
@@ -118,123 +113,15 @@ func (e *Event) render() EventJSON {
 	return out
 }
 
-// chunkRec is one retained chunk download, compacted out of its
-// features.ChunkObs at retention: the end timestamp, transfer duration,
-// and size are all a timeline render needs, and the record is
-// pointer-free — the garbage collector never scans a retained ring's
-// chunk arrays, which is what keeps a full flight ring's resident
-// cost off the ingest path's GC cycles.
-type chunkRec struct {
-	ts  float64 // capture-clock end timestamp (arrival + transfer)
-	dur float64 // transfer duration, seconds
-	kb  float64 // chunk size, kilobytes
-}
-
-// Session is one retained session's record: the header the index
-// serves, the compacted chunk records the timeline is materialized
-// from at render time, and the verdict needed to replay the assess
-// fold. The exported fields and the retained raw material (chunks,
-// report, projected vectors) are immutable after newSession; labels,
-// bytes, and reasons may grow via ObserveOutcome under the owning
-// shard's ring lock. dead is flipped once on eviction so exemplar
-// registries drop stale links without holding ring locks.
-type Session struct {
-	Subscriber string
-	Start, End float64
-	Shard      int
-	Chunks     int
-	MOS        float64
-	Verbal     string
-	Stall      string
-	Rep        string
-	Cohort     string
-
-	// chunks holds the first maxEvents video chunk downloads, compacted
-	// to pointer-free records at retention; totals below summarize the
-	// whole session so truncation never skews the features event.
-	chunks     []chunkRec
-	chunkCount int     // video chunks seen, kept or not
-	totalKB    float64 // whole-session video bytes, KB
-	totalSec   float64 // whole-session transfer time
-	rawEntries int     // flow-buffer entries the session closed with
-	// report is the assess-time verdict the timeline fold replays.
-	report core.Report
-	// labels holds delayed EvLabel events appended by ObserveOutcome,
-	// rendered after the assess fold (guarded by the ring lock).
-	labels []Event
-	// stallProj / repProj are the detectors' projected feature vectors,
-	// copied at retention so decision-path attribution can be replayed
-	// at drill-down time without touching the (since reused) scratch.
-	stallProj []float64
-	repProj   []float64
-	reasons   Reason
-	truncated int64
-	bytes     int64
-	dead      atomic.Bool
-}
-
-// newSession retains one session: a header copy plus one float-only
-// pass over the already-buffered chunk observations that compacts them
-// into pointer-free records (capped at maxEvents) and folds the
-// whole-session totals. The chunk buffer is not referenced afterwards
-// — the caller recycles it — so a full ring adds nothing to the
-// collector's scan work while ingest runs hot. No timeline exists yet;
-// Session.timeline materializes the event view when an operator
-// actually drills down.
-func newSession(a Assessment, score float64, reasons Reason, shard, maxEvents int) *Session {
-	sess := &Session{
-		Subscriber: a.Subscriber,
-		Start:      a.Start,
-		End:        a.End,
-		Shard:      shard,
-		Chunks:     a.Report.Chunks,
-		MOS:        score,
-		Verbal:     mos.Score(score).Verbal(),
-		Stall:      a.Report.Stall.String(),
-		Rep:        a.Report.Representation.String(),
-		rawEntries: a.RawEntries,
-		report:     a.Report,
-		reasons:    reasons,
-	}
-	sess.Cohort = a.Cohort
-	sess.stallProj, sess.repProj = a.StallProj, a.RepProj
-	keep := a.Report.Chunks
-	if keep > maxEvents {
-		keep = maxEvents
-	}
-	if keep > 0 {
-		sess.chunks = make([]chunkRec, 0, keep)
-	}
-	for i := range a.Chunks {
-		c := &a.Chunks[i]
-		sess.chunkCount++
-		sess.totalKB += c.SizeKB
-		sess.totalSec += c.DurationSec
-		if len(sess.chunks) < maxEvents {
-			sess.chunks = append(sess.chunks, chunkRec{ts: c.Time, dur: c.DurationSec, kb: c.SizeKB})
-		}
-	}
-	if t := int64(sess.chunkCount - len(sess.chunks)); t > 0 {
-		sess.truncated = t
-	}
-	sess.bytes = int64(sessionOverheadBytes+len(sess.Subscriber)+len(sess.Cohort)+
-		len(sess.Stall)+len(sess.Rep)+len(sess.Verbal)+
-		8*(len(sess.stallProj)+len(sess.repProj))) +
-		int64(cap(sess.chunks))*chunkRecBytes
-	return sess
-}
-
-// timeline materializes the session's event view from the retained
-// raw material: chunk events from the compacted records (capped at
-// maxEvents, overflow pre-counted in truncated), gap synthesis for
-// stalled sessions, the assess-time fold — feature summary, both
-// verdicts, switch score, MOS, cohort — then any delayed label
-// events. Everything it reads is immutable after retention except
-// labels, which the caller copies out under the ring lock and passes
-// in. Attribution of the verdict events is the renderer's job (see
-// Recorder.attribute); the timeline itself stays pointer-light.
-func (s *Session) timeline(labels []Event) []Event {
-	evs := make([]Event, 0, len(s.chunks)+maxGapEvents+6+len(labels))
+// timeline materializes a copied-out session's event view from its
+// retained raw material: chunk events from the compacted records
+// (capped at MaxEvents when they were kept, overflow pre-counted),
+// gap synthesis for stalled sessions, the assess-time fold — feature
+// summary, both verdicts, switch score, MOS, cohort — then any delayed
+// label events. Attribution of the verdict events is the renderer's job
+// (see Recorder.attribute); the timeline itself stays pointer-light.
+func (s *replay) timeline() []Event {
+	evs := make([]Event, 0, s.kept+maxGapEvents+6+len(s.labels))
 
 	// stalled sessions get the largest inter-chunk silences marked as
 	// gap events; pick them in a first float-only pass over the chunk
@@ -242,14 +129,14 @@ func (s *Session) timeline(labels []Event) []Event {
 	// once, in place — no post-hoc insertion ever rewrites the slice
 	var gaps gapSet
 	if s.reasons&ReasonStalled != 0 {
-		gaps = pickGaps(s.chunks)
+		gaps = s.pickGaps()
 	}
 
-	for i := range s.chunks {
-		c := &s.chunks[i]
-		ev := Event{TS: c.ts, Kind: EvChunk, V1: c.kb, V2: c.dur}
-		if c.dur > 0 {
-			ev.V3 = c.kb / c.dur
+	for i := 0; i < s.kept; i++ {
+		ts, dur, kb := s.chunk(i)
+		ev := Event{TS: ts, Kind: EvChunk, V1: kb, V2: dur}
+		if dur > 0 {
+			ev.V3 = kb / dur
 		}
 		evs = append(evs, ev)
 		// the gap a chunk's arrival ended renders right after it, at the
@@ -259,21 +146,21 @@ func (s *Session) timeline(labels []Event) []Event {
 		}
 	}
 
-	feat := Event{TS: s.End, Kind: EvFeatures, V1: float64(s.chunkCount), V2: s.totalKB}
+	feat := Event{TS: s.end, Kind: EvFeatures, V1: float64(s.chunkCount), V2: s.totalKB}
 	if s.totalSec > 0 {
 		feat.V3 = s.totalKB / s.totalSec
 	}
 	evs = append(evs, feat)
 	evs = append(evs,
-		Event{TS: s.End, Kind: EvStall, V1: s.report.StallConf, Note: s.Stall},
-		Event{TS: s.End, Kind: EvRep, V1: s.report.RepConf, Note: s.Rep},
-		Event{TS: s.End, Kind: EvSwitch, V1: s.report.SwitchScore, V2: b2f(s.report.SwitchVariance)},
-		Event{TS: s.End, Kind: EvMOS, V1: s.MOS, Note: s.Verbal},
+		Event{TS: s.end, Kind: EvStall, V1: s.report.StallConf, Note: s.stall()},
+		Event{TS: s.end, Kind: EvRep, V1: s.report.RepConf, Note: s.rep()},
+		Event{TS: s.end, Kind: EvSwitch, V1: s.report.SwitchScore, V2: b2f(s.report.SwitchVariance)},
+		Event{TS: s.end, Kind: EvMOS, V1: s.mos, Note: s.verbal()},
 	)
-	if s.Cohort != "" {
-		evs = append(evs, Event{TS: s.End, Kind: EvCohort, Note: s.Cohort})
+	if s.cohort != "" {
+		evs = append(evs, Event{TS: s.end, Kind: EvCohort, Note: s.cohort})
 	}
-	return append(evs, labels...)
+	return append(evs, s.labels...)
 }
 
 func b2f(b bool) float64 {
@@ -312,11 +199,11 @@ func (g *gapSet) at(k int) float64 {
 // rebuffered, not just that the detector said so. Longest silences
 // win; equal lengths break toward the earlier chunk. One float-only
 // pass, no allocation.
-func pickGaps(chunks []chunkRec) gapSet {
+func (s *replay) pickGaps() gapSet {
 	var g gapSet
 	var prev float64
-	for k := range chunks {
-		ts := chunks[k].ts
+	for k := 0; k < s.kept; k++ {
+		ts, _, _ := s.chunk(k)
 		if k > 0 {
 			if d := ts - prev; d > 0 {
 				keep := g.n < maxGapEvents
@@ -338,19 +225,4 @@ func pickGaps(chunks []chunkRec) gapSet {
 		prev = ts
 	}
 	return g
-}
-
-// Memory accounting constants: a conservative per-record overhead plus
-// the variable-size payloads. They only need to be stable and roughly
-// honest — the budget is a cap on resident footprint, not a heap
-// audit. chunkRecBytes is sizeof(chunkRec): the compacted, pointer-free
-// per-chunk cost a retained session actually holds.
-const (
-	sessionOverheadBytes = 256
-	eventOverheadBytes   = 64
-	chunkRecBytes        = 24
-)
-
-func eventBytes(ev *Event) int64 {
-	return int64(eventOverheadBytes + len(ev.Note))
 }

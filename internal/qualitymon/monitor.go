@@ -185,8 +185,78 @@ type Outcome struct {
 // side-channel does not matter.
 type pendingStripe struct {
 	mu     sync.Mutex
-	preds  []Prediction
-	labels []Label
+	preds  ring[Prediction]
+	labels ring[Label]
+}
+
+// ring is a bounded FIFO whose push is O(1) whether or not it evicts: a
+// stripe that has filled stays full for the life of the process, so
+// eviction is the common case. The buffer doubles on demand up to the
+// limit push is given and then stays.
+type ring[T any] struct {
+	buf     []T
+	head, n int // index of the oldest element, element count
+}
+
+// idx maps the i-th oldest element (0 ≤ i ≤ n) to its buffer index.
+func (r *ring[T]) idx(i int) int {
+	if i += r.head; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return i
+}
+
+// push appends v, evicting the oldest element first when the ring
+// already holds limit; it reports whether it evicted.
+func (r *ring[T]) push(v T, limit int) (evicted bool) {
+	if r.n == limit {
+		r.buf[r.head] = v
+		r.head = r.idx(1)
+		return true
+	}
+	if r.n == len(r.buf) {
+		a, b := r.parts()
+		r.buf = make([]T, min(max(2*r.n, 64), limit))
+		copy(r.buf[copy(r.buf, a):], b)
+		r.head = 0
+	}
+	r.buf[r.idx(r.n)] = v
+	r.n++
+	return false
+}
+
+// parts returns the contents, oldest first, as the at most two
+// contiguous runs they occupy.
+func (r *ring[T]) parts() (a, b []T) {
+	if end := r.head + r.n; end > len(r.buf) {
+		return r.buf[r.head:], r.buf[:end-len(r.buf)]
+	}
+	return r.buf[r.head : r.head+r.n], nil
+}
+
+// remove takes out the i-th oldest element, keeping the order of the
+// rest (which is what breaks ties between equal overlaps).
+func (r *ring[T]) remove(i int) T {
+	v := r.buf[r.idx(i)]
+	for ; i+1 < r.n; i++ {
+		r.buf[r.idx(i)] = r.buf[r.idx(i+1)]
+	}
+	r.n--
+	return v
+}
+
+// best runs match on each contiguous run and returns the index (i-th
+// oldest) of the highest score, the oldest among equals, or -1.
+func (r *ring[T]) best(match func([]T) (int, float64)) int {
+	if r.n == 0 {
+		return -1
+	}
+	a, b := r.parts()
+	i, ov := match(a)
+	if j, ov2 := match(b); ov2 > ov {
+		i = len(a) + j
+	}
+	return i
 }
 
 // numStripes is the pending-match lock striping; label traffic is a
@@ -254,18 +324,15 @@ func (m *Monitor) TrackPrediction(p Prediction) {
 	}
 	st := m.stripe(p.Subscriber)
 	st.mu.Lock()
-	if i := bestLabelMatch(st.labels, p.Subscriber, p.Start, p.End); i >= 0 {
-		l := st.labels[i]
-		st.labels = append(st.labels[:i], st.labels[i+1:]...)
+	if i := st.labels.best(func(ls []Label) (int, float64) { return bestLabelMatch(ls, p.Subscriber, p.Start, p.End) }); i >= 0 {
+		l := st.labels.remove(i)
 		st.mu.Unlock()
 		m.resolve(p, l)
 		return
 	}
-	if len(st.preds) >= m.pendingCap {
-		st.preds = st.preds[:copy(st.preds, st.preds[1:])]
+	if st.preds.push(p, m.pendingCap) {
 		m.predsEvicted.Add(1)
 	}
-	st.preds = append(st.preds, p)
 	st.mu.Unlock()
 }
 
@@ -280,18 +347,15 @@ func (m *Monitor) ObserveLabel(l Label) bool {
 	m.lastLabelNano.Store(time.Now().UnixNano())
 	st := m.stripe(l.Subscriber)
 	st.mu.Lock()
-	if i := bestPredMatch(st.preds, l.Subscriber, l.Start, l.End); i >= 0 {
-		p := st.preds[i]
-		st.preds = append(st.preds[:i], st.preds[i+1:]...)
+	if i := st.preds.best(func(ps []Prediction) (int, float64) { return bestPredMatch(ps, l.Subscriber, l.Start, l.End) }); i >= 0 {
+		p := st.preds.remove(i)
 		st.mu.Unlock()
 		m.resolve(p, l)
 		return true
 	}
-	if len(st.labels) >= m.pendingCap {
-		st.labels = st.labels[:copy(st.labels, st.labels[1:])]
+	if st.labels.push(l, m.pendingCap) {
 		m.labelsEvicted.Add(1)
 	}
-	st.labels = append(st.labels, l)
 	st.mu.Unlock()
 	return false
 }
@@ -343,13 +407,15 @@ func (m *Monitor) resolve(p Prediction, l Label) {
 }
 
 // bestLabelMatch finds the buffered label with the largest interval
-// overlap against [start, end] for the subscriber, -1 when none
-// overlaps. The engine may split one player session at page
-// boundaries, so a label can overlap several assessed fragments; the
-// dominant-overlap fragment wins.
-func bestLabelMatch(labels []Label, sub string, start, end float64) int {
+// overlap against [start, end] for the subscriber (the first of equals)
+// and returns it with that overlap, -1 and 0 when none overlaps. The
+// engine may split one player session at page boundaries, so a label
+// can overlap several assessed fragments; the dominant-overlap
+// fragment wins.
+func bestLabelMatch(labels []Label, sub string, start, end float64) (int, float64) {
 	best, bestOv := -1, 0.0
-	for i, l := range labels {
+	for i := range labels {
+		l := &labels[i]
 		if l.Subscriber != sub {
 			continue
 		}
@@ -357,12 +423,13 @@ func bestLabelMatch(labels []Label, sub string, start, end float64) int {
 			best, bestOv = i, ov
 		}
 	}
-	return best
+	return best, bestOv
 }
 
-func bestPredMatch(preds []Prediction, sub string, start, end float64) int {
+func bestPredMatch(preds []Prediction, sub string, start, end float64) (int, float64) {
 	best, bestOv := -1, 0.0
-	for i, p := range preds {
+	for i := range preds {
+		p := &preds[i]
 		if p.Subscriber != sub {
 			continue
 		}
@@ -370,7 +437,7 @@ func bestPredMatch(preds []Prediction, sub string, start, end float64) int {
 			best, bestOv = i, ov
 		}
 	}
-	return best
+	return best, bestOv
 }
 
 func overlap(aStart, aEnd, bStart, bEnd float64) float64 {

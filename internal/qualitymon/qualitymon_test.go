@@ -327,12 +327,15 @@ func TestMonitorAccuracyDropDegrades(t *testing.T) {
 }
 
 func TestMonitorPendingBounded(t *testing.T) {
-	m := New(Config{
-		Shards:     1,
-		PendingCap: 4,
-		Stall:      ModelConfig{Name: "stall", Classes: []string{"a", "b"}},
-		Rep:        ModelConfig{Name: "rep", Classes: []string{"x", "y"}},
-	})
+	newMon := func(pendingCap int) *Monitor {
+		return New(Config{
+			Shards:     1,
+			PendingCap: pendingCap,
+			Stall:      ModelConfig{Name: "stall", Classes: []string{"a", "b"}},
+			Rep:        ModelConfig{Name: "rep", Classes: []string{"x", "y"}},
+		})
+	}
+	m := newMon(4)
 	for i := 0; i < 10; i++ {
 		// same subscriber → same stripe; disjoint intervals → no matches
 		m.TrackPrediction(Prediction{Subscriber: "s", Start: float64(100 * i), End: float64(100*i + 10)})
@@ -347,6 +350,121 @@ func TestMonitorPendingBounded(t *testing.T) {
 	}
 	if m.ObserveLabel(Label{Subscriber: "s", Start: 0, End: 10}) {
 		t.Error("label for evicted prediction matched")
+	}
+
+	// a stripe at the default capacity, driven 1.5 times around: session i
+	// is [100i, 100i+10] in both queues
+	const slots = 4096
+	const n = slots + slots/2
+	iv := func(i int) (float64, float64) { return float64(100 * i), float64(100*i + 10) }
+	m = newMon(0)
+	var wrong []Outcome
+	m.SetOutcomeHook(func(o Outcome) {
+		if o.Prediction.Start != o.Label.Start || o.Prediction.Stall != o.Label.Stall {
+			wrong = append(wrong, o)
+		}
+	})
+	for i := 0; i < n; i++ {
+		a, b := iv(i)
+		m.TrackPrediction(Prediction{Subscriber: "s", Start: a, End: b, Stall: i % 2})
+	}
+	if got := m.Snapshot().Labels.PredsEvicted; got != n-slots {
+		t.Fatalf("preds evicted = %d, want %d (cap %d, %d tracked)", got, n-slots, slots, n)
+	}
+	// eviction is oldest-first: exactly sessions n-slots..n-1 are left, on
+	// both sides of the wrap, and taking some out of the middle leaves
+	// the rest matchable
+	label := func(i int) bool {
+		a, b := iv(i)
+		return m.ObserveLabel(Label{Subscriber: "s", Start: a, End: b, Stall: i % 2})
+	}
+	for _, i := range []int{0, n - slots - 1} {
+		if label(i) {
+			t.Errorf("label for evicted prediction %d matched", i)
+		}
+	}
+	for _, i := range []int{n - slots, n - slots + 1, slots - 1, slots, slots + 1, n - 2, n - 1, n - slots + 2, slots + 2} {
+		if !label(i) {
+			t.Errorf("label for resident prediction %d did not match", i)
+		}
+		if label(i) {
+			t.Errorf("prediction %d matched twice", i)
+		}
+	}
+	// the two unmatched labels and the nine repeats wait in the label
+	// queue; wrap that one too and match in the other direction
+	pendingLabels := 2 + 9
+	for i := n; i < 2*n; i++ {
+		if label(i) {
+			t.Fatalf("label %d matched a prediction never tracked", i)
+		}
+		pendingLabels++
+	}
+	if got, want := m.Snapshot().Labels.LabelsEvicted, int64(pendingLabels-slots); got != want {
+		t.Fatalf("labels evicted = %d, want %d", got, want)
+	}
+	matched := m.Snapshot().Labels.Matched
+	for _, i := range []int{2*n - slots, 2*n - 1, n + slots - 1, n + slots, 2*n - slots + 1} {
+		a, b := iv(i)
+		m.TrackPrediction(Prediction{Subscriber: "s", Start: a, End: b, Stall: i % 2})
+		if matched++; m.Snapshot().Labels.Matched != matched {
+			t.Errorf("prediction %d did not match its waiting label", i)
+		}
+	}
+	a, b := iv(2*n - slots - 1)
+	m.TrackPrediction(Prediction{Subscriber: "s", Start: a, End: b})
+	if m.Snapshot().Labels.Matched != matched {
+		t.Error("prediction matched an evicted label")
+	}
+	if len(wrong) > 0 {
+		t.Errorf("%d pairs resolved across sessions, first %+v", len(wrong), wrong[0])
+	}
+	// ties go to the oldest: two waiting predictions overlap a label equally
+	m = newMon(4)
+	for i := 0; i < 6; i++ { // wraps; the last four stay
+		m.TrackPrediction(Prediction{Subscriber: "s", Start: 0, End: 10, Stall: i})
+	}
+	var first Outcome
+	m.SetOutcomeHook(func(o Outcome) { first = o })
+	if !m.ObserveLabel(Label{Subscriber: "s", Start: 0, End: 10}) || first.Prediction.Stall != 2 {
+		t.Errorf("equal overlaps resolved to prediction %d, want the oldest resident (2)", first.Prediction.Stall)
+	}
+}
+
+// BenchmarkTrackPredictionEmptyStripe and …FullStripe are the close
+// path's call into the monitor for a session no label is waiting for —
+// nearly all of them — before and after its stripe has filled. The two
+// must stay within 2× of each other: a stripe fills after 4,096
+// unlabeled sessions and stays full for the life of the process.
+func BenchmarkTrackPredictionEmptyStripe(b *testing.B) { benchTrack(b, false) }
+func BenchmarkTrackPredictionFullStripe(b *testing.B)  { benchTrack(b, true) }
+
+func benchTrack(b *testing.B, full bool) {
+	newMon := func() *Monitor {
+		m := New(Config{
+			Shards: 1,
+			Stall:  ModelConfig{Name: "stall", Classes: []string{"a", "b"}},
+			Rep:    ModelConfig{Name: "rep", Classes: []string{"x", "y"}},
+		})
+		if full {
+			for i := 0; i < 4096; i++ {
+				m.TrackPrediction(Prediction{Subscriber: "s"})
+			}
+		}
+		return m
+	}
+	m := newMon()
+	p := Prediction{Subscriber: "s", Start: 10, End: 20}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !full && i%2048 == 2047 {
+			// keep the stripe far from full: the row is the cost before it fills
+			b.StopTimer()
+			m = newMon()
+			b.StartTimer()
+		}
+		m.TrackPrediction(p)
 	}
 }
 
