@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-fast vet bench bench-engine cover loc report report-quick figures clean
+.PHONY: all build test test-fast vet bench bench-engine cover loc loc-check report report-quick figures clean
 
 all: build vet test
 
@@ -36,9 +36,16 @@ cover:
 	$(GO) test -cover ./...
 
 # non-test Go lines outside bench/ — the number ROADMAP's "fewer
-# non-test lines" criterion tracks (bar: 21,500)
+# non-test lines" criterion tracks (target: 21,500). LOC_BAR is a
+# ratchet, the count at the last PR that moved it: loc-check (CI) fails
+# above it, so a PR that needs more lines raises the number in its own
+# diff, where the reviewer sees it, and one that deletes lowers it.
+LOC_BAR := 21835
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
+loc-check:
+	@n=$$($(MAKE) -s loc); echo "$$n non-test Go lines (LOC_BAR $(LOC_BAR))"; test $$n -le $(LOC_BAR)
 
 # regenerate the paper-vs-measured comparison (about a minute): only the
 # generated part of EXPERIMENTS.md, which ends at the marker line

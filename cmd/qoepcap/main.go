@@ -174,7 +174,6 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 		sloCadence = 1
 	}
 	capNow := 0.0
-	var pushed int64
 	scfg := slo.Config{Manual: true, CadenceSec: sloCadence, Now: func() float64 { return capNow }}
 	if alertLog != "" {
 		lf, err := os.OpenFile(alertLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -185,15 +184,16 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 		scfg.AlertLog = lf
 	}
 	sloEng := slo.New(scfg)
-	pipeline.EntriesTelemetry(sloEng, func() int64 { return pushed }, nil)
-	pipeline.StageTelemetry(nil, sloEng, ob.StageSnapshots)
-	pipeline.FlightTelemetry(nil, sloEng, rec)
 
 	// stream through the live engine at one shard, one entry per call,
 	// so the flight recorder sees the capture exactly as a deployment
 	// would; sweeps are off — sessions close on §5.2 boundaries and at
 	// end of capture
 	eng := engine.New(fw, engine.Config{Shards: 1, SweepEverySec: -1, Obs: ob, Flight: rec}, nil)
+	// the engine's own count: Ingest is synchronous, so a tick reads what was pushed
+	pipeline.EntriesTelemetry(sloEng, func() int64 { return eng.Snapshot()[0].Events }, nil)
+	pipeline.StageTelemetry(nil, sloEng, ob.StageSnapshots)
+	pipeline.FlightTelemetry(nil, sloEng, rec)
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Timestamp < entries[j].Timestamp })
 	n := 0
 	emit := func(reports []engine.Report) {
@@ -215,8 +215,8 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 		if e.Timestamp > capNow {
 			capNow = e.Timestamp
 		}
-		pushed++
-		emit(eng.Ingest([]weblog.Entry{e}))
+		reports, _ := eng.Ingest([]weblog.Entry{e})
+		emit(reports)
 	}
 	emit(eng.Drain())
 	sloEng.Tick(capNow)
@@ -272,12 +272,11 @@ func doReplay(path, hostsPath, addr string) error {
 	}
 	defer c.Close()
 	var sendErr error
-	h := wire.Handler{Entries: func(entries []weblog.Entry) {
+	st, err := wire.ReplayPcap(r, func(entries []weblog.Entry) {
 		if sendErr == nil {
 			sendErr = c.SendEntries(entries)
 		}
-	}}
-	st, err := wire.ReplayPcap(r, h, wire.ReplayOptions{})
+	}, wire.ReplayOptions{})
 	if err != nil {
 		return err
 	}

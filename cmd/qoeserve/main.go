@@ -197,7 +197,13 @@ func main() {
 	}
 	if *pcapPath != "" {
 		go func() {
-			st, err := replayCapture(*pcapPath, *pcapHosts, srv.WireHandler())
+			// meter the capture (names from the hosts file) into the Entry door
+			r, err := pcapio.Open(*pcapPath, *pcapHosts)
+			var st wire.ReplayStats
+			if err == nil {
+				st, err = wire.ReplayPcap(r, srv.Engine().Feed, wire.ReplayOptions{})
+				r.Close()
+			}
 			if err != nil {
 				log.Error("pcap replay failed", "path", *pcapPath, "err", err)
 				return
@@ -258,16 +264,4 @@ func main() {
 		os.Exit(1)
 	}
 	<-done
-}
-
-// replayCapture streams a pcap through the flow meter into the wire
-// handler (the same entry path the listener feeds), restoring server
-// names from the companion hosts file when present.
-func replayCapture(path, hostsPath string, h wire.Handler) (wire.ReplayStats, error) {
-	r, err := pcapio.Open(path, hostsPath)
-	if err != nil {
-		return wire.ReplayStats{}, err
-	}
-	defer r.Close()
-	return wire.ReplayPcap(r, h, wire.ReplayOptions{})
 }

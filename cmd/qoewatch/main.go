@@ -151,7 +151,8 @@ func main() {
 			continue
 		}
 		lines++
-		for _, rep := range srv.Ingest([]weblog.Entry{e}) {
+		reports, _ := srv.Ingest([]weblog.Entry{e})
+		for _, rep := range reports {
 			emitted += printReport(out, rep, *quietOK)
 		}
 	}

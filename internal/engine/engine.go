@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"vqoe/internal/cohort"
 	"vqoe/internal/core"
@@ -90,18 +91,9 @@ type Config struct {
 	Flight *flight.Recorder
 }
 
-// DefaultConfig mirrors the offline sessionizer's parameters
-// (sessionizer.DefaultConfig's idle gap, page boundaries on).
-func DefaultConfig() Config {
-	return Config{
-		Shards:        runtime.GOMAXPROCS(0),
-		Mailbox:       256,
-		IdleGapSec:    30,
-		MinChunks:     3,
-		EvictSlackSec: 30,
-		SweepEverySec: 15,
-	}
-}
+// DefaultConfig is every field at its documented default, mirroring the
+// offline sessionizer's (sessionizer.DefaultConfig's idle gap, page boundaries on).
+func DefaultConfig() Config { return Config{}.WithDefaults() }
 
 // WithDefaults resolves every zero field to its default (documented on
 // the fields above); callers that need the effective shard count
@@ -148,9 +140,13 @@ type Engine struct {
 
 	// interner maps subscriber strings and cohort keys to dense uint32
 	// IDs at the front door; slabs pools the per-batch routing storage
-	// (recycled when the last shard acks its sub-batch).
+	// (recycled when the last shard acks its sub-batch), digests the Entry
+	// doors' conversion scratch; rejected counts what the admission rule
+	// refused, by reason.
 	interner *interner
 	slabs    sync.Pool
+	digests  sync.Pool
+	rejected [rejectReasons]atomic.Int64
 
 	mu     sync.RWMutex
 	closed bool
@@ -170,6 +166,7 @@ func New(fw *core.Framework, cfg Config, sink func(Report)) *Engine {
 		interner: newInterner(cfg.Shards),
 	}
 	e.slabs.New = func() any { return &recSlab{pool: &e.slabs} }
+	e.digests.New = func() any { return new(digested) }
 	for i := range e.shards {
 		e.shards[i] = newShard(i, fw, cfg, sink, e.interner)
 		e.wg.Add(1)
@@ -199,73 +196,78 @@ func (e *Engine) ObserveLabel(l qualitymon.Label) bool {
 	return e.cfg.Quality.ObserveLabel(l)
 }
 
-// submit is the one scatter-and-mail loop behind every door. The Entry
-// doors (Ingest, Feed, Offer) pass entries, which are first digested
-// into recs (see interner.digest); the fused wire door passes the recs
-// and shards its decoder already resolved. Either way the recs are
-// scattered into a pooled slab of per-shard sub-batches and every
-// non-empty one is mailed. shed picks the full-mailbox policy — drop
-// and count the sub-batch instead of blocking; reply, when non-nil,
-// receives each mailed sub-batch's reports instead of the sink; done,
-// when non-nil, is called once the last shard has processed its
-// sub-batch (see FeedRecs). It returns the entries accepted and the
-// sub-batches mailed (the replies to wait for).
-//
-// The caller's slices are never retained: the scatter copies, so decode
-// scratch can be reused on return.
-func (e *Engine) submit(entries []weblog.Entry, recs []sessionizer.Rec, shardOf []uint32, shed bool, reply chan []Report, done func()) (accepted, mailed int) {
+// Tally is what the engine did with one batch: every entry is accepted
+// (mailed to its shard), dropped (shed by Offer on a full mailbox) or
+// rejected (by the admission rule, see admit); all zero after Drain.
+type Tally struct{ Accepted, Dropped, Rejected int }
+
+// submit is the engine's only way in, the one admit-scatter-and-mail
+// loop behind every door: recs[i] is bound for shard shardOf[i], as the
+// wire door's decoder or the Entry doors' interner.digest resolved them.
+// The scatter runs the admission rule, counts the rejects and copies the
+// rest into a pooled slab of per-shard sub-batches; every non-empty one
+// is mailed. shed picks the full-mailbox policy — drop and count the
+// sub-batch instead of blocking; reply, when non-nil, receives each
+// mailed sub-batch's reports instead of the sink; done, when non-nil, is
+// called once the batch is finished with (see FeedRecs). It returns the
+// tally and the sub-batches mailed (the replies to wait for). The
+// caller's slices are only read, never retained: scratch can be reused
+// on return.
+func (e *Engine) submit(recs []sessionizer.Rec, shardOf []uint32, shed bool, reply chan []Report, done func()) (t Tally, mailed int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.closed || len(entries)+len(recs) == 0 {
+	if e.closed || len(recs) == 0 {
 		if done != nil {
 			done()
 		}
-		return 0, 0
+		return t, 0
 	}
 	b := e.slabs.Get().(*recSlab)
 	b.done = done
-	if len(entries) > 0 {
-		recs, shardOf = e.interner.digest(b, entries)
+	for why, n := range b.scatter(recs, shardOf, len(e.shards)) {
+		e.rejected[why].Add(int64(n))
+		t.Rejected += int(n)
 	}
-	left := b.scatter(recs, shardOf, len(e.shards))
-	// The slab's refcount covers exactly the left non-empty views, so
-	// it stays ours until the last of them is mailed or shed; after
-	// that a shard may release it and another feeder re-take it, so the
-	// loop must not look at b again — it ends on the count, not on per.
-	for i := 0; left > 0; i++ {
-		batch := b.per[i]
+	// the scatter left this loop a reference of its own: b and its views
+	// stay put until the release below, whatever the shards have finished
+	for i, batch := range b.per {
 		if len(batch) == 0 {
 			continue
 		}
-		left--
 		msg := message{recs: batch, slab: b, reply: reply}
 		if shed {
 			select {
 			case e.shards[i].mail <- msg:
 			default:
 				e.shards[i].dropped.Add(int64(len(batch)))
+				t.Dropped += len(batch)
 				b.release() // undelivered sub-batch: drop its slab reference
 				continue
 			}
 		} else {
 			e.shards[i].mail <- msg
 		}
-		accepted += len(batch)
+		t.Accepted += len(batch)
 		mailed++
 	}
-	return accepted, mailed
+	b.release()
+	return t, mailed
 }
 
 // Ingest processes a batch synchronously and returns the reports for
 // every session the batch completed (including sessions the batch's
-// eviction sweeps closed), ordered by session start time. It blocks
-// when mailboxes are full — the request/response backpressure path
-// behind the HTTP server's /ingest and the CLI tools' entry loops.
-func (e *Engine) Ingest(entries []weblog.Entry) []Report {
+// eviction sweeps closed), ordered by session start time, and the
+// batch's tally. It blocks when mailboxes are full — the
+// request/response backpressure path behind the HTTP server's /ingest
+// and the CLI tools' entry loops.
+func (e *Engine) Ingest(entries []weblog.Entry) ([]Report, Tally) {
 	// one slot per shard, so no worker ever blocks on its reply
 	reply := make(chan []Report, len(e.shards))
-	_, mailed := e.submit(entries, nil, nil, false, reply, nil)
-	return collect(reply, mailed)
+	d := e.digests.Get().(*digested)
+	e.interner.digest(d, entries)
+	t, mailed := e.submit(d.recs, d.shardOf, false, reply, nil)
+	e.digests.Put(d)
+	return collect(reply, mailed), t
 }
 
 // Feed processes a batch asynchronously: entries are enqueued (blocking
@@ -273,7 +275,10 @@ func (e *Engine) Ingest(entries []weblog.Entry) []Report {
 // This is the pcap-replay / capture-loop path (the wire listener feeds
 // recs: FeedRecs).
 func (e *Engine) Feed(entries []weblog.Entry) {
-	e.submit(entries, nil, nil, false, nil, nil)
+	d := e.digests.Get().(*digested)
+	e.interner.digest(d, entries)
+	e.submit(d.recs, d.shardOf, false, nil, nil)
+	e.digests.Put(d)
 }
 
 // Intern and FeedRecs are the fused wire door (wire.RecSink): the
@@ -290,20 +295,24 @@ func (e *Engine) Intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][
 
 // FeedRecs is Feed for recs already resolved through Intern: recs[i]
 // goes to shard shardOf[i], which must be what Intern returned for its
-// subscriber. done, when non-nil, is called exactly once: by the last
-// shard worker to finish its share of the batch, or at once when the
-// engine takes none of it (closed, or no recs) — the listener bounds
-// each connection's batches in flight with it.
+// subscriber. done, when non-nil, is called exactly once, when the last
+// shard has processed its share of the batch — at once when the engine
+// takes none of it (closed, no recs, every rec rejected) — by that shard
+// or by FeedRecs on its way out; the listener bounds each connection's
+// batches in flight with it.
 func (e *Engine) FeedRecs(recs []sessionizer.Rec, shardOf []uint32, done func()) {
-	e.submit(nil, recs, shardOf, false, nil, done)
+	e.submit(recs, shardOf, false, nil, done)
 }
 
 // Offer is Feed without backpressure: when a shard's mailbox is full
 // its slice of the batch is dropped and counted (load shedding under
-// overload). Returns how many entries were accepted.
-func (e *Engine) Offer(entries []weblog.Entry) int {
-	accepted, _ := e.submit(entries, nil, nil, true, nil, nil)
-	return accepted
+// overload).
+func (e *Engine) Offer(entries []weblog.Entry) Tally {
+	d := e.digests.Get().(*digested)
+	e.interner.digest(d, entries)
+	t, _ := e.submit(d.recs, d.shardOf, true, nil, nil)
+	e.digests.Put(d)
+	return t
 }
 
 // collect gathers n shard replies into one report list ordered by
@@ -371,7 +380,7 @@ type ShardStats struct {
 	StoreBytes int
 	// Mailbox is the current queue depth, in messages.
 	Mailbox int
-	// Events counts entries processed.
+	// Events counts entries processed (offered, not rejected or dropped).
 	Events int64
 	// Dropped counts entries shed by Offer on a full mailbox.
 	Dropped int64
@@ -408,6 +417,15 @@ func (e *Engine) Snapshot() []ShardStats {
 		}
 	}
 	return out
+}
+
+// Rejected reads how many entries the admission rule has refused, by
+// reason (RejectReasons names them); no ShardStats counts them.
+func (e *Engine) Rejected() (n [rejectReasons]int64) {
+	for i := range n {
+		n[i] = e.rejected[i].Load()
+	}
+	return n
 }
 
 // ShardSessions is one shard's live flow-table view for the

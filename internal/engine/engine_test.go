@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -101,7 +102,8 @@ func TestEngineMatchesOfflineReference(t *testing.T) {
 			// feed the sorted stream in moderate synchronous batches, as
 			// the capture loop would
 			for lo := 0; lo < len(live.Entries); lo += 500 {
-				got = append(got, eng.Ingest(live.Entries[lo:min(lo+500, len(live.Entries))])...)
+				reps, _ := eng.Ingest(live.Entries[lo:min(lo+500, len(live.Entries))])
+				got = append(got, reps...)
 			}
 			got = append(got, eng.Drain()...)
 
@@ -195,9 +197,11 @@ func TestEngineOfferShedsUnderOverload(t *testing.T) {
 	eng := engine.New(fw, cfg, func(engine.Report) { <-burstOver })
 	defer eng.Drain()
 
-	accepted := 0
+	accepted, shed := 0, 0
 	for lo := 0; lo+50 <= len(live.Entries); lo += 50 {
-		accepted += eng.Offer(live.Entries[lo : lo+50])
+		took := eng.Offer(live.Entries[lo : lo+50])
+		accepted += took.Accepted
+		shed += took.Dropped
 	}
 	close(burstOver)
 	var dropped int64
@@ -210,6 +214,9 @@ func TestEngineOfferShedsUnderOverload(t *testing.T) {
 	if dropped == 0 {
 		t.Error("a 1-deep mailbox under burst load should shed entries")
 	}
+	if int64(shed) != dropped {
+		t.Errorf("Offer tallied %d dropped entries, the shards counted %d", shed, dropped)
+	}
 }
 
 func TestEngineAdvanceAndSnapshot(t *testing.T) {
@@ -220,7 +227,7 @@ func TestEngineAdvanceAndSnapshot(t *testing.T) {
 	eng := engine.New(fw, cfg, nil)
 
 	one := live.PerSubscriber[0]
-	if rep := eng.Ingest(one); len(rep) == 0 && len(one) == 0 {
+	if rep, _ := eng.Ingest(one); len(rep) == 0 && len(one) == 0 {
 		t.Skip("empty subscriber stream")
 	}
 	snap := eng.Snapshot()
@@ -243,8 +250,8 @@ func TestEngineAdvanceAndSnapshot(t *testing.T) {
 		t.Errorf("drain after advance returned %d reports", len(rest))
 	}
 	// closed engine: every entry point is a no-op
-	if eng.Ingest(one) != nil || eng.Offer(one) != 0 || eng.Drain() != nil {
-		t.Error("closed engine should reject work")
+	if rep, took := eng.Ingest(one); rep != nil || took != (engine.Tally{}) || eng.Offer(one) != (engine.Tally{}) || eng.Drain() != nil {
+		t.Error("closed engine should take no work")
 	}
 	eng.Feed(one) // must not panic
 }
@@ -268,10 +275,11 @@ func TestEngineAutoEviction(t *testing.T) {
 	eng.Ingest(quiet)
 	var rep []engine.Report
 	for tick := 0; tick < 40; tick++ {
-		rep = append(rep, eng.Ingest([]weblog.Entry{{
+		closed, _ := eng.Ingest([]weblog.Entry{{
 			Timestamp: 10 + float64(tick)*5, Subscriber: "chatty",
 			Host: "r2---sn-bbbb.googlevideo.com", Bytes: 500_000, TransactionSec: 0.4,
-		}})...)
+		}})
+		rep = append(rep, closed...)
 	}
 	found := false
 	for _, r := range rep {
@@ -288,5 +296,49 @@ func TestEngineAutoEviction(t *testing.T) {
 	}
 	if evicted == 0 {
 		t.Error("eviction counter not incremented")
+	}
+}
+
+// TestNonFiniteTimestampLeavesSweepAlive is the regression for a record
+// the service does not control: before the admission rule, one entry
+// with Timestamp=+Inf — to a host the tracker ignores — set its shard's
+// high-water mark to +Inf, the sweep test read Inf−Inf=NaN from then on,
+// and no idle session on that shard was ever evicted again. Now the
+// entry is one tick of the rejected counter and the idle clock runs.
+func TestNonFiniteTimestampLeavesSweepAlive(t *testing.T) {
+	fw, _ := fixtures(t)
+	cfg := engine.DefaultConfig()
+	cfg.Shards = 1
+	eng := engine.New(fw, cfg, nil)
+	defer eng.Drain()
+
+	media := func(sub string, ts float64) weblog.Entry {
+		return weblog.Entry{Timestamp: ts, Subscriber: sub, Host: "r1---sn-aaaa.googlevideo.com", Bytes: 500_000, TransactionSec: 0.4}
+	}
+	const idle = 40
+	var batch []weblog.Entry
+	for s := 0; s < idle; s++ {
+		for i := 0; i < 5; i++ {
+			batch = append(batch, media(fmt.Sprintf("idle-%d", s), float64(i)))
+		}
+	}
+	poison := weblog.Entry{Timestamp: math.Inf(1), Subscriber: "idle-0", Host: "ads.example.com"}
+	if _, took := eng.Ingest(append(batch, poison)); took != (engine.Tally{Accepted: len(batch), Rejected: 1}) {
+		t.Fatalf("batch with one +Inf timestamp tallied %+v", took)
+	}
+	reports := 0
+	for tick := 0; tick < 40; tick++ {
+		closed, _ := eng.Ingest([]weblog.Entry{media("chatty", 10+float64(tick)*5)})
+		reports += len(closed)
+	}
+	var evicted int64
+	for _, s := range eng.Snapshot() {
+		evicted += s.Evicted
+	}
+	if evicted != idle || reports != idle {
+		t.Errorf("%d of %d idle sessions evicted (%d reported) after a +Inf timestamp", evicted, idle, reports)
+	}
+	if got := eng.Rejected(); got != [2]int64{0, 1} {
+		t.Errorf("rejected %v, want one non_finite", got)
 	}
 }

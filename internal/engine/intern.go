@@ -209,25 +209,21 @@ func (n *interner) publish() {
 }
 
 // recSlab is one batch's reusable routing storage: the shard-contiguous
-// Rec backing the per-shard sub-batches view into, the scatter's
-// per-shard counts, and the Entry doors' digest scratch (flat, shardOf;
-// the wire door brings its own). Slabs live in a sync.Pool; the batch
-// hand-off owns them by refcount — scatter pre-sets pending to the
-// number of non-empty sub-batches, each shard releases after fully
-// processing its message (submit releases for a sub-batch it sheds), and
-// the last release returns the slab. Per-shard views are therefore
-// valid exactly until the owning shard's release — shards must not
-// retain them past the message.
+// Rec backing the per-shard sub-batches view into and the scatter's
+// counts. Slabs live in a sync.Pool; the batch hand-off owns them by
+// refcount — scatter pre-sets pending to the number of non-empty
+// sub-batches plus one for the submit loop, each shard releases after
+// fully processing its message (submit for a sub-batch it sheds, and
+// once more after the last), and the last release returns the slab. A
+// per-shard view is valid until its shard's release — shards must not
+// retain it past the message.
 type recSlab struct {
 	pool    *sync.Pool
 	out     []sessionizer.Rec // scatter backing, shard-contiguous
-	counts  []uint32
+	counts  []uint32          // per shard, then per reject reason
 	per     [][]sessionizer.Rec
 	pending atomic.Int32
 	done    func() // the batch's completion callback, if any
-
-	flat    []sessionizer.Rec // digest: entry order
-	shardOf []uint32
 }
 
 // release drops one reference; the last one reports the batch done and
@@ -251,24 +247,31 @@ func growCap[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// digest is the Entry doors' front half: it interns every entry's
-// identities under one lock acquisition, then builds the batch's recs,
-// in entry order, in the slab's digest scratch — what the wire door's
-// decoder hands over ready-made.
-func (n *interner) digest(b *recSlab, entries []weblog.Entry) ([]sessionizer.Rec, []uint32) {
-	b.flat = growCap(b.flat, len(entries))
-	b.shardOf = growCap(b.shardOf, len(entries))
+// digested is the Entry doors' pooled conversion scratch: a batch's recs
+// in entry order and the shard each is bound for.
+type digested struct {
+	recs    []sessionizer.Rec
+	shardOf []uint32
+}
+
+// digest is the one Entry→Rec edge adapter, in front of submit for
+// Ingest, Feed and Offer: it interns every entry's identities under one
+// lock acquisition, then builds the batch's recs into d — what the wire
+// door's decoder hands over ready-made. It judges nothing (see admit).
+func (n *interner) digest(d *digested, entries []weblog.Entry) {
+	d.recs = growCap(d.recs, len(entries))
+	d.shardOf = growCap(d.shardOf, len(entries))
 	n.mu.Lock()
 	for i := range entries {
-		e, r := &entries[i], &b.flat[i]
+		e, r := &entries[i], &d.recs[i]
 		se := lookupSub(n, e.Subscriber)
-		r.Sub, b.shardOf[i] = se.id, se.shard
+		r.Sub, d.shardOf[i] = se.id, se.shard
 		r.Cohort = lookupCohort(n, e.Region, e.Device, e.Cap)
 	}
 	n.publish()
 	n.mu.Unlock()
 	for i := range entries {
-		e, r := &entries[i], &b.flat[i]
+		e, r := &entries[i], &d.recs[i]
 		r.Kind = weblog.ClassifyHost(e.Host)
 		r.Ts = e.Timestamp
 		r.Dur = e.TransactionSec
@@ -278,40 +281,82 @@ func (n *interner) digest(b *recSlab, entries []weblog.Entry) ([]sessionizer.Rec
 		r.BIFAvg, r.BIFMax = e.BIFAvg, e.BIFMax
 		r.Loss, r.Retrans = e.LossPct, e.RetransPct
 	}
-	return b.flat, b.shardOf
+}
+
+// RejectReasons names the admission rule's reject reasons, in the order
+// Rejected counts them and vqoe_ingest_rejected_total labels them.
+var RejectReasons = [rejectReasons]string{rejectNegative: "negative", rejectNonFinite: "non_finite"}
+
+const (
+	rejectNegative = iota
+	rejectNonFinite
+	rejectReasons
+)
+
+// admit is the admission rule, the one check between any door and a
+// shard mailbox: every float of a rec is finite, and none but the
+// timestamp (finiteness only: range and order are the flow table's
+// business) is negative. It returns the reason a rec is refused,
+// non-finite before negative, or -1. A non-finite timestamp would turn
+// the shard's sweep test into a NaN comparison for good; one NaN
+// duration stays in every P² estimator it reaches.
+func admit(r *sessionizer.Rec) int {
+	// x-x is 0 for a finite x, NaN for NaN and ±Inf, and NaN absorbs the sum
+	if (r.Ts-r.Ts)+(r.Dur-r.Dur)+(r.KB-r.KB)+(r.RTTMin-r.RTTMin)+(r.RTTAvg-r.RTTAvg)+(r.RTTMax-r.RTTMax)+
+		(r.BDP-r.BDP)+(r.BIFAvg-r.BIFAvg)+(r.BIFMax-r.BIFMax)+(r.Loss-r.Loss)+(r.Retrans-r.Retrans) != 0 {
+		return rejectNonFinite
+	}
+	if r.Dur < 0 || r.KB < 0 || r.RTTMin < 0 || r.RTTAvg < 0 || r.RTTMax < 0 ||
+		r.BDP < 0 || r.BIFAvg < 0 || r.BIFMax < 0 || r.Loss < 0 || r.Retrans < 0 {
+		return rejectNegative
+	}
+	return -1
 }
 
 // scatter routes recs — recs[i] bound for shard shardOf[i] — into the
-// slab's shard-contiguous backing, copying each exactly once. The per[s]
-// views are then ready to mail, and the refcount is pre-accounted with
-// the returned number of non-empty views: every one of them must be
-// matched by exactly one release — the shard's after processing it, or
-// the caller's for a view it does NOT deliver.
-func (b *recSlab) scatter(recs []sessionizer.Rec, shardOf []uint32, nsh int) int {
-	b.counts = growCap(b.counts, nsh)
-	for i := range b.counts {
-		b.counts[i] = 0
+// slab's shard-contiguous backing, copying each admitted one exactly
+// once: a counting sort with one bucket per shard and one per reject
+// reason. The counting pass runs the admission rule; a reject is counted
+// (and returned, by reason), never copied, never mailed, and the
+// caller's slices are only read. The per[s] views are then ready to
+// mail, and the refcount is pre-accounted with the number of non-empty
+// views plus one: every view must be matched by exactly one release —
+// the shard's after processing it, or the caller's for a view it does
+// NOT deliver — and the caller releases once more when done with per.
+func (b *recSlab) scatter(recs []sessionizer.Rec, shardOf []uint32, nsh int) (rejected [rejectReasons]uint32) {
+	b.counts = growCap(b.counts, nsh+rejectReasons)
+	clear(b.counts)
+	rejects := 0
+	for i := range recs {
+		if why := admit(&recs[i]); why >= 0 {
+			b.counts[nsh+why]++
+			rejects++
+		} else {
+			b.counts[shardOf[i]]++
+		}
 	}
-	for _, s := range shardOf {
-		b.counts[s]++
-	}
-	b.out = growCap(b.out, len(recs))
+	copy(rejected[:], b.counts[nsh:])
+	b.out = growCap(b.out, len(recs)-rejects)
 	b.per = growCap(b.per, nsh)
 	off := uint32(0)
-	views := 0
-	for s, c := range b.counts {
+	refs := int32(1)
+	for s, c := range b.counts[:nsh] {
 		b.per[s] = b.out[off : off+c]
 		b.counts[s] = off // from here on: shard s's next write position
 		off += c
 		if c > 0 {
-			views++
+			refs++
 		}
 	}
-	b.pending.Store(int32(views))
+	b.pending.Store(refs)
 	for i := range recs {
+		// the rule runs again only for a batch that has a reject in it
+		if rejects > 0 && admit(&recs[i]) >= 0 {
+			continue
+		}
 		s := shardOf[i]
 		b.out[b.counts[s]] = recs[i]
 		b.counts[s]++
 	}
-	return views
+	return rejected
 }

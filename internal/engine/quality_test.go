@@ -70,7 +70,8 @@ func runLive(t *testing.T, fw *core.Framework, lcfg workload.LiveConfig, shards 
 		if hi > len(live.Entries) {
 			hi = len(live.Entries)
 		}
-		reports = append(reports, eng.Ingest(live.Entries[lo:hi])...)
+		reps, _ := eng.Ingest(live.Entries[lo:hi])
+		reports = append(reports, reps...)
 	}
 	reports = append(reports, eng.Drain()...)
 	for _, l := range live.Labels {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"vqoe/internal/cohort"
@@ -26,8 +27,9 @@ import (
 // none).
 func TestTracedPushLoopAllocatesNothing(t *testing.T) {
 	in := newInterner(1)
-	first, _ := in.digest(&recSlab{}, []weblog.Entry{{Subscriber: "sub-a"}})
-	sub := [1]uint32{first[0].Sub}
+	var first digested
+	in.digest(&first, []weblog.Entry{{Subscriber: "sub-a"}})
+	sub := [1]uint32{first.recs[0].Sub}
 
 	cfg := Config{Shards: 1, MinChunks: 1 << 30, SweepEverySec: -1, Obs: obs.NewObserver(1, 0)}.WithDefaults()
 	s := newShard(0, nil, cfg, nil, in)
@@ -63,10 +65,12 @@ func TestTracedPushLoopAllocatesNothing(t *testing.T) {
 
 // TestScatterSteadyStateZeroAlloc pins the engine half of the fused
 // wire door (the decode half is pinned beside the decoder): a frame of
-// resolved recs scattered into a slab and pushed through both shards'
-// loops allocates nothing once the slab and the flow buffers have
-// grown. The shards are driven on this goroutine, views in hand, so the
-// count is exact; what submit adds is a pool Get and two channel sends.
+// resolved recs — two of them rejects, one of each reason — scattered
+// into a slab and pushed through both shards' loops allocates nothing
+// once the slab and the flow buffers have grown, and the caller's slices
+// come back as they went in. The shards are driven on this goroutine,
+// views in hand, so the count is exact; what submit adds is a pool Get
+// and two channel sends.
 // Each frame closes the previous session of every subscriber on the
 // watch-page boundary, so flow state does not accumulate; MinChunks is
 // out of reach, so the fragments are discarded before the forests (the
@@ -93,17 +97,22 @@ func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 		recs = append(recs, sessionizer.Rec{Sub: ref.ID, Kind: kind, Ts: float64(i), Dur: 0.5, KB: 300})
 		shardOf = append(shardOf, ref.Shard)
 	}
+	recs[100].Dur, recs[200].KB = math.NaN(), -1
+	before := append([]sessionizer.Rec(nil), recs...)
 	b := &recSlab{}
 	frame := func() {
-		views := b.scatter(recs, shardOf, nsh)
+		if rejected := b.scatter(recs, shardOf, nsh); rejected != [rejectReasons]uint32{rejectNegative: 1, rejectNonFinite: 1} {
+			t.Fatalf("scatter rejected %v, want one rec of each reason", rejected)
+		}
+		refs := b.pending.Load() - 1 // the submit loop's own
 		for i, s := range shards {
 			if len(b.per[i]) > 0 {
 				s.handle(message{recs: b.per[i]})
-				views--
+				refs--
 			}
 		}
-		if views != 0 {
-			t.Fatalf("scatter counted %d views more than it filled", views)
+		if refs != 0 {
+			t.Fatalf("scatter counted %d views more than it filled", refs)
 		}
 	}
 	frame()
@@ -111,8 +120,13 @@ func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, frame); allocs != 0 {
 		t.Errorf("a scattered frame allocates %v times, want 0", allocs)
 	}
-	if got := shards[0].events.Load() + shards[1].events.Load(); got != 53*int64(len(recs)) {
-		t.Errorf("shards took %d recs, want %d", got, 53*len(recs))
+	if got := shards[0].events.Load() + shards[1].events.Load(); got != 53*int64(len(recs)-2) {
+		t.Errorf("shards took %d recs, want %d", got, 53*(len(recs)-2))
+	}
+	for i := range recs {
+		if math.Float64bits(recs[i].Dur) != math.Float64bits(before[i].Dur) || recs[i].KB != before[i].KB || recs[i].Sub != before[i].Sub {
+			t.Fatalf("scatter wrote to the caller's rec %d: %+v", i, recs[i])
+		}
 	}
 	if shards[0].events.Load() == 0 || shards[1].events.Load() == 0 {
 		t.Error("fixture routes every subscriber to one shard")
@@ -121,7 +135,8 @@ func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 
 // TestFeedRecsReportsDone: the completion callback of the fused door
 // runs exactly once per batch — after every shard has processed its
-// share, or at once when the engine takes none of the batch.
+// share, or at once when the engine takes none of the batch (empty,
+// every rec rejected, or fed after Drain).
 func TestFeedRecsReportsDone(t *testing.T) {
 	e := New(nil, Config{Shards: 2, MinChunks: 1 << 30, SweepEverySec: -1}, nil)
 	names := [][]byte{[]byte("sub-a"), []byte("sub-b"), []byte("sub-c"), []byte("sub-d"), []byte("sub-e")}
@@ -142,14 +157,22 @@ func TestFeedRecsReportsDone(t *testing.T) {
 		}
 	}
 	e.FeedRecs(nil, nil, done)
+	bad := append([]sessionizer.Rec(nil), recs...)
+	for i := range bad {
+		bad[i].Ts = math.Inf(1)
+	}
+	e.FeedRecs(bad, shardOf, done)
 	e.Drain()
 	e.FeedRecs(recs, shardOf, done)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		select {
 		case <-calls:
 		default:
-			t.Fatal("an empty batch or one fed after Drain did not report done at once")
+			t.Fatal("an empty batch, an all-rejected one or one fed after Drain did not report done at once")
 		}
+	}
+	if got := e.Rejected(); got[rejectNonFinite] != int64(len(bad)) || got[rejectNegative] != 0 {
+		t.Errorf("rejected %v, want the %d recs of the all-Inf batch as non_finite", got, len(bad))
 	}
 	select {
 	case <-calls:
@@ -161,9 +184,9 @@ func TestFeedRecsReportsDone(t *testing.T) {
 // TestDigestSteadyStateZeroAlloc pins the Entry doors' front half the
 // way TestScatterSteadyStateZeroAlloc pins the wire door's: a warm
 // 256-entry batch — every subscriber and every region/device/cap triple
-// already interned — digested into a slab and scattered allocates
-// nothing: the lookups build no strings, the slab's scratch is reused,
-// and publish has nothing new to store.
+// already interned — digested and scattered into a slab allocates
+// nothing: the lookups build no strings, the scratch and the slab are
+// reused, and publish has nothing new to store.
 func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 	const nsh = 2
 	in := newInterner(nsh)
@@ -175,11 +198,11 @@ func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 			Region: fmt.Sprintf("region-%d", i%5), Device: fmt.Sprintf("device-%d", i%3), Cap: "cap-a",
 		}
 	}
-	b := &recSlab{}
+	b, d := &recSlab{}, &digested{}
 	batch := func() {
-		recs, shardOf := in.digest(b, entries)
-		if views := b.scatter(recs, shardOf, nsh); views != nsh {
-			t.Fatalf("scatter filled %d of %d shards", views, nsh)
+		in.digest(d, entries)
+		if b.scatter(d.recs, d.shardOf, nsh); b.pending.Load() != nsh+1 {
+			t.Fatalf("scatter filled %d of %d shards", b.pending.Load()-1, nsh)
 		}
 	}
 	batch()
@@ -196,7 +219,7 @@ func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 	if len(in.keys) != 1+15 {
 		t.Errorf("%d cohort keys, want 15", len(in.keys)-1)
 	}
-	for i, r := range b.flat {
+	for i, r := range d.recs {
 		if r.Sub == 0 || r.Cohort == 0 || r.Kind != weblog.HostMedia || r.KB != 300 {
 			t.Fatalf("rec %d digested as %+v", i, r)
 		}
@@ -358,11 +381,11 @@ func TestInternAllocatesPerBatchNotPerName(t *testing.T) {
 			entries[i] = append(entries[i], weblog.Entry{Subscriber: string(b), Region: string(tr[0]), Device: string(tr[1]), Cap: string(tr[2])})
 		}
 	}
-	slab := &recSlab{}
-	in.digest(slab, entries[0]) // grows the slab's scratch
+	scratch := &digested{}
+	in.digest(scratch, entries[0]) // grows the scratch
 	k = 1
 	if allocs := testing.AllocsPerRun(runs-1, func() {
-		in.digest(slab, entries[k])
+		in.digest(scratch, entries[k])
 		k++
 	}); allocs > maxObjects {
 		t.Errorf("digest of %d new names and %d new cohorts allocates %v objects, want ≤ %d", names, triples, allocs, maxObjects)
@@ -471,5 +494,21 @@ func TestAssessSteadyStateZeroAlloc(t *testing.T) {
 	sess := rec.Snapshot().Retained[0]
 	if got := rec.Get(sess.Subscriber, sess.Start); got == nil || got.Cohort != "eu-west/phone/-" || got.Chunks != chunks {
 		t.Errorf("retained session drills down as %+v", got)
+	}
+}
+
+// BenchmarkScatter times the seam's one loop over a clean 256-rec frame
+// on two shards: ns/op ÷ 256 is the scatter's cost per entry, admission
+// rule included (CHANGES.md, PR 22, has it beside the parent's).
+func BenchmarkScatter(b *testing.B) {
+	recs, shardOf := make([]sessionizer.Rec, 256), make([]uint32, 256)
+	for i := range recs {
+		recs[i] = sessionizer.Rec{Sub: uint32(i%37 + 1), Kind: weblog.HostMedia, Ts: float64(i), Dur: 0.5, KB: 300, RTTMin: 20, RTTAvg: 30, RTTMax: 50, BDP: 90, BIFAvg: 40, BIFMax: 80}
+		shardOf[i] = uint32(i % 37 % 2)
+	}
+	slab := &recSlab{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		slab.scatter(recs, shardOf, 2)
 	}
 }

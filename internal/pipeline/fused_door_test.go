@@ -181,8 +181,12 @@ func TestFusedDoorMatchesFeed(t *testing.T) {
 				if snap := ws.Snapshot(); snap.Entries != int64(len(live.Entries)) || snap.Errors != 0 {
 					t.Errorf("listener counted %d of %d entries, %d errors", snap.Entries, len(live.Entries), snap.Errors)
 				}
-				if n := srv.Metrics().entriesTotal.Load(); n != int64(len(live.Entries)) {
-					t.Errorf("vqoe_entries_total reads %d over the fused door, want %d", n, len(live.Entries))
+				var n int64
+				for _, sh := range srv.Engine().Snapshot() {
+					n += sh.Events
+				}
+				if n != int64(len(live.Entries)) {
+					t.Errorf("the shards took %d entries over the fused door, want %d", n, len(live.Entries))
 				}
 			})
 

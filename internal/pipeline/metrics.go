@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vqoe/internal/features"
@@ -22,19 +21,16 @@ var processStart = time.Now()
 // Metrics aggregates the pipeline's output for operational monitoring.
 // It renders in the Prometheus text exposition format so an operator's
 // existing scrape infrastructure can watch the QoE monitor itself.
-// Safe for concurrent use: the entry counter is a bare atomic (it is
-// the per-event hot path, hit by every engine shard), while the
-// session-level aggregates — including the P² quantile estimators,
-// which are not themselves thread-safe — are serialized behind the
-// mutex.
+// Safe for concurrent use: the session-level aggregates — including the
+// P² quantile estimators, which are not themselves thread-safe — are
+// serialized behind the mutex. Entries are the engine's to count
+// (EngineTelemetry), not this collector's.
 //
 // Every family in the exposition is self-describing (# HELP and
 // # TYPE precede its samples) and deterministic: label values are
 // emitted in sorted order and multi-shard families are grouped by
 // family, not by shard, as the text format requires.
 type Metrics struct {
-	entriesTotal atomic.Int64
-
 	mu sync.Mutex
 
 	sessionsTotal int64
@@ -74,9 +70,6 @@ func NewMetrics() *Metrics {
 		procNow:   time.Now,
 	}
 }
-
-// ObserveEntries counts a batch of processed weblog entries.
-func (m *Metrics) ObserveEntries(n int) { m.entriesTotal.Add(int64(n)) }
 
 // collect appends one subsystem's exposition collector. A nil Metrics
 // is the "no /metrics served" mode: the collector is dropped.
@@ -204,9 +197,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	e.printf("vqoe_process_start_time_seconds %.3f\n", float64(procStart.UnixNano())/1e9)
 	e.family("vqoe_process_uptime_seconds", "Seconds since the process started.", "gauge")
 	e.printf("vqoe_process_uptime_seconds %.3f\n", procNow().Sub(procStart).Seconds())
-
-	e.family("vqoe_entries_total", "Weblog entries processed.", "counter")
-	e.printf("vqoe_entries_total %d\n", m.entriesTotal.Load())
 
 	e.family("vqoe_sessions_total", "Sessions assessed.", "counter")
 	e.printf("vqoe_sessions_total %d\n", sessions)

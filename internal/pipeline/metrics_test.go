@@ -25,9 +25,6 @@ func sampleReport(stall features.StallLabel, rep features.RepLabel, varying bool
 
 func TestMetricsExposition(t *testing.T) {
 	m := NewMetrics()
-	for i := 0; i < 10; i++ {
-		m.ObserveEntries(1)
-	}
 	m.ObserveReport(sampleReport(features.NoStall, features.SD, false, 40))
 	m.ObserveReport(sampleReport(features.MildStall, features.LD, true, 20))
 	m.ObserveReport(sampleReport(features.SevereStall, features.LD, true, 60))
@@ -38,7 +35,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"vqoe_entries_total 10",
 		"vqoe_sessions_total 3",
 		`vqoe_sessions_by_stall{level="mild stalls"} 1`,
 		`vqoe_sessions_by_stall{level="no stalls"} 1`,
@@ -82,7 +78,6 @@ func TestMetricsConcurrent(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 500; i++ {
-				m.ObserveEntries(1)
 				m.ObserveReport(sampleReport(features.NoStall, features.SD, false, 25))
 			}
 		}()

@@ -238,52 +238,16 @@ func (s *Server) Drain() []SessionReport {
 	return reports
 }
 
-// Ingest is the in-process synchronous door: the batch counts into the
-// metrics, runs through the engine with backpressure, and the reports
-// for every session it completed come back ordered by start time (and
-// are recorded in the metrics). HTTP /ingest and the CLI tools' entry
-// loops both go through here.
-func (s *Server) Ingest(entries []weblog.Entry) []SessionReport {
-	s.metrics.ObserveEntries(len(entries))
-	reports := s.eng.Ingest(entries)
+// Ingest is the in-process synchronous door behind HTTP /ingest and the
+// CLI tools' entry loops: the batch runs through the engine with
+// backpressure, and the reports for every session it completed come back
+// ordered by start time (recorded in the metrics) with the engine's tally.
+func (s *Server) Ingest(entries []weblog.Entry) ([]SessionReport, engine.Tally) {
+	reports, took := s.eng.Ingest(entries)
 	for _, rep := range reports {
 		s.metrics.ObserveReport(rep)
 	}
-	return reports
-}
-
-// WireHandler adapts the server for the binary ingest listener: entry
-// batches count into the metrics and Feed the engine (asynchronous
-// with backpressure — completed sessions flow to the report sink),
-// labels go to the model-quality monitor. The listener takes the fused
-// door (Recs: frames decoded straight into the engine's recs, counted
-// the same way); pcap replay, which meters entries out of packets,
-// drives Entries.
-func (s *Server) WireHandler() wire.Handler {
-	return wire.Handler{
-		Entries: func(entries []weblog.Entry) {
-			s.metrics.ObserveEntries(len(entries))
-			s.eng.Feed(entries)
-		},
-		Recs: wireDoor{s.eng, s.metrics},
-		Labels: func(labels []qualitymon.Label) {
-			for i := range labels {
-				s.eng.ObserveLabel(labels[i])
-			}
-		},
-	}
-}
-
-// wireDoor is the engine's fused door with the server's entry count in
-// front of it.
-type wireDoor struct {
-	*engine.Engine
-	metrics *Metrics
-}
-
-func (d wireDoor) FeedRecs(recs []sessionizer.Rec, shardOf []uint32, done func()) {
-	d.metrics.ObserveEntries(len(recs))
-	d.Engine.FeedRecs(recs, shardOf, done)
+	return reports, took
 }
 
 // NewWireServer returns the binary ingest listener wired into this
@@ -291,15 +255,20 @@ func (d wireDoor) FeedRecs(recs []sessionizer.Rec, shardOf []uint32, done func()
 // series, the wire-errors rule), with per-connection stage timings on.
 // A server has one: the first call builds and attaches it, later calls
 // return the same listener, so /metrics and the SLO sampler can never
-// watch different ones — Serve it on as many sockets as needed. The
-// caller owns its lifecycle: Serve listeners on their own goroutines
-// and Close it before Drain.
+// watch different ones — Serve it on as many sockets as needed. Its
+// connections decode frames straight into the engine (the fused door: the
+// engine is the RecSink and counts what it takes); labels go to the quality
+// monitor. The caller Serves listeners on goroutines and Closes it before Drain.
 func (s *Server) NewWireServer() *wire.Server {
 	s.wireOnce.Do(func() {
 		s.wire = wire.NewServer(wire.Config{
-			Handler: s.WireHandler(),
-			Logger:  s.opts.Logger,
-			Stages:  true,
+			Handler: wire.Handler{Recs: s.eng, Labels: func(labels []qualitymon.Label) {
+				for i := range labels {
+					s.eng.ObserveLabel(labels[i])
+				}
+			}},
+			Logger: s.opts.Logger,
+			Stages: true,
 		})
 		wireTelemetry(s.metrics, s.slo, s.wire)
 	})
@@ -309,20 +278,20 @@ func (s *Server) NewWireServer() *wire.Server {
 // Handler returns the HTTP routing for the server.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/analyze", s.handleAnalyze)
-	mux.HandleFunc("/ingest", s.handleIngest)
-	mux.HandleFunc("/labels", s.handleLabels)
-	mux.HandleFunc("/debug/quality", s.handleDebugQuality)
-	mux.HandleFunc("/debug/cohorts", s.handleDebugCohorts)
+	mux.HandleFunc("POST /analyze", s.handleAnalyze)
+	mux.HandleFunc("POST /ingest", s.handleIngest)
+	mux.HandleFunc("POST /labels", s.handleLabels)
+	mux.HandleFunc("GET /debug/quality", s.handleDebugQuality)
+	mux.HandleFunc("GET /debug/cohorts", s.handleDebugCohorts)
 	mux.Handle("/metrics", s.metrics.Handler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/debug/sessions", s.handleDebugSessions)
+	mux.HandleFunc("GET /debug/sessions", s.handleDebugSessions)
 	mux.HandleFunc("GET /debug/sessions/{subscriber}", s.handleDebugSessionsSubscriber)
 	mux.HandleFunc("GET /debug/flight", s.handleDebugFlight)
 	mux.HandleFunc("GET /debug/flight/{subscriber}/{session}", s.handleDebugFlightSession)
-	mux.HandleFunc("/debug/trace", s.handleDebugTrace)
+	mux.HandleFunc("GET /debug/trace", s.handleDebugTrace)
 	mux.HandleFunc("GET /debug/timeseries", s.handleDebugTimeseries)
 	mux.HandleFunc("GET /debug/alerts", s.handleDebugAlerts)
 	if s.opts.Pprof {
@@ -339,10 +308,6 @@ type DebugSessionsResponse struct {
 }
 
 func (s *Server) handleDebugSessions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	resp := DebugSessionsResponse{Shards: s.eng.OpenSessions()}
 	for _, sh := range resp.Shards {
 		resp.Open += len(sh.Sessions)
@@ -429,18 +394,10 @@ func (s *Server) handleDebugAlerts(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDebugQuality(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	writeJSON(w, s.eng.Quality().Snapshot())
 }
 
 func (s *Server) handleDebugCohorts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	writeJSON(w, s.eng.Cohorts().Snapshot())
 }
 
@@ -451,10 +408,6 @@ type LabelsResponse struct {
 }
 
 func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var resp LabelsResponse
@@ -486,10 +439,6 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	setJSONHeaders(w)
 	_ = obs.WriteChromeTrace(w, s.obs.TraceEvents())
 }
@@ -524,10 +473,6 @@ func toResponse(r core.Report) AnalyzeResponse {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	entries, labels, err := decodeJSONL(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -546,12 +491,15 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, toResponse(rep))
 }
 
-// IngestResponse is the JSON shape of /ingest results. The label
-// fields appear when the request carried "type":"label" lines;
-// Dropped appears for ?mode=shed requests that actually shed.
+// IngestResponse is the JSON shape of /ingest results. Accepted, Dropped
+// (?mode=shed requests that actually shed) and Rejected (lines the
+// admission rule refused) are the engine's tally of the request's entry
+// lines and sum to them. The label fields appear when the request
+// carried "type":"label" lines.
 type IngestResponse struct {
 	Accepted       int            `json:"accepted"`
 	Dropped        int            `json:"dropped,omitempty"`
+	Rejected       int            `json:"rejected,omitempty"`
 	Reports        []IngestReport `json:"reports"`
 	LabelsAccepted int            `json:"labels_accepted,omitempty"`
 	LabelsMatched  int            `json:"labels_matched,omitempty"`
@@ -566,10 +514,6 @@ type IngestReport struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	entries, labels, err := decodeJSONL(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -577,10 +521,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := IngestResponse{Reports: []IngestReport{}}
 	resp.LabelsAccepted = len(labels)
+	var took engine.Tally
 	switch r.URL.Query().Get("mode") {
 	case "", "sync":
-		resp.Accepted = len(entries)
-		for _, rep := range s.Ingest(entries) {
+		var reports []SessionReport
+		reports, took = s.Ingest(entries)
+		for _, rep := range reports {
 			resp.Reports = append(resp.Reports, IngestReport{
 				Subscriber: rep.Subscriber,
 				Start:      rep.Start,
@@ -593,13 +539,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// batch instead of blocking the client (the drop-rate SLO rule
 		// watches exactly this counter). Reports for completed sessions
 		// flow through the async report path, not this response.
-		resp.Accepted = s.eng.Offer(entries)
-		resp.Dropped = len(entries) - resp.Accepted
-		s.metrics.ObserveEntries(resp.Accepted)
+		took = s.eng.Offer(entries)
 	default:
 		writeJSONError(w, http.StatusBadRequest, "unknown mode (want sync or shed)")
 		return
 	}
+	resp.Accepted, resp.Dropped, resp.Rejected = took.Accepted, took.Dropped, took.Rejected
 	// labels observe after ingest so a request carrying a session and
 	// its own label can still match
 	for _, l := range labels {

@@ -164,7 +164,7 @@ func TestSLOAlertLifecycleE2E(t *testing.T) {
 	var droppedTotal int
 	for i := 0; i < 12 && stateOf("drop-rate") != slo.Firing; i++ {
 		for j := 0; j < 8; j++ {
-			droppedTotal += eng.Offer(flood)
+			droppedTotal += eng.Offer(flood).Dropped
 		}
 		tick()
 		observe()

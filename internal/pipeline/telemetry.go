@@ -27,13 +27,24 @@ import (
 // Collectors render in registration order; series registered after the
 // sampler started backfill as missing samples.
 
-// EngineTelemetry declares the sharded engine: the per-shard
-// vqoe_engine_shard_* families, the ingest/session/mailbox series, and
-// the drop-rate, mailbox-saturation, ingest-stale and shard-wedged
-// rules.
+// EngineTelemetry declares the sharded engine, the one place an entry is
+// counted: vqoe_entries_total (what the shards took, through any door),
+// vqoe_ingest_rejected_total (what the admission rule refused), the
+// per-shard vqoe_engine_shard_* families, the ingest/session/mailbox series,
+// and the drop-rate, mailbox-saturation, ingest-stale and shard-wedged rules.
 func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 	m.collect(func(e *expoWriter) {
 		stats := eng.Snapshot()
+		var events int64
+		for _, s := range stats {
+			events += s.Events
+		}
+		e.family("vqoe_entries_total", "Weblog entries processed.", "counter")
+		e.printf("vqoe_entries_total %d\n", events)
+		e.family("vqoe_ingest_rejected_total", "Entries refused by the admission rule (non-finite or negative fields), by reason.", "counter")
+		for why, n := range eng.Rejected() {
+			e.printf("vqoe_ingest_rejected_total{reason=%q} %d\n", engine.RejectReasons[why], n)
+		}
 		// grouped by family, not by shard: the text format requires all
 		// samples of a family to be contiguous
 		for _, fam := range []struct {
@@ -65,16 +76,19 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 	h, o := se.History(), se.Objectives()
 	// aggregate across shards, rebuilt once per tick
 	type totals struct {
-		events, dropped, reports, evicted int64
-		open, wedged                      int
-		maxMailboxUtil                    float64
-		lastWorkSec                       float64 // newest shard tap, unix seconds (0 = none)
+		events, dropped, rejected, reports, evicted int64
+		open, wedged                                int
+		maxMailboxUtil                              float64
+		lastWorkSec                                 float64 // newest shard tap, unix seconds (0 = none)
 	}
 	var cur totals
 	h.Prelude(func() {
 		now := se.Now()
 		mailboxCap := eng.MailboxCap()
 		cur = totals{}
+		for _, n := range eng.Rejected() {
+			cur.rejected += n
+		}
 		for _, sh := range eng.Snapshot() {
 			cur.events += sh.Events
 			cur.dropped += sh.Dropped
@@ -97,7 +111,8 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 	})
 	EntriesTelemetry(se, func() int64 { return cur.events }, func() float64 { return cur.lastWorkSec })
 	dropped := h.AddCounter("ingest.dropped", func() float64 { return float64(cur.dropped) })
-	offered := h.AddCounter("ingest.offered", func() float64 { return float64(cur.events + cur.dropped) })
+	h.AddCounter("ingest.rejected", func() float64 { return float64(cur.rejected) })
+	offered := h.AddCounter("ingest.offered", func() float64 { return float64(cur.events + cur.dropped + cur.rejected) })
 	h.AddCounter("sessions.reports", func() float64 { return float64(cur.reports) })
 	h.AddCounter("sessions.evicted", func() float64 { return float64(cur.evicted) })
 	h.AddGauge("engine.open_sessions", func() float64 { return float64(cur.open) })

@@ -28,42 +28,43 @@ func randomURI(r *stats.Rand) string {
 	return uri + string(b)
 }
 
-func TestParseChunkNeverPanics(t *testing.T) {
+// FuzzParseChunk: whatever the host and URI, ParseChunk does not panic
+// and accepts no chunk without a session ID. The seeded generator's
+// URIs are the corpus; `go test` runs them, -fuzz mutates from them.
+func FuzzParseChunk(f *testing.F) {
 	r := stats.NewRand(1)
 	hosts := []string{
 		"r1---sn-abcd.googlevideo.com", HostPage, HostStats, "", "evil.example",
 	}
-	for i := 0; i < 5000; i++ {
-		e := Entry{
-			Host:      hosts[r.Intn(len(hosts))],
-			URI:       randomURI(r),
-			Encrypted: r.Bernoulli(0.2),
-			Bytes:     r.Intn(1 << 20),
-		}
-		rec, ok := ParseChunk(e)
-		if ok && rec.SessionID == "" {
-			t.Fatalf("accepted chunk without session ID: %q", e.URI)
-		}
+	for i := 0; i < 200; i++ {
+		f.Add(hosts[r.Intn(len(hosts))], randomURI(r), r.Bernoulli(0.2), r.Intn(1<<20))
 	}
+	f.Fuzz(func(t *testing.T, host, uri string, encrypted bool, size int) {
+		rec, ok := ParseChunk(Entry{Host: host, URI: uri, Encrypted: encrypted, Bytes: size})
+		if ok && rec.SessionID == "" {
+			t.Fatalf("accepted chunk without session ID: %q", uri)
+		}
+	})
 }
 
-func TestFinalReportParserNeverPanics(t *testing.T) {
+// FuzzFinalReport: the playback-statistics parser does not panic, and a
+// report it accepts has a session ID and no negative stall time.
+func FuzzFinalReport(f *testing.F) {
 	r := stats.NewRand(2)
-	for i := 0; i < 5000; i++ {
-		e := Entry{
-			Host: HostStats,
-			URI:  randomURI(r),
-		}
-		sid, gt, ok := parseFinalReport(e)
+	for i := 0; i < 200; i++ {
+		f.Add(randomURI(r))
+	}
+	f.Fuzz(func(t *testing.T, uri string) {
+		sid, gt, ok := parseFinalReport(Entry{Host: HostStats, URI: uri})
 		if ok {
 			if sid == "" {
-				t.Fatalf("accepted final report without session ID: %q", e.URI)
+				t.Fatalf("accepted final report without session ID: %q", uri)
 			}
 			if gt.StallSeconds < 0 {
-				t.Fatalf("negative stall seconds from %q", e.URI)
+				t.Fatalf("negative stall seconds from %q", uri)
 			}
 		}
-	}
+	})
 }
 
 func TestExtractGroundTruthOnGarbage(t *testing.T) {

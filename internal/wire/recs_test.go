@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -249,7 +250,8 @@ func TestRecCachesResetMidStream(t *testing.T) {
 	ref := engine.New(fw, cfg, nil)
 	var want []engine.Report
 	for lo := 0; lo < len(live.Entries); lo += 200 {
-		want = append(want, ref.Ingest(live.Entries[lo:min(lo+200, len(live.Entries))])...)
+		reps, _ := ref.Ingest(live.Entries[lo:min(lo+200, len(live.Entries))])
+		want = append(want, reps...)
 	}
 	want = append(want, ref.Drain()...)
 
@@ -498,5 +500,57 @@ func TestFeedWindowBoundsFramesInFlight(t *testing.T) {
 	}
 	if ack, err := c.Sync(); err != nil || ack.Entries != frames {
 		t.Fatalf("ack %+v, %v; want %d entries", ack, err, frames)
+	}
+}
+
+// TestNonFiniteCarriedByCodecRefusedByEngine is the door-level statement
+// of who judges a float. The codec carries every bit — ±Inf and NaN
+// payloads included, through both emitters — because a transport that
+// edits values hides the sender's bug; the engine's admission rule then
+// refuses the record through either door: rejected +1, shard events +0.
+func TestNonFiniteCarriedByCodecRefusedByEngine(t *testing.T) {
+	e := weblog.Entry{Subscriber: "sub-a", RTTMin: math.Inf(1), RTTMax: math.Inf(-1), BDP: math.NaN()}
+	var buf bytes.Buffer
+	if err := EncodeBatch(&buf, []weblog.Entry{e}, nil); err != nil {
+		t.Fatal(err)
+	}
+	raw := append([]byte(nil), buf.Bytes()...)
+	got, _ := decodeStream(t, &buf)
+	if !math.IsInf(got[0].RTTMin, 1) || !math.IsInf(got[0].RTTMax, -1) || !math.IsNaN(got[0].BDP) {
+		t.Errorf("non-finite floats mangled: %+v", got[0])
+	}
+
+	eng := engine.New(nil, engine.Config{Shards: 2, MinChunks: 1 << 30, SweepEverySec: -1}, nil)
+	defer eng.Drain()
+	h, err := parseHeader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := raw[HeaderLen:]
+	nan := math.Float64frombits(0x7ff8dead0000beef)
+	binary.LittleEndian.PutUint64(payload[len(payload)-8:], math.Float64bits(nan)) // retrans_pct
+	h.CRC = crc32.ChecksumIEEE(payload)
+	recs, shardOf, _, err := newRecDecoder(eng, internMax).DecodeFrame(h, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := recs[0]
+	if !math.IsInf(r.RTTMin, 1) || !math.IsInf(r.RTTMax, -1) ||
+		math.Float64bits(r.BDP) != math.Float64bits(e.BDP) ||
+		math.Float64bits(r.Retrans) != math.Float64bits(nan) {
+		t.Errorf("rec emitter mangled non-finite floats: %+v", r)
+	}
+
+	done := make(chan struct{})
+	eng.FeedRecs(recs, shardOf, func() { close(done) })
+	<-done
+	eng.Feed(got)
+	if rej := eng.Rejected(); rej != [2]int64{0, 2} {
+		t.Errorf("rejected %v, want the record refused once through each door as non_finite", rej)
+	}
+	for _, sh := range eng.Snapshot() {
+		if sh.Events != 0 {
+			t.Errorf("shard %d took %d entries of a stream with none admissible", sh.Shard, sh.Events)
+		}
 	}
 }

@@ -43,48 +43,41 @@ type ReplayStats struct {
 	Packets int
 	// Entries is the count of synthesized weblog entries emitted.
 	Entries int
-	// Batches is how many handler calls carried them.
+	// Batches is how many emit calls carried them.
 	Batches int
 	// SpanSec is the capture-clock span of the trace.
 	SpanSec float64
 }
 
-// ReplayPcap streams a capture through the flow meter and emits the
-// synthesized weblog entries to h in batches, as transactions
-// complete on the capture clock — the passive-probe pipeline
-// (packet → transaction → entry) running incrementally instead of
-// buffering the whole trace. The batch slice handed to h.Entries is
-// reused between calls, matching the wire listener's handler
-// contract, so the same Handler serves both.
-func ReplayPcap(r *pcapio.Reader, h Handler, opt ReplayOptions) (ReplayStats, error) {
+// ReplayPcap streams a capture through the flow meter and hands emit
+// the synthesized weblog entries in batches, as transactions complete
+// on the capture clock — the passive-probe pipeline (packet →
+// transaction → entry) running incrementally instead of buffering the
+// whole trace. The batch slice is reused between calls, so emit must not
+// retain it: the engine's Feed and a Client's SendEntries both copy.
+func ReplayPcap(r *pcapio.Reader, emit func([]weblog.Entry), opt ReplayOptions) (ReplayStats, error) {
 	opt = opt.withDefaults()
 	m := packet.NewMeter()
 	var st ReplayStats
 	batch := make([]weblog.Entry, 0, opt.BatchMax)
 
-	emit := func(txns []packet.Transaction) {
-		for i := range txns {
-			batch = append(batch, txns[i].ToEntry())
-			if len(batch) >= opt.BatchMax {
-				st.Entries += len(batch)
-				st.Batches++
-				if h.Entries != nil {
-					h.Entries(batch)
-				}
-				batch = batch[:0]
-			}
-		}
-	}
 	flushBatch := func() {
 		if len(batch) == 0 {
 			return
 		}
 		st.Entries += len(batch)
 		st.Batches++
-		if h.Entries != nil {
-			h.Entries(batch)
-		}
+		emit(batch)
 		batch = batch[:0]
+	}
+	harvest := func(txns []packet.Transaction) {
+		for i := range txns {
+			batch = append(batch, txns[i].ToEntry())
+			if len(batch) >= opt.BatchMax {
+				flushBatch()
+			}
+		}
+		flushBatch()
 	}
 
 	nextFlush := 0.0
@@ -107,12 +100,10 @@ func ReplayPcap(r *pcapio.Reader, h Handler, opt ReplayOptions) (ReplayStats, er
 		}
 		m.Observe(p)
 		if p.Time >= nextFlush {
-			emit(m.FlushIdle(p.Time, opt.IdleGapSec))
-			flushBatch()
+			harvest(m.FlushIdle(p.Time, opt.IdleGapSec))
 			nextFlush = p.Time + opt.FlushEverySec
 		}
 	}
-	emit(m.Finish())
-	flushBatch()
+	harvest(m.Finish())
 	return st, nil
 }

@@ -119,9 +119,9 @@ func TestReplayMatchesBatchMetering(t *testing.T) {
 		}
 
 		var got []weblog.Entry
-		h := Handler{Entries: func(es []weblog.Entry) {
+		h := func(es []weblog.Entry) {
 			got = append(got, es...) // copy semantics: append copies values
-		}}
+		}
 		// IdleGapSec beyond the capture span: transactions close only
 		// via the meter's own boundaries (new request, FIN), so
 		// streaming must reproduce batch metering bit for bit. Idle
@@ -157,7 +157,7 @@ func TestReplayMatchesBatchMetering(t *testing.T) {
 	}
 }
 
-// TestReplayBatchCap checks BatchMax bounds every handler call.
+// TestReplayBatchCap checks BatchMax bounds every emit call.
 func TestReplayBatchCap(t *testing.T) {
 	raw, _ := capture(t, 12)
 	r, err := pcapio.NewReader(bytes.NewReader(raw))
@@ -165,11 +165,11 @@ func TestReplayBatchCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxSeen := 0
-	h := Handler{Entries: func(es []weblog.Entry) {
+	h := func(es []weblog.Entry) {
 		if len(es) > maxSeen {
 			maxSeen = len(es)
 		}
-	}}
+	}
 	if _, err := ReplayPcap(r, h, ReplayOptions{BatchMax: 8}); err != nil {
 		t.Fatal(err)
 	}

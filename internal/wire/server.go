@@ -29,8 +29,9 @@ import (
 //
 // Recs, when set, is the fused door and takes the listener's entry
 // records instead of Entries: connections decode frames straight into
-// routed recs (see RecSink) and build no weblog.Entry. Entries then
-// serves only callers that have entries to begin with (pcap replay).
+// routed recs (see RecSink) and build no weblog.Entry. The service always
+// sets it; Entries and the listener's Entry decoder behind it are left for
+// bench/layers.go and tests, until ROADMAP "Benchmark debts" (b) re-points them.
 type Handler struct {
 	Entries func([]weblog.Entry)
 	Labels  func([]qualitymon.Label)

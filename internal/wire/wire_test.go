@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -465,37 +464,5 @@ func TestInternReusesStrings(t *testing.T) {
 	// equal — that is what makes the steady state allocation-free
 	if unsafe.StringData(got[0].Host) != unsafe.StringData(got[1].Host) {
 		t.Error("repeated host not interned")
-	}
-}
-
-func TestDecodeNaNAndInfSurvive(t *testing.T) {
-	e := weblog.Entry{RTTMin: math.Inf(1), RTTMax: math.Inf(-1), BDP: math.NaN()}
-	var buf bytes.Buffer
-	if err := EncodeBatch(&buf, []weblog.Entry{e}, nil); err != nil {
-		t.Fatal(err)
-	}
-	raw := append([]byte(nil), buf.Bytes()...)
-	got, _ := decodeStream(t, &buf)
-	if !math.IsInf(got[0].RTTMin, 1) || !math.IsInf(got[0].RTTMax, -1) || !math.IsNaN(got[0].BDP) {
-		t.Errorf("non-finite floats mangled: %+v", got[0])
-	}
-	// the rec emitter carries the same bits, payloads of NaNs included
-	h, err := parseHeader(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := raw[HeaderLen:]
-	nan := math.Float64frombits(0x7ff8dead0000beef)
-	binary.LittleEndian.PutUint64(payload[len(payload)-8:], math.Float64bits(nan)) // retrans_pct
-	h.CRC = crc32.ChecksumIEEE(payload)
-	recs, _, _, err := newRecDecoder(newStubSink(1), internMax).DecodeFrame(h, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := recs[0]
-	if !math.IsInf(r.RTTMin, 1) || !math.IsInf(r.RTTMax, -1) ||
-		math.Float64bits(r.BDP) != math.Float64bits(e.BDP) ||
-		math.Float64bits(r.Retrans) != math.Float64bits(nan) {
-		t.Errorf("rec emitter mangled non-finite floats: %+v", r)
 	}
 }
