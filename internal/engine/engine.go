@@ -281,11 +281,15 @@ func (e *Engine) Feed(entries []weblog.Entry) {
 	e.digests.Put(d)
 }
 
-// Intern and FeedRecs are the fused wire door (wire.RecSink): the
-// listener's decoder resolves identities through per-connection caches,
-// asks Intern only about the ones a frame missed, and hands FeedRecs
-// recs it built itself, so no weblog.Entry exists on that path.
+// Find, Intern and FeedRecs are the fused wire door (wire.RecSink): the
+// listener's decoder resolves each subscriber through Find, asks Intern
+// only about the identities a frame missed, and hands FeedRecs recs it
+// built itself, so no weblog.Entry exists on that path.
 //
+// Find resolves a subscriber an earlier call interned, lock-free and
+// interning nothing; a miss means "ask Intern", not "new". sub is not retained.
+func (e *Engine) Find(sub []byte) (sessionizer.SubRef, bool) { return e.interner.find(sub) }
+
 // Intern resolves subscriber names into refs and region/device/cap
 // triples into cohort IDs (0 for an all-empty triple), interning what
 // is new, under one lock acquisition. Nothing passed in is retained.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"hash/maphash"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,74 +21,78 @@ import (
 //
 // Both doors intern through the same two lookup-or-add routines
 // (lookupSub, lookupCohort), under one acquisition of mu per call: the
-// wire door for the identities its per-connection caches missed
+// wire door for what find and its per-connection cohort cache missed
 // (intern), the Entry doors for every entry of a batch (digest). IDs
 // start at 1 and are assigned in first-sight order; 0 means "absent"
-// (no cohort metadata).
+// (no cohort metadata). A new name or cohort label is cut from the
+// current nameBlockBytes block and kept as a substring of it, which pins
+// the block: first sight allocates per block, not per identity.
 //
-// What the interner keeps of an identity it cuts from name blocks
-// (DESIGN §13): each new subscriber name and each new cohort's rendered
-// label is appended to the current nameBlockBytes block and kept as a
-// substring of it, so first sight allocates per block, not per identity,
-// through either door. A substring pins its whole block.
+// Reading takes no lock at all (DESIGN §13). The id → x tables only
+// grow by append, and every locked section that grew them publishes the
+// new slice headers as one internView before it unlocks. An ID reaches a
+// shard only through a mailbox, after the call that interned it has
+// published, so any view a shard loads covers every ID it holds; later
+// appends never touch what it reads. IDs are never reused — a reclaiming
+// interner must first resolve or epoch-tag whatever still holds an old
+// ID (open flows, the trace ring), and it frees names a block at a time.
 //
-// The reverse direction takes no lock at all: names, keys and labels
-// only ever grow by append, and every locked section that grew them
-// publishes the new slice headers as one internView before it unlocks.
-// An ID reaches a shard only through a mailbox, after the call that
-// interned it has published, so any view a shard loads covers every ID
-// it holds; later appends write past the view's length (or into a fresh
-// backing array) and never touch what it reads. IDs are never reused —
-// a reclaiming interner must first resolve or epoch-tag whatever still
-// holds an old ID (open flows, the trace ring), and it frees names a
-// block at a time.
+// slots is the subscriber → ID index: linear probing at load ≤ ½ over a
+// power of two of one-word slots — upper half a tag (the upper half of
+// the name's seeded 64-bit hash), lower half the ID, 0 for empty. A run
+// starts at tag mod len(slots), so a table is rebuilt from its words
+// alone. A slot is stored under mu, once, after its name lies in names;
+// find reads the published view's table without the lock, and a table
+// since replaced or an ID its view does not cover yet only turns a hit
+// into a miss, which lookupSub settles.
 type interner struct {
 	mu     sync.Mutex
 	shards uint32
 
-	subs  map[string]subEntry
+	slots []atomic.Uint64
 	names []string // id → subscriber; names[0] unused
+	homes []uint32 // id → fnvShard(names[id]), computed at first sight
 
 	cohorts map[cohort.Key]uint32
 	keys    []cohort.Key // id → key; keys[0] is the zero key
 	labels  []string     // id → keys[id].String(), rendered once
 
-	block strings.Builder // what new names and labels are cut from
+	block  strings.Builder // what new names and labels are cut from
+	blocks int             // bytes of every block started so far
 
 	view atomic.Pointer[internView]
-
-	// interned counts unique subscribers, readable without the lock
-	// (Snapshot/debug use).
-	interned atomic.Int64
 }
 
-// subEntry is one interned subscriber: its dense ID and its home shard,
-// FNV-1a(subscriber) mod shard count, computed once, at intern time.
-type subEntry struct {
-	id, shard uint32
-}
-
-// internView is the lock-free read side of the interner: the id →
-// string tables as of one publication. Immutable once stored.
+// internView is the lock-free read side of the interner as of one
+// publication. Immutable once stored, but for empty slots being filled.
 type internView struct {
+	slots  []atomic.Uint64
 	names  []string
+	homes  []uint32
 	keys   []cohort.Key
 	labels []string
+	blocks int
 }
 
+// subSeed keys the index's hash for this process: a peer who chooses
+// subscriber names cannot aim them at one run of a linear-probing table.
+var subSeed = maphash.MakeSeed()
+
 // nameBlockBytes is one name block: over a thousand subscriber names.
-const nameBlockBytes = 16 << 10
+// minSubSlots is the index an engine starts with.
+const nameBlockBytes, minSubSlots = 16 << 10, 1 << 10
 
 func newInterner(shards int) *interner {
 	n := &interner{
 		shards:  uint32(shards),
-		subs:    make(map[string]subEntry),
+		slots:   make([]atomic.Uint64, minSubSlots),
 		names:   make([]string, 1),
+		homes:   make([]uint32, 1),
 		cohorts: make(map[cohort.Key]uint32),
 		keys:    make([]cohort.Key, 1),
 		labels:  []string{cohort.Key{}.String()},
 	}
-	n.view.Store(&internView{n.names, n.keys, n.labels})
+	n.view.Store(&internView{n.slots, n.names, n.homes, n.keys, n.labels, 0})
 	return n
 }
 
@@ -118,6 +123,7 @@ func (n *interner) room(size int) {
 	if n.block.Cap()-n.block.Len() < size {
 		n.block.Reset()
 		n.block.Grow(max(size, nameBlockBytes))
+		n.blocks += n.block.Cap()
 	}
 }
 
@@ -136,23 +142,63 @@ func put[S string | []byte](b *strings.Builder, s S, dash bool) {
 	}
 }
 
-// lookupSub returns name's entry, interning it on first sight. name may
-// be decode scratch: a lookup builds no string, and a new subscriber is
-// stored under the interner's own copy, cut from the current block. The
-// caller holds n.mu and publishes before it unlocks.
-func lookupSub[S string | []byte](n *interner, name S) subEntry {
-	se, ok := n.subs[string(name)]
-	if !ok {
+// probe is the index's one lookup: it walks the run of name, whose hash
+// is the upper half of h, and returns its ID, or 0 and the empty slot
+// that ended the run. A slot answers for name only if names, the table
+// the caller reads IDs by, covers its ID and holds the same bytes there.
+func probe[S string | []byte](slots []atomic.Uint64, names []string, h uint64, name S) (id, at uint32) {
+	tag, mask := uint32(h>>32), uint32(len(slots)-1)
+	for at = tag & mask; ; at = (at + 1) & mask {
+		w := slots[at].Load()
+		if w == 0 {
+			return 0, at
+		}
+		if id = uint32(w); uint32(w>>32) == tag && int(id) < len(names) && names[id] == string(name) {
+			return id, at
+		}
+	}
+}
+
+// find is probe without the lock: the subscriber as an earlier locked
+// section interned and published it, or false — for a name never seen,
+// and now and then for one interned a moment ago.
+func (n *interner) find(name []byte) (sessionizer.SubRef, bool) {
+	v := n.view.Load()
+	id, _ := probe(v.slots, v.names, maphash.Bytes(subSeed, name), name)
+	return sessionizer.SubRef{Name: v.names[id], ID: id, Shard: v.homes[id]}, id != 0
+}
+
+// lookupSub returns the subscriber name, whose hash is h, interning it
+// on first sight. name may be decode scratch: a lookup builds no string,
+// and a new subscriber is stored under the interner's own copy, cut from
+// the current block. The caller holds n.mu and publishes before it
+// unlocks.
+func lookupSub[S string | []byte](n *interner, h uint64, name S) sessionizer.SubRef {
+	id, at := probe(n.slots, n.names, h, name)
+	if id == 0 {
+		if 2*len(n.names) > len(n.slots) {
+			// full: an O(slots) pause moves every word to the end of its run
+			// (nil names: no slot answers); readers keep the old table until publish
+			old := n.slots
+			n.slots = make([]atomic.Uint64, 2*len(old))
+			for i := range old {
+				if w := old[i].Load(); w != 0 {
+					_, to := probe(n.slots, nil, w, name)
+					n.slots[to].Store(w)
+				}
+			}
+			_, at = probe(n.slots, nil, h, name)
+		}
 		n.room(len(name))
 		off := n.block.Len()
 		put(&n.block, name, false)
 		own := n.block.String()[off:]
-		se = subEntry{id: uint32(len(n.names)), shard: fnvShard(own, n.shards)}
-		n.subs[own] = se
+		id = uint32(len(n.names))
 		n.names = append(n.names, own)
-		n.interned.Add(1)
+		n.homes = append(n.homes, fnvShard(own, n.shards))
+		n.slots[at].Store(h>>32<<32 | uint64(id))
 	}
-	return se
+	return sessionizer.SubRef{Name: n.names[id], ID: id, Shard: n.homes[id]}
 }
 
 // lookupCohort is lookupSub for a region/device/cap triple; an all-empty
@@ -183,15 +229,13 @@ func lookupCohort[S string | []byte](n *interner, region, device, cp S) uint32 {
 	return id
 }
 
-// intern is the fused wire door's half: the listener keeps its own
-// per-connection caches and asks only about what they missed. subs[i]
-// resolves into refs[i], the region/device/cap triple cohorts[i] into
-// ids[i].
+// intern is the fused wire door's locked half, asked only about what
+// find and the connection's cohort cache missed. subs[i] resolves into
+// refs[i], the region/device/cap triple cohorts[i] into ids[i].
 func (n *interner) intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
 	n.mu.Lock()
 	for i, b := range subs {
-		se := lookupSub(n, b)
-		refs[i] = sessionizer.SubRef{Name: n.names[se.id], ID: se.id, Shard: se.shard}
+		refs[i] = lookupSub(n, maphash.Bytes(subSeed, b), b)
 	}
 	for i, c := range cohorts {
 		ids[i] = lookupCohort(n, c[0], c[1], c[2])
@@ -204,8 +248,16 @@ func (n *interner) intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3
 // lock-free readers. The caller holds n.mu.
 func (n *interner) publish() {
 	if v := n.view.Load(); len(v.names) != len(n.names) || len(v.keys) != len(n.keys) {
-		n.view.Store(&internView{n.names, n.keys, n.labels})
+		n.view.Store(&internView{n.slots, n.names, n.homes, n.keys, n.labels, n.blocks})
 	}
+}
+
+// InternerStats is what the interner holds, read without a lock: the
+// subscribers interned so far, the slots of their index, and the bytes of
+// the index, the id → name and id → shard tables and every name block.
+func (e *Engine) InternerStats() (subscribers, slots int, bytes int64) {
+	v := e.interner.view.Load()
+	return len(v.names) - 1, len(v.slots), int64(8*len(v.slots) + 16*cap(v.names) + 4*cap(v.homes) + v.blocks)
 }
 
 // recSlab is one batch's reusable routing storage: the shard-contiguous
@@ -264,8 +316,8 @@ func (n *interner) digest(d *digested, entries []weblog.Entry) {
 	n.mu.Lock()
 	for i := range entries {
 		e, r := &entries[i], &d.recs[i]
-		se := lookupSub(n, e.Subscriber)
-		r.Sub, d.shardOf[i] = se.id, se.shard
+		ref := lookupSub(n, maphash.String(subSeed, e.Subscriber), e.Subscriber)
+		r.Sub, d.shardOf[i] = ref.ID, ref.Shard
 		r.Cohort = lookupCohort(n, e.Region, e.Device, e.Cap)
 	}
 	n.publish()

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"vqoe/internal/cohort"
@@ -186,7 +187,8 @@ func TestFeedRecsReportsDone(t *testing.T) {
 // 256-entry batch — every subscriber and every region/device/cap triple
 // already interned — digested and scattered into a slab allocates
 // nothing: the lookups build no strings, the scratch and the slab are
-// reused, and publish has nothing new to store.
+// reused, and publish has nothing new to store. Nor does the wire
+// door's lookup, Find, of a warm name.
 func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 	const nsh = 2
 	in := newInterner(nsh)
@@ -213,7 +215,15 @@ func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 	if in.view.Load() != view {
 		t.Error("a batch that interned nothing published a new view")
 	}
-	if got := in.interned.Load(); got != 37 {
+	warm := []byte("sub-36")
+	if allocs := testing.AllocsPerRun(50, func() {
+		if ref, ok := in.find(warm); !ok || ref.Name != "sub-36" {
+			t.Fatalf("find(%q) = %+v, %v", warm, ref, ok)
+		}
+	}); allocs != 0 {
+		t.Errorf("find of a warm name allocates %v times, want 0", allocs)
+	}
+	if got := len(in.names) - 1; got != 37 {
 		t.Errorf("%d subscribers interned, want 37", got)
 	}
 	if len(in.keys) != 1+15 {
@@ -245,7 +255,7 @@ func TestDoorsInternAlike(t *testing.T) {
 		wireTriples = append(wireTriples, [3][]byte{[]byte(tr[0]), []byte(tr[1]), []byte(tr[2])})
 	}
 	type identity struct {
-		sub    subEntry
+		sub    struct{ id, shard uint32 }
 		cohort uint32
 	}
 	// viaWire and viaEntries offer everything through one door and read
@@ -258,7 +268,8 @@ func TestDoorsInternAlike(t *testing.T) {
 			if ref.Name != subs[i] {
 				t.Fatalf("Intern resolved %q as %q", subs[i], ref.Name)
 			}
-			out[i] = identity{subEntry{ref.ID, ref.Shard}, ids[i]}
+			out[i] = identity{cohort: ids[i]}
+			out[i].sub.id, out[i].sub.shard = ref.ID, ref.Shard
 		}
 		return out
 	}
@@ -269,7 +280,9 @@ func TestDoorsInternAlike(t *testing.T) {
 		defer in.mu.Unlock()
 		out := make([]identity, len(entries))
 		for i, en := range entries {
-			out[i] = identity{in.subs[en.Subscriber], in.cohorts[cohort.Key{Region: en.Region, Device: en.Device, Cap: en.Cap}]}
+			ref, _ := in.find([]byte(en.Subscriber))
+			out[i] = identity{cohort: in.cohorts[cohort.Key{Region: en.Region, Device: en.Device, Cap: en.Cap}]}
+			out[i].sub.id, out[i].sub.shard = ref.ID, ref.Shard
 		}
 		return out
 	}
@@ -293,7 +306,7 @@ func TestDoorsInternAlike(t *testing.T) {
 		if got := len(e.interner.keys) - 1; got != len(triples)-1 {
 			t.Errorf("%s: %d cohort keys interned, want %d", order, got, len(triples)-1)
 		}
-		if got := e.interner.interned.Load(); got != int64(len(subs)) {
+		if got, _, _ := e.InternerStats(); got != len(subs) {
 			t.Errorf("%s: %d subscribers interned, want %d", order, got, len(subs))
 		}
 	}
@@ -319,11 +332,13 @@ func TestDoorsInternAlike(t *testing.T) {
 // doors: a batch of 256 never-seen subscribers and 8 never-seen cohorts
 // costs the heap a handful of objects — the published view, a fifth of
 // a name block, a step of the id → string tables now and then — not one
-// per name and four per cohort. The two Go maps are sized ahead, so the
-// count is the interner's own and the same under every toolchain: what
-// a growing map adds is the runtime's business (four objects per table
-// split, a split per ≈450 inserts, since Go 1.24; overflow buckets
-// before). Every stored label equals what cohort.Key.String renders.
+// per name and four per cohort. The subscriber index and the cohort map
+// are sized ahead, so the count is first sight's own and the same under
+// every toolchain: the index doubles once per doubling of the
+// subscribers, and what a growing Go map adds is the runtime's business
+// (four objects per table split, a split per ≈450 inserts, since Go
+// 1.24; overflow buckets before). Every stored label equals what
+// cohort.Key.String renders.
 func TestInternAllocatesPerBatchNotPerName(t *testing.T) {
 	const names, triples, maxObjects = 256, 8, 2
 	batch := 0
@@ -345,7 +360,7 @@ func TestInternAllocatesPerBatchNotPerName(t *testing.T) {
 	const warm, runs = 16, 64
 
 	in := newInterner(2)
-	in.subs = make(map[string]subEntry, 4*(warm+2*(runs+1))*names)
+	in.slots = make([]atomic.Uint64, 1<<17) // load ½ at 65,536 names; the test interns 37,376
 	in.cohorts = make(map[cohort.Key]uint32, 4*(warm+2*(runs+1))*triples)
 	var subs [][][]byte
 	var cohorts [][][3][]byte
@@ -364,7 +379,7 @@ func TestInternAllocatesPerBatchNotPerName(t *testing.T) {
 	}); allocs > maxObjects {
 		t.Errorf("Intern of %d new names and %d new cohorts allocates %v objects, want ≤ %d", names, triples, allocs, maxObjects)
 	}
-	if got := in.interned.Load(); got != (warm+runs+1)*names {
+	if got := len(in.names) - 1; got != (warm+runs+1)*names {
 		t.Errorf("%d subscribers interned, want %d", got, (warm+runs+1)*names)
 	}
 	for i, ref := range refs {

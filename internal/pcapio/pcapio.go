@@ -302,15 +302,18 @@ func (pr *Reader) decode(frame []byte, ts time.Time) (packet.Packet, bool) {
 	if ip[0]>>4 != 4 || ip[9] != 6 {
 		return packet.Packet{}, false
 	}
+	// the header length is the packet's word: one that leaves no TCP
+	// header inside the frame, or puts it inside the IP header, is not a
+	// packet of ours
 	ihl := int(ip[0]&0x0f) * 4
+	if ihl < ipv4HeaderLen || ihl+tcpHeaderLen > len(ip) {
+		return packet.Packet{}, false
+	}
 	totalLen := int(binary.BigEndian.Uint16(ip[2:]))
 	srcIP := net.IP(ip[12:16]).String()
 	dstIP := net.IP(ip[16:20]).String()
 
 	tcp := ip[ihl:]
-	if len(tcp) < tcpHeaderLen {
-		return packet.Packet{}, false
-	}
 	dataOff := int(tcp[12]>>4) * 4
 	payload := totalLen - ihl - dataOff
 	if payload < 0 {

@@ -12,7 +12,7 @@ import (
 	"vqoe/internal/weblog"
 )
 
-func sampleTrace(t *testing.T) ([]packet.Packet, weblog.Entry) {
+func sampleTrace(t testing.TB) ([]packet.Packet, weblog.Entry) {
 	t.Helper()
 	e := weblog.Entry{
 		Timestamp:      3,
@@ -174,4 +174,67 @@ func TestTCPFlagRoundTrip(t *testing.T) {
 			t.Errorf("flags %v round-trip to %v", f, got)
 		}
 	}
+}
+
+// capture is a Writer-produced capture of the first n sample packets.
+func capture(t testing.TB, n int) []byte {
+	t.Helper()
+	pkts, _ := sampleTrace(t)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteAll(pkts[:n]); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// firstIHL is where the first frame's IPv4 version/IHL byte lies: after
+// the global header, one record header and the Ethernet header.
+const firstIHL = 24 + 16 + ethHeaderLen
+
+// TestReaderSkipsLyingHeaderLength: the IPv4 header length is the
+// packet's own claim. One byte of a good capture patched to IHL 15 puts
+// the TCP header past the end of a 54-byte frame (the reader used to
+// panic slicing it); IHL 3 puts it inside the IP header. Either frame
+// is skipped like a non-TCP one and the packets after it still read.
+func TestReaderSkipsLyingHeaderLength(t *testing.T) {
+	for _, ihl := range []byte{0x4f, 0x43, 0x40} {
+		data := capture(t, 3)
+		data[firstIHL] = ihl
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.ReadAll()
+		if err != nil || len(got) != 2 {
+			t.Errorf("version/IHL %#x: read %d packets, %v; want the 2 after the patched frame", ihl, len(got), err)
+		}
+	}
+}
+
+// FuzzReadPcap: whatever the bytes, NewReader and Next return packets or
+// an error and never panic, and the reader makes progress.
+func FuzzReadPcap(f *testing.F) {
+	good := capture(f, 4)
+	lying := append([]byte(nil), good...)
+	lying[firstIHL] = 0x4f
+	f.Add(good)
+	f.Add(lying)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for n := 0; ; n++ {
+			if _, err := r.Next(); err != nil {
+				return
+			}
+			if n > len(data)/16 {
+				t.Fatalf("%d packets out of %d bytes", n, len(data))
+			}
+		}
+	})
 }

@@ -30,8 +30,9 @@ import (
 // EngineTelemetry declares the sharded engine, the one place an entry is
 // counted: vqoe_entries_total (what the shards took, through any door),
 // vqoe_ingest_rejected_total (what the admission rule refused), the
-// per-shard vqoe_engine_shard_* families, the ingest/session/mailbox series,
-// and the drop-rate, mailbox-saturation, ingest-stale and shard-wedged rules.
+// interner's and the per-shard vqoe_engine_* families, the ingest/session/
+// mailbox/interner series, and the drop-rate, mailbox-saturation,
+// ingest-stale and shard-wedged rules.
 func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 	m.collect(func(e *expoWriter) {
 		stats := eng.Snapshot()
@@ -45,6 +46,11 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 		for why, n := range eng.Rejected() {
 			e.printf("vqoe_ingest_rejected_total{reason=%q} %d\n", engine.RejectReasons[why], n)
 		}
+		subscribers, _, internerBytes := eng.InternerStats()
+		e.family("vqoe_engine_interned_subscribers", "Subscribers the engine has interned since start; none is ever forgotten.", "gauge")
+		e.printf("vqoe_engine_interned_subscribers %d\n", subscribers)
+		e.family("vqoe_engine_interner_bytes", "Memory the interner holds: subscriber index, id tables and name blocks.", "gauge")
+		e.printf("vqoe_engine_interner_bytes %d\n", internerBytes)
 		// grouped by family, not by shard: the text format requires all
 		// samples of a family to be contiguous
 		for _, fam := range []struct {
@@ -116,6 +122,7 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 	h.AddCounter("sessions.reports", func() float64 { return float64(cur.reports) })
 	h.AddCounter("sessions.evicted", func() float64 { return float64(cur.evicted) })
 	h.AddGauge("engine.open_sessions", func() float64 { return float64(cur.open) })
+	h.AddGauge("engine.interner_bytes", func() float64 { _, _, b := eng.InternerStats(); return float64(b) })
 	mailboxUtil := h.AddGauge("engine.mailbox_util", func() float64 { return cur.maxMailboxUtil })
 	h.AddGauge("engine.wedged_shards", func() float64 { return float64(cur.wedged) })
 

@@ -12,11 +12,11 @@ import (
 )
 
 // internMax bounds each content-keyed table a decoder keeps (the Entry
-// emitter's string table; the rec emitter's subscriber and cohort
-// caches, each on its own). Live traffic cycles through a bounded
-// vocabulary, so the tables converge and the steady state does no
-// per-entry string allocation; if a hostile or pathological stream
-// keeps minting new strings a full table is dropped rather than grown.
+// emitter's string table; the rec emitter's cohort-span cache). Live
+// traffic cycles through a bounded vocabulary, so the tables converge
+// and the steady state does no per-entry string allocation; if a
+// hostile or pathological stream keeps minting new strings a full table
+// is dropped rather than grown.
 const internMax = 1 << 16
 
 // Decoder turns validated frame payloads back into entries and

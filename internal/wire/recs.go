@@ -13,10 +13,14 @@ import (
 // sessionizer.Recs and never builds a weblog.Entry. *engine.Engine
 // implements it.
 type RecSink interface {
-	// Intern resolves identities a connection has not seen before, all
-	// of a frame's under one lock: subscriber name subs[i] into refs[i],
-	// and the region/device/cap triple cohorts[i] into ids[i] (0 for the
-	// all-empty triple). The byte slices are not retained.
+	// Find resolves a subscriber the engine has interned, through any
+	// door or connection, lock-free and without interning it; a miss is
+	// settled by Intern. sub is not retained.
+	Find(sub []byte) (sessionizer.SubRef, bool)
+	// Intern resolves the identities a frame missed, all under one lock:
+	// subscriber name subs[i] into refs[i], and the region/device/cap
+	// triple cohorts[i] into ids[i] (0 for the all-empty triple). The
+	// byte slices are not retained.
 	Intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32)
 	// FeedRecs routes a frame's recs — recs[i] bound for shard
 	// shardOf[i], both as Intern resolved them — with Feed's
@@ -27,18 +31,19 @@ type RecSink interface {
 }
 
 // recDecoder is the rec emitter: the frame walk and record parser of
-// Decoder, with entry records leaving as sessionizer.Recs. Identities
-// resolve through two per-connection caches keyed by wire content, each
-// bounded on its own and dropped wholesale when full: subscriber → the
-// engine's {name, id, shard}, and the raw region‖device‖cap span
-// (length prefixes included, so one lookup) → cohort ID. The caches
-// hold engine IDs, which is sound because the engine never reuses one.
-// The host is classified where it lies (weblog.ClassifyHostBytes); URI
-// and server address are bounds-checked and skipped.
+// Decoder, with entry records leaving as sessionizer.Recs. A subscriber
+// resolves through the engine's own index (sink.Find, lock-free), so
+// nothing a connection holds grows with the subscribers it carries. A
+// cohort resolves through a per-connection cache — a vocabulary of tens —
+// keyed by the raw region‖device‖cap span (length prefixes included, so
+// one lookup), bounded and dropped wholesale when full; it holds engine
+// IDs, which is sound because the engine never reuses one. The host is
+// classified where it lies (weblog.ClassifyHostBytes); URI and server
+// address are bounds-checked and skipped.
 //
 // A frame's misses are interned only after its last record has
 // validated, in one sink.Intern call, so a frame that fails leaves the
-// engine and the ID caches as they were. The returned slices are
+// engine and the cohort cache as they were. The returned slices are
 // scratch, valid until the next DecodeFrame. Not safe for concurrent
 // use.
 type recDecoder struct {
@@ -46,7 +51,6 @@ type recDecoder struct {
 	sink  RecSink
 	bound int
 
-	subs    map[string]sessionizer.SubRef
 	cohorts map[string]uint32
 
 	recs    []sessionizer.Rec
@@ -67,29 +71,16 @@ type recDecoder struct {
 	labelSubs [][]byte
 }
 
-// newRecDecoder returns a rec emitter over sink whose caches hold at
-// most bound keys each (internMax on the listener; tests lower it).
+// newRecDecoder returns a rec emitter over sink whose cohort cache holds
+// at most bound keys (internMax on the listener; tests lower it).
 func newRecDecoder(sink RecSink, bound int) *recDecoder {
-	return &recDecoder{
-		sink:    sink,
-		bound:   bound,
-		subs:    make(map[string]sessionizer.SubRef),
-		cohorts: make(map[string]uint32),
-	}
-}
-
-// put inserts into a bounded cache, starting it over when full.
-func put[V any](m *map[string]V, bound int, k string, v V) {
-	if len(*m) >= bound {
-		*m = make(map[string]V)
-	}
-	(*m)[k] = v
+	return &recDecoder{sink: sink, bound: bound, cohorts: make(map[string]uint32)}
 }
 
 // DecodeFrame is Decoder.DecodeFrame with the entries leaving as recs:
 // recs[i] is bound for shard shardOf[i]. Label subscribers come back as
-// the engine's own string when the connection has carried the
-// subscriber, so the steady state allocates nothing.
+// the engine's own string when the engine knows the subscriber, so the
+// steady state allocates nothing.
 func (r *recDecoder) DecodeFrame(h Header, payload []byte) (recs []sessionizer.Rec, shardOf []uint32, labels []qualitymon.Label, err error) {
 	r.recs, r.shardOf = r.recs[:0], r.shardOf[:0]
 	r.subAt, r.subName = r.subAt[:0], r.subName[:0]
@@ -102,22 +93,22 @@ func (r *recDecoder) DecodeFrame(h Header, payload []byte) (recs []sessionizer.R
 		r.internMisses()
 	}
 	for i, sub := range r.labelSubs {
-		if ref, ok := r.subs[string(sub)]; ok {
+		if ref, ok := r.sink.Find(sub); ok {
 			r.dec.labels[i].Subscriber = ref.Name
 		} else {
-			// a label for a subscriber this connection never carried:
-			// it gets its own string and mints no engine ID
+			// a label for a subscriber the engine never carried: it gets
+			// its own string and mints no engine ID
 			r.dec.labels[i].Subscriber = string(sub)
 		}
 	}
 	return r.recs, r.shardOf, r.dec.labels, nil
 }
 
-// emit appends one parsed entry record as a Rec. A cache miss leaves
-// the identity zero and queues it for internMisses.
+// emit appends one parsed entry record as a Rec. A miss leaves the
+// identity zero and queues it for internMisses.
 func (r *recDecoder) emit(e *rawEntry) {
 	i := len(r.recs)
-	ref, ok := r.subs[string(e.sub)]
+	ref, ok := r.sink.Find(e.sub)
 	if !ok {
 		r.subAt = append(r.subAt, i)
 		r.subName = append(r.subName, e.sub)
@@ -151,23 +142,23 @@ func (r *recDecoder) emit(e *rawEntry) {
 }
 
 // internMisses has the engine resolve the validated frame's misses in
-// one call, patches the recs that waited on them and fills the caches.
-// A subscriber the frame repeats is sent once per occurrence, which
-// costs the engine a map hit under the lock it already holds.
+// one call, patches the recs that waited on them and fills the cohort
+// cache. A subscriber the frame repeats is sent once per occurrence,
+// which costs the engine a hit under the lock it already holds.
 func (r *recDecoder) internMisses() {
 	r.subRefs = slices.Grow(r.subRefs[:0], len(r.subAt))[:len(r.subAt)]
 	r.cohIDs = slices.Grow(r.cohIDs[:0], len(r.cohAt))[:len(r.cohAt)]
 	r.sink.Intern(r.subName, r.subRefs, r.cohKey, r.cohIDs)
 	for k, i := range r.subAt {
-		ref := r.subRefs[k]
-		r.recs[i].Sub, r.shardOf[i] = ref.ID, ref.Shard
-		// keyed by the engine's string: the cache allocates no key
-		put(&r.subs, r.bound, ref.Name, ref)
+		r.recs[i].Sub, r.shardOf[i] = r.subRefs[k].ID, r.subRefs[k].Shard
 	}
 	for k, i := range r.cohAt {
 		r.recs[i].Cohort = r.cohIDs[k]
 		if _, ok := r.cohorts[string(r.cohSpan[k])]; !ok {
-			put(&r.cohorts, r.bound, string(r.cohSpan[k]), r.cohIDs[k])
+			if len(r.cohorts) >= r.bound {
+				clear(r.cohorts) // full: start over
+			}
+			r.cohorts[string(r.cohSpan[k])] = r.cohIDs[k]
 		}
 	}
 }

@@ -41,6 +41,11 @@ func newStubSink(shards int) *stubSink {
 	}
 }
 
+func (s *stubSink) Find(sub []byte) (sessionizer.SubRef, bool) {
+	ref, ok := s.subs[string(sub)]
+	return ref, ok
+}
+
 func (s *stubSink) Intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
 	s.interns++
 	for i, b := range subs {
@@ -237,12 +242,27 @@ func reportKeys(reps []engine.Report) []string {
 	return keys
 }
 
-// TestRecCachesResetMidStream lowers the cache bound until every cache
-// starts over many times inside one stream: the subscriber cache holds
-// 4 of 40 subscribers, the cohort cache 4 keys. A reset
-// only costs another Intern round trip — the engine hands back the IDs
-// it already assigned — so the reports must be, bit for bit, those of
-// the same stream through Engine.Feed.
+// sameReports requires the fused door's reports to be, bit for bit and
+// in any order, Engine.Feed's, and some to exist.
+func sameReports(t *testing.T, fused, feed []engine.Report) {
+	t.Helper()
+	g, w := reportKeys(fused), reportKeys(feed)
+	if len(w) == 0 || len(g) != len(w) {
+		t.Fatalf("%d reports through the fused door, %d through Feed", len(g), len(w))
+	}
+	for i := range w {
+		if g[i] != w[i] {
+			t.Fatalf("report %d diverges:\n fused %s\n  feed %s", i, g[i], w[i])
+		}
+	}
+}
+
+// TestRecCachesResetMidStream lowers the cache bound until the cohort
+// cache — the only identity cache a connection keeps — starts over many
+// times inside one stream: it holds 4 keys. A reset only costs another
+// Intern round trip — the engine hands back the IDs it already
+// assigned — so the reports must be, bit for bit, those of the same
+// stream through Engine.Feed.
 func TestRecCachesResetMidStream(t *testing.T) {
 	fw, live := fixtures(t)
 	cfg := engine.Config{Shards: 2, SweepEverySec: -1}
@@ -280,7 +300,7 @@ func TestRecCachesResetMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr := NewFrameReader(&buf)
-	sent := 0
+	sent, held, resets := 0, 0, 0
 	for {
 		h, payload, err := fr.Next()
 		if err == io.EOF {
@@ -293,33 +313,30 @@ func TestRecCachesResetMidStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rd.subs) > bound || len(rd.cohorts) > bound {
-			t.Fatalf("caches hold %d/%d keys past the bound %d", len(rd.subs), len(rd.cohorts), bound)
+		if len(rd.cohorts) > bound {
+			t.Fatalf("the cohort cache holds %d keys past the bound %d", len(rd.cohorts), bound)
 		}
+		if len(rd.cohorts) < held {
+			resets++
+		}
+		held = len(rd.cohorts)
 		eng.FeedRecs(recs, shardOf, nil)
 		sent += len(recs)
 	}
 	got = append(got, eng.Drain()...)
-	if sent != len(live.Entries) {
-		t.Fatalf("decoded %d of %d entries", sent, len(live.Entries))
+	if sent != len(live.Entries) || resets == 0 {
+		t.Fatalf("decoded %d of %d entries over %d cache resets", sent, len(live.Entries), resets)
 	}
-	g, w := reportKeys(got), reportKeys(want)
-	if len(w) == 0 || len(g) != len(w) {
-		t.Fatalf("%d reports through the bounded caches, %d through Feed", len(g), len(w))
-	}
-	for i := range w {
-		if g[i] != w[i] {
-			t.Fatalf("report %d diverges:\n fused %s\n  feed %s", i, g[i], w[i])
-		}
-	}
+	sameReports(t, got, want)
 }
 
 // TestFusedDoorFailedFrameLeavesEngineUntouched pins all-or-nothing at
 // the listener: after a good frame, a CRC-valid frame that introduces
 // subscribers and a cohort and whose last record is malformed closes
 // the connection and counts one error, as on the Entry door — and the
-// engine has seen none of it: no shard took an entry and no ID was
-// minted (the next subscriber interned gets the very next ID).
+// engine has seen none of it: no shard took an entry, no ID was minted
+// (the next subscriber interned gets the very next ID) and Find misses
+// the frame's new subscriber.
 func TestFusedDoorFailedFrameLeavesEngineUntouched(t *testing.T) {
 	eng := engine.New(nil, engine.Config{Shards: 2, MinChunks: 1 << 30, SweepEverySec: -1}, nil)
 	defer eng.Drain()
@@ -387,6 +404,9 @@ func TestFusedDoorFailedFrameLeavesEngineUntouched(t *testing.T) {
 	}
 	if n := events(); n != int64(len(good)) {
 		t.Errorf("shards took %d entries, want %d", n, len(good))
+	}
+	if ref, ok := eng.Find([]byte("sub-new")); ok {
+		t.Errorf("the failed frame's new subscriber resolves to %+v", ref)
 	}
 	eng.Intern([][]byte{[]byte("probe-after")}, after[:], nil, nil)
 	if after[0].ID != before[0].ID+1 {
@@ -552,5 +572,149 @@ func TestNonFiniteCarriedByCodecRefusedByEngine(t *testing.T) {
 		if sh.Events != 0 {
 			t.Errorf("shard %d took %d entries of a stream with none admissible", sh.Shard, sh.Events)
 		}
+	}
+}
+
+// firstSightSink is the engine behind a RecSink that remembers the
+// Intern call each subscriber name was first offered in, and counts the
+// names offered again by a later call.
+type firstSightSink struct {
+	*engine.Engine
+	calls   int
+	first   map[string]int
+	reasked int
+}
+
+func (s *firstSightSink) Intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
+	s.calls++
+	for _, b := range subs {
+		if call, ok := s.first[string(b)]; !ok {
+			s.first[string(b)] = s.calls
+		} else if call != s.calls {
+			s.reasked++
+		}
+	}
+	s.Engine.Intern(subs, refs, cohorts, ids)
+}
+
+// TestOneConnectionManySubscribers is the regression test of the cliff
+// the per-connection subscriber cache had at 2¹⁶ keys: three times that
+// many subscribers over one listener connection, each seen again a full
+// pass later. A subscriber reaches Intern in the frame that introduces
+// it and never again (the cache, dropped wholesale when full, re-asked
+// for every one of them on the second pass), and the reports — every
+// 64th subscriber plays enough chunks for one — are bit for bit those of
+// Engine.Feed over the same entries.
+func TestOneConnectionManySubscribers(t *testing.T) {
+	fw, _ := fixtures(t)
+	const subscribers, passes, batch = 3 << 16, 2, 4096
+	cfg := engine.Config{Shards: 2, IdleGapSec: 1e6, SweepEverySec: -1}
+	var mu sync.Mutex
+	collect := func(into *[]engine.Report) func(engine.Report) {
+		return func(r engine.Report) {
+			mu.Lock()
+			*into = append(*into, r)
+			mu.Unlock()
+		}
+	}
+	var want, got []engine.Report
+	ref := engine.New(fw, cfg, collect(&want))
+	eng := engine.New(fw, cfg, collect(&got))
+	sink := &firstSightSink{Engine: eng, first: make(map[string]int, subscribers)}
+	addr := startServer(t, NewServer(Config{Handler: Handler{Recs: sink}}), "127.0.0.1:0")
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	names := make([]string, subscribers)
+	for i := range names {
+		names[i] = fmt.Sprintf("crowd-%06d", i)
+	}
+	sent, clock := int64(0), 0.0
+	entries := make([]weblog.Entry, 0, batch+3)
+	for pass := 0; pass < passes; pass++ {
+		for i, name := range names {
+			chunks := 1
+			if i%64 == 0 {
+				chunks = 3
+			}
+			for k := 0; k < chunks; k++ {
+				clock += 0.001
+				entries = append(entries, weblog.Entry{
+					Timestamp: clock, Subscriber: name, Host: "r1---sn-aaaa.googlevideo.com", Encrypted: true,
+					Bytes: 300_000 + 1000*(i%97), TransactionSec: 0.4 + 0.01*float64(k), RTTMin: 0.02, RTTAvg: 0.03, RTTMax: 0.05,
+				})
+			}
+			if len(entries) >= batch || i == len(names)-1 {
+				ref.Feed(entries)
+				if err := c.SendEntries(entries); err != nil {
+					t.Fatal(err)
+				}
+				sent += int64(len(entries))
+				entries = entries[:0]
+			}
+		}
+	}
+	if ack, err := c.Sync(); err != nil || ack.Entries != sent {
+		t.Fatalf("ack %+v, %v; sent %d entries", ack, err, sent)
+	}
+	want = append(want, ref.Drain()...)
+	got = append(got, eng.Drain()...)
+
+	if len(sink.first) != subscribers || sink.reasked != 0 {
+		t.Errorf("Intern was offered %d names, %d of them again in a later frame; want %d, each in one frame only",
+			len(sink.first), sink.reasked, subscribers)
+	}
+	if n, _, _ := eng.InternerStats(); n != subscribers {
+		t.Errorf("%d subscribers interned, want %d", n, subscribers)
+	}
+	if len(want) != subscribers/64 {
+		t.Errorf("%d reports through Feed, want %d", len(want), subscribers/64)
+	}
+	sameReports(t, got, want)
+}
+
+// TestLabelResolvesAcrossConnections: a label's subscriber resolves
+// through the engine, not through what its own connection has carried —
+// a connection that sees only the label of a subscriber another one
+// introduced hands the label on under the engine's string, allocating
+// nothing (each such label used to get a string of its own).
+func TestLabelResolvesAcrossConnections(t *testing.T) {
+	eng := engine.New(nil, engine.Config{Shards: 2, MinChunks: 1 << 30, SweepEverySec: -1}, nil)
+	defer eng.Drain()
+	frame := func(entries []weblog.Entry, labels []qualitymon.Label) (Header, []byte) {
+		var buf bytes.Buffer
+		if err := EncodeBatch(&buf, entries, labels); err != nil {
+			t.Fatal(err)
+		}
+		h, payload, err := NewFrameReader(&buf).Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, append([]byte(nil), payload...)
+	}
+	h, payload := frame([]weblog.Entry{{Subscriber: "sub-elsewhere", Timestamp: 1}}, nil)
+	if _, _, _, err := newRecDecoder(eng, internMax).DecodeFrame(h, payload); err != nil {
+		t.Fatal(err)
+	}
+
+	other := newRecDecoder(eng, internMax)
+	h, payload = frame(nil, []qualitymon.Label{{Subscriber: "sub-elsewhere", End: 2}, {Subscriber: "sub-nowhere", End: 2}})
+	_, _, labels, err := other.DecodeFrame(h, payload)
+	if err != nil || len(labels) != 2 || labels[0].Subscriber != "sub-elsewhere" || labels[1].Subscriber != "sub-nowhere" {
+		t.Fatalf("labels %+v, %v", labels, err)
+	}
+	if _, ok := eng.Find([]byte("sub-nowhere")); ok {
+		t.Error("a label record interned its subscriber")
+	}
+	h, payload = frame(nil, labels[:1])
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := other.DecodeFrame(h, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a label for a subscriber another connection introduced allocates %v times, want 0", allocs)
 	}
 }

@@ -383,8 +383,9 @@ func TestDecoderRollsBackPartialEntry(t *testing.T) {
 // TestRecDecoderFailedFrameTouchesNothing is the rec emitter's side of
 // all-or-nothing: a CRC-valid frame whose last record is cut short,
 // after records that introduce a subscriber and a cohort, must reach
-// the engine not at all — no Intern call — and leave the ID caches as
-// they were, and the decoder must go on to decode a valid frame.
+// the engine not at all — no Intern call, no new ID, and the frame's
+// new subscriber still misses in Find — and leave the cohort cache as it
+// was, and the decoder must go on to decode a valid frame.
 func TestRecDecoderFailedFrameTouchesNothing(t *testing.T) {
 	sink := newStubSink(2)
 	rd := newRecDecoder(sink, internMax)
@@ -398,8 +399,8 @@ func TestRecDecoderFailedFrameTouchesNothing(t *testing.T) {
 	if _, _, _, err := rd.DecodeFrame(h, good); err != nil {
 		t.Fatal(err)
 	}
-	interns, subs, cohorts := sink.interns, len(rd.subs), len(rd.cohorts)
-	knownRef := rd.subs[known.Subscriber]
+	interns, cohorts := sink.interns, len(rd.cohorts)
+	knownRef, _ := sink.Find([]byte(known.Subscriber))
 
 	fresh := known
 	fresh.Subscriber, fresh.Region = "sub-new", "mars"
@@ -417,9 +418,11 @@ func TestRecDecoderFailedFrameTouchesNothing(t *testing.T) {
 		t.Errorf("failed frame reached the engine: %d Intern calls (was %d), %d subscribers, %d cohorts",
 			sink.interns, interns, len(sink.names), len(sink.keys))
 	}
-	if len(rd.subs) != subs || len(rd.cohorts) != cohorts || rd.subs[known.Subscriber] != knownRef {
-		t.Errorf("failed frame changed the ID caches: %d subs (was %d), %d cohorts (was %d)",
-			len(rd.subs), subs, len(rd.cohorts), cohorts)
+	if _, ok := sink.Find([]byte("sub-new")); ok {
+		t.Error("the failed frame's new subscriber resolves in the engine")
+	}
+	if len(rd.cohorts) != cohorts {
+		t.Errorf("failed frame changed the cohort cache: %d keys (was %d)", len(rd.cohorts), cohorts)
 	}
 	h = Header{Records: 1, Len: len(good), CRC: crc32.ChecksumIEEE(good)}
 	recs, _, _, err := rd.DecodeFrame(h, good)
