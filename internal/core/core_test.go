@@ -302,7 +302,9 @@ func TestLoadDetectorRejectsMalformed(t *testing.T) {
 }
 
 // FuzzLoadDetector: whatever the bytes, LoadDetector returns a detector
-// or an error — and a detector it returns predicts without panicking.
+// or an error — and a detector it returns predicts without panicking,
+// saves to a file that loads again and saves byte-identically, and
+// predicts the same after the round trip.
 func FuzzLoadDetector(f *testing.F) {
 	header, forest := savedDetector(f)
 	f.Add(append([]byte(strings.Join(header, "")), forest...))
@@ -316,6 +318,27 @@ func FuzzLoadDetector(f *testing.F) {
 		det.Forest.PredictBatchInto([][]float64{make([]float64, len(det.Selected))},
 			make([]float64, len(det.Forest.Classes)), make([]int, 1))
 		det.Forest.PathAttribution(make([]float64, len(det.Selected)), nil)
+
+		var first, second bytes.Buffer
+		if err := det.Save(&first); err != nil {
+			t.Fatalf("accepted detector does not save: %v", err)
+		}
+		again, err := LoadDetector(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("saved detector does not load: %v", err)
+		}
+		if err := again.Save(&second); err != nil {
+			t.Fatalf("reloaded detector does not save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("second save differs from the first")
+		}
+		zero := make([]float64, len(det.Selected))
+		c1, p1 := det.Forest.PredictConf(zero)
+		c2, p2 := again.Forest.PredictConf(zero)
+		if c1 != c2 || p1 != p2 {
+			t.Fatalf("round trip changed PredictConf: (%d, %v) then (%d, %v)", c1, p1, c2, p2)
+		}
 	})
 }
 

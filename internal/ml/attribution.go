@@ -46,7 +46,7 @@ func (f *Forest) PathAttribution(x []float64, out []float64) []float64 {
 func (t *Tree) pathAttribution(x []float64, acc []float64) bool {
 	var path [maxPathDepth]int32
 	n := 0
-	nodes := t.flat.nodes
+	nodes := t.nodes
 	for i := 0; ; {
 		nd := nodes[i]
 		fi := int(nd.feature)

@@ -41,19 +41,19 @@ func TestPathAttributionSumsToOne(t *testing.T) {
 	}
 }
 
-// pathAttributionPointer is pathAttribution over the induction form of
-// a tree (probaPointer's traversal with the path recorded): the
+// pathAttributionPointer is pathAttribution over the wire form of a
+// tree (probaPointer's traversal with the path recorded): the
 // reference the slab walk is compared against.
 func (t *Tree) pathAttributionPointer(x []float64, acc []float64) bool {
 	var path []int
-	for nd := t.root; !nd.leaf; {
+	for nd := t.toDTO(0); !nd.Leaf; {
 		if len(path) < maxPathDepth {
-			path = append(path, nd.feature)
+			path = append(path, nd.Feature)
 		}
-		if x[nd.feature] <= nd.threshold {
-			nd = nd.left
+		if x[nd.Feature] <= nd.Threshold {
+			nd = nd.Left
 		} else {
-			nd = nd.right
+			nd = nd.Right
 		}
 	}
 	for _, fi := range path {

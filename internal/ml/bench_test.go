@@ -30,7 +30,7 @@ func BenchmarkTrainTree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TrainTree(ds, TreeConfig{MinLeaf: 2, MaxThresholds: 64}, r)
+		TrainTree(ds, ForestConfig{MinLeaf: 2, MaxThresholds: 64}, r)
 	}
 }
 
@@ -132,7 +132,7 @@ func BenchmarkForestPredictBatchParallel(b *testing.B) {
 func BenchmarkTreeInduction(b *testing.B) {
 	ds := benchDataset(2000, 10)
 	r := stats.NewRand(2)
-	cfg := TreeConfig{MinLeaf: 2, FeaturesPerSplit: 4, MaxThresholds: 64}
+	cfg := ForestConfig{MinLeaf: 2, FeaturesPerSplit: 4, MaxThresholds: 64}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

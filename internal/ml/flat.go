@@ -1,80 +1,32 @@
 package ml
 
-// Flattened tree representation: after induction every tree is
-// compiled into a contiguous node slab — 16-byte records holding the
-// split feature as int32, the threshold, and one child index — with
-// leaf distributions packed end-to-end in one shared []float64 per
-// tree, so inference walks array indices instead of chasing heap
-// pointers. Nodes are laid out in preorder, which makes the left child
-// implicit at i+1: a root-to-leaf walk takes the "≤ threshold" branch
-// by advancing one record (usually the same or the next cache line)
-// and only jumps for the right branch. The pointer-based *node tree is
-// kept as the authoritative form for induction, persistence, and the
-// equivalence tests; the flat form is rebuilt from it after TrainTree
-// and LoadForest and is the only form the hot prediction paths touch.
+// Tree layout: a tree is one contiguous node slab — 16-byte records
+// holding the split feature as int32, the threshold, and one child
+// index — with leaf distributions packed end-to-end in one shared
+// []float64 per tree, so inference walks array indices instead of
+// chasing heap pointers. Nodes are laid out in preorder, which makes
+// the left child implicit at i+1: a root-to-leaf walk takes the
+// "≤ threshold" branch by advancing one record (usually the same or the
+// next cache line) and only jumps for the right branch. This is the
+// only form a tree has: induction (build) and the model loader
+// (fromDTO) append to the slab directly, and the pointer-shaped nodeDTO
+// exists only on the wire and as the tests' reference walk.
 
-// flatNode is one packed tree node. For internal nodes, feature ≥ 0
-// and right is the right-child slab index (the left child is the next
+// node is one packed tree node. For internal nodes, feature ≥ 0 and
+// right is the right-child slab index (the left child is the next
 // record). For leaves, feature < 0 and right is the node's offset into
 // the tree's dists slab.
-type flatNode struct {
+type node struct {
 	feature   int32
 	right     int32
 	threshold float64
 }
 
-// flatTree is the compiled form of one trained tree.
-type flatTree struct {
-	nodes []flatNode
-	// dists packs every leaf's class distribution (numClasses values
-	// apiece) into one contiguous slab.
-	dists []float64
-}
-
-// compile flattens a pointer tree into its packed preorder form.
-func compile(root *node, numClasses int) *flatTree {
-	nodes, leaves := countTree(root)
-	ft := &flatTree{
-		nodes: make([]flatNode, 0, nodes),
-		dists: make([]float64, 0, leaves*numClasses),
-	}
-	ft.emit(root)
-	return ft
-}
-
-// emit appends n's subtree in preorder and returns its slab index.
-func (ft *flatTree) emit(n *node) int32 {
-	i := int32(len(ft.nodes))
-	if n.leaf {
-		off := int32(len(ft.dists))
-		ft.dists = append(ft.dists, n.dist...)
-		ft.nodes = append(ft.nodes, flatNode{feature: -1, right: off})
-		return i
-	}
-	ft.nodes = append(ft.nodes, flatNode{feature: int32(n.feature), threshold: n.threshold})
-	ft.emit(n.left) // lands at i+1, the implicit left child
-	r := ft.emit(n.right)
-	ft.nodes[i].right = r
-	return i
-}
-
-func countTree(n *node) (nodes, leaves int) {
-	if n == nil {
-		return 0, 0
-	}
-	if n.leaf {
-		return 1, 1
-	}
-	ln, ll := countTree(n.left)
-	rn, rl := countTree(n.right)
-	return ln + rn + 1, ll + rl
-}
-
-// leafOff walks the flat tree and returns the offset of the leaf
+// leafOff walks the tree and returns the offset of the leaf
 // distribution x falls into. This is the inner loop of every forest
 // prediction: one 16-byte record per level, no pointer dereferences.
-func (ft *flatTree) leafOff(x []float64) int32 {
-	nodes := ft.nodes
+func (t *Tree) leafOff(x []float64) int32 {
+	nodes := t.nodes
 	i := 0
 	for {
 		n := nodes[i]

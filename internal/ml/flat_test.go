@@ -42,19 +42,19 @@ func randomProbe(r *stats.Rand, m int) []float64 {
 	return x
 }
 
-// probaPointer is the pointer-chasing walk over the induction form of
-// a tree: the reference the slab walk — the only one non-test code
-// has — is property-tested against.
+// probaPointer is the pointer-chasing walk over the wire form of a
+// tree (the shape a model file stores): the reference the slab walk —
+// the only one non-test code has — is property-tested against.
 func (t *Tree) probaPointer(x []float64) []float64 {
-	n := t.root
-	for !n.leaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
+	n := t.toDTO(0)
+	for !n.Leaf {
+		if x[n.Feature] <= n.Threshold {
+			n = n.Left
 		} else {
-			n = n.right
+			n = n.Right
 		}
 	}
-	return n.dist
+	return n.Dist
 }
 
 // TestFlatMatchesPointerProperty is the tentpole's equivalence
@@ -181,8 +181,8 @@ func TestSaveLoadRebuildsFlatForest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range g.Trees {
-		if tr.flat == nil {
-			t.Fatal("loaded tree missing flat representation")
+		if len(tr.nodes) == 0 {
+			t.Fatal("loaded tree has no nodes")
 		}
 	}
 	for probe := 0; probe < 200; probe++ {

@@ -77,13 +77,6 @@ func TrainForest(ds *Dataset, cfg ForestConfig) *Forest {
 		seeds[i] = master.Int63()
 	}
 
-	treeCfg := TreeConfig{
-		MaxDepth:         cfg.MaxDepth,
-		MinLeaf:          cfg.MinLeaf,
-		FeaturesPerSplit: cfg.FeaturesPerSplit,
-		MaxThresholds:    cfg.MaxThresholds,
-	}
-
 	workers := runtime.GOMAXPROCS(0)
 	if workers > cfg.Trees {
 		workers = cfg.Trees
@@ -97,7 +90,7 @@ func TrainForest(ds *Dataset, cfg ForestConfig) *Forest {
 			for t := range jobs {
 				r := stats.NewRand(seeds[t])
 				boot := bootstrap(ds, r)
-				f.Trees[t] = TrainTree(boot, treeCfg, r)
+				f.Trees[t] = TrainTree(boot, cfg, r)
 			}
 		}()
 	}
@@ -177,9 +170,8 @@ func (f *Forest) accumulate(x []float64, dist []float64) []float64 {
 	}
 	nc := int32(f.numClasses)
 	for _, t := range f.Trees {
-		ft := t.flat
-		off := ft.leafOff(x)
-		leaf := ft.dists[off : off+nc]
+		off := t.leafOff(x)
+		leaf := t.dists[off : off+nc]
 		for c, p := range leaf {
 			dist[c] += p
 		}
@@ -248,10 +240,9 @@ func (f *Forest) predictRange(xs [][]float64, dist []float64, out []int) {
 	}
 	nc := int32(f.numClasses)
 	for _, t := range f.Trees {
-		ft := t.flat
 		for i, x := range xs {
-			off := ft.leafOff(x)
-			leaf := ft.dists[off : off+nc]
+			off := t.leafOff(x)
+			leaf := t.dists[off : off+nc]
 			row := dist[int32(i)*nc : (int32(i)+1)*nc]
 			for c, p := range leaf {
 				row[c] += p

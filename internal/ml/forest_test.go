@@ -66,7 +66,7 @@ func TestForestBeatsOrMatchesSingleTreeOnNoise(t *testing.T) {
 	train := noisyThreeClass(600, 5)
 	test := noisyThreeClass(300, 6)
 	forest := TrainForest(train, ForestConfig{Trees: 40, Seed: 7})
-	tree := TrainTree(train, TreeConfig{MinLeaf: 2}, stats.NewRand(7))
+	tree := TrainTree(train, ForestConfig{MinLeaf: 2}, stats.NewRand(7))
 	fErr, tErr := 0, 0
 	for i, x := range test.X {
 		if forest.Predict(x) != test.Y[i] {

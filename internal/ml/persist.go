@@ -13,7 +13,8 @@ import (
 // stream so that an operator can train once on cleartext ground truth
 // and deploy the frozen model against live encrypted traffic.
 
-// nodeDTO is the exported on-wire form of a tree node.
+// nodeDTO is the exported on-wire form of a tree node, and the
+// pointer-shaped tree the tests walk as the slab's reference.
 type nodeDTO struct {
 	Feature     int
 	Threshold   float64
@@ -42,52 +43,55 @@ type forestDTO struct {
 // pre-baseline file.
 const forestWireVersion = 2
 
-func toDTO(n *node) *nodeDTO {
-	if n == nil {
-		return nil
+// toDTO renders the subtree at slab index i in its pointer-shaped wire
+// form.
+func (t *Tree) toDTO(i int32) *nodeDTO {
+	n := t.nodes[i]
+	if n.feature < 0 {
+		return &nodeDTO{Leaf: true, Dist: t.dists[n.right : n.right+int32(t.numClasses)]}
 	}
 	return &nodeDTO{
-		Feature:   n.feature,
+		Feature:   int(n.feature),
 		Threshold: n.threshold,
-		Leaf:      n.leaf,
-		Dist:      n.dist,
-		Left:      toDTO(n.left),
-		Right:     toDTO(n.right),
+		Left:      t.toDTO(i + 1),
+		Right:     t.toDTO(n.right),
 	}
 }
 
-// fromDTO rebuilds one subtree from its wire form, refusing what the
-// prediction paths would trip over: a missing child, a split on a
-// column the schema does not have, a leaf distribution that is not one
-// finite value per class, a tree deeper than maxTreeDepth.
-func fromDTO(d *nodeDTO, numFeatures, numClasses, depth int) (*node, error) {
+// fromDTO appends one subtree from its wire form to the slab in
+// preorder, refusing what the prediction paths would trip over: a
+// missing child, a split on a column the schema does not have, a leaf
+// distribution that is not one finite value per class, a tree deeper
+// than maxTreeDepth. A node is appended only after it passes, so the
+// slab never holds an unchecked record.
+func (t *Tree) fromDTO(d *nodeDTO, numFeatures, depth int) error {
 	switch {
 	case d == nil:
-		return nil, fmt.Errorf("missing node at depth %d", depth)
+		return fmt.Errorf("missing node at depth %d", depth)
 	case depth > maxTreeDepth:
-		return nil, fmt.Errorf("deeper than %d", maxTreeDepth)
+		return fmt.Errorf("deeper than %d", maxTreeDepth)
 	case d.Leaf:
-		if len(d.Dist) != numClasses {
-			return nil, fmt.Errorf("leaf has %d class weights, want %d", len(d.Dist), numClasses)
+		if len(d.Dist) != t.numClasses {
+			return fmt.Errorf("leaf has %d class weights, want %d", len(d.Dist), t.numClasses)
 		}
 		for _, p := range d.Dist {
 			if math.IsNaN(p) || math.IsInf(p, 0) {
-				return nil, fmt.Errorf("leaf has non-finite class weight %v", p)
+				return fmt.Errorf("leaf has non-finite class weight %v", p)
 			}
 		}
-		return &node{leaf: true, dist: d.Dist}, nil
+		t.nodes = append(t.nodes, node{feature: -1, right: int32(len(t.dists))})
+		t.dists = append(t.dists, d.Dist...)
+		return nil
 	case d.Feature < 0 || d.Feature >= numFeatures:
-		return nil, fmt.Errorf("split on feature %d of %d", d.Feature, numFeatures)
+		return fmt.Errorf("split on feature %d of %d", d.Feature, numFeatures)
 	}
-	left, err := fromDTO(d.Left, numFeatures, numClasses, depth+1)
-	if err != nil {
-		return nil, err
+	i := len(t.nodes)
+	t.nodes = append(t.nodes, node{feature: int32(d.Feature), threshold: d.Threshold})
+	if err := t.fromDTO(d.Left, numFeatures, depth+1); err != nil {
+		return err
 	}
-	right, err := fromDTO(d.Right, numFeatures, numClasses, depth+1)
-	if err != nil {
-		return nil, err
-	}
-	return &node{feature: d.Feature, threshold: d.Threshold, left: left, right: right}, nil
+	t.nodes[i].right = int32(len(t.nodes))
+	return t.fromDTO(d.Right, numFeatures, depth+1)
 }
 
 // Save writes the forest to w.
@@ -100,7 +104,7 @@ func (f *Forest) Save(w io.Writer) error {
 		Baseline: f.Baseline,
 	}
 	for i, t := range f.Trees {
-		dto.Trees[i] = toDTO(t.root)
+		dto.Trees[i] = t.toDTO(0)
 	}
 	return gob.NewEncoder(w).Encode(&dto)
 }
@@ -130,13 +134,13 @@ func LoadForest(r io.Reader) (*Forest, error) {
 		Baseline:   dto.Baseline,
 	}
 	for i, d := range dto.Trees {
-		root, err := fromDTO(d, len(f.Features), f.numClasses, 0)
-		if err != nil {
+		// the wire format stays pointer-shaped (gob-friendly); the
+		// slab the prediction paths walk is written as it is checked
+		t := &Tree{numClasses: f.numClasses}
+		if err := t.fromDTO(d, len(f.Features), 0); err != nil {
 			return nil, fmt.Errorf("ml: forest tree %d: %w", i, err)
 		}
-		// the wire format stays pointer-shaped (gob-friendly); the flat
-		// slabs the prediction paths walk are rebuilt on load
-		f.Trees[i] = &Tree{root: root, flat: compile(root, f.numClasses), numClasses: f.numClasses}
+		f.Trees[i] = t
 	}
 	return f, nil
 }

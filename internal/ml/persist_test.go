@@ -37,7 +37,7 @@ func TestLoadLegacyModelFile(t *testing.T) {
 		Trees:    make([]*nodeDTO, len(f.Trees)),
 	}
 	for i, tr := range f.Trees {
-		legacy.Trees[i] = toDTO(tr.root)
+		legacy.Trees[i] = tr.toDTO(0)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {

@@ -7,41 +7,20 @@ import (
 	"vqoe/internal/stats"
 )
 
-// TreeConfig controls CART tree induction.
-type TreeConfig struct {
-	// MaxDepth bounds the tree height; 0 means unbounded.
-	MaxDepth int
-	// MinLeaf is the minimum number of instances in a leaf (≥ 1).
-	MinLeaf int
-	// FeaturesPerSplit is the number of candidate features examined at
-	// each node; 0 means all. Random Forest sets this to √m.
-	FeaturesPerSplit int
-	// MaxThresholds caps candidate thresholds per feature (quantile
-	// subsampling) to keep induction fast on large nodes; 0 means all.
-	MaxThresholds int
-}
-
 // maxTreeDepth bounds every tree the package builds or loads: induction
 // stops splitting there (the paper's corpora grow trees of depth ≈ 25)
-// and LoadForest refuses anything deeper, so the recursive walks over a
-// pointer tree — compile, toDTO — run on a bounded stack.
+// and LoadForest refuses anything deeper, so the recursive passes over
+// a tree — build, toDTO, fromDTO — run on a bounded stack.
 const maxTreeDepth = 512
 
-// Tree is a trained CART classification tree.
+// Tree is a trained CART classification tree, held in the packed
+// preorder form described in flat.go.
 type Tree struct {
-	root       *node
-	flat       *flatTree
+	nodes []node
+	// dists packs every leaf's class distribution (numClasses values
+	// apiece) into one contiguous slab.
+	dists      []float64
 	numClasses int
-}
-
-type node struct {
-	// internal nodes
-	feature     int
-	threshold   float64
-	left, right *node
-	// leaves
-	leaf bool
-	dist []float64 // class probability distribution
 }
 
 // scratch is the per-tree induction arena: every buffer bestSplit and
@@ -71,9 +50,12 @@ func newScratch(n, m, nc int) *scratch {
 	}
 }
 
-// TrainTree induces a CART tree on ds using Gini impurity and compiles
-// it into the flat structure-of-arrays form the prediction paths walk.
-func TrainTree(ds *Dataset, cfg TreeConfig, r *stats.Rand) *Tree {
+// TrainTree induces a CART tree on ds using Gini impurity, writing it
+// straight into the preorder slab the prediction paths walk. It reads
+// MaxDepth, MinLeaf, FeaturesPerSplit and MaxThresholds of cfg as
+// given, with zero meaning unbounded depth, leaves of one instance, all
+// features and all thresholds; Trees and Seed are TrainForest's.
+func TrainTree(ds *Dataset, cfg ForestConfig, r *stats.Rand) *Tree {
 	if cfg.MinLeaf < 1 {
 		cfg.MinLeaf = 1
 	}
@@ -83,16 +65,15 @@ func TrainTree(ds *Dataset, cfg TreeConfig, r *stats.Rand) *Tree {
 	}
 	t := &Tree{numClasses: ds.NumClasses()}
 	sc := newScratch(ds.Len(), ds.NumFeatures(), ds.NumClasses())
-	t.root = build(ds, idx, cfg, r, 0, sc)
-	t.flat = compile(t.root, t.numClasses)
+	t.build(ds, idx, cfg, r, 0, sc)
 	return t
 }
 
-// build grows the subtree over the instances in idx. It owns idx and
-// partitions it in place — children recurse into disjoint subslices of
-// the same backing array, so induction never allocates index slices
-// past the root.
-func build(ds *Dataset, idx []int, cfg TreeConfig, r *stats.Rand, depth int, sc *scratch) *node {
+// build appends the subtree over the instances in idx to the slab in
+// preorder. It owns idx and partitions it in place — children recurse
+// into disjoint subslices of the same backing array, so induction never
+// allocates index slices past the root.
+func (t *Tree) build(ds *Dataset, idx []int, cfg ForestConfig, r *stats.Rand, depth int, sc *scratch) {
 	counts := sc.counts
 	for i := range counts {
 		counts[i] = 0
@@ -103,12 +84,14 @@ func build(ds *Dataset, idx []int, cfg TreeConfig, r *stats.Rand, depth int, sc 
 	if len(idx) < 2*cfg.MinLeaf ||
 		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) || depth >= maxTreeDepth ||
 		pure(counts) {
-		return leafNode(counts, len(idx))
+		t.leaf(counts, len(idx))
+		return
 	}
 
 	feat, thresh, ok := bestSplit(ds, idx, counts, cfg, r, sc)
 	if !ok {
-		return leafNode(counts, len(idx))
+		t.leaf(counts, len(idx))
+		return
 	}
 
 	// in-place partition: order within a side is irrelevant (children
@@ -122,24 +105,27 @@ func build(ds *Dataset, idx []int, cfg TreeConfig, r *stats.Rand, depth int, sc 
 	}
 	left, right := idx[:k], idx[k:]
 	if len(left) < cfg.MinLeaf || len(right) < cfg.MinLeaf {
-		return leafNode(counts, len(idx))
+		t.leaf(counts, len(idx))
+		return
 	}
-	return &node{
-		feature:   feat,
-		threshold: thresh,
-		left:      build(ds, left, cfg, r, depth+1, sc),
-		right:     build(ds, right, cfg, r, depth+1, sc),
-	}
+	i := len(t.nodes)
+	t.nodes = append(t.nodes, node{feature: int32(feat), threshold: thresh})
+	t.build(ds, left, cfg, r, depth+1, sc) // lands at i+1, the implicit left child
+	t.nodes[i].right = int32(len(t.nodes))
+	t.build(ds, right, cfg, r, depth+1, sc)
 }
 
-func leafNode(counts []int, n int) *node {
-	dist := make([]float64, len(counts))
-	if n > 0 {
-		for i, c := range counts {
-			dist[i] = float64(c) / float64(n)
+// leaf appends a leaf holding the class distribution counts/n (all
+// zeros when n = 0).
+func (t *Tree) leaf(counts []int, n int) {
+	t.nodes = append(t.nodes, node{feature: -1, right: int32(len(t.dists))})
+	for _, c := range counts {
+		p := 0.0
+		if n > 0 {
+			p = float64(c) / float64(n)
 		}
+		t.dists = append(t.dists, p)
 	}
-	return &node{leaf: true, dist: dist}
 }
 
 func pure(counts []int) bool {
@@ -167,7 +153,7 @@ func gini(counts []int, n int) float64 {
 // bestSplit scans candidate (feature, threshold) pairs and returns the
 // one with the lowest weighted child Gini impurity. All working memory
 // comes from the per-tree scratch arena.
-func bestSplit(ds *Dataset, idx []int, parentCounts []int, cfg TreeConfig, r *stats.Rand, sc *scratch) (feat int, thresh float64, ok bool) {
+func bestSplit(ds *Dataset, idx []int, parentCounts []int, cfg ForestConfig, r *stats.Rand, sc *scratch) (feat int, thresh float64, ok bool) {
 	m := ds.NumFeatures()
 	features := sc.features[:m]
 	for i := range features {
@@ -234,8 +220,8 @@ func (t *Tree) Predict(x []float64) int {
 // instance falls into. The returned slice aliases the tree's leaf slab
 // and must not be mutated.
 func (t *Tree) Proba(x []float64) []float64 {
-	off := t.flat.leafOff(x)
-	return t.flat.dists[off : off+int32(t.numClasses)]
+	off := t.leafOff(x)
+	return t.dists[off : off+int32(t.numClasses)]
 }
 
 func argmax(xs []float64) int {

@@ -1,6 +1,11 @@
 package ml
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -25,7 +30,7 @@ func linearlySeparable(n int, seed int64) *Dataset {
 
 func TestTreeLearnsSeparableData(t *testing.T) {
 	ds := linearlySeparable(500, 1)
-	tree := TrainTree(ds, TreeConfig{MinLeaf: 2}, stats.NewRand(2))
+	tree := TrainTree(ds, ForestConfig{MinLeaf: 2}, stats.NewRand(2))
 	errors := 0
 	for i, x := range ds.X {
 		if tree.Predict(x) != ds.Y[i] {
@@ -40,7 +45,7 @@ func TestTreeLearnsSeparableData(t *testing.T) {
 func TestTreeGeneralizes(t *testing.T) {
 	train := linearlySeparable(500, 1)
 	test := linearlySeparable(200, 99)
-	tree := TrainTree(train, TreeConfig{MinLeaf: 5}, stats.NewRand(2))
+	tree := TrainTree(train, ForestConfig{MinLeaf: 5}, stats.NewRand(2))
 	errors := 0
 	for i, x := range test.X {
 		if tree.Predict(x) != test.Y[i] {
@@ -53,16 +58,18 @@ func TestTreeGeneralizes(t *testing.T) {
 }
 
 // depth is the height of a subtree (a single leaf has depth 0).
-func depth(n *node) int {
-	if n.leaf {
+func depth(n *nodeDTO) int {
+	if n.Leaf {
 		return 0
 	}
-	return 1 + max(depth(n.left), depth(n.right))
+	return 1 + max(depth(n.Left), depth(n.Right))
 }
 
-func leaves(n *node) int {
-	_, l := countTree(n)
-	return l
+func leaves(n *nodeDTO) int {
+	if n.Leaf {
+		return 1
+	}
+	return leaves(n.Left) + leaves(n.Right)
 }
 
 func TestTreePureNodeIsLeaf(t *testing.T) {
@@ -70,17 +77,17 @@ func TestTreePureNodeIsLeaf(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ds.Add([]float64{float64(i)}, 0)
 	}
-	tree := TrainTree(ds, TreeConfig{}, stats.NewRand(1))
-	if depth(tree.root) != 0 || leaves(tree.root) != 1 {
+	tree := TrainTree(ds, ForestConfig{}, stats.NewRand(1))
+	if depth(tree.toDTO(0)) != 0 || leaves(tree.toDTO(0)) != 1 {
 		t.Errorf("pure data should yield a single leaf; depth=%d leaves=%d",
-			depth(tree.root), leaves(tree.root))
+			depth(tree.toDTO(0)), leaves(tree.toDTO(0)))
 	}
 }
 
 func TestTreeMaxDepthRespected(t *testing.T) {
 	ds := linearlySeparable(500, 3)
-	tree := TrainTree(ds, TreeConfig{MaxDepth: 2, MinLeaf: 1}, stats.NewRand(1))
-	if d := depth(tree.root); d > 2 {
+	tree := TrainTree(ds, ForestConfig{MaxDepth: 2, MinLeaf: 1}, stats.NewRand(1))
+	if d := depth(tree.toDTO(0)); d > 2 {
 		t.Errorf("depth %d exceeds max 2", d)
 	}
 }
@@ -90,9 +97,9 @@ func TestTreeConstantFeaturesYieldLeaf(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ds.Add([]float64{42}, i%2)
 	}
-	tree := TrainTree(ds, TreeConfig{}, stats.NewRand(1))
-	if leaves(tree.root) != 1 {
-		t.Errorf("constant features can't split; leaves=%d", leaves(tree.root))
+	tree := TrainTree(ds, ForestConfig{}, stats.NewRand(1))
+	if leaves(tree.toDTO(0)) != 1 {
+		t.Errorf("constant features can't split; leaves=%d", leaves(tree.toDTO(0)))
 	}
 	// majority vote on a tie must still return a valid class
 	if c := tree.Predict([]float64{42}); c != 0 && c != 1 {
@@ -102,7 +109,7 @@ func TestTreeConstantFeaturesYieldLeaf(t *testing.T) {
 
 func TestTreeProbaSumsToOne(t *testing.T) {
 	ds := linearlySeparable(200, 5)
-	tree := TrainTree(ds, TreeConfig{MinLeaf: 10}, stats.NewRand(1))
+	tree := TrainTree(ds, ForestConfig{MinLeaf: 10}, stats.NewRand(1))
 	p := tree.Proba([]float64{3, 50})
 	var sum float64
 	for _, v := range p {
@@ -121,7 +128,7 @@ func TestTreeProbaSumsToOne(t *testing.T) {
 // distribution.
 func TestTreePredictInRangeProperty(t *testing.T) {
 	ds := linearlySeparable(300, 7)
-	tree := TrainTree(ds, TreeConfig{MinLeaf: 3}, stats.NewRand(1))
+	tree := TrainTree(ds, ForestConfig{MinLeaf: 3}, stats.NewRand(1))
 	f := func(a, b float64) bool {
 		c := tree.Predict([]float64{a, b})
 		return c >= 0 && c < 2
@@ -133,8 +140,8 @@ func TestTreePredictInRangeProperty(t *testing.T) {
 
 func TestTreeThresholdSubsampling(t *testing.T) {
 	ds := linearlySeparable(2000, 11)
-	full := TrainTree(ds, TreeConfig{MinLeaf: 5}, stats.NewRand(1))
-	capped := TrainTree(ds, TreeConfig{MinLeaf: 5, MaxThresholds: 16}, stats.NewRand(1))
+	full := TrainTree(ds, ForestConfig{MinLeaf: 5}, stats.NewRand(1))
+	capped := TrainTree(ds, ForestConfig{MinLeaf: 5, MaxThresholds: 16}, stats.NewRand(1))
 	// both should still learn the x0>5 rule
 	for _, tree := range []*Tree{full, capped} {
 		if tree.Predict([]float64{1, 0}) != 0 || tree.Predict([]float64{9, 0}) != 1 {
@@ -145,9 +152,76 @@ func TestTreeThresholdSubsampling(t *testing.T) {
 
 func TestTreeMinLeafRespected(t *testing.T) {
 	ds := linearlySeparable(100, 13)
-	tree := TrainTree(ds, TreeConfig{MinLeaf: 50}, stats.NewRand(1))
+	tree := TrainTree(ds, ForestConfig{MinLeaf: 50}, stats.NewRand(1))
 	// with MinLeaf 50 of 100 instances, at most one split is possible
-	if depth(tree.root) > 1 {
-		t.Errorf("depth %d with MinLeaf=50", depth(tree.root))
+	if depth(tree.toDTO(0)) > 1 {
+		t.Errorf("depth %d with MinLeaf=50", depth(tree.toDTO(0)))
+	}
+}
+
+// TestTreeSlabsPinned pins what induction writes: every node record
+// (feature, right, threshold bits) and every leaf weight of a forest
+// trained at a fixed seed, hashed into one digest. The constant was
+// captured from the tree compiler that induction replaced, so the slab
+// build writes exactly what compiling the pointer tree did. It depends
+// on neither gob nor the Go version.
+func TestTreeSlabsPinned(t *testing.T) {
+	const want = "d4412bfb9d0a8ef3b3bece0546a5e5b455cba77a54ef1a41fe5dcaec5648c32a"
+	r := stats.NewRand(71)
+	ds := randomDataset(r, 400, 6, 3)
+	f := TrainForest(ds, ForestConfig{Trees: 9, MinLeaf: 2, Seed: 71})
+	h := sha256.New()
+	var b [8]byte
+	for _, tr := range f.Trees {
+		for _, n := range tr.nodes {
+			binary.LittleEndian.PutUint32(b[:4], uint32(n.feature))
+			h.Write(b[:4])
+			binary.LittleEndian.PutUint32(b[:4], uint32(n.right))
+			h.Write(b[:4])
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(n.threshold))
+			h.Write(b[:])
+		}
+		for _, p := range tr.dists {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(p))
+			h.Write(b[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("tree slabs digest %s, want %s", got, want)
+	}
+}
+
+// TestTreeHoldsOneForm: a tree is its node slab, its leaf slab and its
+// class count — no second representation beside them — and a node
+// record holds no pointers, so a forest is a handful of flat arrays to
+// the garbage collector.
+func TestTreeHoldsOneForm(t *testing.T) {
+	ty := reflect.TypeOf(Tree{})
+	want := []struct {
+		name string
+		typ  reflect.Type
+	}{
+		{"nodes", reflect.TypeOf([]node(nil))},
+		{"dists", reflect.TypeOf([]float64(nil))},
+		{"numClasses", reflect.TypeOf(0)},
+	}
+	if ty.NumField() != len(want) {
+		t.Fatalf("Tree has %d fields, want %d", ty.NumField(), len(want))
+	}
+	for i, w := range want {
+		if f := ty.Field(i); f.Name != w.name || f.Type != w.typ {
+			t.Errorf("Tree field %d is %s %s, want %s %s", i, f.Name, f.Type, w.name, w.typ)
+		}
+	}
+	nt := reflect.TypeOf(node{})
+	for i := 0; i < nt.NumField(); i++ {
+		switch f := nt.Field(i); f.Type.Kind() {
+		case reflect.Int32, reflect.Float64:
+		default:
+			t.Errorf("node.%s is a %s", f.Name, f.Type.Kind())
+		}
+	}
+	if nt.Size() != 16 {
+		t.Errorf("node is %d bytes, want 16", nt.Size())
 	}
 }
