@@ -151,7 +151,7 @@ func main() {
 			continue
 		}
 		lines++
-		reports, _ := srv.Ingest([]weblog.Entry{e})
+		reports, _ := srv.Engine().Ingest([]weblog.Entry{e})
 		for _, rep := range reports {
 			emitted += printReport(out, rep, *quietOK)
 		}

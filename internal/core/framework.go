@@ -232,7 +232,7 @@ func (f *Framework) AnalyzeBatchQuality(o []features.SessionObs, t0 time.Time, s
 			// feature vector for session i
 			qh.Monitor.Stall.Observe(qh.Shard, stallRows[i], stalls[i], sc.stallConf[i])
 			qh.Monitor.Rep.Observe(qh.Shard, repRows[i], reps[i], sc.repConf[i])
-			qh.Monitor.ObserveSwitch(qh.Shard, score, out[i].SwitchVariance)
+			qh.Monitor.ObserveSwitch(qh.Shard, score, out[i].SwitchVariance, out[i].Chunks)
 		}
 	}
 	set.ObserveSince(obs.StageCUSUM, t0)

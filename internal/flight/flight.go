@@ -361,14 +361,10 @@ func (s *ShardRecorder) Retain(a Assessment, score float64, reasons Reason) {
 		}
 	}
 
-	evicted := int64(0)
 	s.mu.Lock()
 	seq, h := s.push(&a, score, reasons)
 	truncated := h.truncated()
-	for s.bytes > s.rec.cfg.MaxBytes && s.hdrs.live() > 1 {
-		s.evictOldest()
-		evicted++
-	}
+	s.evictOverBudget()
 	s.register(a.Cohort, seq)
 	if reasons&ReasonLowConfidence != 0 {
 		if a.Report.StallConf < s.rec.lowConfidence {
@@ -380,7 +376,15 @@ func (s *ShardRecorder) Retain(a Assessment, score float64, reasons Reason) {
 	}
 	s.mu.Unlock()
 	s.truncated.Add(truncated)
-	s.evicted.Add(evicted)
+}
+
+// evictOverBudget drops the oldest sessions while the shard holds more
+// than its byte budget, never the newest one. The caller holds s.mu.
+func (s *ShardRecorder) evictOverBudget() {
+	for s.bytes > s.rec.cfg.MaxBytes && s.hdrs.live() > 1 {
+		s.evictOldest()
+		s.evicted.Add(1)
+	}
 }
 
 // exemplarList is one key's worst retained sessions on one shard, by
@@ -467,7 +471,8 @@ func (r *Recorder) ModelExemplars(model string) []string {
 
 // ObserveOutcome promotes a retained session whose delayed
 // ground-truth label contradicted the prediction: the labeled_wrong
-// reason is added, a label event is appended to its timeline, and the
+// reason is added, a label event is appended to its timeline (evicting
+// oldest-first if that takes the shard past its byte budget), and the
 // session is indexed as a degraded-model exemplar. Sessions that were
 // never retained cannot be resurrected — the label arrives after the
 // timeline is gone; the low-confidence policy exists to keep most
@@ -490,6 +495,7 @@ func (r *Recorder) ObserveOutcome(subscriber string, start, end float64, model, 
 		h.bytes += b
 		s.bytes += b
 		s.register("model/"+model, seq)
+		s.evictOverBudget()
 		s.mu.Unlock()
 		s.byReason[reasonIndex(ReasonLabeledWrong)].Add(1)
 		return

@@ -375,6 +375,40 @@ func TestFlightObserveOutcome(t *testing.T) {
 	}
 }
 
+// TestObserveOutcomeKeepsBudget: a label event's bytes count against
+// the shard's budget like a retention's, so a promotion that crosses it
+// evicts oldest-first on the spot instead of waiting for the next
+// Retain.
+func TestObserveOutcomeKeepsBudget(t *testing.T) {
+	retain := func(rec *Recorder, i int) {
+		assess(rec.Shard(0), assessment(fmt.Sprintf("sub-%d", i), float64(i), stalledReport(45), videoChunks(float64(i), 45, 4)))
+	}
+	probe := New(Config{Shards: 1, SampleN: -1})
+	retain(probe, 0)
+	session := probe.Metrics().Bytes
+	note := strings.Repeat("x", 400)
+	if session < eventOverheadBytes+int64(len(note))+10 {
+		t.Fatalf("fixture: a session accounts %d bytes, too few to pay for the label event", session)
+	}
+
+	// three sessions fill the budget to 10 bytes short of it
+	rec := New(Config{Shards: 1, SampleN: -1, MaxBytes: 3*session + 10})
+	for i := 0; i < 3; i++ {
+		retain(rec, i)
+	}
+	if m := rec.Metrics(); m.Resident != 3 || m.Evicted != 0 {
+		t.Fatalf("fixture: %+v, want three resident sessions", m)
+	}
+	rec.ObserveOutcome("sub-2", 2, 62, "stall", note)
+	m := rec.Metrics()
+	if m.Bytes > m.CapacityBytes {
+		t.Fatalf("%d bytes resident after a promotion, budget %d", m.Bytes, m.CapacityBytes)
+	}
+	if m.Evicted != 1 || rec.Get("sub-0", 0) != nil || rec.Get("sub-2", 2) == nil {
+		t.Errorf("promotion evicted %d sessions, want the oldest alone: %+v", m.Evicted, m)
+	}
+}
+
 func TestFlightChromeTrace(t *testing.T) {
 	rec := New(Config{Shards: 1, SampleN: -1})
 	sh := rec.Shard(0)

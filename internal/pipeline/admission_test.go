@@ -106,7 +106,7 @@ func TestIngestConservation(t *testing.T) {
 	}{
 		{"http-sync", false, func(t *testing.T, srv *Server) {
 			h := srv.Handler()
-			chunks(200, func(part []weblog.Entry) { srv.Ingest(postIngest(t, h, "/ingest", part)) })
+			chunks(200, func(part []weblog.Entry) { srv.Engine().Ingest(postIngest(t, h, "/ingest", part)) })
 		}},
 		{"http-shed-full-mailbox", true, func(t *testing.T, srv *Server) {
 			h := srv.Handler()
@@ -192,8 +192,9 @@ func TestIngestConservation(t *testing.T) {
 // TestNaNDurationStaysOutOfMetrics is the regression for the second
 // record the service does not control: before the admission rule, one
 // media entry with a NaN TransactionSec flowed through featurization
-// into the switch score and left vqoe_switch_score{quantile="0.9"} NaN
-// — a P² estimator never recovers — for the life of the process.
+// into the switch score, and one NaN observed into vqoe_switch_score_sum
+// — a running sum, which never recovers, as the P² quantile the family
+// once was never did — reads NaN for the life of the process.
 func TestNaNDurationStaysOutOfMetrics(t *testing.T) {
 	fw, study := testFramework(t)
 	srv := NewServerOpts(fw, Options{Engine: engine.Config{Shards: 1, SweepEverySec: -1}, SLO: slo.Config{Manual: true}})
@@ -208,7 +209,7 @@ func TestNaNDurationStaysOutOfMetrics(t *testing.T) {
 	if poisoned == 0 {
 		t.Fatal("fixture has no media entry to poison")
 	}
-	_, took := srv.Ingest(stream)
+	_, took := srv.Engine().Ingest(stream)
 	if took != (engine.Tally{Accepted: len(stream) - poisoned, Rejected: poisoned}) {
 		t.Errorf("tally %+v, want %d of %d rejected", took, poisoned, len(stream))
 	}
@@ -232,10 +233,10 @@ func TestDrainedServerCountsNothing(t *testing.T) {
 	srv := NewServerOpts(fw, Options{Engine: engine.Config{Shards: 2}, SLO: slo.Config{Manual: true}})
 	h := srv.Handler()
 	half := len(study.Stream) / 2
-	srv.Ingest(study.Stream[:half])
+	srv.Engine().Ingest(study.Stream[:half])
 	srv.Drain()
 
-	if reports, took := srv.Ingest(study.Stream[half:]); reports != nil || took != (engine.Tally{}) {
+	if reports, took := srv.Engine().Ingest(study.Stream[half:]); reports != nil || took != (engine.Tally{}) {
 		t.Errorf("drained server took %+v and reported %d sessions", took, len(reports))
 	}
 	for _, path := range []string{"/ingest", "/ingest?mode=shed"} {
@@ -296,7 +297,7 @@ func FuzzIngestJSONL(f *testing.F) {
 			return
 		}
 		before := settled()
-		_, took := srv.Ingest(entries)
+		_, took := srv.Engine().Ingest(entries)
 		if took.Accepted+took.Rejected != len(entries) || took.Dropped != 0 {
 			t.Fatalf("%d entries tallied %+v", len(entries), took)
 		}

@@ -4,27 +4,24 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"vqoe/internal/features"
 	"vqoe/internal/obs"
-	"vqoe/internal/stats"
 )
 
 // processStart anchors vqoe_process_start_time_seconds: captured once
 // when the package loads, which for these binaries is process start.
 var processStart = time.Now()
 
-// Metrics aggregates the pipeline's output for operational monitoring.
-// It renders in the Prometheus text exposition format so an operator's
-// existing scrape infrastructure can watch the QoE monitor itself.
-// Safe for concurrent use: the session-level aggregates — including the
-// P² quantile estimators, which are not themselves thread-safe — are
-// serialized behind the mutex. Entries are the engine's to count
-// (EngineTelemetry), not this collector's.
+// Metrics renders the Prometheus text exposition an operator's existing
+// scrape infrastructure reads to watch the QoE monitor itself. It holds
+// no count of its own: every family is rendered by the collector of the
+// subsystem that counts it (telemetry.go), so /metrics, the SLO sampler
+// and /debug/* read one number each. Safe for concurrent use; the mutex
+// guards only the collector list and the process-gauge settings, and no
+// report path takes it.
 //
 // Every family in the exposition is self-describing (# HELP and
 // # TYPE precede its samples) and deterministic: label values are
@@ -33,19 +30,8 @@ var processStart = time.Now()
 type Metrics struct {
 	mu sync.Mutex
 
-	sessionsTotal int64
-	stallCounts   [3]int64
-	repCounts     [3]int64
-	switchVarying int64
-
-	// rolling quantile estimators over per-session chunk counts and
-	// switch scores (constant memory, P² estimators)
-	chunkP50 *stats.P2Quantile
-	chunkP90 *stats.P2Quantile
-	scoreP90 *stats.P2Quantile
-
-	// collectors render the subsystem families after Metrics' own, in
-	// registration order (see telemetry.go). Append-only.
+	// collectors render the subsystem families after the process
+	// gauges, in registration order (see telemetry.go). Append-only.
 	collectors []func(*expoWriter)
 
 	// procStart / procNow drive the process start-time and uptime
@@ -62,9 +48,6 @@ type Metrics struct {
 // gauges enabled.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		chunkP50:  stats.NewP2Quantile(0.5),
-		chunkP90:  stats.NewP2Quantile(0.9),
-		scoreP90:  stats.NewP2Quantile(0.9),
 		runtime:   true,
 		procStart: processStart,
 		procNow:   time.Now,
@@ -100,25 +83,6 @@ func (m *Metrics) SetRuntimeMetrics(on bool) {
 	m.mu.Unlock()
 }
 
-// ObserveReport records a finished session's assessment.
-func (m *Metrics) ObserveReport(r SessionReport) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sessionsTotal++
-	if int(r.Report.Stall) >= 0 && int(r.Report.Stall) < 3 {
-		m.stallCounts[r.Report.Stall]++
-	}
-	if int(r.Report.Representation) >= 0 && int(r.Report.Representation) < 3 {
-		m.repCounts[r.Report.Representation]++
-	}
-	if r.Report.SwitchVariance {
-		m.switchVarying++
-	}
-	m.chunkP50.Observe(float64(r.Report.Chunks))
-	m.chunkP90.Observe(float64(r.Report.Chunks))
-	m.scoreP90.Observe(r.Report.SwitchScore)
-}
-
 // expoWriter accumulates the byte count for WriteTo while preserving
 // the first write error.
 type expoWriter struct {
@@ -142,48 +106,33 @@ func (e *expoWriter) family(name, help, typ string) {
 }
 
 // histogram emits one series of a histogram family — cumulative
-// le= buckets, then _sum and _count — under the rendered label pairs.
-func (e *expoWriter) histogram(name, labels string, h obs.HistogramSnapshot) {
-	cum := uint64(0)
-	for i, b := range bucketBounds {
-		cum += h.Counts[i]
-		e.printf("%s_bucket{%s,le=\"%s\"} %d\n", name, labels, strconv.FormatFloat(b, 'g', -1, 64), cum)
+// le= buckets over the given upper bounds (counts holds one bin per
+// bound, then the +Inf overflow), then _sum and _count — under the
+// rendered label pairs ("" for none).
+func (e *expoWriter) histogram(name, labels string, bounds []float64, counts []uint64, sum float64) {
+	bucket, tail := "%s_bucket{%s,le=\"%s\"} %d\n", "%s_sum{%s} %g\n%s_count{%s} %d\n"
+	if labels == "" {
+		bucket, tail = "%s_bucket{%sle=\"%s\"} %d\n", "%s_sum%s %g\n%s_count%s %d\n"
 	}
-	e.printf("%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, h.Count)
-	e.printf("%s_sum{%s} %g\n", name, labels, h.Sum)
-	e.printf("%s_count{%s} %d\n", name, labels, h.Count)
+	cum := uint64(0)
+	for i, b := range bounds {
+		cum += counts[i]
+		e.printf(bucket, name, labels, strconv.FormatFloat(b, 'g', -1, 64), cum)
+	}
+	cum += counts[len(bounds)]
+	e.printf(bucket, name, labels, "+Inf", cum)
+	e.printf(tail, name, labels, sum, name, labels, cum)
 }
 
 // bucketBounds is obs's fixed bucket layout, fetched once.
 var bucketBounds = obs.BucketBounds()
 
-// sortedByLabel pairs a class counter with its label value so label
-// order in the exposition is sorted, not declaration order.
-func sortedByLabel(names []string, counts [3]int64) []struct {
-	label string
-	count int64
-} {
-	out := make([]struct {
-		label string
-		count int64
-	}, len(names))
-	for i, n := range names {
-		out[i].label = n
-		out[i].count = counts[i]
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
-	return out
-}
-
 // WriteTo renders the Prometheus text exposition. The mutex covers
-// only the read of Metrics' own aggregates: the subsystem collectors
-// (cohort stripe merge, engine snapshot, quality verdicts) and
-// runtime.ReadMemStats run after it is released, so a slow scrape
-// never blocks the shards' report sinks in ObserveReport.
+// only the read of the collector list and the process settings: the
+// subsystem collectors (engine snapshot, quality verdicts, cohort
+// stripe merge) and runtime.ReadMemStats run after it is released.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	m.mu.Lock()
-	sessions, stalls, reps, varying := m.sessionsTotal, m.stallCounts, m.repCounts, m.switchVarying
-	chunkP50, chunkP90, scoreP90 := m.chunkP50.Value(), m.chunkP90.Value(), m.scoreP90.Value()
 	procStart, procNow, runtimeOn := m.procStart, m.procNow, m.runtime
 	collectors := m.collectors // append-only: the elements under this header never change
 	m.mu.Unlock()
@@ -197,29 +146,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	e.printf("vqoe_process_start_time_seconds %.3f\n", float64(procStart.UnixNano())/1e9)
 	e.family("vqoe_process_uptime_seconds", "Seconds since the process started.", "gauge")
 	e.printf("vqoe_process_uptime_seconds %.3f\n", procNow().Sub(procStart).Seconds())
-
-	e.family("vqoe_sessions_total", "Sessions assessed.", "counter")
-	e.printf("vqoe_sessions_total %d\n", sessions)
-
-	e.family("vqoe_sessions_by_stall", "Sessions assessed, by predicted stall level.", "counter")
-	for _, s := range sortedByLabel(features.StallLabelNames, stalls) {
-		e.printf("vqoe_sessions_by_stall{level=%q} %d\n", s.label, s.count)
-	}
-
-	e.family("vqoe_sessions_by_quality", "Sessions assessed, by predicted representation quality.", "counter")
-	for _, s := range sortedByLabel(features.RepLabelNames, reps) {
-		e.printf("vqoe_sessions_by_quality{level=%q} %d\n", s.label, s.count)
-	}
-
-	e.family("vqoe_sessions_switch_varying", "Sessions flagged with representation-switch variance.", "counter")
-	e.printf("vqoe_sessions_switch_varying %d\n", varying)
-
-	e.family("vqoe_session_chunks", "Rolling per-session media chunk count (P2 estimate).", "summary")
-	e.printf("vqoe_session_chunks{quantile=\"0.5\"} %g\nvqoe_session_chunks{quantile=\"0.9\"} %g\n",
-		chunkP50, chunkP90)
-
-	e.family("vqoe_switch_score", "Rolling per-session switch change score (P2 estimate).", "summary")
-	e.printf("vqoe_switch_score{quantile=\"0.9\"} %g\n", scoreP90)
 
 	for _, collect := range collectors {
 		collect(e)

@@ -5,7 +5,12 @@
 // everything that watches it — Prometheus metrics, the model-quality
 // monitor, cohort rollups, the flight recorder, SLO rules — and offers
 // three doors onto that one path: HTTP /ingest, the binary wire
-// listener, and the in-process Server.Ingest the CLI tools call.
+// listener, and the engine itself (Server.Engine), whose Ingest the CLI
+// tools call. Each assessed session is counted once, by the engine
+// shard and the quality monitor that saw it close; /metrics renders the
+// vqoe_sessions_* families from those counters and holds none of its
+// own. POST /analyze runs the offline reference and counts in no
+// live-session family.
 package pipeline
 
 import "vqoe/internal/engine"

@@ -56,7 +56,7 @@ func watchServer(t *testing.T, fw *core.Framework) *Server {
 func streamThrough(s *Server, entries []weblog.Entry) []SessionReport {
 	var reports []SessionReport
 	for _, e := range entries {
-		reps, _ := s.Ingest([]weblog.Entry{e})
+		reps, _ := s.Engine().Ingest([]weblog.Entry{e})
 		reports = append(reports, reps...)
 	}
 	return append(reports, s.Drain()...)
@@ -104,7 +104,7 @@ func TestReportsCarryAssessments(t *testing.T) {
 func TestPushIgnoresForeignHosts(t *testing.T) {
 	fw, _ := testFramework(t)
 	s := watchServer(t, fw)
-	if got, _ := s.Ingest([]weblog.Entry{{Host: "ads.example.com", Subscriber: "x"}}); len(got) != 0 {
+	if got, _ := s.Engine().Ingest([]weblog.Entry{{Host: "ads.example.com", Subscriber: "x"}}); len(got) != 0 {
 		t.Error("foreign host should not emit")
 	}
 	if openSessions(s) != 0 {
@@ -121,7 +121,7 @@ func TestAdvanceClosesIdleSessions(t *testing.T) {
 		if study.StreamLabels[i] != first {
 			break
 		}
-		s.Ingest([]weblog.Entry{e})
+		s.Engine().Ingest([]weblog.Entry{e})
 	}
 	if n := openSessions(s); n != 1 {
 		t.Fatalf("open sessions = %d", n)

@@ -199,7 +199,7 @@ func TestLabelsEndpointRejections(t *testing.T) {
 }
 
 // TestPipelineObserveLabel covers the label path the way qoewatch
-// drives it: entries through Server.Ingest one at a time, labels to the
+// drives it: entries through the engine's Ingest one at a time, labels to the
 // engine's monitor, summary matched count from the monitor snapshot
 // after Drain.
 func TestPipelineObserveLabel(t *testing.T) {
@@ -208,7 +208,7 @@ func TestPipelineObserveLabel(t *testing.T) {
 	s := watchServer(t, fw)
 
 	for _, e := range live.Entries {
-		s.Ingest([]weblog.Entry{e})
+		s.Engine().Ingest([]weblog.Entry{e})
 	}
 	for _, l := range live.Labels {
 		s.Engine().ObserveLabel(qualitymon.Label{

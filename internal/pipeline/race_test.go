@@ -3,53 +3,47 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"vqoe/internal/core"
 	"vqoe/internal/engine"
-	"vqoe/internal/features"
+	"vqoe/internal/slo"
 )
 
-// TestMetricsConcurrentExposition hammers the collector from many
-// goroutines while the exposition renders; run with -race (make test /
-// CI) to audit the mutex/atomic split, in particular that the P²
-// estimators are never touched outside the lock.
+// TestMetricsConcurrentExposition scrapes a four-shard server from
+// several goroutines while others feed it; run with -race (make test /
+// CI) to audit that the collectors read only atomics and snapshots, and
+// that no count is lost to a scrape.
 func TestMetricsConcurrentExposition(t *testing.T) {
-	m := NewMetrics()
-	m.collect(func(e *expoWriter) {
-		e.family("vqoe_engine_shard_open_sessions", "Sessions tracked per shard.", "gauge")
-		e.printf("vqoe_engine_shard_open_sessions{shard=\"%d\"} %d\n", 0, 1)
-	})
+	fw, study := testFramework(t)
+	srv := NewServerOpts(fw, Options{Engine: engine.Config{Shards: 4, SweepEverySec: -1}, SLO: slo.Config{Manual: true}})
+	var reports atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
+			stream := asSubscriber(study.Stream, fmt.Sprintf("feeder-%d", g))
+			for lo := 0; lo < len(stream); lo += 100 {
 				switch g % 2 {
 				case 0:
-					m.ObserveReport(SessionReport{Report: core.Report{
-						Stall:       features.StallLabel(i % 3),
-						Chunks:      i,
-						SwitchScore: float64(i),
-					}})
+					reps, _ := srv.Engine().Ingest(stream[lo:min(lo+100, len(stream))])
+					reports.Add(int64(len(reps)))
 				default:
-					_, _ = m.WriteTo(io.Discard)
+					_, _ = srv.Metrics().WriteTo(io.Discard)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "vqoe_sessions_total 2000\n") {
-		t.Errorf("session counter lost updates:\n%s", buf.String())
+	reports.Add(int64(len(srv.Drain())))
+	if got := sampleOf(scrape(t, srv), "vqoe_sessions_total"); got != float64(reports.Load()) || got == 0 {
+		t.Errorf("vqoe_sessions_total = %v, %d reports emitted", got, reports.Load())
 	}
 }
 

@@ -68,8 +68,9 @@ import (
 // subscribers proceed in parallel; /analyze runs the offline reference
 // (features.FromEntries → Framework.Analyze) directly, since the
 // request carries one complete session and there is no flow state to
-// track. Call Drain before shutdown to flush sessions still open in
-// the engine.
+// track. An /analyze session is not a live one: it counts in no
+// vqoe_sessions_* family, no model-quality sample and no cohort. Call
+// Drain before shutdown to flush sessions still open in the engine.
 type Server struct {
 	fw      *core.Framework
 	metrics *Metrics
@@ -160,14 +161,7 @@ func NewServerOpts(fw *core.Framework, opts Options) *Server {
 		ecfg.Cohorts.SetExemplars(rec.ExemplarIDs)
 		wireFlightQuality(qm, rec)
 	}
-	// sink: reports produced outside a request — the wire listener's
-	// Feed path, capture loops, auto-eviction — still hit metrics
-	s.eng = engine.New(fw, ecfg, func(rep engine.Report) {
-		s.metrics.ObserveReport(rep)
-		if opts.OnReport != nil {
-			opts.OnReport(rep)
-		}
-	})
+	s.eng = engine.New(fw, ecfg, opts.OnReport)
 	s.slo = slo.New(opts.SLO)
 	EngineTelemetry(s.metrics, s.slo, s.eng)
 	StageTelemetry(s.metrics, s.slo, s.obs.StageSnapshots)
@@ -223,31 +217,18 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Drain flushes the engine's open sessions for graceful shutdown and
-// returns their final reports (also recorded in the metrics). It also
+// returns their final reports (also handed to Options.OnReport). It also
 // stops the SLO sampler: alert states freeze at their final values for
 // the closing summary.
 func (s *Server) Drain() []SessionReport {
 	s.slo.Close()
 	reports := s.eng.Drain()
-	for _, rep := range reports {
-		s.metrics.ObserveReport(rep)
-		if s.opts.OnReport != nil {
+	if s.opts.OnReport != nil {
+		for _, rep := range reports {
 			s.opts.OnReport(rep)
 		}
 	}
 	return reports
-}
-
-// Ingest is the in-process synchronous door behind HTTP /ingest and the
-// CLI tools' entry loops: the batch runs through the engine with
-// backpressure, and the reports for every session it completed come back
-// ordered by start time (recorded in the metrics) with the engine's tally.
-func (s *Server) Ingest(entries []weblog.Entry) ([]SessionReport, engine.Tally) {
-	reports, took := s.eng.Ingest(entries)
-	for _, rep := range reports {
-		s.metrics.ObserveReport(rep)
-	}
-	return reports, took
 }
 
 // NewWireServer returns the binary ingest listener wired into this
@@ -486,9 +467,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no media chunks in request", http.StatusUnprocessableEntity)
 		return
 	}
-	rep := s.fw.Analyze(obs)
-	s.metrics.ObserveReport(SessionReport{Report: rep})
-	writeJSON(w, toResponse(rep))
+	writeJSON(w, toResponse(s.fw.Analyze(obs)))
 }
 
 // IngestResponse is the JSON shape of /ingest results. Accepted, Dropped
@@ -525,7 +504,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Query().Get("mode") {
 	case "", "sync":
 		var reports []SessionReport
-		reports, took = s.Ingest(entries)
+		reports, took = s.eng.Ingest(entries)
 		for _, rep := range reports {
 			resp.Reports = append(resp.Reports, IngestReport{
 				Subscriber: rep.Subscriber,

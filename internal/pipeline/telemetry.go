@@ -27,21 +27,25 @@ import (
 // Collectors render in registration order; series registered after the
 // sampler started backfill as missing samples.
 
-// EngineTelemetry declares the sharded engine, the one place an entry is
-// counted: vqoe_entries_total (what the shards took, through any door),
-// vqoe_ingest_rejected_total (what the admission rule refused), the
+// EngineTelemetry declares the sharded engine, the one place an entry and
+// an assessed session are counted: vqoe_entries_total (what the shards
+// took, through any door), vqoe_sessions_total (the sessions they
+// assessed), vqoe_ingest_rejected_total (what the admission rule refused), the
 // interner's and the per-shard vqoe_engine_* families, the ingest/session/
 // mailbox/interner series, and the drop-rate, mailbox-saturation,
 // ingest-stale and shard-wedged rules.
 func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 	m.collect(func(e *expoWriter) {
 		stats := eng.Snapshot()
-		var events int64
+		var events, reports int64
 		for _, s := range stats {
 			events += s.Events
+			reports += s.Reports
 		}
 		e.family("vqoe_entries_total", "Weblog entries processed.", "counter")
 		e.printf("vqoe_entries_total %d\n", events)
+		e.family("vqoe_sessions_total", "Sessions assessed.", "counter")
+		e.printf("vqoe_sessions_total %d\n", reports)
 		e.family("vqoe_ingest_rejected_total", "Entries refused by the admission rule (non-finite or negative fields), by reason.", "counter")
 		for why, n := range eng.Rejected() {
 			e.printf("vqoe_ingest_rejected_total{reason=%q} %d\n", engine.RejectReasons[why], n)
@@ -191,7 +195,7 @@ func StageTelemetry(m *Metrics, se *slo.Engine, stages func() []obs.StageSetSnap
 		e.family(name, "Pipeline stage latency per engine shard.", "histogram")
 		for shard, snap := range stages() {
 			for _, st := range obs.Stages() {
-				e.histogram(name, fmt.Sprintf("stage=%q,shard=\"%d\"", st.String(), shard), snap[st])
+				e.histogram(name, fmt.Sprintf("stage=%q,shard=\"%d\"", st.String(), shard), bucketBounds, snap[st].Counts[:], snap[st].Sum)
 			}
 		}
 	})
@@ -208,9 +212,12 @@ func StageTelemetry(m *Metrics, se *slo.Engine, stages func() []obs.StageSetSnap
 		ingestHist, 0.99, slo.LatencyP99MaxSec, slo.LatencyWindowSec))
 }
 
-// qualityTelemetry declares the model-quality monitor: the
-// vqoe_model_* and vqoe_quality_labels_* families, the label/drift
-// series and the model-degraded rule. No-op when the monitor is off.
+// qualityTelemetry declares the model-quality monitor, the one place an
+// assessed session's verdicts are counted: the vqoe_model_* and
+// vqoe_quality_labels_* families, the vqoe_sessions_by_* and
+// vqoe_sessions_switch_varying counters and the vqoe_session_chunks and
+// vqoe_switch_score histograms, the label/drift series and the
+// model-degraded rule. No-op when the monitor is off.
 func qualityTelemetry(m *Metrics, se *slo.Engine, qm *qualitymon.Monitor) {
 	if qm == nil {
 		return
@@ -223,19 +230,39 @@ func qualityTelemetry(m *Metrics, se *slo.Engine, qm *qualitymon.Monitor) {
 		if len(q.Models) == 0 {
 			return
 		}
-		e.family("vqoe_model_predictions_total", "Sessions assessed per model, by predicted class.", "counter")
-		for _, ms := range q.Models {
-			// quality families carry variable class sets, unlike the
-			// fixed [3]int64 arrays sortedByLabel serves
-			idx := make([]int, len(ms.Classes))
-			for i := range idx {
-				idx[i] = i
+		// each model's classes in label order, for the two families that
+		// render its prediction counts
+		order := make([][]int, len(q.Models))
+		for m, ms := range q.Models {
+			order[m] = make([]int, len(ms.Classes))
+			for i := range order[m] {
+				order[m][i] = i
 			}
-			sort.Slice(idx, func(i, j int) bool { return ms.Classes[idx[i]] < ms.Classes[idx[j]] })
-			for _, i := range idx {
+			sort.Slice(order[m], func(i, j int) bool { return ms.Classes[order[m][i]] < ms.Classes[order[m][j]] })
+		}
+		e.family("vqoe_model_predictions_total", "Sessions assessed per model, by predicted class.", "counter")
+		for m, ms := range q.Models {
+			for _, i := range order[m] {
 				e.printf("vqoe_model_predictions_total{class=%q,model=%q} %d\n", ms.Classes[i], ms.Name, ms.Counts[i])
 			}
 		}
+		// the same counts by level, one family per model in the
+		// snapshot's order (stall, rep)
+		for m, fam := range []struct{ name, help string }{
+			{"vqoe_sessions_by_stall", "Sessions assessed, by predicted stall level."},
+			{"vqoe_sessions_by_quality", "Sessions assessed, by predicted representation quality."},
+		} {
+			e.family(fam.name, fam.help, "counter")
+			for _, i := range order[m] {
+				e.printf("%s{level=%q} %d\n", fam.name, q.Models[m].Classes[i], q.Models[m].Counts[i])
+			}
+		}
+		e.family("vqoe_sessions_switch_varying", "Sessions flagged with representation-switch variance.", "counter")
+		e.printf("vqoe_sessions_switch_varying %d\n", q.Switch.Varying)
+		e.family("vqoe_session_chunks", "Media chunks per assessed session.", "histogram")
+		e.histogram("vqoe_session_chunks", "", q.Switch.ChunkEdges, uint64s(q.Switch.ChunkCounts), float64(q.Switch.ChunkSum))
+		e.family("vqoe_switch_score", "CUSUM switch change score per assessed session.", "histogram")
+		e.histogram("vqoe_switch_score", "", q.Switch.ScoreEdges, uint64s(q.Switch.ScoreCounts), q.Switch.ScoreSum)
 
 		e.family("vqoe_model_mean_confidence", "Mean top-vote confidence of the model's predictions.", "gauge")
 		for _, ms := range q.Models {
@@ -500,7 +527,7 @@ func wireTelemetry(m *Metrics, se *slo.Engine, ws *wire.Server) {
 		const name = "vqoe_wire_stage_duration_seconds"
 		e.family(name, "Wire listener stage latency, merged over connections.", "histogram")
 		for _, st := range []obs.Stage{obs.StageWireDecode, obs.StageIngest} {
-			e.histogram(name, fmt.Sprintf("stage=%q", st.String()), s.Stages[st])
+			e.histogram(name, fmt.Sprintf("stage=%q", st.String()), bucketBounds, s.Stages[st].Counts[:], s.Stages[st].Sum)
 		}
 	})
 
@@ -550,4 +577,14 @@ func ageSince(se *slo.Engine, unixNano int64) float64 {
 		return math.NaN()
 	}
 	return se.Now() - float64(unixNano)/1e9
+}
+
+// uint64s converts the monitor's per-bin counts for the histogram
+// writer.
+func uint64s(counts []int64) []uint64 {
+	out := make([]uint64, len(counts))
+	for i, c := range counts {
+		out[i] = uint64(c)
+	}
+	return out
 }

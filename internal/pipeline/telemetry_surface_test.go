@@ -63,7 +63,7 @@ func TestTelemetrySurfacePinned(t *testing.T) {
 	// are on the pinned surface; the client stays open through the
 	// scrape so connections_active reads a deterministic 1
 	half := len(live.Entries) / 2
-	srv.Ingest(live.Entries[:half])
+	srv.Engine().Ingest(live.Entries[:half])
 	c, err := wire.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -116,32 +116,39 @@ func TestSecondWireServerSharesTaps(t *testing.T) {
 }
 
 // TestScrapeDoesNotBlockReportSink: a collector stuck in its
-// subsystem's snapshot must not hold Metrics.mu — every shard's report
-// sink takes that mutex in ObserveReport.
+// subsystem's snapshot must not stall the report path — a session that
+// closes meanwhile still reaches Options.OnReport.
 func TestScrapeDoesNotBlockReportSink(t *testing.T) {
-	m := NewMetrics()
+	fw, study := testFramework(t)
+	reported := make(chan struct{}, 1)
+	srv := NewServerOpts(fw, Options{
+		Engine: engine.Config{Shards: 1, SweepEverySec: -1},
+		SLO:    slo.Config{Manual: true},
+		OnReport: func(SessionReport) {
+			select {
+			case reported <- struct{}{}:
+			default:
+			}
+		},
+	})
 	entered, release := make(chan struct{}), make(chan struct{})
-	m.collect(func(*expoWriter) {
+	srv.Metrics().collect(func(*expoWriter) {
 		close(entered)
 		<-release
 	})
 	scraped := make(chan struct{})
 	go func() {
 		defer close(scraped)
-		_, _ = m.WriteTo(io.Discard)
+		_, _ = srv.Metrics().WriteTo(io.Discard)
 	}()
 	<-entered
-	observed := make(chan struct{})
-	go func() {
-		defer close(observed)
-		m.ObserveReport(SessionReport{})
-	}()
+	srv.Engine().Feed(study.Stream) // sessions close on boundaries, into the sink
 	select {
-	case <-observed:
+	case <-reported:
 	case <-time.After(5 * time.Second):
-		t.Error("ObserveReport blocked behind a scrape stuck in a collector")
+		t.Error("no report reached OnReport while a scrape was stuck in a collector")
 	}
 	close(release)
 	<-scraped
-	<-observed
+	srv.Drain()
 }

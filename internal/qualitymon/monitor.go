@@ -135,12 +135,11 @@ type Prediction struct {
 type Monitor struct {
 	Stall *ModelMonitor
 	Rep   *ModelMonitor
-	// SwitchScores is the CUSUM switch detector's observed score
-	// histogram (no trained baseline exists for it; the snapshot
-	// reports the varying rate and score distribution).
-	switchHist    []*obs.Counters
-	switchVarying []*obs.Counters
-	switchSum     []obs.FloatCell
+	// sessions holds each shard's per-session histograms: the CUSUM
+	// switch detector's scores (no trained baseline exists for it; the
+	// snapshot reports the varying rate and score distribution) and the
+	// media chunk counts.
+	sessions []sessionShard
 
 	th Thresholds
 	// pendingCap is pendingPerStripe; tests of the bound lower it
@@ -265,9 +264,21 @@ const numStripes = 64
 // and labels; the oldest are evicted beyond it.
 const pendingPerStripe = 4096
 
-// switchScoreEdges bins the CUSUM switch scores (upper bounds; one
-// +Inf overflow bin follows).
-var switchScoreEdges = []float64{50, 100, 200, 350, 500, 750, 1000, 2000, 5000}
+// switchScoreEdges bins the CUSUM switch scores and chunkEdges the
+// per-session media chunk counts (upper bounds; one +Inf overflow bin
+// follows each).
+var (
+	switchScoreEdges = []float64{50, 100, 200, 350, 500, 750, 1000, 2000, 5000}
+	chunkEdges       = []float64{4, 8, 16, 32, 64, 128, 256, 512, 1024}
+)
+
+// sessionShard is one engine shard's per-session accumulators; only
+// that shard's worker goroutine writes it.
+type sessionShard struct {
+	scores, chunks    *obs.Counters // bins of the edges above, then the overflow
+	varying, chunkSum atomic.Int64
+	scoreSum          obs.FloatCell
+}
 
 // New builds a monitor. Returns nil when cfg.Shards <= 0.
 func New(cfg Config) *Monitor {
@@ -275,36 +286,33 @@ func New(cfg Config) *Monitor {
 		return nil
 	}
 	m := &Monitor{
-		Stall:         newModelMonitor(cfg.Stall, cfg.Shards),
-		Rep:           newModelMonitor(cfg.Rep, cfg.Shards),
-		switchHist:    make([]*obs.Counters, cfg.Shards),
-		switchVarying: make([]*obs.Counters, cfg.Shards),
-		switchSum:     make([]obs.FloatCell, cfg.Shards),
-		th:            cfg.Thresholds.WithDefaults(),
-		pendingCap:    pendingPerStripe,
-		stripes:       make([]pendingStripe, numStripes),
+		Stall:      newModelMonitor(cfg.Stall, cfg.Shards),
+		Rep:        newModelMonitor(cfg.Rep, cfg.Shards),
+		sessions:   make([]sessionShard, cfg.Shards),
+		th:         cfg.Thresholds.WithDefaults(),
+		pendingCap: pendingPerStripe,
+		stripes:    make([]pendingStripe, numStripes),
 	}
-	for i := range m.switchHist {
-		m.switchHist[i] = obs.NewCounters(len(switchScoreEdges) + 1)
-		m.switchVarying[i] = obs.NewCounters(1)
+	for i := range m.sessions {
+		m.sessions[i].scores = obs.NewCounters(len(switchScoreEdges) + 1)
+		m.sessions[i].chunks = obs.NewCounters(len(chunkEdges) + 1)
 	}
 	return m
 }
 
-// ObserveSwitch records one session's CUSUM switch score.
-func (m *Monitor) ObserveSwitch(shard int, score float64, varying bool) {
+// ObserveSwitch records one assessed session's CUSUM switch score and
+// media chunk count.
+func (m *Monitor) ObserveSwitch(shard int, score float64, varying bool, chunks int) {
 	if m == nil {
 		return
 	}
-	shard %= len(m.switchHist)
-	i := 0
-	for i < len(switchScoreEdges) && score > switchScoreEdges[i] {
-		i++
-	}
-	m.switchHist[shard].Inc(i)
-	m.switchSum[shard].Add(score)
+	sh := &m.sessions[shard%len(m.sessions)]
+	sh.scores.Inc(BinIndex(switchScoreEdges, score))
+	sh.scoreSum.Add(score)
+	sh.chunks.Inc(BinIndex(chunkEdges, float64(chunks)))
+	sh.chunkSum.Add(int64(chunks))
 	if varying {
-		m.switchVarying[shard].Inc(0)
+		sh.varying.Add(1)
 	}
 }
 
@@ -323,7 +331,7 @@ func (m *Monitor) TrackPrediction(p Prediction) {
 	}
 	st := m.stripe(p.Subscriber)
 	st.mu.Lock()
-	if i := st.labels.best(func(ls []Label) (int, float64) { return bestLabelMatch(ls, p.Subscriber, p.Start, p.End) }); i >= 0 {
+	if i := st.labels.best(func(ls []Label) (int, float64) { return bestMatch(ls, p.Subscriber, p.Start, p.End) }); i >= 0 {
 		l := st.labels.remove(i)
 		st.mu.Unlock()
 		m.resolve(p, l)
@@ -346,7 +354,7 @@ func (m *Monitor) ObserveLabel(l Label) bool {
 	m.lastLabelNano.Store(time.Now().UnixNano())
 	st := m.stripe(l.Subscriber)
 	st.mu.Lock()
-	if i := st.preds.best(func(ps []Prediction) (int, float64) { return bestPredMatch(ps, l.Subscriber, l.Start, l.End) }); i >= 0 {
+	if i := st.preds.best(func(ps []Prediction) (int, float64) { return bestMatch(ps, l.Subscriber, l.Start, l.End) }); i >= 0 {
 		p := st.preds.remove(i)
 		st.mu.Unlock()
 		m.resolve(p, l)
@@ -405,34 +413,28 @@ func (m *Monitor) resolve(p Prediction, l Label) {
 	}
 }
 
-// bestLabelMatch finds the buffered label with the largest interval
-// overlap against [start, end] for the subscriber (the first of equals)
-// and returns it with that overlap, -1 and 0 when none overlaps. The
-// engine may split one player session at page boundaries, so a label
-// can overlap several assessed fragments; the dominant-overlap
-// fragment wins.
-func bestLabelMatch(labels []Label, sub string, start, end float64) (int, float64) {
-	best, bestOv := -1, 0.0
-	for i := range labels {
-		l := &labels[i]
-		if l.Subscriber != sub {
-			continue
-		}
-		if ov := overlap(start, end, l.Start, l.End); ov > bestOv {
-			best, bestOv = i, ov
-		}
-	}
-	return best, bestOv
-}
+// span is the session interval a pending prediction or label is matched
+// on.
+func (p *Prediction) span() (string, float64, float64) { return p.Subscriber, p.Start, p.End }
+func (l *Label) span() (string, float64, float64)      { return l.Subscriber, l.Start, l.End }
 
-func bestPredMatch(preds []Prediction, sub string, start, end float64) (int, float64) {
+// bestMatch finds the buffered prediction or label with the largest
+// interval overlap against [start, end] for the subscriber (the first
+// of equals) and returns it with that overlap, -1 and 0 when none
+// overlaps. The engine may split one player session at page
+// boundaries, so a label can overlap several assessed fragments; the
+// dominant-overlap fragment wins.
+func bestMatch[T any, P interface {
+	*T
+	span() (string, float64, float64)
+}](pending []T, sub string, start, end float64) (int, float64) {
 	best, bestOv := -1, 0.0
-	for i := range preds {
-		p := &preds[i]
-		if p.Subscriber != sub {
+	for i := range pending {
+		s, lo, hi := P(&pending[i]).span()
+		if s != sub {
 			continue
 		}
-		if ov := overlap(start, end, p.Start, p.End); ov > bestOv {
+		if ov := overlap(start, end, lo, hi); ov > bestOv {
 			best, bestOv = i, ov
 		}
 	}

@@ -1,6 +1,7 @@
 package qualitymon
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -475,7 +476,7 @@ func TestMonitorNilSafe(t *testing.T) {
 	if m.ObserveLabel(Label{}) {
 		t.Error("nil monitor matched a label")
 	}
-	m.ObserveSwitch(0, 1, false)
+	m.ObserveSwitch(0, 1, false, 1)
 	sn := m.Snapshot()
 	if len(sn.Models) != 0 {
 		t.Errorf("nil snapshot has %d models, want 0", len(sn.Models))
@@ -489,15 +490,15 @@ func TestMonitorNilSafe(t *testing.T) {
 
 func TestSwitchSnapshot(t *testing.T) {
 	m := testMonitor(t, nil)
-	m.ObserveSwitch(0, 40, false)
-	m.ObserveSwitch(1, 600, true)
-	m.ObserveSwitch(5, 10000, true) // shard index wraps
+	m.ObserveSwitch(0, 40, false, 3)
+	m.ObserveSwitch(1, 600, true, 64)
+	m.ObserveSwitch(5, 10000, true, 5000) // shard index wraps
 	sw := m.Snapshot().Switch
 	if sw.Sessions != 3 || sw.Varying != 2 {
 		t.Fatalf("switch sessions=%d varying=%d, want 3 and 2", sw.Sessions, sw.Varying)
 	}
-	if want := (40.0 + 600 + 10000) / 3; math.Abs(sw.MeanScore-want) > 1e-9 {
-		t.Errorf("mean score = %v, want %v", sw.MeanScore, want)
+	if want := (40.0 + 600 + 10000) / 3; math.Abs(sw.MeanScore-want) > 1e-9 || sw.ScoreSum != 10640 {
+		t.Errorf("mean score = %v, sum %v, want %v and 10640", sw.MeanScore, sw.ScoreSum, want)
 	}
 	var n int64
 	for _, c := range sw.ScoreCounts {
@@ -505,6 +506,12 @@ func TestSwitchSnapshot(t *testing.T) {
 	}
 	if n != 3 {
 		t.Errorf("score histogram holds %d sessions, want 3", n)
+	}
+	// chunk counts bin by upper edge: 3 ≤ 4, 64 ≤ 64, 5000 overflows
+	want := make([]int64, len(sw.ChunkEdges)+1)
+	want[0], want[4], want[len(want)-1] = 1, 1, 1
+	if fmt.Sprint(sw.ChunkCounts) != fmt.Sprint(want) || sw.ChunkEdges[4] != 64 || sw.ChunkSum != 5067 {
+		t.Errorf("chunk histogram %v over %v, sum %d; want %v, sum 5067", sw.ChunkCounts, sw.ChunkEdges, sw.ChunkSum, want)
 	}
 }
 

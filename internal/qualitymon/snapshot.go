@@ -54,14 +54,20 @@ type ModelSnapshot struct {
 }
 
 // SwitchSnapshot summarizes the CUSUM switch detector's serve-time
-// score distribution (no trained baseline exists for it).
+// score distribution (no trained baseline exists for it) and the
+// assessed sessions' media chunk counts. Counts are per bin, aligned
+// with the edges (upper bounds) plus one overflow bin.
 type SwitchSnapshot struct {
 	Sessions    int64     `json:"sessions"`
 	Varying     int64     `json:"varying"`
 	VaryingRate float64   `json:"varying_rate"`
 	MeanScore   float64   `json:"mean_score"`
+	ScoreSum    float64   `json:"score_sum"`
 	ScoreEdges  []float64 `json:"score_edges"`
 	ScoreCounts []int64   `json:"score_counts"`
+	ChunkSum    int64     `json:"chunk_sum"`
+	ChunkEdges  []float64 `json:"chunk_edges"`
+	ChunkCounts []int64   `json:"chunk_counts"`
 }
 
 // LabelStats counts the ground-truth side-channel's traffic.
@@ -122,19 +128,23 @@ func (m *Monitor) switchSnapshot() SwitchSnapshot {
 	ss := SwitchSnapshot{
 		ScoreEdges:  append([]float64(nil), switchScoreEdges...),
 		ScoreCounts: make([]int64, len(switchScoreEdges)+1),
+		ChunkEdges:  append([]float64(nil), chunkEdges...),
+		ChunkCounts: make([]int64, len(chunkEdges)+1),
 	}
-	var sum float64
-	for i := range m.switchHist {
-		m.switchHist[i].AddInto(ss.ScoreCounts)
-		ss.Varying += m.switchVarying[i].Get(0)
-		sum += m.switchSum[i].Load()
+	for i := range m.sessions {
+		sh := &m.sessions[i]
+		sh.scores.AddInto(ss.ScoreCounts)
+		sh.chunks.AddInto(ss.ChunkCounts)
+		ss.Varying += sh.varying.Load()
+		ss.ScoreSum += sh.scoreSum.Load()
+		ss.ChunkSum += sh.chunkSum.Load()
 	}
 	for _, c := range ss.ScoreCounts {
 		ss.Sessions += c
 	}
 	if ss.Sessions > 0 {
 		ss.VaryingRate = float64(ss.Varying) / float64(ss.Sessions)
-		ss.MeanScore = sum / float64(ss.Sessions)
+		ss.MeanScore = ss.ScoreSum / float64(ss.Sessions)
 	}
 	return ss
 }

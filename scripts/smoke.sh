@@ -89,6 +89,8 @@ for family in \
     vqoe_sessions_total \
     vqoe_sessions_by_quality \
     vqoe_sessions_switch_varying \
+    vqoe_switch_score_bucket \
+    vqoe_session_chunks_bucket \
     vqoe_engine_shard_open_sessions \
     vqoe_stage_duration_seconds_bucket \
     vqoe_model_predictions_total \
@@ -108,6 +110,13 @@ for family in $(grep -o '^vqoe_[a-z_]*' "$TMP/metrics.txt" |
     grep -q "^# TYPE $family " "$TMP/metrics.txt" ||
         { echo "family $family lacks # TYPE" >&2; exit 1; }
 done
+# one count per assessed session: the total is the per-shard counters' sum
+SESSIONS=$(awk '$1 == "vqoe_sessions_total" {print $2}' "$TMP/metrics.txt")
+SHARD_REPORTS=$(awk '/^vqoe_engine_shard_reports_total\{/ {n += $2} END {print n}' "$TMP/metrics.txt")
+echo "   vqoe_sessions_total $SESSIONS, shards reported $SHARD_REPORTS"
+test "$SESSIONS" -gt 0
+test "$SESSIONS" -eq "$SHARD_REPORTS" ||
+    { echo "vqoe_sessions_total $SESSIONS != sum of vqoe_engine_shard_reports_total $SHARD_REPORTS" >&2; exit 1; }
 # the stage histogram must cover >= 4 pipeline stages
 STAGES=$(grep -o 'vqoe_stage_duration_seconds_count{stage="[a-z_]*"' "$TMP/metrics.txt" |
     sort -u | wc -l)
