@@ -1,5 +1,5 @@
 // Package cohort is the fleet-level rollup layer: it folds the
-// engine's per-session QoE assessments into streaming per-cohort MOS
+// engine's per-session QoE assessments into exact per-cohort MOS
 // quantiles and impairment rates, so the system answers "which cell
 // is hurting HD viewers right now?" instead of emitting millions of
 // individual verdicts.
@@ -11,18 +11,18 @@
 //   - lock-cheap: state is striped per engine shard, each stripe
 //     written only by its shard's worker goroutine, so the per-session
 //     observe path contends only with an occasional snapshot reader;
-//   - constant memory per cohort: MOS quantiles (p10/p50/p90) are P²
-//     streaming estimators, never buffered samples;
+//   - constant memory per cohort: a report can score only
+//     mos.NumScores (18) distinct MOS values, so a cohort is one
+//     mos.Tally of 18 counts, from which the session count, mean,
+//     impairment counts and p10/p50/p90 are all read exactly;
 //   - bounded cardinality: each stripe holds at most MaxCohorts keys,
 //     evicting the least-recently-updated cohort into a shared
 //     overflow bucket, so a hostile or misconfigured metadata feed
 //     cannot explode the label space of the Prometheus exposition.
 //
-// A fleet view merges the stripes on demand: per-cohort P² marker
-// sets are pooled via stats.MergedQuantile (merge(a,b) ≈ combined
-// stream, property-tested in internal/stats), counters are summed,
-// and the merged view is cached by generation so idle scrapes are
-// free.
+// A fleet view sums the stripes' tallies on demand. Tallies add
+// exactly, so the view — overflow included — is the same whatever
+// order the sessions arrived in and whichever shard counted them.
 package cohort
 
 import (
@@ -32,9 +32,7 @@ import (
 	"time"
 
 	"vqoe/internal/core"
-	"vqoe/internal/features"
 	"vqoe/internal/mos"
-	"vqoe/internal/stats"
 )
 
 // Key identifies one rollup cohort.
@@ -88,80 +86,11 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// cell accumulates one cohort's state within one stripe.
+// cell is one cohort's sessions within one stripe.
 type cell struct {
-	key      Key
-	sessions int64
-	mosSum   float64
-	p10      *stats.P2Quantile
-	p50      *stats.P2Quantile
-	p90      *stats.P2Quantile
-	stalled  int64 // sessions with detected stalls
-	lowQual  int64 // sessions classified LD
-	switched int64 // sessions with quality-switching variance
-	touch    uint64
-}
-
-func newCell(key Key) *cell {
-	return &cell{
-		key: key,
-		p10: stats.NewP2Quantile(0.10),
-		p50: stats.NewP2Quantile(0.50),
-		p90: stats.NewP2Quantile(0.90),
-	}
-}
-
-func (c *cell) observe(score float64, rep core.Report) {
-	c.sessions++
-	c.mosSum += score
-	c.p10.Observe(score)
-	c.p50.Observe(score)
-	c.p90.Observe(score)
-	if rep.Stall != features.NoStall {
-		c.stalled++
-	}
-	if rep.Representation == features.LD {
-		c.lowQual++
-	}
-	if rep.SwitchVariance {
-		c.switched++
-	}
-}
-
-// fold merges another cell's counters and quantile markers into an
-// aggregation cell (used for both the fleet merge and overflow).
-type agg struct {
-	key      Key
-	sessions int64
-	mosSum   float64
-	stalled  int64
-	lowQual  int64
-	switched int64
-	m10      []stats.Marker
-	m50      []stats.Marker
-	m90      []stats.Marker
-}
-
-func (a *agg) fold(c *cell) {
-	a.sessions += c.sessions
-	a.mosSum += c.mosSum
-	a.stalled += c.stalled
-	a.lowQual += c.lowQual
-	a.switched += c.switched
-	a.m10 = c.p10.Markers(a.m10)
-	a.m50 = c.p50.Markers(a.m50)
-	a.m90 = c.p90.Markers(a.m90)
-}
-
-func (a *agg) foldAgg(b *agg) {
-	a.sessions += b.sessions
-	a.mosSum += b.mosSum
-	a.stalled += b.stalled
-	a.lowQual += b.lowQual
-	a.switched += b.switched
-	a.m10 = append(a.m10, b.m10...)
-	a.m50 = append(a.m50, b.m50...)
-	a.m90 = append(a.m90, b.m90...)
+	key   Key
+	tally mos.Tally
+	touch uint64
 }
 
 // stripe is the per-shard state: a bounded map written only by that
@@ -169,26 +98,21 @@ func (a *agg) foldAgg(b *agg) {
 type stripe struct {
 	mu       sync.Mutex
 	cells    map[Key]*cell
-	overflow *cell // evicted cohorts fold their future sessions here
-	evicted  int64 // distinct keys evicted from this stripe
+	overflow mos.Tally // evicted cohorts' sessions
+	evicted  int64     // distinct keys evicted from this stripe
 	seq      uint64
 }
 
-// Rollup maintains the striped per-cohort accumulators and the cached
-// fleet view. All methods are safe on a nil receiver (no-ops), so
-// call sites can leave rollups unconfigured.
+// Rollup maintains the striped per-cohort tallies. All methods are safe
+// on a nil receiver (no-ops), so call sites can leave rollups
+// unconfigured.
 type Rollup struct {
 	cfg     Config
 	stripes []*stripe
-	gen     atomic.Uint64 // bumped on every observe; keys the cache
 
 	// lastObserveNano is the wall-clock time (unix nanos) of the most
 	// recent Observe — the freshness watchdog's rollup tap (0 = never).
 	lastObserveNano atomic.Int64
-
-	cacheMu  sync.Mutex
-	cacheGen uint64
-	cache    *Snapshot
 
 	// exemplars, when set, resolves a cohort key to retained
 	// flight-recorder session IDs so /debug/cohorts entries link
@@ -208,13 +132,12 @@ func NewRollup(cfg Config) *Rollup {
 }
 
 // Observe attributes one completed session assessment to its cohort:
-// the report is converted to a MOS and folded into the shard's stripe.
-// Called from the engine shard worker that owns the session.
+// the report's MOS slot is counted in the shard's stripe. Called from
+// the engine shard worker that owns the session.
 func (r *Rollup) Observe(shard int, key Key, rep core.Report) {
 	if r == nil {
 		return
 	}
-	score := float64(mos.FromReport(rep))
 	s := r.stripes[shard%len(r.stripes)]
 	s.mu.Lock()
 	c := s.cells[key]
@@ -222,14 +145,13 @@ func (r *Rollup) Observe(shard int, key Key, rep core.Report) {
 		if len(s.cells) >= r.cfg.MaxCohorts {
 			s.evictLocked()
 		}
-		c = newCell(key)
+		c = &cell{key: key}
 		s.cells[key] = c
 	}
 	s.seq++
 	c.touch = s.seq
-	c.observe(score, rep)
+	c.tally.Observe(rep)
 	s.mu.Unlock()
-	r.gen.Add(1)
 	r.lastObserveNano.Store(time.Now().UnixNano())
 }
 
@@ -243,7 +165,7 @@ func (r *Rollup) LastObserveUnixNano() int64 {
 }
 
 // evictLocked folds the least-recently-updated cohort into the
-// stripe's overflow bucket. O(cells) scans only happen on eviction,
+// stripe's overflow tally. O(cells) scans only happen on eviction,
 // which a sane metadata feed never triggers.
 func (s *stripe) evictLocked() {
 	var victim *cell
@@ -257,38 +179,7 @@ func (s *stripe) evictLocked() {
 	}
 	delete(s.cells, victim.key)
 	s.evicted++
-	if s.overflow == nil {
-		s.overflow = newCell(Key{})
-	}
-	// fold the victim's counters into overflow; its quantile state is
-	// approximated by replaying the P² markers as weighted mass
-	o := s.overflow
-	o.sessions += victim.sessions
-	o.mosSum += victim.mosSum
-	o.stalled += victim.stalled
-	o.lowQual += victim.lowQual
-	o.switched += victim.switched
-	replayMarkers(o.p10, victim.p10)
-	replayMarkers(o.p50, victim.p50)
-	replayMarkers(o.p90, victim.p90)
-}
-
-// replayMarkers folds src's distribution summary into dst by feeding
-// each marker value round(weight) times — a coarse but bounded-cost
-// approximation, only ever used on the eviction path.
-func replayMarkers(dst, src *stats.P2Quantile) {
-	for _, m := range src.Markers(nil) {
-		n := int(m.Weight + 0.5)
-		if n < 1 {
-			n = 1
-		}
-		if n > 64 {
-			n = 64 // cap replay cost; overflow is approximate by design
-		}
-		for i := 0; i < n; i++ {
-			dst.Observe(m.Value)
-		}
-	}
+	s.overflow.Add(&victim.tally)
 }
 
 // Stats is one cohort's merged fleet-view statistics.
@@ -313,7 +204,7 @@ type Stats struct {
 	Switched   int64 `json:"switched"`
 	// Exemplars links to retained flight-recorder sessions from this
 	// cohort ("subscriber/start" IDs, worst MOS first), when a flight
-	// recorder is wired. Filled per Snapshot call, never cached.
+	// recorder is wired. Filled per Snapshot call.
 	Exemplars []string `json:"exemplars,omitempty"`
 }
 
@@ -341,57 +232,27 @@ func (r *Rollup) SetExemplars(fn func(cohort string) []string) {
 	r.exemplars = fn
 }
 
-// Snapshot merges all stripes into the fleet view. The result is
-// cached by generation: repeated calls with no intervening Observe
-// return the same snapshot without touching the stripes. Exemplar
-// links are resolved outside the cache — eviction changes them even
-// when the rollup itself is idle — so the cached entries stay clean
-// and each call decorates a fresh copy.
+// Snapshot merges all stripes into the fleet view, each cohort's
+// tallies summed over the stripes, and decorates every cohort with its
+// exemplar links.
 func (r *Rollup) Snapshot() *Snapshot {
 	if r == nil {
 		return &Snapshot{}
 	}
-	gen := r.gen.Load()
-	r.cacheMu.Lock()
-	if r.cache == nil || r.cacheGen != gen {
-		// Key the cache on the generation read before merging: an
-		// observe landing mid-merge bumps gen past it, so the next call
-		// re-merges and the racing session is never lost from the
-		// served view.
-		r.cache = r.merge()
-		r.cacheGen = gen
-	}
-	snap := r.cache
-	r.cacheMu.Unlock()
-	if r.exemplars == nil {
-		return snap
-	}
-	out := *snap
-	out.Cohorts = make([]Stats, len(snap.Cohorts))
-	copy(out.Cohorts, snap.Cohorts)
-	for i := range out.Cohorts {
-		out.Cohorts[i].Exemplars = r.exemplars(out.Cohorts[i].Cohort)
-	}
-	return &out
-}
-
-func (r *Rollup) merge() *Snapshot {
-	byKey := make(map[Key]*agg)
-	over := &agg{}
+	byKey := make(map[Key]*mos.Tally)
+	var over mos.Tally
 	var evicted int64
 	for _, s := range r.stripes {
 		s.mu.Lock()
 		for k, c := range s.cells {
-			a := byKey[k]
-			if a == nil {
-				a = &agg{key: k}
-				byKey[k] = a
+			t := byKey[k]
+			if t == nil {
+				t = new(mos.Tally)
+				byKey[k] = t
 			}
-			a.fold(c)
+			t.Add(&c.tally)
 		}
-		if s.overflow != nil {
-			over.fold(s.overflow)
-		}
+		over.Add(&s.overflow)
 		evicted += s.evicted
 		s.mu.Unlock()
 	}
@@ -400,19 +261,24 @@ func (r *Rollup) merge() *Snapshot {
 	// so the union can exceed the cap. Keep the busiest cohorts and
 	// fold the rest into overflow, deterministically (sessions desc,
 	// then key) so the exposition is stable for a given state.
-	all := make([]*agg, 0, len(byKey))
-	for _, a := range byKey {
-		all = append(all, a)
+	type row struct {
+		key Key
+		t   *mos.Tally
+		n   int64
+	}
+	all := make([]row, 0, len(byKey))
+	for k, t := range byKey {
+		all = append(all, row{k, t, t.Count()})
 	}
 	sort.Slice(all, func(i, j int) bool {
-		if all[i].sessions != all[j].sessions {
-			return all[i].sessions > all[j].sessions
+		if all[i].n != all[j].n {
+			return all[i].n > all[j].n
 		}
 		return lessKey(all[i].key, all[j].key)
 	})
 	if len(all) > r.cfg.MaxCohorts {
 		for _, a := range all[r.cfg.MaxCohorts:] {
-			over.foldAgg(a)
+			over.Add(a.t)
 			evicted++
 		}
 		all = all[:r.cfg.MaxCohorts]
@@ -420,14 +286,16 @@ func (r *Rollup) merge() *Snapshot {
 
 	snap := &Snapshot{Capacity: r.cfg.MaxCohorts, Evicted: evicted}
 	for _, a := range all {
-		st := a.stats()
+		st := statsOf(a.key, a.t)
+		if r.exemplars != nil {
+			st.Exemplars = r.exemplars(st.Cohort)
+		}
 		snap.Cohorts = append(snap.Cohorts, st)
 		snap.Total += st.Sessions
 	}
-	if over.sessions > 0 {
-		st := over.stats()
+	if over.Count() > 0 {
+		st := statsOf(Key{}, &over)
 		st.Cohort = "overflow"
-		st.Region, st.Device, st.Cap = "", "", ""
 		snap.Overflow = &st
 		snap.Total += st.Sessions
 	}
@@ -450,26 +318,25 @@ func lessKey(a, b Key) bool {
 	return a.Cap < b.Cap
 }
 
-func (a *agg) stats() Stats {
+// statsOf reads one cohort's fleet-view row off its tally.
+func statsOf(k Key, t *mos.Tally) Stats {
 	st := Stats{
-		Cohort:     a.key.String(),
-		Region:     a.key.Region,
-		Device:     a.key.Device,
-		Cap:        a.key.Cap,
-		Sessions:   a.sessions,
-		MOSP10:     stats.MergedQuantile(0.10, a.m10),
-		MOSP50:     stats.MergedQuantile(0.50, a.m50),
-		MOSP90:     stats.MergedQuantile(0.90, a.m90),
-		Stalled:    a.stalled,
-		LowQuality: a.lowQual,
-		Switched:   a.switched,
+		Cohort:   k.String(),
+		Region:   k.Region,
+		Device:   k.Device,
+		Cap:      k.Cap,
+		Sessions: t.Count(),
+		MOSMean:  t.Mean(),
+		MOSP10:   t.Percentile(10),
+		MOSP50:   t.Percentile(50),
+		MOSP90:   t.Percentile(90),
 	}
-	if a.sessions > 0 {
-		n := float64(a.sessions)
-		st.MOSMean = a.mosSum / n
-		st.StallRate = float64(a.stalled) / n
-		st.LowQualityRate = float64(a.lowQual) / n
-		st.SwitchRate = float64(a.switched) / n
+	st.Stalled, st.LowQuality, st.Switched = t.Impaired()
+	if st.Sessions > 0 {
+		n := float64(st.Sessions)
+		st.StallRate = float64(st.Stalled) / n
+		st.LowQualityRate = float64(st.LowQuality) / n
+		st.SwitchRate = float64(st.Switched) / n
 	}
 	st.Verbal = mos.Score(st.MOSP50).Verbal()
 	return st

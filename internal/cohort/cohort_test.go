@@ -2,7 +2,7 @@ package cohort
 
 import (
 	"math"
-	"sort"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -82,13 +82,18 @@ func TestObserveAndSnapshot(t *testing.T) {
 	}
 }
 
+// Eviction folds a cohort's tally into overflow whole, so the overflow
+// row is exactly the sessions no kept cohort holds: its quantiles, mean
+// and impairment counts are those of that sample.
 func TestCardinalityCapEvictsIntoOverflow(t *testing.T) {
 	r := NewRollup(Config{Shards: 1, MaxCohorts: 4})
 	regions := []string{"r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9"}
+	reportOf := func(i int) core.Report {
+		return report(features.StallLabel(i%3), features.RepLabel(i/3%3), i%2 == 0)
+	}
 	for round := 0; round < 3; round++ {
-		for _, reg := range regions {
-			r.Observe(0, Key{Region: reg, Device: "tv", Cap: "hd"},
-				report(features.NoStall, features.SD, false))
+		for i, reg := range regions {
+			r.Observe(0, Key{Region: reg, Device: "tv", Cap: "hd"}, reportOf(i))
 		}
 	}
 	snap := r.Snapshot()
@@ -106,6 +111,45 @@ func TestCardinalityCapEvictsIntoOverflow(t *testing.T) {
 	}
 	if snap.Capacity != 4 {
 		t.Errorf("capacity = %d", snap.Capacity)
+	}
+
+	// every region always sends the same report, so the overflow sample
+	// is each region's score once per session its kept row lacks
+	kept := map[string]int64{}
+	for _, c := range snap.Cohorts {
+		kept[c.Region] = c.Sessions
+	}
+	var xs []float64
+	var stalled, ld, sw int64
+	for i, reg := range regions {
+		rep := reportOf(i)
+		for n := kept[reg]; n < 3; n++ {
+			xs = append(xs, float64(mos.FromReport(rep)))
+			if rep.Stall != features.NoStall {
+				stalled++
+			}
+			if rep.Representation == features.LD {
+				ld++
+			}
+			if rep.SwitchVariance {
+				sw++
+			}
+		}
+	}
+	o, want := snap.Overflow, stats.Summarize(xs)
+	if o.Sessions != int64(want.N) || o.Stalled != stalled || o.LowQuality != ld || o.Switched != sw {
+		t.Errorf("overflow counts %d/%d/%d/%d, want %d/%d/%d/%d",
+			o.Sessions, o.Stalled, o.LowQuality, o.Switched, want.N, stalled, ld, sw)
+	}
+	for _, q := range []struct {
+		p, got float64
+	}{{10, o.MOSP10}, {50, o.MOSP50}, {90, o.MOSP90}} {
+		if math.Abs(q.got-want.Percentile(q.p)) > 1e-12 {
+			t.Errorf("overflow p%v = %v, exact %v", q.p, q.got, want.Percentile(q.p))
+		}
+	}
+	if math.Abs(o.MOSMean-want.Mean) > 1e-12 {
+		t.Errorf("overflow mean %v, exact %v", o.MOSMean, want.Mean)
 	}
 }
 
@@ -140,24 +184,6 @@ func TestFleetMergeCapAcrossStripes(t *testing.T) {
 		if c.Sessions != 4 {
 			t.Errorf("kept cohort %s has %d sessions, want the busiest (4)", c.Cohort, c.Sessions)
 		}
-	}
-}
-
-func TestSnapshotCachedByGeneration(t *testing.T) {
-	r := NewRollup(Config{Shards: 2})
-	k := Key{Region: "us-west", Device: "tv", Cap: "hd"}
-	r.Observe(0, k, report(features.NoStall, features.HD, false))
-	a, b := r.Snapshot(), r.Snapshot()
-	if a != b {
-		t.Error("idle snapshots should share the cached view")
-	}
-	r.Observe(1, k, report(features.MildStall, features.SD, false))
-	c := r.Snapshot()
-	if c == a {
-		t.Error("snapshot after observe should re-merge")
-	}
-	if c.Total != 2 {
-		t.Errorf("total = %d", c.Total)
 	}
 }
 
@@ -206,9 +232,43 @@ func TestConcurrentObserveSnapshot(t *testing.T) {
 	}
 }
 
-// End-to-end accuracy of the striped rollup: per-cohort p50/p10/p90
-// from merged stripes within tolerance of exact quantiles over the
-// same MOS stream.
+// TestRollupOrderIndependent: the fleet view is a function of the
+// multiset of (cohort, report) pairs observed, not of the order they
+// arrived in or of which shard counted each one.
+func TestRollupOrderIndependent(t *testing.T) {
+	type obs struct {
+		key Key
+		rep core.Report
+	}
+	rng := stats.NewRand(3)
+	var stream []obs
+	for i := 0; i < 3000; i++ {
+		stream = append(stream, obs{
+			key: Key{Region: []string{"us", "eu", "apac"}[rng.Intn(3)], Device: []string{"tv", "mobile"}[rng.Intn(2)], Cap: "hd"},
+			rep: report(features.StallLabel(rng.WeightedChoice([]float64{6, 3, 1})),
+				features.RepLabel(rng.Intn(3)), rng.Bernoulli(0.2)),
+		})
+	}
+	forward := NewRollup(Config{Shards: 4})
+	for i, o := range stream {
+		forward.Observe(i%4, o.key, o.rep)
+	}
+	shuffled := NewRollup(Config{Shards: 3})
+	for _, i := range rng.Perm(len(stream)) {
+		shuffled.Observe(i*7%3, stream[i].key, stream[i].rep)
+	}
+	a, b := forward.Snapshot(), shuffled.Snapshot()
+	if len(a.Cohorts) != 6 || a.Total != int64(len(stream)) {
+		t.Fatalf("vacuous fixture: %d cohorts, %d sessions", len(a.Cohorts), a.Total)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("snapshots differ:\n forward  %+v\n shuffled %+v", a, b)
+	}
+}
+
+// End-to-end exactness of the striped rollup: per-cohort p10/p50/p90
+// and mean from merged stripes equal those of the same MOS stream
+// summarized offline.
 func TestStripedQuantilesMatchExact(t *testing.T) {
 	const shards = 8
 	r := NewRollup(Config{Shards: shards})
@@ -237,20 +297,22 @@ func TestStripedQuantilesMatchExact(t *testing.T) {
 		exact[k] = append(exact[k], float64(mos.FromReport(rep)))
 	}
 	snap := r.Snapshot()
+	if len(snap.Cohorts) != len(keys) {
+		t.Fatalf("%d cohorts, want %d", len(snap.Cohorts), len(keys))
+	}
 	for _, c := range snap.Cohorts {
-		k := Key{Region: c.Region, Device: c.Device, Cap: c.Cap}
-		xs := exact[k]
-		sort.Float64s(xs)
+		want := stats.Summarize(exact[Key{Region: c.Region, Device: c.Device, Cap: c.Cap}])
 		for _, q := range []struct {
-			p    float64
-			got  float64
-			name string
+			got, want float64
+			name      string
 		}{
-			{0.10, c.MOSP10, "p10"}, {0.50, c.MOSP50, "p50"}, {0.90, c.MOSP90, "p90"},
+			{c.MOSP10, want.Percentile(10), "p10"},
+			{c.MOSP50, want.Percentile(50), "p50"},
+			{c.MOSP90, want.Percentile(90), "p90"},
+			{c.MOSMean, want.Mean, "mean"},
 		} {
-			want := xs[int(q.p*float64(len(xs)-1))]
-			if math.Abs(q.got-want) > 0.1 {
-				t.Errorf("%s %s: rollup %v, exact %v", c.Cohort, q.name, q.got, want)
+			if math.Abs(q.got-q.want) > 1e-12 {
+				t.Errorf("%s %s: rollup %v, exact %v", c.Cohort, q.name, q.got, q.want)
 			}
 		}
 	}

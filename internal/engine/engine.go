@@ -77,8 +77,8 @@ type Config struct {
 	// nil (the default) turns quality monitoring off.
 	Quality *qualitymon.Monitor
 	// Cohorts attaches the fleet-level rollup layer: every assessed
-	// session is converted to a MOS and folded into its cohort's
-	// streaming quantiles in the shard's own stripe. Build it with
+	// session's MOS is counted in its cohort's tally in the shard's own
+	// stripe. Build it with
 	// cohort.NewRollup over the same shard count. nil (the default)
 	// turns rollups off.
 	Cohorts *cohort.Rollup

@@ -351,7 +351,7 @@ const (
 // business) is negative. It returns the reason a rec is refused,
 // non-finite before negative, or -1. A non-finite timestamp would turn
 // the shard's sweep test into a NaN comparison for good; one NaN
-// duration stays in every P² estimator it reaches.
+// duration stays in every running sum it reaches.
 func admit(r *sessionizer.Rec) int {
 	// x-x is 0 for a finite x, NaN for NaN and ±Inf, and NaN absorbs the sum
 	if (r.Ts-r.Ts)+(r.Dur-r.Dur)+(r.KB-r.KB)+(r.RTTMin-r.RTTMin)+(r.RTTAvg-r.RTTAvg)+(r.RTTMax-r.RTTMax)+

@@ -14,8 +14,9 @@
 // when it matches any policy:
 //
 //   - stalled: the stall detector saw rebuffering;
-//   - worst_mos: the session's MOS falls at or below the shard's
-//     streaming P² 10th percentile (after a warm-up floor);
+//   - worst_mos: the session's MOS falls strictly below the exact 10th
+//     percentile of the scores its shard has seen, itself included
+//     (after a warm-up floor);
 //   - low_confidence: either forest's winning vote share fell below
 //     the configured floor — the sessions the model is least sure
 //     about, and the likeliest future mispredictions;
@@ -34,10 +35,10 @@
 // recorder at its budget allocates nothing per retained session. The
 // event timeline is materialized from the records only when an
 // operator actually drills down. The hot path pays one Decide call
-// per *closed session* — a MOS score, a P² update, and a few
-// branches — with the compaction pass only for the retained tail; a
-// nil *Recorder (or nil *ShardRecorder) is the "off" mode with zero
-// cost.
+// per *closed session* — a MOS score, one tally increment and a walk
+// of its 18 counts, and a few branches — with the compaction pass only
+// for the retained tail; a nil *Recorder (or nil *ShardRecorder) is
+// the "off" mode with zero cost.
 //
 // Memory is hard-capped: retained sessions are accounted in bytes; the
 // oldest are evicted (and counted) when a shard exceeds its budget, and
@@ -55,7 +56,6 @@ import (
 	"vqoe/internal/core"
 	"vqoe/internal/features"
 	"vqoe/internal/mos"
-	"vqoe/internal/stats"
 )
 
 // Reason is the bitmask of retention policies a session matched.
@@ -65,8 +65,8 @@ const (
 	// ReasonStalled retains every session whose stall verdict is not
 	// "no stall" — the paper's headline impairment.
 	ReasonStalled Reason = 1 << iota
-	// ReasonWorstMOS retains sessions at or below the shard's rolling
-	// 10th-percentile MOS.
+	// ReasonWorstMOS retains sessions strictly below the shard's exact
+	// 10th-percentile MOS: strict, so at most a decile ever qualifies.
 	ReasonWorstMOS
 	// ReasonLowConfidence retains sessions either detector was unsure
 	// about.
@@ -118,8 +118,8 @@ const (
 	// exemplarsPerKey is how many retained session IDs each exemplar key
 	// (cohort, degraded model) holds and links to.
 	exemplarsPerKey = 4
-	// worstMinSamples gates the worst-decile policy until the shard's
-	// P² estimator has seen enough sessions to mean something.
+	// worstMinSamples gates the worst-decile policy until the shard has
+	// scored enough sessions for a decile to mean something.
 	worstMinSamples = 32
 	// attrTopK is how many decision-path feature attributions each
 	// retained verdict carries.
@@ -241,7 +241,6 @@ func New(cfg Config) *Recorder {
 	for i := range r.shards {
 		r.shards[i] = &ShardRecorder{
 			rec: r, shard: i,
-			p10:       stats.NewP2Quantile(0.10),
 			hdrs:      fifo[header]{segLen: headerSegLen},
 			floats:    fifo[float64]{segLen: floatSegLen},
 			labels:    make(map[uint64][]Event),
@@ -268,10 +267,10 @@ type ShardRecorder struct {
 	rec   *Recorder
 	shard int
 
-	// worker-owned retention state (no locking)
-	p10     *stats.P2Quantile
-	nScores int64
-	nth     int64
+	// worker-owned retention state (no locking): every score the shard
+	// decided on, and how many sessions that was
+	scores mos.Tally
+	nth    int64
 
 	mu sync.Mutex
 	// the retained sessions, oldest first: a header each — its position
@@ -310,9 +309,9 @@ func (s *ShardRecorder) Discard() {
 }
 
 // Decide runs the tail-sampling decision alone, without touching the
-// session's raw material: the MOS score and the shard's P² percentile
-// update happen here, and the returned reasons say whether the session
-// should be retained (ok). The split lets the engine's hot path pay
+// session's raw material: the MOS score is counted in the shard's
+// tally here, and the returned reasons say whether the session should
+// be retained (ok). The split lets the engine's hot path pay
 // nothing but arithmetic for dropped sessions — the Assessment, with
 // its cohort render and projected-vector copies, is only built when ok is
 // true and handed to Retain. Call it exactly once per assessed
@@ -323,16 +322,14 @@ func (s *ShardRecorder) Decide(rep core.Report) (Reason, float64, bool) {
 		return 0, 0, false
 	}
 	s.recorded.Add(1)
-	score := float64(mos.FromReport(rep))
-	s.p10.Observe(score)
-	s.nScores++
+	score := float64(s.scores.Observe(rep))
 	s.nth++
 
 	var reasons Reason
 	if rep.Stall != features.NoStall {
 		reasons |= ReasonStalled
 	}
-	if s.nScores >= worstMinSamples && score <= s.p10.Value() {
+	if s.nth >= worstMinSamples && score < s.scores.Percentile(10) {
 		reasons |= ReasonWorstMOS
 	}
 	if lc := s.rec.lowConfidence; lc > 0 && (rep.StallConf < lc || rep.RepConf < lc) {

@@ -3,12 +3,15 @@ package flight
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 
 	"vqoe/internal/core"
 	"vqoe/internal/features"
+	"vqoe/internal/mos"
+	"vqoe/internal/stats"
 )
 
 // videoChunks synthesizes n chunk downloads, one requested every
@@ -140,9 +143,9 @@ func TestFlightWorstDecilePolicy(t *testing.T) {
 	rec.lowConfidence = 0 // low_confidence policy off
 	sh := rec.Shard(0)
 
-	// warm the percentile estimator past its floor with healthy HD
-	// sessions, then close one LD session: lower MOS than everything
-	// seen, so it lands at or below the rolling P10
+	// warm the shard's tally past its floor with healthy HD sessions,
+	// then close one LD session: lower MOS than everything seen, so it
+	// lands below the 10th percentile
 	for i := 0; i < 48; i++ {
 		assess(sh, assessment("warm", float64(i*100), goodReport(8), nil))
 	}
@@ -171,6 +174,45 @@ func TestFlightWorstDecilePolicy(t *testing.T) {
 	}
 	if !has {
 		t.Fatalf("worst-decile reasons = %v", worst.Reasons)
+	}
+}
+
+// TestWorstMOSRuleIsExactDecile: after the warm-up, Decide flags
+// worst_mos exactly when the session's score is strictly below the 10th
+// percentile of every score the shard has decided on, its own included,
+// so no more than a decile of the shard's sessions is ever flagged.
+func TestWorstMOSRuleIsExactDecile(t *testing.T) {
+	rec := New(Config{Shards: 1, SampleN: -1})
+	rec.lowConfidence = 0
+	sh := rec.Shard(0)
+	rng := rand.New(rand.NewSource(9))
+	var scores []float64
+	flagged := 0
+	for i := 0; i < 2000; i++ {
+		rep := core.Report{
+			Stall:          features.StallLabel(rng.Intn(3)),
+			Representation: features.RepLabel(rng.Intn(3)),
+			SwitchVariance: rng.Intn(3) == 0,
+		}
+		if i < 200 { // a healthy start, so the decile moves
+			rep.Stall = features.NoStall
+		}
+		reasons, score, _ := sh.Decide(rep)
+		if score != float64(mos.FromReport(rep)) {
+			t.Fatalf("session %d: Decide scored %v, FromReport %v", i, score, mos.FromReport(rep))
+		}
+		scores = append(scores, score)
+		want := len(scores) >= worstMinSamples && score < stats.Summarize(scores).Percentile(10)
+		if got := reasons&ReasonWorstMOS != 0; got != want {
+			t.Fatalf("session %d (score %v, p10 %v): worst_mos %v, want %v",
+				i, score, stats.Summarize(scores).Percentile(10), got, want)
+		}
+		if want {
+			flagged++
+		}
+	}
+	if flagged == 0 || flagged == len(scores)-worstMinSamples+1 {
+		t.Fatalf("vacuous fixture: %d of %d sessions flagged", flagged, len(scores))
 	}
 }
 

@@ -13,6 +13,7 @@ package mos
 
 import (
 	"math"
+	"sort"
 
 	"vqoe/internal/core"
 	"vqoe/internal/features"
@@ -119,31 +120,134 @@ func FromTrace(tr *player.SessionTrace) Score {
 	return Session(stall, quality, sw)
 }
 
-// FromReport scores a session from the framework's detection report —
-// what the operator actually has for encrypted traffic. Detected
-// levels are mapped to representative impairment magnitudes.
-func FromReport(r core.Report) Score {
-	var stall Score
-	switch r.Stall {
-	case features.NoStall:
-		stall = 5
-	case features.MildStall:
-		stall = StallMOS(1, 4) // one moderate rebuffering event
-	default:
-		stall = StallMOS(3, 6) // repeated long stalls
+// NumScores is how many scores FromReport can return: one per
+// combination of the three stall classes (§4.1), the three
+// representation classes (§4.2) and the switch-variance flag (§4.3).
+const NumScores = 18
+
+// slot maps a report to its index in [0, NumScores):
+// (stall·3 + representation)·2 + switch, each label by its value. A
+// stall label out of range counts as a severe stall and a
+// representation label out of range as LD, the levels it scores as, so
+// every report has a slot.
+func slot(r core.Report) int {
+	st, rep := features.SevereStall, features.LD
+	if r.Stall == features.NoStall || r.Stall == features.MildStall {
+		st = r.Stall
 	}
-	var quality Score
-	switch r.Representation {
-	case features.HD:
-		quality = QualityMOS(720)
-	case features.SD:
-		quality = QualityMOS(420)
-	default:
-		quality = QualityMOS(240)
+	if r.Representation == features.SD || r.Representation == features.HD {
+		rep = r.Representation
 	}
-	sw := Score(5)
+	i := (int(st)*3 + int(rep)) * 2
 	if r.SwitchVariance {
-		sw = SwitchMOS(3, 240)
+		i++
 	}
-	return Session(stall, quality, sw)
+	return i
+}
+
+// scores is FromReport's table, by slot: detected levels mapped to
+// representative impairment magnitudes. byScore lists the slots in
+// ascending score order.
+var scores, byScore = func() (t [NumScores]Score, order [NumScores]int) {
+	stall := [3]Score{
+		5,              // no stall
+		StallMOS(1, 4), // one moderate rebuffering event
+		StallMOS(3, 6), // repeated long stalls
+	}
+	quality := [3]Score{QualityMOS(240), QualityMOS(420), QualityMOS(720)} // LD, SD, HD
+	sw := [2]Score{5, SwitchMOS(3, 240)}
+	for i := range t {
+		t[i] = Session(stall[i/6], quality[i/2%3], sw[i%2])
+		order[i] = i
+	}
+	sort.Slice(order[:], func(a, b int) bool { return t[order[a]] < t[order[b]] })
+	return t, order
+}()
+
+// FromReport scores a session from the framework's detection report —
+// what the operator actually has for encrypted traffic.
+func FromReport(r core.Report) Score { return scores[slot(r)] }
+
+// Tally is the exact distribution of FromReport scores over a set of
+// sessions: one count per slot. The tally of a union is the sum of the
+// parts' tallies, so stripes and evicted cohorts merge without loss.
+type Tally [NumScores]int64
+
+// Observe counts one session and returns its score.
+func (t *Tally) Observe(r core.Report) Score {
+	i := slot(r)
+	t[i]++
+	return scores[i]
+}
+
+// Add folds o's sessions into t.
+func (t *Tally) Add(o *Tally) {
+	for i, n := range o {
+		t[i] += n
+	}
+}
+
+// Count is the number of sessions tallied.
+func (t *Tally) Count() (n int64) {
+	for _, c := range t {
+		n += c
+	}
+	return n
+}
+
+// Mean is the mean score, 0 for an empty tally.
+func (t *Tally) Mean() float64 {
+	var sum float64
+	for i, c := range t {
+		sum += float64(c) * float64(scores[i])
+	}
+	if n := t.Count(); n > 0 {
+		return sum / float64(n)
+	}
+	return 0
+}
+
+// Impaired counts the tallied sessions with a detected stall, with LD
+// representation and with switch variance.
+func (t *Tally) Impaired() (stalled, lowQuality, switching int64) {
+	for i, c := range t {
+		if i/6 != int(features.NoStall) {
+			stalled += c
+		}
+		if i/2%3 == int(features.LD) {
+			lowQuality += c
+		}
+		if i%2 == 1 {
+			switching += c
+		}
+	}
+	return stalled, lowQuality, switching
+}
+
+// Percentile returns the p-th percentile (p in [0,100]) of the tallied
+// scores by stats.Summary.Percentile's rule, linear interpolation
+// between closest ranks: bit for bit what that returns over the sorted
+// sample the tally counts. It returns 0 for an empty tally.
+func (t *Tally) Percentile(p float64) float64 {
+	n := t.Count()
+	if n == 0 {
+		return 0
+	}
+	rank := math.Min(math.Max(p, 0), 100) / 100 * float64(n-1)
+	lo, hi := math.Floor(rank), math.Ceil(rank)
+	if lo == hi {
+		return t.at(int64(lo))
+	}
+	frac := rank - lo
+	return t.at(int64(lo))*(1-frac) + t.at(int64(hi))*frac
+}
+
+// at returns the k-th smallest tallied score (0-based).
+func (t *Tally) at(k int64) float64 {
+	for _, i := range byScore {
+		if k -= t[i]; k < 0 {
+			return float64(scores[i])
+		}
+	}
+	return float64(scores[byScore[NumScores-1]])
 }

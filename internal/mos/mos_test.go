@@ -148,6 +148,121 @@ func TestFromReportOrdering(t *testing.T) {
 	}
 }
 
+// TestReportScoresPinned holds FromReport to the scores the per-level
+// switch computed before the table replaced it, bit for bit, for every
+// (stall, representation, switch) combination and for labels outside
+// their ranges, which score as severe stall and LD.
+func TestReportScoresPinned(t *testing.T) {
+	const (
+		severe = 0x3ffa20dc320a3cfc // any severe stall: 1.63302249476311
+		mild   = 0x4008b528d48187ec // 3.0884567834882457
+	)
+	want := map[features.StallLabel]map[features.RepLabel][2]uint64{
+		features.NoStall: {
+			features.LD: {0x401246205ab73dfc, 0x400df2a71bd4e25d},
+			features.SD: {0x401320685a863bde, 0x401096b12dbf723a},
+			features.HD: {0x401397d920b5ec42, 0x401224d3c25e68dc},
+		},
+		features.MildStall: {
+			features.LD: {mild, 0x40089987089fa82c},
+			features.SD: {mild, mild},
+			features.HD: {mild, mild},
+		},
+		features.SevereStall: {
+			features.LD: {severe, severe},
+			features.SD: {severe, severe},
+			features.HD: {severe, severe},
+		},
+	}
+	check := func(r core.Report, want uint64) {
+		t.Helper()
+		if got := math.Float64bits(float64(FromReport(r))); got != want {
+			t.Errorf("FromReport(%+v) bits %#016x, want %#016x", r, got, want)
+		}
+	}
+	for st, byRep := range want {
+		for rep, bits := range byRep {
+			for sw, b := range bits {
+				check(core.Report{Stall: st, Representation: rep, SwitchVariance: sw == 1}, b)
+			}
+		}
+	}
+	for _, sw := range []bool{false, true} {
+		for _, st := range []features.StallLabel{-1, 3, 7} {
+			check(core.Report{Stall: st, Representation: features.HD, SwitchVariance: sw}, severe)
+		}
+		i := 0
+		if sw {
+			i = 1
+		}
+		for _, rep := range []features.RepLabel{-1, 3, 5} {
+			check(core.Report{Stall: features.NoStall, Representation: rep, SwitchVariance: sw}, want[features.NoStall][features.LD][i])
+			check(core.Report{Stall: features.MildStall, Representation: rep, SwitchVariance: sw}, want[features.MildStall][features.LD][i])
+		}
+	}
+}
+
+// randomReport draws any label, out-of-range ones included.
+func randomReport(rng *stats.Rand) core.Report {
+	return core.Report{
+		Stall:          features.StallLabel(rng.Intn(5) - 1),
+		Representation: features.RepLabel(rng.Intn(5) - 1),
+		SwitchVariance: rng.Bernoulli(0.3),
+	}
+}
+
+// A tally's percentiles are stats.Summary.Percentile's over the scores
+// it counted, bit for bit; its mean and impairment counts are the
+// sample's; and two tallies add up to the tally of both samples.
+func TestTallyMatchesSample(t *testing.T) {
+	rng := stats.NewRand(5)
+	for _, n := range []int{1, 2, 3, 7, 32, 100, 1001} {
+		var a, b Tally
+		var xs []float64
+		var stalled, ld, sw int64
+		for i := 0; i < n; i++ {
+			r := randomReport(rng)
+			half := &a
+			if i%3 == 0 {
+				half = &b
+			}
+			if s := half.Observe(r); s != FromReport(r) {
+				t.Fatalf("Observe scored %v, FromReport %v", s, FromReport(r))
+			}
+			xs = append(xs, float64(FromReport(r)))
+			if r.Stall != features.NoStall {
+				stalled++
+			}
+			if r.Representation != features.SD && r.Representation != features.HD {
+				ld++
+			}
+			if r.SwitchVariance {
+				sw++
+			}
+		}
+		a.Add(&b)
+		if a.Count() != int64(n) {
+			t.Fatalf("n=%d: count %d", n, a.Count())
+		}
+		sum := stats.Summarize(xs)
+		for _, p := range []float64{-5, 0, 1, 10, 25, 50, 73.5, 90, 99, 100, 120} {
+			if got, want := a.Percentile(p), sum.Percentile(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d p%v: tally %v, sample %v", n, p, got, want)
+			}
+		}
+		if math.Abs(a.Mean()-sum.Mean) > 1e-12 {
+			t.Errorf("n=%d: mean %v, sample %v", n, a.Mean(), sum.Mean)
+		}
+		if gs, gl, gw := a.Impaired(); gs != stalled || gl != ld || gw != sw {
+			t.Errorf("n=%d: impaired %d/%d/%d, sample %d/%d/%d", n, gs, gl, gw, stalled, ld, sw)
+		}
+	}
+	var empty Tally
+	if empty.Percentile(50) != 0 || empty.Mean() != 0 || empty.Count() != 0 {
+		t.Error("empty tally should read 0")
+	}
+}
+
 // Property: every report maps into the valid scale.
 func TestFromReportBoundsProperty(t *testing.T) {
 	f := func(st, rep uint8, sw bool) bool {

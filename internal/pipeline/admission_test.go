@@ -193,8 +193,8 @@ func TestIngestConservation(t *testing.T) {
 // record the service does not control: before the admission rule, one
 // media entry with a NaN TransactionSec flowed through featurization
 // into the switch score, and one NaN observed into vqoe_switch_score_sum
-// — a running sum, which never recovers, as the P² quantile the family
-// once was never did — reads NaN for the life of the process.
+// — a running sum, which never recovers — reads NaN for the life of the
+// process.
 func TestNaNDurationStaysOutOfMetrics(t *testing.T) {
 	fw, study := testFramework(t)
 	srv := NewServerOpts(fw, Options{Engine: engine.Config{Shards: 1, SweepEverySec: -1}, SLO: slo.Config{Manual: true}})

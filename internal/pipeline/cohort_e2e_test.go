@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"sort"
 	"sync"
@@ -18,10 +19,9 @@ import (
 // TestCohortRollupConvergence is the end-to-end acceptance check for
 // the fleet rollup: a live workload flows through the sharded server,
 // a poller hammers GET /debug/cohorts while shards are still
-// observing (meaningful under -race), and after drain every
-// sufficiently-populated cohort's streaming p50 MOS must sit within
-// 0.1 of the exact offline quantile computed from the very same
-// session reports.
+// observing (meaningful under -race), and after drain every cohort's
+// p10/p50/p90 MOS must equal the exact offline quantile computed from
+// the very same session reports.
 func TestCohortRollupConvergence(t *testing.T) {
 	fw, _ := testFramework(t)
 
@@ -31,8 +31,7 @@ func TestCohortRollupConvergence(t *testing.T) {
 	lcfg.Seed = 21
 	// concentrate the fleet on two regions, one device class, and the
 	// sd cap bucket (split across the 360/480 rungs, which CapBucket
-	// must collapse) so each cohort accumulates >1k sessions — P² on
-	// the discrete MOS atoms needs that many to pin the median
+	// must collapse), so two cohorts accumulate >1k sessions each
 	lcfg.RegionWeights = []float64{0.55, 0.45, 0, 0, 0}
 	lcfg.DeviceWeights = []float64{1, 0, 0, 0}
 	lcfg.QualityCapWeights = [6]float64{0, 0, 0.5, 0.5, 0, 0}
@@ -134,40 +133,30 @@ func TestCohortRollupConvergence(t *testing.T) {
 		t.Errorf("rollup has %d cohorts, offline attribution %d", len(snap.Cohorts), len(exactMOS))
 	}
 
-	checked := 0
+	populous := 0
 	for _, st := range snap.Cohorts {
 		xs := exactMOS[st.Cohort]
 		if int64(len(xs)) != st.Sessions {
 			t.Errorf("cohort %s: rollup counted %d sessions, offline %d", st.Cohort, st.Sessions, len(xs))
 		}
-		if len(xs) < 800 {
-			continue // too few samples for a tight quantile comparison
+		if len(xs) >= 800 {
+			populous++
 		}
-		checked++
 		sort.Float64s(xs)
 		for _, q := range []struct {
 			p    float64
 			got  float64
-			tol  float64
 			name string
 		}{
-			{0.50, st.MOSP50, 0.10, "p50"}, // acceptance bound
-			// tail quantiles sit in sparse regions of the discrete
-			// MOS distribution, so they rate a looser sanity bound
-			{0.10, st.MOSP10, 0.35, "p10"},
-			{0.90, st.MOSP90, 0.35, "p90"},
+			{0.10, st.MOSP10, "p10"}, {0.50, st.MOSP50, "p50"}, {0.90, st.MOSP90, "p90"},
 		} {
-			want := offlineQuantile(xs, q.p)
-			if d := q.got - want; d > q.tol || d < -q.tol {
-				t.Errorf("cohort %s (%d sessions) %s: streaming %.4f vs exact %.4f (|Δ|>%g)",
-					st.Cohort, st.Sessions, q.name, q.got, want, q.tol)
-			} else {
-				t.Logf("cohort %s %s: streaming %.4f exact %.4f", st.Cohort, q.name, q.got, want)
+			if want := offlineQuantile(xs, q.p); math.Abs(q.got-want) > 1e-12 {
+				t.Errorf("cohort %s (%d sessions) %s: rollup %v vs exact %v", st.Cohort, st.Sessions, q.name, q.got, want)
 			}
 		}
 	}
-	if checked < 2 {
-		t.Fatalf("only %d cohorts reached 800 sessions — convergence barely exercised", checked)
+	if populous < 2 {
+		t.Fatalf("only %d cohorts reached 800 sessions — fixture too thin", populous)
 	}
 }
 

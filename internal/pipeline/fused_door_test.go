@@ -59,15 +59,10 @@ func runStream(t *testing.T, shards int, drive func(srv *Server)) fusedRun {
 	h := srv.Handler()
 	getJSON(t, h, "/debug/cohorts", &run.cohorts)
 	getJSON(t, h, "/debug/quality", &run.quality)
-	// sessions of one cohort reach its streaming quantile estimator in
-	// an order that depends on how the connections interleave; counts,
-	// rates and the mean do not
-	sort.Slice(run.cohorts.Cohorts, func(i, j int) bool {
-		return run.cohorts.Cohorts[i].Cohort < run.cohorts.Cohorts[j].Cohort
-	})
+	// which sessions the flight recorder still holds depends on how the
+	// connections interleave; the cohort tallies do not
 	for i := range run.cohorts.Cohorts {
-		c := &run.cohorts.Cohorts[i]
-		c.MOSP10, c.MOSP50, c.MOSP90, c.Verbal, c.Exemplars = 0, 0, 0, "", nil
+		run.cohorts.Cohorts[i].Exemplars = nil
 	}
 	return run
 }
@@ -88,14 +83,30 @@ func toLabel(l workload.SessionLabel) qualitymon.Label {
 // at one shard and at four. Every report must match bit for bit
 // (bounds, classes, vote shares, switch score), and so must the cohort
 // rollup and the model-quality verdict the sessions and labels left
-// behind. Meaningful under -race: two connection goroutines intern
+// behind. Two fixtures: the default live mix spreads the sessions over
+// every region, device class and cap bucket, so a door that mixed up
+// an entry's metadata would split or merge cohorts; the concentrated
+// one puts ~32 sessions in each of two cohorts, so the order sessions
+// reach a cohort differs between the doors and would show in its
+// quantiles. Meaningful under -race: two connection goroutines intern
 // into one engine while its shards resolve names.
 func TestFusedDoorMatchesFeed(t *testing.T) {
-	lcfg := workload.DefaultLiveConfig()
-	lcfg.Subscribers = 32
-	lcfg.SessionsPerSubscriber = 2
-	lcfg.Seed = 17
-	lcfg.LabelRate = 1
+	varied := workload.DefaultLiveConfig()
+	varied.Subscribers = 32
+	varied.SessionsPerSubscriber = 2
+	varied.Seed = 17
+	varied.LabelRate = 1
+	concentrated := varied
+	concentrated.RegionWeights = []float64{1, 1, 0, 0, 0}
+	concentrated.DeviceWeights = []float64{1, 0, 0, 0}
+	concentrated.QualityCapWeights = [6]float64{0, 0, 0.5, 0.5, 0, 0}
+	fusedDoorMatchesFeed(t, "", varied)
+	fusedDoorMatchesFeed(t, "concentrated_", concentrated)
+}
+
+// fusedDoorMatchesFeed runs one fixture through both doors at one shard
+// and at four, as subtests named prefix + "shards=N".
+func fusedDoorMatchesFeed(t *testing.T, prefix string, lcfg workload.LiveConfig) {
 	live := workload.GenerateLive(lcfg)
 	if live.Entries[0].Region == "" || len(live.Labels) == 0 {
 		t.Fatal("fixture carries no cohort metadata or no labels")
@@ -110,7 +121,7 @@ func TestFusedDoorMatchesFeed(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%sshards=%d", prefix, shards), func(t *testing.T) {
 			want := runStream(t, shards, func(srv *Server) {
 				for lo := 0; lo < len(live.Entries); lo += 256 {
 					srv.Engine().Feed(live.Entries[lo:min(lo+256, len(live.Entries))])
@@ -202,11 +213,12 @@ func TestFusedDoorMatchesFeed(t *testing.T) {
 					t.Fatalf("report %d diverges:\nfused %s\n feed %s", i, got.reports[i], want.reports[i])
 				}
 			}
-			// mean-style fields sum shard contributions in arrival order,
-			// so the last ulp may differ; everything else is exact
-			if !approxEqual(reflect.ValueOf(got.cohorts), reflect.ValueOf(want.cohorts)) {
+			if !reflect.DeepEqual(got.cohorts, want.cohorts) {
 				t.Errorf("cohort rollup diverges:\nfused %+v\n feed %+v", got.cohorts, want.cohorts)
 			}
+			// the monitor's mean-style fields sum shard contributions in
+			// arrival order, so the last ulp may differ; everything else
+			// is exact
 			if !approxEqual(reflect.ValueOf(got.quality), reflect.ValueOf(want.quality)) {
 				t.Errorf("quality verdict diverges:\nfused %+v\n feed %+v", got.quality, want.quality)
 			}

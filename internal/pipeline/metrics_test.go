@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"vqoe/internal/engine"
+	"vqoe/internal/features"
 	"vqoe/internal/qualitymon"
 	"vqoe/internal/slo"
 	"vqoe/internal/weblog"
@@ -238,7 +239,35 @@ func TestSessionFamiliesHaveOneSource(t *testing.T) {
 			}
 		}
 	}
-	if got := sampleOf(fams, "vqoe_sessions_switch_varying"); got != float64(q.Switch.Varying) {
-		t.Errorf("vqoe_sessions_switch_varying = %v, /debug/quality switch.varying = %d", got, q.Switch.Varying)
+	varying := sampleOf(fams, "vqoe_sessions_switch_varying")
+	if varying != float64(q.Switch.Varying) {
+		t.Errorf("vqoe_sessions_switch_varying = %v, /debug/quality switch.varying = %d", varying, q.Switch.Varying)
+	}
+
+	// the cohort rollup counts the same sessions: its rows, overflow
+	// included, sum to the total, and its impairment counts to the
+	// monitor's per-class ones
+	if got := familySum(t, fams, "vqoe_cohort_sessions_total"); got != total {
+		t.Errorf("Σ vqoe_cohort_sessions_total = %v, vqoe_sessions_total = %v", got, total)
+	}
+	impaired := map[string]float64{}
+	for _, s := range fams["vqoe_cohort_impaired_total"].samples {
+		impaired[s.labels["impairment"]] += s.value
+	}
+	level := func(family, l string) float64 {
+		v, ok := sampleValue(fams, family, map[string]string{"level": l})
+		if !ok {
+			t.Fatalf("%s{level=%q} missing", family, l)
+		}
+		return v
+	}
+	for impairment, want := range map[string]float64{
+		"stall":       level("vqoe_sessions_by_stall", features.MildStall.String()) + level("vqoe_sessions_by_stall", features.SevereStall.String()),
+		"low_quality": level("vqoe_sessions_by_quality", features.LD.String()),
+		"switching":   varying,
+	} {
+		if got := impaired[impairment]; got != want || want == 0 {
+			t.Errorf("Σ vqoe_cohort_impaired_total{impairment=%q} = %v, the session families count %v", impairment, got, want)
+		}
 	}
 }

@@ -402,7 +402,7 @@ func cohortTelemetry(m *Metrics, se *slo.Engine, rollup *cohort.Rollup) {
 			e.printf("vqoe_cohort_sessions_total{cohort=%q} %d\n", c.Cohort, c.Sessions)
 		}
 
-		e.family("vqoe_cohort_mos", "Streaming per-cohort MOS quantiles (P2 estimates, merged over shards).", "summary")
+		e.family("vqoe_cohort_mos", "Per-cohort MOS quantiles, exact over the cohort's sessions.", "summary")
 		for _, c := range rows {
 			e.printf("vqoe_cohort_mos{cohort=%q,quantile=\"0.1\"} %g\n", c.Cohort, c.MOSP10)
 			e.printf("vqoe_cohort_mos{cohort=%q,quantile=\"0.5\"} %g\n", c.Cohort, c.MOSP50)

@@ -152,7 +152,8 @@ PY
 echo "== fleet cohort rollup"
 curl -fsS "$BASE/debug/cohorts" >"$TMP/cohorts.json"
 # well-formed JSON: every cohort row carries a key, a session count,
-# and MOS quantiles inside the scale; totals reconcile with the rows
+# and MOS quantiles inside the scale and in order (they are exact, so
+# p10 <= p50 <= p90 always holds); totals reconcile with the rows
 python3 - "$TMP/cohorts.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -160,14 +161,14 @@ cohorts = doc["cohorts"]
 assert cohorts, "live traffic carried cohort metadata but the rollup is empty"
 assert doc["capacity"] > 0, "rollup reports no cardinality cap"
 total = 0
-for c in cohorts:
+for c in cohorts + ([doc["overflow"]] if doc.get("overflow") else []):
     assert c["cohort"], "cohort row without a key"
     assert c["sessions"] > 0, f"empty cohort row {c['cohort']}"
     for q in ("mos_p10", "mos_p50", "mos_p90"):
         assert 1.0 <= c[q] <= 5.0, f"{c['cohort']} {q}={c[q]} outside the MOS scale"
+    assert c["mos_p10"] <= c["mos_p50"] <= c["mos_p90"], \
+        f"{c['cohort']} quantiles out of order: {c['mos_p10']} {c['mos_p50']} {c['mos_p90']}"
     total += c["sessions"]
-if doc.get("overflow"):
-    total += doc["overflow"]["sessions"]
 assert total == doc["total_sessions"], \
     f"rows sum to {total}, document says {doc['total_sessions']}"
 worst = cohorts[0]
