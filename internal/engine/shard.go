@@ -345,14 +345,13 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 	kept := s.keptBuf[:0]
 	for i := range closed {
 		c := &closed[i]
-		o := features.FromChunks(c.Chunks, s.tracker.TakeChunks(len(c.Chunks)))
-		if o.Len() < s.minChunks {
+		if len(c.Chunks) < s.minChunks {
+			// a fragment: discarded before its chunks are copied
 			s.flight.Discard()
-			s.tracker.Recycle(o.Chunks)
 			s.tracker.Recycle(c.Chunks)
 			continue
 		}
-		sobs = append(sobs, o)
+		sobs = append(sobs, features.FromChunks(c.Chunks, s.tracker.TakeChunks(len(c.Chunks))))
 		kept = append(kept, *c)
 	}
 	s.sobsBuf, s.keptBuf = sobs, kept

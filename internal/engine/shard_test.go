@@ -8,6 +8,7 @@ import (
 
 	"vqoe/internal/cohort"
 	"vqoe/internal/core"
+	"vqoe/internal/features"
 	"vqoe/internal/flight"
 	"vqoe/internal/obs"
 	"vqoe/internal/qualitymon"
@@ -509,6 +510,66 @@ func TestAssessSteadyStateZeroAlloc(t *testing.T) {
 	sess := rec.Snapshot().Retained[0]
 	if got := rec.Get(sess.Subscriber, sess.Start); got == nil || got.Cohort != "eu-west/phone/-" || got.Chunks != chunks {
 		t.Errorf("retained session drills down as %+v", got)
+	}
+}
+
+// TestAssessDiscardsFragmentsBeforeCopying: a closed fragment under
+// MinChunks is discarded before featurization takes a buffer to copy
+// it into, so the chunk-buffer pool gives out nothing for a batch of
+// them — buffers warm in the pool, every row marked, stay unwritten —
+// and takes back only the fragments' own buffers: draining it returns
+// exactly the warm ones and those. Each fragment is still counted by
+// the flight recorder, and none is reported.
+func TestAssessDiscardsFragmentsBeforeCopying(t *testing.T) {
+	rec := flight.New(flight.Config{Shards: 1})
+	cfg := Config{Shards: 1, MinChunks: 6, SweepEverySec: -1, Flight: rec}.WithDefaults()
+	s := newShard(0, nil, cfg, nil, newInterner(1))
+
+	mark := features.ChunkObs{Time: 1e9, SizeKB: 1e9, DurationSec: 1e9, RTTMin: 1e9}
+	pooled := make(map[*features.ChunkObs]bool)
+	var warm [][]features.ChunkObs
+	for i := 0; i < 4; i++ {
+		b := make([]features.ChunkObs, 8)
+		for j := range b {
+			b[j] = mark
+		}
+		warm = append(warm, b)
+		pooled[&b[0]] = true
+		s.tracker.Recycle(b)
+	}
+	var closed []sessionizer.ColClosed
+	for n := 0; n < cfg.MinChunks; n++ {
+		c := sessionizer.ColClosed{Sub: 1, Start: float64(n), End: float64(n) + 1, Entries: n + 1}
+		if n > 0 {
+			c.Chunks = make([]features.ChunkObs, n, 8)
+			for j := range c.Chunks {
+				c.Chunks[j] = features.ChunkObs{Time: float64(j), SizeKB: 300, DurationSec: 0.5}
+			}
+			pooled[&c.Chunks[0]] = true
+		}
+		closed = append(closed, c)
+	}
+
+	if out := s.assess(closed, true); len(out) != 0 {
+		t.Fatalf("%d fragments under MinChunks produced %d reports", len(closed), len(out))
+	}
+	if got := rec.Metrics().Recorded; got != int64(len(closed)) {
+		t.Errorf("flight recorder counted %d sessions, want the %d discarded fragments", got, len(closed))
+	}
+	for _, b := range warm {
+		for j := range b {
+			if b[j] != mark {
+				t.Fatalf("a pooled buffer was written (row %d: %+v): a fragment was copied before it was discarded", j, b[j])
+			}
+		}
+	}
+	for range len(pooled) {
+		b := s.tracker.TakeChunks(1)
+		p := &b[:1][0]
+		if !pooled[p] {
+			t.Fatal("the pool held a buffer that is neither a warm one nor a fragment's")
+		}
+		delete(pooled, p)
 	}
 }
 

@@ -50,13 +50,13 @@ type metric struct {
 	name string
 }
 
-// SeriesScratch carries the reusable series buffers one sparse
-// evaluation threads through metric extraction: a holds the primary
-// per-chunk series, b the derived one (the CUSUM chart over
-// throughput). Buffers grow to the largest session seen and are then
-// reused; a scratch is single-goroutine.
+// SeriesScratch carries the reusable buffers of one sparse evaluation:
+// a holds the primary per-chunk series, b the derived one (the CUSUM
+// chart over throughput), order the sort's. Buffers grow to the
+// largest session seen and are then reused; single-goroutine.
 type SeriesScratch struct {
-	a, b []float64
+	a, b  []float64
+	order stats.SortScratch
 }
 
 // primary resizes and returns the scratch's primary series buffer.
@@ -411,7 +411,7 @@ func (sp *Sparse) eval(obs SessionObs, dst [2][]float64, sc *SeriesScratch) {
 			// chunk time arrives ordered (finishChunks), and so does any
 			// series that happens to be monotone: skip the sort then
 			if !sort.Float64sAreSorted(xs) {
-				sort.Float64s(xs)
+				sc.order.Float64s(xs)
 			}
 			sum = stats.SummarizeSorted(xs, g.mean, g.std)
 		}

@@ -29,18 +29,19 @@ func SwitchSeries(obs SessionObs, skipSec float64) []float64 {
 func SwitchSeriesInto(obs SessionObs, skipSec float64, buf []float64) []float64 {
 	out := buf[:0]
 	kept := 0
-	var prev ChunkObs
-	for _, c := range obs.Chunks {
+	var prevSize, prevTime float64
+	for i := range obs.Chunks {
+		c := &obs.Chunks[i]
 		if c.Time < skipSec {
 			continue
 		}
 		if kept > 0 {
-			dsize := c.SizeKB - prev.SizeKB
-			dt := c.Time - prev.Time
+			dsize := c.SizeKB - prevSize
+			dt := c.Time - prevTime
 			out = append(out, dsize*dt)
 		}
 		kept++
-		prev = c
+		prevSize, prevTime = c.SizeKB, c.Time
 	}
 	if kept < 3 {
 		return buf[:0]

@@ -380,11 +380,11 @@ func (t *ColTracker) close(f *colFlow) ColClosed {
 			for x, j := range t.net {
 				net[j] = src[3+x]
 			}
-			c.Chunks[i] = features.ChunkObs{
-				Time: src[0], SizeKB: src[1], DurationSec: src[2],
-				RTTMin: net[0], RTTAvg: net[1], RTTMax: net[2], BDP: net[3],
-				BIFAvg: net[4], BIFMax: net[5], LossPct: net[6], RetransPct: net[7],
-			}
+			// field by field: a composite literal is built aside, then copied
+			ch := &c.Chunks[i]
+			ch.Time, ch.SizeKB, ch.DurationSec = src[0], src[1], src[2]
+			ch.RTTMin, ch.RTTAvg, ch.RTTMax, ch.BDP = net[0], net[1], net[2], net[3]
+			ch.BIFAvg, ch.BIFMax, ch.LossPct, ch.RetransPct = net[4], net[5], net[6], net[7]
 		}
 		a.free = append(a.free, p)
 		p = uint32(page[pageRows*k])

@@ -390,3 +390,52 @@ func TestPushSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("a steady-state session allocates %v times, want 0", allocs)
 	}
 }
+
+// TestCloseZeroesNonLiveFieldsOfRecycledBuffers: close writes a closed
+// session's rows field by field into a pooled buffer, so a buffer that
+// comes back from the pool with every field of every row set must
+// still close with each non-live field exactly +0 and each live field
+// what was pushed.
+func TestCloseZeroesNonLiveFieldsOfRecycledBuffers(t *testing.T) {
+	tr := NewColTracker(Config{IdleGap: 30, PageBoundary: true, Fields: benchFields})
+	dirty := make([]features.ChunkObs, 16)
+	for i := range dirty {
+		dirty[i] = features.ChunkObs{Time: 1e9, SizeKB: 1e9, DurationSec: 1e9, RTTMin: 1e9, RTTAvg: 1e9, RTTMax: 1e9,
+			BDP: 1e9, BIFAvg: 1e9, BIFMax: 1e9, LossPct: 1e9, RetransPct: 1e9}
+	}
+	tr.Recycle(dirty)
+
+	const chunks = 12
+	var pushed []Rec
+	for i := 0; i < chunks; i++ {
+		f := float64(i + 1)
+		r := Rec{Sub: 1, Kind: weblog.HostMedia, Ts: 2 * f, Dur: 0.1 * f, KB: 100 * f,
+			RTTMin: 0.01 * f, RTTAvg: 0.02 * f, RTTMax: 0.03 * f, BDP: 1000 * f,
+			BIFAvg: 2000 * f, BIFMax: 3000 * f, Loss: 0.5 * f, Retrans: 0.25 * f}
+		pushed = append(pushed, r)
+		tr.Push(&r)
+	}
+	closed := tr.AdvanceInto(1e9, nil)
+	if len(closed) != 1 || len(closed[0].Chunks) != chunks {
+		t.Fatalf("closed %d sessions, want one of %d chunks", len(closed), chunks)
+	}
+	got := closed[0].Chunks
+	if &got[0] != &dirty[0] {
+		t.Fatal("the closed session did not take the recycled buffer")
+	}
+	for i, r := range pushed {
+		want := fieldsOf(features.ChunkObs{Time: r.Ts + r.Dur, SizeKB: r.KB, DurationSec: r.Dur,
+			RTTMin: r.RTTMin, RTTAvg: r.RTTAvg, RTTMax: r.RTTMax, BDP: r.BDP,
+			BIFAvg: r.BIFAvg, BIFMax: r.BIFMax, LossPct: r.Loss, RetransPct: r.Retrans})
+		g := fieldsOf(got[i])
+		for b := range g {
+			w := 0.0
+			if benchFields&(1<<b) != 0 {
+				w = want[b]
+			}
+			if math.Float64bits(g[b]) != math.Float64bits(w) {
+				t.Fatalf("chunk %d field %d reads %v, want %v", i, b, g[b], w)
+			}
+		}
+	}
+}
