@@ -28,8 +28,6 @@ package cohort
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"vqoe/internal/core"
 	"vqoe/internal/mos"
@@ -110,10 +108,6 @@ type Rollup struct {
 	cfg     Config
 	stripes []*stripe
 
-	// lastObserveNano is the wall-clock time (unix nanos) of the most
-	// recent Observe — the freshness watchdog's rollup tap (0 = never).
-	lastObserveNano atomic.Int64
-
 	// exemplars, when set, resolves a cohort key to retained
 	// flight-recorder session IDs so /debug/cohorts entries link
 	// straight to per-session timelines. Set once at wiring time,
@@ -152,16 +146,6 @@ func (r *Rollup) Observe(shard int, key Key, rep core.Report) {
 	c.touch = s.seq
 	c.tally.Observe(rep)
 	s.mu.Unlock()
-	r.lastObserveNano.Store(time.Now().UnixNano())
-}
-
-// LastObserveUnixNano returns the wall-clock time of the most recent
-// Observe (0 = never).
-func (r *Rollup) LastObserveUnixNano() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.lastObserveNano.Load()
 }
 
 // evictLocked folds the least-recently-updated cohort into the

@@ -115,7 +115,7 @@ type Report struct {
 
 // Analyze assesses one session from its traffic observations alone —
 // the paper's §4 detectors applied one session at a time, and the
-// reference the batched live path (AnalyzeBatchQuality) is tested
+// reference the batched live path (AnalyzeBatchSince) is tested
 // against.
 func (f *Framework) Analyze(o features.SessionObs) Report {
 	var r Report
@@ -147,7 +147,7 @@ type AnalyzeScratch struct {
 	sw                 ScoreScratch
 }
 
-// ChunkFields reports which per-chunk fields AnalyzeBatchQuality reads
+// ChunkFields reports which per-chunk fields AnalyzeBatchSince reads
 // with this framework's two selections — what a flow store feeding it
 // has to keep (the switch detector's are among features.CoreFields).
 func (f *Framework) ChunkFields() features.FieldSet {
@@ -155,45 +155,38 @@ func (f *Framework) ChunkFields() features.FieldSet {
 }
 
 // AnalyzeBatchInto assesses many sessions at once, with stage timing
+// and caller-owned buffers: AnalyzeBatchSince with the featurize stage
+// starting now.
+func (f *Framework) AnalyzeBatchInto(o []features.SessionObs, set *obs.StageSet, sc *AnalyzeScratch) []Report {
+	return f.AnalyzeBatchSince(o, time.Now(), set, sc)
+}
+
+// AnalyzeBatchSince assesses many sessions at once, with stage timing
 // and caller-owned buffers. The two forests run in tree-major batch
 // mode (each tree traverses the whole batch while its nodes are
 // cache-hot), which is how the live engine amortizes inference over
 // the sessions a shard closes together; reports come back in input
 // order and are identical to per-session Analyze calls. When set is
-// non-nil, one StageFeaturize observation covers the batch's
-// summary-statistic extraction, one StageForest observation the two
-// tree passes, and one StageCUSUM observation the switch scoring. The
-// returned reports alias sc and are valid until the next call with the
-// same scratch (callers that retain them must copy, as the engine does
-// when it wraps them in engine.Reports); a nil sc allocates a fresh
+// non-nil, one StageFeaturize observation runs from t0 — when the
+// caller began assembling o, so the engine's chunk ordering is inside
+// it — to the end of the statistics pass, one StageForest observation
+// covers the two tree passes, and one StageCUSUM observation the switch
+// scoring. The returned reports alias sc and are valid until the next
+// call with the same scratch (callers that retain them must copy, as
+// the engine does when it wraps them in engine.Reports), as are the
+// projected vectors Projected reads off it; a nil sc allocates a fresh
 // one.
-func (f *Framework) AnalyzeBatchInto(o []features.SessionObs, set *obs.StageSet, sc *AnalyzeScratch) []Report {
-	return f.AnalyzeBatchQuality(o, time.Now(), set, sc, nil)
-}
-
-// AnalyzeBatchQuality is AnalyzeBatchInto with the model-quality
-// monitor attached: each session's projected feature vectors,
-// predicted classes, and vote confidences are fed into the hook's
-// per-shard accumulators, and the switch score into its score
-// histogram. Reports are identical to AnalyzeBatchInto's (the hook
-// only observes). A nil hook (or hook monitor) skips all of it. The
-// StageFeaturize observation runs from t0 — when the caller began
-// assembling o, so the engine's chunk ordering is inside it — to the
-// end of the statistics pass.
 //
 // Each session is featurized once: one evaluator built from both
 // models' selections extracts every metric either model needs a single
 // time and fills both projected layouts, then each forest runs over
 // its filled vectors.
-func (f *Framework) AnalyzeBatchQuality(o []features.SessionObs, t0 time.Time, set *obs.StageSet, sc *AnalyzeScratch, qh *QualityHook) []Report {
+func (f *Framework) AnalyzeBatchSince(o []features.SessionObs, t0 time.Time, set *obs.StageSet, sc *AnalyzeScratch) []Report {
 	if len(o) == 0 {
 		return nil
 	}
 	if sc == nil {
 		sc = new(AnalyzeScratch)
-	}
-	if qh != nil && qh.Monitor == nil {
-		qh = nil
 	}
 	if sc.sparse == nil {
 		sc.sparse = features.NewSparse(f.Stall.selIdx, f.Rep.selIdx)
@@ -226,13 +219,6 @@ func (f *Framework) AnalyzeBatchQuality(o []features.SessionObs, t0 time.Time, s
 			SwitchVariance: score > f.Switch.Threshold,
 			SwitchScore:    score,
 			Chunks:         so.Len(),
-		}
-		if qh != nil {
-			// the rows are each model's projected (baseline-order)
-			// feature vector for session i
-			qh.Monitor.Stall.Observe(qh.Shard, stallRows[i], stalls[i], sc.stallConf[i])
-			qh.Monitor.Rep.Observe(qh.Shard, repRows[i], reps[i], sc.repConf[i])
-			qh.Monitor.ObserveSwitch(qh.Shard, score, out[i].SwitchVariance, out[i].Chunks)
 		}
 	}
 	set.ObserveSince(obs.StageCUSUM, t0)

@@ -2,14 +2,6 @@ package core
 
 import "vqoe/internal/qualitymon"
 
-// QualityHook routes one caller's predictions into the shared
-// model-quality monitor. Each engine shard holds its own hook so
-// Observe writes land in that shard's lock-free accumulator set.
-type QualityHook struct {
-	Monitor *qualitymon.Monitor
-	Shard   int
-}
-
 // NewQualityMonitor builds the serve-time quality monitor for a
 // trained framework: both forests' baselines (nil-tolerant — a model
 // loaded from a pre-baseline file reports "no baseline" instead of

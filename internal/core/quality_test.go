@@ -3,9 +3,7 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 
-	"vqoe/internal/features"
 	"vqoe/internal/ml"
 	"vqoe/internal/qualitymon"
 )
@@ -81,52 +79,4 @@ func TestCrossValidateCalibratedMatchesPlain(t *testing.T) {
 	if math.Abs(cal.Accuracy()-plain.Accuracy()) > 1e-12 {
 		t.Fatalf("calibration accuracy %v != confusion accuracy %v", cal.Accuracy(), plain.Accuracy())
 	}
-}
-
-// TestAnalyzeBatchQualityFeedsMonitor drives the hook end to end at
-// the core layer: batch analysis populates per-shard accumulators and
-// the reports are bit-identical to the unhooked path.
-func TestAnalyzeBatchQualityFeedsMonitor(t *testing.T) {
-	testCorpora(t)
-	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
-	obsList := buildObs(t)
-
-	plain := fw.AnalyzeBatchInto(obsList, nil, nil)
-	mon := NewQualityMonitor(fw, 2, qualitymon.Thresholds{})
-	hook := &QualityHook{Monitor: mon, Shard: 1}
-	var sc AnalyzeScratch
-	hooked := fw.AnalyzeBatchQuality(obsList, time.Now(), nil, &sc, hook)
-
-	for i := range plain {
-		if plain[i] != hooked[i] {
-			t.Fatalf("report %d differs with monitor attached:\nplain  %+v\nhooked %+v", i, plain[i], hooked[i])
-		}
-	}
-	sn := mon.Snapshot()
-	if got := sn.Models[0].Samples; got != int64(len(obsList)) {
-		t.Fatalf("monitor saw %d stall samples, want %d", got, len(obsList))
-	}
-	if got := sn.Switch.Sessions; got != int64(len(obsList)) {
-		t.Fatalf("monitor saw %d switch scores, want %d", got, len(obsList))
-	}
-	if sn.Models[0].MeanConfidence <= 0 || sn.Models[0].MeanConfidence > 1 {
-		t.Fatalf("mean confidence %v outside (0,1]", sn.Models[0].MeanConfidence)
-	}
-}
-
-func buildObs(t *testing.T) []features.SessionObs {
-	t.Helper()
-	var out []features.SessionObs
-	for _, s := range encCorpus.Sessions {
-		if s.Obs.Len() >= 3 {
-			out = append(out, s.Obs)
-		}
-		if len(out) == 50 {
-			break
-		}
-	}
-	if len(out) == 0 {
-		t.Fatal("no usable sessions in encrypted corpus")
-	}
-	return out
 }

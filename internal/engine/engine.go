@@ -13,7 +13,7 @@
 // sessionizer.ColTracker), a bounded mailbox with explicit
 // backpressure or drop accounting, an idle-eviction clock driven by
 // the shard's event-time high-water mark, and a batched inference path
-// (core.Framework.AnalyzeBatchQuality) over the sessions a mailbox
+// (core.Framework.AnalyzeBatchSince) over the sessions a mailbox
 // batch closes together. Drain flushes every shard for graceful
 // shutdown; Snapshot exposes per-shard gauges for the Prometheus
 // exposition.

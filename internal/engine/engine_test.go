@@ -52,13 +52,11 @@ func key(sub string, start, end float64, r core.Report) string {
 	return fmt.Sprintf("%s|%v|%v|%+v", sub, start, end, r)
 }
 
-// referenceReports is the paper's offline path, the single reference
-// the live engine is held to: §5.2 sessionizer.Group over each
-// subscriber's own entries, features.FromEntries per session, §4
-// Framework.Analyze one session at a time, fragments below MinChunks
-// suppressed.
-func referenceReports(fw *core.Framework, live *workload.Live) map[string]int {
-	out := map[string]int{}
+// referenceSessions is the paper's offline sessionization, the single
+// reference the live engine is held to: §5.2 sessionizer.Group over
+// each subscriber's own entries, features.FromEntries per session,
+// fragments below MinChunks suppressed. fn sees each session.
+func referenceSessions(live *workload.Live, fn func(sub string, start, end float64, o features.SessionObs)) {
 	minChunks := engine.DefaultConfig().MinChunks
 	for _, own := range live.PerSubscriber {
 		for _, s := range sessionizer.Group(own, sessionizer.DefaultConfig()) {
@@ -66,13 +64,20 @@ func referenceReports(fw *core.Framework, live *workload.Live) map[string]int {
 			for k, i := range s.Indices {
 				es[k] = own[i]
 			}
-			o := features.FromEntries(es)
-			if o.Len() < minChunks {
-				continue
+			if o := features.FromEntries(es); o.Len() >= minChunks {
+				fn(es[0].Subscriber, s.Start, s.End, o)
 			}
-			out[key(es[0].Subscriber, s.Start, s.End, fw.Analyze(o))]++
 		}
 	}
+}
+
+// referenceReports is the offline path's reports: referenceSessions
+// assessed one at a time by §4 Framework.Analyze.
+func referenceReports(fw *core.Framework, live *workload.Live) map[string]int {
+	out := map[string]int{}
+	referenceSessions(live, func(sub string, start, end float64, o features.SessionObs) {
+		out[key(sub, start, end, fw.Analyze(o))]++
+	})
 	return out
 }
 

@@ -2,11 +2,13 @@ package engine_test
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"vqoe/internal/core"
 	"vqoe/internal/engine"
+	"vqoe/internal/features"
 	"vqoe/internal/qualitymon"
 	"vqoe/internal/workload"
 )
@@ -190,6 +192,69 @@ func TestEngineOnlineAccuracyMatchesOffline(t *testing.T) {
 		if diff := math.Abs(ms.OnlineAccuracy - offline[i]); diff > 0.02 {
 			t.Errorf("model %s online accuracy %.3f vs offline %.3f (diff %.3f > 0.02)",
 				ms.Name, ms.OnlineAccuracy, offline[i], diff)
+		}
+	}
+}
+
+// TestAssessFeedsQualityMonitor: the shards' close loop is the quality
+// monitor's one feed. On a seeded live stream at four shards with
+// sweeps off, each model's prediction counts equal the class counts of
+// the emitted reports, the switch totals equal the reports', and every
+// feature's PSI equals that of a one-shard monitor fed directly from
+// AnalyzeBatchInto and Projected over the same closed sessions.
+func TestAssessFeedsQualityMonitor(t *testing.T) {
+	fw, live := fixtures(t)
+	mon := core.NewQualityMonitor(fw, 4, qualitymon.Thresholds{})
+	eng := engine.New(fw, engine.Config{Shards: 4, SweepEverySec: -1, Quality: mon}, nil)
+	var reports []engine.Report
+	for lo := 0; lo < len(live.Entries); lo += 500 {
+		reps, _ := eng.Ingest(live.Entries[lo:min(lo+500, len(live.Entries))])
+		reports = append(reports, reps...)
+	}
+	reports = append(reports, eng.Drain()...)
+	got := mon.Snapshot()
+
+	counts := [2][]int64{make([]int64, len(got.Models[0].Classes)), make([]int64, len(got.Models[1].Classes))}
+	var varying, chunks int64
+	for _, r := range reports {
+		counts[0][r.Report.Stall]++
+		counts[1][r.Report.Representation]++
+		if r.Report.SwitchVariance {
+			varying++
+		}
+		chunks += int64(r.Report.Chunks)
+	}
+	for m, ms := range got.Models {
+		if !slices.Equal(ms.Counts, counts[m]) {
+			t.Errorf("model %s: monitor counts %v, reports' classes %v", ms.Name, ms.Counts, counts[m])
+		}
+	}
+	if sw := got.Switch; sw.Sessions != int64(len(reports)) || sw.Varying != varying || sw.ChunkSum != chunks {
+		t.Errorf("switch: %d sessions, %d varying, %d chunks; reports: %d, %d, %d",
+			sw.Sessions, sw.Varying, sw.ChunkSum, len(reports), varying, chunks)
+	}
+
+	var sessions []features.SessionObs
+	referenceSessions(live, func(_ string, _, _ float64, o features.SessionObs) { sessions = append(sessions, o) })
+	if len(sessions) != len(reports) {
+		t.Fatalf("reference closes %d sessions, the engine reported %d", len(sessions), len(reports))
+	}
+	ref := core.NewQualityMonitor(fw, 1, qualitymon.Thresholds{})
+	var sc core.AnalyzeScratch
+	for i, r := range fw.AnalyzeBatchInto(sessions, nil, &sc) {
+		stallProj, repProj := fw.Projected(&sc, i)
+		ref.Stall.Observe(0, stallProj, int(r.Stall), r.StallConf)
+		ref.Rep.Observe(0, repProj, int(r.Representation), r.RepConf)
+	}
+	want := ref.Snapshot()
+	for m, ms := range got.Models {
+		if !ms.HasBaseline || len(ms.Features) == 0 {
+			t.Fatalf("model %s: no baseline features to compare", ms.Name)
+		}
+		for f, fd := range ms.Features {
+			if w := want.Models[m].Features[f]; fd.Name != w.Name || fd.PSI != w.PSI {
+				t.Errorf("model %s feature %s: PSI %v, one-shard reference %s %v", ms.Name, fd.Name, fd.PSI, w.Name, w.PSI)
+			}
 		}
 	}
 }

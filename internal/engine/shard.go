@@ -64,10 +64,10 @@ type shard struct {
 	tracer *obs.Tracer
 	log    *slog.Logger
 
-	// quality, when non-nil, feeds every assessed session into the
-	// model-quality monitor (this shard's accumulator set) and tracks
-	// it for delayed ground-truth matching.
-	quality *core.QualityHook
+	// quality, when non-nil, is the model-quality monitor: assess feeds
+	// it every assessed session (into this shard's accumulator set) and
+	// tracks the session for delayed ground-truth matching.
+	quality *qualitymon.Monitor
 
 	// cohorts, when non-nil, folds every assessed session's MOS into
 	// its cohort's stripe of the fleet rollup.
@@ -138,9 +138,7 @@ func newShard(id int, fw *core.Framework, cfg Config, sink func(Report), in *int
 		log:        cfg.Obs.Logger(),
 	}
 	s.tracker.Resolve = in.name
-	if cfg.Quality != nil {
-		s.quality = &core.QualityHook{Monitor: cfg.Quality, Shard: id}
-	}
+	s.quality = cfg.Quality
 	s.cohorts = cfg.Cohorts
 	s.flight = cfg.Flight.Shard(id) // nil when recording is off
 	if s.tracer != nil {
@@ -258,13 +256,6 @@ func (s *shard) handle(msg message) {
 	s.closedBuf = closed[:0]
 	s.reports.Add(int64(len(out)))
 	if traced {
-		for _, r := range out {
-			s.trace(obs.SpanEvent{
-				Kind: obs.EvReport, Shard: int32(s.id), TS: r.End,
-				Start: r.Start, End: r.End, Subscriber: r.Subscriber,
-				Chunks: int32(r.Report.Chunks),
-			})
-		}
 		s.flushTrace()
 	}
 	if msg.reply != nil {
@@ -318,12 +309,15 @@ func (s *shard) traceClosed(kind obs.EventKind, ts float64, c *sessionizer.ColCl
 }
 
 // assess turns the sessions a message closed into reports via one
-// batched forest pass, suppressing signalling-only fragments. With
-// stage histograms attached it also times feature extraction (per
-// session) and the forest/CUSUM inference (per batch). When reuse is
-// true the returned slice aliases the shard's report buffer and is
-// only valid until the next assess call — the sink path consumes it
-// immediately, while reply paths need a fresh slice.
+// batched forest pass, suppressing signalling-only fragments, and is
+// the one place an assessed session reaches its consumers: the quality
+// monitor, the cohort rollup, the flight recorder and the lifecycle
+// trace each see it in the report loop below. With stage histograms
+// attached it also times feature extraction and the forest/CUSUM
+// inference (one observation each per batch). When reuse is true the
+// returned slice aliases the shard's report buffer and is only valid
+// until the next assess call — the sink path consumes it immediately,
+// while reply paths need a fresh slice.
 //
 // Chunk-buffer ownership: each closed session's chunk buffer (filled
 // from the flow's pages at close, arrival order) plus the sorted
@@ -336,7 +330,7 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 		return nil
 	}
 	// the featurize stage starts here — one observation per batch,
-	// closed inside AnalyzeBatchQuality after the statistics pass
+	// closed inside AnalyzeBatchSince after the statistics pass
 	var t0 time.Time
 	if s.stages != nil {
 		t0 = time.Now()
@@ -355,7 +349,7 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 		kept = append(kept, *c)
 	}
 	s.sobsBuf, s.keptBuf = sobs, kept
-	reps := s.fw.AnalyzeBatchQuality(sobs, t0, s.stages, &s.scratch, s.quality)
+	reps := s.fw.AnalyzeBatchSince(sobs, t0, s.stages, &s.scratch)
 	var out []Report
 	if reuse {
 		out = s.outBuf[:0]
@@ -372,11 +366,17 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 			End:        c.End,
 			Report:     r,
 		})
+		// the rows are each model's projected (baseline-order) feature
+		// vector for this session, views of the batch scratch
+		stallProj, repProj := s.fw.Projected(&s.scratch, i)
 		if s.cohorts != nil {
 			s.cohorts.Observe(s.id, key, r)
 		}
 		if s.quality != nil {
-			s.quality.Monitor.TrackPrediction(qualitymon.Prediction{
+			s.quality.Stall.Observe(s.id, stallProj, int(r.Stall), r.StallConf)
+			s.quality.Rep.Observe(s.id, repProj, int(r.Representation), r.RepConf)
+			s.quality.ObserveSwitch(s.id, r.SwitchScore, r.SwitchVariance, r.Chunks)
+			s.quality.TrackPrediction(qualitymon.Prediction{
 				Subscriber: name,
 				Start:      c.Start,
 				End:        c.End,
@@ -392,7 +392,6 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 			// cohort label — are the interner's strings, and the vectors
 			// are views of the scratch, so nothing is allocated here
 			if reasons, score, ok := s.flight.Decide(r); ok {
-				stallProj, repProj := s.fw.Projected(&s.scratch, i)
 				s.flight.Retain(flight.Assessment{
 					Subscriber: name,
 					Start:      c.Start,
@@ -406,7 +405,7 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 				}, score, reasons)
 			}
 		}
-		s.traceClosed(obs.EvAssess, c.End, c)
+		s.traceClosed(obs.EvReport, c.End, c)
 	}
 	// batch fully consumed: recycle both the featurization copies and
 	// the closed sessions' buffers

@@ -68,6 +68,46 @@ func TestTraceStreamPinned(t *testing.T) {
 	t.Fatalf("trace stream has %d events, golden %d", len(gl)-1, len(wl)-1)
 }
 
+// TestEachReportTracedOnce: the lifecycle trace holds exactly one
+// report event per assessed session, the session the report names, and
+// no more report events than reports emitted.
+func TestEachReportTracedOnce(t *testing.T) {
+	fw, live := fixtures(t)
+	ob := obs.NewObserver(4, 1<<15) // rings large enough to keep every event
+	eng := engine.New(fw, engine.Config{Shards: 4, Obs: ob}, nil)
+	var reports []engine.Report
+	for lo := 0; lo < len(live.Entries); lo += 300 {
+		reps, _ := eng.Ingest(live.Entries[lo:min(lo+300, len(live.Entries))])
+		reports = append(reports, reps...)
+	}
+	reports = append(reports, eng.Drain()...)
+	if len(reports) == 0 {
+		t.Fatal("fixture emitted no reports")
+	}
+
+	type session struct {
+		sub        string
+		start, end float64
+		chunks     int
+	}
+	traced := map[session]int{}
+	n := 0
+	for _, ev := range ob.TraceEvents() {
+		if ev.Kind == obs.EvReport {
+			traced[session{ev.Subscriber, ev.Start, ev.End, int(ev.Chunks)}]++
+			n++
+		}
+	}
+	if n != len(reports) {
+		t.Errorf("%d report events traced, %d reports emitted", n, len(reports))
+	}
+	for _, r := range reports {
+		if k := (session{r.Subscriber, r.Start, r.End, r.Report.Chunks}); traced[k] != 1 {
+			t.Errorf("report %+v traced %d times, want once", k, traced[k])
+		}
+	}
+}
+
 // TestInternViewRacesResolvers runs the interner's lock-free read side
 // against its writers: feeders intern never-seen subscribers batch
 // after batch while the shard workers resolve names for every traced

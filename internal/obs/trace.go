@@ -19,13 +19,12 @@ const (
 	EvClose
 	// EvEvict marks a session closed by the idle-eviction clock.
 	EvEvict
-	// EvAssess marks a closed session assessed by the framework.
-	EvAssess
-	// EvReport marks an assessment emitted to a caller or sink.
+	// EvReport marks a closed session assessed by the framework and
+	// its report emitted to a caller or sink.
 	EvReport
 )
 
-var kindNames = [...]string{"open", "chunk", "close", "evict", "assess", "report"}
+var kindNames = [...]string{"open", "chunk", "close", "evict", "report"}
 
 // String names the event kind.
 func (k EventKind) String() string {
@@ -43,7 +42,7 @@ type SpanEvent struct {
 	Shard      int32
 	Chunks     int32
 	TS         float64 // event time, capture-clock seconds
-	Start, End float64 // session span (close/evict/assess/report)
+	Start, End float64 // session span (close/evict/report)
 	Subscriber string
 	Seq        uint64 // per-tracer monotonic sequence, set by Record
 }
@@ -181,7 +180,7 @@ func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
 }
 
 // WriteChromeTrace renders span events as Chrome trace_event JSON.
-// Session-closing kinds (close/evict/assess/report) become complete
+// Session-closing kinds (close/evict/report) become complete
 // "X" spans over the session's [Start, End] on the owning shard's
 // track; open and chunk events become thread-scoped instants. The
 // capture clock (seconds) maps to trace microseconds.
@@ -201,7 +200,7 @@ func WriteChromeTrace(w io.Writer, events []SpanEvent) error {
 			},
 		}
 		switch ev.Kind {
-		case EvClose, EvEvict, EvAssess, EvReport:
+		case EvClose, EvEvict, EvReport:
 			ce.Phase = "X"
 			ce.TS = ev.Start * usec
 			ce.Dur = (ev.End - ev.Start) * usec

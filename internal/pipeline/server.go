@@ -389,30 +389,19 @@ type LabelsResponse struct {
 }
 
 func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var resp LabelsResponse
-	line := 0
-	for sc.Scan() {
-		line++
-		if line > maxBodyLines {
-			http.Error(w, fmt.Sprintf("request exceeds %d lines", maxBodyLines), http.StatusBadRequest)
-			return
-		}
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
+	err := eachJSONLLine(r, func(b []byte) error {
 		var l qualitymon.Label
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			http.Error(w, fmt.Sprintf("line %d: %v", line, err), http.StatusBadRequest)
-			return
+		if err := json.Unmarshal(b, &l); err != nil {
+			return err
 		}
 		resp.Accepted++
 		if s.eng.ObserveLabel(l) {
 			resp.Matched++
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -537,36 +526,50 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // maxBodyLines bounds a single request's entry count.
 const maxBodyLines = 1_000_000
 
-// decodeJSONL splits a JSONL body into weblog entries and any
-// interleaved ground-truth labels (lines with "type":"label").
-func decodeJSONL(r *http.Request) ([]weblog.Entry, []qualitymon.Label, error) {
+// eachJSONLLine is the one reader of a JSONL request body: it hands fn
+// every non-blank line of at most 1 MiB, in order, and refuses a body
+// of more than maxBodyLines lines (blank ones count). It stops at fn's
+// first error and returns it as "line N: ...", N counted from 1.
+func eachJSONLLine(r *http.Request, fn func(line []byte) error) error {
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var out []weblog.Entry
-	var labels []qualitymon.Label
 	line := 0
 	for sc.Scan() {
 		line++
 		if line > maxBodyLines {
-			return nil, nil, fmt.Errorf("request exceeds %d lines", maxBodyLines)
+			return fmt.Errorf("request exceeds %d lines", maxBodyLines)
 		}
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		if l, isLabel, err := qualitymon.ParseLabelLine(sc.Bytes()); isLabel {
+		if err := fn(sc.Bytes()); err != nil {
+			return fmt.Errorf("line %d: %v", line, err)
+		}
+	}
+	return sc.Err()
+}
+
+// decodeJSONL splits a JSONL body into weblog entries and any
+// interleaved ground-truth labels (lines with "type":"label").
+func decodeJSONL(r *http.Request) ([]weblog.Entry, []qualitymon.Label, error) {
+	var out []weblog.Entry
+	var labels []qualitymon.Label
+	err := eachJSONLLine(r, func(b []byte) error {
+		if l, isLabel, err := qualitymon.ParseLabelLine(b); isLabel {
 			if err != nil {
-				return nil, nil, fmt.Errorf("line %d: %v", line, err)
+				return err
 			}
 			labels = append(labels, l)
-			continue
+			return nil
 		}
 		var e weblog.Entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, nil, fmt.Errorf("line %d: %v", line, err)
+		if err := json.Unmarshal(b, &e); err != nil {
+			return err
 		}
 		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	return out, labels, nil

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"vqoe/internal/engine"
 	"vqoe/internal/weblog"
 )
 
@@ -154,5 +155,45 @@ func TestServerHealthz(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "ok") {
 		t.Error("healthz failed")
+	}
+}
+
+// TestJSONLBodiesPinned pins what /ingest and /labels answer for the
+// body shapes their one line reader decides: a body over the line cap
+// (blank lines count toward it), a malformed line (numbered from 1,
+// blank lines included), and blank lines around a valid one (skipped).
+func TestJSONLBodiesPinned(t *testing.T) {
+	fw, _ := testFramework(t)
+	srv := NewServerOpts(fw, Options{Engine: engine.Config{Shards: 1, SweepEverySec: -1}})
+	defer srv.Drain()
+	h := srv.Handler()
+	entry, err := json.Marshal(weblog.Entry{
+		Timestamp: 1, Subscriber: "sub-a", Host: "r1---sn-aaaa.googlevideo.com",
+		Bytes: 400_000, TransactionSec: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := `{"subscriber":"sub-b","start":0,"end":10,"stall":0,"rep":0}`
+	overCap := strings.Repeat("\n", maxBodyLines+1)
+	malformed := "\n{}\n{broken\n"
+	const syntaxErr = "line 3: invalid character 'b' looking for beginning of object key string\n"
+	for _, tc := range []struct {
+		name, path, body string
+		code             int
+		want             string
+	}{
+		{"ingest/over-cap", "/ingest", overCap, 400, "request exceeds 1000000 lines\n"},
+		{"ingest/malformed", "/ingest", malformed, 400, syntaxErr},
+		{"ingest/blank-lines", "/ingest", "\n\n" + string(entry) + "\n\n", 200, `{"accepted":1,"reports":[]}` + "\n"},
+		{"labels/over-cap", "/labels", overCap, 400, "request exceeds 1000000 lines\n"},
+		{"labels/malformed", "/labels", malformed, 400, syntaxErr},
+		{"labels/blank-lines", "/labels", "\n\n" + label + "\n\n", 200, `{"accepted":1,"matched":0}` + "\n"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+		if rec.Code != tc.code || rec.Body.String() != tc.want {
+			t.Errorf("%s: %d %q, want %d %q", tc.name, rec.Code, rec.Body.String(), tc.code, tc.want)
+		}
 	}
 }

@@ -32,7 +32,8 @@ import (
 // took, through any door), vqoe_sessions_total (the sessions they
 // assessed), vqoe_ingest_rejected_total (what the admission rule refused), the
 // interner's and the per-shard vqoe_engine_* families, the ingest/session/
-// mailbox/interner series, and the drop-rate, mailbox-saturation,
+// mailbox/interner series, the session-freshness series (seconds since
+// the report count last moved), and the drop-rate, mailbox-saturation,
 // ingest-stale and shard-wedged rules.
 func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 	m.collect(func(e *expoWriter) {
@@ -92,6 +93,7 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 		lastWorkSec                                 float64 // newest shard tap, unix seconds (0 = none)
 	}
 	var cur totals
+	var sessions counterClock
 	h.Prelude(func() {
 		now := se.Now()
 		mailboxCap := eng.MailboxCap()
@@ -118,6 +120,7 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 				cur.wedged++
 			}
 		}
+		sessions.tick(float64(cur.reports), now)
 	})
 	EntriesTelemetry(se, func() int64 { return cur.events }, func() float64 { return cur.lastWorkSec })
 	dropped := h.AddCounter("ingest.dropped", func() float64 { return float64(cur.dropped) })
@@ -125,6 +128,7 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 	offered := h.AddCounter("ingest.offered", func() float64 { return float64(cur.events + cur.dropped + cur.rejected) })
 	h.AddCounter("sessions.reports", func() float64 { return float64(cur.reports) })
 	h.AddCounter("sessions.evicted", func() float64 { return float64(cur.evicted) })
+	h.AddGauge("fresh.session_age_seconds", func() float64 { return sessions.age(se.Now(), 0) })
 	h.AddGauge("engine.open_sessions", func() float64 { return float64(cur.open) })
 	h.AddGauge("engine.interner_bytes", func() float64 { _, _, b := eng.InternerStats(); return float64(b) })
 	mailboxUtil := h.AddGauge("engine.mailbox_util", func() float64 { return cur.maxMailboxUtil })
@@ -154,32 +158,19 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 // taps mean nothing.
 func EntriesTelemetry(se *slo.Engine, entries func() int64, lastWorkSec func() float64) {
 	h := se.History()
-	// the counter and the history-clock time it last moved: engines
-	// without an observer take no wall-clock taps, the counter still
-	// moves
-	var events, lastChangeSec float64
-	h.Prelude(func() {
-		if v := float64(entries()); v != events {
-			events, lastChangeSec = v, se.Now()
-		}
-	})
-	h.AddCounter("ingest.entries", func() float64 { return events })
+	// engines without an observer take no wall-clock taps, the counter
+	// still moves
+	var events counterClock
+	h.Prelude(func() { events.tick(float64(entries()), se.Now()) })
+	h.AddCounter("ingest.entries", func() float64 { return events.v })
 	// Freshness: seconds since the pipeline last made progress — the
-	// newer of the shard wall-clock tap and the counter-change clock.
-	// NaN until the first entry ever arrives (a service that has not
-	// been fed is idle, not wedged).
+	// newer of the shard wall-clock tap and the counter's last move.
 	ingestAge := h.AddGauge("fresh.ingest_age_seconds", func() float64 {
-		last := 0.0
+		tap := 0.0
 		if lastWorkSec != nil {
-			last = lastWorkSec()
+			tap = lastWorkSec()
 		}
-		if events > 0 && lastChangeSec > last {
-			last = lastChangeSec
-		}
-		if last == 0 {
-			return math.NaN()
-		}
-		return se.Now() - last
+		return events.age(se.Now(), tap)
 	})
 	se.AddRule(slo.StaleRule("ingest-stale",
 		"No entry has been processed for longer than the staleness budget: wedged listener or silent upstream.",
@@ -326,7 +317,11 @@ func qualityTelemetry(m *Metrics, se *slo.Engine, qm *qualitymon.Monitor) {
 
 	h := se.History()
 	var cur qualitymon.Snapshot
-	h.Prelude(func() { cur = qm.Snapshot() })
+	var labels counterClock
+	h.Prelude(func() {
+		cur = qm.Snapshot()
+		labels.tick(float64(cur.Labels.Total), se.Now())
+	})
 	// degraded counts the models past a degradation threshold and
 	// renders them with their reasons, sorted, for the alert detail
 	degraded := func() (int, string) {
@@ -363,9 +358,7 @@ func qualityTelemetry(m *Metrics, se *slo.Engine, qm *qualitymon.Monitor) {
 	h.AddGauge("model.max_ece", func() float64 {
 		return worst(func(ms qualitymon.ModelSnapshot) float64 { return ms.ECE })
 	})
-	h.AddGauge("fresh.label_age_seconds", func() float64 {
-		return ageSince(se, qm.LastLabelUnixNano())
-	})
+	h.AddGauge("fresh.label_age_seconds", func() float64 { return labels.age(se.Now(), 0) })
 
 	se.AddRule(slo.Rule{
 		Name: "model-degraded",
@@ -378,10 +371,9 @@ func qualityTelemetry(m *Metrics, se *slo.Engine, qm *qualitymon.Monitor) {
 }
 
 // cohortTelemetry declares the fleet rollup: the vqoe_cohort_*
-// families, the worst-cohort and session-freshness series and the
-// cohort-mos-floor rule. The cohort label space is hard-bounded: the
-// rollup caps distinct cohorts and folds evictions into a single
-// "overflow" series.
+// families, the worst-cohort series and the cohort-mos-floor rule. The
+// cohort label space is hard-bounded: the rollup caps distinct cohorts
+// and folds evictions into a single "overflow" series.
 func cohortTelemetry(m *Metrics, se *slo.Engine, rollup *cohort.Rollup) {
 	// label values are emitted in sorted order so the exposition is
 	// deterministic for a given rollup state; suppressed entirely
@@ -434,9 +426,6 @@ func cohortTelemetry(m *Metrics, se *slo.Engine, rollup *cohort.Rollup) {
 		}
 		// the rollup snapshot is sorted worst-p50-first
 		return cur.Cohorts[0].MOSP50
-	})
-	h.AddGauge("fresh.session_age_seconds", func() float64 {
-		return ageSince(se, rollup.LastObserveUnixNano())
 	})
 	se.AddRule(slo.GaugeBelowRule("cohort-mos-floor",
 		"Worst cohort's median MOS below the experience floor.",
@@ -570,13 +559,31 @@ func alertTelemetry(m *Metrics, se *slo.Engine) {
 	})
 }
 
-// ageSince renders a wall-clock tap as seconds before the SLO clock;
-// NaN (missing) until the tap has ever fired.
-func ageSince(se *slo.Engine, unixNano int64) float64 {
-	if unixNano == 0 {
+// counterClock is the rule behind every fresh.*_age_seconds series: it
+// remembers the SLO-clock time a monotonic counter last moved, read
+// once per tick in its source's prelude, so no subsystem takes a clock
+// reading on its hot path for freshness.
+type counterClock struct{ v, at float64 }
+
+// tick records the counter's reading at SLO-clock time now.
+func (c *counterClock) tick(v, now float64) {
+	if v != c.v {
+		c.v, c.at = v, now
+	}
+}
+
+// age returns the seconds from the newer of the counter's last move and
+// tap (a unix-seconds time, 0 = none) to now; NaN until either has
+// happened (a source that has not been fed is idle, not stale).
+func (c *counterClock) age(now, tap float64) float64 {
+	last := tap
+	if c.v != 0 && c.at > last {
+		last = c.at
+	}
+	if last == 0 {
 		return math.NaN()
 	}
-	return se.Now() - float64(unixNano)/1e9
+	return now - last
 }
 
 // uint64s converts the monitor's per-bin counts for the histogram

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"vqoe/internal/engine"
+	"vqoe/internal/qualitymon"
 	"vqoe/internal/slo"
 	"vqoe/internal/wire"
 	"vqoe/internal/workload"
@@ -151,4 +153,55 @@ func TestScrapeDoesNotBlockReportSink(t *testing.T) {
 	close(release)
 	<-scraped
 	srv.Drain()
+}
+
+// TestFreshnessAgesFollowCounters pins the rule behind
+// fresh.session_age_seconds and fresh.label_age_seconds on a manual
+// SLO clock: NaN before the first assessed session or label, 0 on the
+// tick its counter moves, and one cadence more for each quiet tick
+// after.
+func TestFreshnessAgesFollowCounters(t *testing.T) {
+	fw, _ := testFramework(t)
+	const cadence = 5.0
+	now := 1_700_000_000.0
+	srv := NewServerOpts(fw, Options{
+		Engine: engine.Config{Shards: 1, SweepEverySec: -1},
+		SLO:    slo.Config{Manual: true, CadenceSec: cadence, Now: func() float64 { return now }},
+	})
+	ages := func() (session, label float64) {
+		srv.SLO().Tick(now)
+		now += cadence
+		last := map[string]float64{}
+		for _, s := range srv.SLO().Timeseries(0).Series {
+			last[s.Name] = math.NaN()
+			if v := s.Values[len(s.Values)-1]; v != nil {
+				last[s.Name] = *v
+			}
+		}
+		return last["fresh.session_age_seconds"], last["fresh.label_age_seconds"]
+	}
+	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+	nan := math.NaN()
+	check := func(step string, wantSession, wantLabel float64) {
+		t.Helper()
+		if s, l := ages(); !same(s, wantSession) || !same(l, wantLabel) {
+			t.Errorf("%s: session age %v, label age %v; want %v and %v", step, s, l, wantSession, wantLabel)
+		}
+	}
+
+	check("idle", nan, nan)
+	lcfg := workload.DefaultLiveConfig()
+	lcfg.Subscribers = 4
+	lcfg.SessionsPerSubscriber = 1
+	lcfg.Seed = 5
+	srv.Engine().Ingest(workload.GenerateLive(lcfg).Entries)
+	if len(srv.Drain()) == 0 {
+		t.Fatal("fixture assessed no session")
+	}
+	check("first sessions", 0, nan)
+	check("one quiet tick", cadence, nan)
+	srv.Engine().ObserveLabel(qualitymon.Label{Subscriber: "nobody", Start: 0, End: 1})
+	check("first label", 2*cadence, 0)
+	check("two quiet ticks", 3*cadence, cadence)
+	check("three quiet ticks", 4*cadence, 2*cadence)
 }

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vqoe/internal/obs"
 )
@@ -150,11 +149,6 @@ type Monitor struct {
 	labelsMatched atomic.Int64
 	labelsEvicted atomic.Int64
 	predsEvicted  atomic.Int64
-
-	// lastLabelNano is the wall-clock time (unix nanos) the monitor
-	// last received a ground-truth label — the freshness watchdog's
-	// "silent upstream" tap (0 = never).
-	lastLabelNano atomic.Int64
 
 	// outcome, when set, receives every resolved (prediction, label)
 	// pair — the flight recorder uses it to promote retained sessions
@@ -351,7 +345,6 @@ func (m *Monitor) ObserveLabel(l Label) bool {
 		return false
 	}
 	m.labelsTotal.Add(1)
-	m.lastLabelNano.Store(time.Now().UnixNano())
 	st := m.stripe(l.Subscriber)
 	st.mu.Lock()
 	if i := st.preds.best(func(ps []Prediction) (int, float64) { return bestMatch(ps, l.Subscriber, l.Start, l.End) }); i >= 0 {
@@ -365,15 +358,6 @@ func (m *Monitor) ObserveLabel(l Label) bool {
 	}
 	st.mu.Unlock()
 	return false
-}
-
-// LastLabelUnixNano returns the wall-clock time the monitor last
-// received a ground-truth label (0 = never).
-func (m *Monitor) LastLabelUnixNano() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.lastLabelNano.Load()
 }
 
 // SetOutcomeHook installs a callback invoked for every resolved
@@ -469,7 +453,10 @@ type ModelMonitor struct {
 	labCount   [ConfBins]atomic.Int64
 	labCorrect [ConfBins]atomic.Int64
 	labConfSum [ConfBins]obs.FloatCell
-	labSkipped atomic.Int64 // labels with out-of-range classes
+	// labOutOfRange counts matched pairs whose predicted or labelled
+	// class index lies outside the schema: labels are outside input,
+	// so such a pair is counted here instead of scored
+	labOutOfRange atomic.Int64
 }
 
 // modelShard is one engine shard's accumulator set; only that shard's
@@ -477,7 +464,6 @@ type ModelMonitor struct {
 type modelShard struct {
 	feat    *obs.Counters // nf×bins feature-bin occupancy (nil without baseline)
 	pred    *obs.Counters // per-class prediction counts
-	conf    *obs.Counters // ConfBins confidence histogram
 	confSum obs.FloatCell // Σ confidence (for the mean)
 }
 
@@ -496,7 +482,6 @@ func newModelMonitor(cfg ModelConfig, shards int) *ModelMonitor {
 			mm.shards[i].feat = obs.NewCounters(len(mm.base.Features) * mm.bins)
 		}
 		mm.shards[i].pred = obs.NewCounters(nc)
-		mm.shards[i].conf = obs.NewCounters(ConfBins)
 	}
 	return mm
 }
@@ -513,7 +498,6 @@ func (mm *ModelMonitor) Observe(shard int, x []float64, pred int, conf float64) 
 	if pred >= 0 && pred < sh.pred.Len() {
 		sh.pred.Inc(pred)
 	}
-	sh.conf.Inc(ConfBin(conf, ConfBins))
 	sh.confSum.Add(conf)
 	if mm.base != nil {
 		for f, edges := range mm.base.Edges {
@@ -529,7 +513,7 @@ func (mm *ModelMonitor) observeLabel(pred int, conf float64, actual int) {
 	}
 	nc := len(mm.classes)
 	if pred < 0 || pred >= nc || actual < 0 || actual >= nc {
-		mm.labSkipped.Add(1)
+		mm.labOutOfRange.Add(1)
 		return
 	}
 	mm.confusion[actual*nc+pred].Add(1)

@@ -305,6 +305,29 @@ func TestMonitorLabelMatchingBothOrders(t *testing.T) {
 	}
 }
 
+// TestMonitorCountsOutOfRangeLabels: a matched label whose class index
+// lies outside a model's schema is counted per model as
+// labels_out_of_range and left out of that model's confusion matrix,
+// while the other model, whose classes are in range, scores it.
+func TestMonitorCountsOutOfRangeLabels(t *testing.T) {
+	m := testMonitor(t, testBaseline(t))
+	m.TrackPrediction(Prediction{Subscriber: "s1", Start: 0, End: 10, Stall: 1, Rep: 0, StallConf: 0.9, RepConf: 0.8})
+	if !m.ObserveLabel(Label{Subscriber: "s1", Start: 0, End: 10, Stall: 7, Rep: 0}) {
+		t.Fatal("label did not match its prediction")
+	}
+	sn := m.Snapshot()
+	stall, rep := sn.Models[0], sn.Models[1]
+	if stall.LabelsOutOfRange != 1 || stall.Labeled != 0 {
+		t.Errorf("stall: %d labels out of range, %d labeled; want 1 and 0", stall.LabelsOutOfRange, stall.Labeled)
+	}
+	if rep.LabelsOutOfRange != 0 || rep.Labeled != 1 {
+		t.Errorf("rep: %d labels out of range, %d labeled; want 0 and 1", rep.LabelsOutOfRange, rep.Labeled)
+	}
+	if sn.Labels.Total != 1 || sn.Labels.Matched != 1 {
+		t.Errorf("labels total %d, matched %d; want 1 and 1", sn.Labels.Total, sn.Labels.Matched)
+	}
+}
+
 func TestMonitorAccuracyDropDegrades(t *testing.T) {
 	m := testMonitor(t, testBaseline(t)) // baseline accuracy 1.0
 	for i := 0; i < 100; i++ {           // healthy feature distribution

@@ -39,6 +39,7 @@ type ModelSnapshot struct {
 	BaselineECE    float64 `json:"baseline_ece"`
 
 	Labeled          int64     `json:"labeled"`
+	LabelsOutOfRange int64     `json:"labels_out_of_range"` // matched, but a class index outside the schema
 	OnlineAccuracy   float64   `json:"online_accuracy"`
 	BaselineAccuracy float64   `json:"baseline_accuracy"`
 	AccuracyDrop     float64   `json:"accuracy_drop"`
@@ -165,7 +166,6 @@ func (mm *ModelMonitor) snapshot(th Thresholds) ModelSnapshot {
 
 	// merge prediction-side per-shard counters
 	var confSum float64
-	confCounts := make([]int64, ConfBins)
 	var featCounts []int64
 	if mm.base != nil {
 		featCounts = make([]int64, len(mm.base.Features)*mm.bins)
@@ -173,7 +173,6 @@ func (mm *ModelMonitor) snapshot(th Thresholds) ModelSnapshot {
 	for i := range mm.shards {
 		sh := &mm.shards[i]
 		sh.pred.AddInto(ms.Counts)
-		sh.conf.AddInto(confCounts)
 		confSum += sh.confSum.Load()
 		if featCounts != nil {
 			sh.feat.AddInto(featCounts)
@@ -201,6 +200,7 @@ func (mm *ModelMonitor) snapshot(th Thresholds) ModelSnapshot {
 			}
 		}
 	}
+	ms.LabelsOutOfRange = mm.labOutOfRange.Load()
 	if ms.Labeled > 0 {
 		ms.OnlineAccuracy = float64(correct) / float64(ms.Labeled)
 	}
