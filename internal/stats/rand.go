@@ -11,9 +11,14 @@ type Rand struct {
 	*rand.Rand
 }
 
-// NewRand returns a deterministic source seeded with seed.
+// NewRand returns a deterministic source seeded with seed. Its stream
+// is math/rand's for that seed, rand.New(rand.NewSource(seed)), bit for
+// bit, but seeding is O(1): the generator's 607-word register is built
+// only if a 274th draw is asked for (see source).
 func NewRand(seed int64) *Rand {
-	return &Rand{Rand: rand.New(rand.NewSource(seed))}
+	s := new(source)
+	s.Seed(seed)
+	return &Rand{Rand: rand.New(s)}
 }
 
 // Fork derives an independent child source from this one. Subsystems
@@ -59,8 +64,7 @@ func (r *Rand) Pareto(xmin, alpha float64) float64 {
 	return xmin / math.Pow(u, 1/alpha)
 }
 
-// Normal draws a normal variate with the given mean and std, clamped to
-// be non-negative when clampZero is true.
+// Normal draws a normal variate with the given mean and std.
 func (r *Rand) Normal(mean, std float64) float64 {
 	return r.NormFloat64()*std + mean
 }

@@ -2,6 +2,7 @@ package video
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -212,5 +213,35 @@ func TestNewCatalogDegenerate(t *testing.T) {
 	c := NewCatalog(0, stats.NewRand(4))
 	if len(c.Videos) != 1 {
 		t.Error("catalog must hold at least one video")
+	}
+}
+
+// TestSegmentSizeAllocs holds the per-segment size draw to a lazily
+// seeded generator: seeding a full math/rand register cost 5,432 B a
+// call, and the corpus generators make one call per segment rendered.
+func TestSegmentSizeAllocs(t *testing.T) {
+	v := &Video{Duration: 300, vbrCV: 0.2, sizeSeed: 42}
+	var m0, m1 runtime.MemStats
+	const calls = 1000
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < calls; i++ {
+		v.SegmentSize(Q480, i%60)
+	}
+	runtime.ReadMemStats(&m1)
+	objs := float64(m1.Mallocs-m0.Mallocs) / calls
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / calls
+	if objs > 2 || bytes >= 128 {
+		t.Fatalf("SegmentSize allocates %.1f objects, %.0f B a call; want ≤ 2 and < 128 B", objs, bytes)
+	}
+}
+
+var segmentSizeSink int
+
+func BenchmarkSegmentSize(b *testing.B) {
+	v := &Video{Duration: 300, vbrCV: 0.2, sizeSeed: 42}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		segmentSizeSink += v.SegmentSize(Q480, i%60)
 	}
 }

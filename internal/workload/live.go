@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"vqoe/internal/features"
@@ -201,19 +201,44 @@ func GenerateLive(cfg LiveConfig) *Live {
 	wg.Wait()
 
 	l.Sessions = cfg.Subscribers * cfg.SessionsPerSubscriber
-	for _, es := range l.PerSubscriber {
-		l.Entries = append(l.Entries, es...)
-	}
-	for _, ls := range labels {
-		l.Labels = append(l.Labels, ls...)
-	}
-	sort.SliceStable(l.Entries, func(i, j int) bool {
-		return l.Entries[i].Timestamp < l.Entries[j].Timestamp
-	})
-	sort.SliceStable(l.Labels, func(i, j int) bool {
-		return l.Labels[i].AvailableAt < l.Labels[j].AvailableAt
-	})
+	l.Entries = mergeStable(l.PerSubscriber, func(e *weblog.Entry) float64 { return e.Timestamp })
+	l.Labels = mergeStable(labels, func(x *SessionLabel) float64 { return x.AvailableAt })
 	return l
+}
+
+// mergeStable concatenates parts in order and sorts the result stably
+// by key: the order sort.SliceStable leaves. It sorts an index
+// permutation by (key, index) and gathers once, rather than moving the
+// values themselves through a stable sort's swaps and rotations.
+func mergeStable[T any](parts [][]T, key func(*T) float64) []T {
+	var at []*T
+	for _, p := range parts {
+		for i := range p {
+			at = append(at, &p[i])
+		}
+	}
+	if len(at) == 0 {
+		return nil
+	}
+	keys := make([]float64, len(at))
+	perm := make([]int32, len(at))
+	for i, x := range at {
+		keys[i], perm[i] = key(x), int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		switch {
+		case keys[a] < keys[b]:
+			return -1
+		case keys[b] < keys[a]:
+			return 1
+		}
+		return int(a - b)
+	})
+	out := make([]T, len(at))
+	for i, p := range perm {
+		out[i] = *at[p]
+	}
+	return out
 }
 
 // labelSeedSalt derives the label RNG stream from the subscriber seed.

@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"vqoe/internal/weblog"
@@ -210,5 +214,71 @@ func TestLivePartitionPreservesOrder(t *testing.T) {
 			}
 			where[e.Subscriber] = i
 		}
+	}
+}
+
+// sliceStableRef is the order GenerateLive used to leave: the parts
+// concatenated, then sort.SliceStable by key.
+func sliceStableRef[T any](parts [][]T, key func(*T) float64) []T {
+	var all []T
+	for _, p := range parts {
+		all = append(all, p...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return key(&all[i]) < key(&all[j]) })
+	return all
+}
+
+// TestMergeStableMatchesSliceStable pins the permutation sort to the
+// stable sort it replaced on streams whose timestamps tie across
+// subscribers, where only stability fixes the order.
+func TestMergeStableMatchesSliceStable(t *testing.T) {
+	ts := func(e *weblog.Entry) float64 { return e.Timestamp }
+	entries := func(sub string, times ...float64) []weblog.Entry {
+		es := make([]weblog.Entry, len(times))
+		for i, x := range times {
+			es[i] = weblog.Entry{Timestamp: x, Subscriber: sub, Host: fmt.Sprint(i)}
+		}
+		return es
+	}
+	parts := [][]weblog.Entry{
+		entries("a", 0, 1, 1, 2, 5),
+		nil,
+		entries("b", 1, 1, 3),
+		entries("c", 0, 2, 2, 2),
+		entries("d", 1, 5, 5),
+	}
+	if got, want := mergeStable(parts, ts), sliceStableRef(parts, ts); !reflect.DeepEqual(got, want) {
+		t.Fatalf("hand-built ties:\n got %v\nwant %v", got, want)
+	}
+
+	r := rand.New(rand.NewSource(3))
+	parts = make([][]weblog.Entry, 40)
+	var lparts [][]SessionLabel
+	for i := range parts {
+		times := make([]float64, r.Intn(30))
+		for j := range times {
+			times[j] = float64(r.Intn(12))
+		}
+		parts[i] = entries(fmt.Sprint("s", i), times...)
+		ls := make([]SessionLabel, r.Intn(4))
+		for j := range ls {
+			ls[j] = SessionLabel{Subscriber: fmt.Sprint("s", i), Start: float64(j), AvailableAt: float64(r.Intn(5))}
+		}
+		lparts = append(lparts, ls)
+	}
+	if got, want := mergeStable(parts, ts), sliceStableRef(parts, ts); !reflect.DeepEqual(got, want) {
+		t.Fatal("random ties: entry order differs from sort.SliceStable's")
+	}
+	at := func(l *SessionLabel) float64 { return l.AvailableAt }
+	if got, want := mergeStable(lparts, at), sliceStableRef(lparts, at); !reflect.DeepEqual(got, want) {
+		t.Fatal("random ties: label order differs from sort.SliceStable's")
+	}
+	if mergeStable([][]weblog.Entry{nil, {}}, ts) != nil {
+		t.Fatal("no entries should merge to nil, as appending nothing did")
+	}
+
+	l := smallLive(t)
+	if !reflect.DeepEqual(l.Entries, sliceStableRef(l.PerSubscriber, ts)) {
+		t.Fatal("GenerateLive's Entries differ from the stable sort of PerSubscriber")
 	}
 }
