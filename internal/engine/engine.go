@@ -282,13 +282,14 @@ func (e *Engine) Feed(entries []weblog.Entry) {
 }
 
 // Find, Intern and FeedRecs are the fused wire door (wire.RecSink): the
-// listener's decoder resolves each subscriber through Find, asks Intern
-// only about the identities a frame missed, and hands FeedRecs recs it
-// built itself, so no weblog.Entry exists on that path.
+// listener's decoder resolves a validated frame's subscribers through
+// one Find, asks Intern only about the identities it missed, and hands
+// FeedRecs recs it built itself, so no weblog.Entry exists on that path.
 //
-// Find resolves a subscriber an earlier call interned, lock-free and
-// interning nothing; a miss means "ask Intern", not "new". sub is not retained.
-func (e *Engine) Find(sub []byte) (sessionizer.SubRef, bool) { return e.interner.find(sub) }
+// Find resolves the subscribers subs[i] an earlier call interned into
+// refs[i], lock-free and interning nothing; a miss is the zero SubRef and
+// means "ask Intern", not "new". Nothing passed in is retained.
+func (e *Engine) Find(subs [][]byte, refs []sessionizer.SubRef) { e.interner.find(subs, refs) }
 
 // Intern resolves subscriber names into refs and region/device/cap
 // triples into cohort IDs (0 for an all-empty triple), interning what

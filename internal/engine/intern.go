@@ -159,13 +159,24 @@ func probe[S string | []byte](slots []atomic.Uint64, names []string, h uint64, n
 	}
 }
 
-// find is probe without the lock: the subscriber as an earlier locked
-// section interned and published it, or false — for a name never seen,
-// and now and then for one interned a moment ago.
-func (n *interner) find(name []byte) (sessionizer.SubRef, bool) {
+// find is probe without the lock, for a frame's names at once: subs[i]
+// resolves into refs[i] as an earlier locked section published it, or
+// into the zero SubRef — for a name never seen, and now and then for one
+// interned a moment ago. Two passes over one view overlap the home-slot
+// misses: the first hashes each name and loads its slot, keeping the tag
+// (the half of h probe reads) in refs[i].ID; the second probes.
+func (n *interner) find(subs [][]byte, refs []sessionizer.SubRef) {
 	v := n.view.Load()
-	id, _ := probe(v.slots, v.names, maphash.Bytes(subSeed, name), name)
-	return sessionizer.SubRef{Name: v.names[id], ID: id, Shard: v.homes[id]}, id != 0
+	mask := uint64(len(v.slots) - 1)
+	for i, name := range subs {
+		h := maphash.Bytes(subSeed, name) >> 32
+		v.slots[h&mask].Load()
+		refs[i].ID = uint32(h)
+	}
+	for i, name := range subs {
+		id, _ := probe(v.slots, v.names, uint64(refs[i].ID)<<32, name)
+		refs[i] = sessionizer.SubRef{Name: v.names[id], ID: id, Shard: v.homes[id]}
+	}
 }
 
 // lookupSub returns the subscriber name, whose hash is h, interning it

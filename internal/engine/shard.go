@@ -206,6 +206,7 @@ func (s *shard) handle(msg message) {
 		s.events.Add(int64(len(recs)))
 	}
 	traced := s.tracer != nil
+	s.tracker.Touch(recs)
 	for i := range recs {
 		r := &recs[i]
 		if c, ok := s.tracker.Push(r); ok {

@@ -189,7 +189,7 @@ func TestFeedRecsReportsDone(t *testing.T) {
 // already interned — digested and scattered into a slab allocates
 // nothing: the lookups build no strings, the scratch and the slab are
 // reused, and publish has nothing new to store. Nor does the wire
-// door's lookup, Find, of a warm name.
+// door's lookup, Find, of the same 256 warm names as one batch.
 func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 	const nsh = 2
 	in := newInterner(nsh)
@@ -216,13 +216,17 @@ func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 	if in.view.Load() != view {
 		t.Error("a batch that interned nothing published a new view")
 	}
-	warm := []byte("sub-36")
+	warm, refs := make([][]byte, len(entries)), make([]sessionizer.SubRef, len(entries))
+	for i := range entries {
+		warm[i] = []byte(entries[i].Subscriber)
+	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		if ref, ok := in.find(warm); !ok || ref.Name != "sub-36" {
-			t.Fatalf("find(%q) = %+v, %v", warm, ref, ok)
+		in.find(warm, refs)
+		if refs[36].Name != "sub-36" {
+			t.Fatalf("find(%q) = %+v", warm[36], refs[36])
 		}
 	}); allocs != 0 {
-		t.Errorf("find of a warm name allocates %v times, want 0", allocs)
+		t.Errorf("find of a batch of warm names allocates %v times, want 0", allocs)
 	}
 	if got := len(in.names) - 1; got != 37 {
 		t.Errorf("%d subscribers interned, want 37", got)
@@ -280,10 +284,11 @@ func TestDoorsInternAlike(t *testing.T) {
 		in.mu.Lock()
 		defer in.mu.Unlock()
 		out := make([]identity, len(entries))
+		refs := make([]sessionizer.SubRef, len(entries))
+		in.find(names, refs)
 		for i, en := range entries {
-			ref, _ := in.find([]byte(en.Subscriber))
 			out[i] = identity{cohort: in.cohorts[cohort.Key{Region: en.Region, Device: en.Device, Cap: en.Cap}]}
-			out[i].sub.id, out[i].sub.shard = ref.ID, ref.Shard
+			out[i].sub.id, out[i].sub.shard = refs[i].ID, refs[i].Shard
 		}
 		return out
 	}

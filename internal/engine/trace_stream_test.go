@@ -10,6 +10,7 @@ import (
 
 	"vqoe/internal/engine"
 	"vqoe/internal/obs"
+	"vqoe/internal/sessionizer"
 	"vqoe/internal/weblog"
 )
 
@@ -112,9 +113,10 @@ func TestEachReportTracedOnce(t *testing.T) {
 // against its writers: feeders intern never-seen subscribers batch
 // after batch while the shard workers resolve names for every traced
 // chunk and every close, /debug/sessions snapshots resolve the open
-// flows, and /debug/trace snapshots copy the rings the workers are
-// batch-recording into. Run under -race; every name that comes back
-// must be one a feeder sent.
+// flows, /debug/trace snapshots copy the rings the workers are
+// batch-recording into, and the wire door's Find resolves batches of
+// the feeders' names, fed or not yet. Run under -race; every name that
+// comes back must be one a feeder sent, and a Find hit the name asked.
 func TestInternViewRacesResolvers(t *testing.T) {
 	fw, _ := fixtures(t)
 	ob := obs.NewObserver(4, 256)
@@ -155,6 +157,28 @@ func TestInternViewRacesResolvers(t *testing.T) {
 						t.Errorf("open session resolved subscriber %q", s.Subscriber)
 						return
 					}
+				}
+			}
+		}
+	}()
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		subs, refs := make([][]byte, subsPerFeeder), make([]sessionizer.SubRef, subsPerFeeder)
+		for round := 0; ; round++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for n := range subs {
+				subs[n] = []byte(fmt.Sprintf("churn-%d-%d", (round+n)%feeders, n))
+			}
+			eng.Find(subs, refs)
+			for n, ref := range refs {
+				if ref.ID != 0 && ref.Name != string(subs[n]) || ref.ID == 0 && ref != (sessionizer.SubRef{}) {
+					t.Errorf("Find(%q) = %+v", subs[n], ref)
+					return
 				}
 			}
 		}

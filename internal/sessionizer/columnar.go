@@ -102,6 +102,8 @@ type ColTracker struct {
 	shift uint32
 	flows []colFlow
 	arena pageArena
+	// touched keeps Touch's loads from being compiled away.
+	touched uint32
 	// net lists the live transport fields (0 = RTTMin … 7 = RetransPct)
 	// in row order; a row is time, size, duration, then these.
 	net []uint8
@@ -184,6 +186,17 @@ func (t *ColTracker) find(sub uint32) (uint32, int) {
 		}
 		i = (i + 1) & t.mask
 	}
+}
+
+// Touch loads the home slot of every rec's subscriber, so that a batch's
+// flow-table cache misses are in flight together before Push takes them
+// one at a time (Go has no prefetch; a tight loop is what overlaps them).
+func (t *ColTracker) Touch(recs []Rec) {
+	var sum uint32
+	for i := range recs {
+		sum += t.slots[t.home(recs[i].Sub)].ref
+	}
+	t.touched = sum
 }
 
 // insert places a new flow for sub at the probed slot, growing the

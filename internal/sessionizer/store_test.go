@@ -3,6 +3,7 @@ package sessionizer
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -367,11 +368,15 @@ func TestPushNewFlowsAllocatePerSlabNotPerFlow(t *testing.T) {
 }
 
 // TestPushSteadyStateZeroAlloc is the gate on the steady state: over a
-// warm tracker, open → 45 chunks → close on the next watch page →
-// recycle allocates nothing — pages come off the free stack, the closed
-// buffer out of the pool.
+// warm tracker, open → 45 chunks, touched and pushed as the shard does →
+// close on the next watch page → recycle allocates nothing — pages come
+// off the free stack, the closed buffer out of the pool.
 func TestPushSteadyStateZeroAlloc(t *testing.T) {
 	tr := NewColTracker(Config{IdleGap: 30, PageBoundary: true, Fields: benchFields})
+	chunks := make([]Rec, 45)
+	for j := range chunks {
+		chunks[j] = seamRec(1, 0, j)
+	}
 	session := func() {
 		if c, ok := tr.Push(&Rec{Sub: 1, Kind: weblog.HostWatchPage}); ok {
 			if len(c.Chunks) != 45 {
@@ -379,9 +384,9 @@ func TestPushSteadyStateZeroAlloc(t *testing.T) {
 			}
 			tr.Recycle(c.Chunks)
 		}
-		for j := 0; j < 45; j++ {
-			r := seamRec(1, 0, j)
-			tr.Push(&r)
+		tr.Touch(chunks)
+		for j := range chunks {
+			tr.Push(&chunks[j])
 		}
 	}
 	session()
@@ -437,5 +442,46 @@ func TestCloseZeroesNonLiveFieldsOfRecycledBuffers(t *testing.T) {
 				t.Fatalf("chunk %d field %d reads %v, want %v", i, b, g[b], w)
 			}
 		}
+	}
+}
+
+// BenchmarkPushWide is the shard's push loop over a flow table far
+// beyond cache: 2¹⁷ open flows, sub-batches of 128 signalling recs in
+// random subscriber order (find and the flow header, no arena row, and
+// nothing closes). "push" pushes a sub-batch rec by rec; "touch+push"
+// touches its slots first, as the shard does. ns/op is per sub-batch.
+func BenchmarkPushWide(b *testing.B) {
+	const flows, batch, batches = 1 << 17, 128, 1 << 10
+	tr := NewColTracker(Config{IdleGap: 30, PageBoundary: true, Fields: benchFields})
+	for sub := uint32(1); sub <= flows; sub++ {
+		tr.Push(&Rec{Sub: sub, Kind: weblog.HostWatchPage})
+	}
+	rng := rand.New(rand.NewSource(1))
+	recs := make([][]Rec, batches)
+	for i := range recs {
+		recs[i] = make([]Rec, batch)
+		for j := range recs[i] {
+			recs[i][j] = Rec{Sub: 1 + uint32(rng.Intn(flows)), Kind: weblog.HostSignal, Ts: 1, Dur: 0.1, KB: 2}
+		}
+	}
+	for _, touch := range []bool{false, true} {
+		name := "push"
+		if touch {
+			name = "touch+push"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rs := recs[i%batches]
+				if touch {
+					tr.Touch(rs)
+				}
+				for j := range rs {
+					tr.Push(&rs[j])
+				}
+			}
+			if tr.Open() != flows {
+				b.Fatalf("%d flows open, want %d", tr.Open(), flows)
+			}
+		})
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 
+	"vqoe/internal/engine"
 	"vqoe/internal/qualitymon"
+	"vqoe/internal/sessionizer"
 	"vqoe/internal/weblog"
 )
 
@@ -84,7 +87,7 @@ func FuzzFrameStream(f *testing.F) {
 				// a framing error poisons the stream; the server closes here
 				return
 			}
-			if err := sameRecords(sink, entries, labels, recs, shardOf, rlabels); err != nil {
+			if err := sameRecords(sink.identify, entries, labels, recs, shardOf, rlabels); err != nil {
 				t.Fatalf("rec emitter diverges: %v", err)
 			}
 			if len(entries)+len(labels) > h.Records {
@@ -99,6 +102,79 @@ func FuzzFrameStream(f *testing.F) {
 				if entries[i].ServerPort > 65535 || entries[i].ServerPort < 0 {
 					t.Fatalf("port %d out of range", entries[i].ServerPort)
 				}
+			}
+		}
+	})
+}
+
+// FuzzRecDecoderMatchesDecoder holds the rec emitter to the entry
+// emitter one frame at a time, against the engine itself rather than a
+// map: a CRC-valid frame of arbitrary records goes through Decoder and,
+// twice, through a rec decoder over a fresh engine that knows a few
+// subscribers — cold, when the frame's other subscribers miss in Find
+// and Intern settles them, then warm, when every one is a hit. Both
+// passes must fail with the entry emitter's error, leaving the engine
+// without a new subscriber, or give its fields: the IDs and shard the
+// engine resolves each entry's own strings to, the host class, KB and
+// every float bit for bit, and equal labels.
+func FuzzRecDecoderMatchesDecoder(f *testing.F) {
+	known := []string{"sub-a", "sub-b", "s"}
+	seed := func(entries []weblog.Entry, labels []qualitymon.Label, cut int) {
+		var buf bytes.Buffer
+		if err := EncodeBatch(&buf, entries, labels); err != nil {
+			f.Fatal(err)
+		}
+		h, err := parseHeader(buf.Bytes()[:HeaderLen])
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload := buf.Bytes()[HeaderLen:]
+		f.Add(uint16(h.Records), payload[:len(payload)-cut])
+	}
+	entry := func(sub string, ts float64, region string) weblog.Entry {
+		return weblog.Entry{Subscriber: sub, Timestamp: ts, Host: "r1---sn-a.googlevideo.com", Bytes: 4096,
+			TransactionSec: 0.5, RTTAvg: 0.03, Region: region, Device: "tv"}
+	}
+	midFrame := []weblog.Entry{entry("sub-a", 1, "eu"), entry("sub-b", 2, "eu"), entry("sub-new", 3, "us"),
+		entry("sub-b", 4, ""), entry("sub-new", 5, "us")}
+	seed([]weblog.Entry{entry("sub-a", 1, "eu"), entry("sub-a", 2, "eu"), entry("sub-new", 3, ""),
+		entry("sub-new", 4, "us"), entry("sub-a", 5, "us")}, nil, 0) // repeats a subscriber, known and new
+	seed(midFrame, nil, 0) // introduces one mid-frame
+	seed([]weblog.Entry{entry("sub-a", 1, "eu"), entry("sub-new", 2, "eu")},
+		[]qualitymon.Label{{Subscriber: "sub-new", End: 2, Stall: 1}, {Subscriber: "sub-a", End: 1}, {Subscriber: "sub-never", End: 3}}, 0)
+	seed(midFrame, nil, 3) // fails at the last record
+
+	f.Fuzz(func(t *testing.T, records uint16, payload []byte) {
+		h := Header{Records: int(records), Len: len(payload), CRC: crc32.ChecksumIEEE(payload)}
+		entries, labels, err := NewDecoder().DecodeFrame(h, payload)
+
+		eng := engine.New(nil, engine.Config{Shards: 3, Mailbox: 1, MinChunks: 1 << 30, SweepEverySec: -1}, nil)
+		defer eng.Drain()
+		subs := make([][]byte, len(known))
+		for i, name := range known {
+			subs[i] = []byte(name)
+		}
+		eng.Intern(subs, make([]sessionizer.SubRef, len(subs)), nil, nil)
+		identify := func(e *weblog.Entry) (sub, shard, cohort uint32) {
+			ref, id := findOne(eng, e.Subscriber), [1]uint32{}
+			eng.Intern(nil, nil, [][3][]byte{{[]byte(e.Region), []byte(e.Device), []byte(e.Cap)}}, id[:])
+			return ref.ID, ref.Shard, id[0]
+		}
+
+		rd := newRecDecoder(eng, internMax)
+		for pass := 0; pass < 2; pass++ { // cold, then warm
+			recs, shardOf, rlabels, rerr := rd.DecodeFrame(h, payload)
+			if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+				t.Fatalf("pass %d: entries %v, recs %v", pass, err, rerr)
+			}
+			if err != nil {
+				if n, _, _ := eng.InternerStats(); n != len(known) {
+					t.Fatalf("a failed frame left %d subscribers interned, want %d", n, len(known))
+				}
+				return
+			}
+			if err := sameRecords(identify, entries, labels, recs, shardOf, rlabels); err != nil {
+				t.Fatalf("pass %d: %v", pass, err)
 			}
 		}
 	})

@@ -13,10 +13,11 @@ import (
 // sessionizer.Recs and never builds a weblog.Entry. *engine.Engine
 // implements it.
 type RecSink interface {
-	// Find resolves a subscriber the engine has interned, through any
-	// door or connection, lock-free and without interning it; a miss is
-	// settled by Intern. sub is not retained.
-	Find(sub []byte) (sessionizer.SubRef, bool)
+	// Find resolves a frame's subscribers as the engine interned them,
+	// through any door or connection, lock-free and without interning:
+	// subs[i] into refs[i], or the zero SubRef for a miss, which Intern
+	// settles. The byte slices are not retained.
+	Find(subs [][]byte, refs []sessionizer.SubRef)
 	// Intern resolves the identities a frame missed, all under one lock:
 	// subscriber name subs[i] into refs[i], and the region/device/cap
 	// triple cohorts[i] into ids[i] (0 for the all-empty triple). The
@@ -31,21 +32,22 @@ type RecSink interface {
 }
 
 // recDecoder is the rec emitter: the frame walk and record parser of
-// Decoder, with entry records leaving as sessionizer.Recs. A subscriber
-// resolves through the engine's own index (sink.Find, lock-free), so
-// nothing a connection holds grows with the subscribers it carries. A
-// cohort resolves through a per-connection cache — a vocabulary of tens —
-// keyed by the raw region‖device‖cap span (length prefixes included, so
-// one lookup), bounded and dropped wholesale when full; it holds engine
-// IDs, which is sound because the engine never reuses one. The host is
-// classified where it lies (weblog.ClassifyHostBytes); URI and server
-// address are bounds-checked and skipped.
+// Decoder, with entry records leaving as sessionizer.Recs. Subscribers
+// resolve through the engine's own index, a frame's all in one lock-free
+// sink.Find, so nothing a connection holds grows with the subscribers it
+// carries. A cohort resolves through a per-connection cache — a
+// vocabulary of tens — keyed by the raw region‖device‖cap span (length
+// prefixes included, so one lookup), bounded and dropped wholesale when
+// full; it holds engine IDs, which is sound because the engine never
+// reuses one. The host is classified where it lies
+// (weblog.ClassifyHostBytes); URI and server address are bounds-checked
+// and skipped.
 //
-// A frame's misses are interned only after its last record has
-// validated, in one sink.Intern call, so a frame that fails leaves the
-// engine and the cohort cache as they were. The returned slices are
-// scratch, valid until the next DecodeFrame. Not safe for concurrent
-// use.
+// A frame's identities are resolved only after its last record has
+// validated, its misses in one sink.Intern call, so a frame that fails
+// asks the engine nothing and leaves the cohort cache as it was. The
+// returned slices are scratch, valid until the next DecodeFrame. Not
+// safe for concurrent use.
 type recDecoder struct {
 	dec   Decoder
 	sink  RecSink
@@ -56,11 +58,12 @@ type recDecoder struct {
 	recs    []sessionizer.Rec
 	shardOf []uint32
 
-	// the frame's misses: the rec each belongs to, the bytes to intern
-	// (aliasing the payload), and Intern's answers
-	subAt   []int
+	// every rec's subscriber (aliasing the payload) and Find's answer;
+	// resolve moves the misses to the front of both for Intern, subAt[k]
+	// the rec of miss k. The cohort cache's misses likewise.
 	subName [][]byte
 	subRefs []sessionizer.SubRef
+	subAt   []int
 	cohAt   []int
 	cohSpan [][]byte
 	cohKey  [][3][]byte
@@ -82,18 +85,17 @@ func newRecDecoder(sink RecSink, bound int) *recDecoder {
 // the engine's own string when the engine knows the subscriber, so the
 // steady state allocates nothing.
 func (r *recDecoder) DecodeFrame(h Header, payload []byte) (recs []sessionizer.Rec, shardOf []uint32, labels []qualitymon.Label, err error) {
-	r.recs, r.shardOf = r.recs[:0], r.shardOf[:0]
-	r.subAt, r.subName = r.subAt[:0], r.subName[:0]
+	r.recs, r.shardOf, r.subName = r.recs[:0], r.shardOf[:0], r.subName[:0]
 	r.cohAt, r.cohSpan, r.cohKey = r.cohAt[:0], r.cohSpan[:0], r.cohKey[:0]
 	r.labelSubs = r.labelSubs[:0]
 	if err := r.dec.decodeFrame(h, payload, r); err != nil {
 		return nil, nil, nil, err
 	}
-	if len(r.subAt)+len(r.cohAt) > 0 {
-		r.internMisses()
-	}
+	r.resolve()
+	r.subRefs = slices.Grow(r.subRefs[:0], len(r.labelSubs))[:len(r.labelSubs)]
+	r.sink.Find(r.labelSubs, r.subRefs)
 	for i, sub := range r.labelSubs {
-		if ref, ok := r.sink.Find(sub); ok {
+		if ref := r.subRefs[i]; ref.ID != 0 {
 			r.dec.labels[i].Subscriber = ref.Name
 		} else {
 			// a label for a subscriber the engine never carried: it gets
@@ -104,17 +106,14 @@ func (r *recDecoder) DecodeFrame(h Header, payload []byte) (recs []sessionizer.R
 	return r.recs, r.shardOf, r.dec.labels, nil
 }
 
-// emit appends one parsed entry record as a Rec. A miss leaves the
-// identity zero and queues it for internMisses.
+// emit appends one parsed entry record as a Rec whose subscriber waits
+// for resolve, and so does its cohort if the cache misses.
 func (r *recDecoder) emit(e *rawEntry) {
 	i := len(r.recs)
-	ref, ok := r.sink.Find(e.sub)
-	if !ok {
-		r.subAt = append(r.subAt, i)
-		r.subName = append(r.subName, e.sub)
-	}
+	r.subName = append(r.subName, e.sub)
 	var coh uint32
 	if e.cohort != nil {
+		var ok bool
 		if coh, ok = r.cohorts[string(e.cohort)]; !ok {
 			r.cohAt = append(r.cohAt, i)
 			r.cohSpan = append(r.cohSpan, e.cohort)
@@ -123,7 +122,6 @@ func (r *recDecoder) emit(e *rawEntry) {
 	}
 	f := e.floats
 	r.recs = append(r.recs, sessionizer.Rec{
-		Sub:     ref.ID,
 		Cohort:  coh,
 		Kind:    weblog.ClassifyHostBytes(e.host),
 		Ts:      f64(f, 0),
@@ -138,19 +136,35 @@ func (r *recDecoder) emit(e *rawEntry) {
 		Loss:    f64(f, 8),
 		Retrans: f64(f, 9),
 	})
-	r.shardOf = append(r.shardOf, ref.Shard)
+	r.shardOf = append(r.shardOf, 0)
 }
 
-// internMisses has the engine resolve the validated frame's misses in
-// one call, patches the recs that waited on them and fills the cohort
-// cache. A subscriber the frame repeats is sent once per occurrence,
-// which costs the engine a hit under the lock it already holds.
-func (r *recDecoder) internMisses() {
-	r.subRefs = slices.Grow(r.subRefs[:0], len(r.subAt))[:len(r.subAt)]
+// resolve has the engine settle the validated frame's identities — every
+// subscriber in one Find, then what Find and the cohort cache missed in
+// one Intern — patches the recs and fills the cohort cache. A subscriber
+// the frame repeats is sent once per occurrence, which costs the engine
+// a hit under the lock it already holds.
+func (r *recDecoder) resolve() {
+	r.subRefs = slices.Grow(r.subRefs[:0], len(r.recs))[:len(r.recs)]
+	refs := r.subRefs
+	r.sink.Find(r.subName, refs)
+	r.subAt = r.subAt[:0]
+	for i, ref := range refs {
+		if ref.ID == 0 {
+			r.subName[len(r.subAt)] = r.subName[i]
+			r.subAt = append(r.subAt, i)
+			continue
+		}
+		r.recs[i].Sub, r.shardOf[i] = ref.ID, ref.Shard
+	}
+	if len(r.subAt)+len(r.cohAt) == 0 {
+		return
+	}
+	misses := refs[:len(r.subAt)]
 	r.cohIDs = slices.Grow(r.cohIDs[:0], len(r.cohAt))[:len(r.cohAt)]
-	r.sink.Intern(r.subName, r.subRefs, r.cohKey, r.cohIDs)
+	r.sink.Intern(r.subName[:len(misses)], misses, r.cohKey, r.cohIDs)
 	for k, i := range r.subAt {
-		r.recs[i].Sub, r.shardOf[i] = r.subRefs[k].ID, r.subRefs[k].Shard
+		r.recs[i].Sub, r.shardOf[i] = misses[k].ID, misses[k].Shard
 	}
 	for k, i := range r.cohAt {
 		r.recs[i].Cohort = r.cohIDs[k]

@@ -24,13 +24,15 @@ import (
 
 // stubSink is a map-backed RecSink: IDs from 1 in first-seen order,
 // shard = id mod shards. FeedRecs drops the batch and reports it done.
+// It counts the Find and Intern calls it gets.
 type stubSink struct {
 	shards  uint32
 	subs    map[string]sessionizer.SubRef
 	names   []string // names[id-1]
 	cohorts map[[3]string]uint32
 	keys    [][3]string // keys[id-1]
-	interns int         // Intern calls
+	finds   int
+	interns int
 }
 
 func newStubSink(shards int) *stubSink {
@@ -41,9 +43,26 @@ func newStubSink(shards int) *stubSink {
 	}
 }
 
-func (s *stubSink) Find(sub []byte) (sessionizer.SubRef, bool) {
-	ref, ok := s.subs[string(sub)]
-	return ref, ok
+func (s *stubSink) Find(subs [][]byte, refs []sessionizer.SubRef) {
+	s.finds++
+	for i, b := range subs {
+		refs[i] = s.subs[string(b)]
+	}
+}
+
+// identify is what a rec's IDs must be for the entry it stands for: the
+// entry's subscriber ID and shard and its cohort ID (0 for no cohort) as
+// the sink has them.
+func (s *stubSink) identify(e *weblog.Entry) (sub, shard, cohort uint32) {
+	ref := s.subs[e.Subscriber]
+	return ref.ID, ref.Shard, s.cohorts[[3]string{e.Region, e.Device, e.Cap}]
+}
+
+// findOne is Find of one name.
+func findOne(sink RecSink, name string) sessionizer.SubRef {
+	var ref [1]sessionizer.SubRef
+	sink.Find([][]byte{[]byte(name)}, ref[:])
+	return ref[0]
 }
 
 func (s *stubSink) Intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
@@ -92,10 +111,10 @@ func wireClass(err error) error {
 }
 
 // sameRecords requires the rec emitter's view of a frame to be the
-// entry emitter's, field for field: the subscriber and cohort the IDs
-// stand for, the routed shard, the host class, KB, and every float bit
-// for bit; labels equal outright.
-func sameRecords(sink *stubSink, entries []weblog.Entry, labels []qualitymon.Label,
+// entry emitter's, field for field: the subscriber and cohort IDs and
+// the routed shard that identify gives the entry, the host class, KB,
+// and every float bit for bit; labels equal outright.
+func sameRecords(identify func(*weblog.Entry) (sub, shard, cohort uint32), entries []weblog.Entry, labels []qualitymon.Label,
 	recs []sessionizer.Rec, shardOf []uint32, rlabels []qualitymon.Label) error {
 	if len(recs) != len(entries) || len(shardOf) != len(entries) || len(rlabels) != len(labels) {
 		return fmt.Errorf("%d recs, %d shards, %d labels for %d entries, %d labels",
@@ -103,18 +122,15 @@ func sameRecords(sink *stubSink, entries []weblog.Entry, labels []qualitymon.Lab
 	}
 	for i := range entries {
 		e, r := &entries[i], &recs[i]
-		if r.Sub == 0 || int(r.Sub) > len(sink.names) || sink.names[r.Sub-1] != e.Subscriber {
-			return fmt.Errorf("rec %d: sub id %d for %q", i, r.Sub, e.Subscriber)
+		sub, shard, cohort := identify(e)
+		if sub == 0 || r.Sub != sub {
+			return fmt.Errorf("rec %d: sub id %d for %q (ID %d)", i, r.Sub, e.Subscriber, sub)
 		}
-		if shardOf[i] != sink.subs[e.Subscriber].Shard {
-			return fmt.Errorf("rec %d: routed to shard %d", i, shardOf[i])
+		if shardOf[i] != shard {
+			return fmt.Errorf("rec %d: routed to shard %d, want %d", i, shardOf[i], shard)
 		}
-		var key [3]string
-		if r.Cohort != 0 {
-			key = sink.keys[r.Cohort-1]
-		}
-		if key != [3]string{e.Region, e.Device, e.Cap} {
-			return fmt.Errorf("rec %d: cohort %v for %s/%s/%s", i, key, e.Region, e.Device, e.Cap)
+		if r.Cohort != cohort {
+			return fmt.Errorf("rec %d: cohort %d for %s/%s/%s (ID %d)", i, r.Cohort, e.Region, e.Device, e.Cap, cohort)
 		}
 		if r.Kind != weblog.ClassifyHost(e.Host) {
 			return fmt.Errorf("rec %d: host %q classed %d", i, e.Host, r.Kind)
@@ -154,7 +170,7 @@ func TestRecEmitterMatchesEntryEmitter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameRecords(sink, wantE, wantL, recs, shardOf, labels); err != nil {
+		if err := sameRecords(sink.identify, wantE, wantL, recs, shardOf, labels); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 	}
@@ -405,7 +421,7 @@ func TestFusedDoorFailedFrameLeavesEngineUntouched(t *testing.T) {
 	if n := events(); n != int64(len(good)) {
 		t.Errorf("shards took %d entries, want %d", n, len(good))
 	}
-	if ref, ok := eng.Find([]byte("sub-new")); ok {
+	if ref := findOne(eng, "sub-new"); ref.ID != 0 {
 		t.Errorf("the failed frame's new subscriber resolves to %+v", ref)
 	}
 	eng.Intern([][]byte{[]byte("probe-after")}, after[:], nil, nil)
@@ -432,7 +448,7 @@ func TestEmptyCohortSuffixIsNoCohort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameRecords(sink, entries, nil, recs, shardOf, nil); err != nil {
+		if err := sameRecords(sink.identify, entries, nil, recs, shardOf, nil); err != nil {
 			t.Fatal(err)
 		}
 		if recs[0].Cohort != 0 || len(sink.keys) != 0 {
@@ -706,7 +722,7 @@ func TestLabelResolvesAcrossConnections(t *testing.T) {
 	if err != nil || len(labels) != 2 || labels[0].Subscriber != "sub-elsewhere" || labels[1].Subscriber != "sub-nowhere" {
 		t.Fatalf("labels %+v, %v", labels, err)
 	}
-	if _, ok := eng.Find([]byte("sub-nowhere")); ok {
+	if findOne(eng, "sub-nowhere").ID != 0 {
 		t.Error("a label record interned its subscriber")
 	}
 	h, payload = frame(nil, labels[:1])

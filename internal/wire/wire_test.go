@@ -383,9 +383,9 @@ func TestDecoderRollsBackPartialEntry(t *testing.T) {
 // TestRecDecoderFailedFrameTouchesNothing is the rec emitter's side of
 // all-or-nothing: a CRC-valid frame whose last record is cut short,
 // after records that introduce a subscriber and a cohort, must reach
-// the engine not at all — no Intern call, no new ID, and the frame's
-// new subscriber still misses in Find — and leave the cohort cache as it
-// was, and the decoder must go on to decode a valid frame.
+// the engine not at all — no Find and no Intern call, no new ID, and the
+// frame's new subscriber still misses in Find — and leave the cohort
+// cache as it was, and the decoder must go on to decode a valid frame.
 func TestRecDecoderFailedFrameTouchesNothing(t *testing.T) {
 	sink := newStubSink(2)
 	rd := newRecDecoder(sink, internMax)
@@ -399,8 +399,8 @@ func TestRecDecoderFailedFrameTouchesNothing(t *testing.T) {
 	if _, _, _, err := rd.DecodeFrame(h, good); err != nil {
 		t.Fatal(err)
 	}
-	interns, cohorts := sink.interns, len(rd.cohorts)
-	knownRef, _ := sink.Find([]byte(known.Subscriber))
+	knownRef := findOne(sink, known.Subscriber)
+	finds, interns, cohorts := sink.finds, sink.interns, len(rd.cohorts)
 
 	fresh := known
 	fresh.Subscriber, fresh.Region = "sub-new", "mars"
@@ -414,11 +414,11 @@ func TestRecDecoderFailedFrameTouchesNothing(t *testing.T) {
 	if _, _, _, err := rd.DecodeFrame(h, bad); !errors.Is(err, ErrRecord) {
 		t.Fatalf("got %v, want ErrRecord", err)
 	}
-	if sink.interns != interns || len(sink.names) != 1 || len(sink.keys) != 1 {
-		t.Errorf("failed frame reached the engine: %d Intern calls (was %d), %d subscribers, %d cohorts",
-			sink.interns, interns, len(sink.names), len(sink.keys))
+	if sink.finds != finds || sink.interns != interns || len(sink.names) != 1 || len(sink.keys) != 1 {
+		t.Errorf("failed frame reached the engine: %d Find calls (was %d), %d Intern calls (was %d), %d subscribers, %d cohorts",
+			sink.finds, finds, sink.interns, interns, len(sink.names), len(sink.keys))
 	}
-	if _, ok := sink.Find([]byte("sub-new")); ok {
+	if findOne(sink, "sub-new").ID != 0 {
 		t.Error("the failed frame's new subscriber resolves in the engine")
 	}
 	if len(rd.cohorts) != cohorts {
