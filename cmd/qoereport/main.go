@@ -1,32 +1,34 @@
-// Command qoereport runs the complete reproduction — every table and
-// figure of the paper — and emits a Markdown report comparing the
-// paper's numbers against the measured ones. The first part of
-// EXPERIMENTS.md, down to the marker line this tool prints last, is
-// generated with it; the sections below the marker are written by hand.
-// `make report` replaces only the generated part — do not redirect the
-// output over EXPERIMENTS.md.
+// Command qoereport is the paper tool: it runs the reproduction of
+// every table and figure of the paper and prints the Markdown report
+// that compares the paper's numbers against the measured ones. The
+// first part of EXPERIMENTS.md, down to the marker line the report
+// ends with, is generated with it; the sections below the marker are
+// written by hand. `make report` replaces only the generated part — do
+// not redirect the output over EXPERIMENTS.md.
+//
+// -only prints just the named sections (no header or marker). The
+// trained detectors can be saved (-save-stall, -save-rep) for qoeserve
+// and qoewatch, and saved ones loaded (-load-stall, -load-rep) for
+// Tables 8–11 to evaluate on the encrypted study in their place.
+// -html also draws Figures 1–5 as SVG.
 //
 // Usage:
 //
-//	qoereport [-quick] [-n 12000] [-has 3000] [-sessions 722]
+//	qoereport [-quick] [-n 12000] [-has 3000] [-sessions 722] [-only table8,fig5]
+//	qoereport -quick -only table2 -save-stall stall.model -save-rep rep.model
 //	make report [REPORT_FLAGS=-quick]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"vqoe/internal/experiments"
-	"vqoe/internal/ml"
 	"vqoe/internal/stats"
 	"vqoe/internal/viz"
 )
-
-// endOfReport is the last line of the report. `make report` splices on
-// it (the Makefile matches its first words): what EXPERIMENTS.md holds
-// above it is replaced, what it holds below is kept.
-const endOfReport = "<!-- end of generated report: `make report` rewrites everything above this line and keeps what is below -->"
 
 func main() {
 	var (
@@ -37,6 +39,11 @@ func main() {
 		folds    = flag.Int("folds", 10, "cross-validation folds")
 		seed     = flag.Int64("seed", 1, "master seed")
 		quick    = flag.Bool("quick", false, "reduced scale")
+		only     = flag.String("only", "", "comma-separated section keys to print alone (fig1, table3, switch, ...; an unknown key lists them)")
+		saveSt   = flag.String("save-stall", "", "write the trained stall model to this file")
+		saveRep  = flag.String("save-rep", "", "write the trained representation model to this file")
+		loadSt   = flag.String("load-stall", "", "evaluate this stall model in Tables 8 & 9 instead of the trained one")
+		loadRep  = flag.String("load-rep", "", "evaluate this representation model in Tables 10 & 11 instead of the trained one")
 		htmlOut  = flag.String("html", "", "also write an HTML figure report to this file")
 	)
 	flag.Parse()
@@ -50,229 +57,54 @@ func main() {
 		scale.Seed = *seed
 	}
 	suite := experiments.NewSuite(scale)
-	out := os.Stdout
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "qoereport:", err)
 		os.Exit(1)
 	}
+	if err := suite.LoadModels(*loadSt, *loadRep); err != nil {
+		fail(err)
+	}
+	if err := experiments.WriteReport(os.Stdout, suite, *only); err != nil {
+		fail(err)
+	}
 
-	fmt.Fprintf(out, "# EXPERIMENTS — paper vs. measured\n\n")
-	fmt.Fprintf(out, "Reproduction of *Measuring Video QoE from Encrypted Traffic* (IMC 2016)\n")
-	fmt.Fprintf(out, "on the vqoe synthetic substrate. Scale: %d cleartext sessions, %d\n", scale.Cleartext, scale.HAS)
-	fmt.Fprintf(out, "adaptive sessions, %d encrypted sessions (paper: ~390k / ~12k / 722);\n", scale.Encrypted)
-	fmt.Fprintf(out, "Random Forest with %d trees, %d-fold cross-validation, seed %d.\n\n", scale.Trees, scale.Folds, scale.Seed)
-	fmt.Fprintf(out, "Absolute numbers depend on the synthetic network substrate (see\n")
-	fmt.Fprintf(out, "DESIGN.md §2); the comparison targets *shape*: class ordering,\n")
-	fmt.Fprintf(out, "confusion structure, cleartext-vs-encrypted degradation, and which\n")
-	fmt.Fprintf(out, "features carry the signal.\n\n")
-	fmt.Fprintf(out, "Regenerate with `make report` (about a minute at default scale; it\n")
-	fmt.Fprintf(out, "replaces this file down to the marker line and keeps the hand-written\n")
-	fmt.Fprintf(out, "sections below it) or print a fast pass with `make report-quick`.\n\n")
-
-	// ---- Figures 1-3 ----
-	fmt.Fprintf(out, "## Figure 1 — chunk sizes around stalls\n\n")
-	pts, stalls := suite.Figure1()
-	small, large := 0, 0
-	for _, p := range pts {
-		if p.Y < 150 {
-			small++
-		} else {
-			large++
+	if *saveSt != "" {
+		det, _, err := suite.StallModel()
+		if err != nil {
+			fail(err)
+		}
+		if err := writeModel(*saveSt, det.Save); err != nil {
+			fail(err)
 		}
 	}
-	fmt.Fprintf(out, "Controlled session with two scripted outages: %d stalls observed, %d\n", len(stalls), len(pts))
-	fmt.Fprintf(out, "chunks; %d small refill chunks (<150 KB) versus %d steady-state chunks.\n", small, large)
-	fmt.Fprintf(out, "Paper: chunk sizes collapse at each stall and ramp back up — same shape\n")
-	fmt.Fprintf(out, "(`go run ./cmd/qoetrain -only fig1` prints the series).\n\n")
-
-	fmt.Fprintf(out, "## Figure 2 — stall count and rebuffering-ratio ECDFs\n\n")
-	counts, rrs := suite.Figure2()
-	fmt.Fprintf(out, "| quantity | paper | measured |\n|---|---|---|\n")
-	fmt.Fprintf(out, "| sessions with ≥1 stall | 12%% | %.1f%% |\n", 100*(1-counts.At(0)))
-	fmt.Fprintf(out, "| sessions with >1 stall | 8%% | %.1f%% |\n", 100*(1-counts.At(1)))
-	fmt.Fprintf(out, "| sessions with RR > 0.1 | ~10%% of stalled tail | %.1f%% |\n\n", 100*(1-rrs.At(0.1)))
-
-	fmt.Fprintf(out, "## Figure 3 — Δt and Δsize at a representation switch\n\n")
-	times, dsizes, _ := suite.Figure3()
-	maxD := 0.0
-	for _, d := range dsizes {
-		if d > maxD {
-			maxD = d
+	if *saveRep != "" {
+		det, _, err := suite.RepModel()
+		if err != nil {
+			fail(err)
+		}
+		if err := writeModel(*saveRep, det.Save); err != nil {
+			fail(err)
 		}
 	}
-	fmt.Fprintf(out, "Controlled 144p→480p upswitch at a bandwidth step: the switch produces\n")
-	fmt.Fprintf(out, "a Δsize excursion of %.0f KB over %d chunks, then Δsize and Δt ramp\n", maxD, len(times))
-	fmt.Fprintf(out, "back to steady state — the signature §4.3 exploits.\n\n")
-
-	// ---- Tables 2-4 ----
-	gains, err := suite.Table2()
-	if err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(out, "## Table 2 — stall-model features (CFS + Best First)\n\n")
-	fmt.Fprintf(out, "Paper keeps 4 of 70: chunk size min (0.45), chunk size std (0.25),\nBDP mean (0.18), packet retransmissions max (0.12).\n\nMeasured selection:\n\n")
-	fmt.Fprintf(out, "| info. gain | feature |\n|---|---|\n")
-	for _, g := range gains {
-		fmt.Fprintf(out, "| %.2f | %s |\n", g.Gain, g.Name)
-	}
-	fmt.Fprintln(out)
-
-	cv3, err := suite.Table3and4()
-	if err != nil {
-		fail(err)
-	}
-	writeConfusion(out, "Tables 3 & 4 — stall detection, cleartext CV",
-		"93.5%", cv3,
-		[][]float64{{97.76, 2.06, 0.18}, {14.7, 80.9, 4.4}, {4.2, 16.5, 79.3}})
-
-	// ---- Tables 5-7 ----
-	gains5, err := suite.Table5()
-	if err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(out, "## Table 5 — representation-model features\n\n")
-	fmt.Fprintf(out, "Paper keeps 15 of 210, dominated by chunk-size percentiles (0.41–0.33)\nwith BIF/BDP/cusum-throughput tails. Measured selection (%d features):\n\n", len(gains5))
-	fmt.Fprintf(out, "| info. gain | feature |\n|---|---|\n")
-	for _, g := range gains5 {
-		fmt.Fprintf(out, "| %.2f | %s |\n", g.Gain, g.Name)
-	}
-	fmt.Fprintln(out)
-
-	cv6, err := suite.Table6and7()
-	if err != nil {
-		fail(err)
-	}
-	writeConfusion(out, "Tables 6 & 7 — average representation, cleartext CV",
-		"84.5%", cv6,
-		[][]float64{{90, 9.9, 0.1}, {22.7, 76.8, 0.5}, {6.8, 18.2, 75}})
-
-	// ---- Figure 4 + §4.3 ----
-	fmt.Fprintf(out, "## Figure 4 / §4.3 — switch detection on cleartext\n\n")
-	evC := suite.SwitchCleartext()
-	fmt.Fprintf(out, "Fixed threshold STD(CUSUM(Δsize×Δt)) = 500 (eq. 3):\n\n")
-	fmt.Fprintf(out, "| rate | paper | measured |\n|---|---|---|\n")
-	fmt.Fprintf(out, "| steady sessions below threshold | 78%% | %.1f%% |\n", 100*evC.SteadyBelow)
-	fmt.Fprintf(out, "| varying sessions above threshold | 76%% | %.1f%% |\n\n", 100*evC.VaryingAbove)
-
-	fmt.Fprintf(out, "Threshold sweep (the data behind the 500 choice):\n\n")
-	fmt.Fprintf(out, "| threshold | steady below | varying above |\n|---|---|---|\n")
-	for _, p := range suite.SwitchThresholdSweep([]float64{125, 250, 500, 1000, 2000}) {
-		fmt.Fprintf(out, "| %.0f | %.1f%% | %.1f%% |\n", p.Threshold, 100*p.SteadyBelow, 100*p.VaryingAbove)
-	}
-	fmt.Fprintln(out)
-
-	// ---- §5 ----
-	fmt.Fprintf(out, "## Figure 5 — encrypted vs cleartext dataset comparison\n\n")
-	sizeClear, sizeEnc, iatClear, iatEnc := suite.Figure5()
-	fmt.Fprintf(out, "| quantity | cleartext | encrypted |\n|---|---|---|\n")
-	fmt.Fprintf(out, "| median segment size (KB) | %.0f | %.0f |\n", sizeClear.Quantile(0.5), sizeEnc.Quantile(0.5))
-	fmt.Fprintf(out, "| p90 segment size (KB) | %.0f | %.0f |\n", sizeClear.Quantile(0.9), sizeEnc.Quantile(0.9))
-	fmt.Fprintf(out, "| median inter-arrival (s) | %.2f | %.2f |\n", iatClear.Quantile(0.5), iatEnc.Quantile(0.5))
-	fmt.Fprintf(out, "\nPaper: the two distributions overlap strongly; encrypted inter-arrivals\nrun slightly shorter (worse network while commuting). Same shape here.\n\n")
-
-	fmt.Fprintf(out, "## §5.2 — session reconstruction from encrypted traffic\n\n")
-	grp := suite.Grouping()
-	fmt.Fprintf(out, "%d true sessions; %.1f%% perfectly reconstructed (paper: \"the vast\nmajority\"); chunk purity %.1f%%.\n\n",
-		grp.TrueSessions, 100*grp.PerfectRate(), 100*grp.ChunkPurity)
-
-	cv8, err := suite.Table8and9()
-	if err != nil {
-		fail(err)
-	}
-	writeConfusion(out, "Tables 8 & 9 — stall detection, encrypted",
-		"91.8%", cv8,
-		[][]float64{{97.2, 2.5, 0.3}, {18.6, 75.2, 6.2}, {2, 32.4, 65.6}})
-	fmt.Fprintf(out, "**Divergence note.** This is the one experiment where the reproduction\n")
-	fmt.Fprintf(out, "falls visibly short of the paper (the paper loses 1.7 points moving to\n")
-	fmt.Fprintf(out, "encrypted traffic; we lose considerably more). The structure of the\n")
-	fmt.Fprintf(out, "error matches the paper's — confusion flows toward the *adjacent*\n")
-	fmt.Fprintf(out, "class, severe sessions are misread as mild (the paper's own severe\n")
-	fmt.Fprintf(out, "recall drops 79%%→66%%), and healthy sessions keep near-perfect\n")
-	fmt.Fprintf(out, "precision — but the magnitude is larger because the synthetic study\n")
-	fmt.Fprintf(out, "(all-adaptive sessions) sits farther from the progressive-heavy\n")
-	fmt.Fprintf(out, "training mix than the real datasets did: the paper's Figure 5 shows\n")
-	fmt.Fprintf(out, "its two datasets nearly coincide in feature space, a property a\n")
-	fmt.Fprintf(out, "two-orders-of-magnitude-smaller synthetic corpus pair only\n")
-	fmt.Fprintf(out, "approximates. The transfer-sensitivity sweep below shows the gap is\n")
-	fmt.Fprintf(out, "driven by this delivery-mode imbalance, not by the study's mobility\n")
-	fmt.Fprintf(out, "mix.\n\n")
-	if pts, err := suite.TransferSensitivity([]float64{0, 0.25, 0.5, 0.75, 1}); err == nil {
-		fmt.Fprintf(out, "| commuter fraction | encrypted accuracy | no-stall recall |\n|---|---|---|\n")
-		for _, p := range pts {
-			fmt.Fprintf(out, "| %.2f | %.1f%% | %.1f%% |\n", p.CommuterFraction, 100*p.Accuracy, 100*p.NoStallRecall)
-		}
-		fmt.Fprintln(out)
-	}
-
-	cv10, err := suite.Table10and11()
-	if err != nil {
-		fail(err)
-	}
-	writeConfusion(out, "Tables 10 & 11 — average representation, encrypted",
-		"81.9%", cv10,
-		[][]float64{{84.5, 15.4, 0.1}, {20.4, 78.9, 0.7}, {15, 33.75, 51.25}})
-
-	fmt.Fprintf(out, "## §5.6 — switch detection on encrypted traffic (same threshold)\n\n")
-	evE := suite.SwitchEncrypted()
-	fmt.Fprintf(out, "| rate | paper | measured |\n|---|---|---|\n")
-	fmt.Fprintf(out, "| steady sessions below threshold | 76.9%% | %.1f%% |\n", 100*evE.SteadyBelow)
-	fmt.Fprintf(out, "| varying sessions above threshold | 71.7%% | %.1f%% |\n\n", 100*evE.VaryingAbove)
-
-	fmt.Fprintf(out, "## §6 — Prometheus-style binary baseline\n\n")
-	base := suite.BaselineBinary()
-	fmt.Fprintf(out, "Binary buffering classifier: paper cites ~84%% for Prometheus [15];\nmeasured %.1f%% accuracy, held-out ROC AUC %.3f. The 3-class model\nrefines it without losing accuracy.\n\n", 100*base.Accuracy(), suite.BaselineAUC())
-
-	fmt.Fprintf(out, "## §7 — cross-service generalization (the paper's future work)\n\n")
-	if results, err := suite.CrossServiceStall(); err == nil {
-		fmt.Fprintf(out, "Stall model trained on the YouTube-like service, applied unchanged:\n\n")
-		fmt.Fprintf(out, "| service | accuracy | home accuracy |\n|---|---|---|\n")
-		for _, r := range results {
-			fmt.Fprintf(out, "| %s | %.1f%% | %.1f%% |\n", r.Service, 100*r.Accuracy, 100*r.HomeAccuracy)
-		}
-		fmt.Fprintf(out, "\nThe paper conjectures generalization because other services \"have\nadopted the same technologies\" — confirmed on the synthetic analogues.\n\n")
-	}
-
-	fmt.Fprintf(out, "## Ablations\n\n| variant | reference | measured |\n|---|---|---|\n")
-	if r, err := suite.AblationStallWithoutChunkFeatures(); err == nil {
-		fmt.Fprintf(out, "| %s | %.3f | %.3f |\n", r.Name, r.Reference, r.Variant)
-	}
-	if r, err := suite.AblationStallAllFeatures(); err == nil {
-		fmt.Fprintf(out, "| %s | %.3f | %.3f |\n", r.Name, r.Reference, r.Variant)
-	}
-	for _, r := range suite.AblationSwitchProduct() {
-		fmt.Fprintf(out, "| CUSUM input: %s | %.3f | %.3f |\n", r.Name, r.Reference, r.Variant)
-	}
-	r := suite.AblationStartupFilter()
-	fmt.Fprintf(out, "| %s | %.3f | %.3f |\n", r.Name, r.Reference, r.Variant)
-	r = suite.AblationSwitchML()
-	fmt.Fprintf(out, "| %s | %.3f | %.3f |\n", r.Name, r.Reference, r.Variant)
-	fmt.Fprintln(out)
-
-	fmt.Fprintf(out, "%s\n\n", `**Ablation notes.** Two substrate-specific divergences are worth naming:
-(1) the ML classifier for switch detection *outperforms* CUSUM here,
-whereas the paper found the opposite — plausibly because the synthetic
-ABR's switching patterns are more regular than real YouTube's, which
-favors a learned model; (2) Δt alone calibrates slightly better than
-the Δsize×Δt product on this substrate (the simulator's inter-arrival
-signature is cleaner than its size signature). Both headline methods
-still work as the paper describes; the ordering of alternatives is
-what shifts with the substrate.`)
-
-	fmt.Fprintf(out, "ABR safety-margin sweep (substrate design point; commuter workload):\n\n")
-	fmt.Fprintf(out, "| safety | stall rate | avg quality | switches/min |\n|---|---|---|---|\n")
-	for _, p := range suite.AblationABR([]float64{0.6, 0.75, 0.85, 1.0, 1.15}) {
-		fmt.Fprintf(out, "| %.2f | %.1f%% | %.0fp | %.2f |\n",
-			p.Safety, 100*p.StallRate, p.AvgQuality, p.SwitchPerMin)
-	}
-	fmt.Fprintf(out, "\n%s\n", endOfReport)
-
 	if *htmlOut != "" {
 		if err := writeHTMLFigures(*htmlOut, suite); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "HTML figure report written to %s\n", *htmlOut)
 	}
+}
+
+func writeModel(path string, save func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeHTMLFigures renders Figures 1–5 as SVG charts in a standalone
@@ -357,27 +189,4 @@ func ecdfSeries(e *stats.ECDF) viz.Series {
 func named(s viz.Series, name string) viz.Series {
 	s.Name = name
 	return s
-}
-
-// writeConfusion emits a markdown section with paper-vs-measured
-// accuracy and both confusion matrices in row percentages.
-func writeConfusion(out *os.File, title, paperAcc string, c *ml.Confusion, paperRows [][]float64) {
-	fmt.Fprintf(out, "## %s\n\n", title)
-	fmt.Fprintf(out, "Accuracy: paper %s, measured %.1f%% (n=%d).\n\n", paperAcc, 100*c.Accuracy(), c.Total())
-	fmt.Fprintf(out, "Per-class (measured): ")
-	for i, name := range c.Classes {
-		if i > 0 {
-			fmt.Fprintf(out, ", ")
-		}
-		fmt.Fprintf(out, "%s P=%.2f R=%.2f", name, c.Precision(i), c.Recall(i))
-	}
-	fmt.Fprintf(out, "\n\nConfusion (rows = actual, %% of row):\n\n")
-	fmt.Fprintf(out, "| | %s | %s | %s |\n|---|---|---|---|\n", c.Classes[0], c.Classes[1], c.Classes[2])
-	rp := c.RowPercent()
-	for i, name := range c.Classes {
-		fmt.Fprintf(out, "| **%s** (paper %.1f / %.1f / %.1f) | %.1f | %.1f | %.1f |\n",
-			name, paperRows[i][0], paperRows[i][1], paperRows[i][2],
-			rp[i][0], rp[i][1], rp[i][2])
-	}
-	fmt.Fprintln(out)
 }

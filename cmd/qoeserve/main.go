@@ -36,8 +36,9 @@
 //	                     burn values and detail lines
 //	GET  /debug/pprof/   net/http/pprof (only with -pprof)
 //
-// Models are loaded from files written by qoetrain, or trained on a
-// synthetic corpus at startup.
+// Models are loaded from the files qoereport -save-stall/-save-rep
+// write, or trained on a synthetic corpus at startup when no files are
+// given; one file alone is an error.
 //
 //	qoeserve -addr :8080 -stall stall.model -rep rep.model
 //
@@ -124,13 +125,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	var fw *core.Framework
-	if *stallPath != "" && *repPath != "" {
-		fw, err = core.LoadFramework(*stallPath, *repPath)
-	} else {
+	if *stallPath == "" && *repPath == "" {
 		log.Info("training on synthetic corpus", "sessions", *trainN)
-		fw, err = core.TrainServingFramework(*trainN, *seed)
 	}
+	fw, err := core.ServingFramework(*stallPath, *repPath, *trainN, *seed)
 	if err != nil {
 		log.Error("startup failed", "err", err)
 		os.Exit(1)

@@ -3,8 +3,9 @@
 // stdin, reconstructs sessions on the fly and prints a QoE report the
 // moment each session completes.
 //
-// Models are loaded from files written by qoetrain, or trained on a
-// synthetic corpus at startup when no files are given.
+// Models are loaded from the files qoereport -save-stall/-save-rep
+// write, or trained on a synthetic corpus at startup when no files are
+// given; one file alone is an error.
 //
 //	qoegen -kind encrypted -n 50 -format jsonl | qoewatch
 //	qoewatch -stall stall.model -rep rep.model < weblog.jsonl
@@ -61,8 +62,8 @@ import (
 
 func main() {
 	var (
-		stallPath = flag.String("stall", "", "trained stall model (from qoetrain -save-stall)")
-		repPath   = flag.String("rep", "", "trained representation model (from qoetrain -save-rep)")
+		stallPath = flag.String("stall", "", "trained stall model (from qoereport -save-stall)")
+		repPath   = flag.String("rep", "", "trained representation model (from qoereport -save-rep)")
 		trainN    = flag.Int("train-n", 800, "synthetic training size when no model files are given")
 		seed      = flag.Int64("seed", 1, "training seed")
 		quietOK   = flag.Bool("problems-only", false, "print only sessions with QoE issues")
@@ -84,13 +85,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	var fw *core.Framework
-	if *stallPath != "" && *repPath != "" {
-		fw, err = core.LoadFramework(*stallPath, *repPath)
-	} else {
+	if *stallPath == "" && *repPath == "" {
 		log.Info("no model files given; training on synthetic corpus", "sessions", *trainN)
-		fw, err = core.TrainServingFramework(*trainN, *seed)
 	}
+	fw, err := core.ServingFramework(*stallPath, *repPath, *trainN, *seed)
 	if err != nil {
 		log.Error("startup failed", "err", err)
 		os.Exit(1)

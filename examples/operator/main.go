@@ -19,7 +19,7 @@ import (
 
 func main() {
 	// Train once on cleartext (in production this model would be
-	// loaded from disk; see cmd/qoetrain -save-stall / -save-rep).
+	// loaded from disk; see cmd/qoereport -save-stall / -save-rep).
 	clearCfg := workload.DefaultConfig(800)
 	clearCfg.Seed = 21
 	hasCfg := workload.DefaultConfig(400)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -195,11 +196,13 @@ func TestDetectorSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadFrameworkMatchesAssembled: the two files qoetrain -save-stall
+// TestLoadFrameworkMatchesAssembled: the two files qoereport -save-stall
 // and -save-rep write (Detector.Save), loaded through the path-level
 // loader, give a framework whose reports over the encrypted corpus are
 // bit-identical to one assembled from the in-memory detectors — and
-// the loader refuses the two files in each other's slot.
+// the loader refuses the two files in each other's slot. The live
+// tools' ServingFramework loads the same pair, and refuses one file
+// without the other rather than training in its place.
 func TestLoadFrameworkMatchesAssembled(t *testing.T) {
 	testCorpora(t)
 	dir := t.TempDir()
@@ -236,6 +239,22 @@ func TestLoadFrameworkMatchesAssembled(t *testing.T) {
 	}
 	if _, err := LoadFramework(stallPath, filepath.Join(dir, "absent.model")); err == nil {
 		t.Error("missing model file loaded as a framework")
+	}
+
+	served, err := ServingFramework(stallPath, repPath, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := served.AnalyzeBatchInto(all, nil, nil); !slices.Equal(got, want) {
+		t.Error("ServingFramework with both files differs from LoadFramework")
+	}
+	if trained, err := ServingFramework("", "", 200, 1); err != nil || trained.Stall == nil || trained.Rep == nil {
+		t.Errorf("ServingFramework without files: %v, %v; want a trained framework", trained, err)
+	}
+	for _, paths := range [][2]string{{stallPath, ""}, {"", repPath}, {"/nonexistent.model", ""}} {
+		if fw, err := ServingFramework(paths[0], paths[1], 100, 1); err == nil || fw != nil {
+			t.Errorf("ServingFramework(%q, %q) = %v, %v; want an error, not a trained framework", paths[0], paths[1], fw, err)
+		}
 	}
 }
 

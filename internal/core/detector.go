@@ -307,7 +307,7 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 }
 
 // LoadDetectorFile is LoadDetector on a model file written by
-// qoetrain -save-stall / -save-rep.
+// qoereport -save-stall / -save-rep.
 func LoadDetectorFile(path string) (*Detector, error) {
 	f, err := os.Open(path)
 	if err != nil {

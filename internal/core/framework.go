@@ -53,7 +53,7 @@ func TrainFramework(stallCorpus, repCorpus *workload.Corpus, cfg TrainConfig) (*
 }
 
 // LoadFramework assembles the deployable unit from the two model files
-// qoetrain -save-stall and -save-rep write. Each detector must have
+// qoereport -save-stall and -save-rep write. Each detector must have
 // been trained on the schema its slot featurizes sessions into —
 // swapped or foreign files are an error, not a misprediction.
 func LoadFramework(stallPath, repPath string) (*Framework, error) {
@@ -78,12 +78,26 @@ func LoadFramework(stallPath, repPath string) (*Framework, error) {
 	}, nil
 }
 
-// TrainServingFramework is what the live tools do without model files:
+// ServingFramework is how the live tools (qoeserve, qoewatch) get their
+// models: loaded from both files when both paths are given, trained by
+// trainServingFramework when neither is. One path alone is an error —
+// a lone model file is never silently replaced by training.
+func ServingFramework(stallPath, repPath string, trainN int, seed int64) (*Framework, error) {
+	switch {
+	case stallPath != "" && repPath != "":
+		return LoadFramework(stallPath, repPath)
+	case stallPath == "" && repPath == "":
+		return trainServingFramework(trainN, seed)
+	}
+	return nil, fmt.Errorf("a stall and a representation model file go together: got stall %q, rep %q", stallPath, repPath)
+}
+
+// trainServingFramework is what the live tools do without model files:
 // train on the traffic the engine serves — trainN encrypted adaptive
 // sessions for the stall model, half as many for the representation
 // model — so the quality monitor's baseline describes the live
 // population rather than flagging a train/serve mismatch at once.
-func TrainServingFramework(trainN int, seed int64) (*Framework, error) {
+func trainServingFramework(trainN int, seed int64) (*Framework, error) {
 	stallCfg := workload.DefaultConfig(trainN)
 	stallCfg.AdaptiveFraction = 1
 	stallCfg.Encrypted = true

@@ -1,11 +1,11 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation. Each experiment is a method on a Suite, which lazily
-// generates the corpora and trains the models it needs; the cmd tools
-// and the benchmark harness share this single implementation.
+// generates the corpora and trains the models it needs. The report
+// (report.go) is the one renderer of their results; qoereport prints it
+// and the table benchmarks call the methods directly.
 package experiments
 
 import (
-	"strings"
 	"sync"
 
 	"vqoe/internal/core"
@@ -41,29 +41,6 @@ func QuickScale() Scale {
 	return Scale{Cleartext: 1500, HAS: 800, Encrypted: 250, Trees: 30, Folds: 5, Seed: 1}
 }
 
-// Only parses a tool's -only flag — a comma-separated list of experiment
-// keys — into its selector: with an empty list every experiment runs,
-// otherwise one runs when any of its keys was named.
-func Only(list string) func(keys ...string) bool {
-	want := map[string]bool{}
-	for _, s := range strings.Split(list, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			want[s] = true
-		}
-	}
-	return func(keys ...string) bool {
-		if len(want) == 0 {
-			return true
-		}
-		for _, k := range keys {
-			if want[k] {
-				return true
-			}
-		}
-		return false
-	}
-}
-
 // Suite owns the corpora and trained models of one reproduction run.
 // All accessors are safe for sequential reuse; expensive artefacts are
 // built once.
@@ -88,6 +65,10 @@ type Suite struct {
 	repDet  *core.RepresentationDetector
 	repRep  *core.TrainReport
 	repErr  error
+
+	// loadedStall and loadedRep, when set by LoadModels, are what
+	// Tables 8–11 evaluate instead of the trained detectors.
+	loadedStall, loadedRep *core.Detector
 }
 
 // NewSuite creates a suite at the given scale.
@@ -150,6 +131,22 @@ func (s *Suite) RepModel() (*core.RepresentationDetector, *core.TrainReport, err
 	return s.repDet, s.repRep, s.repErr
 }
 
+// LoadModels reads detectors saved by Detector.Save (qoereport
+// -save-stall/-save-rep) for Tables 8–11 to evaluate on the encrypted
+// study in place of the trained ones — the deployment the paper
+// proposes. An empty path keeps that table's trained detector.
+func (s *Suite) LoadModels(stallPath, repPath string) (err error) {
+	if stallPath != "" {
+		if s.loadedStall, err = core.LoadDetectorFile(stallPath); err != nil {
+			return err
+		}
+	}
+	if repPath != "" {
+		s.loadedRep, err = core.LoadDetectorFile(repPath)
+	}
+	return err
+}
+
 // ---- Tables ----
 
 // Table2 returns the stall model's selected features and information
@@ -191,9 +188,12 @@ func (s *Suite) Table6and7() (*ml.Confusion, error) {
 	return rep.CV, nil
 }
 
-// Table8and9 applies the cleartext-trained stall model to the
-// encrypted study.
+// Table8and9 applies the cleartext-trained stall model, or the loaded
+// one, to the encrypted study.
 func (s *Suite) Table8and9() (*ml.Confusion, error) {
+	if s.loadedStall != nil {
+		return s.loadedStall.Evaluate(core.BuildStallDataset(s.Study().Corpus))
+	}
 	det, _, err := s.StallModel()
 	if err != nil {
 		return nil, err
@@ -201,9 +201,12 @@ func (s *Suite) Table8and9() (*ml.Confusion, error) {
 	return det.EvaluateCorpus(s.Study().Corpus)
 }
 
-// Table10and11 applies the representation model to the encrypted
-// study.
+// Table10and11 applies the representation model, or the loaded one, to
+// the encrypted study.
 func (s *Suite) Table10and11() (*ml.Confusion, error) {
+	if s.loadedRep != nil {
+		return s.loadedRep.Evaluate(core.BuildRepDataset(s.Study().Corpus))
+	}
 	det, _, err := s.RepModel()
 	if err != nil {
 		return nil, err

@@ -2,9 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"vqoe/internal/ml"
 )
 
 // one quick-scale suite shared by all tests in the package
@@ -103,6 +109,70 @@ func TestTables8Through11(t *testing.T) {
 	}
 }
 
+// TestLoadModelsEvaluatesTheFiles: Tables 8–11 over detectors saved and
+// loaded back (qoereport -save-*, then -load-*) are the trained
+// detectors' tables, and a suite given both files trains nothing for
+// them; a file in the wrong slot is an error, not a table.
+func TestLoadModelsEvaluatesTheFiles(t *testing.T) {
+	s := testSuite(t)
+	stallDet, _, err := s.StallModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	repDet, _, err := s.RepModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	save := func(name string, save func(io.Writer) error) string {
+		var buf bytes.Buffer
+		if err := save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	stallPath, repPath := save("stall.model", stallDet.Save), save("rep.model", repDet.Save)
+
+	loaded := NewSuite(s.Scale)
+	if err := loaded.LoadModels(stallPath, repPath); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		trained, load func() (*ml.Confusion, error)
+	}{
+		{"Table 8", s.Table8and9, loaded.Table8and9},
+		{"Table 10", s.Table10and11, loaded.Table10and11},
+	} {
+		want, err := tc.trained()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tc.load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Counts) != fmt.Sprint(want.Counts) {
+			t.Errorf("%s: loaded %v, trained %v", tc.name, got.Counts, want.Counts)
+		}
+	}
+	if loaded.stallDet != nil || loaded.repDet != nil {
+		t.Error("a suite with both model files loaded trained a detector for Tables 8–11")
+	}
+
+	swapped := NewSuite(s.Scale)
+	if err := swapped.LoadModels(repPath, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := swapped.Table8and9(); err == nil {
+		t.Error("a representation model evaluated as Table 8's stall model")
+	}
+}
+
 func TestSwitchEvaluations(t *testing.T) {
 	s := testSuite(t)
 	clear := s.SwitchCleartext()
@@ -197,52 +267,105 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestRenderers(t *testing.T) {
+// TestReportSections holds the report's assembly to its section list:
+// every key selects a section; the whole report is the header, every
+// section in list order, then the end marker; and -only with one key
+// prints exactly that key's sections of the whole report, nothing else.
+func TestReportSections(t *testing.T) {
 	s := testSuite(t)
-	var buf bytes.Buffer
-	gains, _ := s.Table2()
-	RenderGains(&buf, "Table 2", gains)
-	cv, _ := s.Table3and4()
-	RenderConfusion(&buf, "Table 3/4", cv)
-	ev := s.SwitchCleartext()
-	RenderSwitchEval(&buf, "switch", ev.SteadyBelow, ev.VaryingAbove, ev.SteadyN, ev.VaryingN)
-	steady, _ := s.Figure4()
-	RenderECDF(&buf, "Figure 4", steady)
-	times, dsizes, _ := s.Figure3()
-	RenderSeries(&buf, "Figure 3", times, dsizes, "t", "dsize", 20)
-	RenderAblation(&buf, []AblationResult{{Name: "x", Reference: 1, Variant: 0.9}})
-	Banner(&buf, "section")
-	out := buf.String()
-	for _, want := range []string{"Table 2", "accuracy", "threshold", "quantiles", "section"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render output missing %q", want)
+	// each section runs once; the assembly is checked over its output
+	parts := make([]string, len(sections))
+	memo := make([]section, len(sections))
+	for i, sec := range sections {
+		var buf bytes.Buffer
+		if err := sec.write(&buf, s); err != nil {
+			t.Fatalf("section %v: %v", sec.keys, err)
 		}
+		parts[i] = buf.String()
+		if !strings.HasPrefix(parts[i], "## ") || !strings.HasSuffix(parts[i], "\n\n") {
+			t.Errorf("section %v is not a heading through a blank line: %.60q", sec.keys, parts[i])
+		}
+		memo[i] = section{sec.keys, func(out io.Writer, _ *Suite) error {
+			_, err := io.WriteString(out, parts[i])
+			return err
+		}}
+	}
+
+	var header, full bytes.Buffer
+	writeHeader(&header, s.Scale)
+	if err := writeReport(&full, s, memo, ""); err != nil {
+		t.Fatal(err)
+	}
+	if want := header.String() + strings.Join(parts, "") + endOfReport + "\n"; full.String() != want {
+		t.Errorf("whole report is not header + sections in order + end marker")
+	}
+
+	slices := map[string]string{}
+	for i, sec := range memo {
+		for _, k := range sec.keys {
+			slices[k] += parts[i]
+		}
+	}
+	for key, want := range slices {
+		var buf bytes.Buffer
+		if err := writeReport(&buf, s, memo, key); err != nil {
+			t.Fatalf("-only %s: %v", key, err)
+		}
+		if buf.String() != want {
+			t.Errorf("-only %s printed %d bytes, want its %d-byte slice of the report", key, buf.Len(), len(want))
+		}
+	}
+	// every key the paper's tables and figures were printed under
+	for _, key := range strings.Fields("fig1 fig2 fig3 fig4 fig5 table2 table3 table4 table5 table6 table7 table8 table9 table10 table11 switch grouping baseline generalize importance ablations") {
+		if slices[key] == "" {
+			t.Errorf("no section has the key %q", key)
+		}
+	}
+	if !strings.Contains(slices["switch"], "## Figure 4 / §4.3") || !strings.Contains(slices["switch"], "## §5.6") {
+		t.Error("-only switch must select both switch-detection sections")
 	}
 }
 
-// TestOnly: the -only selector qoetrain and qoeeval share — an empty or
-// blank list selects everything, otherwise an experiment runs when any
-// of its keys was named; spaces around a key are ignored.
+// TestOnly: the -only selector. An empty or blank list selects the
+// whole report; otherwise a section is selected when any of its keys
+// was named, spaces around a key ignored; a key no section has is an
+// error that names the valid keys.
 func TestOnly(t *testing.T) {
+	sections := []section{{keys: []string{"table3", "table4"}}, {keys: []string{"fig4", "switch"}}, {keys: []string{"switch"}}}
 	for _, list := range []string{"", " , ,"} {
-		if sel := Only(list); !sel("table3") || !sel() {
-			t.Errorf("Only(%q) does not select everything", list)
+		if sel, err := selectSections(sections, list); sel != nil || err != nil {
+			t.Errorf("selectSections(%q) = %v, %v; want nil (the whole report)", list, sel, err)
 		}
 	}
-	sel := Only("table3, fig4 ,")
 	for _, tc := range []struct {
-		keys []string
-		want bool
+		list string
+		want string // first keys of the selected sections
 	}{
-		{[]string{"table3"}, true},
-		{[]string{"fig4"}, true},
-		{[]string{"table2", "fig4"}, true},
-		{[]string{"table2"}, false},
-		{[]string{"table33"}, false},
-		{nil, false},
+		{"table3", "[table3]"},
+		{"table4, fig4 ,", "[table3 fig4]"},
+		{"switch", "[fig4 switch]"},
+		{"fig4,table3", "[table3 fig4]"},
 	} {
-		if got := sel(tc.keys...); got != tc.want {
-			t.Errorf("Only(\"table3, fig4 ,\")(%q) = %v, want %v", tc.keys, got, tc.want)
+		sel, err := selectSections(sections, tc.list)
+		if err != nil {
+			t.Fatalf("selectSections(%q): %v", tc.list, err)
 		}
+		var got []string
+		for _, sec := range sel {
+			got = append(got, sec.keys[0])
+		}
+		if fmt.Sprint(got) != tc.want {
+			t.Errorf("selectSections(%q) picked sections %v, want %v", tc.list, got, tc.want)
+		}
+	}
+	for _, list := range []string{"tabel3", "table3,table33"} {
+		_, err := selectSections(sections, list)
+		if err == nil || !strings.Contains(err.Error(), "valid: table3, table4, fig4, switch") {
+			t.Errorf("selectSections(%q) error %v, want one naming the valid keys", list, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, testSuite(t), "tabel3"); err == nil || buf.Len() != 0 {
+		t.Errorf("WriteReport with an unknown key: error %v after %d bytes, want an error before any output", err, buf.Len())
 	}
 }

@@ -67,17 +67,10 @@ func (s *Suite) StallLearningCurve(sizes []int) []LearningCurvePoint {
 		corpus := workload.Generate(cfg)
 		ds := core.BuildStallDataset(corpus)
 		fcfg := ml.ForestConfig{Trees: s.Scale.Trees, Seed: s.Scale.Seed}
-		cv := ml.CrossValidate(ds, minInt(s.Scale.Folds, 5), fcfg, s.Scale.Seed, 0)
+		cv := ml.CrossValidate(ds, min(s.Scale.Folds, 5), fcfg, s.Scale.Seed, 0)
 		out = append(out, LearningCurvePoint{Sessions: n, Accuracy: cv.Accuracy()})
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // StallImportance reports the permutation importance of the stall

@@ -193,7 +193,7 @@ func Evaluate(f *Forest, test *Dataset) *Confusion {
 // the master seed in fold order, so the merged matrix is identical at
 // every parallelism level (the property TestCrossValidateParallelMatchesSerial
 // locks in). Fold-parallelism is what keeps the retraining loops
-// (qoetrain, CFS candidate evaluation, the Table 3/6 benchmarks) CPU
+// (qoereport, CFS candidate evaluation, the Table 3/6 benchmarks) CPU
 // bound instead of serialized on one fold at a time.
 func CrossValidate(ds *Dataset, k int, cfg ForestConfig, seed int64, parallelism int) *Confusion {
 	conf, _ := crossValidate(ds, k, cfg, seed, parallelism, 0)

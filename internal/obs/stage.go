@@ -35,9 +35,10 @@ const (
 	// StageWireDecode is the binary wire protocol's frame decode (one
 	// observation per frame, recorded per connection by the wire
 	// listener rather than per engine shard). The listener decodes to
-	// routed recs, so this includes identity resolution: the
-	// per-connection cache lookups and, for a frame with misses, the
-	// engine's Intern call.
+	// routed recs, so this includes identity resolution: one batched
+	// Engine.Find over the frame's subscribers, the connection's
+	// cohort-cache lookups and, for a frame with misses, the engine's
+	// Intern call.
 	StageWireDecode
 
 	// NumStages is the number of instrumented stages.

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // ECDF is an empirical cumulative distribution function built from a
 // sample. It answers both directions: F(x) (fraction of the sample ≤ x)
@@ -79,42 +75,3 @@ func (e *ECDF) Points(n int) []Point {
 
 // Point is a single (x, y) coordinate of a rendered curve.
 type Point struct{ X, Y float64 }
-
-// RenderASCII renders the ECDF as a small text plot, used by the cmd
-// tools to show figure shapes in a terminal. width and height are the
-// plot's interior dimensions in characters.
-func (e *ECDF) RenderASCII(title string, width, height int) string {
-	if len(e.xs) == 0 || width < 2 || height < 2 {
-		return title + ": (empty)\n"
-	}
-	lo, hi := e.xs[0], e.xs[len(e.xs)-1]
-	if hi == lo {
-		hi = lo + 1
-	}
-	grid := make([][]byte, height)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", width))
-	}
-	for c := 0; c < width; c++ {
-		x := lo + (hi-lo)*float64(c)/float64(width-1)
-		y := e.At(x)
-		r := height - 1 - int(y*float64(height-1)+0.5)
-		grid[r][c] = '*'
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	for r, row := range grid {
-		frac := 1 - float64(r)/float64(height-1)
-		fmt.Fprintf(&b, "%5.2f |%s|\n", frac, string(row))
-	}
-	fmt.Fprintf(&b, "      %s\n", strings.Repeat("-", width+2))
-	fmt.Fprintf(&b, "      %-*.4g%*.4g\n", width/2, lo, width-width/2+2, hi)
-	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

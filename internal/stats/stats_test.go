@@ -321,17 +321,6 @@ func TestECDFPoints(t *testing.T) {
 	}
 }
 
-func TestECDFRenderASCII(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3})
-	out := e.RenderASCII("test", 20, 5)
-	if out == "" || len(out) < 20 {
-		t.Errorf("render too small: %q", out)
-	}
-	if NewECDF(nil).RenderASCII("x", 10, 5) == "" {
-		t.Error("empty render should still emit a line")
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 100; i++ {

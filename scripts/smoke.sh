@@ -4,9 +4,10 @@
 # operator endpoint answers and the exposition carries the expected
 # families; then run the two CLI tools that embed the same engine at
 # one shard (qoewatch, qoepcap -analyze) and assert their reports and
-# closing sections; last, run `make report` at quick scale on a copy of
-# EXPERIMENTS.md and assert the hand-written record below the generated
-# part survives. CI runs this after the unit suite; it is also the
+# closing sections; then round-trip the model files qoereport saves
+# through qoewatch and back into qoereport's Tables 8-11; last, run
+# `make report` at quick scale on a copy of EXPERIMENTS.md and assert
+# the hand-written record below the generated part survives. CI runs this after the unit suite; it is also the
 # fastest way to sanity-check a local build:
 #
 #   ./scripts/smoke.sh
@@ -27,6 +28,7 @@ go build -o "$TMP/qoeserve" ./cmd/qoeserve
 go build -o "$TMP/qoegen" ./cmd/qoegen
 go build -o "$TMP/qoewatch" ./cmd/qoewatch
 go build -o "$TMP/qoepcap" ./cmd/qoepcap
+go build -o "$TMP/qoereport" ./cmd/qoereport
 
 echo "== boot qoeserve"
 "$TMP/qoeserve" -addr "$ADDR" -wire "$WADDR" -train-n 200 -shards 4 -pprof \
@@ -365,6 +367,27 @@ for section in \
         { echo "qoepcap output lacks section: $section" >&2; exit 1; }
 done
 echo "   $PCAP_REPORTS sessions assessed, closing sections present"
+
+echo "== model files: qoereport saves them, qoewatch serves them, qoereport evaluates them"
+"$TMP/qoereport" -quick -only table2 -save-stall "$TMP/stall.model" -save-rep "$TMP/rep.model" >/dev/null
+"$TMP/qoewatch" -stall "$TMP/stall.model" -rep "$TMP/rep.model" <"$TMP/watch.jsonl" \
+    >"$TMP/watch-models.out" 2>"$TMP/watch-models.log"
+MODEL_REPORTS=$(grep -c '^[ !] ' "$TMP/watch-models.out")
+grep -q "^-- $WATCH_ENTRIES entries, $MODEL_REPORTS session reports\$" "$TMP/watch-models.out" ||
+    { echo "qoewatch on saved models: summary disagrees with its $MODEL_REPORTS report lines" >&2; exit 1; }
+test "$MODEL_REPORTS" -eq $((WATCH_SUBS * WATCH_N)) ||
+    { echo "qoewatch on saved models reported $MODEL_REPORTS sessions, generated $((WATCH_SUBS * WATCH_N))" >&2; exit 1; }
+if "$TMP/qoewatch" -stall "$TMP/stall.model" </dev/null >/dev/null 2>&1; then
+    echo "qoewatch accepted a stall model without a representation model" >&2; exit 1
+fi
+"$TMP/qoereport" -quick -only table8,table10 >"$TMP/tables-trained.md"
+"$TMP/qoereport" -quick -only table8,table10 -load-stall "$TMP/stall.model" -load-rep "$TMP/rep.model" \
+    >"$TMP/tables-loaded.md"
+grep -q '^## Tables 8 & 9' "$TMP/tables-loaded.md" && grep -q '^## Tables 10 & 11' "$TMP/tables-loaded.md" ||
+    { echo "qoereport -only table8,table10 printed no Tables 8-11" >&2; exit 1; }
+cmp "$TMP/tables-trained.md" "$TMP/tables-loaded.md" ||
+    { echo "Tables 8-11 differ between the trained and the saved-then-loaded models" >&2; exit 1; }
+echo "   $MODEL_REPORTS reports from saved models; Tables 8-11 identical loaded and trained"
 
 echo "== make report: regenerates above the marker, keeps the record below it"
 cp EXPERIMENTS.md "$TMP/EXPERIMENTS.md"
