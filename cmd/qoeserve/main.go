@@ -14,7 +14,7 @@
 //	GET  /debug/quality  model-quality health: feature drift (PSI),
 //	                     calibration, online accuracy, degradation flags
 //	GET  /debug/cohorts  fleet rollup: per-cohort (region/device/cap)
-//	                     session counts, streaming MOS quantiles, and
+//	                     session counts, exact MOS quantiles, and
 //	                     impairment rates, worst cohort first; -cohort-max
 //	                     caps the tracked-cohort cardinality
 //	GET  /debug/trace    session lifecycle as Chrome trace JSON

@@ -216,9 +216,11 @@ func (r *Rollup) SetExemplars(fn func(cohort string) []string) {
 	r.exemplars = fn
 }
 
-// Snapshot merges all stripes into the fleet view, each cohort's
-// tallies summed over the stripes, and decorates every cohort with its
-// exemplar links.
+// Snapshot merges all stripes into the fleet view, one row per label:
+// the tallies of every key that renders it (region "" and "-" both
+// render "-"), summed over the stripes, under the smallest such key. It
+// decorates every cohort with its exemplar links, which are keyed by
+// label too.
 func (r *Rollup) Snapshot() *Snapshot {
 	if r == nil {
 		return &Snapshot{}
@@ -246,17 +248,25 @@ func (r *Rollup) Snapshot() *Snapshot {
 	// fold the rest into overflow, deterministically (sessions desc,
 	// then key) so the exposition is stable for a given state.
 	type row struct {
-		key Key
-		t   *mos.Tally
-		n   int64
+		label string
+		key   Key
+		t     *mos.Tally
 	}
 	all := make([]row, 0, len(byKey))
+	at := make(map[string]int, len(byKey))
 	for k, t := range byKey {
-		all = append(all, row{k, t, t.Count()})
+		label := k.String()
+		if i, ok := at[label]; ok {
+			if all[i].t.Add(t); lessKey(k, all[i].key) {
+				all[i].key = k
+			}
+			continue
+		}
+		at[label], all = len(all), append(all, row{label, k, t})
 	}
 	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
+		if ni, nj := all[i].t.Count(), all[j].t.Count(); ni != nj {
+			return ni > nj
 		}
 		return lessKey(all[i].key, all[j].key)
 	})
@@ -270,7 +280,7 @@ func (r *Rollup) Snapshot() *Snapshot {
 
 	snap := &Snapshot{Capacity: r.cfg.MaxCohorts, Evicted: evicted}
 	for _, a := range all {
-		st := statsOf(a.key, a.t)
+		st := statsOf(a.label, a.key, a.t)
 		if r.exemplars != nil {
 			st.Exemplars = r.exemplars(st.Cohort)
 		}
@@ -278,8 +288,7 @@ func (r *Rollup) Snapshot() *Snapshot {
 		snap.Total += st.Sessions
 	}
 	if over.Count() > 0 {
-		st := statsOf(Key{}, &over)
-		st.Cohort = "overflow"
+		st := statsOf("overflow", Key{}, &over)
 		snap.Overflow = &st
 		snap.Total += st.Sessions
 	}
@@ -302,10 +311,11 @@ func lessKey(a, b Key) bool {
 	return a.Cap < b.Cap
 }
 
-// statsOf reads one cohort's fleet-view row off its tally.
-func statsOf(k Key, t *mos.Tally) Stats {
+// statsOf reads one cohort's fleet-view row, labelled label, off its
+// tally.
+func statsOf(label string, k Key, t *mos.Tally) Stats {
 	st := Stats{
-		Cohort:   k.String(),
+		Cohort:   label,
 		Region:   k.Region,
 		Device:   k.Device,
 		Cap:      k.Cap,

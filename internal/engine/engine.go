@@ -281,25 +281,28 @@ func (e *Engine) Feed(entries []weblog.Entry) {
 	e.digests.Put(d)
 }
 
-// Find, Intern and FeedRecs are the fused wire door (wire.RecSink): the
-// listener's decoder resolves a validated frame's subscribers through
-// one Find, asks Intern only about the identities it missed, and hands
-// FeedRecs recs it built itself, so no weblog.Entry exists on that path.
+// Settle, Find and FeedRecs are the fused wire door (wire.RecSink): the
+// listener's decoder has a validated frame's identities resolved through
+// one Settle — the routine the Entry doors' batches go through too — its
+// label subscribers through Find, and hands FeedRecs recs it built
+// itself, so no weblog.Entry exists on that path.
 //
-// Find resolves the subscribers subs[i] an earlier call interned into
-// refs[i], lock-free and interning nothing; a miss is the zero SubRef and
-// means "ask Intern", not "new". Nothing passed in is retained.
-func (e *Engine) Find(subs [][]byte, refs []sessionizer.SubRef) { e.interner.find(subs, refs) }
-
-// Intern resolves subscriber names into refs and region/device/cap
-// triples into cohort IDs (0 for an all-empty triple), interning what
-// is new, under one lock acquisition. Nothing passed in is retained.
-func (e *Engine) Intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
-	e.interner.intern(subs, refs, cohorts, ids)
+// Settle resolves rec i's subscriber subs[i] into recs[i].Sub and
+// shardOf[i], and its canonical cohort key keys[i]
+// (weblog.AppendCohortKey; nil for none) into recs[i].Cohort, interning
+// what is new. A batch whose identities are all known takes no lock.
+// Nothing passed in is retained.
+func (e *Engine) Settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf []uint32) {
+	e.interner.settle(subs, keys, recs, shardOf)
 }
 
-// FeedRecs is Feed for recs already resolved through Intern: recs[i]
-// goes to shard shardOf[i], which must be what Intern returned for its
+// Find resolves the subscribers subs[i] an earlier call interned into
+// refs[i], lock-free and interning nothing; a never-seen name is the
+// zero SubRef. Nothing passed in is retained.
+func (e *Engine) Find(subs [][]byte, refs []sessionizer.SubRef) { e.interner.find(subs, refs) }
+
+// FeedRecs is Feed for recs already resolved through Settle: recs[i]
+// goes to shard shardOf[i], which must be what Settle returned for its
 // subscriber. done, when non-nil, is called exactly once, when the last
 // shard has processed its share of the batch — at once when the engine
 // takes none of it (closed, no recs, every rec rejected) — by that shard

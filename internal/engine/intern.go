@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"hash/maphash"
 	"strings"
 	"sync"
@@ -19,14 +20,12 @@ import (
 // are resolved back at session close (reports, cohort rollups, flight
 // retention) and per lifecycle-trace event.
 //
-// Both doors intern through the same two lookup-or-add routines
-// (lookupSub, lookupCohort), under one acquisition of mu per call: the
-// wire door for what find and its per-connection cohort cache missed
-// (intern), the Entry doors for every entry of a batch (digest). IDs
-// start at 1 and are assigned in first-sight order; 0 means "absent"
-// (no cohort metadata). A new name or cohort label is cut from the
-// current nameBlockBytes block and kept as a substring of it, which pins
-// the block: first sight allocates per block, not per identity.
+// Both doors resolve a batch through one routine, settle, which takes mu
+// only for a batch with a first sight in it. IDs start at 1 and are
+// assigned in first-sight order; 0 means "absent" (no cohort metadata).
+// A new name, cohort key or cohort label is cut from the current
+// nameBlockBytes block and kept as a substring of it, which pins the
+// block: first sight allocates per block, not per identity.
 //
 // Reading takes no lock at all (DESIGN §13). The id → x tables only
 // grow by append, and every locked section that grew them publishes the
@@ -36,63 +35,58 @@ import (
 // appends never touch what it reads. IDs are never reused — a reclaiming
 // interner must first resolve or epoch-tag whatever still holds an old
 // ID (open flows, the trace ring), and it frees names a block at a time.
-//
-// slots is the subscriber → ID index: linear probing at load ≤ ½ over a
-// power of two of one-word slots — upper half a tag (the upper half of
-// the name's seeded 64-bit hash), lower half the ID, 0 for empty. A run
-// starts at tag mod len(slots), so a table is rebuilt from its words
-// alone. A slot is stored under mu, once, after its name lies in names;
-// find reads the published view's table without the lock, and a table
-// since replaced or an ID its view does not cover yet only turns a hit
-// into a miss, which lookupSub settles.
 type interner struct {
-	mu     sync.Mutex
-	shards uint32
+	mu         sync.Mutex
+	shards     uint32
+	internView                 // the tables, as the locked side grows them
+	block      strings.Builder // what new names, keys and labels are cut from
+	view       atomic.Pointer[internView]
+}
 
+// index maps one identity's keys to IDs: linear probing at load ≤ ½
+// over a power of two of one-word slots — upper half a tag (the upper
+// half of the key's seeded 64-bit hash), lower half the ID, 0 for empty.
+// A run starts at tag mod len(slots), so a table is rebuilt from its
+// words alone. A slot is stored under mu, once, after its key lies in
+// names; settle and find read the published view's table without the
+// lock, and a table since replaced or an ID its view does not cover yet
+// only turns a hit into a miss, which the locked pass settles.
+type index struct {
 	slots []atomic.Uint64
-	names []string // id → subscriber; names[0] unused
-	homes []uint32 // id → fnvShard(names[id]), computed at first sight
+	names []string // id → key; names[0] unused
+}
 
-	cohorts map[cohort.Key]uint32
+// internView is the interner's tables; a published copy is their
+// lock-free read side as of one publication, immutable once stored but
+// for empty slots being filled.
+type internView struct {
+	subs  index    // by name
+	homes []uint32 // id → fnvShard(subs.names[id]), computed at first sight
+
+	cohorts index        // by canonical key (weblog.AppendCohortKey)
 	keys    []cohort.Key // id → key; keys[0] is the zero key
 	labels  []string     // id → keys[id].String(), rendered once
 
-	block  strings.Builder // what new names and labels are cut from
-	blocks int             // bytes of every block started so far
-
-	view atomic.Pointer[internView]
+	blocks int // bytes of every block started so far
 }
 
-// internView is the lock-free read side of the interner as of one
-// publication. Immutable once stored, but for empty slots being filled.
-type internView struct {
-	slots  []atomic.Uint64
-	names  []string
-	homes  []uint32
-	keys   []cohort.Key
-	labels []string
-	blocks int
-}
-
-// subSeed keys the index's hash for this process: a peer who chooses
+// idSeed keys the indexes' hash for this process: a peer who chooses
 // subscriber names cannot aim them at one run of a linear-probing table.
-var subSeed = maphash.MakeSeed()
+var idSeed = maphash.MakeSeed()
 
 // nameBlockBytes is one name block: over a thousand subscriber names.
-// minSubSlots is the index an engine starts with.
-const nameBlockBytes, minSubSlots = 16 << 10, 1 << 10
+// minSlots is the size each index starts at.
+const nameBlockBytes, minSlots = 16 << 10, 1 << 10
 
 func newInterner(shards int) *interner {
-	n := &interner{
-		shards:  uint32(shards),
-		slots:   make([]atomic.Uint64, minSubSlots),
-		names:   make([]string, 1),
+	n := &interner{shards: uint32(shards), internView: internView{
+		subs:    index{make([]atomic.Uint64, minSlots), make([]string, 1)},
 		homes:   make([]uint32, 1),
-		cohorts: make(map[cohort.Key]uint32),
+		cohorts: index{make([]atomic.Uint64, minSlots), make([]string, 1)},
 		keys:    make([]cohort.Key, 1),
 		labels:  []string{cohort.Key{}.String()},
-	}
-	n.view.Store(&internView{n.slots, n.names, n.homes, n.keys, n.labels, 0})
+	}}
+	n.publish()
 	return n
 }
 
@@ -109,7 +103,7 @@ func fnvShard(s string, n uint32) uint32 {
 // name resolves an interned subscriber ID through the published view.
 // Safe for concurrent use (shards resolve per traced chunk and at
 // session close while feeders intern new batches).
-func (n *interner) name(id uint32) string { return n.view.Load().names[id] }
+func (n *interner) name(id uint32) string { return n.view.Load().subs.names[id] }
 
 // cohortKey resolves an interned cohort ID; id 0 is the zero key.
 func (n *interner) cohortKey(id uint32) cohort.Key { return n.view.Load().keys[id] }
@@ -127,148 +121,157 @@ func (n *interner) room(size int) {
 	}
 }
 
-// put appends s, or "-" for an empty s when dash is set, to the block.
-// The caller has made room.
-func put[S string | []byte](b *strings.Builder, s S, dash bool) {
-	if dash && len(s) == 0 {
-		b.WriteByte('-')
-		return
-	}
-	switch v := any(s).(type) {
-	case string:
-		b.WriteString(v)
-	case []byte:
-		b.Write(v)
-	}
-}
-
-// probe is the index's one lookup: it walks the run of name, whose hash
+// probe is an index's one lookup: it walks the run of key, whose hash
 // is the upper half of h, and returns its ID, or 0 and the empty slot
-// that ended the run. A slot answers for name only if names, the table
+// that ended the run. A slot answers for key only if names, the column
 // the caller reads IDs by, covers its ID and holds the same bytes there.
-func probe[S string | []byte](slots []atomic.Uint64, names []string, h uint64, name S) (id, at uint32) {
+func probe(slots []atomic.Uint64, names []string, h uint64, key []byte) (id, at uint32) {
 	tag, mask := uint32(h>>32), uint32(len(slots)-1)
 	for at = tag & mask; ; at = (at + 1) & mask {
 		w := slots[at].Load()
 		if w == 0 {
 			return 0, at
 		}
-		if id = uint32(w); uint32(w>>32) == tag && int(id) < len(names) && names[id] == string(name) {
+		if id = uint32(w); uint32(w>>32) == tag && int(id) < len(names) && names[id] == string(key) {
 			return id, at
 		}
 	}
 }
 
-// find is probe without the lock, for a frame's names at once: subs[i]
-// resolves into refs[i] as an earlier locked section published it, or
-// into the zero SubRef — for a name never seen, and now and then for one
-// interned a moment ago. Two passes over one view overlap the home-slot
-// misses: the first hashes each name and loads its slot, keeping the tag
-// (the half of h probe reads) in refs[i].ID; the second probes.
-func (n *interner) find(subs [][]byte, refs []sessionizer.SubRef) {
-	v := n.view.Load()
-	mask := uint64(len(v.slots) - 1)
-	for i, name := range subs {
-		h := maphash.Bytes(subSeed, name) >> 32
-		v.slots[h&mask].Load()
-		refs[i].ID = uint32(h)
-	}
-	for i, name := range subs {
-		id, _ := probe(v.slots, v.names, uint64(refs[i].ID)<<32, name)
-		refs[i] = sessionizer.SubRef{Name: v.names[id], ID: id, Shard: v.homes[id]}
-	}
-}
-
-// lookupSub returns the subscriber name, whose hash is h, interning it
-// on first sight. name may be decode scratch: a lookup builds no string,
-// and a new subscriber is stored under the interner's own copy, cut from
-// the current block. The caller holds n.mu and publishes before it
+// add is an index's lookup-or-add: the ID of key, whose hash is h, in x,
+// and whether key is new. key may be decode scratch: a lookup builds no
+// string, and a new key is stored under the interner's own copy, cut
+// from the current block. The caller holds n.mu and publishes before it
 // unlocks.
-func lookupSub[S string | []byte](n *interner, h uint64, name S) sessionizer.SubRef {
-	id, at := probe(n.slots, n.names, h, name)
-	if id == 0 {
-		if 2*len(n.names) > len(n.slots) {
-			// full: an O(slots) pause moves every word to the end of its run
-			// (nil names: no slot answers); readers keep the old table until publish
-			old := n.slots
-			n.slots = make([]atomic.Uint64, 2*len(old))
-			for i := range old {
-				if w := old[i].Load(); w != 0 {
-					_, to := probe(n.slots, nil, w, name)
-					n.slots[to].Store(w)
-				}
-			}
-			_, at = probe(n.slots, nil, h, name)
-		}
-		n.room(len(name))
-		off := n.block.Len()
-		put(&n.block, name, false)
-		own := n.block.String()[off:]
-		id = uint32(len(n.names))
-		n.names = append(n.names, own)
-		n.homes = append(n.homes, fnvShard(own, n.shards))
-		n.slots[at].Store(h>>32<<32 | uint64(id))
+func (n *interner) add(x *index, h uint64, key []byte) (id uint32, fresh bool) {
+	id, at := probe(x.slots, x.names, h, key)
+	if id != 0 {
+		return id, false
 	}
-	return sessionizer.SubRef{Name: n.names[id], ID: id, Shard: n.homes[id]}
+	if 2*len(x.names) > len(x.slots) {
+		// full: an O(slots) pause moves every word to the end of its run
+		// (nil names: no slot answers); readers keep the old table until publish
+		old := x.slots
+		x.slots = make([]atomic.Uint64, 2*len(old))
+		for i := range old {
+			if w := old[i].Load(); w != 0 {
+				_, to := probe(x.slots, nil, w, key)
+				x.slots[to].Store(w)
+			}
+		}
+		_, at = probe(x.slots, nil, h, key)
+	}
+	n.room(len(key))
+	off := n.block.Len()
+	n.block.Write(key)
+	id = uint32(len(x.names))
+	x.names = append(x.names, n.block.String()[off:])
+	x.slots[at].Store(h>>32<<32 | uint64(id))
+	return id, true
 }
 
-// lookupCohort is lookupSub for a region/device/cap triple; an all-empty
-// one is no metadata, cohort 0, and is not interned. A new cohort's
-// label — what cohort.Key.String renders — is written to the block
-// once, and the key's own three strings are its substrings.
-func lookupCohort[S string | []byte](n *interner, region, device, cp S) uint32 {
-	if len(region)+len(device)+len(cp) == 0 {
-		return 0
-	}
-	id, ok := n.cohorts[cohort.Key{Region: string(region), Device: string(device), Cap: string(cp)}]
-	if !ok {
-		dev := max(len(region), 1) + 1 // where the device starts in the label
-		n.room(dev + max(len(device), 1) + 1 + max(len(cp), 1))
+// lookupCohort is add for a canonical cohort key of more than three
+// bytes (not the all-empty triple's). A new cohort's three strings are
+// substrings of the interner's copy of its key, and its label — what
+// cohort.Key.String renders — is written to the block once.
+func lookupCohort(n *interner, h uint64, key []byte) uint32 {
+	id, fresh := n.add(&n.cohorts, h, key)
+	if fresh {
+		k := weblog.SplitCohortKey(n.cohorts.names[id])
+		n.room(len(k[0]) + len(k[1]) + len(k[2]) + 5)
 		off := n.block.Len()
-		put(&n.block, region, true)
-		n.block.WriteByte('/')
-		put(&n.block, device, true)
-		n.block.WriteByte('/')
-		put(&n.block, cp, true)
-		label := n.block.String()[off:]
-		k := cohort.Key{Region: label[:len(region)], Device: label[dev : dev+len(device)], Cap: label[len(label)-len(cp):]}
-		id = uint32(len(n.keys))
-		n.cohorts[k] = id
-		n.keys = append(n.keys, k)
-		n.labels = append(n.labels, label)
+		for i, s := range k {
+			if i > 0 {
+				n.block.WriteByte('/')
+			}
+			n.block.WriteString(cmp.Or(s, "-"))
+		}
+		n.keys = append(n.keys, cohort.Key{Region: k[0], Device: k[1], Cap: k[2]})
+		n.labels = append(n.labels, n.block.String()[off:])
 	}
 	return id
 }
 
-// intern is the fused wire door's locked half, asked only about what
-// find and the connection's cohort cache missed. subs[i] resolves into
-// refs[i], the region/device/cap triple cohorts[i] into ids[i].
-func (n *interner) intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
-	n.mu.Lock()
-	for i, b := range subs {
-		refs[i] = lookupSub(n, maphash.Bytes(subSeed, b), b)
+// settle is the one routine both doors resolve a batch through: rec i's
+// subscriber subs[i] into recs[i].Sub and shardOf[i], its canonical
+// cohort key keys[i] into recs[i].Cohort — 0 for a key of three bytes
+// or fewer, none or the all-empty triple's. The first pass reads the
+// published view without the lock, the subscribers in two: one hashes
+// each name and loads its home slot, keeping the tag in recs[i].Sub, so
+// the home-slot misses overlap; the other probes. A batch it settles
+// whole takes no lock; one with any miss takes mu once and looks up what
+// missed, interning what is new (a subscriber with its home shard).
+// Nothing passed in is retained.
+func (n *interner) settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf []uint32) {
+	v := n.view.Load()
+	mask := uint64(len(v.subs.slots) - 1)
+	for i, name := range subs {
+		h := maphash.Bytes(idSeed, name) >> 32
+		v.subs.slots[h&mask].Load()
+		recs[i].Sub = uint32(h)
 	}
-	for i, c := range cohorts {
-		ids[i] = lookupCohort(n, c[0], c[1], c[2])
+	miss := false
+	for i, name := range subs {
+		id, _ := probe(v.subs.slots, v.subs.names, uint64(recs[i].Sub)<<32, name)
+		recs[i].Sub, shardOf[i] = id, v.homes[id]
+		miss = miss || id == 0
+	}
+	for i, key := range keys {
+		recs[i].Cohort = 0
+		if len(key) > 3 {
+			recs[i].Cohort, _ = probe(v.cohorts.slots, v.cohorts.names, maphash.Bytes(idSeed, key), key)
+			miss = miss || recs[i].Cohort == 0
+		}
+	}
+	if !miss {
+		return
+	}
+	n.mu.Lock()
+	for i, name := range subs {
+		if recs[i].Sub == 0 {
+			id, fresh := n.add(&n.subs, maphash.Bytes(idSeed, name), name)
+			if fresh {
+				n.homes = append(n.homes, fnvShard(n.subs.names[id], n.shards))
+			}
+			recs[i].Sub, shardOf[i] = id, n.homes[id]
+		}
+	}
+	for i, key := range keys {
+		if recs[i].Cohort == 0 && len(key) > 3 {
+			recs[i].Cohort = lookupCohort(n, maphash.Bytes(idSeed, key), key)
+		}
 	}
 	n.publish()
 	n.mu.Unlock()
 }
 
+// find resolves label subscribers without interning: subs[i] into
+// refs[i] as an earlier settle published it, or into the zero SubRef —
+// for a name never seen, and now and then for one interned a moment ago.
+func (n *interner) find(subs [][]byte, refs []sessionizer.SubRef) {
+	v := n.view.Load()
+	for i, name := range subs {
+		id, _ := probe(v.subs.slots, v.subs.names, maphash.Bytes(idSeed, name), name)
+		refs[i] = sessionizer.SubRef{Name: v.subs.names[id], ID: id, Shard: v.homes[id]}
+	}
+}
+
 // publish makes what the locked section appended visible to the
 // lock-free readers. The caller holds n.mu.
 func (n *interner) publish() {
-	if v := n.view.Load(); len(v.names) != len(n.names) || len(v.keys) != len(n.keys) {
-		n.view.Store(&internView{n.slots, n.names, n.homes, n.keys, n.labels, n.blocks})
+	if v := n.view.Load(); v == nil || len(v.subs.names) != len(n.subs.names) || len(v.keys) != len(n.keys) {
+		t := n.internView
+		n.view.Store(&t)
 	}
 }
 
 // InternerStats is what the interner holds, read without a lock: the
 // subscribers interned so far, the slots of their index, and the bytes of
-// the index, the id → name and id → shard tables and every name block.
+// every table the interner keeps and of every block.
 func (e *Engine) InternerStats() (subscribers, slots int, bytes int64) {
 	v := e.interner.view.Load()
-	return len(v.names) - 1, len(v.slots), int64(8*len(v.slots) + 16*cap(v.names) + 4*cap(v.homes) + v.blocks)
+	return len(v.subs.names) - 1, len(v.subs.slots), int64(8*(len(v.subs.slots)+len(v.cohorts.slots)) +
+		16*(cap(v.subs.names)+cap(v.cohorts.names)+cap(v.labels)) + 4*cap(v.homes) + 48*cap(v.keys) + v.blocks)
 }
 
 // recSlab is one batch's reusable routing storage: the shard-contiguous
@@ -311,39 +314,39 @@ func growCap[T any](s []T, n int) []T {
 }
 
 // digested is the Entry doors' pooled conversion scratch: a batch's recs
-// in entry order and the shard each is bound for.
+// in entry order, the shard each is bound for, and each entry's
+// subscriber and canonical cohort key, written into buf.
 type digested struct {
-	recs    []sessionizer.Rec
-	shardOf []uint32
+	recs       []sessionizer.Rec
+	shardOf    []uint32
+	subs, keys [][]byte
+	buf        []byte
 }
 
 // digest is the one Entry→Rec edge adapter, in front of submit for
-// Ingest, Feed and Offer: it interns every entry's identities under one
-// lock acquisition, then builds the batch's recs into d — what the wire
-// door's decoder hands over ready-made. It judges nothing (see admit).
+// Ingest, Feed and Offer: it builds the batch's recs into d and writes
+// every entry's identities as the wire door's decoder finds them in a
+// frame, then settles them as that door does. It judges nothing (see
+// admit).
 func (n *interner) digest(d *digested, entries []weblog.Entry) {
 	d.recs = growCap(d.recs, len(entries))
 	d.shardOf = growCap(d.shardOf, len(entries))
-	n.mu.Lock()
+	d.subs = growCap(d.subs, len(entries))
+	d.keys = growCap(d.keys, len(entries))
+	d.buf = d.buf[:0]
 	for i := range entries {
-		e, r := &entries[i], &d.recs[i]
-		ref := lookupSub(n, maphash.String(subSeed, e.Subscriber), e.Subscriber)
-		r.Sub, d.shardOf[i] = ref.ID, ref.Shard
-		r.Cohort = lookupCohort(n, e.Region, e.Device, e.Cap)
+		e := &entries[i]
+		// an append that moves buf leaves what was cut from it before intact
+		off := len(d.buf)
+		d.buf = append(d.buf, e.Subscriber...)
+		d.subs[i], off = d.buf[off:], len(d.buf)
+		d.buf = weblog.AppendCohortKey(d.buf, e.Region, e.Device, e.Cap)
+		d.keys[i] = d.buf[off:]
+		d.recs[i] = sessionizer.Rec{Kind: weblog.ClassifyHost(e.Host), Ts: e.Timestamp, Dur: e.TransactionSec, KB: float64(e.Bytes) / 1000,
+			RTTMin: e.RTTMin, RTTAvg: e.RTTAvg, RTTMax: e.RTTMax, BDP: e.BDP, BIFAvg: e.BIFAvg, BIFMax: e.BIFMax,
+			Loss: e.LossPct, Retrans: e.RetransPct}
 	}
-	n.publish()
-	n.mu.Unlock()
-	for i := range entries {
-		e, r := &entries[i], &d.recs[i]
-		r.Kind = weblog.ClassifyHost(e.Host)
-		r.Ts = e.Timestamp
-		r.Dur = e.TransactionSec
-		r.KB = float64(e.Bytes) / 1000
-		r.RTTMin, r.RTTAvg, r.RTTMax = e.RTTMin, e.RTTAvg, e.RTTMax
-		r.BDP = e.BDP
-		r.BIFAvg, r.BIFMax = e.BIFAvg, e.BIFMax
-		r.Loss, r.Retrans = e.LossPct, e.RetransPct
-	}
+	n.settle(d.subs, d.keys, d.recs, d.shardOf)
 }
 
 // RejectReasons names the admission rule's reject reasons, in the order

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -81,8 +83,7 @@ func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 	const nsh = 2
 	in := newInterner(nsh)
 	names := [][]byte{[]byte("sub-a"), []byte("sub-b"), []byte("sub-c"), []byte("sub-d"), []byte("sub-e")}
-	refs := make([]sessionizer.SubRef, len(names))
-	in.intern(names, refs, nil, nil)
+	refs := refsOf(in, names)
 	cfg := Config{Shards: nsh, MinChunks: 1 << 30, SweepEverySec: -1}.WithDefaults()
 	var shards [nsh]*shard
 	for i := range shards {
@@ -142,8 +143,7 @@ func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 func TestFeedRecsReportsDone(t *testing.T) {
 	e := New(nil, Config{Shards: 2, MinChunks: 1 << 30, SweepEverySec: -1}, nil)
 	names := [][]byte{[]byte("sub-a"), []byte("sub-b"), []byte("sub-c"), []byte("sub-d"), []byte("sub-e")}
-	refs := make([]sessionizer.SubRef, len(names))
-	e.Intern(names, refs, nil, nil)
+	refs := refsOf(e.interner, names)
 	var recs []sessionizer.Rec
 	var shardOf []uint32
 	for i, ref := range refs {
@@ -188,8 +188,8 @@ func TestFeedRecsReportsDone(t *testing.T) {
 // 256-entry batch — every subscriber and every region/device/cap triple
 // already interned — digested and scattered into a slab allocates
 // nothing: the lookups build no strings, the scratch and the slab are
-// reused, and publish has nothing new to store. Nor does the wire
-// door's lookup, Find, of the same 256 warm names as one batch.
+// reused, and publish has nothing new to store. Nor does Find, the wire
+// door's label lookup, of the same 256 warm names as one batch.
 func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 	const nsh = 2
 	in := newInterner(nsh)
@@ -228,7 +228,7 @@ func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("find of a batch of warm names allocates %v times, want 0", allocs)
 	}
-	if got := len(in.names) - 1; got != 37 {
+	if got := len(in.subs.names) - 1; got != 37 {
 		t.Errorf("%d subscribers interned, want 37", got)
 	}
 	if len(in.keys) != 1+15 {
@@ -243,7 +243,7 @@ func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 
 // TestDoorsInternAlike: the two doors are adapters onto one interning
 // routine, so an identity gets the same ID, home shard and cohort ID
-// whichever door saw it first — offered through Intern and then Feed,
+// whichever door saw it first — offered through Settle and then Feed,
 // and in the other order on a fresh engine — and an all-empty triple is
 // cohort 0 through both. IDs go out in first-sight order either way.
 func TestDoorsInternAlike(t *testing.T) {
@@ -251,13 +251,12 @@ func TestDoorsInternAlike(t *testing.T) {
 	subs := []string{"sub-a", "sub-b", "sub-c", "sub-d", "sub-e", "sub-f", "sub-g"}
 	triples := [][3]string{{"eu-west", "phone", "10M"}, {"", "", ""}, {"eu-west", "", ""}, {"", "tv", ""}, {"us-east", "tv", "50M"}}
 	var entries []weblog.Entry
-	var names [][]byte
-	var wireTriples [][3][]byte
+	var names, keys [][]byte
 	for i, s := range subs {
 		tr := triples[i%len(triples)]
 		entries = append(entries, weblog.Entry{Timestamp: float64(i), Subscriber: s, Region: tr[0], Device: tr[1], Cap: tr[2]})
 		names = append(names, []byte(s))
-		wireTriples = append(wireTriples, [3][]byte{[]byte(tr[0]), []byte(tr[1]), []byte(tr[2])})
+		keys = append(keys, weblog.AppendCohortKey(nil, []byte(tr[0]), []byte(tr[1]), []byte(tr[2])))
 	}
 	type identity struct {
 		sub    struct{ id, shard uint32 }
@@ -266,15 +265,15 @@ func TestDoorsInternAlike(t *testing.T) {
 	// viaWire and viaEntries offer everything through one door and read
 	// back what each entry's identities resolved to
 	viaWire := func(e *Engine) []identity {
-		refs, ids := make([]sessionizer.SubRef, len(names)), make([]uint32, len(names))
-		e.Intern(names, refs, wireTriples, ids)
+		recs, shardOf := make([]sessionizer.Rec, len(names)), make([]uint32, len(names))
+		e.Settle(names, keys, recs, shardOf)
 		out := make([]identity, len(names))
-		for i, ref := range refs {
-			if ref.Name != subs[i] {
-				t.Fatalf("Intern resolved %q as %q", subs[i], ref.Name)
+		for i, r := range recs {
+			if got := e.interner.name(r.Sub); got != subs[i] {
+				t.Fatalf("Settle resolved %q as %q", subs[i], got)
 			}
-			out[i] = identity{cohort: ids[i]}
-			out[i].sub.id, out[i].sub.shard = ref.ID, ref.Shard
+			out[i] = identity{cohort: r.Cohort}
+			out[i].sub.id, out[i].sub.shard = r.Sub, shardOf[i]
 		}
 		return out
 	}
@@ -286,8 +285,9 @@ func TestDoorsInternAlike(t *testing.T) {
 		out := make([]identity, len(entries))
 		refs := make([]sessionizer.SubRef, len(entries))
 		in.find(names, refs)
-		for i, en := range entries {
-			out[i] = identity{cohort: in.cohorts[cohort.Key{Region: en.Region, Device: en.Device, Cap: en.Cap}]}
+		for i, key := range keys {
+			id, _ := probe(in.cohorts.slots, in.cohorts.names, maphash.Bytes(idSeed, key), key)
+			out[i] = identity{cohort: id}
 			out[i].sub.id, out[i].sub.shard = refs[i].ID, refs[i].Shard
 		}
 		return out
@@ -320,12 +320,12 @@ func TestDoorsInternAlike(t *testing.T) {
 
 	e := New(nil, cfg, nil)
 	w := viaWire(e)
-	check("Intern then Feed", w, viaEntries(e), e)
+	check("Settle then Feed", w, viaEntries(e), e)
 	e.Drain()
 
 	e = New(nil, cfg, nil)
 	f := viaEntries(e)
-	check("Feed then Intern", f, viaWire(e), e)
+	check("Feed then Settle", f, viaWire(e), e)
 	e.Drain()
 	for i := range w {
 		if w[i] != f[i] {
@@ -338,68 +338,63 @@ func TestDoorsInternAlike(t *testing.T) {
 // doors: a batch of 256 never-seen subscribers and 8 never-seen cohorts
 // costs the heap a handful of objects — the published view, a fifth of
 // a name block, a step of the id → string tables now and then — not one
-// per name and four per cohort. The subscriber index and the cohort map
-// are sized ahead, so the count is first sight's own and the same under
-// every toolchain: the index doubles once per doubling of the
-// subscribers, and what a growing Go map adds is the runtime's business
-// (four objects per table split, a split per ≈450 inserts, since Go
-// 1.24; overflow buckets before). Every stored label equals what
-// cohort.Key.String renders.
+// per name and four per cohort. Both indexes are sized ahead, so the
+// count is first sight's own: an index doubles once per doubling of
+// what it holds. Every stored label equals what cohort.Key.String
+// renders.
 func TestInternAllocatesPerBatchNotPerName(t *testing.T) {
 	const names, triples, maxObjects = 256, 8, 2
 	batch := 0
-	fresh := func() ([][]byte, [][3][]byte) {
+	// a frame's recs: every name twice, the cohorts in turn
+	fresh := func() (subs, keys [][]byte, tr [][3]string) {
 		batch++
-		subs := make([][]byte, 0, 2*names)
 		for i := 0; i < names; i++ {
 			b := []byte(fmt.Sprintf("sub-%d-%d", batch, i))
-			subs = append(subs, b, b) // a frame repeats what its caches missed
+			subs = append(subs, b, b)
 		}
-		cohorts := make([][3][]byte, triples)
-		for i := range cohorts {
-			cohorts[i] = [3][]byte{[]byte(fmt.Sprintf("region-%d", batch)), []byte(fmt.Sprintf("dev-%d", i)), nil}
+		for i := range subs {
+			tr = append(tr, [3]string{fmt.Sprintf("region-%d", batch), fmt.Sprintf("dev-%d", i%triples), ""})
+			keys = append(keys, weblog.AppendCohortKey(nil, tr[i][0], tr[i][1], tr[i][2]))
 		}
-		return subs, cohorts
+		return subs, keys, tr
 	}
 	// AllocsPerRun calls f runs+1 times; every call gets its own batch.
 	// The first batches go in unmeasured: young tables double often
 	const warm, runs = 16, 64
 
 	in := newInterner(2)
-	in.slots = make([]atomic.Uint64, 1<<17) // load ½ at 65,536 names; the test interns 37,376
-	in.cohorts = make(map[cohort.Key]uint32, 4*(warm+2*(runs+1))*triples)
-	var subs [][][]byte
-	var cohorts [][][3][]byte
+	in.subs.slots = make([]atomic.Uint64, 1<<17)    // load ½ at 65,536 names; the test interns 37,376
+	in.cohorts.slots = make([]atomic.Uint64, 1<<12) // and 1,172 cohorts
+	var subs, keys [][][]byte
 	for i := 0; i <= warm+runs; i++ {
-		s, c := fresh()
-		subs, cohorts = append(subs, s), append(cohorts, c)
+		s, c, _ := fresh()
+		subs, keys = append(subs, s), append(keys, c)
 	}
-	refs, ids := make([]sessionizer.SubRef, 2*names), make([]uint32, triples)
+	recs, shardOf := make([]sessionizer.Rec, 2*names), make([]uint32, 2*names)
 	k := 0
 	for ; k < warm; k++ {
-		in.intern(subs[k], refs, cohorts[k], ids)
+		in.settle(subs[k], keys[k], recs, shardOf)
 	}
 	if allocs := testing.AllocsPerRun(runs, func() {
-		in.intern(subs[k], refs, cohorts[k], ids)
+		in.settle(subs[k], keys[k], recs, shardOf)
 		k++
 	}); allocs > maxObjects {
-		t.Errorf("Intern of %d new names and %d new cohorts allocates %v objects, want ≤ %d", names, triples, allocs, maxObjects)
+		t.Errorf("settle of %d new names and %d new cohorts allocates %v objects, want ≤ %d", names, triples, allocs, maxObjects)
 	}
-	if got := len(in.names) - 1; got != (warm+runs+1)*names {
+	if got := len(in.subs.names) - 1; got != (warm+runs+1)*names {
 		t.Errorf("%d subscribers interned, want %d", got, (warm+runs+1)*names)
 	}
-	for i, ref := range refs {
-		if want := string(subs[warm+runs][i]); ref.Name != want || in.name(ref.ID) != want {
-			t.Fatalf("ref %d resolved %q as %q (view: %q)", i, want, ref.Name, in.name(ref.ID))
+	for i, r := range recs {
+		if want := string(subs[warm+runs][i]); in.name(r.Sub) != want || shardOf[i] != fnvShard(want, 2) {
+			t.Fatalf("rec %d resolved %q as %q on shard %d", i, want, in.name(r.Sub), shardOf[i])
 		}
 	}
 
 	entries := make([][]weblog.Entry, runs+1)
 	for i := range entries {
-		s, c := fresh()
+		s, _, tr := fresh()
 		for j, b := range s {
-			tr := c[j%triples]
-			entries[i] = append(entries[i], weblog.Entry{Subscriber: string(b), Region: string(tr[0]), Device: string(tr[1]), Cap: string(tr[2])})
+			entries[i] = append(entries[i], weblog.Entry{Subscriber: string(b), Region: tr[j][0], Device: tr[j][1], Cap: tr[j][2]})
 		}
 	}
 	scratch := &digested{}
@@ -420,8 +415,11 @@ func TestInternAllocatesPerBatchNotPerName(t *testing.T) {
 			t.Errorf("cohort %d: stored label %q, key renders %q", id, got, key.String())
 		}
 	}
-	for _, tr := range [][3]string{{"eu", "", ""}, {"", "tv", ""}, {"", "", "10M"}, {"a/b", "-", ""}} {
-		id := lookupCohort(in, tr[0], tr[1], tr[2])
+	for _, tr := range [][3]string{{"eu", "", ""}, {"", "tv", ""}, {"", "", "10M"}, {"a/b", "-", ""}, {strings.Repeat("r", 200), "tv", "hd"}} {
+		canon := weblog.AppendCohortKey(nil, tr[0], tr[1], tr[2])
+		in.mu.Lock()
+		id := lookupCohort(in, maphash.Bytes(idSeed, canon), canon)
+		in.mu.Unlock()
 		key := cohort.Key{Region: tr[0], Device: tr[1], Cap: tr[2]}
 		if in.keys[id] != key || in.labels[id] != key.String() {
 			t.Errorf("triple %q interned as %+v labelled %q, want label %q", tr, in.keys[id], in.labels[id], key.String())
@@ -455,8 +453,9 @@ func TestAssessSteadyStateZeroAlloc(t *testing.T) {
 	for i := range names {
 		names[i] = []byte(fmt.Sprintf("sub-%d", i))
 	}
-	refs, cohorts := make([]sessionizer.SubRef, subs), make([]uint32, 1)
-	in.intern(names, refs, [][3][]byte{{[]byte("eu-west"), []byte("phone"), nil}}, cohorts)
+	refs := refsOf(in, names)
+	var cohorts [1]sessionizer.Rec
+	in.settle(names[:1], [][]byte{weblog.AppendCohortKey(nil, "eu-west", "phone", "")}, cohorts[:], make([]uint32, 1))
 
 	rec := flight.New(flight.Config{Shards: 1, SampleN: 1, MaxBytes: 64 << 10})
 	rec.SetAttributor(fw.AttributeVectors)
@@ -474,10 +473,10 @@ func TestAssessSteadyStateZeroAlloc(t *testing.T) {
 	// previous session — and plays 45 chunks
 	var recs []sessionizer.Rec
 	for _, ref := range refs {
-		recs = append(recs, sessionizer.Rec{Sub: ref.ID, Cohort: cohorts[0], Kind: weblog.HostWatchPage})
+		recs = append(recs, sessionizer.Rec{Sub: ref.ID, Cohort: cohorts[0].Cohort, Kind: weblog.HostWatchPage})
 		for c := 0; c < chunks; c++ {
 			recs = append(recs, sessionizer.Rec{
-				Sub: ref.ID, Cohort: cohorts[0], Kind: weblog.HostMedia,
+				Sub: ref.ID, Cohort: cohorts[0].Cohort, Kind: weblog.HostMedia,
 				Dur: 0.4 + 0.01*float64(c%7), KB: 300 + 40*float64(c%5),
 				RTTMin: 20, RTTAvg: 30, RTTMax: 50 + float64(c%3), BDP: 90, BIFAvg: 40, BIFMax: 80,
 			})

@@ -35,10 +35,10 @@ const (
 	// StageWireDecode is the binary wire protocol's frame decode (one
 	// observation per frame, recorded per connection by the wire
 	// listener rather than per engine shard). The listener decodes to
-	// routed recs, so this includes identity resolution: one batched
-	// Engine.Find over the frame's subscribers, the connection's
-	// cohort-cache lookups and, for a frame with misses, the engine's
-	// Intern call.
+	// routed recs, so this includes identity resolution: one
+	// Engine.Settle over the frame's subscribers and cohorts, which takes
+	// the interner's lock only for a frame with misses, and one
+	// Engine.Find over its label subscribers.
 	StageWireDecode
 
 	// NumStages is the number of instrumented stages.

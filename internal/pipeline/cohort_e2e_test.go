@@ -174,3 +174,52 @@ func offlineQuantile(sorted []float64, p float64) float64 {
 	frac := r - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
+
+// TestCohortLabelIsOneSeries: cohort keys that render one label — region
+// "" and region "-" both print as "-" — are one cohort on every surface:
+// /metrics carries one vqoe_cohort_sessions_total sample for the label
+// (two would be an invalid exposition), and /debug/cohorts one row
+// counting every session, under the smaller key.
+func TestCohortLabelIsOneSeries(t *testing.T) {
+	fw, _ := testFramework(t)
+	lcfg := workload.DefaultLiveConfig()
+	lcfg.Subscribers = 8
+	lcfg.SessionsPerSubscriber = 2
+	lcfg.Seed = 37
+	live := workload.GenerateLive(lcfg)
+	entries := append([]weblog.Entry(nil), live.Entries...)
+	region := map[string]string{}
+	for i := range entries {
+		e := &entries[i]
+		if _, ok := region[e.Subscriber]; !ok {
+			region[e.Subscriber] = []string{"", "-"}[len(region)%2]
+		}
+		e.Region, e.Device, e.Cap = region[e.Subscriber], "tv", "hd"
+	}
+
+	srv := NewServerOpts(fw, Options{Engine: engine.Config{Shards: 2}})
+	srv.Engine().Feed(entries)
+	srv.Drain()
+	var reports int64
+	for _, sh := range srv.Engine().Snapshot() {
+		reports += sh.Reports
+	}
+
+	var samples []float64
+	for _, s := range scrape(t, srv)["vqoe_cohort_sessions_total"].samples {
+		if s.labels["cohort"] == "-/tv/hd" {
+			samples = append(samples, s.value)
+		}
+	}
+	if len(samples) != 1 || samples[0] != float64(reports) {
+		t.Errorf(`vqoe_cohort_sessions_total{cohort="-/tv/hd"} samples %v, want one of %d`, samples, reports)
+	}
+	var snap cohort.Snapshot
+	getJSON(t, srv.Handler(), "/debug/cohorts", &snap)
+	if len(snap.Cohorts) != 1 || snap.Cohorts[0].Cohort != "-/tv/hd" || snap.Cohorts[0].Region != "" || snap.Cohorts[0].Sessions != reports {
+		t.Errorf("/debug/cohorts rows %+v, want one -/tv/hd row of region \"\" with %d sessions", snap.Cohorts, reports)
+	}
+	if reports < 4 {
+		t.Fatalf("%d sessions reported; the fixture needs some under each key", reports)
+	}
+}

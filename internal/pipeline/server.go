@@ -43,7 +43,7 @@ import (
 //	                       the training baseline, prediction priors,
 //	                       calibration, online accuracy, degradation
 //	                       verdicts.
-//	GET  /debug/cohorts  — fleet rollup: per-cohort streaming MOS
+//	GET  /debug/cohorts  — fleet rollup: per-cohort exact MOS
 //	                       quantiles and impairment rates, worst
 //	                       cohorts first.
 //	GET  /debug/trace    — session-lifecycle ring as Chrome

@@ -54,7 +54,7 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 		subscribers, _, internerBytes := eng.InternerStats()
 		e.family("vqoe_engine_interned_subscribers", "Subscribers the engine has interned since start; none is ever forgotten.", "gauge")
 		e.printf("vqoe_engine_interned_subscribers %d\n", subscribers)
-		e.family("vqoe_engine_interner_bytes", "Memory the interner holds: subscriber index, id tables and name blocks.", "gauge")
+		e.family("vqoe_engine_interner_bytes", "Memory the interner holds: subscriber and cohort indexes, id tables, and the blocks names, keys and labels are cut from.", "gauge")
 		e.printf("vqoe_engine_interner_bytes %d\n", internerBytes)
 		// grouped by family, not by shard: the text format requires all
 		// samples of a family to be contiguous

@@ -37,8 +37,8 @@ type Rec struct {
 
 // SubRef is one interned subscriber as the engine front door hands it
 // to a decoder that builds Recs itself: the ID for Rec.Sub, the home
-// shard to route by, and the engine's own copy of the name (a cache
-// keyed by it allocates nothing).
+// shard to route by, and the engine's own copy of the name (a label
+// takes it without allocating).
 type SubRef struct {
 	Name      string
 	ID, Shard uint32

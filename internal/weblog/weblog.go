@@ -13,6 +13,7 @@
 package weblog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"net/url"
@@ -67,6 +68,46 @@ type Entry struct {
 	Region string `json:",omitempty"`
 	Device string `json:",omitempty"`
 	Cap    string `json:",omitempty"`
+}
+
+// AppendCohortKey appends the canonical key of a region/device/cap
+// triple to b: each string behind its length as a minimal uvarint, the
+// cohort suffix of a wire entry record as encoders write it. Equal
+// triples have equal keys, and the all-empty triple's is three zero
+// bytes. The engine indexes cohorts by it.
+func AppendCohortKey[S string | []byte](b []byte, region, device, cp S) []byte {
+	for _, s := range [...]S{region, device, cp} {
+		b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	return b
+}
+
+// SplitCohortKey is AppendCohortKey's inverse: the region, device and
+// cap a canonical key spells, as substrings of it.
+func SplitCohortKey(key string) (parts [3]string) {
+	for i := range parts {
+		n, shift := 0, 0
+		for ; key[0] >= 0x80; key, shift = key[1:], shift+7 {
+			n |= int(key[0]&0x7f) << shift
+		}
+		n |= int(key[0]) << shift
+		parts[i], key = key[1:1+n], key[1+n:]
+	}
+	return parts
+}
+
+// CanonicalCohortKey returns a cohort suffix span received as region,
+// device and cp as its canonical key: span itself when every length in
+// it is one byte, which one length comparison shows, else the key
+// rebuilt at the end of *scratch — for a length sent in more bytes than
+// it needs, or a string of 128 bytes or more.
+func CanonicalCohortKey(scratch *[]byte, span, region, device, cp []byte) []byte {
+	if len(span) == 3+len(region)+len(device)+len(cp) {
+		return span
+	}
+	off := len(*scratch)
+	*scratch = AppendCohortKey(*scratch, region, device, cp)
+	return (*scratch)[off:]
 }
 
 // IsVideoHost reports whether the entry hits the media delivery CDN

@@ -78,7 +78,7 @@ func BenchmarkFrameDecode(b *testing.B) {
 		b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "entries/s")
 	})
 	b.Run("recs", func(b *testing.B) {
-		rd := newRecDecoder(newStubSink(2), internMax)
+		rd := newRecDecoder(newStubSink(2))
 		if _, _, _, err := rd.DecodeFrame(h, payload); err != nil {
 			b.Fatal(err)
 		}

@@ -11,12 +11,11 @@ import (
 	"vqoe/internal/weblog"
 )
 
-// internMax bounds each content-keyed table a decoder keeps (the Entry
-// emitter's string table; the rec emitter's cohort-span cache). Live
-// traffic cycles through a bounded vocabulary, so the tables converge
-// and the steady state does no per-entry string allocation; if a
-// hostile or pathological stream keeps minting new strings a full table
-// is dropped rather than grown.
+// internMax bounds the Entry emitter's string table. Live traffic
+// cycles through a bounded vocabulary, so the table converges and the
+// steady state does no per-entry string allocation; if a hostile or
+// pathological stream keeps minting new strings a full table is dropped
+// rather than grown.
 const internMax = 1 << 16
 
 // Decoder turns validated frame payloads back into entries and
@@ -179,8 +178,9 @@ type rawEntry struct {
 	port, size         uint64
 	floats             []byte // entryFloats*8 bytes, wire order
 	// cohort is the region‖device‖cap suffix exactly as on the wire,
-	// length prefixes included (so equal spans are equal triples); nil
-	// when the flag bit is clear. region, device and cp are its parts.
+	// length prefixes included (with minimal lengths, the triple's
+	// canonical key); nil when the flag bit is clear. region, device and
+	// cp are its parts.
 	cohort, region, device, cp []byte
 }
 

@@ -66,7 +66,7 @@ func FuzzFrameStream(f *testing.F) {
 		fr := NewFrameReader(bytes.NewReader(data))
 		dec := NewDecoder()
 		sink := newStubSink(3)
-		rd := newRecDecoder(sink, internMax)
+		rd := newRecDecoder(sink)
 		for {
 			h, payload, err := fr.Next()
 			if err != nil {
@@ -111,8 +111,8 @@ func FuzzFrameStream(f *testing.F) {
 // emitter one frame at a time, against the engine itself rather than a
 // map: a CRC-valid frame of arbitrary records goes through Decoder and,
 // twice, through a rec decoder over a fresh engine that knows a few
-// subscribers — cold, when the frame's other subscribers miss in Find
-// and Intern settles them, then warm, when every one is a hit. Both
+// subscribers — cold, when the frame's other identities miss and Settle
+// interns them, then warm, when every one is a hit. Both
 // passes must fail with the entry emitter's error, leaving the engine
 // without a new subscriber, or give its fields: the IDs and shard the
 // engine resolves each entry's own strings to, the host class, KB and
@@ -143,6 +143,14 @@ func FuzzRecDecoderMatchesDecoder(f *testing.F) {
 	seed([]weblog.Entry{entry("sub-a", 1, "eu"), entry("sub-new", 2, "eu")},
 		[]qualitymon.Label{{Subscriber: "sub-new", End: 2, Stall: 1}, {Subscriber: "sub-a", End: 1}, {Subscriber: "sub-never", End: 3}}, 0)
 	seed(midFrame, nil, 3) // fails at the last record
+	// the cohort of midFrame's first entry, sent again with its lengths
+	// in more bytes than they need
+	var buf bytes.Buffer
+	if err := EncodeBatch(&buf, midFrame[:1], nil); err != nil {
+		f.Fatal(err)
+	}
+	one := buf.Bytes()[HeaderLen : buf.Len()-len("\x02eu\x02tv\x00")]
+	f.Add(uint16(2), append(append(one, 0x82, 0x00, 'e', 'u', 0x82, 0x80, 0x00, 't', 'v', 0x80, 0x00), buf.Bytes()[HeaderLen:]...))
 
 	f.Fuzz(func(t *testing.T, records uint16, payload []byte) {
 		h := Header{Records: int(records), Len: len(payload), CRC: crc32.ChecksumIEEE(payload)}
@@ -154,14 +162,15 @@ func FuzzRecDecoderMatchesDecoder(f *testing.F) {
 		for i, name := range known {
 			subs[i] = []byte(name)
 		}
-		eng.Intern(subs, make([]sessionizer.SubRef, len(subs)), nil, nil)
+		eng.Settle(subs, nil, make([]sessionizer.Rec, len(subs)), make([]uint32, len(subs)))
 		identify := func(e *weblog.Entry) (sub, shard, cohort uint32) {
-			ref, id := findOne(eng, e.Subscriber), [1]uint32{}
-			eng.Intern(nil, nil, [][3][]byte{{[]byte(e.Region), []byte(e.Device), []byte(e.Cap)}}, id[:])
-			return ref.ID, ref.Shard, id[0]
+			var rec [1]sessionizer.Rec
+			eng.Settle(nil, [][]byte{weblog.AppendCohortKey(nil, e.Region, e.Device, e.Cap)}, rec[:], nil)
+			ref := findOne(eng, e.Subscriber)
+			return ref.ID, ref.Shard, rec[0].Cohort
 		}
 
-		rd := newRecDecoder(eng, internMax)
+		rd := newRecDecoder(eng)
 		for pass := 0; pass < 2; pass++ { // cold, then warm
 			recs, shardOf, rlabels, rerr := rd.DecodeFrame(h, payload)
 			if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {

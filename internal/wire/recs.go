@@ -13,18 +13,18 @@ import (
 // sessionizer.Recs and never builds a weblog.Entry. *engine.Engine
 // implements it.
 type RecSink interface {
-	// Find resolves a frame's subscribers as the engine interned them,
-	// through any door or connection, lock-free and without interning:
-	// subs[i] into refs[i], or the zero SubRef for a miss, which Intern
-	// settles. The byte slices are not retained.
+	// Settle resolves a frame's identities as the engine interns them,
+	// through any door or connection, interning what is new: rec i's
+	// subscriber subs[i] into recs[i].Sub and shardOf[i], its canonical
+	// cohort key keys[i] (weblog.AppendCohortKey; nil for none) into
+	// recs[i].Cohort. The byte slices are not retained.
+	Settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf []uint32)
+	// Find resolves label subscribers as the engine interned them,
+	// without interning: subs[i] into refs[i], or the zero SubRef for a
+	// subscriber it never carried. The byte slices are not retained.
 	Find(subs [][]byte, refs []sessionizer.SubRef)
-	// Intern resolves the identities a frame missed, all under one lock:
-	// subscriber name subs[i] into refs[i], and the region/device/cap
-	// triple cohorts[i] into ids[i] (0 for the all-empty triple). The
-	// byte slices are not retained.
-	Intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32)
 	// FeedRecs routes a frame's recs — recs[i] bound for shard
-	// shardOf[i], both as Intern resolved them — with Feed's
+	// shardOf[i], both as Settle resolved them — with Feed's
 	// backpressure, and calls done exactly once, from any goroutine,
 	// when every shard has processed its share (at once if it takes
 	// none). The slices are not retained.
@@ -32,70 +32,54 @@ type RecSink interface {
 }
 
 // recDecoder is the rec emitter: the frame walk and record parser of
-// Decoder, with entry records leaving as sessionizer.Recs. Subscribers
-// resolve through the engine's own index, a frame's all in one lock-free
-// sink.Find, so nothing a connection holds grows with the subscribers it
-// carries. A cohort resolves through a per-connection cache — a
-// vocabulary of tens — keyed by the raw region‖device‖cap span (length
-// prefixes included, so one lookup), bounded and dropped wholesale when
-// full; it holds engine IDs, which is sound because the engine never
-// reuses one. The host is classified where it lies
+// Decoder, with entry records leaving as sessionizer.Recs. Every
+// identity resolves through the engine's own indexes, a frame's all in
+// one sink.Settle — the cohort keyed by the record's own region‖device‖cap
+// bytes — so nothing a connection holds grows with the subscribers or
+// cohorts it carries. The host is classified where it lies
 // (weblog.ClassifyHostBytes); URI and server address are bounds-checked
 // and skipped.
 //
 // A frame's identities are resolved only after its last record has
-// validated, its misses in one sink.Intern call, so a frame that fails
-// asks the engine nothing and leaves the cohort cache as it was. The
+// validated, so a frame that fails asks the engine nothing. The
 // returned slices are scratch, valid until the next DecodeFrame. Not
 // safe for concurrent use.
 type recDecoder struct {
-	dec   Decoder
-	sink  RecSink
-	bound int
-
-	cohorts map[string]uint32
+	dec  Decoder
+	sink RecSink
 
 	recs    []sessionizer.Rec
 	shardOf []uint32
 
-	// every rec's subscriber (aliasing the payload) and Find's answer;
-	// resolve moves the misses to the front of both for Intern, subAt[k]
-	// the rec of miss k. The cohort cache's misses likewise.
-	subName [][]byte
-	subRefs []sessionizer.SubRef
-	subAt   []int
-	cohAt   []int
-	cohSpan [][]byte
-	cohKey  [][3][]byte
-	cohIDs  []uint32
+	// every rec's subscriber and cohort key, aliasing the payload but for
+	// a key sent with a length in more bytes than it needs, rebuilt in
+	// keyBuf
+	subs, keys [][]byte
+	keyBuf     []byte
 
 	// labelSubs[i] is the subscriber of dec.labels[i], resolved last so
 	// a label sees the subscribers its own frame introduced
 	labelSubs [][]byte
+	labelRefs []sessionizer.SubRef
 }
 
-// newRecDecoder returns a rec emitter over sink whose cohort cache holds
-// at most bound keys (internMax on the listener; tests lower it).
-func newRecDecoder(sink RecSink, bound int) *recDecoder {
-	return &recDecoder{sink: sink, bound: bound, cohorts: make(map[string]uint32)}
-}
+func newRecDecoder(sink RecSink) *recDecoder { return &recDecoder{sink: sink} }
 
 // DecodeFrame is Decoder.DecodeFrame with the entries leaving as recs:
 // recs[i] is bound for shard shardOf[i]. Label subscribers come back as
 // the engine's own string when the engine knows the subscriber, so the
 // steady state allocates nothing.
 func (r *recDecoder) DecodeFrame(h Header, payload []byte) (recs []sessionizer.Rec, shardOf []uint32, labels []qualitymon.Label, err error) {
-	r.recs, r.shardOf, r.subName = r.recs[:0], r.shardOf[:0], r.subName[:0]
-	r.cohAt, r.cohSpan, r.cohKey = r.cohAt[:0], r.cohSpan[:0], r.cohKey[:0]
+	r.recs, r.shardOf, r.subs, r.keys, r.keyBuf = r.recs[:0], r.shardOf[:0], r.subs[:0], r.keys[:0], r.keyBuf[:0]
 	r.labelSubs = r.labelSubs[:0]
 	if err := r.dec.decodeFrame(h, payload, r); err != nil {
 		return nil, nil, nil, err
 	}
-	r.resolve()
-	r.subRefs = slices.Grow(r.subRefs[:0], len(r.labelSubs))[:len(r.labelSubs)]
-	r.sink.Find(r.labelSubs, r.subRefs)
+	r.sink.Settle(r.subs, r.keys, r.recs, r.shardOf)
+	r.labelRefs = slices.Grow(r.labelRefs[:0], len(r.labelSubs))[:len(r.labelSubs)]
+	r.sink.Find(r.labelSubs, r.labelRefs)
 	for i, sub := range r.labelSubs {
-		if ref := r.subRefs[i]; ref.ID != 0 {
+		if ref := r.labelRefs[i]; ref.ID != 0 {
 			r.dec.labels[i].Subscriber = ref.Name
 		} else {
 			// a label for a subscriber the engine never carried: it gets
@@ -106,23 +90,16 @@ func (r *recDecoder) DecodeFrame(h Header, payload []byte) (recs []sessionizer.R
 	return r.recs, r.shardOf, r.dec.labels, nil
 }
 
-// emit appends one parsed entry record as a Rec whose subscriber waits
-// for resolve, and so does its cohort if the cache misses.
+// emit appends one parsed entry record as a Rec whose identities wait
+// for Settle.
 func (r *recDecoder) emit(e *rawEntry) {
-	i := len(r.recs)
-	r.subName = append(r.subName, e.sub)
-	var coh uint32
-	if e.cohort != nil {
-		var ok bool
-		if coh, ok = r.cohorts[string(e.cohort)]; !ok {
-			r.cohAt = append(r.cohAt, i)
-			r.cohSpan = append(r.cohSpan, e.cohort)
-			r.cohKey = append(r.cohKey, [3][]byte{e.region, e.device, e.cp})
-		}
+	key := e.cohort
+	if key != nil {
+		key = weblog.CanonicalCohortKey(&r.keyBuf, key, e.region, e.device, e.cp)
 	}
+	r.subs, r.keys = append(r.subs, e.sub), append(r.keys, key)
 	f := e.floats
 	r.recs = append(r.recs, sessionizer.Rec{
-		Cohort:  coh,
 		Kind:    weblog.ClassifyHostBytes(e.host),
 		Ts:      f64(f, 0),
 		Dur:     f64(f, 1),
@@ -137,42 +114,4 @@ func (r *recDecoder) emit(e *rawEntry) {
 		Retrans: f64(f, 9),
 	})
 	r.shardOf = append(r.shardOf, 0)
-}
-
-// resolve has the engine settle the validated frame's identities — every
-// subscriber in one Find, then what Find and the cohort cache missed in
-// one Intern — patches the recs and fills the cohort cache. A subscriber
-// the frame repeats is sent once per occurrence, which costs the engine
-// a hit under the lock it already holds.
-func (r *recDecoder) resolve() {
-	r.subRefs = slices.Grow(r.subRefs[:0], len(r.recs))[:len(r.recs)]
-	refs := r.subRefs
-	r.sink.Find(r.subName, refs)
-	r.subAt = r.subAt[:0]
-	for i, ref := range refs {
-		if ref.ID == 0 {
-			r.subName[len(r.subAt)] = r.subName[i]
-			r.subAt = append(r.subAt, i)
-			continue
-		}
-		r.recs[i].Sub, r.shardOf[i] = ref.ID, ref.Shard
-	}
-	if len(r.subAt)+len(r.cohAt) == 0 {
-		return
-	}
-	misses := refs[:len(r.subAt)]
-	r.cohIDs = slices.Grow(r.cohIDs[:0], len(r.cohAt))[:len(r.cohAt)]
-	r.sink.Intern(r.subName[:len(misses)], misses, r.cohKey, r.cohIDs)
-	for k, i := range r.subAt {
-		r.recs[i].Sub, r.shardOf[i] = misses[k].ID, misses[k].Shard
-	}
-	for k, i := range r.cohAt {
-		r.recs[i].Cohort = r.cohIDs[k]
-		if _, ok := r.cohorts[string(r.cohSpan[k])]; !ok {
-			if len(r.cohorts) >= r.bound {
-				clear(r.cohorts) // full: start over
-			}
-			r.cohorts[string(r.cohSpan[k])] = r.cohIDs[k]
-		}
-	}
 }

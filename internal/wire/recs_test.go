@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,23 +23,26 @@ import (
 )
 
 // stubSink is a map-backed RecSink: IDs from 1 in first-seen order,
-// shard = id mod shards. FeedRecs drops the batch and reports it done.
-// It counts the Find and Intern calls it gets.
+// shard = id mod shards, cohorts by canonical key. FeedRecs drops the
+// batch and reports it done. It counts the Find and Settle calls it
+// gets, and the Settle calls with a miss, which the engine settles under
+// its lock.
 type stubSink struct {
 	shards  uint32
 	subs    map[string]sessionizer.SubRef
 	names   []string // names[id-1]
-	cohorts map[[3]string]uint32
-	keys    [][3]string // keys[id-1]
+	cohorts map[string]uint32
+	keys    []string // keys[id-1]
 	finds   int
-	interns int
+	settles int
+	misses  int
 }
 
 func newStubSink(shards int) *stubSink {
 	return &stubSink{
 		shards:  uint32(shards),
 		subs:    map[string]sessionizer.SubRef{},
-		cohorts: map[[3]string]uint32{},
+		cohorts: map[string]uint32{},
 	}
 }
 
@@ -55,7 +58,7 @@ func (s *stubSink) Find(subs [][]byte, refs []sessionizer.SubRef) {
 // the sink has them.
 func (s *stubSink) identify(e *weblog.Entry) (sub, shard, cohort uint32) {
 	ref := s.subs[e.Subscriber]
-	return ref.ID, ref.Shard, s.cohorts[[3]string{e.Region, e.Device, e.Cap}]
+	return ref.ID, ref.Shard, s.cohorts[string(weblog.AppendCohortKey(nil, e.Region, e.Device, e.Cap))]
 }
 
 // findOne is Find of one name.
@@ -65,31 +68,44 @@ func findOne(sink RecSink, name string) sessionizer.SubRef {
 	return ref[0]
 }
 
-func (s *stubSink) Intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
-	s.interns++
+// settleOne is Settle of one subscriber without a cohort; it returns
+// the subscriber's ID.
+func settleOne(sink RecSink, name string) uint32 {
+	var rec [1]sessionizer.Rec
+	sink.Settle([][]byte{[]byte(name)}, nil, rec[:], make([]uint32, 1))
+	return rec[0].Sub
+}
+
+func (s *stubSink) Settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf []uint32) {
+	s.settles++
+	missed := false
 	for i, b := range subs {
 		ref, ok := s.subs[string(b)]
 		if !ok {
+			missed = true
 			id := uint32(len(s.names) + 1)
 			ref = sessionizer.SubRef{Name: string(b), ID: id, Shard: id % s.shards}
 			s.subs[ref.Name] = ref
 			s.names = append(s.names, ref.Name)
 		}
-		refs[i] = ref
+		recs[i].Sub, shardOf[i] = ref.ID, ref.Shard
 	}
-	for i, c := range cohorts {
-		k := [3]string{string(c[0]), string(c[1]), string(c[2])}
-		if k == ([3]string{}) {
-			ids[i] = 0
-			continue
+	for i, k := range keys {
+		recs[i].Cohort = 0
+		if len(k) <= 3 {
+			continue // none, or the all-empty triple
 		}
-		id, ok := s.cohorts[k]
+		id, ok := s.cohorts[string(k)]
 		if !ok {
-			s.keys = append(s.keys, k)
+			missed = true
+			s.keys = append(s.keys, string(k))
 			id = uint32(len(s.keys))
-			s.cohorts[k] = id
+			s.cohorts[string(k)] = id
 		}
-		ids[i] = id
+		recs[i].Cohort = id
+	}
+	if missed {
+		s.misses++
 	}
 }
 
@@ -164,7 +180,7 @@ func TestRecEmitterMatchesEntryEmitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newStubSink(3)
-	rd := newRecDecoder(sink, internMax)
+	rd := newRecDecoder(sink)
 	for pass := 0; pass < 2; pass++ { // cold caches, then warm
 		recs, shardOf, labels, err := rd.DecodeFrame(h, payload)
 		if err != nil {
@@ -174,8 +190,8 @@ func TestRecEmitterMatchesEntryEmitter(t *testing.T) {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 	}
-	if sink.interns != 1 {
-		t.Errorf("%d Intern calls over a cold and a warm pass, want 1", sink.interns)
+	if sink.settles != 2 || sink.misses != 1 {
+		t.Errorf("%d Settle calls, %d with a miss, over a cold and a warm pass; want 2, 1", sink.settles, sink.misses)
 	}
 	// a label alone mints no ID
 	if _, ok := sink.subs["label-only"]; ok {
@@ -201,7 +217,7 @@ func TestDecodeRecsSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil || h.Records != len(entries)+len(labels) {
 		t.Fatalf("fixture: %d records, %v", h.Records, err)
 	}
-	rd := newRecDecoder(newStubSink(2), internMax)
+	rd := newRecDecoder(newStubSink(2))
 	if _, _, _, err := rd.DecodeFrame(h, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -273,79 +289,6 @@ func sameReports(t *testing.T, fused, feed []engine.Report) {
 	}
 }
 
-// TestRecCachesResetMidStream lowers the cache bound until the cohort
-// cache — the only identity cache a connection keeps — starts over many
-// times inside one stream: it holds 4 keys. A reset only costs another
-// Intern round trip — the engine hands back the IDs it already
-// assigned — so the reports must be, bit for bit, those of the same
-// stream through Engine.Feed.
-func TestRecCachesResetMidStream(t *testing.T) {
-	fw, live := fixtures(t)
-	cfg := engine.Config{Shards: 2, SweepEverySec: -1}
-
-	ref := engine.New(fw, cfg, nil)
-	var want []engine.Report
-	for lo := 0; lo < len(live.Entries); lo += 200 {
-		reps, _ := ref.Ingest(live.Entries[lo:min(lo+200, len(live.Entries))])
-		want = append(want, reps...)
-	}
-	want = append(want, ref.Drain()...)
-
-	var mu sync.Mutex
-	var got []engine.Report
-	eng := engine.New(fw, cfg, func(r engine.Report) {
-		mu.Lock()
-		got = append(got, r)
-		mu.Unlock()
-	})
-	const bound = 4
-	rd := newRecDecoder(eng, bound)
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	for i := range live.Entries {
-		if err := enc.AppendEntry(&live.Entries[i]); err != nil {
-			t.Fatal(err)
-		}
-		if enc.Pending() == 64 {
-			if err := enc.Flush(0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := enc.Flush(0); err != nil {
-		t.Fatal(err)
-	}
-	fr := NewFrameReader(&buf)
-	sent, held, resets := 0, 0, 0
-	for {
-		h, payload, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, shardOf, _, err := rd.DecodeFrame(h, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rd.cohorts) > bound {
-			t.Fatalf("the cohort cache holds %d keys past the bound %d", len(rd.cohorts), bound)
-		}
-		if len(rd.cohorts) < held {
-			resets++
-		}
-		held = len(rd.cohorts)
-		eng.FeedRecs(recs, shardOf, nil)
-		sent += len(recs)
-	}
-	got = append(got, eng.Drain()...)
-	if sent != len(live.Entries) || resets == 0 {
-		t.Fatalf("decoded %d of %d entries over %d cache resets", sent, len(live.Entries), resets)
-	}
-	sameReports(t, got, want)
-}
-
 // TestFusedDoorFailedFrameLeavesEngineUntouched pins all-or-nothing at
 // the listener: after a good frame, a CRC-valid frame that introduces
 // subscribers and a cohort and whose last record is malformed closes
@@ -385,8 +328,7 @@ func TestFusedDoorFailedFrameLeavesEngineUntouched(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	frames := s.Snapshot().Frames
-	var before, after [1]sessionizer.SubRef
-	eng.Intern([][]byte{[]byte("probe-before")}, before[:], nil, nil)
+	before := settleOne(eng, "probe-before")
 
 	fresh := good[1]
 	fresh.Subscriber, fresh.Region = "sub-new", "mars"
@@ -424,14 +366,14 @@ func TestFusedDoorFailedFrameLeavesEngineUntouched(t *testing.T) {
 	if ref := findOne(eng, "sub-new"); ref.ID != 0 {
 		t.Errorf("the failed frame's new subscriber resolves to %+v", ref)
 	}
-	eng.Intern([][]byte{[]byte("probe-after")}, after[:], nil, nil)
-	if after[0].ID != before[0].ID+1 {
-		t.Errorf("IDs %d..%d were minted by a frame that failed", before[0].ID+1, after[0].ID-1)
+	if after := settleOne(eng, "probe-after"); after != before+1 {
+		t.Errorf("IDs %d..%d were minted by a frame that failed", before+1, after-1)
 	}
 }
 
 // TestEmptyCohortSuffixIsNoCohort: the flag bit set over three empty
-// strings is "no metadata" on both doors — cohort 0, and cached as such.
+// strings is "no metadata" on both doors — cohort 0, which the engine
+// never looks up.
 func TestEmptyCohortSuffixIsNoCohort(t *testing.T) {
 	p := []byte{recEntry, 1, 's', 0, 0, 0, entryCohort, 0, 0} // subscriber "s"; host, uri, ip empty; port, size 0
 	p = append(p, make([]byte, 8*entryFloats)...)
@@ -442,7 +384,7 @@ func TestEmptyCohortSuffixIsNoCohort(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newStubSink(1)
-	rd := newRecDecoder(sink, internMax)
+	rd := newRecDecoder(sink)
 	for pass := 0; pass < 2; pass++ {
 		recs, shardOf, _, err := rd.DecodeFrame(h, p)
 		if err != nil {
@@ -455,8 +397,53 @@ func TestEmptyCohortSuffixIsNoCohort(t *testing.T) {
 			t.Errorf("empty triple became cohort %d", recs[0].Cohort)
 		}
 	}
-	if sink.interns != 1 {
-		t.Errorf("%d Intern calls, want 1: the empty triple's ID 0 was not cached", sink.interns)
+	if sink.misses != 1 {
+		t.Errorf("%d Settle calls with a miss, want 1: the subscriber's first sight", sink.misses)
+	}
+}
+
+// TestCohortSuffixSettlesAsItsTriple: a cohort suffix resolves as the
+// triple it spells, whatever lengths it was sent with — one with a
+// length in more bytes than it needs is rebuilt as its canonical key —
+// so a triple gets one cohort ID through the fused door and the Entry
+// door, whichever sees it first, and the all-empty triple, sent either
+// way, is no cohort.
+func TestCohortSuffixSettlesAsItsTriple(t *testing.T) {
+	long := strings.Repeat("r", 200) // its length is a two-byte uvarint
+	suffixes := [][]byte{
+		weblog.AppendCohortKey(nil, "eu", "tv", ""),
+		{0x82, 0x00, 'e', 'u', 0x82, 0x80, 0x00, 't', 'v', 0x80, 0x00}, // the same triple, lengths in 2, 3 and 2 bytes
+		{0x80, 0x00, 0, 0},
+		weblog.AppendCohortKey(nil, long, "tv", ""),
+	}
+	var p []byte
+	for _, suffix := range suffixes {
+		p = append(p, recEntry, 1, 's', 0, 0, 0, entryCohort, 0, 0) // subscriber "s"; host, uri, ip empty; port, size 0
+		p = append(append(p, make([]byte, 8*entryFloats)...), suffix...)
+	}
+	h := Header{Records: len(suffixes), Len: len(p), CRC: crc32.ChecksumIEEE(p)}
+	entries := []weblog.Entry{{Subscriber: "s", Region: "eu", Device: "tv"}, {Subscriber: "s", Region: long, Device: "tv"}}
+	for _, fusedFirst := range []bool{true, false} {
+		eng := engine.New(nil, engine.Config{Shards: 2, MinChunks: 1 << 30, SweepEverySec: -1}, nil)
+		if !fusedFirst {
+			eng.Feed(entries)
+		}
+		recs, _, _, err := newRecDecoder(eng).DecodeFrame(h, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fusedFirst {
+			eng.Feed(entries)
+		}
+		// what the Entry door resolved the two triples to
+		var fed [2]sessionizer.Rec
+		eng.Settle(nil, [][]byte{suffixes[0], suffixes[3]}, fed[:], nil)
+		if got := [...]uint32{recs[0].Cohort, recs[1].Cohort, recs[2].Cohort, recs[3].Cohort}; got != [...]uint32{1, 1, 0, 2} ||
+			fed[0].Cohort != 1 || fed[1].Cohort != 2 {
+			t.Errorf("fused first %v: the frame's cohorts are %v, the entries' %d and %d; want [1 1 0 2], 1 and 2",
+				fusedFirst, got, fed[0].Cohort, fed[1].Cohort)
+		}
+		eng.Drain()
 	}
 }
 
@@ -566,7 +553,7 @@ func TestNonFiniteCarriedByCodecRefusedByEngine(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8dead0000beef)
 	binary.LittleEndian.PutUint64(payload[len(payload)-8:], math.Float64bits(nan)) // retrans_pct
 	h.CRC = crc32.ChecksumIEEE(payload)
-	recs, shardOf, _, err := newRecDecoder(eng, internMax).DecodeFrame(h, payload)
+	recs, shardOf, _, err := newRecDecoder(eng).DecodeFrame(h, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,8 +579,8 @@ func TestNonFiniteCarriedByCodecRefusedByEngine(t *testing.T) {
 }
 
 // firstSightSink is the engine behind a RecSink that remembers the
-// Intern call each subscriber name was first offered in, and counts the
-// names offered again by a later call.
+// Settle call in which each subscriber name first missed, and counts the
+// names that missed again in a later call.
 type firstSightSink struct {
 	*engine.Engine
 	calls   int
@@ -601,24 +588,29 @@ type firstSightSink struct {
 	reasked int
 }
 
-func (s *firstSightSink) Intern(subs [][]byte, refs []sessionizer.SubRef, cohorts [][3][]byte, ids []uint32) {
+func (s *firstSightSink) Settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf []uint32) {
 	s.calls++
-	for _, b := range subs {
+	refs := make([]sessionizer.SubRef, len(subs))
+	s.Engine.Find(subs, refs)
+	for i, b := range subs {
+		if refs[i].ID != 0 {
+			continue
+		}
 		if call, ok := s.first[string(b)]; !ok {
 			s.first[string(b)] = s.calls
 		} else if call != s.calls {
 			s.reasked++
 		}
 	}
-	s.Engine.Intern(subs, refs, cohorts, ids)
+	s.Engine.Settle(subs, keys, recs, shardOf)
 }
 
 // TestOneConnectionManySubscribers is the regression test of the cliff
 // the per-connection subscriber cache had at 2¹⁶ keys: three times that
 // many subscribers over one listener connection, each seen again a full
-// pass later. A subscriber reaches Intern in the frame that introduces
-// it and never again (the cache, dropped wholesale when full, re-asked
-// for every one of them on the second pass), and the reports — every
+// pass later. A subscriber misses the engine's index in the frame that
+// introduces it and never again (the cache, dropped wholesale when full,
+// missed every one of them on the second pass), and the reports — every
 // 64th subscriber plays enough chunks for one — are bit for bit those of
 // Engine.Feed over the same entries.
 func TestOneConnectionManySubscribers(t *testing.T) {
@@ -680,7 +672,7 @@ func TestOneConnectionManySubscribers(t *testing.T) {
 	got = append(got, eng.Drain()...)
 
 	if len(sink.first) != subscribers || sink.reasked != 0 {
-		t.Errorf("Intern was offered %d names, %d of them again in a later frame; want %d, each in one frame only",
+		t.Errorf("%d names missed, %d of them again in a later frame; want %d, each in one frame only",
 			len(sink.first), sink.reasked, subscribers)
 	}
 	if n, _, _ := eng.InternerStats(); n != subscribers {
@@ -712,11 +704,11 @@ func TestLabelResolvesAcrossConnections(t *testing.T) {
 		return h, append([]byte(nil), payload...)
 	}
 	h, payload := frame([]weblog.Entry{{Subscriber: "sub-elsewhere", Timestamp: 1}}, nil)
-	if _, _, _, err := newRecDecoder(eng, internMax).DecodeFrame(h, payload); err != nil {
+	if _, _, _, err := newRecDecoder(eng).DecodeFrame(h, payload); err != nil {
 		t.Fatal(err)
 	}
 
-	other := newRecDecoder(eng, internMax)
+	other := newRecDecoder(eng)
 	h, payload = frame(nil, []qualitymon.Label{{Subscriber: "sub-elsewhere", End: 2}, {Subscriber: "sub-nowhere", End: 2}})
 	_, _, labels, err := other.DecodeFrame(h, payload)
 	if err != nil || len(labels) != 2 || labels[0].Subscriber != "sub-elsewhere" || labels[1].Subscriber != "sub-nowhere" {

@@ -202,7 +202,7 @@ func (s *Server) handle(c *serverConn) {
 	var window chan struct{}
 	var done func()
 	if sink := s.cfg.Handler.Recs; sink != nil {
-		recDec = newRecDecoder(sink, internMax)
+		recDec = newRecDecoder(sink)
 		window = make(chan struct{}, feedWindow) // one slot per frame in the engine
 		done = func() { <-window }
 	} else {

@@ -268,7 +268,7 @@ func readOne(raw []byte) (Header, []byte, error) {
 		return h, nil, err
 	}
 	_, _, err = NewDecoder().DecodeFrame(h, payload)
-	_, _, _, rerr := newRecDecoder(newStubSink(2), internMax).DecodeFrame(h, payload)
+	_, _, _, rerr := newRecDecoder(newStubSink(2)).DecodeFrame(h, payload)
 	if wireClass(err) != wireClass(rerr) {
 		return h, payload, fmt.Errorf("emitters disagree: entries %v, recs %v", err, rerr)
 	}
@@ -383,12 +383,12 @@ func TestDecoderRollsBackPartialEntry(t *testing.T) {
 // TestRecDecoderFailedFrameTouchesNothing is the rec emitter's side of
 // all-or-nothing: a CRC-valid frame whose last record is cut short,
 // after records that introduce a subscriber and a cohort, must reach
-// the engine not at all — no Find and no Intern call, no new ID, and the
-// frame's new subscriber still misses in Find — and leave the cohort
-// cache as it was, and the decoder must go on to decode a valid frame.
+// the engine not at all — no Find and no Settle call, no new ID, and the
+// frame's new subscriber still misses in Find — and the decoder must go
+// on to decode a valid frame.
 func TestRecDecoderFailedFrameTouchesNothing(t *testing.T) {
 	sink := newStubSink(2)
-	rd := newRecDecoder(sink, internMax)
+	rd := newRecDecoder(sink)
 	known := testEntries()[1] // carries cohort metadata
 	var buf bytes.Buffer
 	if err := EncodeBatch(&buf, []weblog.Entry{known}, nil); err != nil {
@@ -400,7 +400,7 @@ func TestRecDecoderFailedFrameTouchesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	knownRef := findOne(sink, known.Subscriber)
-	finds, interns, cohorts := sink.finds, sink.interns, len(rd.cohorts)
+	finds, settles := sink.finds, sink.settles
 
 	fresh := known
 	fresh.Subscriber, fresh.Region = "sub-new", "mars"
@@ -414,15 +414,12 @@ func TestRecDecoderFailedFrameTouchesNothing(t *testing.T) {
 	if _, _, _, err := rd.DecodeFrame(h, bad); !errors.Is(err, ErrRecord) {
 		t.Fatalf("got %v, want ErrRecord", err)
 	}
-	if sink.finds != finds || sink.interns != interns || len(sink.names) != 1 || len(sink.keys) != 1 {
-		t.Errorf("failed frame reached the engine: %d Find calls (was %d), %d Intern calls (was %d), %d subscribers, %d cohorts",
-			sink.finds, finds, sink.interns, interns, len(sink.names), len(sink.keys))
+	if sink.finds != finds || sink.settles != settles || len(sink.names) != 1 || len(sink.keys) != 1 {
+		t.Errorf("failed frame reached the engine: %d Find calls (was %d), %d Settle calls (was %d), %d subscribers, %d cohorts",
+			sink.finds, finds, sink.settles, settles, len(sink.names), len(sink.keys))
 	}
 	if findOne(sink, "sub-new").ID != 0 {
 		t.Error("the failed frame's new subscriber resolves in the engine")
-	}
-	if len(rd.cohorts) != cohorts {
-		t.Errorf("failed frame changed the cohort cache: %d keys (was %d)", len(rd.cohorts), cohorts)
 	}
 	h = Header{Records: 1, Len: len(good), CRC: crc32.ChecksumIEEE(good)}
 	recs, _, _, err := rd.DecodeFrame(h, good)
