@@ -78,7 +78,7 @@ func table3(b testing.TB) (cv func() float64) {
 		b.Fatal(err)
 	}
 	return func() float64 {
-		return ml.CrossValidate(reduced, s.Scale.Folds, ml.ForestConfig{Trees: s.Scale.Trees, Seed: 1}, 1, 0).Accuracy()
+		return ml.CrossValidate(reduced, s.Scale.Folds, ml.ForestConfig{Trees: s.Scale.Trees, Seed: 1}, 1).Accuracy()
 	}
 }
 
@@ -132,7 +132,7 @@ func BenchmarkTable6RepCleartext(b *testing.B) {
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		cv := ml.CrossValidate(reduced, s.Scale.Folds, ml.ForestConfig{Trees: s.Scale.Trees, Seed: 1}, 1, 0)
+		cv := ml.CrossValidate(reduced, s.Scale.Folds, ml.ForestConfig{Trees: s.Scale.Trees, Seed: 1}, 1)
 		acc = cv.Accuracy()
 	}
 	b.ReportMetric(100*acc, "acc%")
@@ -280,7 +280,7 @@ func BenchmarkBaselinePrometheusBinary(b *testing.B) {
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		cv := ml.CrossValidate(ds, s.Scale.Folds, ml.ForestConfig{Trees: s.Scale.Trees, Seed: 1}, 1, 0)
+		cv := ml.CrossValidate(ds, s.Scale.Folds, ml.ForestConfig{Trees: s.Scale.Trees, Seed: 1}, 1)
 		acc = cv.Accuracy()
 	}
 	b.ReportMetric(100*acc, "acc%")

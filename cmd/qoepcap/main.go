@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"vqoe/internal/core"
@@ -220,38 +219,9 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 	}
 	emit(eng.Drain())
 	sloEng.Tick(capNow)
-	fmt.Printf("\n%d sessions assessed\n", n)
-
-	alerts := sloEng.Alerts()
-	if alerts.Firing > 0 || alerts.Pending > 0 || len(alerts.RecentResolved) > 0 {
-		fmt.Printf("\nslo alerts over the capture (%d firing, %d pending at end):\n",
-			alerts.Firing, alerts.Pending)
-		for _, a := range alerts.Alerts {
-			if a.StateCode == int(slo.Inactive) {
-				continue
-			}
-			fmt.Printf("  %-20s %-8s %s\n", a.Rule, a.State, a.Detail)
-		}
-		for _, ep := range alerts.RecentResolved {
-			fmt.Printf("  resolved %-11s t=%.0fs..%.0fs  %s\n",
-				ep.Rule, ep.StartedAt, ep.ResolvedAt, ep.Detail)
-		}
-	}
-
-	if rec != nil {
-		if snap := rec.Snapshot(); len(snap.Retained) > 0 {
-			fmt.Printf("\nworst sessions (%d retained of %d recorded):\n",
-				snap.Counters.Retained, snap.Counters.Recorded)
-			worst := snap.Retained
-			if len(worst) > 5 {
-				worst = worst[:5]
-			}
-			for _, s := range worst {
-				fmt.Printf("  %-28s mos %.2f (%s)  stall %-13s kept: %s\n",
-					s.ID, s.MOS, s.Verbal, s.Stall, strings.Join(s.Reasons, ","))
-			}
-		}
-	}
+	fmt.Printf("\n%d sessions assessed\n\n", n)
+	rec.Snapshot().WriteWorst(os.Stdout)
+	sloEng.Alerts().WriteSummary(os.Stdout)
 	return nil
 }
 
@@ -272,11 +242,11 @@ func doReplay(path, hostsPath, addr string) error {
 	}
 	defer c.Close()
 	var sendErr error
-	st, err := wire.ReplayPcap(r, func(entries []weblog.Entry) {
+	st, err := replayPcap(r, func(entries []weblog.Entry) {
 		if sendErr == nil {
 			sendErr = c.SendEntries(entries)
 		}
-	})
+	}, replayIdleGapSec, replayBatchMax)
 	if err != nil {
 		return err
 	}

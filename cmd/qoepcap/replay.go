@@ -1,4 +1,4 @@
-package wire
+package main
 
 import (
 	"io"
@@ -21,8 +21,8 @@ const (
 	replayBatchMax = 512
 )
 
-// ReplayStats summarizes one replay run.
-type ReplayStats struct {
+// replayStats summarizes one replay run.
+type replayStats struct {
 	// Packets is the count of TCP/IPv4 packets metered.
 	Packets int
 	// Entries is the count of synthesized weblog entries emitted.
@@ -33,21 +33,16 @@ type ReplayStats struct {
 	SpanSec float64
 }
 
-// ReplayPcap streams a capture through the flow meter and hands emit
-// the synthesized weblog entries in batches, as transactions complete
-// on the capture clock — the passive-probe pipeline (packet →
-// transaction → entry) running incrementally instead of buffering the
-// whole trace. The batch slice is reused between calls, so emit must not
-// retain it: the engine's Feed and a Client's SendEntries both copy.
-func ReplayPcap(r *pcapio.Reader, emit func([]weblog.Entry)) (ReplayStats, error) {
-	return replayPcap(r, emit, replayIdleGapSec, replayBatchMax)
-}
-
-// replayPcap is ReplayPcap with the idle gap and batch cap as
-// arguments, for tests.
-func replayPcap(r *pcapio.Reader, emit func([]weblog.Entry), idleGapSec float64, batchMax int) (ReplayStats, error) {
+// replayPcap streams a capture through the flow meter and hands emit
+// the synthesized weblog entries in batches of at most batchMax, as
+// transactions complete on the capture clock — the passive-probe
+// pipeline (packet → transaction → entry) running incrementally instead
+// of buffering the whole trace. A transaction is force-closed after
+// idleGapSec of flow silence. The batch slice is reused between calls,
+// so emit must not retain it: a Client's SendEntries copies.
+func replayPcap(r *pcapio.Reader, emit func([]weblog.Entry), idleGapSec float64, batchMax int) (replayStats, error) {
 	m := packet.NewMeter()
-	var st ReplayStats
+	var st replayStats
 	batch := make([]weblog.Entry, 0, batchMax)
 
 	flushBatch := func() {

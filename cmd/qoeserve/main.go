@@ -55,9 +55,8 @@
 //	qoeserve -wire 127.0.0.1:9090            TCP wire listener
 //	qoeserve -wire-unix /tmp/vqoe.sock       UDS wire listener
 //
-// feed it with qoegen -kind live -wire, or qoepcap -replay. With
-// -pcap the server itself replays a capture through the flow meter
-// into the engine at startup (-pcap-hosts restores server names).
+// feed it with qoegen -kind live -wire; a capture reaches the server
+// only through qoepcap -replay, which meters it into this listener.
 // Shutdown closes wire connections (with a drain grace) before the
 // engine drain, so acked frames are always reflected in the flush.
 //
@@ -65,7 +64,8 @@
 // seconds per tick) snapshots the in-process counters into metric
 // history rings and runs the built-in alert rules over them.
 // -alert-log appends one JSON line per alert state transition to a
-// file; the drain log ends with an alert summary either way.
+// file. After the drain, stdout gets the same closing reports qoewatch
+// and qoepcap print: the worst retained sessions and the alert summary.
 package main
 
 import (
@@ -76,7 +76,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -84,7 +83,6 @@ import (
 	"vqoe/internal/engine"
 	"vqoe/internal/flight"
 	"vqoe/internal/obs"
-	"vqoe/internal/pcapio"
 	"vqoe/internal/pipeline"
 	"vqoe/internal/qualitymon"
 	"vqoe/internal/slo"
@@ -112,8 +110,6 @@ func main() {
 		noFlight    = flag.Bool("no-flight", false, "disable the session flight recorder entirely")
 		wireAddr    = flag.String("wire", "", "binary ingest listener TCP address (e.g. 127.0.0.1:9090)")
 		wireUnix    = flag.String("wire-unix", "", "binary ingest listener unix socket path")
-		pcapPath    = flag.String("pcap", "", "replay this capture through the flow meter into the engine at startup")
-		pcapHosts   = flag.String("pcap-hosts", "", "ip→host map for -pcap (default <pcap>.hosts)")
 		alertLog    = flag.String("alert-log", "", "append one JSON line per alert state transition to this file")
 		sloCadence  = flag.Float64("slo-cadence", 0, "SLO sampler period in seconds (0 = default 1)")
 	)
@@ -193,23 +189,6 @@ func main() {
 			log.Info("wire listening", "addr", a)
 		}
 	}
-	if *pcapPath != "" {
-		go func() {
-			// meter the capture (names from the hosts file) into the Entry door
-			r, err := pcapio.Open(*pcapPath, *pcapHosts)
-			var st wire.ReplayStats
-			if err == nil {
-				st, err = wire.ReplayPcap(r, srv.Engine().Feed)
-				r.Close()
-			}
-			if err != nil {
-				log.Error("pcap replay failed", "path", *pcapPath, "err", err)
-				return
-			}
-			log.Info("pcap replayed", "path", *pcapPath, "packets", st.Packets,
-				"entries", st.Entries, "batches", st.Batches, "span_sec", st.SpanSec)
-		}()
-	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -226,34 +205,8 @@ func main() {
 		_ = httpSrv.Shutdown(ctx)
 		flushed := srv.Drain()
 		log.Info("drained", "flushed_sessions", len(flushed))
-		alerts := srv.SLO().Alerts()
-		log.Info("alerts", "firing", alerts.Firing, "pending", alerts.Pending,
-			"recently_resolved", len(alerts.RecentResolved))
-		for _, a := range alerts.Alerts {
-			if a.State == "firing" || a.State == "pending" {
-				v := 0.0
-				if a.Value != nil {
-					v = *a.Value
-				}
-				log.Warn("active alert", "rule", a.Rule, "state", a.State,
-					"value", v, "detail", a.Detail)
-			}
-		}
-		if fr := srv.Flight(); fr != nil {
-			snap := fr.Snapshot()
-			log.Info("flight recorder",
-				"recorded", snap.Counters.Recorded, "retained", snap.Counters.Retained,
-				"resident", snap.Counters.Resident, "evicted", snap.Counters.Evicted)
-			worst := snap.Retained
-			if len(worst) > 5 {
-				worst = worst[:5]
-			}
-			for _, sess := range worst {
-				log.Info("worst retained session", "id", sess.ID, "mos", sess.MOS,
-					"verbal", sess.Verbal, "stall", sess.Stall,
-					"reasons", strings.Join(sess.Reasons, ","))
-			}
-		}
+		srv.Flight().Snapshot().WriteWorst(os.Stdout)
+		srv.SLO().Alerts().WriteSummary(os.Stdout)
 	}()
 
 	log.Info("listening", "addr", *addr, "shards", srv.Engine().Shards(), "pprof", *pprofOn)

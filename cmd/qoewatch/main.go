@@ -47,7 +47,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strings"
 
 	"vqoe/internal/cohort"
 	"vqoe/internal/core"
@@ -129,14 +128,17 @@ func main() {
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 
-	var lines, emitted, labels int
+	// lineNo counts physical input lines for the warnings; lines counts
+	// accepted entries
+	var lineNo, lines, emitted, labels int
 	for in.Scan() {
+		lineNo++
 		if len(in.Bytes()) == 0 {
 			continue
 		}
 		if l, isLabel, err := qualitymon.ParseLabelLine(in.Bytes()); isLabel {
 			if err != nil {
-				log.Warn("skipping malformed label line", "err", err)
+				log.Warn("skipping malformed label line", "line", lineNo, "err", err)
 				continue
 			}
 			labels++
@@ -145,7 +147,7 @@ func main() {
 		}
 		var e weblog.Entry
 		if err := json.Unmarshal(in.Bytes(), &e); err != nil {
-			log.Warn("skipping malformed line", "line", lines+1, "err", err)
+			log.Warn("skipping malformed line", "line", lineNo, "err", err)
 			continue
 		}
 		lines++
@@ -175,8 +177,8 @@ func main() {
 	}
 	printModelHealth(out, sn)
 	printWorstCohorts(out, srv.Engine().Cohorts().Snapshot())
-	printWorstSessions(out, srv.Flight())
-	printAlertSummary(out, srv.SLO().Alerts())
+	srv.Flight().Snapshot().WriteWorst(out)
+	srv.SLO().Alerts().WriteSummary(out)
 	log.Debug("stream finished", "entries", lines, "reports", emitted, "labels", labels)
 }
 
@@ -219,59 +221,6 @@ func printWorstCohorts(w io.Writer, snap *cohort.Snapshot) {
 	}
 	if snap.Overflow != nil {
 		fmt.Fprintf(w, "--   (+%d sessions in evicted-cohort overflow)\n", snap.Overflow.Sessions)
-	}
-}
-
-// printWorstSessions closes the run with the flight recorder's view:
-// up to five retained sessions, worst MOS first, with the policies
-// that kept them — the per-session evidence behind the cohort lines
-// above. No output when recording is off or nothing was retained.
-func printWorstSessions(w io.Writer, rec *flight.Recorder) {
-	snap := rec.Snapshot()
-	if len(snap.Retained) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "-- worst sessions (%d retained of %d recorded):\n",
-		snap.Counters.Retained, snap.Counters.Recorded)
-	show := snap.Retained
-	if len(show) > 5 {
-		show = show[:5]
-	}
-	for _, s := range show {
-		fmt.Fprintf(w, "--   %-28s mos %.2f (%s)  stall %-13s entries %-4d kept: %s\n",
-			s.ID, s.MOS, s.Verbal, s.Stall, s.Entries, strings.Join(s.Reasons, ","))
-	}
-}
-
-// printAlertSummary closes the run with the SLO alert view: every
-// rule that is not quietly inactive, worst state first, plus the
-// firing episodes that resolved during the run. A healthy stream
-// prints a single all-clear line.
-func printAlertSummary(w io.Writer, snap slo.AlertsSnapshot) {
-	var noisy []slo.Alert
-	for _, a := range snap.Alerts {
-		if a.StateCode != int(slo.Inactive) {
-			noisy = append(noisy, a)
-		}
-	}
-	if len(noisy) == 0 && len(snap.RecentResolved) == 0 {
-		fmt.Fprintf(w, "-- slo: all %d alert rules inactive\n", len(snap.Alerts))
-		return
-	}
-	fmt.Fprintf(w, "-- slo alerts (%d firing, %d pending):\n", snap.Firing, snap.Pending)
-	for _, a := range noisy {
-		fmt.Fprintf(w, "--   %-20s %-8s", a.Rule, a.State)
-		if a.Value != nil {
-			fmt.Fprintf(w, " value %.4g", *a.Value)
-		}
-		if a.Detail != "" {
-			fmt.Fprintf(w, "  %s", a.Detail)
-		}
-		fmt.Fprintln(w)
-	}
-	for _, ep := range snap.RecentResolved {
-		fmt.Fprintf(w, "--   resolved %-11s fired %.0fs, peak %.4g  %s\n",
-			ep.Rule, ep.ResolvedAt-ep.StartedAt, ep.PeakValue, ep.Detail)
 	}
 }
 

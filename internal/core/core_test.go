@@ -458,7 +458,7 @@ func TestFrameworkEndToEnd(t *testing.T) {
 func TestBaselineBinaryClassifier(t *testing.T) {
 	testCorpora(t)
 	ds := BuildBinaryStallDataset(stallCorpus)
-	conf := ml.CrossValidate(ds, 5, ml.ForestConfig{Trees: 30, Seed: 3}, 4, 0)
+	conf := ml.CrossValidate(ds, 5, ml.ForestConfig{Trees: 30, Seed: 3}, 4)
 	if acc := conf.Accuracy(); acc < 0.75 {
 		t.Errorf("binary baseline accuracy %.3f too low (Prometheus: 0.84)", acc)
 	}

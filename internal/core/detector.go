@@ -140,7 +140,7 @@ func Train(ds *ml.Dataset, cfg TrainConfig) (*Detector, *TrainReport, error) {
 	// calibrated CV: same folds, seeds, and confusion matrix as the
 	// plain CrossValidate, plus the held-out confidence/correctness
 	// curve the quality monitor compares live calibration against
-	cv, cal := ml.CrossValidateCalibrated(reduced, cfg.CVFolds, cfg.Forest, cfg.Seed, 0, qualitymon.ConfBins)
+	cv, cal := ml.CrossValidateCalibrated(reduced, cfg.CVFolds, cfg.Forest, cfg.Seed)
 
 	finalTrain := reduced.Balance(stats.NewRand(cfg.Seed + 1))
 	forest := ml.TrainForest(finalTrain, cfg.Forest)

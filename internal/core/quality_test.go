@@ -63,8 +63,8 @@ func TestCrossValidateCalibratedMatchesPlain(t *testing.T) {
 	testCorpora(t)
 	ds := BuildStallDataset(stallCorpus)
 	fcfg := ml.ForestConfig{Trees: 15, Seed: 11}
-	plain := ml.CrossValidate(ds, 5, fcfg, 99, 0)
-	calibrated, cal := ml.CrossValidateCalibrated(ds, 5, fcfg, 99, 0, qualitymon.ConfBins)
+	plain := ml.CrossValidate(ds, 5, fcfg, 99)
+	calibrated, cal := ml.CrossValidateCalibrated(ds, 5, fcfg, 99)
 	for i := range plain.Counts {
 		for j := range plain.Counts[i] {
 			if plain.Counts[i][j] != calibrated.Counts[i][j] {

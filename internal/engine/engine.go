@@ -272,8 +272,9 @@ func (e *Engine) Ingest(entries []weblog.Entry) ([]Report, Tally) {
 
 // Feed processes a batch asynchronously: entries are enqueued (blocking
 // when mailboxes are full) and completed sessions flow to the sink.
-// This is the pcap-replay / capture-loop path (the wire listener feeds
-// recs: FeedRecs).
+// Outside tests only the benchmark's layer harness calls it; captures
+// reach a running server through the wire listener, which feeds recs
+// (FeedRecs).
 func (e *Engine) Feed(entries []weblog.Entry) {
 	d := e.digests.Get().(*digested)
 	e.interner.digest(d, entries)

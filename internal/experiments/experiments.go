@@ -312,7 +312,7 @@ func (s *Suite) Grouping() sessionizer.Evaluation {
 func (s *Suite) BaselineBinary() *ml.Confusion {
 	ds := core.BuildBinaryStallDataset(s.Cleartext())
 	cfg := ml.ForestConfig{Trees: s.Scale.Trees, Seed: s.Scale.Seed}
-	return ml.CrossValidate(ds, s.Scale.Folds, cfg, s.Scale.Seed, 0)
+	return ml.CrossValidate(ds, s.Scale.Folds, cfg, s.Scale.Seed)
 }
 
 // ---- Ablations ----
@@ -345,7 +345,7 @@ func (s *Suite) AblationStallWithoutChunkFeatures() (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	cfg := s.trainCfg()
-	cv := ml.CrossValidate(reduced, cfg.CVFolds, cfg.Forest, cfg.Seed, 0)
+	cv := ml.CrossValidate(reduced, cfg.CVFolds, cfg.Forest, cfg.Seed)
 	return AblationResult{
 		Name:      "stall model without chunk features",
 		Reference: rep.CV.Accuracy(),
@@ -362,7 +362,7 @@ func (s *Suite) AblationStallAllFeatures() (AblationResult, error) {
 	}
 	ds := core.BuildStallDataset(s.Cleartext())
 	cfg := s.trainCfg()
-	cv := ml.CrossValidate(ds, cfg.CVFolds, cfg.Forest, cfg.Seed, 0)
+	cv := ml.CrossValidate(ds, cfg.CVFolds, cfg.Forest, cfg.Seed)
 	return AblationResult{
 		Name:      "stall model on all 70 features (no CFS)",
 		Reference: rep.CV.Accuracy(),
@@ -460,7 +460,7 @@ func (s *Suite) AblationSwitchML() AblationResult {
 		ds.Add(features.RepFeatures(sess.Obs), label)
 	}
 	cfg := s.trainCfg()
-	cv := ml.CrossValidate(ds, cfg.CVFolds, cfg.Forest, cfg.Seed, 0)
+	cv := ml.CrossValidate(ds, cfg.CVFolds, cfg.Forest, cfg.Seed)
 	return AblationResult{
 		Name:      "ML classifier for switch detection (balanced rate)",
 		Reference: (ref.SteadyBelow + ref.VaryingAbove) / 2,

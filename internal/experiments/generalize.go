@@ -67,7 +67,7 @@ func (s *Suite) StallLearningCurve(sizes []int) []LearningCurvePoint {
 		corpus := workload.Generate(cfg)
 		ds := core.BuildStallDataset(corpus)
 		fcfg := ml.ForestConfig{Trees: s.Scale.Trees, Seed: s.Scale.Seed}
-		cv := ml.CrossValidate(ds, min(s.Scale.Folds, 5), fcfg, s.Scale.Seed, 0)
+		cv := ml.CrossValidate(ds, min(s.Scale.Folds, 5), fcfg, s.Scale.Seed)
 		out = append(out, LearningCurvePoint{Sessions: n, Accuracy: cv.Accuracy()})
 	}
 	return out

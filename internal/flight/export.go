@@ -1,7 +1,10 @@
 package flight
 
 import (
+	"fmt"
+	"io"
 	"sort"
+	"strings"
 
 	"vqoe/internal/obs"
 )
@@ -102,6 +105,22 @@ func (r *Recorder) Snapshot() Snapshot {
 		return a.Start < b.Start
 	})
 	return out
+}
+
+// WriteWorst renders the closing "worst sessions" report every live
+// tool ends a run with: up to five retained sessions, worst MOS first,
+// with the policies that kept them. No output when recording is off or
+// nothing was retained.
+func (s Snapshot) WriteWorst(w io.Writer) {
+	if len(s.Retained) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "-- worst sessions (%d retained of %d recorded):\n",
+		s.Counters.Retained, s.Counters.Recorded)
+	for _, e := range s.Retained[:min(len(s.Retained), 5)] {
+		fmt.Fprintf(w, "--   %-28s mos %.2f (%s)  stall %-13s entries %-4d kept: %s\n",
+			e.ID, e.MOS, e.Verbal, e.Stall, e.Entries, strings.Join(e.Reasons, ","))
+	}
 }
 
 // find returns a copy of the retained session with this exact

@@ -532,3 +532,38 @@ func TestFlightSessionIDRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteWorst pins the closing worst-sessions report qoewatch,
+// qoepcap and qoeserve print: silent on an empty snapshot and on a nil
+// recorder, worst first, and never more than five rows.
+func TestWriteWorst(t *testing.T) {
+	var b strings.Builder
+	Snapshot{}.WriteWorst(&b)
+	(*Recorder)(nil).Snapshot().WriteWorst(&b)
+	if b.Len() != 0 {
+		t.Fatalf("empty snapshot printed %q", b.String())
+	}
+
+	snap := Snapshot{Counters: MetricsSnapshot{Recorded: 40, Retained: 7}}
+	for i := 0; i < 7; i++ {
+		snap.Retained = append(snap.Retained, IndexEntry{
+			ID: fmt.Sprintf("sub%d/%d.5", i, 10*i), MOS: 1.5 + 0.25*float64(i),
+			Verbal: "poor", Stall: "mild stalling", Entries: 12 + i,
+			Reasons: []string{"stalled", "worst_mos"},
+		})
+	}
+	snap.WriteWorst(&b)
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("7 retained sessions printed %d lines, want a header and 5 rows:\n%s", len(lines), b.String())
+	}
+	if want := "-- worst sessions (7 retained of 40 recorded):"; lines[0] != want {
+		t.Errorf("header %q, want %q", lines[0], want)
+	}
+	if want := "--   sub0/0.5                     mos 1.50 (poor)  stall mild stalling entries 12   kept: stalled,worst_mos"; lines[1] != want {
+		t.Errorf("first row\n %q\nwant\n %q", lines[1], want)
+	}
+	if !strings.HasPrefix(lines[5], "--   sub4/40.5 ") {
+		t.Errorf("last row %q, want the fifth-worst session sub4/40.5", lines[5])
+	}
+}

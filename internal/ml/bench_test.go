@@ -160,6 +160,6 @@ func BenchmarkCrossValidate(b *testing.B) {
 	ds := benchDataset(1000, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CrossValidate(ds, 5, ForestConfig{Trees: 10, Seed: 1}, 1, 0)
+		CrossValidate(ds, 5, ForestConfig{Trees: 10, Seed: 1}, 1)
 	}
 }

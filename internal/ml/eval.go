@@ -187,37 +187,33 @@ func Evaluate(f *Forest, test *Dataset) *Confusion {
 // held-out fold at its natural class distribution. The per-fold
 // matrices are merged in fold order.
 //
-// Folds run concurrently up to parallelism workers; 0 (or negative)
-// means one per CPU and 1 forces serial execution. Every fold's
+// Folds run concurrently on min(GOMAXPROCS, k) workers. Every fold's
 // randomness — balancing and forest seeds — is derived up front from
 // the master seed in fold order, so the merged matrix is identical at
-// every parallelism level (the property TestCrossValidateParallelMatchesSerial
+// every worker count (the property TestCrossValidateParallelMatchesSerial
 // locks in). Fold-parallelism is what keeps the retraining loops
 // (qoereport, CFS candidate evaluation, the Table 3/6 benchmarks) CPU
 // bound instead of serialized on one fold at a time.
-func CrossValidate(ds *Dataset, k int, cfg ForestConfig, seed int64, parallelism int) *Confusion {
-	conf, _ := crossValidate(ds, k, cfg, seed, parallelism, 0)
+func CrossValidate(ds *Dataset, k int, cfg ForestConfig, seed int64) *Confusion {
+	conf, _ := crossValidate(ds, k, cfg, seed, 0, 0)
 	return conf
 }
 
 // CrossValidateCalibrated is CrossValidate plus a held-out calibration
 // curve: every test-fold prediction's confidence (top-vote fraction)
 // and correctness is accumulated into a qualitymon.CalibrationCurve
-// with the given bin count (qualitymon.ConfBins when <= 0). The
-// confusion matrix is identical to CrossValidate's — both argmax the
-// same unnormalized vote accumulation — and the curve is merged in
-// fold order, so the result is deterministic at every parallelism
-// level. This is the calibration reference the training path persists
-// in the model baseline.
-func CrossValidateCalibrated(ds *Dataset, k int, cfg ForestConfig, seed int64, parallelism, bins int) (*Confusion, *qualitymon.CalibrationCurve) {
-	if bins <= 0 {
-		bins = qualitymon.ConfBins
-	}
-	return crossValidate(ds, k, cfg, seed, parallelism, bins)
+// of qualitymon.ConfBins bins. The confusion matrix is identical to
+// CrossValidate's — both argmax the same unnormalized vote
+// accumulation — and the curve is merged in fold order, so the result
+// is deterministic at every worker count. This is the calibration
+// reference the training path persists in the model baseline.
+func CrossValidateCalibrated(ds *Dataset, k int, cfg ForestConfig, seed int64) (*Confusion, *qualitymon.CalibrationCurve) {
+	return crossValidate(ds, k, cfg, seed, 0, qualitymon.ConfBins)
 }
 
-// crossValidate is the shared fold loop; bins > 0 additionally builds
-// the calibration curve. Fold randomness — fold assignment, balance
+// crossValidate is the shared fold loop on up to parallelism workers
+// (<= 0: one per CPU; 1: serial); bins > 0 additionally builds the
+// calibration curve. Fold randomness — fold assignment, balance
 // seeds, forest seeds — is derived exactly as before calibration
 // existed, so matrices are unchanged against prior releases.
 func crossValidate(ds *Dataset, k int, cfg ForestConfig, seed int64, parallelism, bins int) (*Confusion, *qualitymon.CalibrationCurve) {

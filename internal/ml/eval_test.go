@@ -98,7 +98,7 @@ func TestConfusionString(t *testing.T) {
 
 func TestCrossValidateOnSeparableData(t *testing.T) {
 	ds := linearlySeparable(400, 21)
-	conf := CrossValidate(ds, 5, ForestConfig{Trees: 15, Seed: 1}, 9, 0)
+	conf := CrossValidate(ds, 5, ForestConfig{Trees: 15, Seed: 1}, 9)
 	if conf.Total() != ds.Len() {
 		t.Errorf("CV tested %d of %d instances", conf.Total(), ds.Len())
 	}
@@ -121,7 +121,7 @@ func TestCrossValidateImbalanced(t *testing.T) {
 		keep = append(keep, i)
 	}
 	imb := ds.Subset(keep)
-	conf := CrossValidate(imb, 5, ForestConfig{Trees: 15, Seed: 2}, 10, 0)
+	conf := CrossValidate(imb, 5, ForestConfig{Trees: 15, Seed: 2}, 10)
 	if rec := conf.Recall(2); rec < 0.6 {
 		t.Errorf("minority recall %v too low despite balancing", rec)
 	}

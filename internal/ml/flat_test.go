@@ -206,9 +206,9 @@ func TestSaveLoadRebuildsFlatForest(t *testing.T) {
 func TestCrossValidateParallelMatchesSerial(t *testing.T) {
 	ds := noisyThreeClass(450, 13)
 	cfg := ForestConfig{Trees: 8, Seed: 3}
-	serial := CrossValidate(ds, 5, cfg, 7, 1)
+	serial, _ := crossValidate(ds, 5, cfg, 7, 1, 0)
 	for _, p := range []int{0, 2, 5} {
-		par := CrossValidate(ds, 5, cfg, 7, p)
+		par, _ := crossValidate(ds, 5, cfg, 7, p, 0)
 		for i := range serial.Counts {
 			for j := range serial.Counts[i] {
 				if serial.Counts[i][j] != par.Counts[i][j] {

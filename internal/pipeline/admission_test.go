@@ -133,7 +133,7 @@ func TestIngestConservation(t *testing.T) {
 			}
 		}},
 		{"pcap-replay-feed", false, func(t *testing.T, srv *Server) {
-			chunks(512, srv.Engine().Feed) // wire.ReplayPcap's emit, at its BatchMax
+			chunks(512, srv.Engine().Feed) // the async Entry door, at a replay batch cap
 		}},
 	} {
 		t.Run(door.name, func(t *testing.T) {

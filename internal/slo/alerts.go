@@ -2,6 +2,7 @@ package slo
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -75,6 +76,38 @@ type AlertsSnapshot struct {
 	Pending        int           `json:"pending"`
 	Alerts         []Alert       `json:"alerts"`
 	RecentResolved []FiringEntry `json:"recent_resolved,omitempty"`
+}
+
+// WriteSummary renders the closing SLO alert report every live tool
+// ends a run with: each rule that is not quietly inactive, worst state
+// first, plus the firing episodes that resolved during the run. A
+// healthy run prints a single all-clear line.
+func (s AlertsSnapshot) WriteSummary(w io.Writer) {
+	var noisy []Alert
+	for _, a := range s.Alerts {
+		if a.StateCode != int(Inactive) {
+			noisy = append(noisy, a)
+		}
+	}
+	if len(noisy) == 0 && len(s.RecentResolved) == 0 {
+		fmt.Fprintf(w, "-- slo: all %d alert rules inactive\n", len(s.Alerts))
+		return
+	}
+	fmt.Fprintf(w, "-- slo alerts (%d firing, %d pending):\n", s.Firing, s.Pending)
+	for _, a := range noisy {
+		fmt.Fprintf(w, "--   %-20s %-8s", a.Rule, a.State)
+		if a.Value != nil {
+			fmt.Fprintf(w, " value %.4g", *a.Value)
+		}
+		if a.Detail != "" {
+			fmt.Fprintf(w, "  %s", a.Detail)
+		}
+		fmt.Fprintln(w)
+	}
+	for _, ep := range s.RecentResolved {
+		fmt.Fprintf(w, "--   resolved %-11s fired %.0fs, peak %.4g  %s\n",
+			ep.Rule, ep.ResolvedAt-ep.StartedAt, ep.PeakValue, ep.Detail)
+	}
 }
 
 // FiringEntry is one completed firing episode in the recent-resolved

@@ -236,3 +236,44 @@ func TestAlertPeakTracking(t *testing.T) {
 		t.Fatalf("peak = %v, want 9", a.LastFiring.PeakValue)
 	}
 }
+
+// TestWriteSummary pins the closing alert report qoewatch, qoepcap and
+// qoeserve print: one all-clear line when every rule is inactive,
+// otherwise the noisy rules worst-first and a row per resolved episode.
+func TestWriteSummary(t *testing.T) {
+	for _, tc := range []struct {
+		snap AlertsSnapshot
+		want string
+	}{
+		{AlertsSnapshot{}, "-- slo: all 0 alert rules inactive\n"},
+		{AlertsSnapshot{Alerts: []Alert{{Rule: "a", State: "inactive"}, {Rule: "b", State: "inactive"}}},
+			"-- slo: all 2 alert rules inactive\n"},
+	} {
+		var b strings.Builder
+		tc.snap.WriteSummary(&b)
+		if b.String() != tc.want {
+			t.Errorf("got %q, want %q", b.String(), tc.want)
+		}
+	}
+
+	v := 0.125
+	snap := AlertsSnapshot{
+		Firing: 1, Pending: 1,
+		Alerts: []Alert{
+			{Rule: "drop-rate", State: "firing", StateCode: int(Firing), Value: &v, Detail: "12.5% dropped"},
+			{Rule: "ingest-stale", State: "pending", StateCode: int(Pending)},
+			{Rule: "wire-errors", State: "inactive", StateCode: int(Inactive)},
+		},
+		RecentResolved: []FiringEntry{{Rule: "model-degraded", FiringRecord: FiringRecord{
+			StartedAt: 100, ResolvedAt: 130, PeakValue: 0.25, Detail: "psi over threshold"}}},
+	}
+	var b strings.Builder
+	snap.WriteSummary(&b)
+	want := "-- slo alerts (1 firing, 1 pending):\n" +
+		"--   drop-rate            firing   value 0.125  12.5% dropped\n" +
+		"--   ingest-stale         pending \n" +
+		"--   resolved model-degraded fired 30s, peak 0.25  psi over threshold\n"
+	if b.String() != want {
+		t.Errorf("got\n%s\nwant\n%s", b.String(), want)
+	}
+}

@@ -281,27 +281,39 @@ func (h *History) Last(s *Series) float64 {
 func (h *History) QuantileOver(hs *HistSeries, q, now, window float64) float64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	start := h.windowStart(now, window)
-	if start < 0 {
+	if h.count == 0 {
 		return math.NaN()
 	}
-	firstIdx, lastIdx := -1, -1
-	for i := start; i < h.count; i++ {
+	d, ok := h.histDelta(hs, h.count-1, now-window)
+	if !ok {
+		return math.NaN()
+	}
+	return d.Quantile(q)
+}
+
+// histDelta is the one trailing-window walk over a histogram series:
+// from sample end back through every sample timed at or after cutoff
+// (end itself always counts), the bucket delta between the newest and
+// oldest snapshots found — the newest alone when only one is. ok is
+// false when none is. Callers hold at least the read lock.
+func (h *History) histDelta(hs *HistSeries, end int, cutoff float64) (d obs.HistogramSnapshot, ok bool) {
+	first, last := -1, -1
+	for i := end; i >= 0 && (i == end || h.times[h.slot(i)] >= cutoff); i-- {
 		if hs.have[h.slot(i)] {
-			if firstIdx < 0 {
-				firstIdx = i
+			if last < 0 {
+				last = i
 			}
-			lastIdx = i
+			first = i
 		}
 	}
-	if firstIdx < 0 {
-		return math.NaN()
+	if last < 0 {
+		return d, false
 	}
-	newest := hs.snaps[h.slot(lastIdx)]
-	if firstIdx == lastIdx {
-		return newest.Quantile(q)
+	d = hs.snaps[h.slot(last)]
+	if first < last {
+		d = d.Sub(hs.snaps[h.slot(first)])
 	}
-	return newest.Sub(hs.snaps[h.slot(firstIdx)]).Quantile(q)
+	return d, true
 }
 
 // TimeseriesSnapshot is the sparkline-ready JSON served at
@@ -410,17 +422,7 @@ func (h *History) Snapshot(cadence float64, maxPoints int, histWindow float64) T
 				qs.P99 = append(qs.P99, nil)
 				continue
 			}
-			// Delta against the sample at this point's trailing
-			// window edge (or the oldest available one).
-			j := i
-			cutoff := h.times[si] - histWindow
-			for j > 0 && hs.have[h.slot(j-1)] && h.times[h.slot(j-1)] >= cutoff {
-				j--
-			}
-			d := hs.snaps[si]
-			if j < i {
-				d = d.Sub(hs.snaps[h.slot(j)])
-			}
+			d, _ := h.histDelta(hs, i, h.times[si]-histWindow)
 			qs.P50 = append(qs.P50, finitePtr(d.Quantile(0.50)))
 			qs.P99 = append(qs.P99, finitePtr(d.Quantile(0.99)))
 		}

@@ -207,3 +207,46 @@ func TestSlowWindowCoveredAtAnyCadence(t *testing.T) {
 		t.Fatalf("the 3600s window spans %.1fs of history at a 0.5s cadence", dt)
 	}
 }
+
+// TestSnapshotQuantilesMatchQuantileOver checks the /debug/timeseries
+// quantile track and the rules' QuantileOver walk the same window: on a
+// late-registered histogram, in a ring that has wrapped, the newest
+// p50/p99 point equals QuantileOver at that sample's time.
+func TestSnapshotQuantilesMatchQuantileOver(t *testing.T) {
+	h := NewHistory(16)
+	for i := 0; i < 5; i++ {
+		h.Sample(float64(i))
+	}
+	var hist obs.Histogram
+	hs := h.AddHistogram("lat", func() obs.HistogramSnapshot { return hist.Snapshot() })
+	for i := 5; i < 20; i++ {
+		lat := 0.4
+		if i >= 12 {
+			lat = 0.002
+		}
+		for j := 0; j < 10; j++ {
+			hist.Observe(lat * float64(1+j%3))
+		}
+		h.Sample(float64(i))
+	}
+	for _, w := range []float64{3, 10, 100} {
+		snap := h.Snapshot(1, 0, w)
+		qs := snap.Quantiles[0]
+		if qs.P50[0] != nil {
+			t.Fatalf("window %v: pre-registration point = %v, want nil", w, *qs.P50[0])
+		}
+		last := len(snap.Times) - 1
+		for _, c := range []struct {
+			q   float64
+			got *float64
+		}{{0.50, qs.P50[last]}, {0.99, qs.P99[last]}} {
+			got := math.NaN() // a nil point never matches
+			if c.got != nil {
+				got = *c.got
+			}
+			if want := h.QuantileOver(hs, c.q, snap.Times[last], w); got != want {
+				t.Errorf("window %v: newest p%v point = %v, QuantileOver = %v", w, 100*c.q, got, want)
+			}
+		}
+	}
+}

@@ -2,8 +2,9 @@
 // length-prefixed, versioned frame format that multiplexes weblog
 // entries and delayed ground-truth labels over one persistent stream,
 // plus the TCP/UDS listener that feeds decoded batches straight into
-// the live engine and the pcap-replay bridge that closes the
-// packet→session→engine loop.
+// the live engine. It is the one way a capture reaches a running
+// server: cmd/qoepcap -replay meters the packets into entries and sends
+// them here as a client.
 //
 // The HTTP /ingest path pays a reflective JSON decode per entry; at
 // the entry rates the sharded engine sustains, that decode — not the
@@ -15,7 +16,7 @@
 //
 // One frame walk and one record parser (decode.go) validate everything;
 // two emitters sit behind them. Decoder.DecodeFrame yields
-// weblog.Entry batches for clients, replay and tests. The listener,
+// weblog.Entry batches for clients and tests. The listener,
 // when its Handler carries a RecSink (the engine), decodes straight
 // into routed sessionizer.Recs through per-connection identity caches
 // (recs.go) and builds no Entry at all.

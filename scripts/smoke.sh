@@ -2,12 +2,15 @@
 # End-to-end smoke test for the observability surface: boot qoeserve,
 # replay a generated live stream into /ingest, then assert every
 # operator endpoint answers and the exposition carries the expected
-# families; then run the two CLI tools that embed the same engine at
-# one shard (qoewatch, qoepcap -analyze) and assert their reports and
-# closing sections; then round-trip the model files qoereport saves
-# through qoewatch and back into qoereport's Tables 8-11; last, run
-# `make report` at quick scale on a copy of EXPERIMENTS.md and assert
-# the hand-written record below the generated part survives. CI runs this after the unit suite; it is also the
+# families; replay a capture into the server's wire listener with
+# qoepcap -replay, and check the drain's closing reports; then run the
+# two CLI tools that embed the same engine at one shard (qoewatch,
+# qoepcap -analyze) and assert their reports and closing sections;
+# then round-trip the model files qoereport saves through qoewatch and
+# back into qoereport's Tables 8-11, and check qoewatch's warning for a
+# malformed line; last, run `make report` at quick scale on a copy of
+# EXPERIMENTS.md and assert the hand-written record below the generated
+# part survives. CI runs this after the unit suite; it is also the
 # fastest way to sanity-check a local build:
 #
 #   ./scripts/smoke.sh
@@ -282,9 +285,33 @@ grep -q '^vqoe_alert_state{rule="drop-rate"}' "$TMP/slo-metrics.txt" ||
     { echo "vqoe_alert_state lacks the drop-rate rule" >&2; exit 1; }
 echo "   slo surface ok"
 
+echo "== qoepcap -replay: a capture through the wire door"
+# the one way a capture reaches a running server: metered into entries
+# by qoepcap and sent to the wire listener, where vqoe_wire_* counts it
+PCAP_SESSIONS=15
+"$TMP/qoepcap" -export "$TMP/t.pcap" -sessions $PCAP_SESSIONS -seed 4 >/dev/null
+WIRE_BEFORE=$(curl -fsS "$BASE/metrics" | awk '$1 == "vqoe_wire_entries_total" {print $2}')
+"$TMP/qoepcap" -replay "$TMP/t.pcap" -wire "$WADDR" >"$TMP/replay.out"
+cat "$TMP/replay.out"
+REPLAYED=$(sed -n 's/.*→ \([0-9]*\) entries.*/\1/p' "$TMP/replay.out")
+ACKED=$(sed -n 's/.*server acked \([0-9]*\) entries.*/\1/p' "$TMP/replay.out")
+WIRE_AFTER=$(curl -fsS "$BASE/metrics" | awk '$1 == "vqoe_wire_entries_total" {print $2}')
+test "${REPLAYED:-0}" -gt 0 || { echo "qoepcap -replay sent no entries" >&2; exit 1; }
+test "$REPLAYED" -eq "${ACKED:--1}" ||
+    { echo "qoepcap -replay sent $REPLAYED entries, server acked ${ACKED:-none}" >&2; exit 1; }
+test $((${WIRE_AFTER%.*} - ${WIRE_BEFORE%.*})) -eq "$REPLAYED" ||
+    { echo "vqoe_wire_entries_total rose ${WIRE_BEFORE%.*} -> ${WIRE_AFTER%.*}, replay sent $REPLAYED" >&2; exit 1; }
+echo "   $REPLAYED entries replayed, acked and counted by vqoe_wire_entries_total"
+
 kill "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=
+# the drain closes with the same two reports qoewatch and qoepcap print
+for section in '-- worst sessions (' '-- slo'; do
+    grep -q "^$section" "$TMP/serve.log" ||
+        { echo "qoeserve drain lacks closing section: $section" >&2; tail -20 "$TMP/serve.log" >&2; exit 1; }
+done
+echo "   drain printed the worst-sessions and slo reports"
 
 echo "== qoewatch: stdin stream through the one-shard engine"
 # the stream arrives over a fifo held open until /metrics has been
@@ -348,8 +375,7 @@ done
 echo "   $WATCH_REPORTS reports over $WATCH_ENTRIES entries, closing sections present"
 
 echo "== qoepcap -analyze: capture through the one-shard engine"
-PCAP_SESSIONS=15
-"$TMP/qoepcap" -export "$TMP/t.pcap" -sessions $PCAP_SESSIONS -seed 4 >/dev/null
+# the capture is the one -replay sent to qoeserve above;
 # -flight-sample 1 retains every session, so the worst-sessions section
 # does not depend on what the quick-trained model happens to flag
 "$TMP/qoepcap" -analyze "$TMP/t.pcap" -train-n 200 -flight-sample 1 \
@@ -361,8 +387,8 @@ test "$PCAP_REPORTS" -eq $PCAP_SESSIONS ||
     { echo "qoepcap assessed $PCAP_REPORTS sessions, exported $PCAP_SESSIONS" >&2; exit 1; }
 for section in \
     'metered [0-9]* transactions from [0-9]* packets' \
-    'slo alerts over the capture (' \
-    "worst sessions ($PCAP_SESSIONS retained of $PCAP_SESSIONS recorded)"; do
+    '-- slo alerts (' \
+    "-- worst sessions ($PCAP_SESSIONS retained of $PCAP_SESSIONS recorded)"; do
     grep -q "^$section" "$TMP/pcap.out" ||
         { echo "qoepcap output lacks section: $section" >&2; exit 1; }
 done
@@ -388,6 +414,14 @@ grep -q '^## Tables 8 & 9' "$TMP/tables-loaded.md" && grep -q '^## Tables 10 & 1
 cmp "$TMP/tables-trained.md" "$TMP/tables-loaded.md" ||
     { echo "Tables 8-11 differ between the trained and the saved-then-loaded models" >&2; exit 1; }
 echo "   $MODEL_REPORTS reports from saved models; Tables 8-11 identical loaded and trained"
+
+echo "== qoewatch: a malformed line is warned by its input line number"
+# label lines, a blank line and a bad line before it all count
+{ grep -m2 '"type":"label"' "$TMP/watch.jsonl" | sed -n 1p; echo; grep -m2 '"type":"label"' "$TMP/watch.jsonl" | sed -n 2p; echo 'not json'; } |
+    "$TMP/qoewatch" -stall "$TMP/stall.model" -rep "$TMP/rep.model" >/dev/null 2>"$TMP/badline.log"
+grep -q 'skipping malformed line.* line=4 ' "$TMP/badline.log" ||
+    { echo "qoewatch misnumbered the malformed line 4:" >&2; cat "$TMP/badline.log" >&2; exit 1; }
+echo "   warned line=4"
 
 echo "== make report: regenerates above the marker, keeps the record below it"
 cp EXPERIMENTS.md "$TMP/EXPERIMENTS.md"
