@@ -16,10 +16,15 @@
 //	  exactly as it would have live; -alert-log appends the
 //	  transitions (timestamps are capture seconds) as JSON lines.
 //
-//	qoepcap -replay capture.pcap -wire 127.0.0.1:9090   stream the
-//	  capture through the incremental flow meter and push the
-//	  synthesized entries to a qoeserve wire listener as transactions
-//	  complete — a passive probe feeding the live engine.
+//	qoepcap -replay capture.pcap -wire 127.0.0.1:9090   push the
+//	  synthesized entries to a qoeserve wire listener as they are
+//	  metered — a passive probe feeding the live engine.
+//
+// Both -analyze and -replay run one loop (stream.go): the capture is
+// read packet by packet through the incremental flow meter, which
+// hands out entries in start order while it reads, so memory is
+// bounded by the open flows rather than the capture length, and the
+// two modes see the same entries in the same order.
 //
 // A hosts file ("ip host" per line) restores server names for captures
 // whose DNS/SNI context is external; -export writes one next to the
@@ -30,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"vqoe/internal/core"
@@ -141,13 +145,6 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 	}
 	defer r.Close()
 
-	pkts, err := r.ReadAll()
-	if err != nil {
-		return err
-	}
-	entries := packet.MeterEntries(pkts)
-	fmt.Printf("metered %d transactions from %d packets\n\n", len(entries), len(pkts))
-
 	// train and assess
 	fmt.Fprintln(os.Stderr, "training framework...")
 	clearCfg := workload.DefaultConfig(trainN)
@@ -184,16 +181,15 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 	}
 	sloEng := slo.New(scfg)
 
-	// stream through the live engine at one shard, one entry per call,
-	// so the flight recorder sees the capture exactly as a deployment
-	// would; sweeps are off — sessions close on §5.2 boundaries and at
-	// end of capture
+	// stream through the live engine at one shard, one entry per call
+	// in the start order the capture loop releases them, so the flight
+	// recorder sees the capture exactly as a deployment would; sweeps
+	// are off — sessions close on §5.2 boundaries and at end of capture
 	eng := engine.New(fw, engine.Config{Shards: 1, SweepEverySec: -1, Obs: ob, Flight: rec}, nil)
 	// the engine's own count: Ingest is synchronous, so a tick reads what was pushed
 	pipeline.EntriesTelemetry(sloEng, func() int64 { return eng.Snapshot()[0].Events }, nil)
 	pipeline.StageTelemetry(nil, sloEng, ob.StageSnapshots)
 	pipeline.FlightTelemetry(nil, sloEng, rec)
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Timestamp < entries[j].Timestamp })
 	n := 0
 	emit := func(reports []engine.Report) {
 		for _, rep := range reports {
@@ -201,34 +197,44 @@ func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFl
 			fmt.Printf("session %2d  t=%8.1fs  %s\n", n, rep.Start, rep.Report)
 		}
 	}
-	if len(entries) > 0 {
-		capNow = entries[0].Timestamp
-	}
-	nextTick := capNow + sloCadence
-	for _, e := range entries {
-		for e.Timestamp >= nextTick {
-			capNow = nextTick
-			sloEng.Tick(capNow)
-			nextTick += sloCadence
+	started := false
+	var nextTick float64
+	st, err := streamCapture(r, func(entries []weblog.Entry) error {
+		for i, e := range entries {
+			if !started {
+				started = true
+				capNow = e.Timestamp
+				nextTick = capNow + sloCadence
+			}
+			for e.Timestamp >= nextTick {
+				capNow = nextTick
+				sloEng.Tick(capNow)
+				nextTick += sloCadence
+			}
+			if e.Timestamp > capNow {
+				capNow = e.Timestamp
+			}
+			reports, _ := eng.Ingest(entries[i : i+1])
+			emit(reports)
 		}
-		if e.Timestamp > capNow {
-			capNow = e.Timestamp
-		}
-		reports, _ := eng.Ingest([]weblog.Entry{e})
-		emit(reports)
+		return nil
+	}, streamIdleGapSec, streamBatchMax)
+	if err != nil {
+		return err
 	}
 	emit(eng.Drain())
 	sloEng.Tick(capNow)
-	fmt.Printf("\n%d sessions assessed\n\n", n)
+	fmt.Printf("\nmetered %d transactions from %d packets\n", st.Entries, st.Packets)
+	fmt.Printf("%d sessions assessed\n\n", n)
 	rec.Snapshot().WriteWorst(os.Stdout)
 	sloEng.Alerts().WriteSummary(os.Stdout)
 	return nil
 }
 
-// doReplay streams a capture through the incremental flow meter and
-// pushes the synthesized entries over the wire protocol as
-// transactions complete, finishing with a sync barrier so the printed
-// ack count proves server-side delivery.
+// doReplay streams a capture through the capture loop and pushes the
+// synthesized entries over the wire protocol as the meter releases
+// them, stopping at the first send error, and finishes with a sync
+// barrier so the printed ack count proves server-side delivery.
 func doReplay(path, hostsPath, addr string) error {
 	r, err := openCapture(path, hostsPath)
 	if err != nil {
@@ -241,17 +247,9 @@ func doReplay(path, hostsPath, addr string) error {
 		return err
 	}
 	defer c.Close()
-	var sendErr error
-	st, err := replayPcap(r, func(entries []weblog.Entry) {
-		if sendErr == nil {
-			sendErr = c.SendEntries(entries)
-		}
-	}, replayIdleGapSec, replayBatchMax)
+	st, err := streamCapture(r, c.SendEntries, streamIdleGapSec, streamBatchMax)
 	if err != nil {
 		return err
-	}
-	if sendErr != nil {
-		return sendErr
 	}
 	ack, err := c.Sync()
 	if err != nil {

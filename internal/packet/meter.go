@@ -1,6 +1,9 @@
 package packet
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
 	"vqoe/internal/weblog"
@@ -31,25 +34,31 @@ type Transaction struct {
 }
 
 // Meter reconstructs transactions from a packet stream. Feed packets
-// in time order with Observe; Finish returns the completed
-// transactions.
+// in time order with Observe; a transaction closes as soon as its flow
+// signals the end (a new request, FIN, or RST), when FlushIdle finds
+// its flow silent, or at Finish.
 //
-// For offline traces the Observe-then-Finish pattern suffices. Live
-// replay over long captures uses the streaming surface instead:
-// Observe closes a transaction as soon as its flow signals the end
-// (a new request, FIN, or RST), and periodic Flush/FlushIdle calls
-// harvest what has closed — and bound the meter's memory by evicting
-// flows that went silent — so entries reach the engine while the
-// capture is still being read.
+// The meter owns the output order. Closed transactions wait in one
+// pending list and leave it in (Start, flow key) order: FlushIdle
+// releases those that started before every transaction still open and
+// before the latest packet (a later packet may share its timestamp and
+// open a transaction that sorts first), and Finish releases the rest.
+// No transaction released later can therefore sort ahead of one
+// already out: the harvests of a run, concatenated, are Finish's
+// one-shot output element for element, and the pending list holds only
+// the finished transactions that started no earlier than the oldest
+// one still open. qoepcap meters a capture for -analyze and for
+// -replay through this one streaming surface.
 type Meter struct {
 	flows map[string]*flowState
-	// pendingDone counts closed-but-unharvested transactions so Flush
-	// can size its result without walking flows twice.
-	pendingDone int
+	// pending holds closed, unreleased transactions: the sorted
+	// remainder of the last release, then closes in close order
+	pending []Transaction
+	// now is the time of the latest packet observed
+	now float64
 }
 
 type flowState struct {
-	key FlowKey
 	// handshake tracking
 	synTime   float64
 	rttHS     float64
@@ -63,7 +72,6 @@ type flowState struct {
 	// outstanding (unacked) down segments for RTT sampling
 	inflight []sentSeg
 	current  *Transaction
-	done     []Transaction
 	// lastSeen is the latest packet time on the flow in either
 	// direction — the idle clock FlushIdle evicts against.
 	lastSeen float64
@@ -120,10 +128,11 @@ func (m *Meter) Observe(p Packet) {
 	key := p.Flow.String()
 	fs := m.flows[key]
 	if fs == nil {
-		fs = &flowState{key: p.Flow}
+		fs = &flowState{}
 		m.flows[key] = fs
 	}
 	fs.lastSeen = p.Time
+	m.now = p.Time
 
 	switch {
 	case p.Dir == Up && p.Flags.Has(SYN):
@@ -150,14 +159,6 @@ func (m *Meter) Observe(p Packet) {
 	// Finish
 	if p.Flags.Has(FIN) || p.Flags.Has(RST) {
 		m.close(fs)
-	}
-}
-
-// close finalizes a flow's in-flight transaction, tracking the
-// harvest count for Flush.
-func (m *Meter) close(fs *flowState) {
-	if fs.closeCurrent() {
-		m.pendingDone++
 	}
 }
 
@@ -243,14 +244,16 @@ func (t *Transaction) observeRTT(rtt float64) {
 	t.rttN++
 }
 
-func (fs *flowState) closeCurrent() bool {
+// close finalizes a flow's in-flight transaction onto the pending
+// list.
+func (m *Meter) close(fs *flowState) {
 	t := fs.current
 	if t == nil {
-		return false
+		return
 	}
 	fs.current = nil
 	if t.Bytes == 0 && t.segments == 0 {
-		return false
+		return
 	}
 	t.Duration = t.lastData - t.Start
 	if t.Duration < 0 {
@@ -265,61 +268,67 @@ func (fs *flowState) closeCurrent() bool {
 	if t.segments > 0 {
 		t.RetransPct = 100 * float64(t.retrans) / float64(t.segments)
 	}
-	fs.done = append(fs.done, *t)
-	return true
+	m.pending = append(m.pending, *t)
 }
 
-// Flush harvests every transaction closed since the last harvest,
-// ordered by start time, leaving in-flight transactions and all
-// reassembly state (holes, inflight segments, handshake RTT) in
-// place. Streaming callers alternate Observe and Flush; the final
-// Finish then returns only the remainder.
-func (m *Meter) Flush() []Transaction {
-	if m.pendingDone == 0 {
+// release hands out, in (Start, flow key) order, the pending
+// transactions that started before bound. The sort is stable, so two
+// transactions of one flow with one start time leave in close order.
+func (m *Meter) release(bound float64) []Transaction {
+	slices.SortStableFunc(m.pending, func(a, b Transaction) int {
+		return cmp.Or(
+			cmp.Compare(a.Start, b.Start),
+			cmp.Compare(a.Flow.Subscriber, b.Flow.Subscriber),
+			cmp.Compare(a.Flow.ServerIP, b.Flow.ServerIP),
+			cmp.Compare(a.Flow.ServerPort, b.Flow.ServerPort),
+			cmp.Compare(a.Flow.ClientPort, b.Flow.ClientPort),
+			cmp.Compare(a.Flow.Host, b.Flow.Host),
+		)
+	})
+	n := sort.Search(len(m.pending), func(i int) bool { return m.pending[i].Start >= bound })
+	if n == 0 {
 		return nil
 	}
-	out := make([]Transaction, 0, m.pendingDone)
-	for _, fs := range m.flows {
-		if len(fs.done) > 0 {
-			out = append(out, fs.done...)
-			fs.done = fs.done[:0]
-		}
-	}
-	m.pendingDone = 0
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	out := slices.Clone(m.pending[:n])
+	m.pending = append(m.pending[:0], m.pending[n:]...)
 	return out
 }
 
-// FlushIdle is Flush for long-running replay: transactions whose
-// flow has been silent since before now-idleGap are force-closed
-// first (a probe cannot tell a stalled response tail from a finished
-// one, exactly the §5.2 idle-gap argument), and flows silent for two
-// idle gaps are evicted entirely so the meter's state stays bounded
-// by the live flow count rather than the capture length. A flow that
-// wakes after eviction restarts with fresh reassembly state: its
-// first frames count as in-order delivery, never as retransmissions.
+// FlushIdle harvests for long-running replay. Transactions whose flow
+// has been silent since before now-idleGap are force-closed first (a
+// probe cannot tell a stalled response tail from a finished one,
+// exactly the §5.2 idle-gap argument), and flows silent for two idle
+// gaps are evicted entirely so the flow table stays bounded by the
+// live flow count rather than the capture length; idleGap 0 closes
+// nothing. It then releases what the Meter's ordering rule allows,
+// leaving in-flight transactions and the reassembly state of live
+// flows (holes, inflight segments, handshake RTT) in place. A flow that
+// wakes after eviction restarts with fresh reassembly state: its first
+// frames count as in-order delivery, never as retransmissions.
 func (m *Meter) FlushIdle(now, idleGap float64) []Transaction {
-	if idleGap > 0 {
-		for key, fs := range m.flows {
-			if fs.lastSeen >= now-idleGap {
-				continue
-			}
+	bound := m.now
+	for key, fs := range m.flows {
+		if idleGap > 0 && fs.lastSeen < now-idleGap {
 			m.close(fs)
-			if fs.lastSeen < now-2*idleGap && len(fs.done) == 0 {
+			if fs.lastSeen < now-2*idleGap {
 				delete(m.flows, key)
 			}
+			continue
+		}
+		if fs.current != nil && fs.current.Start < bound {
+			bound = fs.current.Start
 		}
 	}
-	return m.Flush()
+	return m.release(bound)
 }
 
 // Finish closes all open transactions and returns everything not yet
-// flushed, ordered by start time.
+// released, in (Start, flow key) order.
 func (m *Meter) Finish() []Transaction {
 	for _, fs := range m.flows {
 		m.close(fs)
 	}
-	return m.Flush()
+	return m.release(math.Inf(1))
 }
 
 // ToEntry converts a metered transaction back into a weblog entry (the

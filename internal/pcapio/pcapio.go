@@ -276,21 +276,6 @@ func (pr *Reader) Next() (packet.Packet, error) {
 	}
 }
 
-// ReadAll drains the stream.
-func (pr *Reader) ReadAll() ([]packet.Packet, error) {
-	var out []packet.Packet
-	for {
-		p, err := pr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, p)
-	}
-}
-
 func (pr *Reader) decode(frame []byte, ts time.Time) (packet.Packet, bool) {
 	if len(frame) < ethHeaderLen+ipv4HeaderLen+tcpHeaderLen {
 		return packet.Packet{}, false
@@ -329,17 +314,20 @@ func (pr *Reader) decode(frame []byte, ts time.Time) (packet.Packet, bool) {
 		PayloadLen: payload,
 		Flags:      decodeFlags(tcp[13]),
 	}
-	// direction: the subscriber side is the 10.0.0.0/8 address
+	// direction: a frame from subscriberIP goes up, any other comes
+	// down; the client end of either is the flow's subscriber
 	if srcIP == subscriberIP.String() {
 		p.Dir = packet.Up
 		p.Flow = packet.FlowKey{
-			ServerIP: dstIP, ServerPort: dstPort, ClientPort: srcPort,
+			Subscriber: srcIP, ServerIP: dstIP,
+			ServerPort: dstPort, ClientPort: srcPort,
 			Host: pr.hosts[dstIP],
 		}
 	} else {
 		p.Dir = packet.Down
 		p.Flow = packet.FlowKey{
-			ServerIP: srcIP, ServerPort: srcPort, ClientPort: dstPort,
+			Subscriber: dstIP, ServerIP: srcIP,
+			ServerPort: srcPort, ClientPort: dstPort,
 			Host: pr.hosts[srcIP],
 		}
 	}

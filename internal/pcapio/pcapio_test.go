@@ -29,6 +29,21 @@ func sampleTrace(t testing.TB) ([]packet.Packet, weblog.Entry) {
 	return packet.Synthesize([]weblog.Entry{e}, stats.NewRand(1)), e
 }
 
+// readAll drains a reader through Next.
+func readAll(r *Reader) ([]packet.Packet, error) {
+	var out []packet.Packet
+	for {
+		p, err := r.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, p)
+	}
+}
+
 func base() time.Time {
 	return time.Date(2016, 2, 1, 12, 0, 0, 0, time.UTC)
 }
@@ -49,13 +64,14 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.ResolveHost("173.194.7.9", "r1---sn-aaaa.googlevideo.com")
-	got, err := r.ReadAll()
+	got, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(pkts) {
 		t.Fatalf("read %d packets, wrote %d", len(got), len(pkts))
 	}
+	dirs := map[packet.Dir]bool{}
 	for i := range pkts {
 		want, have := pkts[i], got[i]
 		if have.Dir != want.Dir {
@@ -80,6 +96,14 @@ func TestRoundTrip(t *testing.T) {
 		if have.Flow.ServerPort != want.Flow.ServerPort || have.Flow.ClientPort != want.Flow.ClientPort {
 			t.Fatalf("pkt %d ports mismatch", i)
 		}
+		// the subscriber is the client address, up and down alike
+		if have.Flow.Subscriber != subscriberIP.String() {
+			t.Fatalf("pkt %d (%v) subscriber %q, want %q", i, have.Dir, have.Flow.Subscriber, subscriberIP)
+		}
+		dirs[have.Dir] = true
+	}
+	if !dirs[packet.Up] || !dirs[packet.Down] {
+		t.Fatalf("trace lacks a direction: %v", dirs)
 	}
 }
 
@@ -92,7 +116,7 @@ func TestMeterWorksOnReadBackTrace(t *testing.T) {
 	}
 	r, _ := NewReader(&buf)
 	r.ResolveHost(e.ServerIP, e.Host)
-	got, err := r.ReadAll()
+	got, err := readAll(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +232,7 @@ func TestReaderSkipsLyingHeaderLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.ReadAll()
+		got, err := readAll(r)
 		if err != nil || len(got) != 2 {
 			t.Errorf("version/IHL %#x: read %d packets, %v; want the 2 after the patched frame", ihl, len(got), err)
 		}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"html"
 	"math"
+	"sort"
 	"strings"
 )
 
@@ -153,7 +154,7 @@ func (p Plot) CDF(samples []Series) string {
 	curves := make([]Series, len(samples))
 	for i, s := range samples {
 		xs := append([]float64(nil), s.X...)
-		sortFloats(xs)
+		sort.Float64s(xs)
 		ys := make([]float64, len(xs))
 		for j := range xs {
 			ys[j] = float64(j+1) / float64(len(xs))
@@ -221,39 +222,6 @@ func fmtTick(t float64) string {
 		return fmt.Sprintf("%.4g", t)
 	default:
 		return fmt.Sprintf("%.3g", t)
-	}
-}
-
-func sortFloats(xs []float64) {
-	// insertion sort is fine for plot-sized slices... but CDFs can be
-	// large; use a simple quicksort instead
-	qsort(xs, 0, len(xs)-1)
-}
-
-func qsort(xs []float64, lo, hi int) {
-	for lo < hi {
-		p := xs[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < p {
-				i++
-			}
-			for xs[j] > p {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			qsort(xs, lo, j)
-			lo = i
-		} else {
-			qsort(xs, i, hi)
-			hi = j
-		}
 	}
 }
 

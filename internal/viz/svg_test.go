@@ -138,14 +138,3 @@ func TestPage(t *testing.T) {
 		}
 	}
 }
-
-func TestSortFloats(t *testing.T) {
-	xs := []float64{5, 2, 9, 1, 7, 3, 3, 8}
-	sortFloats(xs)
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			t.Fatalf("not sorted: %v", xs)
-		}
-	}
-	sortFloats(nil) // must not panic
-}
