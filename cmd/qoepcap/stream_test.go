@@ -225,25 +225,40 @@ func TestReplayBatchCap(t *testing.T) {
 func TestReplayStopsAtSendError(t *testing.T) {
 	raw, hosts := capture(t, 12, 11)
 	total := len(readPackets(t, reader(t, raw, "")))
-
-	// the client writes whole frames, so its first write — the first
-	// send that can fail — comes when a frame fills; server names of
-	// MaxString bytes fill one within the first few hundred entries
-	r := reader(t, raw, "")
-	for _, line := range strings.Split(strings.TrimSpace(hosts), "\n") {
-		ip, _, _ := strings.Cut(line, " ")
-		r.ResolveHost(ip, strings.Repeat("h", wire.MaxString))
-	}
 	near, far := net.Pipe()
 	far.Close()
 	c := wire.NewClient(near)
 	defer c.Close()
-	st, err := streamCapture(r, c.SendEntries, streamIdleGapSec, streamBatchMax)
+	st, err := streamCapture(reader(t, raw, hosts), c.SendEntries, streamIdleGapSec, streamBatchMax)
 	if err == nil {
 		t.Fatal("replay into a closed connection reported no error")
 	}
 	if st.Packets >= total {
 		t.Errorf("replay read all %d packets after its connection failed", total)
+	}
+}
+
+// TestReplayFailsOnFirstSend replays a 40-session capture (about 2,300
+// entries, more than one full frame) into a closed connection: every
+// send reaches the connection before it returns, so the first one
+// fails. A client that held entries until a frame filled failed only
+// once one did (on send 729 of this replay).
+func TestReplayFailsOnFirstSend(t *testing.T) {
+	raw, hosts := capture(t, 40, 4)
+	near, far := net.Pipe()
+	far.Close()
+	c := wire.NewClient(near)
+	defer c.Close()
+	sends := 0
+	_, err := streamCapture(reader(t, raw, hosts), func(es []weblog.Entry) error {
+		sends++
+		return c.SendEntries(es)
+	}, streamIdleGapSec, streamBatchMax)
+	if err == nil {
+		t.Fatalf("none of %d sends into a closed connection failed", sends)
+	}
+	if sends != 1 {
+		t.Errorf("replay failed on send %d, want the first", sends)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vqoe/internal/features"
+	"vqoe/internal/ml"
 	"vqoe/internal/workload"
 )
 
@@ -15,8 +16,38 @@ func obsFrom(sessions []*workload.Session) []features.SessionObs {
 	return out
 }
 
-// AnalyzeBatchInto is the live engine's inference entry point; it must
-// be indistinguishable from per-session Analyze calls.
+// denseRows is the dense dataset path the batch evaluator is held to:
+// every session featurized full-width (as BuildStallDataset and
+// BuildRepDataset do), then SelectFeatures onto d's selection.
+func denseRows(t testing.TB, d *Detector, featurize func(features.SessionObs) []float64, obs []features.SessionObs) [][]float64 {
+	t.Helper()
+	ds := ml.NewDataset(d.full, d.Forest.Classes)
+	for _, o := range obs {
+		ds.Add(featurize(o), 0)
+	}
+	reduced, err := ds.SelectFeatures(d.Selected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reduced.X
+}
+
+// verdicts is one PredictBatchInto pass over rows: each row's class
+// and the forest's confidence in it.
+func verdicts(f *ml.Forest, rows [][]float64) ([]int, []float64) {
+	nc := len(f.Classes)
+	votes := make([]float64, len(rows)*nc)
+	classes := f.PredictBatchInto(rows, votes, make([]int, len(rows)))
+	conf := make([]float64, len(rows))
+	for i, c := range classes {
+		conf[i] = f.Confidence(votes[i*nc:(i+1)*nc], c)
+	}
+	return classes, conf
+}
+
+// AnalyzeBatchInto is the live engine's inference entry point; a
+// batch's reports must not depend on its size, so a batch of many
+// equals per-session Analyze calls (batches of one).
 func TestAnalyzeBatchMatchesAnalyze(t *testing.T) {
 	testCorpora(t)
 	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}

@@ -162,6 +162,9 @@ func TestEncryptedEvaluationCloseToCleartext(t *testing.T) {
 	}
 }
 
+// TestDetectorPredictMatchesEvaluate: Analyze's stall verdict and
+// confidence for a session are what Evaluate's dataset path —
+// BuildStallDataset, SelectFeatures, the forest — gives its row.
 func TestDetectorPredictMatchesEvaluate(t *testing.T) {
 	testCorpora(t)
 	ds := BuildStallDataset(encCorpus)
@@ -169,10 +172,11 @@ func TestDetectorPredictMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	classes, conf := verdicts(stallDet.Forest, reduced.X[:20])
+	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
 	for i, s := range encCorpus.Sessions[:20] {
-		want := stallDet.Forest.Predict(reduced.X[i])
-		if got := stallDet.Predict(s.Obs); int(got) != want {
-			t.Fatalf("Predict disagrees with dataset path at %d", i)
+		if r := fw.Analyze(s.Obs); int(r.Stall) != classes[i] || r.StallConf != conf[i] {
+			t.Fatalf("session %d: Analyze (%v, %v), dataset path (%d, %v)", i, r.Stall, r.StallConf, classes[i], conf[i])
 		}
 	}
 }
@@ -187,12 +191,11 @@ func TestDetectorSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range encCorpus.Sessions[:30] {
-		a, ac := stallDet.predictVectorConf(features.StallFeatures(s.Obs))
-		b, bc := loaded.predictVectorConf(features.StallFeatures(s.Obs))
-		if a != b || ac != bc {
-			t.Fatal("loaded detector diverges from original")
-		}
+	obs := obsFrom(encCorpus.Sessions[:30])
+	a, ac := verdicts(stallDet.Forest, denseRows(t, &stallDet.Detector, features.StallFeatures, obs))
+	b, bc := verdicts(loaded.Forest, denseRows(t, loaded, features.StallFeatures, obs))
+	if !slices.Equal(a, b) || !slices.Equal(ac, bc) {
+		t.Fatal("loaded detector diverges from original")
 	}
 }
 
@@ -310,7 +313,7 @@ func TestLoadDetectorRejectsMalformed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("valid detector refused: %v", err)
 				}
-				det.predictVectorConf(make([]float64, nFull))
+				predictZero(det)
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -318,6 +321,13 @@ func TestLoadDetectorRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// predictZero classifies the zero vector of det's selection in a
+// one-row batch: its class and the forest's confidence in it.
+func predictZero(det *Detector) (int, float64) {
+	classes, conf := verdicts(det.Forest, [][]float64{make([]float64, len(det.Selected))})
+	return classes[0], conf[0]
 }
 
 // FuzzLoadDetector: whatever the bytes, LoadDetector returns a detector
@@ -333,9 +343,7 @@ func FuzzLoadDetector(f *testing.F) {
 		if err != nil {
 			return
 		}
-		det.predictVectorConf(make([]float64, len(det.full)))
-		det.Forest.PredictBatchInto([][]float64{make([]float64, len(det.Selected))},
-			make([]float64, len(det.Forest.Classes)), make([]int, 1))
+		c1, p1 := predictZero(det)
 		det.Forest.PathAttribution(make([]float64, len(det.Selected)), nil)
 
 		var first, second bytes.Buffer
@@ -352,11 +360,8 @@ func FuzzLoadDetector(f *testing.F) {
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatal("second save differs from the first")
 		}
-		zero := make([]float64, len(det.Selected))
-		c1, p1 := det.Forest.PredictConf(zero)
-		c2, p2 := again.Forest.PredictConf(zero)
-		if c1 != c2 || p1 != p2 {
-			t.Fatalf("round trip changed PredictConf: (%d, %v) then (%d, %v)", c1, p1, c2, p2)
+		if c2, p2 := predictZero(again); c1 != c2 || p1 != p2 {
+			t.Fatalf("round trip changed the prediction: (%d, %v) then (%d, %v)", c1, p1, c2, p2)
 		}
 	})
 }
@@ -522,20 +527,23 @@ func TestDetectorSaveWriteErrors(t *testing.T) {
 }
 
 // TestPredictBatchMatchesSingle locks the batched close path to the
-// dense per-session path: for every corpus session, AnalyzeBatchInto (one
-// two-model sparse featurization, scratch buffers, tree-major forests)
-// must produce exactly the per-session Predict (dense featurize,
-// projection, per-instance walk) of each detector.
+// dense dataset path: for every corpus session, AnalyzeBatchInto (one
+// two-model sparse featurization, scratch buffers) must give exactly
+// the class and confidence each forest gives the session's dense row
+// (full-width featurize, SelectFeatures).
 func TestPredictBatchMatchesSingle(t *testing.T) {
 	testCorpora(t)
 	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
-	batch := fw.AnalyzeBatchInto(obsFrom(encCorpus.Sessions), nil, nil)
-	for i, s := range encCorpus.Sessions {
-		if want := stallDet.Predict(s.Obs); batch[i].Stall != want {
-			t.Fatalf("stall session %d: batch %v != single %v", i, batch[i].Stall, want)
+	obs := obsFrom(encCorpus.Sessions)
+	batch := fw.AnalyzeBatchInto(obs, nil, nil)
+	stalls, stallConf := verdicts(stallDet.Forest, denseRows(t, &stallDet.Detector, features.StallFeatures, obs))
+	reps, repConf := verdicts(repDet.Forest, denseRows(t, &repDet.Detector, features.RepFeatures, obs))
+	for i, r := range batch {
+		if int(r.Stall) != stalls[i] || r.StallConf != stallConf[i] {
+			t.Fatalf("stall session %d: batch (%v, %v) != dense (%d, %v)", i, r.Stall, r.StallConf, stalls[i], stallConf[i])
 		}
-		if want := repDet.Predict(s.Obs); batch[i].Representation != want {
-			t.Fatalf("rep session %d: batch %v != single %v", i, batch[i].Representation, want)
+		if int(r.Representation) != reps[i] || r.RepConf != repConf[i] {
+			t.Fatalf("rep session %d: batch (%v, %v) != dense (%d, %v)", i, r.Representation, r.RepConf, reps[i], repConf[i])
 		}
 	}
 }
@@ -549,18 +557,20 @@ func TestProjectedVectorsMatchDense(t *testing.T) {
 	testCorpora(t)
 	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
 	obs := obsFrom(encCorpus.Sessions)
+	stallRows := denseRows(t, &stallDet.Detector, features.StallFeatures, obs)
+	repRows := denseRows(t, &repDet.Detector, features.RepFeatures, obs)
 	var sc AnalyzeScratch
 	for lo := 0; lo < len(obs); lo += 32 {
 		batch := obs[lo:min(lo+32, len(obs))]
 		fw.AnalyzeBatchInto(batch, nil, &sc)
-		for i, o := range batch {
+		for i := range batch {
 			stall, rep := fw.ProjectedCopies(&sc, i)
 			for _, m := range []struct {
 				name      string
 				got, want []float64
 			}{
-				{"stall", stall, stallDet.project(features.StallFeatures(o))},
-				{"rep", rep, repDet.project(features.RepFeatures(o))},
+				{"stall", stall, stallRows[lo+i]},
+				{"rep", rep, repRows[lo+i]},
 			} {
 				if len(m.got) != len(m.want) {
 					t.Fatalf("session %d %s: %d projected features, dense has %d", lo+i, m.name, len(m.got), len(m.want))

@@ -7,7 +7,6 @@ import (
 	"os"
 	"slices"
 
-	"vqoe/internal/features"
 	"vqoe/internal/ml"
 	"vqoe/internal/qualitymon"
 	"vqoe/internal/stats"
@@ -27,8 +26,8 @@ type Detector struct {
 	// full is the feature schema the raw vectors arrive in.
 	full []string
 	// selIdx maps Selected positions to full-schema columns (-1 when a
-	// name is absent), precomputed so projection is an index gather
-	// instead of |Selected|·|full| string compares per instance.
+	// name is absent): the columns the session evaluator fills this
+	// detector's rows from.
 	selIdx []int
 }
 
@@ -176,12 +175,6 @@ func (d *Detector) Evaluate(ds *ml.Dataset) (*ml.Confusion, error) {
 	return ml.Evaluate(d.Forest, reduced), nil
 }
 
-// predictVectorConf classifies one raw feature vector given in the
-// full schema and returns the forest's top-vote confidence with it.
-func (d *Detector) predictVectorConf(raw []float64) (int, float64) {
-	return d.Forest.PredictConf(d.project(raw))
-}
-
 // PredictScratch holds one detector's reusable batch buffers: the
 // projected vectors the session evaluator fills (proj[i] views row i of
 // projBuf), and the vote distributions and classes the forest pass
@@ -233,17 +226,6 @@ func (d *Detector) predictRows(s *PredictScratch, conf []float64) ([]int, []floa
 		conf[i] = d.Forest.Confidence(s.dist[i*nc:(i+1)*nc], c)
 	}
 	return classes, conf
-}
-
-// project maps a full-schema vector onto the selected feature subset.
-func (d *Detector) project(raw []float64) []float64 {
-	dst := make([]float64, len(d.selIdx))
-	for i, j := range d.selIdx {
-		if j >= 0 {
-			dst[i] = raw[j]
-		}
-	}
-	return dst
 }
 
 // Save persists the detector (forest + schema).
@@ -352,18 +334,6 @@ func TrainStall(c *workload.Corpus, cfg TrainConfig) (*StallDetector, *TrainRepo
 	return &StallDetector{Detector: *det}, rep, nil
 }
 
-// Predict classifies one session's stalling level.
-func (d *StallDetector) Predict(obs features.SessionObs) features.StallLabel {
-	l, _ := d.PredictConf(obs)
-	return l
-}
-
-// PredictConf is Predict plus the forest's top-vote confidence.
-func (d *StallDetector) PredictConf(obs features.SessionObs) (features.StallLabel, float64) {
-	c, conf := d.predictVectorConf(features.StallFeatures(obs))
-	return features.StallLabel(c), conf
-}
-
 // EvaluateCorpus applies the model to a labelled corpus (e.g. the
 // encrypted study) and returns the confusion matrix.
 func (d *StallDetector) EvaluateCorpus(c *workload.Corpus) (*ml.Confusion, error) {
@@ -382,18 +352,6 @@ func TrainRepresentation(c *workload.Corpus, cfg TrainConfig) (*RepresentationDe
 		return nil, nil, err
 	}
 	return &RepresentationDetector{Detector: *det}, rep, nil
-}
-
-// Predict classifies one session's average representation.
-func (d *RepresentationDetector) Predict(obs features.SessionObs) features.RepLabel {
-	l, _ := d.PredictConf(obs)
-	return l
-}
-
-// PredictConf is Predict plus the forest's top-vote confidence.
-func (d *RepresentationDetector) PredictConf(obs features.SessionObs) (features.RepLabel, float64) {
-	c, conf := d.predictVectorConf(features.RepFeatures(obs))
-	return features.RepLabel(c), conf
 }
 
 // EvaluateCorpus applies the model to a labelled corpus.

@@ -127,18 +127,11 @@ type Report struct {
 	Chunks         int
 }
 
-// Analyze assesses one session from its traffic observations alone —
-// the paper's §4 detectors applied one session at a time, and the
-// reference the batched live path (AnalyzeBatchSince) is tested
-// against.
+// Analyze assesses one session from its traffic observations alone:
+// a batch of one through AnalyzeBatchInto, the loop the live engine
+// runs.
 func (f *Framework) Analyze(o features.SessionObs) Report {
-	var r Report
-	r.Stall, r.StallConf = f.Stall.PredictConf(o)
-	r.Representation, r.RepConf = f.Rep.PredictConf(o)
-	r.SwitchScore = f.Switch.Score(o)
-	r.SwitchVariance = r.SwitchScore > f.Switch.Threshold
-	r.Chunks = o.Len()
-	return r
+	return f.AnalyzeBatchInto([]features.SessionObs{o}, nil, nil)[0]
 }
 
 // AnalyzeScratch carries the reusable buffers a long-lived caller (an
@@ -180,7 +173,7 @@ func (f *Framework) AnalyzeBatchInto(o []features.SessionObs, set *obs.StageSet,
 // mode (each tree traverses the whole batch while its nodes are
 // cache-hot), which is how the live engine amortizes inference over
 // the sessions a shard closes together; reports come back in input
-// order and are identical to per-session Analyze calls. When set is
+// order and do not depend on the batch size. When set is
 // non-nil, one StageFeaturize observation runs from t0 — when the
 // caller began assembling o, so the engine's chunk ordering is inside
 // it — to the end of the statistics pass, one StageForest observation

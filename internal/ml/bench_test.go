@@ -43,17 +43,6 @@ func BenchmarkTrainForest(b *testing.B) {
 	}
 }
 
-func BenchmarkForestPredict(b *testing.B) {
-	ds := benchDataset(1000, 10)
-	f := TrainForest(ds, ForestConfig{Trees: 40, Seed: 1})
-	x := ds.X[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Predict(x)
-	}
-}
-
 // BenchmarkForestPredictFlat vs BenchmarkForestPredictPointer isolate
 // the tentpole's inference claim: the same forest queried over a
 // stream of distinct instances (the production shape — every session
@@ -64,11 +53,14 @@ const predictProbes = 512
 func BenchmarkForestPredictFlat(b *testing.B) {
 	ds := benchDataset(1000, 10)
 	f := TrainForest(ds, ForestConfig{Trees: 40, Seed: 1})
+	row := make([][]float64, 1)
 	dist := make([]float64, f.numClasses)
+	out := make([]int, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.ProbaInto(ds.X[i%predictProbes], dist)
+		row[0] = ds.X[i%predictProbes]
+		f.PredictBatchInto(row, dist, out)
 	}
 }
 

@@ -203,9 +203,8 @@ func CrossValidate(ds *Dataset, k int, cfg ForestConfig, seed int64) *Confusion 
 // curve: every test-fold prediction's confidence (top-vote fraction)
 // and correctness is accumulated into a qualitymon.CalibrationCurve
 // of qualitymon.ConfBins bins. The confusion matrix is identical to
-// CrossValidate's — both argmax the same unnormalized vote
-// accumulation — and the curve is merged in fold order, so the result
-// is deterministic at every worker count. This is the calibration
+// CrossValidate's (one fold loop serves both) and the curve is merged
+// in fold order, so the result is deterministic at every worker count. This is the calibration
 // reference the training path persists in the model baseline.
 func CrossValidateCalibrated(ds *Dataset, k int, cfg ForestConfig, seed int64) (*Confusion, *qualitymon.CalibrationCurve) {
 	return crossValidate(ds, k, cfg, seed, 0, qualitymon.ConfBins)
@@ -250,14 +249,15 @@ func crossValidate(ds *Dataset, k int, cfg ForestConfig, seed int64, parallelism
 		if bins > 0 {
 			cal = qualitymon.NewCalibrationCurve(bins)
 		}
-		// per-instance vote accumulation: same tree-order float
-		// additions as the batch kernel, so the argmax — and with it
-		// the matrix — is bit-identical to Evaluate's
-		for i, x := range test.X {
-			p, c := forest.PredictConf(x)
+		// the held-out fold goes through the engine's batch kernel, so
+		// the calibration baseline reads the confidences it serves
+		nc := forest.numClasses
+		votes := make([]float64, test.Len()*nc)
+		pred := forest.PredictBatchInto(test.X, votes, make([]int, test.Len()))
+		for i, p := range pred {
 			conf.Observe(test.Y[i], p)
 			if cal != nil {
-				cal.Observe(c, p == test.Y[i])
+				cal.Observe(forest.Confidence(votes[i*nc:(i+1)*nc], p), p == test.Y[i])
 			}
 		}
 		confs[f], cals[f] = conf, cal

@@ -57,11 +57,31 @@ func (t *Tree) probaPointer(x []float64) []float64 {
 	return n.Dist
 }
 
+// pointerVotes is the reference forest walk: every tree's leaf
+// distribution by the pointer walk, summed in tree order.
+func (f *Forest) pointerVotes(x []float64) []float64 {
+	votes := make([]float64, f.numClasses)
+	for _, t := range f.Trees {
+		for c, p := range t.probaPointer(x) {
+			votes[c] += p
+		}
+	}
+	return votes
+}
+
+// predictOne is PredictBatchInto on a batch of one: x's class and its
+// unnormalized votes.
+func (f *Forest) predictOne(x []float64) (int, []float64) {
+	votes := make([]float64, f.numClasses)
+	return f.PredictBatchInto([][]float64{x}, votes, make([]int, 1))[0], votes
+}
+
 // TestFlatMatchesPointerProperty is the tentpole's equivalence
 // property: over randomized forests (shape, depth caps, leaf sizes)
 // and randomized inputs, the flattened slab walk must agree
-// bit-for-bit with the pointer-chasing reference walk — per tree
-// (Proba) and per forest (Proba/Predict/PredictBatchInto).
+// bit-for-bit with the pointer-chasing reference walk — per tree (the
+// leaf leafOff lands on) and per forest (PredictBatchInto's votes and
+// classes, one row and whole batches).
 func TestFlatMatchesPointerProperty(t *testing.T) {
 	r := stats.NewRand(71)
 	for trial := 0; trial < 8; trial++ {
@@ -80,7 +100,8 @@ func TestFlatMatchesPointerProperty(t *testing.T) {
 		for probe := 0; probe < 50; probe++ {
 			x := randomProbe(r, m)
 			for ti, tr := range f.Trees {
-				flat := tr.Proba(x)
+				off := tr.leafOff(x)
+				flat := tr.dists[off : off+int32(f.numClasses)]
 				ptr := tr.probaPointer(x)
 				if len(flat) != len(ptr) {
 					t.Fatalf("trial %d tree %d: dist lengths %d vs %d", trial, ti, len(flat), len(ptr))
@@ -93,27 +114,22 @@ func TestFlatMatchesPointerProperty(t *testing.T) {
 				}
 			}
 			// forest-level agreement: accumulate by pointer walk and
-			// compare with the flat Proba, bit for bit (same summation
-			// order: tree 0..T-1)
-			want := make([]float64, f.numClasses)
-			for _, tr := range f.Trees {
-				for c, p := range tr.probaPointer(x) {
-					want[c] += p
-				}
-			}
-			for c := range want {
-				want[c] /= float64(len(f.Trees))
-			}
-			got := f.Proba(x)
+			// compare with a one-row batch's votes, bit for bit (same
+			// summation order: tree 0..T-1)
+			want := f.pointerVotes(x)
+			class, got := f.predictOne(x)
 			for c := range want {
 				if got[c] != want[c] {
-					t.Fatalf("trial %d: forest proba[%d] flat %v != pointer %v", trial, c, got[c], want[c])
+					t.Fatalf("trial %d: forest votes[%d] flat %v != pointer %v", trial, c, got[c], want[c])
 				}
+			}
+			if class != argmax(want) {
+				t.Fatalf("trial %d: class %d, pointer argmax %d", trial, class, argmax(want))
 			}
 		}
 
-		// batch path agrees with per-instance path, including the
-		// caller-buffer variant reused across calls
+		// a whole batch agrees with one-row batches, including the
+		// caller buffers reused across calls
 		probes := make([][]float64, 300)
 		for i := range probes {
 			probes[i] = randomProbe(r, m)
@@ -123,7 +139,7 @@ func TestFlatMatchesPointerProperty(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			into := f.PredictBatchInto(probes, dist, out)
 			for i, x := range probes {
-				if want := f.Predict(x); into[i] != want {
+				if want, _ := f.predictOne(x); into[i] != want {
 					t.Fatalf("trial %d pass %d instance %d: into=%d single=%d",
 						trial, pass, i, into[i], want)
 				}
@@ -134,8 +150,8 @@ func TestFlatMatchesPointerProperty(t *testing.T) {
 
 // TestPredictBatchIntoParallelMatchesSerial drives batches on both
 // sides of every worker-count boundary (one worker per 256 instances)
-// and checks classes and confidences against per-instance predictions,
-// with the pool available and on a single CPU.
+// and checks classes and confidences against one-row batches, with the
+// pool available and on a single CPU.
 func TestPredictBatchIntoParallelMatchesSerial(t *testing.T) {
 	r := stats.NewRand(5)
 	ds := randomDataset(r, 500, 6, 3)
@@ -151,7 +167,8 @@ func TestPredictBatchIntoParallelMatchesSerial(t *testing.T) {
 			dist := make([]float64, n*f.numClasses)
 			out := f.PredictBatchInto(probes[:n], dist, make([]int, n))
 			for i, x := range probes[:n] {
-				class, conf := f.PredictConf(x)
+				class, votes := f.predictOne(x)
+				conf := f.Confidence(votes, class)
 				if out[i] != class {
 					t.Fatalf("procs=%d n=%d instance %d: got %d want %d", procs, n, i, out[i], class)
 				}
@@ -165,7 +182,7 @@ func TestPredictBatchIntoParallelMatchesSerial(t *testing.T) {
 
 // TestSaveLoadRebuildsFlatForest round-trips a forest through the gob
 // wire format and asserts the rebuilt flat representation predicts
-// identically to the original — Proba bit-for-bit, on and off the
+// identically to the original — votes bit-for-bit, on and off the
 // training manifold.
 func TestSaveLoadRebuildsFlatForest(t *testing.T) {
 	r := stats.NewRand(17)
@@ -187,13 +204,14 @@ func TestSaveLoadRebuildsFlatForest(t *testing.T) {
 	}
 	for probe := 0; probe < 200; probe++ {
 		x := randomProbe(r, 5)
-		if f.Predict(x) != g.Predict(x) {
+		c1, v1 := f.predictOne(x)
+		c2, v2 := g.predictOne(x)
+		if c1 != c2 {
 			t.Fatalf("probe %d: predictions diverge after round trip", probe)
 		}
-		p1, p2 := f.Proba(x), g.Proba(x)
-		for c := range p1 {
-			if p1[c] != p2[c] {
-				t.Fatalf("probe %d class %d: proba %v != %v after round trip", probe, c, p1[c], p2[c])
+		for c := range v1 {
+			if v1[c] != v2[c] {
+				t.Fatalf("probe %d class %d: votes %v != %v after round trip", probe, c, v1[c], v2[c])
 			}
 		}
 	}
@@ -220,17 +238,12 @@ func TestCrossValidateParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestProbaIntoZeroAlloc asserts the Into variants allocate nothing
+// TestProbaIntoZeroAlloc asserts PredictBatchInto allocates nothing
 // once buffers exist — the property the engine's hot path relies on.
 func TestProbaIntoZeroAlloc(t *testing.T) {
 	r := stats.NewRand(23)
 	ds := randomDataset(r, 300, 5, 3)
 	f := TrainForest(ds, ForestConfig{Trees: 10, Seed: 6})
-	x := randomProbe(r, 5)
-	dist := make([]float64, f.numClasses)
-	if avg := testing.AllocsPerRun(200, func() { f.ProbaInto(x, dist) }); avg != 0 {
-		t.Errorf("ProbaInto allocates %v per run", avg)
-	}
 	probes := make([][]float64, 64)
 	for i := range probes {
 		probes[i] = randomProbe(r, 5)
@@ -239,8 +252,5 @@ func TestProbaIntoZeroAlloc(t *testing.T) {
 	bout := make([]int, len(probes))
 	if avg := testing.AllocsPerRun(200, func() { f.PredictBatchInto(probes, bdist, bout) }); avg != 0 {
 		t.Errorf("PredictBatchInto allocates %v per run", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() { f.Predict(x) }); avg != 0 {
-		t.Errorf("Predict allocates %v per run", avg)
 	}
 }

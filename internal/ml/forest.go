@@ -111,72 +111,11 @@ func bootstrap(ds *Dataset, r *stats.Rand) *Dataset {
 	return ds.Subset(idx)
 }
 
-// Predict returns the majority-vote class for one instance.
-func (f *Forest) Predict(x []float64) int {
-	class, _ := f.PredictConf(x)
-	return class
-}
-
-// maxInlineClasses bounds the stack-allocated distribution PredictConf
-// uses; every model in this repo has ≤ 4 classes.
-const maxInlineClasses = 8
-
-// PredictConf returns the majority-vote class plus the forest's
-// confidence in it (see Confidence).
-func (f *Forest) PredictConf(x []float64) (int, float64) {
-	var buf [maxInlineClasses]float64
-	var dist []float64
-	if f.numClasses <= maxInlineClasses {
-		dist = buf[:f.numClasses]
-	} else {
-		dist = make([]float64, f.numClasses)
-	}
-	dist = f.accumulate(x, dist)
-	best := argmax(dist)
-	return best, f.Confidence(dist, best)
-}
-
 // Confidence is the forest's confidence in class given one instance's
 // unnormalized votes (a row PredictBatchInto left in dist): the
 // class's share of the tree votes.
 func (f *Forest) Confidence(votes []float64, class int) float64 {
 	return votes[class] / float64(len(f.Trees))
-}
-
-// Proba returns the mean class distribution over all trees.
-func (f *Forest) Proba(x []float64) []float64 {
-	return f.ProbaInto(x, make([]float64, f.numClasses))
-}
-
-// ProbaInto is Proba with a caller-owned output buffer: dist must have
-// length numClasses (= len(Classes)) and is returned normalized. It
-// performs no allocations.
-func (f *Forest) ProbaInto(x []float64, dist []float64) []float64 {
-	dist = f.accumulate(x, dist)
-	// true division, not multiplication by a reciprocal: Proba must be
-	// bit-identical to the pointer-walk reference accumulation
-	n := float64(len(f.Trees))
-	for c := range dist {
-		dist[c] /= n
-	}
-	return dist
-}
-
-// accumulate sums the leaf distributions of every tree into dist
-// (unnormalized votes).
-func (f *Forest) accumulate(x []float64, dist []float64) []float64 {
-	for c := range dist {
-		dist[c] = 0
-	}
-	nc := int32(f.numClasses)
-	for _, t := range f.Trees {
-		off := t.leafOff(x)
-		leaf := t.dists[off : off+nc]
-		for c, p := range leaf {
-			dist[c] += p
-		}
-	}
-	return dist
 }
 
 // batchChunk is the smallest instance range one batch worker takes;

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"vqoe/internal/stats"
@@ -40,7 +41,8 @@ func TestForestDeterministicForSeed(t *testing.T) {
 	f2 := TrainForest(ds, ForestConfig{Trees: 10, Seed: 42})
 	for i := 0; i < 100; i++ {
 		x := []float64{float64(i) / 10, 0.5, float64(i) / 20}
-		if f1.Predict(x) != f2.Predict(x) {
+		c1, _ := f1.predictOne(x)
+		if c2, _ := f2.predictOne(x); c1 != c2 {
 			t.Fatal("same seed should give identical forests")
 		}
 	}
@@ -49,11 +51,15 @@ func TestForestDeterministicForSeed(t *testing.T) {
 func TestForestProbaNormalized(t *testing.T) {
 	ds := noisyThreeClass(300, 1)
 	f := TrainForest(ds, ForestConfig{Trees: 10, Seed: 1})
-	p := f.Proba([]float64{5, 0.5, 2.5})
+	class, votes := f.predictOne([]float64{5, 0.5, 2.5})
+	if got, want := f.Confidence(votes, class), slices.Max(votes)/float64(len(f.Trees)); got != want {
+		t.Errorf("confidence %v, want the top vote share %v", got, want)
+	}
 	var sum float64
-	for _, v := range p {
+	for c := range votes {
+		v := f.Confidence(votes, c)
 		if v < 0 || v > 1 {
-			t.Fatalf("probability out of range: %v", p)
+			t.Fatalf("probability out of range: %v", v)
 		}
 		sum += v
 	}
@@ -68,11 +74,11 @@ func TestForestBeatsOrMatchesSingleTreeOnNoise(t *testing.T) {
 	forest := TrainForest(train, ForestConfig{Trees: 40, Seed: 7})
 	tree := TrainTree(train, ForestConfig{MinLeaf: 2}, stats.NewRand(7))
 	fErr, tErr := 0, 0
-	for i, x := range test.X {
-		if forest.Predict(x) != test.Y[i] {
+	for i, p := range forest.PredictAll(test) {
+		if p != test.Y[i] {
 			fErr++
 		}
-		if tree.Predict(x) != test.Y[i] {
+		if treeClass(tree, test.X[i]) != test.Y[i] {
 			tErr++
 		}
 	}
@@ -92,8 +98,8 @@ func TestForestSchemaCaptured(t *testing.T) {
 	}
 }
 
-// TestPredictAllMatchesPredict holds PredictAll to per-instance Predict
-// on both sides of every worker-count boundary of the one batch split
+// TestPredictAllMatchesPredict holds PredictAll to one-row batches on
+// both sides of every worker-count boundary of the one batch split
 // (the two splits it replaced rounded n/256 differently), with the
 // pool available and with a single CPU.
 func TestPredictAllMatchesPredict(t *testing.T) {
@@ -108,8 +114,8 @@ func TestPredictAllMatchesPredict(t *testing.T) {
 				t.Fatalf("procs=%d n=%d: %d predictions", procs, n, len(all))
 			}
 			for i, x := range ds.X {
-				if all[i] != f.Predict(x) {
-					t.Fatalf("procs=%d n=%d: PredictAll[%d] disagrees with Predict", procs, n, i)
+				if want, _ := f.predictOne(x); all[i] != want {
+					t.Fatalf("procs=%d n=%d: PredictAll[%d] disagrees with a one-row batch", procs, n, i)
 				}
 			}
 		}
@@ -139,7 +145,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		t.Fatalf("batch returned %d predictions for %d instances", len(batch), probe.Len())
 	}
 	for i, x := range probe.X {
-		if want := f.Predict(x); batch[i] != want {
+		if want, _ := f.predictOne(x); batch[i] != want {
 			t.Fatalf("instance %d: batch %d vs single %d", i, batch[i], want)
 		}
 	}

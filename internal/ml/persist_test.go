@@ -53,7 +53,8 @@ func TestLoadLegacyModelFile(t *testing.T) {
 	}
 	for probe := 0; probe < 200; probe++ {
 		x := randomProbe(r, 5)
-		if f.Predict(x) != g.Predict(x) {
+		c1, _ := f.predictOne(x)
+		if c2, _ := g.predictOne(x); c1 != c2 {
 			t.Fatalf("probe %d: legacy-loaded forest diverges", probe)
 		}
 	}
@@ -88,10 +89,11 @@ func TestSaveLoadRoundTripsBaseline(t *testing.T) {
 	}
 }
 
-// TestPredictConfMatchesPredict pins the confidence path to the vote
-// path: same winning class as Predict, confidence equal to the winning
-// class's share of the tree votes.
-func TestPredictConfMatchesPredict(t *testing.T) {
+// TestConfidenceMatchesPointerVotes pins a one-row batch's class and
+// confidence to the reference pointer walk: the class is the argmax of
+// the summed leaf distributions, the confidence that class's share of
+// the tree votes.
+func TestConfidenceMatchesPointerVotes(t *testing.T) {
 	r := stats.NewRand(41)
 	ds := randomDataset(r, 400, 5, 3)
 	f := TrainForest(ds, ForestConfig{Trees: 11, Seed: 5})
@@ -102,15 +104,17 @@ func TestPredictConfMatchesPredict(t *testing.T) {
 			// per tree, so class and confidence stay defined
 			x[probe%5] = math.NaN()
 		}
-		pred, conf := f.PredictConf(x)
-		if want := f.Predict(x); pred != want {
-			t.Fatalf("probe %d: PredictConf class %d, Predict %d", probe, pred, want)
+		pred, votes := f.predictOne(x)
+		ref := f.pointerVotes(x)
+		if want := argmax(ref); pred != want {
+			t.Fatalf("probe %d: class %d, pointer walk %d", probe, pred, want)
 		}
+		conf := f.Confidence(votes, pred)
 		if conf <= 0 || conf > 1 {
 			t.Fatalf("probe %d: confidence %v outside (0,1]", probe, conf)
 		}
-		if want := f.Proba(x)[pred]; conf != want {
-			t.Fatalf("probe %d: confidence %v != winning proba %v", probe, conf, want)
+		if want := ref[pred] / float64(len(f.Trees)); conf != want {
+			t.Fatalf("probe %d: confidence %v != winning vote share %v", probe, conf, want)
 		}
 	}
 }
@@ -181,7 +185,7 @@ func TestLoadForestRejectsMalformed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("valid forest refused: %v", err)
 				}
-				f.Predict([]float64{0, 0})
+				f.predictOne([]float64{0, 0})
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {

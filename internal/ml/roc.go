@@ -77,13 +77,17 @@ func AUC(pts []ROCPoint) float64 {
 }
 
 // BinaryScores extracts the positive-class probability of every
-// instance from a forest, paired with the boolean truth; class
+// instance from a forest — its share of the tree votes one
+// PredictBatchInto pass leaves — paired with the boolean truth; class
 // `positive` names the positive label index.
 func BinaryScores(f *Forest, ds *Dataset, positive int) (scores []float64, labels []bool) {
-	scores = make([]float64, ds.Len())
-	labels = make([]bool, ds.Len())
-	for i, x := range ds.X {
-		scores[i] = f.Proba(x)[positive]
+	n, nc := ds.Len(), f.numClasses
+	votes := make([]float64, n*nc)
+	f.PredictBatchInto(ds.X, votes, make([]int, n))
+	scores = make([]float64, n)
+	labels = make([]bool, n)
+	for i := range scores {
+		scores[i] = f.Confidence(votes[i*nc:(i+1)*nc], positive)
 		labels[i] = ds.Y[i] == positive
 	}
 	return scores, labels

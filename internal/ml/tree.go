@@ -211,19 +211,6 @@ func bestSplit(ds *Dataset, idx []int, parentCounts []int, cfg ForestConfig, r *
 	return feat, thresh, ok
 }
 
-// Predict returns the predicted class index for one instance.
-func (t *Tree) Predict(x []float64) int {
-	return argmax(t.Proba(x))
-}
-
-// Proba returns the class probability distribution at the leaf the
-// instance falls into. The returned slice aliases the tree's leaf slab
-// and must not be mutated.
-func (t *Tree) Proba(x []float64) []float64 {
-	off := t.leafOff(x)
-	return t.dists[off : off+int32(t.numClasses)]
-}
-
 func argmax(xs []float64) int {
 	best := 0
 	for i, x := range xs {

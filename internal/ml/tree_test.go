@@ -28,12 +28,17 @@ func linearlySeparable(n int, seed int64) *Dataset {
 	return ds
 }
 
+// treeClass classifies x with one tree through the pointer walk.
+func treeClass(t *Tree, x []float64) int {
+	return argmax(t.probaPointer(x))
+}
+
 func TestTreeLearnsSeparableData(t *testing.T) {
 	ds := linearlySeparable(500, 1)
 	tree := TrainTree(ds, ForestConfig{MinLeaf: 2}, stats.NewRand(2))
 	errors := 0
 	for i, x := range ds.X {
-		if tree.Predict(x) != ds.Y[i] {
+		if treeClass(tree, x) != ds.Y[i] {
 			errors++
 		}
 	}
@@ -48,7 +53,7 @@ func TestTreeGeneralizes(t *testing.T) {
 	tree := TrainTree(train, ForestConfig{MinLeaf: 5}, stats.NewRand(2))
 	errors := 0
 	for i, x := range test.X {
-		if tree.Predict(x) != test.Y[i] {
+		if treeClass(tree, x) != test.Y[i] {
 			errors++
 		}
 	}
@@ -102,7 +107,7 @@ func TestTreeConstantFeaturesYieldLeaf(t *testing.T) {
 		t.Errorf("constant features can't split; leaves=%d", leaves(tree.toDTO(0)))
 	}
 	// majority vote on a tie must still return a valid class
-	if c := tree.Predict([]float64{42}); c != 0 && c != 1 {
+	if c := treeClass(tree, []float64{42}); c != 0 && c != 1 {
 		t.Errorf("invalid class %d", c)
 	}
 }
@@ -110,7 +115,7 @@ func TestTreeConstantFeaturesYieldLeaf(t *testing.T) {
 func TestTreeProbaSumsToOne(t *testing.T) {
 	ds := linearlySeparable(200, 5)
 	tree := TrainTree(ds, ForestConfig{MinLeaf: 10}, stats.NewRand(1))
-	p := tree.Proba([]float64{3, 50})
+	p := tree.probaPointer([]float64{3, 50})
 	var sum float64
 	for _, v := range p {
 		if v < 0 {
@@ -130,7 +135,7 @@ func TestTreePredictInRangeProperty(t *testing.T) {
 	ds := linearlySeparable(300, 7)
 	tree := TrainTree(ds, ForestConfig{MinLeaf: 3}, stats.NewRand(1))
 	f := func(a, b float64) bool {
-		c := tree.Predict([]float64{a, b})
+		c := treeClass(tree, []float64{a, b})
 		return c >= 0 && c < 2
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -144,7 +149,7 @@ func TestTreeThresholdSubsampling(t *testing.T) {
 	capped := TrainTree(ds, ForestConfig{MinLeaf: 5, MaxThresholds: 16}, stats.NewRand(1))
 	// both should still learn the x0>5 rule
 	for _, tree := range []*Tree{full, capped} {
-		if tree.Predict([]float64{1, 0}) != 0 || tree.Predict([]float64{9, 0}) != 1 {
+		if treeClass(tree, []float64{1, 0}) != 0 || treeClass(tree, []float64{9, 0}) != 1 {
 			t.Error("tree failed to learn the separable rule")
 		}
 	}

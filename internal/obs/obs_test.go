@@ -143,6 +143,100 @@ func TestTracerRingWrap(t *testing.T) {
 	}
 }
 
+// TestRingWraparound: before the ring fills, a snapshot holds exactly
+// what was recorded, oldest first with consecutive Seqs and no phantom
+// zero slots; recorded far past capacity, it holds the last capacity
+// events in order while Total keeps counting.
+func TestRingWraparound(t *testing.T) {
+	tr := NewTracer(4)
+	if got := tr.Snapshot(); len(got) != 0 {
+		t.Fatalf("empty tracer snapshot = %v", got)
+	}
+	for i := 0; i < 3; i++ {
+		tr.Record(SpanEvent{TS: float64(i)})
+	}
+	got := tr.Snapshot()
+	if len(got) != 3 || tr.Len() != 3 {
+		t.Fatalf("partial snapshot has %d events, Len %d; want 3", len(got), tr.Len())
+	}
+	for i, ev := range got {
+		if ev.TS != float64(i) || ev.Seq != uint64(i) {
+			t.Fatalf("partial snapshot[%d] = %+v, want TS and Seq %d", i, ev, i)
+		}
+	}
+	for i := 3; i < 103; i++ {
+		tr.Record(SpanEvent{TS: float64(i)})
+	}
+	got = tr.Snapshot()
+	if len(got) != 4 || tr.Len() != 4 || tr.Total() != 103 {
+		t.Fatalf("wrapped: %d events, Len/Total %d/%d; want 4, 4/103", len(got), tr.Len(), tr.Total())
+	}
+	for i, ev := range got {
+		if want := 99 + i; ev.TS != float64(want) || ev.Seq != uint64(want) {
+			t.Fatalf("wrapped snapshot[%d] = %+v, want TS and Seq %d", i, ev, want)
+		}
+	}
+}
+
+// TestRingCapacityClampAndNil: a capacity of 0 or less means
+// DefaultTraceCap, a capacity of 1 keeps the latest event, and a nil
+// tracer is inert.
+func TestRingCapacityClampAndNil(t *testing.T) {
+	for _, capacity := range []int{0, -3} {
+		tr := NewTracer(capacity)
+		for i := 0; i <= DefaultTraceCap; i++ {
+			tr.Record(SpanEvent{TS: float64(i)})
+		}
+		if tr.Len() != DefaultTraceCap {
+			t.Fatalf("NewTracer(%d) holds %d events, want %d", capacity, tr.Len(), DefaultTraceCap)
+		}
+	}
+	one := NewTracer(1)
+	one.Record(SpanEvent{TS: 1})
+	one.Record(SpanEvent{TS: 2})
+	if got := one.Snapshot(); len(got) != 1 || got[0].TS != 2 {
+		t.Fatalf("capacity-1 snapshot = %+v, want the event at TS 2", got)
+	}
+
+	var nt *Tracer
+	nt.Record(SpanEvent{})
+	if nt.Len() != 0 || nt.Total() != 0 || nt.Snapshot() != nil {
+		t.Fatal("nil tracer methods must be no-ops")
+	}
+}
+
+// TestRingConcurrentPush races recorders against snapshot readers: no
+// event is lost from Total, and the ring ends full of the last 64
+// Seqs in order.
+func TestRingConcurrentPush(t *testing.T) {
+	const goroutines, per = 8, 1000
+	tr := NewTracer(64)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				tr.Record(SpanEvent{TS: float64(i)})
+				_ = tr.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	if tr.Total() != goroutines*per {
+		t.Fatalf("Total = %d, want %d", tr.Total(), goroutines*per)
+	}
+	evs := tr.Snapshot()
+	if len(evs) != 64 {
+		t.Fatalf("Len = %d, want 64", len(evs))
+	}
+	for i, ev := range evs {
+		if want := uint64(goroutines*per - 64 + i); ev.Seq != want {
+			t.Fatalf("event %d has Seq %d, want %d", i, ev.Seq, want)
+		}
+	}
+}
+
 func TestMergeEventsOrdering(t *testing.T) {
 	a, b := NewTracer(8), NewTracer(8)
 	a.Record(SpanEvent{Shard: 0, TS: 2})

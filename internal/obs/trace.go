@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"sync"
 )
 
 // EventKind classifies one session-lifecycle span event.
@@ -47,14 +48,16 @@ type SpanEvent struct {
 	Seq        uint64 // per-tracer monotonic sequence, set by Record
 }
 
-// Tracer is a fixed-capacity ring buffer of span events, built on the
-// generic Ring. Each engine shard owns one and is its only recorder, so
-// the ring's mutex is effectively uncontended (the only other locker is
-// an operator hitting /debug/trace); recording overwrites the oldest
+// Tracer is a fixed-capacity mutex-guarded ring buffer of span
+// events. Each engine shard owns one and is its only recorder, so the
+// mutex is effectively uncontended (the only other locker is an
+// operator hitting /debug/trace); recording overwrites the oldest
 // event once the ring wraps and never allocates. A nil *Tracer is the
-// "tracing off" mode: Record and RecordBatch are no-ops.
+// "tracing off" mode: every method is a no-op.
 type Tracer struct {
-	ring Ring[SpanEvent]
+	mu  sync.Mutex
+	buf []SpanEvent
+	seq uint64 // total events ever recorded
 }
 
 // DefaultTraceCap is the per-tracer ring capacity.
@@ -66,42 +69,41 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Tracer{ring: Ring[SpanEvent]{buf: make([]SpanEvent, capacity)}}
+	return &Tracer{buf: make([]SpanEvent, capacity)}
 }
 
 // Record appends one event, overwriting the oldest when full. The
-// event's Seq is assigned under the ring lock so snapshot merge order
-// is exact even when recorders race.
+// event's Seq is assigned under the lock so snapshot merge order is
+// exact even when recorders race.
 func (t *Tracer) Record(ev SpanEvent) {
 	if t == nil {
 		return
 	}
-	t.ring.mu.Lock()
+	t.mu.Lock()
 	t.put(ev)
-	t.ring.mu.Unlock()
+	t.mu.Unlock()
 }
 
-// RecordBatch appends evs in order under one acquisition of the ring
-// lock — what a shard worker pays per message instead of one lock per
-// event. The ring afterwards holds exactly what len(evs) Record calls
-// would have left: same events, same consecutive Seqs.
+// RecordBatch appends evs in order under one acquisition of the lock —
+// what a shard worker pays per message instead of one lock per event.
+// The ring afterwards holds exactly what len(evs) Record calls would
+// have left: same events, same consecutive Seqs.
 func (t *Tracer) RecordBatch(evs []SpanEvent) {
 	if t == nil || len(evs) == 0 {
 		return
 	}
-	t.ring.mu.Lock()
+	t.mu.Lock()
 	for i := range evs {
 		t.put(evs[i])
 	}
-	t.ring.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // put stores ev at the next sequence number; the caller holds the lock.
 func (t *Tracer) put(ev SpanEvent) {
-	r := &t.ring
-	ev.Seq = r.seq
-	r.buf[r.seq%uint64(len(r.buf))] = ev
-	r.seq++
+	ev.Seq = t.seq
+	t.buf[t.seq%uint64(len(t.buf))] = ev
+	t.seq++
 }
 
 // Len reports how many events the ring currently holds.
@@ -109,7 +111,9 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return t.ring.Len()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return int(min(t.seq, uint64(len(t.buf))))
 }
 
 // Total reports how many events were ever recorded (Total - Len of
@@ -118,7 +122,9 @@ func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.ring.Total()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.seq
 }
 
 // Snapshot copies the retained events, oldest first.
@@ -126,7 +132,19 @@ func (t *Tracer) Snapshot() []SpanEvent {
 	if t == nil {
 		return nil
 	}
-	return t.ring.Snapshot()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := uint64(len(t.buf))
+	if t.seq < n {
+		out := make([]SpanEvent, t.seq)
+		copy(out, t.buf)
+		return out
+	}
+	out := make([]SpanEvent, n)
+	head := t.seq % n // oldest slot
+	copy(out, t.buf[head:])
+	copy(out[n-head:], t.buf[:head])
+	return out
 }
 
 // MergeEvents interleaves several tracers' snapshots into one

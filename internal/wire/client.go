@@ -41,15 +41,17 @@ func NewClient(nc net.Conn) *Client {
 	return &Client{nc: nc, bw: bw, enc: NewEncoder(bw), fr: NewFrameReader(nc), dec: NewDecoder()}
 }
 
-// SendEntries appends entries to the stream (frames are cut and
-// written automatically as they fill).
+// SendEntries appends entries to the stream and flushes them to the
+// connection: what one call is given leaves before it returns (frames
+// fill and are cut as usual, the last one is cut by the flush), so a
+// dead peer's write error is that call's error.
 func (c *Client) SendEntries(entries []weblog.Entry) error {
 	for i := range entries {
 		if err := c.enc.AppendEntry(&entries[i]); err != nil {
 			return err
 		}
 	}
-	return nil
+	return c.Flush()
 }
 
 // AppendEntry appends one entry (the per-record path for replay

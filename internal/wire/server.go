@@ -31,7 +31,7 @@ import (
 // records instead of Entries: connections decode frames straight into
 // routed recs (see RecSink) and build no weblog.Entry. The service always
 // sets it; Entries and the listener's Entry decoder behind it are left for
-// bench/layers.go and tests, until ROADMAP "Benchmark debts" (b) re-points them.
+// bench/layers.go and tests, until ROADMAP's "One benchmark PR" item re-points them.
 type Handler struct {
 	Entries func([]weblog.Entry)
 	Labels  func([]qualitymon.Label)

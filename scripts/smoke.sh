@@ -8,9 +8,10 @@
 # qoepcap -analyze) and assert their reports and closing sections;
 # then round-trip the model files qoereport saves through qoewatch and
 # back into qoereport's Tables 8-11, and check qoewatch's warning for a
-# malformed line; last, run `make report` at quick scale on a copy of
+# malformed line; run `make report` at quick scale on a copy of
 # EXPERIMENTS.md and assert the hand-written record below the generated
-# part survives. CI runs this after the unit suite; it is also the
+# part survives; last, run the four examples and check each prints its
+# result line. CI runs this after the unit suite; it is also the
 # fastest way to sanity-check a local build:
 #
 #   ./scripts/smoke.sh
@@ -440,5 +441,20 @@ HAND=$(sed '1,/^<!-- end of generated report/d' "$TMP/EXPERIMENTS.md" | grep -c 
 test "$HAND" -ge 11 ||
     { echo "only $HAND hand-written sections below the marker" >&2; exit 1; }
 echo "   $HAND hand-written sections kept"
+
+echo "== examples: each runs to completion and prints its result line"
+for ex in \
+    'quickstart:^stall model: .* CV accuracy' \
+    'switchdetect:^verdict: ' \
+    'abrlab:^commuter-profile adaptive session' \
+    'livehttp:^assessment: stalling='; do
+    name=${ex%%:*}
+    go build -o "$TMP/ex-$name" "./examples/$name"
+    "$TMP/ex-$name" >"$TMP/ex-$name.out" 2>&1 ||
+        { echo "examples/$name failed:" >&2; cat "$TMP/ex-$name.out" >&2; exit 1; }
+    grep -q "${ex#*:}" "$TMP/ex-$name.out" ||
+        { echo "examples/$name printed no line matching ${ex#*:}" >&2; cat "$TMP/ex-$name.out" >&2; exit 1; }
+    echo "   $name: $(grep -m1 "${ex#*:}" "$TMP/ex-$name.out")"
+done
 
 echo "== smoke ok"
