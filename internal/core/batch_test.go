@@ -70,3 +70,18 @@ func TestAnalyzeBatchMatchesAnalyze(t *testing.T) {
 		t.Error("empty batch should produce no reports")
 	}
 }
+
+// TestAnalyzeReusesEvaluator: a one-session Analyze grows a fresh
+// scratch — projected rows, vote rows, series buffers, 22 allocations
+// on this session — but not the two-model evaluator plan, which the
+// framework builds once on first use and every later call reads.
+// Rebuilding the plan per call cost 17 more.
+func TestAnalyzeReusesEvaluator(t *testing.T) {
+	testCorpora(t)
+	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
+	o := encCorpus.Sessions[0].Obs
+	fw.Analyze(o)
+	if avg := testing.AllocsPerRun(50, func() { fw.Analyze(o) }); avg > 22 {
+		t.Errorf("Analyze allocates %v per call, want at most 22", avg)
+	}
+}

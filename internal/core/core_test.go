@@ -147,7 +147,7 @@ func TestEncryptedEvaluationCloseToCleartext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conf.Total() != encCorpus.Len() {
+	if conf.Total() != int64(encCorpus.Len()) {
 		t.Errorf("evaluated %d of %d sessions", conf.Total(), encCorpus.Len())
 	}
 	encAcc := conf.Accuracy()
@@ -475,7 +475,7 @@ func TestRepDetectorEvaluateCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conf.Total() != encCorpus.Adaptive().Len() {
+	if conf.Total() != int64(encCorpus.Adaptive().Len()) {
 		t.Errorf("evaluated %d sessions, want %d", conf.Total(), encCorpus.Adaptive().Len())
 	}
 	if acc := conf.Accuracy(); acc < 0.5 {

@@ -79,9 +79,9 @@ func DefaultTrainConfig() TrainConfig {
 type TrainReport struct {
 	// Selected features with their information gains (Tables 2/5).
 	Selected []ml.RankedFeature
-	// CV is the merged 10-fold cross-validation confusion matrix
-	// (Tables 3/4 and 6/7).
-	CV *ml.Confusion
+	// CV is the merged 10-fold cross-validation tally (Tables 3/4 and
+	// 6/7). It is the forest baseline's Calibration, not a copy.
+	CV *qualitymon.Tally
 	// ClassCounts is the label distribution of the training corpus.
 	ClassCounts []int
 }
@@ -136,18 +136,16 @@ func Train(ds *ml.Dataset, cfg TrainConfig) (*Detector, *TrainReport, error) {
 		gains[i] = ml.RankedFeature{Name: n, Gain: gainByName[n]}
 	}
 
-	// calibrated CV: same folds, seeds, and confusion matrix as the
-	// plain CrossValidate, plus the held-out confidence/correctness
-	// curve the quality monitor compares live calibration against
-	cv, cal := ml.CrossValidateCalibrated(reduced, cfg.CVFolds, cfg.Forest, cfg.Seed)
-
 	finalTrain := reduced.Balance(stats.NewRand(cfg.Seed + 1))
 	forest := ml.TrainForest(finalTrain, cfg.Forest)
 	// the drift baseline sketches the corpus at its natural class
 	// distribution (reduced, not the balanced finalTrain): serve-time
 	// traffic arrives unbalanced, and PSI must compare like with like
 	forest.Baseline = qualitymon.CaptureBaseline(selected, reduced.X, reduced.Y, reduced.Classes, qualitymon.DefaultBins)
-	forest.Baseline.Calibration = *cal
+	// cross-validation's held-out tally is both the CV report and the
+	// reference the quality monitor compares live accuracy and
+	// calibration against
+	forest.Baseline.Calibration = *ml.CrossValidate(reduced, cfg.CVFolds, cfg.Forest, cfg.Seed)
 
 	det := &Detector{
 		Forest:   forest,
@@ -158,7 +156,7 @@ func Train(ds *ml.Dataset, cfg TrainConfig) (*Detector, *TrainReport, error) {
 	det.indexSelected()
 	rep := &TrainReport{
 		Selected:    gains,
-		CV:          cv,
+		CV:          &forest.Baseline.Calibration,
 		ClassCounts: ds.ClassCounts(),
 	}
 	return det, rep, nil
@@ -166,8 +164,8 @@ func Train(ds *ml.Dataset, cfg TrainConfig) (*Detector, *TrainReport, error) {
 
 // Evaluate applies the trained detector to a dataset in the detector's
 // full (unselected) schema — e.g. the encrypted corpus — and returns
-// the confusion matrix (Tables 8–11).
-func (d *Detector) Evaluate(ds *ml.Dataset) (*ml.Confusion, error) {
+// its tally (Tables 8–11).
+func (d *Detector) Evaluate(ds *ml.Dataset) (*qualitymon.Tally, error) {
 	reduced, err := ds.SelectFeatures(d.Selected)
 	if err != nil {
 		return nil, err
@@ -335,8 +333,8 @@ func TrainStall(c *workload.Corpus, cfg TrainConfig) (*StallDetector, *TrainRepo
 }
 
 // EvaluateCorpus applies the model to a labelled corpus (e.g. the
-// encrypted study) and returns the confusion matrix.
-func (d *StallDetector) EvaluateCorpus(c *workload.Corpus) (*ml.Confusion, error) {
+// encrypted study) and returns its tally.
+func (d *StallDetector) EvaluateCorpus(c *workload.Corpus) (*qualitymon.Tally, error) {
 	return d.Evaluate(BuildStallDataset(c))
 }
 
@@ -355,6 +353,6 @@ func TrainRepresentation(c *workload.Corpus, cfg TrainConfig) (*RepresentationDe
 }
 
 // EvaluateCorpus applies the model to a labelled corpus.
-func (d *RepresentationDetector) EvaluateCorpus(c *workload.Corpus) (*ml.Confusion, error) {
+func (d *RepresentationDetector) EvaluateCorpus(c *workload.Corpus) (*qualitymon.Tally, error) {
 	return d.Evaluate(BuildRepDataset(c))
 }

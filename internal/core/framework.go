@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"vqoe/internal/features"
@@ -17,6 +18,18 @@ type Framework struct {
 	Stall  *StallDetector
 	Rep    *RepresentationDetector
 	Switch *SwitchDetector
+
+	// sparse is the two-model session evaluator, built once from the
+	// two selections on first use (a Framework literal leaves it unset)
+	// and only read after that, by every caller at once.
+	sparseOnce sync.Once
+	sparse     *features.Sparse
+}
+
+// evaluator returns the framework's two-model session evaluator.
+func (f *Framework) evaluator() *features.Sparse {
+	f.sparseOnce.Do(func() { f.sparse = features.NewSparse(f.Stall.selIdx, f.Rep.selIdx) })
+	return f.sparse
 }
 
 // FrameworkReport carries the training diagnostics of both learned
@@ -140,12 +153,7 @@ func (f *Framework) Analyze(o features.SessionObs) Report {
 // buffers have grown to the working-set size. The zero value is ready;
 // a scratch is single-goroutine and serves one framework.
 type AnalyzeScratch struct {
-	// sparse is the two-model session evaluator, built on first use
-	// from the framework's two selections. Living in the scratch (per
-	// shard) rather than on the shared framework keeps its construction
-	// race-free without a lock on the predict path. series holds its
-	// per-metric series buffers.
-	sparse *features.Sparse
+	// series holds the session evaluator's per-metric series buffers.
 	series features.SeriesScratch
 
 	stall, rep         PredictScratch
@@ -158,7 +166,7 @@ type AnalyzeScratch struct {
 // with this framework's two selections — what a flow store feeding it
 // has to keep (the switch detector's are among features.CoreFields).
 func (f *Framework) ChunkFields() features.FieldSet {
-	return features.NewSparse(f.Stall.selIdx, f.Rep.selIdx).Fields()
+	return f.evaluator().Fields()
 }
 
 // AnalyzeBatchInto assesses many sessions at once, with stage timing
@@ -195,13 +203,11 @@ func (f *Framework) AnalyzeBatchSince(o []features.SessionObs, t0 time.Time, set
 	if sc == nil {
 		sc = new(AnalyzeScratch)
 	}
-	if sc.sparse == nil {
-		sc.sparse = features.NewSparse(f.Stall.selIdx, f.Rep.selIdx)
-	}
+	sparse := f.evaluator()
 	stallRows := f.Stall.rows(&sc.stall, len(o))
 	repRows := f.Rep.rows(&sc.rep, len(o))
 	for i, so := range o {
-		sc.sparse.EvalBoth(so, stallRows[i], repRows[i], &sc.series)
+		sparse.EvalBoth(so, stallRows[i], repRows[i], &sc.series)
 	}
 	if set != nil {
 		set.ObserveSince(obs.StageFeaturize, t0)

@@ -11,6 +11,7 @@ import (
 	"vqoe/internal/core"
 	"vqoe/internal/features"
 	"vqoe/internal/ml"
+	"vqoe/internal/qualitymon"
 	"vqoe/internal/sessionizer"
 	"vqoe/internal/stats"
 	"vqoe/internal/timeseries"
@@ -162,7 +163,7 @@ func (s *Suite) Table2() ([]ml.RankedFeature, error) {
 // Table3and4 returns the stall model's cross-validation confusion
 // matrix on cleartext (Table 3 derives from it; Table 4 is its row
 // percentages).
-func (s *Suite) Table3and4() (*ml.Confusion, error) {
+func (s *Suite) Table3and4() (*qualitymon.Tally, error) {
 	_, rep, err := s.StallModel()
 	if err != nil {
 		return nil, err
@@ -180,7 +181,7 @@ func (s *Suite) Table5() ([]ml.RankedFeature, error) {
 }
 
 // Table6and7 returns the representation model's cleartext CV matrix.
-func (s *Suite) Table6and7() (*ml.Confusion, error) {
+func (s *Suite) Table6and7() (*qualitymon.Tally, error) {
 	_, rep, err := s.RepModel()
 	if err != nil {
 		return nil, err
@@ -190,7 +191,7 @@ func (s *Suite) Table6and7() (*ml.Confusion, error) {
 
 // Table8and9 applies the cleartext-trained stall model, or the loaded
 // one, to the encrypted study.
-func (s *Suite) Table8and9() (*ml.Confusion, error) {
+func (s *Suite) Table8and9() (*qualitymon.Tally, error) {
 	if s.loadedStall != nil {
 		return s.loadedStall.Evaluate(core.BuildStallDataset(s.Study().Corpus))
 	}
@@ -203,7 +204,7 @@ func (s *Suite) Table8and9() (*ml.Confusion, error) {
 
 // Table10and11 applies the representation model, or the loaded one, to
 // the encrypted study.
-func (s *Suite) Table10and11() (*ml.Confusion, error) {
+func (s *Suite) Table10and11() (*qualitymon.Tally, error) {
 	if s.loadedRep != nil {
 		return s.loadedRep.Evaluate(core.BuildRepDataset(s.Study().Corpus))
 	}
@@ -309,7 +310,7 @@ func (s *Suite) Grouping() sessionizer.Evaluation {
 
 // BaselineBinary reproduces the Prometheus-style binary buffering
 // classifier the paper compares against (~84% accuracy, [15]).
-func (s *Suite) BaselineBinary() *ml.Confusion {
+func (s *Suite) BaselineBinary() *qualitymon.Tally {
 	ds := core.BuildBinaryStallDataset(s.Cleartext())
 	cfg := ml.ForestConfig{Trees: s.Scale.Trees, Seed: s.Scale.Seed}
 	return ml.CrossValidate(ds, s.Scale.Folds, cfg, s.Scale.Seed)

@@ -10,7 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	"vqoe/internal/ml"
+	"vqoe/internal/qualitymon"
 )
 
 // one quick-scale suite shared by all tests in the package
@@ -63,7 +63,7 @@ func TestTables2Through4(t *testing.T) {
 	if acc := cv.Accuracy(); acc < 0.8 {
 		t.Errorf("Table 3 accuracy %.3f (paper 0.935)", acc)
 	}
-	if cv.Total() != s.Scale.Cleartext {
+	if cv.Total() != int64(s.Scale.Cleartext) {
 		t.Errorf("CV covered %d sessions", cv.Total())
 	}
 }
@@ -104,7 +104,7 @@ func TestTables8Through11(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if encRep.Total() != s.Scale.Encrypted {
+	if encRep.Total() != int64(s.Scale.Encrypted) {
 		t.Errorf("Table 10 covered %d sessions", encRep.Total())
 	}
 }
@@ -143,7 +143,7 @@ func TestLoadModelsEvaluatesTheFiles(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name          string
-		trained, load func() (*ml.Confusion, error)
+		trained, load func() (*qualitymon.Tally, error)
 	}{
 		{"Table 8", s.Table8and9, loaded.Table8and9},
 		{"Table 10", s.Table10and11, loaded.Table10and11},
@@ -156,8 +156,8 @@ func TestLoadModelsEvaluatesTheFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprint(got.Counts) != fmt.Sprint(want.Counts) {
-			t.Errorf("%s: loaded %v, trained %v", tc.name, got.Counts, want.Counts)
+		if fmt.Sprint(got.Matrix) != fmt.Sprint(want.Matrix) {
+			t.Errorf("%s: loaded %v, trained %v", tc.name, got.Matrix, want.Matrix)
 		}
 	}
 	if loaded.stallDet != nil || loaded.repDet != nil {

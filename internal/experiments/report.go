@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"vqoe/internal/ml"
+	"vqoe/internal/qualitymon"
 )
 
 // The paper report is the one renderer of every table and figure: a
@@ -411,7 +412,7 @@ func writeGains(out io.Writer, gains []ml.RankedFeature) {
 
 // writeConfusion emits a markdown section with paper-vs-measured
 // accuracy and both confusion matrices in row percentages.
-func writeConfusion(out io.Writer, title, paperAcc string, c *ml.Confusion, paperRows [][]float64) {
+func writeConfusion(out io.Writer, title, paperAcc string, c *qualitymon.Tally, paperRows [][]float64) {
 	fmt.Fprintf(out, "## %s\n\n", title)
 	fmt.Fprintf(out, "Accuracy: paper %s, measured %.1f%% (n=%d).\n\n", paperAcc, 100*c.Accuracy(), c.Total())
 	fmt.Fprintf(out, "Per-class (measured): ")

@@ -4,15 +4,19 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"vqoe/internal/qualitymon"
 )
 
-// paperStallMatrix reconstructs a confusion matrix with the row
-// percentages of the paper's Table 4 over 1000/1000/1000 instances.
-func paperStallMatrix() *Confusion {
-	c := NewConfusion([]string{"no stalls", "mild stalls", "severe stalls"})
+// paperStallMatrix reconstructs a tally with the row percentages of the
+// paper's Table 4 over 1000/1000/1000 instances.
+func paperStallMatrix() *qualitymon.Tally {
+	c := qualitymon.NewTally([]string{"no stalls", "mild stalls", "severe stalls"})
 	fill := func(actual int, row []int) {
 		for pred, n := range row {
-			c.Counts[actual][pred] = n
+			for ; n > 0; n-- {
+				c.Observe(actual, pred, 0.9)
+			}
 		}
 	}
 	fill(0, []int{978, 20, 2})
@@ -66,7 +70,7 @@ func TestRowPercent(t *testing.T) {
 }
 
 func TestConfusionEmpty(t *testing.T) {
-	c := NewConfusion([]string{"a", "b"})
+	c := qualitymon.NewTally([]string{"a", "b"})
 	if c.Accuracy() != 0 || c.TPRate(0) != 0 || c.Precision(0) != 0 || c.FPRate(0) != 0 {
 		t.Error("empty matrix metrics should be 0")
 	}
@@ -76,14 +80,18 @@ func TestConfusionEmpty(t *testing.T) {
 }
 
 func TestConfusionMerge(t *testing.T) {
-	a := NewConfusion([]string{"x", "y"})
-	a.Observe(0, 0)
-	a.Observe(1, 0)
-	b := NewConfusion([]string{"x", "y"})
-	b.Observe(1, 1)
+	a := qualitymon.NewTally([]string{"x", "y"})
+	a.Observe(0, 0, 0.9)
+	a.Observe(1, 0, 0.6)
+	b := qualitymon.NewTally([]string{"x", "y"})
+	b.Observe(1, 1, 0.9)
+	b.Observe(2, 1, 0.9)
 	a.Merge(b)
-	if a.Total() != 3 || a.Counts[1][1] != 1 {
-		t.Errorf("merge wrong: %+v", a.Counts)
+	if a.Total() != 3 || a.Matrix[1][1] != 1 || a.OutOfRange != 1 {
+		t.Errorf("merge wrong: %+v", a)
+	}
+	if a.Count[9] != 2 || a.Correct[9] != 2 || a.Count[6] != 1 || a.Correct[6] != 0 {
+		t.Errorf("merged bins wrong: count %v correct %v", a.Count, a.Correct)
 	}
 }
 
@@ -99,7 +107,7 @@ func TestConfusionString(t *testing.T) {
 func TestCrossValidateOnSeparableData(t *testing.T) {
 	ds := linearlySeparable(400, 21)
 	conf := CrossValidate(ds, 5, ForestConfig{Trees: 15, Seed: 1}, 9)
-	if conf.Total() != ds.Len() {
+	if conf.Total() != int64(ds.Len()) {
 		t.Errorf("CV tested %d of %d instances", conf.Total(), ds.Len())
 	}
 	if acc := conf.Accuracy(); acc < 0.95 {

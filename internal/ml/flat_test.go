@@ -2,6 +2,8 @@ package ml
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -219,20 +221,25 @@ func TestSaveLoadRebuildsFlatForest(t *testing.T) {
 
 // TestCrossValidateParallelMatchesSerial locks in the determinism
 // contract: fold-parallel execution must produce exactly the serial
-// confusion matrix, because all per-fold randomness is derived up
-// front in fold order.
+// tally — matrix and every confidence bin, the summed confidences bit
+// for bit — because all per-fold randomness is derived up front in
+// fold order and fold tallies merge in that order.
 func TestCrossValidateParallelMatchesSerial(t *testing.T) {
 	ds := noisyThreeClass(450, 13)
 	cfg := ForestConfig{Trees: 8, Seed: 3}
-	serial, _ := crossValidate(ds, 5, cfg, 7, 1, 0)
+	serial := crossValidate(ds, 5, cfg, 7, 1)
+	if serial.Total() != int64(ds.Len()) {
+		t.Fatalf("serial CV binned %d of %d held-out predictions", serial.Total(), ds.Len())
+	}
 	for _, p := range []int{0, 2, 5} {
-		par, _ := crossValidate(ds, 5, cfg, 7, p, 0)
-		for i := range serial.Counts {
-			for j := range serial.Counts[i] {
-				if serial.Counts[i][j] != par.Counts[i][j] {
-					t.Fatalf("parallelism=%d: counts[%d][%d] = %d, serial %d",
-						p, i, j, par.Counts[i][j], serial.Counts[i][j])
-				}
+		par := crossValidate(ds, 5, cfg, 7, p)
+		if !reflect.DeepEqual(par.Matrix, serial.Matrix) || !reflect.DeepEqual(par.Count, serial.Count) ||
+			!reflect.DeepEqual(par.Correct, serial.Correct) || par.OutOfRange != serial.OutOfRange {
+			t.Fatalf("parallelism=%d: tally %+v, serial %+v", p, par, serial)
+		}
+		for b := range serial.ConfSum {
+			if math.Float64bits(par.ConfSum[b]) != math.Float64bits(serial.ConfSum[b]) {
+				t.Fatalf("parallelism=%d: bin %d confidence sum %v, serial %v", p, b, par.ConfSum[b], serial.ConfSum[b])
 			}
 		}
 	}

@@ -195,11 +195,13 @@ func (f *Forest) predictRange(xs [][]float64, dist []float64, out []int) {
 }
 
 // PredictAll classifies every instance of ds and returns the
-// predictions in row order.
-func (f *Forest) PredictAll(ds *Dataset) []int {
+// predictions in row order with the vote rows PredictBatchInto left
+// (numClasses per instance).
+func (f *Forest) PredictAll(ds *Dataset) (pred []int, votes []float64) {
 	n := ds.Len()
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
-	return f.PredictBatchInto(ds.X, make([]float64, n*f.numClasses), make([]int, n))
+	votes = make([]float64, n*f.numClasses)
+	return f.PredictBatchInto(ds.X, votes, make([]int, n)), votes
 }

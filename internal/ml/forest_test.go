@@ -74,7 +74,8 @@ func TestForestBeatsOrMatchesSingleTreeOnNoise(t *testing.T) {
 	forest := TrainForest(train, ForestConfig{Trees: 40, Seed: 7})
 	tree := TrainTree(train, ForestConfig{MinLeaf: 2}, stats.NewRand(7))
 	fErr, tErr := 0, 0
-	for i, p := range forest.PredictAll(test) {
+	pred, _ := forest.PredictAll(test)
+	for i, p := range pred {
 		if p != test.Y[i] {
 			fErr++
 		}
@@ -109,18 +110,19 @@ func TestPredictAllMatchesPredict(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for _, n := range []int{1, 200, 257, 511, 512, 513, 1100} {
 			ds := noisyThreeClass(n, 9)
-			all := f.PredictAll(ds)
-			if len(all) != n {
-				t.Fatalf("procs=%d n=%d: %d predictions", procs, n, len(all))
+			all, votes := f.PredictAll(ds)
+			if len(all) != n || len(votes) != n*f.numClasses {
+				t.Fatalf("procs=%d n=%d: %d predictions, %d votes", procs, n, len(all), len(votes))
 			}
 			for i, x := range ds.X {
-				if want, _ := f.predictOne(x); all[i] != want {
+				want, wantVotes := f.predictOne(x)
+				if all[i] != want || !slices.Equal(votes[i*f.numClasses:(i+1)*f.numClasses], wantVotes) {
 					t.Fatalf("procs=%d n=%d: PredictAll[%d] disagrees with a one-row batch", procs, n, i)
 				}
 			}
 		}
 	}
-	if got := f.PredictAll(NewDataset(f.Features, f.Classes)); got != nil {
+	if got, votes := f.PredictAll(NewDataset(f.Features, f.Classes)); got != nil || votes != nil {
 		t.Error("empty dataset should predict nothing")
 	}
 }

@@ -69,9 +69,9 @@ func TestSaveLoadRoundTripsBaseline(t *testing.T) {
 	f := TrainForest(ds, ForestConfig{Trees: 7, Seed: 9})
 	f.Baseline = qualitymon.CaptureBaseline(
 		f.Features, ds.X, ds.Y, f.Classes, qualitymon.DefaultBins)
-	f.Baseline.Calibration = *qualitymon.NewCalibrationCurve(qualitymon.ConfBins)
-	f.Baseline.Calibration.Observe(0.9, true)
-	f.Baseline.Calibration.Observe(0.6, false)
+	f.Baseline.Calibration = *qualitymon.NewTally(f.Classes)
+	f.Baseline.Calibration.Observe(1, 1, 0.9)
+	f.Baseline.Calibration.Observe(0, 1, 0.6)
 
 	var buf bytes.Buffer
 	if err := f.Save(&buf); err != nil {
@@ -86,6 +86,81 @@ func TestSaveLoadRoundTripsBaseline(t *testing.T) {
 	}
 	if !reflect.DeepEqual(f.Baseline, g.Baseline) {
 		t.Fatalf("baseline changed in round trip:\nsaved  %+v\nloaded %+v", f.Baseline, g.Baseline)
+	}
+}
+
+// calibrationOnlyDTO is the model file shape from before the baseline's
+// calibration became a Tally: the same forest, a baseline whose
+// Calibration holds only the three confidence-bin columns.
+type calibrationOnlyDTO struct {
+	Features []string
+	Classes  []string
+	Trees    []*nodeDTO
+	Version  int
+	Baseline *struct {
+		Version     int
+		Features    []string
+		Classes     []string
+		Edges       [][]float64
+		Expected    [][]float64
+		Priors      []float64
+		Calibration struct {
+			Count   []int64
+			ConfSum []float64
+			Correct []int64
+		}
+	}
+}
+
+// TestBaselineTallyCrossesWireVersions: a file with the calibration
+// columns only loads with an empty matrix and the same baseline
+// accuracy and ECE in the monitor, and a file saved now decodes into
+// the older shape with the same columns.
+func TestBaselineTallyCrossesWireVersions(t *testing.T) {
+	r := stats.NewRand(43)
+	ds := randomDataset(r, 300, 4, 2)
+	f := TrainForest(ds, ForestConfig{Trees: 7, Seed: 9})
+	f.Baseline = qualitymon.CaptureBaseline(f.Features, ds.X, ds.Y, f.Classes, qualitymon.DefaultBins)
+	f.Baseline.Calibration = *Evaluate(f, ds)
+	cal := &f.Baseline.Calibration
+
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var old calibrationOnlyDTO
+	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
+		t.Fatalf("a saved file does not decode into the calibration-only shape: %v", err)
+	}
+	got := old.Baseline.Calibration
+	if !reflect.DeepEqual(got.Count, cal.Count) || !reflect.DeepEqual(got.ConfSum, cal.ConfSum) || !reflect.DeepEqual(got.Correct, cal.Correct) {
+		t.Fatalf("calibration-only decode read %+v, saved %+v", got, cal)
+	}
+
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadForest(&buf)
+	if err != nil {
+		t.Fatalf("calibration-only file refused: %v", err)
+	}
+	if g.Baseline.Calibration.Matrix != nil {
+		t.Errorf("calibration-only file loaded a matrix %v", g.Baseline.Calibration.Matrix)
+	}
+	snap := func(b *qualitymon.Baseline) qualitymon.ModelSnapshot {
+		m := qualitymon.New(qualitymon.Config{Shards: 1,
+			Stall: qualitymon.ModelConfig{Name: "stall", Classes: f.Classes, Baseline: b}})
+		return m.Snapshot().Models[0]
+	}
+	want, loaded := snap(f.Baseline), snap(g.Baseline)
+	if math.Float64bits(loaded.BaselineAccuracy) != math.Float64bits(want.BaselineAccuracy) ||
+		math.Float64bits(loaded.BaselineECE) != math.Float64bits(want.BaselineECE) {
+		t.Errorf("calibration-only file: baseline accuracy %v ECE %v, saved %v and %v",
+			loaded.BaselineAccuracy, loaded.BaselineECE, want.BaselineAccuracy, want.BaselineECE)
+	}
+	if want.BaselineAccuracy == 0 || want.BaselineECE == 0 {
+		t.Errorf("baseline accuracy %v, ECE %v: the comparison needs both nonzero", want.BaselineAccuracy, want.BaselineECE)
 	}
 }
 
@@ -137,7 +212,7 @@ func TestLoadForestRejectsMalformed(t *testing.T) {
 		Trees:    []*nodeDTO{split(1, leaf(1, 0), leaf(0, 1))},
 	}
 	base := qualitymon.CaptureBaseline(good.Features, [][]float64{{1, 2}, {3, 4}}, []int{0, 1}, good.Classes, 4)
-	base.Calibration = *qualitymon.NewCalibrationCurve(0)
+	base.Calibration = *qualitymon.NewTally(good.Classes)
 	cases := []struct {
 		name   string
 		mutate func(*forestDTO)
@@ -171,6 +246,21 @@ func TestLoadForestRejectsMalformed(t *testing.T) {
 			b.Priors = []float64{1}
 			d.Baseline = &b
 		}, "baseline"},
+		{"baseline tally with ragged bins", func(d *forestDTO) {
+			b := *base
+			b.Calibration.ConfSum = b.Calibration.ConfSum[:3]
+			d.Baseline = &b
+		}, "calibration columns"},
+		{"baseline tally of another schema", func(d *forestDTO) {
+			b := *base
+			b.Calibration.Matrix = [][]int64{{1, 0}, {0, 1}, {0, 0}}
+			d.Baseline = &b
+		}, "matrix of 3 rows"},
+		{"baseline tally with a ragged row", func(d *forestDTO) {
+			b := *base
+			b.Calibration.Matrix = [][]int64{{1, 0}, {0}}
+			d.Baseline = &b
+		}, "row 1 has 1 columns"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

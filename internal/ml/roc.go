@@ -78,12 +78,11 @@ func AUC(pts []ROCPoint) float64 {
 
 // BinaryScores extracts the positive-class probability of every
 // instance from a forest — its share of the tree votes one
-// PredictBatchInto pass leaves — paired with the boolean truth; class
+// PredictAll pass leaves — paired with the boolean truth; class
 // `positive` names the positive label index.
 func BinaryScores(f *Forest, ds *Dataset, positive int) (scores []float64, labels []bool) {
 	n, nc := ds.Len(), f.numClasses
-	votes := make([]float64, n*nc)
-	f.PredictBatchInto(ds.X, votes, make([]int, n))
+	_, votes := f.PredictAll(ds)
 	scores = make([]float64, n)
 	labels = make([]bool, n)
 	for i := range scores {

@@ -5,17 +5,18 @@
 // drift away from the training set and a forest goes silently stale.
 // This package captures a feature baseline at training time
 // (per-selected-feature quantile sketch, class priors, held-out
-// calibration curve), persists it with the model, and compares the
-// live traffic against it at serve time: per-feature Population
-// Stability Index, prediction-prior shift, expected calibration error,
-// and — when delayed ground-truth labels arrive — a rolling confusion
-// matrix with online accuracy. Degradation is flagged on fixed
-// thresholds (PSI > 0.2, accuracy drop > N points) so a retrain/rollout
-// loop has a tripwire instead of a hunch.
+// cross-validation Tally), persists it with the model, and compares
+// the live traffic against it at serve time: per-feature Population
+// Stability Index, prediction-prior shift, and — when delayed
+// ground-truth labels arrive — a Tally of the matched outcomes, whose
+// online accuracy and calibration error read against the held-out
+// one. Degradation is flagged on fixed thresholds (PSI > 0.2, accuracy
+// drop > N points) so a retrain/rollout loop has a tripwire instead of
+// a hunch.
 //
 // The package depends only on internal/obs and the standard library so
-// the ml layer can embed Baseline in its model wire format without an
-// import cycle.
+// the ml layer can embed Baseline in its model wire format, and count
+// its evaluations into a Tally, without an import cycle.
 package qualitymon
 
 import (
@@ -31,8 +32,8 @@ const (
 	BaselineVersion = 1
 	// DefaultBins is the quantile-bin count of the feature sketches.
 	DefaultBins = 10
-	// ConfBins is the confidence-histogram resolution used for
-	// calibration curves and ECE.
+	// ConfBins is the confidence-bin count of a Tally, the resolution
+	// of ECE.
 	ConfBins = 10
 )
 
@@ -58,9 +59,9 @@ type Baseline struct {
 	Expected [][]float64
 	// Priors is the natural class distribution of the training corpus.
 	Priors []float64
-	// Calibration is the held-out confidence/correctness curve from
-	// cross-validation, the reference for ECE and accuracy drop.
-	Calibration CalibrationCurve
+	// Calibration is the held-out tally of cross-validation, the
+	// reference for ECE and accuracy drop.
+	Calibration Tally
 }
 
 // CaptureBaseline sketches a training matrix: X is row-major with one
@@ -106,7 +107,7 @@ func CaptureBaseline(names []string, X [][]float64, Y []int, classes []string, b
 // Check reports whether a baseline read from a model file has the
 // shape the monitor indexes by: one equal-length edge list and one
 // bins-long expectation per feature of the model, one prior per class,
-// and a calibration curve whose three columns agree. A nil baseline
+// and a calibration tally of that shape (Tally.check). A nil baseline
 // (a pre-baseline model file) passes.
 func (b *Baseline) Check(numFeatures, numClasses int) error {
 	if b == nil {
@@ -125,10 +126,7 @@ func (b *Baseline) Check(numFeatures, numClasses int) error {
 	if len(b.Priors) != numClasses {
 		return fmt.Errorf("%d priors for %d classes", len(b.Priors), numClasses)
 	}
-	if c := b.Calibration; len(c.ConfSum) != len(c.Count) || len(c.Correct) != len(c.Count) {
-		return fmt.Errorf("calibration columns of %d, %d and %d bins", len(c.Count), len(c.ConfSum), len(c.Correct))
-	}
-	return nil
+	return b.Calibration.check(numClasses)
 }
 
 // Bins reports the feature-bin count (edges + 1); DefaultBins when the
@@ -222,106 +220,4 @@ func PSI(expected, observed []float64) float64 {
 		psi += (q - p) * math.Log(q/p)
 	}
 	return psi
-}
-
-// CalibrationCurve is a binned confidence/correctness histogram: for
-// each of len(Count) equal-width confidence bins it tracks how many
-// predictions landed there, their summed confidence, and how many were
-// correct. It is the persisted value-type form (the live monitor keeps
-// its own atomic bins and converts); Observe/Merge are not safe for
-// concurrent use.
-type CalibrationCurve struct {
-	Count   []int64
-	ConfSum []float64
-	Correct []int64
-}
-
-// NewCalibrationCurve allocates an empty curve with the given bin
-// count (ConfBins when <= 0).
-func NewCalibrationCurve(bins int) *CalibrationCurve {
-	if bins <= 0 {
-		bins = ConfBins
-	}
-	return &CalibrationCurve{
-		Count:   make([]int64, bins),
-		ConfSum: make([]float64, bins),
-		Correct: make([]int64, bins),
-	}
-}
-
-// ConfBin maps a confidence in [0,1] to one of bins equal-width bins
-// (clamped; confidence 1.0 lands in the top bin).
-func ConfBin(conf float64, bins int) int {
-	i := int(conf * float64(bins))
-	if i < 0 {
-		return 0
-	}
-	if i >= bins {
-		return bins - 1
-	}
-	return i
-}
-
-// Observe records one prediction's confidence and correctness.
-func (c *CalibrationCurve) Observe(conf float64, correct bool) {
-	b := ConfBin(conf, len(c.Count))
-	c.Count[b]++
-	c.ConfSum[b] += conf
-	if correct {
-		c.Correct[b]++
-	}
-}
-
-// Merge adds another curve (same bin count) into this one.
-func (c *CalibrationCurve) Merge(o *CalibrationCurve) {
-	for i := range c.Count {
-		c.Count[i] += o.Count[i]
-		c.ConfSum[i] += o.ConfSum[i]
-		c.Correct[i] += o.Correct[i]
-	}
-}
-
-// Total is the number of observed predictions.
-func (c *CalibrationCurve) Total() int64 {
-	var n int64
-	for _, v := range c.Count {
-		n += v
-	}
-	return n
-}
-
-// Accuracy is the overall fraction of correct predictions.
-func (c *CalibrationCurve) Accuracy() float64 {
-	var n, correct int64
-	for i, v := range c.Count {
-		n += v
-		correct += c.Correct[i]
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(correct) / float64(n)
-}
-
-// ECE is the expected calibration error: the support-weighted mean
-// absolute gap between each bin's accuracy and its mean confidence,
-//
-//	ECE = Σ_b (n_b / N) · |acc_b − conf̄_b|
-//
-// 0 means the model's confidence matches its hit rate exactly.
-func (c *CalibrationCurve) ECE() float64 {
-	total := c.Total()
-	if total == 0 {
-		return 0
-	}
-	var ece float64
-	for i, n := range c.Count {
-		if n == 0 {
-			continue
-		}
-		acc := float64(c.Correct[i]) / float64(n)
-		conf := c.ConfSum[i] / float64(n)
-		ece += float64(n) / float64(total) * math.Abs(acc-conf)
-	}
-	return ece
 }

@@ -381,8 +381,8 @@ func (m *Monitor) SetExemplarSource(fn func(model string) []string) {
 }
 
 // resolve feeds one matched (prediction, label) pair into both models'
-// confusion and labeled-calibration accumulators, then the outcome
-// hook. Callers hold no stripe lock here.
+// label tallies, then the outcome hook. Callers hold no stripe lock
+// here.
 func (m *Monitor) resolve(p Prediction, l Label) {
 	m.labelsMatched.Add(1)
 	m.Stall.observeLabel(p.Stall, p.StallConf, l.Stall)
@@ -437,26 +437,21 @@ func overlap(aStart, aEnd, bStart, bEnd float64) float64 {
 }
 
 // ModelMonitor accumulates one classifier's serve-time state: lock-free
-// per-shard counters on the prediction path plus atomic label-driven
-// confusion/calibration cells shared across stripes.
+// per-shard counters on the prediction path, and the tally of matched
+// ground-truth labels.
 type ModelMonitor struct {
-	name    string
-	classes []string
-	base    *Baseline
-	bins    int
+	name string
+	base *Baseline
+	bins int
 
 	shards []modelShard
 
-	// label-driven state (atomics: resolved under per-stripe locks,
-	// potentially from several stripes at once)
-	confusion  []atomic.Int64 // nc×nc, [actual*nc + predicted]
-	labCount   [ConfBins]atomic.Int64
-	labCorrect [ConfBins]atomic.Int64
-	labConfSum [ConfBins]obs.FloatCell
-	// labOutOfRange counts matched pairs whose predicted or labelled
-	// class index lies outside the schema: labels are outside input,
-	// so such a pair is counted here instead of scored
-	labOutOfRange atomic.Int64
+	// labelMu guards the counts in labels (its Classes are the model's
+	// schema and never change): pairs resolve under per-stripe locks,
+	// potentially from several stripes at once, but are few next to
+	// sessions, and one lock lets Snapshot read a consistent tally
+	labelMu sync.Mutex
+	labels  *Tally
 }
 
 // modelShard is one engine shard's accumulator set; only that shard's
@@ -470,12 +465,11 @@ type modelShard struct {
 func newModelMonitor(cfg ModelConfig, shards int) *ModelMonitor {
 	nc := len(cfg.Classes)
 	mm := &ModelMonitor{
-		name:      cfg.Name,
-		classes:   append([]string(nil), cfg.Classes...),
-		base:      cfg.Baseline,
-		bins:      cfg.Baseline.Bins(),
-		shards:    make([]modelShard, shards),
-		confusion: make([]atomic.Int64, nc*nc),
+		name:   cfg.Name,
+		base:   cfg.Baseline,
+		bins:   cfg.Baseline.Bins(),
+		shards: make([]modelShard, shards),
+		labels: NewTally(append([]string(nil), cfg.Classes...)),
 	}
 	for i := range mm.shards {
 		if mm.base != nil {
@@ -511,16 +505,7 @@ func (mm *ModelMonitor) observeLabel(pred int, conf float64, actual int) {
 	if mm == nil {
 		return
 	}
-	nc := len(mm.classes)
-	if pred < 0 || pred >= nc || actual < 0 || actual >= nc {
-		mm.labOutOfRange.Add(1)
-		return
-	}
-	mm.confusion[actual*nc+pred].Add(1)
-	b := ConfBin(conf, ConfBins)
-	mm.labCount[b].Add(1)
-	mm.labConfSum[b].Add(conf)
-	if actual == pred {
-		mm.labCorrect[b].Add(1)
-	}
+	mm.labelMu.Lock()
+	mm.labels.Observe(actual, pred, conf)
+	mm.labelMu.Unlock()
 }

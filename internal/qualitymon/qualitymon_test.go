@@ -129,14 +129,14 @@ func TestConfBinClamps(t *testing.T) {
 }
 
 func TestCalibrationECEHandComputed(t *testing.T) {
-	c := NewCalibrationCurve(ConfBins)
+	c := NewTally([]string{"a", "b"})
 	// bin 9: four predictions at 0.95, all correct → |1.0 − 0.95| = 0.05
 	for i := 0; i < 4; i++ {
-		c.Observe(0.95, true)
+		c.Observe(1, 1, 0.95)
 	}
 	// bin 5: six predictions at 0.55, three correct → |0.5 − 0.55| = 0.05
 	for i := 0; i < 6; i++ {
-		c.Observe(0.55, i < 3)
+		c.Observe(0, i/3, 0.55)
 	}
 	if got, want := c.ECE(), 0.4*0.05+0.6*0.05; math.Abs(got-want) > 1e-12 {
 		t.Errorf("ECE = %v, want %v", got, want)
@@ -148,8 +148,8 @@ func TestCalibrationECEHandComputed(t *testing.T) {
 		t.Errorf("Total = %d, want 10", got)
 	}
 
-	other := NewCalibrationCurve(ConfBins)
-	other.Observe(0.95, true)
+	other := NewTally([]string{"a", "b"})
+	other.Observe(0, 0, 0.95)
 	c.Merge(other)
 	if got := c.Total(); got != 11 {
 		t.Errorf("Total after merge = %d, want 11", got)
@@ -168,9 +168,9 @@ func testBaseline(t *testing.T) *Baseline {
 		Y[i] = i % 2
 	}
 	b := CaptureBaseline([]string{"f0"}, X, Y, []string{"a", "b"}, DefaultBins)
-	b.Calibration = *NewCalibrationCurve(ConfBins)
+	b.Calibration = *NewTally(b.Classes)
 	for i := 0; i < 40; i++ {
-		b.Calibration.Observe(0.9, true)
+		b.Calibration.Observe(i%2, i%2, 0.9)
 	}
 	return b
 }

@@ -75,8 +75,8 @@ type SwitchSnapshot struct {
 type LabelStats struct {
 	Total   int64 `json:"total"`
 	Matched int64 `json:"matched"`
-	// PendingEvicted counts unmatched labels and predictions dropped
-	// when a stripe buffer overflowed.
+	// LabelsEvicted and PredsEvicted count the unmatched labels and
+	// predictions dropped when a stripe buffer overflowed.
 	LabelsEvicted int64 `json:"labels_evicted"`
 	PredsEvicted  int64 `json:"preds_evicted"`
 }
@@ -91,9 +91,10 @@ type Snapshot struct {
 }
 
 // Snapshot assembles the current health view. Safe to call at any
-// time; it may race with concurrent observes and then reports a
-// slightly torn but per-cell valid view. A nil monitor yields a zero
-// snapshot with default thresholds.
+// time; the prediction-side counters may race with concurrent observes
+// and then give a slightly torn but per-cell valid view, while each
+// model's label tally is copied whole under its lock. A nil monitor
+// yields a zero snapshot with default thresholds.
 func (m *Monitor) Snapshot() Snapshot {
 	if m == nil {
 		return Snapshot{Thresholds: DefaultThresholds()}
@@ -156,11 +157,11 @@ func (mm *ModelMonitor) snapshot(th Thresholds) ModelSnapshot {
 	if mm == nil {
 		return ModelSnapshot{Status: StatusNoBaseline}
 	}
-	nc := len(mm.classes)
+	nc := len(mm.labels.Classes)
 	ms := ModelSnapshot{
 		Name:        mm.name,
 		HasBaseline: mm.base != nil,
-		Classes:     append([]string(nil), mm.classes...),
+		Classes:     append([]string(nil), mm.labels.Classes...),
 		Counts:      make([]int64, nc),
 	}
 
@@ -186,31 +187,17 @@ func (mm *ModelMonitor) snapshot(th Thresholds) ModelSnapshot {
 		ms.MeanConfidence = confSum / float64(ms.Samples)
 	}
 
-	// label-driven state
+	// label-driven state: one consistent copy of the tally
+	mm.labelMu.Lock()
 	ms.Confusion = make([][]int64, nc)
-	var correct int64
-	for a := 0; a < nc; a++ {
-		ms.Confusion[a] = make([]int64, nc)
-		for p := 0; p < nc; p++ {
-			v := mm.confusion[a*nc+p].Load()
-			ms.Confusion[a][p] = v
-			ms.Labeled += v
-			if a == p {
-				correct += v
-			}
-		}
+	for a, row := range mm.labels.Matrix {
+		ms.Confusion[a] = append([]int64(nil), row...)
 	}
-	ms.LabelsOutOfRange = mm.labOutOfRange.Load()
-	if ms.Labeled > 0 {
-		ms.OnlineAccuracy = float64(correct) / float64(ms.Labeled)
-	}
-	labeled := NewCalibrationCurve(ConfBins)
-	for b := 0; b < ConfBins; b++ {
-		labeled.Count[b] = mm.labCount[b].Load()
-		labeled.ConfSum[b] = mm.labConfSum[b].Load()
-		labeled.Correct[b] = mm.labCorrect[b].Load()
-	}
-	ms.ECE = labeled.ECE()
+	ms.Labeled = mm.labels.Total()
+	ms.LabelsOutOfRange = mm.labels.OutOfRange
+	ms.OnlineAccuracy = mm.labels.Accuracy()
+	ms.ECE = mm.labels.ECE()
+	mm.labelMu.Unlock()
 
 	// baseline comparisons + degradation verdict
 	if mm.base == nil {
