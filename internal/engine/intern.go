@@ -342,9 +342,12 @@ func (n *interner) digest(d *digested, entries []weblog.Entry) {
 		d.subs[i], off = d.buf[off:], len(d.buf)
 		d.buf = weblog.AppendCohortKey(d.buf, e.Region, e.Device, e.Cap)
 		d.keys[i] = d.buf[off:]
-		d.recs[i] = sessionizer.Rec{Kind: weblog.ClassifyHost(e.Host), Ts: e.Timestamp, Dur: e.TransactionSec, KB: float64(e.Bytes) / 1000,
-			RTTMin: e.RTTMin, RTTAvg: e.RTTAvg, RTTMax: e.RTTMax, BDP: e.BDP, BIFAvg: e.BIFAvg, BIFMax: e.BIFMax,
-			Loss: e.LossPct, Retrans: e.RetransPct}
+		// in place, as the wire door's emit fills its recs (DESIGN §13)
+		r := &d.recs[i]
+		*r = sessionizer.Rec{}
+		r.Kind, r.Ts, r.Dur, r.KB = weblog.ClassifyHost(e.Host), e.Timestamp, e.TransactionSec, float64(e.Bytes)/1000
+		r.RTTMin, r.RTTAvg, r.RTTMax, r.BDP = e.RTTMin, e.RTTAvg, e.RTTMax, e.BDP
+		r.BIFAvg, r.BIFMax, r.Loss, r.Retrans = e.BIFAvg, e.BIFMax, e.LossPct, e.RetransPct
 	}
 	n.settle(d.subs, d.keys, d.recs, d.shardOf)
 }

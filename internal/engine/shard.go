@@ -143,7 +143,8 @@ func newShard(id int, fw *core.Framework, cfg Config, sink func(Report), in *int
 	s.flight = cfg.Flight.Shard(id) // nil when recording is off
 	if s.tracer != nil {
 		s.tracker.OnOpen = func(sub uint32, start float64) {
-			s.trace(obs.SpanEvent{Kind: obs.EvOpen, Shard: int32(id), TS: start, Start: start, Subscriber: in.name(sub)})
+			ev := s.event()
+			ev.Kind, ev.Shard, ev.TS, ev.Start, ev.Subscriber = obs.EvOpen, int32(id), start, start, in.name(sub)
 		}
 	}
 	return s
@@ -156,13 +157,16 @@ func newShard(id int, fw *core.Framework, cfg Config, sink func(Report), in *int
 // (16 KB per shard at 64 bytes an event).
 const traceBatchMax = 256
 
-// trace queues one lifecycle event for the message's flush. Callers
-// have checked s.tracer != nil.
-func (s *shard) trace(ev obs.SpanEvent) {
+// event queues one zero lifecycle event for the message's flush and
+// returns it for the caller to fill in place (DESIGN §13); the pointer
+// is valid until the next event call. Callers have checked
+// s.tracer != nil.
+func (s *shard) event() *obs.SpanEvent {
 	if len(s.traceBuf) == traceBatchMax {
 		s.flushTrace()
 	}
-	s.traceBuf = append(s.traceBuf, ev)
+	s.traceBuf = append(s.traceBuf, obs.SpanEvent{})
+	return &s.traceBuf[len(s.traceBuf)-1]
 }
 
 // flushTrace moves the queued events into the tracer's ring, in order,
@@ -209,12 +213,13 @@ func (s *shard) handle(msg message) {
 	s.tracker.Touch(recs)
 	for i := range recs {
 		r := &recs[i]
-		if c, ok := s.tracker.Push(r); ok {
-			closed = append(closed, c)
-			s.traceClosed(obs.EvClose, r.Ts, &c)
+		n := len(closed)
+		if closed = s.tracker.PushInto(r, closed); len(closed) > n {
+			s.traceClosed(obs.EvClose, r.Ts, &closed[n])
 		}
 		if traced && r.Kind == weblog.HostMedia {
-			s.trace(obs.SpanEvent{Kind: obs.EvChunk, Shard: int32(s.id), TS: r.Ts, Subscriber: s.resolve(r.Sub)})
+			ev := s.event()
+			ev.Kind, ev.Shard, ev.TS, ev.Subscriber = obs.EvChunk, int32(s.id), r.Ts, s.resolve(r.Sub)
 		}
 		if r.Ts > s.highWater {
 			s.highWater = r.Ts
@@ -302,11 +307,9 @@ func (s *shard) traceClosed(kind obs.EventKind, ts float64, c *sessionizer.ColCl
 	if s.tracer == nil {
 		return
 	}
-	s.trace(obs.SpanEvent{
-		Kind: kind, Shard: int32(s.id), TS: ts,
-		Start: c.Start, End: c.End, Subscriber: s.resolve(c.Sub),
-		Chunks: int32(len(c.Chunks)),
-	})
+	ev := s.event()
+	ev.Kind, ev.Shard, ev.TS = kind, int32(s.id), ts
+	ev.Start, ev.End, ev.Subscriber, ev.Chunks = c.Start, c.End, s.resolve(c.Sub), int32(len(c.Chunks))
 }
 
 // assess turns the sessions a message closed into reports via one

@@ -592,3 +592,55 @@ func BenchmarkScatter(b *testing.B) {
 		slab.scatter(recs, shardOf, 2)
 	}
 }
+
+// BenchmarkShardHandleWide times the shard's per-entry loop — touch,
+// push, lifecycle trace — over a flow table far beyond cache, the shape
+// of the benchmark's wide_open workload: 100k subscribers mid-session,
+// visited in subscriber order so no two consecutive recs share a flow,
+// in 128-rec messages (a 256-entry frame's share of one of two shards).
+// The shard is traced, as the server runs it, has no models, and
+// MinChunks is out of reach, so the one pass in wideTicks that opens a
+// fresh session (a watch page, closing the previous one) discards what
+// it closes before the forests. ns/entry is the loop's cost per rec.
+func BenchmarkShardHandleWide(b *testing.B) {
+	const batch, perPass, wideTicks = 128, 782, 16
+	const subs = batch * perPass // 100,096
+	in := newInterner(1)
+	entries := make([]weblog.Entry, subs)
+	for j := range entries {
+		entries[j].Subscriber = fmt.Sprintf("wide%07d", j)
+	}
+	var d digested
+	in.digest(&d, entries)
+	// one pass of watch pages, one of media chunks: a subscriber's recs
+	// share one timestamp, so no pass idles a session out
+	pages, media := make([]sessionizer.Rec, subs), make([]sessionizer.Rec, subs)
+	for j := range media {
+		ts := float64(j) * 10 / subs
+		pages[j] = sessionizer.Rec{Sub: d.recs[j].Sub, Kind: weblog.HostWatchPage, Ts: ts, Dur: 0.1, KB: 40}
+		media[j] = sessionizer.Rec{Sub: d.recs[j].Sub, Kind: weblog.HostMedia, Ts: ts, Dur: 0.5, KB: 300,
+			RTTMin: 20, RTTAvg: 30, RTTMax: 50, BDP: 90, BIFAvg: 40, BIFMax: 80, Loss: 0.1, Retrans: 0.2}
+	}
+	cfg := Config{Shards: 1, MinChunks: 1 << 30, SweepEverySec: -1, Obs: obs.NewObserver(1, 0)}.WithDefaults()
+	s := newShard(0, nil, cfg, nil, in)
+	pass := func(recs []sessionizer.Rec, from, to int) {
+		for m := from; m < to; m++ {
+			s.handle(message{recs: recs[m*batch : (m+1)*batch]})
+		}
+	}
+	pass(pages, 0, perPass) // every flow open before the clock starts
+	pass(media, 0, perPass)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		recs := media
+		if n/perPass%wideTicks == 0 {
+			recs = pages
+		}
+		m := n % perPass
+		pass(recs, m, m+1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/entry")
+	if s.tracker.Open() != subs {
+		b.Fatalf("%d flows open, want %d", s.tracker.Open(), subs)
+	}
+}

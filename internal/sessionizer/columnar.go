@@ -48,9 +48,12 @@ type SubRef struct {
 // the session identity as interned IDs plus the media chunk
 // observations in arrival order. Chunks is a pooled buffer the tracker
 // filled from the flow's pages at close: fields outside the tracker's
-// Config.Fields read exactly zero. The consumer owns it until it hands
-// it back via ColTracker.Recycle, once the session has been assessed
-// and compacted; a session without media chunks has none.
+// Config.Fields read exactly zero. The tracker writes a ColClosed in
+// place, in the caller's slice (PushInto, AdvanceInto, FlushInto), and
+// keeps no reference to it; Push copies it out. The consumer owns
+// Chunks until it hands it back via ColTracker.Recycle, once the
+// session has been assessed and compacted; a session without media
+// chunks has none.
 type ColClosed struct {
 	Sub        uint32
 	Cohort     uint32 // first non-zero cohort ID seen, 0 when none
@@ -117,7 +120,7 @@ type ColTracker struct {
 	Resolve func(uint32) string
 
 	// OnOpen, when set, is called as each new session enters the flow
-	// table (the lifecycle tracer hangs off this). Inline on Push —
+	// table (the lifecycle tracer hangs off this). Inline on PushInto —
 	// keep it cheap.
 	OnOpen func(sub uint32, start float64)
 }
@@ -189,7 +192,7 @@ func (t *ColTracker) find(sub uint32) (uint32, int) {
 }
 
 // Touch loads the home slot of every rec's subscriber, so that a batch's
-// flow-table cache misses are in flight together before Push takes them
+// flow-table cache misses are in flight together before PushInto takes them
 // one at a time (Go has no prefetch; a tight loop is what overlaps them).
 func (t *ColTracker) Touch(recs []Rec) {
 	var sum uint32
@@ -309,19 +312,30 @@ func (t *ColTracker) Recycle(chunks []features.ChunkObs) {
 	t.free[k] = append(t.free[k], chunks[:0])
 }
 
-// Push feeds one pre-digested entry. Records for non-service hosts are
-// ignored; records must arrive in non-decreasing timestamp order per
-// subscriber. A media record's chunk observation goes into the tail
+// Push is PushInto for one record on its own: the session the record
+// closes, if any, is copied out of a one-element buffer on Push's stack
+// and returned by value, its Chunks the caller's as from PushInto. The
+// engine's shard loop calls PushInto; this form serves the tests and
+// the layer benchmark.
+func (t *ColTracker) Push(r *Rec) (ColClosed, bool) {
+	var one [1]ColClosed
+	ok := len(t.PushInto(r, one[:0])) > 0
+	return one[0], ok
+}
+
+// PushInto feeds one pre-digested entry. Records for non-service hosts
+// are ignored; records must arrive in non-decreasing timestamp order
+// per subscriber. A media record's chunk observation goes into the tail
 // row of the flow's last page — only the live fields are written; the
 // rest of the record is dropped here. If the record closes the
 // subscriber's previous session (page-load or idle-gap boundary), that
-// session is returned.
-func (t *ColTracker) Push(r *Rec) (ColClosed, bool) {
+// session is appended to closed, written in place; otherwise closed
+// comes back as it was. Either way the elements already in closed are
+// left alone.
+func (t *ColTracker) PushInto(r *Rec, closed []ColClosed) []ColClosed {
 	if r.Kind == weblog.HostOther {
-		return ColClosed{}, false
+		return closed
 	}
-	var out ColClosed
-	var closed bool
 	slot, fi := t.find(r.Sub)
 	if fi < 0 {
 		fi = t.insert(slot, r.Sub)
@@ -331,7 +345,7 @@ func (t *ColTracker) Push(r *Rec) (ColClosed, bool) {
 		}
 	} else if f := &t.flows[fi]; r.Ts-f.end > t.cfg.IdleGap ||
 		(t.cfg.PageBoundary && r.Kind == weblog.HostWatchPage) {
-		out, closed = t.close(f), true
+		closed = t.close(f, closed)
 		// reopen in place: same subscriber, same slot
 		*f = colFlow{sub: f.sub, slot: f.slot, start: r.Ts}
 		if t.OnOpen != nil {
@@ -365,22 +379,23 @@ func (t *ColTracker) Push(r *Rec) (ColClosed, bool) {
 		}
 		f.chunks++
 	}
-	return out, closed
+	return closed
 }
 
-// close builds f's closed record: the chunk rows are read off the page
-// chain into a pooled buffer of the session's final length, non-live
-// fields zero, and the pages go back on the free stack. The caller
-// resets or removes f.
-func (t *ColTracker) close(f *colFlow) ColClosed {
-	c := ColClosed{
-		Sub: f.sub, Cohort: f.cohort,
-		Start: f.start, End: f.end,
-		Entries: int(f.entries),
-	}
+// close appends f's closed record to out, written in place: the chunk
+// rows are read off the page chain into a pooled buffer of the
+// session's final length, non-live fields zero, and the pages go back
+// on the free stack. The caller resets or removes f.
+func (t *ColTracker) close(f *colFlow, out []ColClosed) []ColClosed {
+	// field by field, here and in the rows: a composite literal is built
+	// aside, then copied, and the copy's wide loads wait on its narrow
+	// stores (DESIGN §13)
+	out = append(out, ColClosed{})
+	c := &out[len(out)-1]
+	c.Sub, c.Cohort, c.Start, c.End, c.Entries = f.sub, f.cohort, f.start, f.end, int(f.entries)
 	n := int(f.chunks)
 	if n == 0 {
-		return c
+		return out
 	}
 	c.Chunks = t.TakeChunks(n)[:n]
 	a := &t.arena
@@ -393,7 +408,6 @@ func (t *ColTracker) close(f *colFlow) ColClosed {
 			for x, j := range t.net {
 				net[j] = src[3+x]
 			}
-			// field by field: a composite literal is built aside, then copied
 			ch := &c.Chunks[i]
 			ch.Time, ch.SizeKB, ch.DurationSec = src[0], src[1], src[2]
 			ch.RTTMin, ch.RTTAvg, ch.RTTMax, ch.BDP = net[0], net[1], net[2], net[3]
@@ -402,7 +416,7 @@ func (t *ColTracker) close(f *colFlow) ColClosed {
 		a.free = append(a.free, p)
 		p = uint32(page[pageRows*k])
 	}
-	return c
+	return out
 }
 
 // AdvanceInto closes every session idle at the given clock time,
@@ -413,7 +427,7 @@ func (t *ColTracker) AdvanceInto(now float64, out []ColClosed) []ColClosed {
 	n := len(out)
 	for fi := 0; fi < len(t.flows); {
 		if f := &t.flows[fi]; now-f.end > t.cfg.IdleGap {
-			out = append(out, t.close(f))
+			out = t.close(f, out)
 			t.remove(fi)
 			continue // the swapped-in flow lands at fi; re-examine it
 		}
@@ -430,7 +444,7 @@ func (t *ColTracker) FlushInto(out []ColClosed) []ColClosed {
 	n := len(out)
 	for fi := range t.flows {
 		f := &t.flows[fi]
-		out = append(out, t.close(f))
+		out = t.close(f, out)
 		t.slots[f.slot] = colSlot{}
 	}
 	t.flows = t.flows[:0]

@@ -2,7 +2,9 @@ package sessionizer
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -328,5 +330,97 @@ func TestColTrackerRecycledBuffersStayIdentical(t *testing.T) {
 	if col.Open() != 1 || held == 0 || col.StoreBytes() != held {
 		t.Fatalf("second pass ran on %d store bytes after %d, %d flows left open: it did not reuse the first pass's pages",
 			col.StoreBytes(), held, col.Open())
+	}
+}
+
+// closedBits is a closed session as the bits of every field, chunk
+// rows included, so two sessions compare bit for bit.
+func closedBits(c ColClosed) []uint64 {
+	out := []uint64{uint64(c.Sub), uint64(c.Cohort), math.Float64bits(c.Start), math.Float64bits(c.End),
+		uint64(c.Entries), uint64(len(c.Chunks))}
+	for _, ch := range c.Chunks {
+		for _, f := range fieldsOf(ch) {
+			out = append(out, math.Float64bits(f))
+		}
+	}
+	return out
+}
+
+// TestPushIntoAppends holds PushInto, the shard's form, to Push over a
+// mixed stream (page loads, media, signalling and foreign hosts across
+// interleaved subscribers): into a closed slice that starts non-empty it
+// appends exactly the session Push returns for the same record, written
+// in place, and never disturbs what the slice held before — across the
+// appends that fit its capacity and the ones that grow it. A record that
+// closes nothing, a foreign-host one among them, hands the slice back
+// unchanged: same length, same backing array.
+func TestPushIntoAppends(t *testing.T) {
+	live := workload.GenerateLive(workload.LiveConfig{
+		Subscribers:           8,
+		SessionsPerSubscriber: 3,
+		Seed:                  7,
+	})
+	in := newTestInterner()
+	var recs []Rec
+	for i := range live.Entries {
+		r := in.rec(live.Entries[i])
+		recs = append(recs, r)
+		if i%5 == 0 {
+			// a foreign host in the subscriber's own stream, at its time
+			recs = append(recs, Rec{Sub: r.Sub, Kind: weblog.HostOther, Ts: r.Ts, Dur: 1, KB: 9})
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Fields = benchFields
+	ref, col := NewColTracker(cfg), NewColTracker(cfg)
+	ref.Resolve, col.Resolve = in.name, in.name
+
+	// three sentinels with room for one more, so the first close is
+	// written into the spare capacity and later ones grow the slice
+	closed := make([]ColClosed, 3, 4)
+	for i := range closed {
+		closed[i] = ColClosed{Sub: 1e6 + uint32(i), Cohort: 7, Start: -1, End: float64(i), Entries: i,
+			Chunks: []features.ChunkObs{{Time: float64(i), SizeKB: 1}}}
+	}
+	var frozen [][]uint64
+	for _, c := range closed {
+		frozen = append(frozen, closedBits(c))
+	}
+	var others, quiet, closes int
+	for i := range recs {
+		r := recs[i]
+		want, ok := ref.Push(&r)
+		n := len(closed)
+		got := col.PushInto(&r, closed)
+		if !ok {
+			if len(got) != n || cap(got) != cap(closed) || &got[0] != &closed[0] {
+				t.Fatalf("rec %d closes nothing, yet PushInto changed the slice: len %d→%d, cap %d→%d",
+					i, n, len(got), cap(closed), cap(got))
+			}
+			if r.Kind == weblog.HostOther {
+				others++
+			} else {
+				quiet++
+			}
+		} else {
+			if len(got) != n+1 {
+				t.Fatalf("rec %d closes a session, yet PushInto went %d → %d elements", i, n, len(got))
+			}
+			w := closedBits(want)
+			if !slices.Equal(closedBits(got[n]), w) {
+				t.Fatalf("rec %d: PushInto appended %+v, Push returned %+v", i, got[n], want)
+			}
+			frozen = append(frozen, w)
+			closes++
+		}
+		closed = got
+		for j := range closed {
+			if !slices.Equal(closedBits(closed[j]), frozen[j]) {
+				t.Fatalf("after rec %d element %d reads %+v: PushInto disturbed what the slice held", i, j, closed[j])
+			}
+		}
+	}
+	if others == 0 || quiet == 0 || closes < 2 {
+		t.Fatalf("stream exercised %d foreign-host, %d quiet and %d closing records", others, quiet, closes)
 	}
 }

@@ -60,7 +60,7 @@ func (s Session) MediaIndices(entries []weblog.Entry) []int {
 
 // boundary decides whether a service entry starts a new session given
 // the time of the subscriber's previous service entry (§5.2 steps 2
-// and 3). ColTracker.Push applies the same rule to pre-digested
+// and 3). ColTracker.PushInto applies the same rule to pre-digested
 // records; the equivalence tests hold the two together.
 func boundary(cfg Config, open bool, lastT float64, e weblog.Entry) bool {
 	return !open ||

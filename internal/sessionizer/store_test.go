@@ -368,21 +368,37 @@ func TestPushNewFlowsAllocatePerSlabNotPerFlow(t *testing.T) {
 }
 
 // TestPushSteadyStateZeroAlloc is the gate on the steady state: over a
-// warm tracker, open → 45 chunks, touched and pushed as the shard does →
-// close on the next watch page → recycle allocates nothing — pages come
-// off the free stack, the closed buffer out of the pool.
+// warm tracker, open → 45 chunks, touched and pushed as the shard does
+// (PushInto into a reused closed buffer) → close on the next watch page
+// → recycle allocates nothing — pages come off the free stack, the
+// closed buffer out of the pool. Push, the one-record form, must stay
+// allocation-free as well: its one-element buffer lives on its stack.
 func TestPushSteadyStateZeroAlloc(t *testing.T) {
 	tr := NewColTracker(Config{IdleGap: 30, PageBoundary: true, Fields: benchFields})
 	chunks := make([]Rec, 45)
 	for j := range chunks {
 		chunks[j] = seamRec(1, 0, j)
 	}
+	page := Rec{Sub: 1, Kind: weblog.HostWatchPage}
+	closed := make([]ColClosed, 0, 1)
+	check := func(c ColClosed) {
+		if len(c.Chunks) != 45 {
+			t.Fatalf("closed a %d-chunk session", len(c.Chunks))
+		}
+		tr.Recycle(c.Chunks)
+	}
 	session := func() {
-		if c, ok := tr.Push(&Rec{Sub: 1, Kind: weblog.HostWatchPage}); ok {
-			if len(c.Chunks) != 45 {
-				t.Fatalf("closed a %d-chunk session", len(c.Chunks))
-			}
-			tr.Recycle(c.Chunks)
+		if closed = tr.PushInto(&page, closed[:0]); len(closed) == 1 {
+			check(closed[0])
+		}
+		tr.Touch(chunks)
+		for j := range chunks {
+			closed = tr.PushInto(&chunks[j], closed[:0])
+		}
+	}
+	wrapped := func() {
+		if c, ok := tr.Push(&page); ok {
+			check(c)
 		}
 		tr.Touch(chunks)
 		for j := range chunks {
@@ -393,6 +409,9 @@ func TestPushSteadyStateZeroAlloc(t *testing.T) {
 	session()
 	if allocs := testing.AllocsPerRun(100, session); allocs != 0 {
 		t.Errorf("a steady-state session allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, wrapped); allocs != 0 {
+		t.Errorf("a steady-state session through Push allocates %v times, want 0", allocs)
 	}
 }
 

@@ -91,7 +91,7 @@ func (r *recDecoder) DecodeFrame(h Header, payload []byte) (recs []sessionizer.R
 }
 
 // emit appends one parsed entry record as a Rec whose identities wait
-// for Settle.
+// for Settle, filled in place (DESIGN §13).
 func (r *recDecoder) emit(e *rawEntry) {
 	key := e.cohort
 	if key != nil {
@@ -99,19 +99,11 @@ func (r *recDecoder) emit(e *rawEntry) {
 	}
 	r.subs, r.keys = append(r.subs, e.sub), append(r.keys, key)
 	f := e.floats
-	r.recs = append(r.recs, sessionizer.Rec{
-		Kind:    weblog.ClassifyHostBytes(e.host),
-		Ts:      f64(f, 0),
-		Dur:     f64(f, 1),
-		KB:      float64(int(e.size)) / 1000,
-		RTTMin:  f64(f, 2),
-		RTTAvg:  f64(f, 3),
-		RTTMax:  f64(f, 4),
-		BDP:     f64(f, 5),
-		BIFAvg:  f64(f, 6),
-		BIFMax:  f64(f, 7),
-		Loss:    f64(f, 8),
-		Retrans: f64(f, 9),
-	})
+	r.recs = append(r.recs, sessionizer.Rec{})
+	rec := &r.recs[len(r.recs)-1]
+	rec.Kind = weblog.ClassifyHostBytes(e.host)
+	rec.Ts, rec.Dur, rec.KB = f64(f, 0), f64(f, 1), float64(int(e.size))/1000
+	rec.RTTMin, rec.RTTAvg, rec.RTTMax, rec.BDP = f64(f, 2), f64(f, 3), f64(f, 4), f64(f, 5)
+	rec.BIFAvg, rec.BIFMax, rec.Loss, rec.Retrans = f64(f, 6), f64(f, 7), f64(f, 8), f64(f, 9)
 	r.shardOf = append(r.shardOf, 0)
 }
