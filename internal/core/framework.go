@@ -169,6 +169,14 @@ func (f *Framework) ChunkFields() features.FieldSet {
 	return f.evaluator().Fields()
 }
 
+// ChunkExtremes reports which of ChunkFields AnalyzeBatchSince reads
+// only as a session minimum (mins) or maximum (maxes) — what a flow
+// store feeding it may keep as running extremes instead of per chunk
+// (features.Sparse.Extremes).
+func (f *Framework) ChunkExtremes() (mins, maxes features.FieldSet) {
+	return f.evaluator().Extremes()
+}
+
 // AnalyzeBatchInto assesses many sessions at once, with stage timing
 // and caller-owned buffers: AnalyzeBatchSince with the featurize stage
 // starting now.

@@ -9,6 +9,7 @@ import (
 	"vqoe/internal/core"
 	"vqoe/internal/engine"
 	"vqoe/internal/features"
+	"vqoe/internal/flight"
 	"vqoe/internal/sessionizer"
 	"vqoe/internal/weblog"
 	"vqoe/internal/workload"
@@ -71,6 +72,45 @@ func referenceSessions(live *workload.Live, fn func(sub string, start, end float
 	}
 }
 
+// referenceProjections is each reference session's two projected
+// feature vectors, by subscriber and start, as AnalyzeBatchInto fills
+// them.
+func referenceProjections(fw *core.Framework, live *workload.Live) map[string][2][]float64 {
+	var ids []string
+	var sessions []features.SessionObs
+	referenceSessions(live, func(sub string, start, _ float64, o features.SessionObs) {
+		ids = append(ids, fmt.Sprint(sub, start))
+		sessions = append(sessions, o)
+	})
+	var sc core.AnalyzeScratch
+	fw.AnalyzeBatchInto(sessions, nil, &sc)
+	out := make(map[string][2][]float64, len(ids))
+	for i, id := range ids {
+		stall, rep := fw.Projected(&sc, i)
+		out[id] = [2][]float64{append([]float64(nil), stall...), append([]float64(nil), rep...)}
+	}
+	return out
+}
+
+// storeBytes is what a flow table of the given layout holds after the
+// live stream's entries, pushed in order with no sweep.
+func storeBytes(live *workload.Live, cfg sessionizer.Config) int {
+	tr := sessionizer.NewColTracker(cfg)
+	ids := map[string]uint32{}
+	for _, e := range live.Entries {
+		if ids[e.Subscriber] == 0 {
+			ids[e.Subscriber] = uint32(len(ids) + 1)
+		}
+		r := sessionizer.Rec{Sub: ids[e.Subscriber], Kind: weblog.ClassifyHost(e.Host), Ts: e.Timestamp, Dur: e.TransactionSec,
+			KB: float64(e.Bytes) / 1000, RTTMin: e.RTTMin, RTTAvg: e.RTTAvg, RTTMax: e.RTTMax, BDP: e.BDP,
+			BIFAvg: e.BIFAvg, BIFMax: e.BIFMax, Loss: e.LossPct, Retrans: e.RetransPct}
+		if c, ok := tr.Push(&r); ok {
+			tr.Recycle(c.Chunks)
+		}
+	}
+	return tr.StoreBytes()
+}
+
 // referenceReports is the offline path's reports: referenceSessions
 // assessed one at a time by §4 Framework.Analyze.
 func referenceReports(fw *core.Framework, live *workload.Live) map[string]int {
@@ -86,10 +126,23 @@ func referenceReports(fw *core.Framework, live *workload.Live) map[string]int {
 // produces, and vice versa — at one shard and at four with sweeps off,
 // and at four with the default idle sweep (an evicted session is one
 // Group would have split at the same place, because the subscriber's
-// next entry is further away than the idle gap).
+// next entry is further away than the idle gap) — and every session's
+// projected vectors, as the flight recorder retains them, equal the
+// reference's bit for bit. The fixture's models read a transport field
+// only as an extreme, so its shards fold it into the flow header: at
+// one shard the flow store holds what a tracker of the derived layout
+// holds, less than one without the fold, and the vectors hold the fold
+// to the dense reference.
 func TestEngineMatchesOfflineReference(t *testing.T) {
 	fw, live := fixtures(t)
 	want := referenceReports(fw, live)
+	wantProj := referenceProjections(fw, live)
+	mins, maxes := fw.ChunkExtremes()
+	layout := sessionizer.Config{IdleGap: engine.DefaultConfig().IdleGapSec, PageBoundary: true, Fields: fw.ChunkFields(), Mins: mins, Maxes: maxes}
+	folded, rows := storeBytes(live, layout), storeBytes(live, sessionizer.Config{IdleGap: layout.IdleGap, PageBoundary: true, Fields: layout.Fields})
+	if mins|maxes == 0 || folded >= rows {
+		t.Fatalf("the fixture's layout folds %#b, %#b: its store holds %d B, %d B unfolded", mins, maxes, folded, rows)
+	}
 
 	for _, tc := range []struct {
 		name   string
@@ -101,7 +154,8 @@ func TestEngineMatchesOfflineReference(t *testing.T) {
 		{"shards=4/default-sweep", 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := engine.Config{Shards: tc.shards, SweepEverySec: tc.sweep}
+			rec := flight.New(flight.Config{Shards: tc.shards, SampleN: 1, MaxBytes: 1 << 30})
+			cfg := engine.Config{Shards: tc.shards, SweepEverySec: tc.sweep, Flight: rec}
 			eng := engine.New(fw, cfg, nil)
 			var got []engine.Report
 			// feed the sorted stream in moderate synchronous batches, as
@@ -110,7 +164,34 @@ func TestEngineMatchesOfflineReference(t *testing.T) {
 				reps, _ := eng.Ingest(live.Entries[lo:min(lo+500, len(live.Entries))])
 				got = append(got, reps...)
 			}
+			if held := eng.OpenSessions()[0].StoreBytes; tc.shards == 1 && held != folded {
+				t.Errorf("the shard's flow store holds %d B, a tracker of the derived layout %d B", held, folded)
+			}
 			got = append(got, eng.Drain()...)
+
+			// the retained vectors reach the attributor at drill-down
+			var proj [2][]float64
+			rec.SetAttributor(func(stall, rep []float64, _ int) ([]core.FeatureAttribution, []core.FeatureAttribution) {
+				proj = [2][]float64{stall, rep}
+				return nil, nil
+			})
+			for _, r := range got {
+				proj = [2][]float64{}
+				if rec.Get(r.Subscriber, r.Start) == nil {
+					t.Fatalf("session %s at %v was not retained", r.Subscriber, r.Start)
+				}
+				ref, ok := wantProj[fmt.Sprint(r.Subscriber, r.Start)]
+				for m := range proj {
+					if !ok || len(proj[m]) != len(ref[m]) {
+						t.Fatalf("session %s at %v: vector %d has %d values, reference %d", r.Subscriber, r.Start, m, len(proj[m]), len(ref[m]))
+					}
+					for i, v := range proj[m] {
+						if math.Float64bits(v) != math.Float64bits(ref[m][i]) {
+							t.Errorf("session %s at %v: vector %d value %d is %v, reference %v", r.Subscriber, r.Start, m, i, v, ref[m][i])
+						}
+					}
+				}
+			}
 
 			var evicted int64
 			for _, s := range eng.Snapshot() {

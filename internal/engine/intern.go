@@ -28,46 +28,57 @@ import (
 // block: first sight allocates per block, not per identity.
 //
 // Reading takes no lock at all (DESIGN §13). The id → x tables only
-// grow by append, and every locked section that grew them publishes the
-// new slice headers as one internView before it unlocks. An ID reaches a
-// shard only through a mailbox, after the call that interned it has
-// published, so any view a shard loads covers every ID it holds; later
-// appends never touch what it reads. IDs are never reused — a reclaiming
-// interner must first resolve or epoch-tag whatever still holds an old
-// ID (open flows, the trace ring), and it frees names a block at a time.
+// grow by append; the published internView holds each at its full
+// capacity beside a count of the IDs written into it, and the locked side
+// writes an ID's every column, then bumps the count, then stores the
+// ID's index slot (publish). A new view is stored only when an append
+// moved a table or an index doubled — a view from before then keeps
+// counts that stop there, so its reader misses and takes the locked
+// path. An ID reaches a shard only through a mailbox, after the call
+// that interned it has published, so any view a shard loads covers every
+// ID it holds; later appends never touch what it reads. IDs are never
+// reused — a reclaiming interner must first resolve or epoch-tag
+// whatever still holds an old ID (open flows, the trace ring), and it
+// frees names a block at a time.
 type interner struct {
-	mu         sync.Mutex
-	shards     uint32
-	internView                 // the tables, as the locked side grows them
-	block      strings.Builder // what new names, keys and labels are cut from
-	view       atomic.Pointer[internView]
+	mu     sync.Mutex
+	shards uint32
+	tables                 // as the locked side grows them
+	block  strings.Builder // what new names, keys and labels are cut from
+	blocks atomic.Int64    // bytes of every block started so far
+	view   atomic.Pointer[internView]
 }
 
 // index maps one identity's keys to IDs: linear probing at load ≤ ½
 // over a power of two of one-word slots — upper half a tag (the upper
 // half of the key's seeded 64-bit hash), lower half the ID, 0 for empty.
 // A run starts at tag mod len(slots), so a table is rebuilt from its
-// words alone. A slot is stored under mu, once, after its key lies in
-// names; settle and find read the published view's table without the
-// lock, and a table since replaced or an ID its view does not cover yet
+// words alone. A slot is stored under mu, once, after its ID is counted
+// (publish); settle and find read the published view's table without
+// the lock, and a table since replaced or an ID its view does not count
 // only turns a hit into a miss, which the locked pass settles.
 type index struct {
 	slots []atomic.Uint64
 	names []string // id → key; names[0] unused
 }
 
-// internView is the interner's tables; a published copy is their
-// lock-free read side as of one publication, immutable once stored but
-// for empty slots being filled.
-type internView struct {
+// tables are the interner's id → x columns and the indexes over them.
+type tables struct {
 	subs  index    // by name
 	homes []uint32 // id → fnvShard(subs.names[id]), computed at first sight
 
 	cohorts index        // by canonical key (weblog.AppendCohortKey)
 	keys    []cohort.Key // id → key; keys[0] is the zero key
 	labels  []string     // id → keys[id].String(), rendered once
+}
 
-	blocks int // bytes of every block started so far
+// internView is the lock-free read side: the tables with every column
+// at full capacity, and per identity the IDs written into them so far.
+// A reader bounds every ID by the count it loaded; below it the columns
+// never change.
+type internView struct {
+	tables
+	nSubs, nCohorts atomic.Uint32
 }
 
 // idSeed keys the indexes' hash for this process: a peer who chooses
@@ -79,7 +90,7 @@ var idSeed = maphash.MakeSeed()
 const nameBlockBytes, minSlots = 16 << 10, 1 << 10
 
 func newInterner(shards int) *interner {
-	n := &interner{shards: uint32(shards), internView: internView{
+	n := &interner{shards: uint32(shards), tables: tables{
 		subs:    index{make([]atomic.Uint64, minSlots), make([]string, 1)},
 		homes:   make([]uint32, 1),
 		cohorts: index{make([]atomic.Uint64, minSlots), make([]string, 1)},
@@ -117,7 +128,7 @@ func (n *interner) room(size int) {
 	if n.block.Cap()-n.block.Len() < size {
 		n.block.Reset()
 		n.block.Grow(max(size, nameBlockBytes))
-		n.blocks += n.block.Cap()
+		n.blocks.Add(int64(n.block.Cap()))
 	}
 }
 
@@ -139,14 +150,15 @@ func probe(slots []atomic.Uint64, names []string, h uint64, key []byte) (id, at 
 }
 
 // add is an index's lookup-or-add: the ID of key, whose hash is h, in x,
-// and whether key is new. key may be decode scratch: a lookup builds no
-// string, and a new key is stored under the interner's own copy, cut
-// from the current block. The caller holds n.mu and publishes before it
-// unlocks.
-func (n *interner) add(x *index, h uint64, key []byte) (id uint32, fresh bool) {
-	id, at := probe(x.slots, x.names, h, key)
+// or, for a new key, its new ID and the slot it goes in (at), which the
+// caller stores with commit once the ID's other columns are written. key
+// may be decode scratch: a lookup builds no string, and a new key is
+// stored under the interner's own copy, cut from the current block. The
+// caller holds n.mu.
+func (n *interner) add(x *index, h uint64, key []byte) (id, at uint32, fresh bool) {
+	id, at = probe(x.slots, x.names, h, key)
 	if id != 0 {
-		return id, false
+		return id, 0, false
 	}
 	if 2*len(x.names) > len(x.slots) {
 		// full: an O(slots) pause moves every word to the end of its run
@@ -166,8 +178,14 @@ func (n *interner) add(x *index, h uint64, key []byte) (id uint32, fresh bool) {
 	n.block.Write(key)
 	id = uint32(len(x.names))
 	x.names = append(x.names, n.block.String()[off:])
+	return id, at, true
+}
+
+// commit makes a new ID whose columns are all written visible: publish
+// counts it, then its slot in x is stored. The caller holds n.mu.
+func (n *interner) commit(x *index, at uint32, h uint64, id uint32) {
+	n.publish()
 	x.slots[at].Store(h>>32<<32 | uint64(id))
-	return id, true
 }
 
 // lookupCohort is add for a canonical cohort key of more than three
@@ -175,7 +193,7 @@ func (n *interner) add(x *index, h uint64, key []byte) (id uint32, fresh bool) {
 // substrings of the interner's copy of its key, and its label — what
 // cohort.Key.String renders — is written to the block once.
 func lookupCohort(n *interner, h uint64, key []byte) uint32 {
-	id, fresh := n.add(&n.cohorts, h, key)
+	id, at, fresh := n.add(&n.cohorts, h, key)
 	if fresh {
 		k := weblog.SplitCohortKey(n.cohorts.names[id])
 		n.room(len(k[0]) + len(k[1]) + len(k[2]) + 5)
@@ -188,6 +206,7 @@ func lookupCohort(n *interner, h uint64, key []byte) uint32 {
 		}
 		n.keys = append(n.keys, cohort.Key{Region: k[0], Device: k[1], Cap: k[2]})
 		n.labels = append(n.labels, n.block.String()[off:])
+		n.commit(&n.cohorts, at, h, id)
 	}
 	return id
 }
@@ -204,6 +223,7 @@ func lookupCohort(n *interner, h uint64, key []byte) uint32 {
 // Nothing passed in is retained.
 func (n *interner) settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf []uint32) {
 	v := n.view.Load()
+	names, cohorts := v.subs.names[:v.nSubs.Load()], v.cohorts.names[:v.nCohorts.Load()]
 	mask := uint64(len(v.subs.slots) - 1)
 	for i, name := range subs {
 		h := maphash.Bytes(idSeed, name) >> 32
@@ -212,14 +232,14 @@ func (n *interner) settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf [
 	}
 	miss := false
 	for i, name := range subs {
-		id, _ := probe(v.subs.slots, v.subs.names, uint64(recs[i].Sub)<<32, name)
+		id, _ := probe(v.subs.slots, names, uint64(recs[i].Sub)<<32, name)
 		recs[i].Sub, shardOf[i] = id, v.homes[id]
 		miss = miss || id == 0
 	}
 	for i, key := range keys {
 		recs[i].Cohort = 0
 		if len(key) > 3 {
-			recs[i].Cohort, _ = probe(v.cohorts.slots, v.cohorts.names, maphash.Bytes(idSeed, key), key)
+			recs[i].Cohort, _ = probe(v.cohorts.slots, cohorts, maphash.Bytes(idSeed, key), key)
 			miss = miss || recs[i].Cohort == 0
 		}
 	}
@@ -229,9 +249,11 @@ func (n *interner) settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf [
 	n.mu.Lock()
 	for i, name := range subs {
 		if recs[i].Sub == 0 {
-			id, fresh := n.add(&n.subs, maphash.Bytes(idSeed, name), name)
+			h := maphash.Bytes(idSeed, name)
+			id, at, fresh := n.add(&n.subs, h, name)
 			if fresh {
 				n.homes = append(n.homes, fnvShard(n.subs.names[id], n.shards))
+				n.commit(&n.subs, at, h, id)
 			}
 			recs[i].Sub, shardOf[i] = id, n.homes[id]
 		}
@@ -241,7 +263,6 @@ func (n *interner) settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf [
 			recs[i].Cohort = lookupCohort(n, maphash.Bytes(idSeed, key), key)
 		}
 	}
-	n.publish()
 	n.mu.Unlock()
 }
 
@@ -250,28 +271,55 @@ func (n *interner) settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf [
 // for a name never seen, and now and then for one interned a moment ago.
 func (n *interner) find(subs [][]byte, refs []sessionizer.SubRef) {
 	v := n.view.Load()
+	names := v.subs.names[:v.nSubs.Load()]
 	for i, name := range subs {
-		id, _ := probe(v.subs.slots, v.subs.names, maphash.Bytes(idSeed, name), name)
+		id, _ := probe(v.subs.slots, names, maphash.Bytes(idSeed, name), name)
 		refs[i] = sessionizer.SubRef{Name: v.subs.names[id], ID: id, Shard: v.homes[id]}
 	}
 }
 
-// publish makes what the locked section appended visible to the
-// lock-free readers. The caller holds n.mu.
+// publish makes every ID the locked side has written visible to the
+// lock-free readers: it counts them in the published view, or, when an
+// append moved a table or an index doubled since that view was stored,
+// stores a new one over the tables as they are now. The caller holds
+// n.mu.
 func (n *interner) publish() {
-	if v := n.view.Load(); v == nil || len(v.subs.names) != len(n.subs.names) || len(v.keys) != len(n.keys) {
-		t := n.internView
-		n.view.Store(&t)
+	v := n.view.Load()
+	moved := v == nil || !covers(v.tables, n.tables)
+	if moved {
+		v = &internView{tables: n.tables}
+		v.subs.names = v.subs.names[:cap(v.subs.names)]
+		v.homes = v.homes[:cap(v.homes)]
+		v.cohorts.names = v.cohorts.names[:cap(v.cohorts.names)]
+		v.keys = v.keys[:cap(v.keys)]
+		v.labels = v.labels[:cap(v.labels)]
+	}
+	v.nSubs.Store(uint32(len(n.subs.names)))
+	v.nCohorts.Store(uint32(len(n.keys)))
+	if moved {
+		n.view.Store(v)
 	}
 }
+
+// covers reports whether a view's tables are the same arrays as the
+// locked side's, so that what is appended to the one lands in the other.
+func covers(v, t tables) bool {
+	return same(v.subs.slots, t.subs.slots) && same(v.subs.names, t.subs.names) && same(v.homes, t.homes) &&
+		same(v.cohorts.slots, t.cohorts.slots) && same(v.cohorts.names, t.cohorts.names) &&
+		same(v.keys, t.keys) && same(v.labels, t.labels)
+}
+
+// same reports whether two non-empty slices share their backing array
+// and its capacity.
+func same[T any](a, b []T) bool { return &a[0] == &b[0] && cap(a) == cap(b) }
 
 // InternerStats is what the interner holds, read without a lock: the
 // subscribers interned so far, the slots of their index, and the bytes of
 // every table the interner keeps and of every block.
 func (e *Engine) InternerStats() (subscribers, slots int, bytes int64) {
 	v := e.interner.view.Load()
-	return len(v.subs.names) - 1, len(v.subs.slots), int64(8*(len(v.subs.slots)+len(v.cohorts.slots)) +
-		16*(cap(v.subs.names)+cap(v.cohorts.names)+cap(v.labels)) + 4*cap(v.homes) + 48*cap(v.keys) + v.blocks)
+	return int(v.nSubs.Load()) - 1, len(v.subs.slots), int64(8*(len(v.subs.slots)+len(v.cohorts.slots))+
+		16*(cap(v.subs.names)+cap(v.cohorts.names)+cap(v.labels))+4*cap(v.homes)+48*cap(v.keys)) + e.interner.blocks.Load()
 }
 
 // recSlab is one batch's reusable routing storage: the shard-contiguous

@@ -117,8 +117,10 @@ type shard struct {
 func newShard(id int, fw *core.Framework, cfg Config, sink func(Report), in *interner) *shard {
 	tcfg := sessionizer.Config{IdleGap: cfg.IdleGapSec, PageBoundary: true}
 	if fw != nil {
-		// the flow table stores only what this framework's close path reads
+		// the flow table stores only what this framework's close path
+		// reads, as running extremes where that is all it reads
 		tcfg.Fields = fw.ChunkFields()
+		tcfg.Mins, tcfg.Maxes = fw.ChunkExtremes()
 	}
 	s := &shard{
 		id:         id,
@@ -360,21 +362,19 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 	} else {
 		out = make([]Report, 0, len(reps))
 	}
-	for i, r := range reps {
-		c := &kept[i]
+	for i := range reps {
+		r, c := &reps[i], &kept[i]
 		name := s.resolve(c.Sub)
 		key := s.cohortOf(c.Cohort)
-		out = append(out, Report{
-			Subscriber: name,
-			Start:      c.Start,
-			End:        c.End,
-			Report:     r,
-		})
+		// in place, field by field (DESIGN §13)
+		out = append(out, Report{})
+		rep := &out[len(out)-1]
+		rep.Subscriber, rep.Start, rep.End, rep.Report = name, c.Start, c.End, *r
 		// the rows are each model's projected (baseline-order) feature
 		// vector for this session, views of the batch scratch
 		stallProj, repProj := s.fw.Projected(&s.scratch, i)
 		if s.cohorts != nil {
-			s.cohorts.Observe(s.id, key, r)
+			s.cohorts.Observe(s.id, key, *r)
 		}
 		if s.quality != nil {
 			s.quality.Stall.Observe(s.id, stallProj, int(r.Stall), r.StallConf)
@@ -395,12 +395,12 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 			// what Retain keeps as it is — the subscriber name and the
 			// cohort label — are the interner's strings, and the vectors
 			// are views of the scratch, so nothing is allocated here
-			if reasons, score, ok := s.flight.Decide(r); ok {
+			if reasons, score, ok := s.flight.Decide(*r); ok {
 				s.flight.Retain(flight.Assessment{
 					Subscriber: name,
 					Start:      c.Start,
 					End:        c.End,
-					Report:     r,
+					Report:     *r,
 					Chunks:     c.Chunks,
 					RawEntries: c.Entries,
 					Cohort:     s.labelOf(c.Cohort),

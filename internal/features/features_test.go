@@ -694,6 +694,26 @@ func TestFieldSetFromSelection(t *testing.T) {
 		t.Errorf("one-model evaluator: fields %#b", got)
 	}
 
+	// a transport field is an extreme only if every statistic either
+	// model selected of it is a min or a max; core fields never are
+	for _, tc := range []struct {
+		what               string
+		stall, rep         []int
+		wantMins, wantMaxs FieldSet
+	}{
+		{"the benchmark models' selection",
+			[]int{col(stallNames, "RTT maximum max"), col(stallNames, "BIF avg min"), col(stallNames, "chunk time max")},
+			[]int{col(repNames, "packet loss max"), col(repNames, "cusum throughput max")}, FieldBIFAvg, FieldRTTMax | FieldLossPct},
+		{"min and max of one field", []int{col(stallNames, "BDP min")}, []int{col(repNames, "BDP max")}, FieldBDP, FieldBDP},
+		{"a percentile in the other model sorts it", []int{col(stallNames, "RTT minimum min")}, []int{col(repNames, "RTT minimum 5%")}, 0, 0},
+		{"a mean sorts it", []int{col(stallNames, "packet retransmissions max"), col(stallNames, "packet retransmissions mean")}, nil, 0, 0},
+		{"dense stall schema", all(len(stallNames)), nil, 0, 0},
+	} {
+		if mins, maxes := NewSparse(tc.stall, tc.rep).Extremes(); mins != tc.wantMins || maxes != tc.wantMaxs {
+			t.Errorf("%s: extremes %#b, %#b, want %#b, %#b", tc.what, mins, maxes, tc.wantMins, tc.wantMaxs)
+		}
+	}
+
 	r := stats.NewRand(17)
 	var sc SeriesScratch
 	for trial := 0; trial < 300; trial++ {

@@ -293,6 +293,30 @@ type Sparse struct {
 // never stored evaluates to the same vectors.
 func (sp *Sparse) Fields() FieldSet { return sp.fields }
 
+// Extremes reports which of Fields evaluation reads only as a session
+// minimum or maximum — every selected statistic of the field's metric is
+// a min or a max, so its series is never sorted, summed or ranked: mins
+// holds the fields a selected min reads, maxes those a selected max
+// reads. Such a field's column may hold any values with the same
+// stats.Extremes — the session's extremes in place of its chunks'
+// values — and evaluate alike (a flow store keeps it as a running
+// extreme a flow; sessionizer.Config.Mins).
+func (sp *Sparse) Extremes() (mins, maxes FieldSet) {
+	for _, g := range sp.groups {
+		if g.sorted {
+			continue
+		}
+		for _, e := range g.emits {
+			if e.st.kind == statMin {
+				mins |= g.metric.fields()
+			} else {
+				maxes |= g.metric.fields()
+			}
+		}
+	}
+	return mins, maxes
+}
+
 // sparseSlot addresses position i of output vector out: an evaluator
 // built for both models has two outputs (stall, representation), a
 // one-model evaluator one.

@@ -48,7 +48,12 @@ type SubRef struct {
 // the session identity as interned IDs plus the media chunk
 // observations in arrival order. Chunks is a pooled buffer the tracker
 // filled from the flow's pages at close: fields outside the tracker's
-// Config.Fields read exactly zero. The tracker writes a ColClosed in
+// Config.Fields read exactly zero, and a field it folded (Config.Mins,
+// Config.Maxes) reads the session's extreme — its minimum in every row
+// when only that is read, its maximum when only that is, else the
+// minimum in the first row and the maximum in the others — so
+// stats.Extremes over the column finds what it finds over the values
+// pushed, taken in arrival order. The tracker writes a ColClosed in
 // place, in the caller's slice (PushInto, AdvanceInto, FlushInto), and
 // keeps no reference to it; Push copies it out. The consumer owns
 // Chunks until it hands it back via ColTracker.Recycle, once the
@@ -65,15 +70,29 @@ type ColClosed struct {
 // colFlow is one open session: a fixed-width header and its chunk
 // rows as a chain of arena pages, head to tail, named by page index.
 // The struct holds no pointer (TestColFlowIsPointerFree), so the flow
-// array is never scanned by the collector.
+// array is never scanned by the collector, and is one cache line
+// (TestColFlowIsOneCacheLine). The subscriber is not in it: the flow's
+// probe slot holds it.
 type colFlow struct {
-	sub        uint32
 	cohort     uint32
-	slot       uint32 // back-pointer into slots for swap-delete fixup
+	slot       uint32 // back-pointer into slots: the subscriber, and swap-delete fixup
 	entries    int32
-	start, end float64
 	head, tail uint32 // first and last page; meaningful while chunks > 0
 	chunks     uint32
+	start, end float64
+	ext        [maxFolds]float64 // the folded fields' running extremes; meaningful while chunks > 0
+}
+
+// maxFolds is how many running extremes the flow header has room for.
+const maxFolds = 3
+
+// fold is one transport field a tracker keeps as running extremes in
+// the flow header instead of in its rows: ext[lo] is the minimum, ext[hi]
+// the maximum, one slot (lo == hi) when only one of them is read.
+type fold struct {
+	field    uint8 // 0 = RTTMin … 7 = RetransPct
+	lo, hi   uint8
+	min, max bool
 }
 
 // colSlot is one open-addressing table slot; ref is the flow index + 1
@@ -107,9 +126,11 @@ type ColTracker struct {
 	arena pageArena
 	// touched keeps Touch's loads from being compiled away.
 	touched uint32
-	// net lists the live transport fields (0 = RTTMin … 7 = RetransPct)
-	// in row order; a row is time, size, duration, then these.
-	net []uint8
+	// net lists the transport fields kept in rows (0 = RTTMin … 7 =
+	// RetransPct) in row order; a row is time, size, duration, then
+	// these. folds lists those kept in the flow header instead.
+	net   []uint8
+	folds []fold
 	// free pools the transient buffers of the close path by capacity
 	// class: a closed session's Chunks and its featurization copy.
 	free [chunkClasses][][]features.ChunkObs
@@ -142,7 +163,10 @@ const (
 const maxFreeChunks = 1 << 13
 
 // NewColTracker returns an empty columnar flow table with the given
-// splitting parameters.
+// splitting parameters and layout: of the live transport fields, those
+// read only as extremes (cfg.Mins, cfg.Maxes) fold into the flow header
+// in field order while its maxFolds slots last; the rest are row
+// columns.
 func NewColTracker(cfg Config) *ColTracker {
 	if cfg.IdleGap <= 0 {
 		cfg.IdleGap = 30
@@ -157,10 +181,22 @@ func NewColTracker(cfg Config) *ColTracker {
 		mask:  initSlots - 1,
 		shift: 32 - uint32(bits.TrailingZeros32(initSlots)),
 	}
+	var ext uint8 // header slots taken
 	for i := uint8(0); i < 8; i++ {
-		if cfg.Fields&(features.FieldRTTMin<<i) != 0 {
-			t.net = append(t.net, i)
+		bit := features.FieldRTTMin << i
+		if cfg.Fields&bit == 0 {
+			continue
 		}
+		fd := fold{field: i, lo: ext, hi: ext, min: cfg.Mins&bit != 0, max: cfg.Maxes&bit != 0}
+		if fd.min && fd.max {
+			fd.hi++
+		}
+		if !(fd.min || fd.max) || fd.hi >= maxFolds {
+			t.net = append(t.net, i)
+			continue
+		}
+		ext = fd.hi + 1
+		t.folds = append(t.folds, fd)
 	}
 	t.arena.k = 3 + len(t.net)
 	return t
@@ -210,23 +246,25 @@ func (t *ColTracker) insert(slot, sub uint32) int {
 		slot, _ = t.find(sub)
 	}
 	fi := len(t.flows)
-	t.flows = append(t.flows, colFlow{sub: sub, slot: slot})
+	t.flows = append(t.flows, colFlow{slot: slot})
 	t.slots[slot] = colSlot{sub: sub, ref: uint32(fi) + 1}
 	return fi
 }
 
 func (t *ColTracker) grow() {
-	n := uint32(len(t.slots)) * 2
+	old := t.slots
+	n := uint32(len(old)) * 2
 	t.slots = make([]colSlot, n)
 	t.mask = n - 1
 	t.shift = 32 - uint32(bits.TrailingZeros32(n))
 	for fi := range t.flows {
 		f := &t.flows[fi]
-		i := t.home(f.sub)
+		sub := old[f.slot].sub
+		i := t.home(sub)
 		for t.slots[i].ref != 0 {
 			i = (i + 1) & t.mask
 		}
-		t.slots[i] = colSlot{sub: f.sub, ref: uint32(fi) + 1}
+		t.slots[i] = colSlot{sub: sub, ref: uint32(fi) + 1}
 		f.slot = i
 	}
 }
@@ -347,7 +385,7 @@ func (t *ColTracker) PushInto(r *Rec, closed []ColClosed) []ColClosed {
 		(t.cfg.PageBoundary && r.Kind == weblog.HostWatchPage) {
 		closed = t.close(f, closed)
 		// reopen in place: same subscriber, same slot
-		*f = colFlow{sub: f.sub, slot: f.slot, start: r.Ts}
+		*f = colFlow{slot: f.slot, start: r.Ts}
 		if t.OnOpen != nil {
 			t.OnOpen(r.Sub, r.Ts)
 		}
@@ -377,6 +415,21 @@ func (t *ColTracker) PushInto(r *Rec, closed []ColClosed) []ColClosed {
 		for i, j := range t.net {
 			dst[3+i] = net[j]
 		}
+		// the folds, by stats.Extremes' rule, on the header line the
+		// push writes anyway
+		for _, fd := range t.folds {
+			v := net[fd.field]
+			if f.chunks == 0 {
+				f.ext[fd.lo], f.ext[fd.hi] = v, v
+				continue
+			}
+			if lo := &f.ext[fd.lo]; fd.min && (v < *lo || v != v) {
+				*lo = v
+			}
+			if hi := &f.ext[fd.hi]; fd.max && (v > *hi || *hi != *hi) {
+				*hi = v
+			}
+		}
 		f.chunks++
 	}
 	return closed
@@ -384,27 +437,36 @@ func (t *ColTracker) PushInto(r *Rec, closed []ColClosed) []ColClosed {
 
 // close appends f's closed record to out, written in place: the chunk
 // rows are read off the page chain into a pooled buffer of the
-// session's final length, non-live fields zero, and the pages go back
-// on the free stack. The caller resets or removes f.
+// session's final length, folded fields from the header (see ColClosed),
+// non-live fields zero, and the pages go back on the free stack. The
+// caller resets or removes f, whose slot still holds its subscriber.
 func (t *ColTracker) close(f *colFlow, out []ColClosed) []ColClosed {
 	// field by field, here and in the rows: a composite literal is built
 	// aside, then copied, and the copy's wide loads wait on its narrow
 	// stores (DESIGN §13)
 	out = append(out, ColClosed{})
 	c := &out[len(out)-1]
-	c.Sub, c.Cohort, c.Start, c.End, c.Entries = f.sub, f.cohort, f.start, f.end, int(f.entries)
+	c.Sub, c.Cohort, c.Start, c.End, c.Entries = t.slots[f.slot].sub, f.cohort, f.start, f.end, int(f.entries)
 	n := int(f.chunks)
 	if n == 0 {
 		return out
 	}
 	c.Chunks = t.TakeChunks(n)[:n]
+	// the folded fields' values: first for row 0, rest for the others
+	var first, rest [8]float64
+	for _, fd := range t.folds {
+		first[fd.field], rest[fd.field] = f.ext[fd.lo], f.ext[fd.hi]
+	}
 	a := &t.arena
 	k := a.k
 	for i, p := 0, f.head; i < n; {
 		page := a.page(p)
 		for row := 0; row < pageRows*k && i < n; row, i = row+k, i+1 {
 			src := page[row : row+k]
-			var net [8]float64
+			net := rest
+			if i == 0 {
+				net = first
+			}
 			for x, j := range t.net {
 				net[j] = src[3+x]
 			}
@@ -487,7 +549,7 @@ func (t *ColTracker) OpenSnapshot() []OpenSession {
 	for i := range t.flows {
 		f := &t.flows[i]
 		out = append(out, OpenSession{
-			Subscriber: t.Resolve(f.sub),
+			Subscriber: t.Resolve(t.slots[f.slot].sub),
 			Start:      f.start,
 			LastSeen:   f.end,
 			Entries:    int(f.entries),

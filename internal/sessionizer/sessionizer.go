@@ -32,6 +32,12 @@ type Config struct {
 	// what its framework reads (core.Framework.ChunkFields). The zero
 	// value keeps all eleven; Group ignores it.
 	Fields features.FieldSet
+	// Mins and Maxes are the Fields read only as a session minimum or
+	// maximum (core.Framework.ChunkExtremes), derived like Fields. A
+	// ColTracker keeps such a field as running extremes in the flow
+	// header, as far as the header has room, instead of a value a chunk
+	// (see ColClosed). Zero keeps every field in rows.
+	Mins, Maxes features.FieldSet
 }
 
 // DefaultConfig returns the parameters used in the evaluation.

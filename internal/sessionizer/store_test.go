@@ -3,12 +3,14 @@ package sessionizer
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"vqoe/internal/features"
+	"vqoe/internal/stats"
 	"vqoe/internal/weblog"
 	"vqoe/internal/workload"
 )
@@ -16,6 +18,14 @@ import (
 // benchFields is the projection the benchmark's two models (modelSeed
 // 1) derive: the three core fields plus RTT max, BIF avg, packet loss.
 const benchFields = features.CoreFields | features.FieldRTTMax | features.FieldBIFAvg | features.FieldLossPct
+
+// benchLayout is the whole layout those models derive, the one an
+// engine shard serving them builds its tracker with: they read RTT max
+// and packet loss only as a session maximum and BIF avg only as a
+// minimum, so all three fold into the flow header and a row is the core
+// fields alone.
+var benchLayout = Config{IdleGap: 30, PageBoundary: true, Fields: benchFields,
+	Mins: features.FieldBIFAvg, Maxes: features.FieldRTTMax | features.FieldLossPct}
 
 // storeFieldSets are the layouts the store tests run under: the
 // three-field minimum, the benchmark's six, all eleven.
@@ -221,6 +231,212 @@ func TestColFlowIsPointerFree(t *testing.T) {
 	walk("colFlow", reflect.TypeOf(colFlow{}))
 }
 
+// TestColFlowIsOneCacheLine: a flow header is exactly 64 B, so no header
+// of the flow array straddles two cache lines and a push touches one.
+func TestColFlowIsOneCacheLine(t *testing.T) {
+	if size := reflect.TypeOf(colFlow{}).Size(); size != 64 {
+		t.Errorf("colFlow is %d B, want 64", size)
+	}
+}
+
+// foldLayouts are the folding layouts the fold tests run under: the
+// benchmark models', whose three one-sided folds fill the header, and
+// one whose first candidate is read both ways, so that it and a
+// one-sided fold fill the header and the last two candidates stay in
+// rows. folded is what the header must take.
+var foldLayouts = []struct {
+	name   string
+	cfg    Config
+	folded features.FieldSet
+}{
+	{"bench", benchLayout, features.FieldRTTMax | features.FieldBIFAvg | features.FieldLossPct},
+	{"crowded", Config{IdleGap: 30, PageBoundary: true, Fields: features.AllFields,
+		Mins:  features.FieldRTTMin | features.FieldBDP | features.FieldLossPct,
+		Maxes: features.FieldRTTMin | features.FieldBIFMax}, features.FieldRTTMin | features.FieldBDP},
+}
+
+// assertFolded holds one closed session of a folding tracker against the
+// dense tracker's: identity, bounds and counts equal; row fields bit for
+// bit; dead fields exactly +0; a folded field's column the session's
+// minimum in row 0 and its maximum in the others (either one throughout
+// when only it is read), as stats.Extremes finds them over the dense
+// column, and stats.Extremes over the folded column finds the same.
+func assertFolded(t *testing.T, what string, cfg Config, folded features.FieldSet, got, dense ColClosed) {
+	t.Helper()
+	g, d := got, dense
+	g.Chunks, d.Chunks = nil, nil
+	if !reflect.DeepEqual(g, d) || len(got.Chunks) != len(dense.Chunks) {
+		t.Fatalf("%s: %+v with %d chunks, dense %+v with %d", what, g, len(got.Chunks), d, len(dense.Chunks))
+	}
+	n := len(got.Chunks)
+	gc, dc := make([]float64, n), make([]float64, n)
+	bitsOf := math.Float64bits
+	for b := 0; b < 11; b++ {
+		bit := features.FieldSet(1) << b
+		for i := range got.Chunks {
+			gc[i], dc[i] = fieldsOf(got.Chunks[i])[b], fieldsOf(dense.Chunks[i])[b]
+		}
+		switch {
+		case cfg.Fields&bit == 0:
+			for i, v := range gc {
+				if bitsOf(v) != 0 {
+					t.Fatalf("%s chunk %d dead field %d reads %v", what, i, b, v)
+				}
+			}
+		case folded&bit == 0:
+			for i, v := range gc {
+				if bitsOf(v) != bitsOf(dc[i]) {
+					t.Fatalf("%s chunk %d field %d: %v (bits %x), dense %v (bits %x)", what, i, b, v, bitsOf(v), dc[i], bitsOf(dc[i]))
+				}
+			}
+		case n > 0:
+			lo, hi := stats.Extremes(dc)
+			first, rest := lo, hi
+			if cfg.Mins&bit == 0 {
+				first = hi
+			}
+			if cfg.Maxes&bit == 0 {
+				rest = lo
+			}
+			for i, v := range gc {
+				want := rest
+				if i == 0 {
+					want = first
+				}
+				if bitsOf(v) != bitsOf(want) {
+					t.Fatalf("%s chunk %d folded field %d: %v (bits %x), want %v (bits %x)", what, i, b, v, bitsOf(v), want, bitsOf(want))
+				}
+			}
+			glo, ghi := stats.Extremes(gc)
+			if (cfg.Mins&bit != 0 && bitsOf(glo) != bitsOf(lo)) || (cfg.Maxes&bit != 0 && bitsOf(ghi) != bitsOf(hi)) {
+				t.Fatalf("%s folded field %d: extremes %v, %v; dense column's %v, %v", what, b, glo, ghi, lo, hi)
+			}
+		}
+	}
+}
+
+// TestFoldedStoreMatchesDense holds each folding layout to the dense
+// tracker over one mixed stream: a seeded live workload, transport
+// values patched with NaN, ±Inf and both zeros, with watch pages and
+// idle gaps that close and reopen flows in place, interleaved idle
+// sweeps and a mid-stream flush; then chunk counts across every page
+// seam, pages interleaved, closed on a watch page and refilled over the
+// freed pages. Every closed session is checked (assertFolded) as it
+// comes out and its buffer recycled, over a pool seeded dirty, so later
+// sessions close into used buffers. The header takes the folds the
+// layout leaves room for, a row keeps the rest, and the store holds as
+// many pages as the dense one at its own page width.
+func TestFoldedStoreMatchesDense(t *testing.T) {
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	for _, l := range foldLayouts {
+		t.Run(l.name, func(t *testing.T) {
+			cfg := l.cfg
+			dense, in := newTestTracker(Config{IdleGap: cfg.IdleGap, PageBoundary: cfg.PageBoundary})
+			fold := NewColTracker(cfg)
+			fold.Resolve = in.name
+			var took features.FieldSet
+			for _, fd := range fold.folds {
+				took |= features.FieldRTTMin << fd.field
+			}
+			rows := bits.OnesCount16(uint16(cfg.Fields &^ features.CoreFields &^ l.folded))
+			if took != l.folded || fold.arena.k != 3+rows {
+				t.Fatalf("header folds %#b and rows hold %d floats, want %#b and %d", took, fold.arena.k, l.folded, 3+rows)
+			}
+			for _, c := range []int{8, 16, 64, 256} {
+				dirty := fold.TakeChunks(c)[:c]
+				for i := range dirty {
+					dirty[i] = features.ChunkObs{Time: -1, SizeKB: -1, DurationSec: -1, RTTMin: -1, RTTAvg: -1, RTTMax: -1,
+						BDP: -1, BIFAvg: -1, BIFMax: -1, LossPct: -1, RetransPct: -1}
+				}
+				fold.Recycle(dirty)
+			}
+			checked := 0
+			check := func(got, want []ColClosed) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("closed %d sessions, dense %d", len(got), len(want))
+				}
+				for i := range got {
+					assertFolded(t, fmt.Sprintf("session %d", checked), cfg, l.folded, got[i], want[i])
+					fold.Recycle(got[i].Chunks)
+					dense.Recycle(want[i].Chunks)
+					checked++
+				}
+			}
+			push := func(r Rec) {
+				got, want := fold.PushInto(&r, nil), dense.PushInto(&r, nil)
+				check(got, want)
+				if fold.Open() != dense.Open() {
+					t.Fatalf("%d open, dense %d", fold.Open(), dense.Open())
+				}
+			}
+
+			live := workload.GenerateLive(workload.LiveConfig{Subscribers: 24, SessionsPerSubscriber: 3, Seed: 5})
+			for i, e := range live.Entries {
+				r := in.rec(e)
+				if k := i / 5; i%5 == 2 {
+					r.RTTMin, r.RTTMax, r.BDP, r.BIFAvg = odd[k%5], odd[(k+1)%5], odd[(k+2)%5], odd[(k+3)%5]
+					r.BIFMax, r.Loss, r.Retrans = odd[(k+4)%5], odd[k%5], odd[(k+1)%5]
+				}
+				push(r)
+				switch {
+				case i%211 == 100:
+					check(fold.AdvanceInto(e.Timestamp, nil), dense.AdvanceInto(e.Timestamp, nil))
+				case i == 2*len(live.Entries)/3:
+					check(fold.FlushInto(nil), dense.FlushInto(nil))
+				}
+			}
+			check(fold.FlushInto(nil), dense.FlushInto(nil))
+			if checked < 24*3 {
+				t.Fatalf("the live stream closed %d sessions", checked)
+			}
+
+			counts := []int{0, 1, 7, 8, 9, 16, 17, 5*pageRows + 3}
+			subs := make([]uint32, len(counts))
+			for s := range subs {
+				subs[s] = in.rec(weblog.Entry{Subscriber: fmt.Sprintf("seam-%d", s)}).Sub
+			}
+			fill := func(gen, shift int) {
+				for j := 0; j < counts[len(counts)-1]; j++ { // round-robin: pages interleave
+					for s := range counts {
+						if j < counts[(s+shift)%len(counts)] {
+							r := seamRec(subs[s], gen, j)
+							if j%3 == 1 {
+								r.RTTMax, r.BIFAvg, r.Loss, r.RTTMin = odd[j%5], odd[(j+1)%5], odd[(j+2)%5], odd[(j+3)%5]
+							}
+							push(r)
+						}
+					}
+				}
+			}
+			for gen, shift := range []int{0, 3} {
+				for _, sub := range subs {
+					push(Rec{Sub: sub, Kind: weblog.HostWatchPage, Ts: float64((gen+1)*1000 - 1)})
+				}
+				fill(gen+1, shift)
+				if fold.StoreBytes()/fold.arena.width() != dense.StoreBytes()/dense.arena.width() || fold.StoreBytes() == 0 {
+					t.Fatalf("store holds %d B at %d floats a page, dense %d B at %d", fold.StoreBytes(), fold.arena.width(),
+						dense.StoreBytes(), dense.arena.width())
+				}
+			}
+			check(fold.FlushInto(nil), dense.FlushInto(nil))
+
+			// columns whose extremes hang on stats.Extremes' exact rule:
+			// zeros of both signs (the first one seen stays), a NaN first
+			// (the maximum moves past it, the minimum keeps it) or later
+			mz := math.Copysign(0, -1)
+			for p, col := range [][]float64{{0, mz}, {mz, 0, mz}, {mz}, {odd[0], 1, 2}, {1, odd[0], 0}, {odd[1], odd[2]}} {
+				sub := in.rec(weblog.Entry{Subscriber: fmt.Sprintf("edge-%d", p)}).Sub
+				for j, v := range col {
+					push(Rec{Sub: sub, Kind: weblog.HostMedia, Ts: 5000 + float64(j), KB: 1, Dur: 0.1,
+						RTTMin: v, RTTAvg: v, RTTMax: v, BDP: v, BIFAvg: v, BIFMax: v, Loss: v, Retrans: v})
+				}
+			}
+			check(fold.FlushInto(nil), dense.FlushInto(nil))
+		})
+	}
+}
+
 // pushCrowd opens n flows under subscriber IDs from..from+n-1 and gives
 // each the given number of chunks in tick order — no two consecutive
 // records on one flow, the wide_open shape. Start times are distinct,
@@ -346,10 +562,11 @@ func TestArenaTrimKeepsWavesReturnsQuiet(t *testing.T) {
 // TestPushNewFlowsAllocatePerSlabNotPerFlow is the flow store's
 // allocation gate on opens: 20k never-seen subscribers given 12 chunks
 // each in tick order allocate a slab per 512 pages and nothing per
-// flow — under 0.01 objects a flow — once the flow table has its size.
+// flow — under 0.01 objects a flow — once the flow table has its size,
+// the extremes of the benchmark layout's folds included.
 func TestPushNewFlowsAllocatePerSlabNotPerFlow(t *testing.T) {
 	const flows, chunks = 20_000, 12
-	tr := NewColTracker(Config{IdleGap: 30, PageBoundary: true, Fields: benchFields})
+	tr := NewColTracker(benchLayout)
 	tr.Resolve = func(id uint32) string { return fmt.Sprint(id) }
 	growFlowTable(tr, 2*flows)
 	next := uint32(1)
@@ -371,10 +588,11 @@ func TestPushNewFlowsAllocatePerSlabNotPerFlow(t *testing.T) {
 // warm tracker, open → 45 chunks, touched and pushed as the shard does
 // (PushInto into a reused closed buffer) → close on the next watch page
 // → recycle allocates nothing — pages come off the free stack, the
-// closed buffer out of the pool. Push, the one-record form, must stay
-// allocation-free as well: its one-element buffer lives on its stack.
+// closed buffer out of the pool, the folds in the flow header. Push, the
+// one-record form, must stay allocation-free as well: its one-element
+// buffer lives on its stack.
 func TestPushSteadyStateZeroAlloc(t *testing.T) {
-	tr := NewColTracker(Config{IdleGap: 30, PageBoundary: true, Fields: benchFields})
+	tr := NewColTracker(benchLayout)
 	chunks := make([]Rec, 45)
 	for j := range chunks {
 		chunks[j] = seamRec(1, 0, j)
@@ -471,7 +689,7 @@ func TestCloseZeroesNonLiveFieldsOfRecycledBuffers(t *testing.T) {
 // touches its slots first, as the shard does. ns/op is per sub-batch.
 func BenchmarkPushWide(b *testing.B) {
 	const flows, batch, batches = 1 << 17, 128, 1 << 10
-	tr := NewColTracker(Config{IdleGap: 30, PageBoundary: true, Fields: benchFields})
+	tr := NewColTracker(benchLayout)
 	for sub := uint32(1); sub <= flows; sub++ {
 		tr.Push(&Rec{Sub: sub, Kind: weblog.HostWatchPage})
 	}
