@@ -162,19 +162,12 @@ type AnalyzeScratch struct {
 	sw                 ScoreScratch
 }
 
-// ChunkFields reports which per-chunk fields AnalyzeBatchSince reads
-// with this framework's two selections — what a flow store feeding it
-// has to keep (the switch detector's are among features.CoreFields).
-func (f *Framework) ChunkFields() features.FieldSet {
-	return f.evaluator().Fields()
-}
-
-// ChunkExtremes reports which of ChunkFields AnalyzeBatchSince reads
-// only as a session minimum (mins) or maximum (maxes) — what a flow
-// store feeding it may keep as running extremes instead of per chunk
-// (features.Sparse.Extremes).
-func (f *Framework) ChunkExtremes() (mins, maxes features.FieldSet) {
-	return f.evaluator().Extremes()
+// Layout reports what AnalyzeBatchSince reads of a session with this
+// framework's two selections (features.Sparse.Layout) — what a flow
+// store feeding it has to keep (the switch detector's fields are among
+// features.CoreFields).
+func (f *Framework) Layout() features.Layout {
+	return f.evaluator().Layout()
 }
 
 // AnalyzeBatchInto assesses many sessions at once, with stage timing

@@ -1,8 +1,15 @@
 package engine_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,7 +17,10 @@ import (
 	"vqoe/internal/engine"
 	"vqoe/internal/features"
 	"vqoe/internal/flight"
+	"vqoe/internal/ml"
+	"vqoe/internal/qualitymon"
 	"vqoe/internal/sessionizer"
+	"vqoe/internal/stats"
 	"vqoe/internal/weblog"
 	"vqoe/internal/workload"
 )
@@ -19,6 +29,13 @@ var (
 	fixOnce sync.Once
 	fixFW   *core.Framework
 	fixLive *workload.Live
+	// fixCorpora are the two corpora fixFW trained on, and fixDatasets
+	// them as the stall and representation models' full-schema training
+	// sets, built once for frameworks retrained over other selections
+	// (frameworkFor)
+	fixCorpora  [2]*workload.Corpus
+	dsOnce      sync.Once
+	fixDatasets [2]*ml.Dataset
 )
 
 func fixtures(t *testing.T) (*core.Framework, *workload.Live) {
@@ -32,8 +49,9 @@ func fixtures(t *testing.T) (*core.Framework, *workload.Live) {
 		tcfg := core.DefaultTrainConfig()
 		tcfg.CVFolds = 3
 		tcfg.Forest.Trees = 10
+		fixCorpora = [2]*workload.Corpus{workload.Generate(clearCfg), workload.Generate(hasCfg)}
 		var err error
-		fixFW, _, err = core.TrainFramework(workload.Generate(clearCfg), workload.Generate(hasCfg), tcfg)
+		fixFW, _, err = core.TrainFramework(fixCorpora[0], fixCorpora[1], tcfg)
 		if err != nil {
 			panic(err)
 		}
@@ -92,23 +110,97 @@ func referenceProjections(fw *core.Framework, live *workload.Live) map[string][2
 	return out
 }
 
-// storeBytes is what a flow table of the given layout holds after the
-// live stream's entries, pushed in order with no sweep.
-func storeBytes(live *workload.Live, cfg sessionizer.Config) int {
-	tr := sessionizer.NewColTracker(cfg)
-	ids := map[string]uint32{}
+// storeMatchesReference pushes the live stream, in order with no sweep,
+// through a flow table of layout l and returns the bytes it holds at
+// the end; then it flushes the table and holds every reference session
+// it closed to ColClosed's contract over the reference's chunks. A
+// transport field outside l.Fields reads +0 in every row. One inside
+// reads the reference column bit for bit, or, when l reads it only as
+// an extreme and the table folded it, the session's minimum in row 0
+// and its maximum in the others (either one throughout when only it is
+// read).
+func storeMatchesReference(t *testing.T, live *workload.Live, l features.Layout) int {
+	t.Helper()
+	refObs := map[string]features.SessionObs{}
+	referenceSessions(live, func(sub string, start, _ float64, o features.SessionObs) {
+		refObs[fmt.Sprint(sub, start)] = o
+	})
+	tr := sessionizer.NewColTracker(sessionizer.Config{IdleGap: engine.DefaultConfig().IdleGapSec, PageBoundary: true, Layout: l})
+	ids, names := map[string]uint32{}, []string{""}
+	tr.Resolve = func(id uint32) string { return names[id] }
+	var closed []sessionizer.ColClosed
 	for _, e := range live.Entries {
 		if ids[e.Subscriber] == 0 {
-			ids[e.Subscriber] = uint32(len(ids) + 1)
+			ids[e.Subscriber] = uint32(len(names))
+			names = append(names, e.Subscriber)
 		}
 		r := sessionizer.Rec{Sub: ids[e.Subscriber], Kind: weblog.ClassifyHost(e.Host), Ts: e.Timestamp, Dur: e.TransactionSec,
 			KB: float64(e.Bytes) / 1000, RTTMin: e.RTTMin, RTTAvg: e.RTTAvg, RTTMax: e.RTTMax, BDP: e.BDP,
 			BIFAvg: e.BIFAvg, BIFMax: e.BIFMax, Loss: e.LossPct, Retrans: e.RetransPct}
-		if c, ok := tr.Push(&r); ok {
-			tr.Recycle(c.Chunks)
+		closed = tr.PushInto(&r, closed)
+	}
+	held := tr.StoreBytes()
+	closed = tr.FlushInto(closed)
+
+	// differs is the first row where a and b differ bitwise, -1 if none
+	differs := func(a, b []float64) int {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return i
+			}
+		}
+		return -1
+	}
+	checked := 0
+	for _, c := range closed {
+		ref, ok := refObs[fmt.Sprint(names[c.Sub], c.Start)]
+		if !ok {
+			continue
+		}
+		checked++
+		n := len(c.Chunks)
+		if n != ref.Len() {
+			t.Errorf("session %s at %v: %d chunks, reference %d", names[c.Sub], c.Start, n, ref.Len())
+			return held
+		}
+		got, want, fold := make([]float64, n), make([]float64, n), make([]float64, n)
+		for b := 0; b < 8; b++ {
+			bit := features.FieldRTTMin << b
+			for i := range c.Chunks {
+				got[i], want[i] = transport(c.Chunks[i])[b], transport(ref.Chunks[i])[b]
+			}
+			lo, hi := stats.Extremes(want)
+			for i := range fold {
+				switch {
+				case l.Fields&bit == 0:
+					fold[i] = 0
+				case i == 0 && l.Mins&bit != 0, i > 0 && l.Maxes&bit == 0:
+					fold[i] = lo
+				default:
+					fold[i] = hi
+				}
+			}
+			i := differs(got, want)
+			if l.Fields&bit == 0 || i >= 0 && (l.Mins|l.Maxes)&bit != 0 {
+				i = differs(got, fold)
+			}
+			if i >= 0 {
+				t.Errorf("session %s at %v: transport field %d of layout %+v reads %v in row %d of %d; reference %v, folded %v",
+					names[c.Sub], c.Start, b, l, got[i], i, n, want[i], fold[i])
+				return held
+			}
 		}
 	}
-	return tr.StoreBytes()
+	if checked != len(refObs) {
+		t.Errorf("the flow table closed %d of the %d reference sessions", checked, len(refObs))
+	}
+	return held
+}
+
+// transport reads a chunk observation's eight transport fields in
+// FieldSet bit order.
+func transport(c features.ChunkObs) [8]float64 {
+	return [8]float64{c.RTTMin, c.RTTAvg, c.RTTMax, c.BDP, c.BIFAvg, c.BIFMax, c.LossPct, c.RetransPct}
 }
 
 // referenceReports is the offline path's reports: referenceSessions
@@ -122,27 +214,30 @@ func referenceReports(fw *core.Framework, live *workload.Live) map[string]int {
 }
 
 // TestEngineMatchesOfflineReference holds the live path to the offline
-// one: every report the engine emits must be one the reference
-// produces, and vice versa — at one shard and at four with sweeps off,
-// and at four with the default idle sweep (an evicted session is one
-// Group would have split at the same place, because the subscriber's
-// next entry is further away than the idle gap) — and every session's
-// projected vectors, as the flight recorder retains them, equal the
-// reference's bit for bit. The fixture's models read a transport field
-// only as an extreme, so its shards fold it into the flow header: at
-// one shard the flow store holds what a tracker of the derived layout
-// holds, less than one without the fold, and the vectors hold the fold
-// to the dense reference.
+// one on the fixture's framework, the default recipe's models
+// (matchesOfflineReference).
 func TestEngineMatchesOfflineReference(t *testing.T) {
 	fw, live := fixtures(t)
+	matchesOfflineReference(t, fw, live)
+}
+
+// matchesOfflineReference holds the live path on fw to the offline one:
+// every report the engine emits must be one the reference produces, and
+// vice versa — at one shard and at four, with sweeps off and with the
+// default idle sweep (an evicted session is one Group would have split
+// at the same place, because the subscriber's next entry is further
+// away than the idle gap) — and every session's projected vectors, as
+// the flight recorder retains them, equal the reference's bit for bit.
+// The flow store the engine builds is fw's derived layout: at one shard
+// without sweeps it holds what a tracker of that layout holds, and that
+// tracker closes what the reference sessions hold
+// (storeMatchesReference).
+func matchesOfflineReference(t *testing.T, fw *core.Framework, live *workload.Live) {
+	t.Helper()
 	want := referenceReports(fw, live)
 	wantProj := referenceProjections(fw, live)
-	mins, maxes := fw.ChunkExtremes()
-	layout := sessionizer.Config{IdleGap: engine.DefaultConfig().IdleGapSec, PageBoundary: true, Fields: fw.ChunkFields(), Mins: mins, Maxes: maxes}
-	folded, rows := storeBytes(live, layout), storeBytes(live, sessionizer.Config{IdleGap: layout.IdleGap, PageBoundary: true, Fields: layout.Fields})
-	if mins|maxes == 0 || folded >= rows {
-		t.Fatalf("the fixture's layout folds %#b, %#b: its store holds %d B, %d B unfolded", mins, maxes, folded, rows)
-	}
+	var held int
+	t.Run("store", func(t *testing.T) { held = storeMatchesReference(t, live, fw.Layout()) })
 
 	for _, tc := range []struct {
 		name   string
@@ -150,6 +245,7 @@ func TestEngineMatchesOfflineReference(t *testing.T) {
 		sweep  float64
 	}{
 		{"shards=1", 1, -1},
+		{"shards=1/default-sweep", 1, 0},
 		{"shards=4", 4, -1},
 		{"shards=4/default-sweep", 4, 0},
 	} {
@@ -164,8 +260,8 @@ func TestEngineMatchesOfflineReference(t *testing.T) {
 				reps, _ := eng.Ingest(live.Entries[lo:min(lo+500, len(live.Entries))])
 				got = append(got, reps...)
 			}
-			if held := eng.OpenSessions()[0].StoreBytes; tc.shards == 1 && held != folded {
-				t.Errorf("the shard's flow store holds %d B, a tracker of the derived layout %d B", held, folded)
+			if open := eng.OpenSessions()[0].StoreBytes; tc.shards == 1 && tc.sweep < 0 && open != held {
+				t.Errorf("the shard's flow store holds %d B, a tracker of the derived layout %d B", open, held)
 			}
 			got = append(got, eng.Drain()...)
 
@@ -218,6 +314,113 @@ func TestEngineMatchesOfflineReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// frameworkFor is a framework whose models read the given selections,
+// brought in the way a retrained model file reaches qoeserve -stall and
+// -rep: each model is the fixture's detector with a three-tree forest
+// over its selection in place of its own (drift baseline captured as
+// core.Train captures it), saved with Detector.Save and read back by
+// core.LoadFramework.
+func frameworkFor(t *testing.T, stall, rep []string) *core.Framework {
+	t.Helper()
+	fw, _ := fixtures(t)
+	dsOnce.Do(func() {
+		fixDatasets = [2]*ml.Dataset{core.BuildStallDataset(fixCorpora[0]), core.BuildRepDataset(fixCorpora[1])}
+	})
+	var paths [2]string
+	for i, det := range []core.Detector{fw.Stall.Detector, fw.Rep.Detector} {
+		sel := [2][]string{stall, rep}[i]
+		reduced, err := fixDatasets[i].SelectFeatures(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det.Selected = sel
+		det.Forest = ml.TrainForest(reduced, ml.ForestConfig{Trees: 3, MinLeaf: 2, Seed: 1})
+		det.Forest.Baseline = qualitymon.CaptureBaseline(sel, reduced.X, reduced.Y, reduced.Classes, qualitymon.DefaultBins)
+		paths[i] = filepath.Join(t.TempDir(), "model")
+		f, err := os.Create(paths[i])
+		if err == nil {
+			err = errors.Join(det.Save(f), f.Close())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := core.LoadFramework(paths[0], paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// drawSelection draws one to five distinct columns of a schema, two in
+// three of them a min or a max, so that drawn layouts fold.
+func drawSelection(r *rand.Rand, names []string) []string {
+	var extremes []string
+	for _, n := range names {
+		if strings.HasSuffix(n, " min") || strings.HasSuffix(n, " max") {
+			extremes = append(extremes, n)
+		}
+	}
+	var out []string
+	for k := 1 + r.Intn(5); len(out) < k; {
+		from := names
+		if r.Intn(3) > 0 {
+			from = extremes
+		}
+		if n := from[r.Intn(len(from))]; !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestEngineMatchesOfflineReferenceEveryLayout holds the engine to the
+// offline reference (matchesOfflineReference) on frameworks built from
+// other selections than the fixture's, so on every shape of layout the
+// plan can derive: the default recipe's selections and the paper's
+// Table 2 stall selection as model files, a field read as both a min
+// and a max (a two-slot fold), more extremes-only fields than the flow
+// header's three slots, no transport field at all, and seeded random
+// selections for both models. The test checks that its cases cover the
+// last three shapes.
+func TestEngineMatchesOfflineReferenceEveryLayout(t *testing.T) {
+	fw, live := fixtures(t)
+	type selection struct {
+		name       string
+		stall, rep []string
+	}
+	cases := []selection{
+		{"default-recipe", fw.Stall.Selected, fw.Rep.Selected},
+		{"table-2", []string{"chunk size min", "chunk size std", "BDP mean", "packet retransmissions max"}, []string{"chunk avg size mean"}},
+		{"two-slot-fold", []string{"BDP min", "chunk size std"}, []string{"BDP max", "chunk Δsize 85%"}},
+		{"crowded-header", []string{"RTT minimum min", "RTT maximum max", "BDP min"},
+			[]string{"RTT minimum max", "BIF avg max", "packet loss max", "packet retransmissions min"}},
+		{"no-transport", []string{"chunk size min", "chunk time max"}, []string{"chunk Δsize 85%", "throughput 50%"}},
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		cases = append(cases, selection{fmt.Sprint("drawn-", i),
+			drawSelection(r, features.StallFeatureNames()), drawSelection(r, features.RepFeatureNames())})
+	}
+
+	var twoSlot, crowded, bare bool
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fw := frameworkFor(t, tc.stall, tc.rep)
+			l := fw.Layout()
+			t.Logf("stall %q, rep %q: layout %+v", tc.stall, tc.rep, l)
+			twoSlot = twoSlot || l.Mins&l.Maxes != 0
+			crowded = crowded || bits.OnesCount16(uint16(l.Mins|l.Maxes)) > 3
+			bare = bare || l.Fields == features.CoreFields
+			matchesOfflineReference(t, fw, live)
+		})
+	}
+	if !twoSlot || !crowded || !bare {
+		t.Errorf("the cases derive a two-slot fold %v, more than 3 extremes-only fields %v, no transport field %v; want all",
+			twoSlot, crowded, bare)
 	}
 }
 

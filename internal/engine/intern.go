@@ -116,8 +116,9 @@ func fnvShard(s string, n uint32) uint32 {
 // session close while feeders intern new batches).
 func (n *interner) name(id uint32) string { return n.view.Load().subs.names[id] }
 
-// cohortKey resolves an interned cohort ID; id 0 is the zero key.
-func (n *interner) cohortKey(id uint32) cohort.Key { return n.view.Load().keys[id] }
+// cohortKey resolves an interned cohort ID to its key in the view's
+// column, which is never written again; id 0 is the zero key.
+func (n *interner) cohortKey(id uint32) *cohort.Key { return &n.view.Load().keys[id] }
 
 // cohortLabel is cohortKey(id).String(), rendered once at first sight.
 func (n *interner) cohortLabel(id uint32) string { return n.view.Load().labels[id] }

@@ -197,7 +197,7 @@ func TestSubIndexRacesInterners(t *testing.T) {
 	recs, shardOf := make([]sessionizer.Rec, subscribers), make([]uint32, subscribers)
 	e.Settle(all, keys, recs, shardOf)
 	for k, r := range recs {
-		if r.Sub != uint32(k+1) || r.Cohort != uint32(k+1) || in.cohortKey(r.Cohort) != (cohort.Key{Region: string(all[k]), Device: "tv", Cap: "hd"}) {
+		if r.Sub != uint32(k+1) || r.Cohort != uint32(k+1) || *in.cohortKey(r.Cohort) != (cohort.Key{Region: string(all[k]), Device: "tv", Cap: "hd"}) {
 			t.Fatalf("ID %d names %q and cohort %q, which settle as %+v", k+1, all[k], keys[k], r)
 		}
 	}
@@ -451,8 +451,8 @@ func FuzzSubIndex(f *testing.F) {
 					want = uint32(len(cohorts) + 1)
 					cohorts[r.tr] = want
 				}
-				if got := cohortIDs[k]; got != want || in.cohortKey(got) != (cohort.Key{Region: r.tr[0], Device: r.tr[1], Cap: r.tr[2]}) {
-					t.Fatalf("cohort %q (sent as %x) is %d, key %+v; oracle has ID %d", r.tr, r.wire, got, in.cohortKey(got), want)
+				if got := cohortIDs[k]; got != want || *in.cohortKey(got) != (cohort.Key{Region: r.tr[0], Device: r.tr[1], Cap: r.tr[2]}) {
+					t.Fatalf("cohort %q (sent as %x) is %d, key %+v; oracle has ID %d", r.tr, r.wire, got, *in.cohortKey(got), want)
 				}
 			}
 			batch = batch[:0]

@@ -46,10 +46,10 @@ type shard struct {
 	sink    func(Report)
 
 	// resolve, cohortOf and labelOf map interned IDs back to their
-	// strings, keys and rendered cohort labels (the engine interner's
-	// lock-free read side).
+	// strings, keys (in place) and rendered cohort labels (the engine
+	// interner's lock-free read side).
 	resolve  func(uint32) string
-	cohortOf func(uint32) cohort.Key
+	cohortOf func(uint32) *cohort.Key
 	labelOf  func(uint32) string
 
 	minChunks  int
@@ -119,8 +119,7 @@ func newShard(id int, fw *core.Framework, cfg Config, sink func(Report), in *int
 	if fw != nil {
 		// the flow table stores only what this framework's close path
 		// reads, as running extremes where that is all it reads
-		tcfg.Fields = fw.ChunkFields()
-		tcfg.Mins, tcfg.Maxes = fw.ChunkExtremes()
+		tcfg.Layout = fw.Layout()
 	}
 	s := &shard{
 		id:         id,
@@ -365,7 +364,6 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 	for i := range reps {
 		r, c := &reps[i], &kept[i]
 		name := s.resolve(c.Sub)
-		key := s.cohortOf(c.Cohort)
 		// in place, field by field (DESIGN §13)
 		out = append(out, Report{})
 		rep := &out[len(out)-1]
@@ -374,7 +372,10 @@ func (s *shard) assess(closed []sessionizer.ColClosed, reuse bool) []Report {
 		// vector for this session, views of the batch scratch
 		stallProj, repProj := s.fw.Projected(&s.scratch, i)
 		if s.cohorts != nil {
-			s.cohorts.Observe(s.id, key, *r)
+			// the key is read in place out of the interner's column: a
+			// three-string Key returned by value is spilled by narrow
+			// stores and reloaded wide (DESIGN §13)
+			s.cohorts.Observe(s.id, *s.cohortOf(c.Cohort), *r)
 		}
 		if s.quality != nil {
 			s.quality.Stall.Observe(s.id, stallProj, int(r.Stall), r.StallConf)

@@ -305,8 +305,8 @@ func TestDoorsInternAlike(t *testing.T) {
 			tr := triples[i%len(triples)]
 			if empty := tr == [3]string{}; empty != (id.cohort == 0) {
 				t.Errorf("%s: triple %q is cohort %d", order, tr, id.cohort)
-			} else if !empty && e.interner.cohortKey(id.cohort) != (cohort.Key{Region: tr[0], Device: tr[1], Cap: tr[2]}) {
-				t.Errorf("%s: cohort %d resolves to %+v, want %q", order, id.cohort, e.interner.cohortKey(id.cohort), tr)
+			} else if !empty && *e.interner.cohortKey(id.cohort) != (cohort.Key{Region: tr[0], Device: tr[1], Cap: tr[2]}) {
+				t.Errorf("%s: cohort %d resolves to %+v, want %q", order, id.cohort, *e.interner.cohortKey(id.cohort), tr)
 			}
 		}
 		if got := len(e.interner.keys) - 1; got != len(triples)-1 {

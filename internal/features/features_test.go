@@ -646,20 +646,25 @@ func TestSwitchSeriesIntoReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestFieldSetFromSelection: the field set a Sparse derives while it
+// TestFieldSetFromSelection: the layout a Sparse derives while it
 // builds its plan is what its metrics read and no more — by name for
 // the shapes the flow store's sizing rests on, and as a property: a
-// session whose other fields are wiped evaluates to the same vectors.
+// session whose other fields are wiped, and whose extremes-only fields
+// keep only their extremes, evaluates to the same vectors.
 func TestFieldSetFromSelection(t *testing.T) {
 	stallNames, repNames := StallFeatureNames(), RepFeatureNames()
-	col := func(names []string, want string) int {
+	cols := func(names []string, want ...string) []int {
 		t.Helper()
-		i := slices.Index(names, want)
-		if i < 0 {
-			t.Fatalf("no feature %q", want)
+		out := make([]int, len(want))
+		for i, w := range want {
+			if out[i] = slices.Index(names, w); out[i] < 0 {
+				t.Fatalf("no feature %q", w)
+			}
 		}
-		return i
+		return out
 	}
+	stall := func(want ...string) []int { return cols(stallNames, want...) }
+	rep := func(want ...string) []int { return cols(repNames, want...) }
 	all := func(n int) []int {
 		cols := make([]int, n)
 		for i := range cols {
@@ -667,50 +672,39 @@ func TestFieldSetFromSelection(t *testing.T) {
 		}
 		return cols
 	}
-	for _, tc := range []struct {
-		what       string
-		stall, rep []int
-		want       FieldSet
-	}{
-		{"nothing selected", nil, nil, CoreFields},
-		{"absent columns add nothing", []int{-1, -1}, []int{-1, len(repNames)}, CoreFields},
-		{"Δsize and BIF avg", []int{col(stallNames, "BIF avg min")}, []int{col(repNames, "chunk Δsize 85%")},
-			FieldTime | FieldSizeKB | FieldDurationSec | FieldBIFAvg},
-		{"throughput series read size and duration", nil,
-			[]int{col(repNames, "throughput 50%"), col(repNames, "cusum throughput max")}, CoreFields},
-		{"the benchmark models' series", []int{col(stallNames, "chunk time max"), col(stallNames, "RTT maximum 75%")},
-			[]int{col(repNames, "chunk size mean"), col(repNames, "packet loss std"), col(repNames, "BIF avg 25%")},
-			CoreFields | FieldRTTMax | FieldBIFAvg | FieldLossPct},
-		{"one model is enough", []int{col(stallNames, "packet retransmissions mean")}, []int{col(repNames, "RTT minimum 5%")},
-			CoreFields | FieldRetransPct | FieldRTTMin},
-		{"dense stall schema", all(len(stallNames)), nil, AllFields},
-		{"dense rep schema", nil, all(len(repNames)), AllFields},
-	} {
-		if got := NewSparse(tc.stall, tc.rep).Fields(); got != tc.want {
-			t.Errorf("%s: fields %#b, want %#b", tc.what, got, tc.want)
-		}
-	}
-	if got := NewStallSparse([]int{col(stallNames, "BDP max")}).Fields(); got != CoreFields|FieldBDP {
-		t.Errorf("one-model evaluator: fields %#b", got)
-	}
-
 	// a transport field is an extreme only if every statistic either
 	// model selected of it is a min or a max; core fields never are
 	for _, tc := range []struct {
-		what               string
-		stall, rep         []int
-		wantMins, wantMaxs FieldSet
+		what string
+		sp   *Sparse
+		want Layout
 	}{
-		{"the benchmark models' selection",
-			[]int{col(stallNames, "RTT maximum max"), col(stallNames, "BIF avg min"), col(stallNames, "chunk time max")},
-			[]int{col(repNames, "packet loss max"), col(repNames, "cusum throughput max")}, FieldBIFAvg, FieldRTTMax | FieldLossPct},
-		{"min and max of one field", []int{col(stallNames, "BDP min")}, []int{col(repNames, "BDP max")}, FieldBDP, FieldBDP},
-		{"a percentile in the other model sorts it", []int{col(stallNames, "RTT minimum min")}, []int{col(repNames, "RTT minimum 5%")}, 0, 0},
-		{"a mean sorts it", []int{col(stallNames, "packet retransmissions max"), col(stallNames, "packet retransmissions mean")}, nil, 0, 0},
-		{"dense stall schema", all(len(stallNames)), nil, 0, 0},
+		{"nothing selected", NewSparse(nil, nil), Layout{Fields: CoreFields}},
+		{"absent columns add nothing", NewSparse([]int{-1, -1}, []int{-1, len(repNames)}), Layout{Fields: CoreFields}},
+		{"Δsize and BIF avg", NewSparse(stall("BIF avg min"), rep("chunk Δsize 85%")),
+			Layout{CoreFields | FieldBIFAvg, FieldBIFAvg, 0}},
+		{"throughput series read size and duration", NewSparse(nil, rep("throughput 50%", "cusum throughput max")),
+			Layout{Fields: CoreFields}},
+		{"sorted series", NewSparse(stall("chunk time max", "RTT maximum 75%"), rep("chunk size mean", "packet loss std", "BIF avg 25%")),
+			Layout{Fields: CoreFields | FieldRTTMax | FieldBIFAvg | FieldLossPct}},
+		{"the benchmark models' selection", NewSparse(stall("RTT maximum max", "BIF avg min", "chunk time max"),
+			rep("packet loss max", "cusum throughput max")),
+			Layout{CoreFields | FieldRTTMax | FieldBIFAvg | FieldLossPct, FieldBIFAvg, FieldRTTMax | FieldLossPct}},
+		{"the paper's Table 2 stall selection", NewStallSparse(stall("chunk size min", "chunk size std", "BDP mean", "packet retransmissions max")),
+			Layout{CoreFields | FieldBDP | FieldRetransPct, 0, FieldRetransPct}},
+		{"one model is enough", NewSparse(stall("packet retransmissions mean"), rep("RTT minimum 5%")),
+			Layout{Fields: CoreFields | FieldRetransPct | FieldRTTMin}},
+		{"one-model evaluator", NewStallSparse(stall("BDP max")), Layout{CoreFields | FieldBDP, 0, FieldBDP}},
+		{"min and max of one field", NewSparse(stall("BDP min"), rep("BDP max")), Layout{CoreFields | FieldBDP, FieldBDP, FieldBDP}},
+		{"a percentile in the other model sorts it", NewSparse(stall("RTT minimum min"), rep("RTT minimum 5%")),
+			Layout{Fields: CoreFields | FieldRTTMin}},
+		{"a mean sorts it", NewSparse(stall("packet retransmissions max", "packet retransmissions mean"), nil),
+			Layout{Fields: CoreFields | FieldRetransPct}},
+		{"dense stall schema", NewSparse(all(len(stallNames)), nil), Layout{Fields: AllFields}},
+		{"dense rep schema", NewSparse(nil, all(len(repNames))), Layout{Fields: AllFields}},
 	} {
-		if mins, maxes := NewSparse(tc.stall, tc.rep).Extremes(); mins != tc.wantMins || maxes != tc.wantMaxs {
-			t.Errorf("%s: extremes %#b, %#b, want %#b, %#b", tc.what, mins, maxes, tc.wantMins, tc.wantMaxs)
+		if got := tc.sp.Layout(); got != tc.want {
+			t.Errorf("%s: layout %#b, want %#b", tc.what, got, tc.want)
 		}
 	}
 
@@ -721,13 +715,25 @@ func TestFieldSetFromSelection(t *testing.T) {
 		stallCols := randomCols(r, r.Intn(5), len(stallNames), len(stallStats))
 		repCols := randomCols(r, r.Intn(5), len(repNames), len(repStats))
 		sp := NewSparse(stallCols, repCols)
+		l := sp.Layout()
 		wiped := SessionObs{Chunks: slices.Clone(obs.Chunks)}
-		for i := range wiped.Chunks {
-			c, keep := &wiped.Chunks[i], sp.Fields()
-			for b, f := range []*float64{&c.Time, &c.SizeKB, &c.DurationSec, &c.RTTMin, &c.RTTAvg, &c.RTTMax,
-				&c.BDP, &c.BIFAvg, &c.BIFMax, &c.LossPct, &c.RetransPct} {
-				if keep&(1<<b) == 0 {
+		column := make([]float64, len(wiped.Chunks))
+		for b := 0; b < 11 && len(column) > 0; b++ {
+			for i := range wiped.Chunks {
+				column[i] = *fieldPtrs(&wiped.Chunks[i])[b]
+			}
+			// an extremes-only column may hold any values with the same
+			// stats.Extremes: here the minimum, then the maximum
+			lo, hi := stats.Extremes(column)
+			for i := range wiped.Chunks {
+				f, bit := fieldPtrs(&wiped.Chunks[i])[b], FieldSet(1)<<b
+				switch {
+				case l.Fields&bit == 0:
 					*f = 0
+				case (l.Mins|l.Maxes)&bit != 0 && i == 0:
+					*f = lo
+				case (l.Mins|l.Maxes)&bit != 0:
+					*f = hi
 				}
 			}
 		}
@@ -737,13 +743,20 @@ func TestFieldSetFromSelection(t *testing.T) {
 		sp.EvalBoth(wiped, stallW, repW, &sc)
 		for i := range stall {
 			if math.Float64bits(stall[i]) != math.Float64bits(stallW[i]) {
-				t.Fatalf("trial %d: stall slot %d reads a field outside %#b", trial, i, sp.Fields())
+				t.Fatalf("trial %d: stall slot %d reads outside layout %#b", trial, i, l)
 			}
 		}
 		for i := range rep {
 			if math.Float64bits(rep[i]) != math.Float64bits(repW[i]) {
-				t.Fatalf("trial %d: rep slot %d reads a field outside %#b", trial, i, sp.Fields())
+				t.Fatalf("trial %d: rep slot %d reads outside layout %#b", trial, i, l)
 			}
 		}
 	}
+}
+
+// fieldPtrs addresses a chunk observation's eleven fields in FieldSet
+// bit order.
+func fieldPtrs(c *ChunkObs) [11]*float64 {
+	return [11]*float64{&c.Time, &c.SizeKB, &c.DurationSec, &c.RTTMin, &c.RTTAvg, &c.RTTMax,
+		&c.BDP, &c.BIFAvg, &c.BIFMax, &c.LossPct, &c.RetransPct}
 }

@@ -285,37 +285,13 @@ func buildNames(ms []metric, ss []stat) []string {
 type Sparse struct {
 	groups []sparseGroup
 	zeros  []sparseSlot // slots whose column is absent (-1)
-	fields FieldSet     // what the groups' metrics read, CoreFields included
+	layout Layout       // what the groups' metrics read, CoreFields included
 }
 
-// Fields reports which ChunkObs fields evaluation reads — every
-// selected metric's, plus CoreFields. A session whose other fields were
-// never stored evaluates to the same vectors.
-func (sp *Sparse) Fields() FieldSet { return sp.fields }
-
-// Extremes reports which of Fields evaluation reads only as a session
-// minimum or maximum — every selected statistic of the field's metric is
-// a min or a max, so its series is never sorted, summed or ranked: mins
-// holds the fields a selected min reads, maxes those a selected max
-// reads. Such a field's column may hold any values with the same
-// stats.Extremes — the session's extremes in place of its chunks'
-// values — and evaluate alike (a flow store keeps it as a running
-// extreme a flow; sessionizer.Config.Mins).
-func (sp *Sparse) Extremes() (mins, maxes FieldSet) {
-	for _, g := range sp.groups {
-		if g.sorted {
-			continue
-		}
-		for _, e := range g.emits {
-			if e.st.kind == statMin {
-				mins |= g.metric.fields()
-			} else {
-				maxes |= g.metric.fields()
-			}
-		}
-	}
-	return mins, maxes
-}
+// Layout reports what evaluation reads of a session: a session whose
+// other fields were never stored, and whose Mins and Maxes fields hold
+// other values with the same stats.Extremes, evaluates alike.
+func (sp *Sparse) Layout() Layout { return sp.layout }
 
 // sparseSlot addresses position i of output vector out: an evaluator
 // built for both models has two outputs (stall, representation), a
@@ -369,7 +345,7 @@ type sparseOut struct {
 }
 
 func newSparse(outs ...sparseOut) *Sparse {
-	sp := &Sparse{fields: CoreFields}
+	sp := new(Sparse)
 	byMetric := make(map[metricID]int)
 	for o, out := range outs {
 		for i, j := range out.cols {
@@ -384,7 +360,6 @@ func newSparse(outs ...sparseOut) *Sparse {
 				gi = len(sp.groups)
 				byMetric[m] = gi
 				sp.groups = append(sp.groups, sparseGroup{metric: m})
-				sp.fields |= m.fields()
 			}
 			g := &sp.groups[gi]
 			g.emits = append(g.emits, sparseEmit{st, slot})
@@ -397,6 +372,21 @@ func newSparse(outs ...sparseOut) *Sparse {
 				fallthrough
 			case statPct:
 				g.sorted = true
+			}
+		}
+	}
+	sp.layout.Fields = CoreFields
+	for _, g := range sp.groups {
+		f := g.metric.fields()
+		sp.layout.Fields |= f
+		if g.sorted {
+			continue
+		}
+		for _, e := range g.emits {
+			if e.st.kind == statMin {
+				sp.layout.Mins |= f
+			} else {
+				sp.layout.Maxes |= f
 			}
 		}
 	}

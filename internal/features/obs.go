@@ -31,9 +31,7 @@ type ChunkObs struct {
 }
 
 // FieldSet is a set of ChunkObs fields, one bit per field in
-// declaration order. A flow store told which fields anything downstream
-// reads (sessionizer.Config.Fields) buffers only those per open chunk;
-// the others read zero in the sessions it closes.
+// declaration order.
 type FieldSet uint16
 
 const (
@@ -55,6 +53,18 @@ const (
 	// AllFields is the dense layout.
 	AllFields = FieldRetransPct<<1 - 1
 )
+
+// Layout is what an evaluator reads of a session, so all a flow store
+// feeding it has to keep per open session: the Fields it reads, and of
+// those the Mins and Maxes it reads only as a session minimum or
+// maximum, never sorted, summed or ranked. A store told a Layout
+// (sessionizer.Config.Layout) buffers only Fields per chunk, and may
+// keep a field of Mins or Maxes as a running extreme instead; the
+// others read zero in the sessions it closes. Sparse.Layout derives it
+// from a selection. The zero Layout is dense: every field, per chunk.
+type Layout struct {
+	Fields, Mins, Maxes FieldSet
+}
 
 // ThroughputKBps returns the chunk goodput in KB/s.
 func (c ChunkObs) ThroughputKBps() float64 {

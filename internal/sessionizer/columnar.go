@@ -47,11 +47,11 @@ type SubRef struct {
 // ColClosed is one finished session emitted by the columnar tracker:
 // the session identity as interned IDs plus the media chunk
 // observations in arrival order. Chunks is a pooled buffer the tracker
-// filled from the flow's pages at close: fields outside the tracker's
-// Config.Fields read exactly zero, and a field it folded (Config.Mins,
-// Config.Maxes) reads the session's extreme — its minimum in every row
-// when only that is read, its maximum when only that is, else the
-// minimum in the first row and the maximum in the others — so
+// filled from the flow's pages at close: fields outside its
+// Config.Layout read exactly zero, and a field it folded (of the
+// Layout's Mins and Maxes) reads the session's extreme — its minimum in
+// every row when only that is read, its maximum when only that is, else
+// the minimum in the first row and the maximum in the others — so
 // stats.Extremes over the column finds what it finds over the values
 // pushed, taken in arrival order. The tracker writes a ColClosed in
 // place, in the caller's slice (PushInto, AdvanceInto, FlushInto), and
@@ -107,13 +107,13 @@ type colSlot struct {
 // per decision is impossible. Sessions are keyed by interned subscriber
 // IDs, looked up through an open-addressing probe (integer
 // multiply-shift hash, linear probing, backward-shift deletion), and
-// buffer, per media chunk, only the Config.Fields of the observation
-// featurization reads — in fixed pages of a pointer-free arena (see
-// pageArena), so an open flow costs its chunks rounded up to a page and
-// growing one neither allocates nor copies. The splitting rule is
-// Group's: the tests in this package prove a trace pushed through a
-// ColTracker yields, per subscriber, exactly the sessions Group
-// reconstructs from it.
+// buffer, per media chunk, only the fields of the observation that
+// featurization reads (Config.Layout) — in fixed pages of a
+// pointer-free arena (see pageArena), so an open flow costs its chunks
+// rounded up to a page and growing one neither allocates nor copies.
+// The splitting rule is Group's: the tests in this package prove a
+// trace pushed through a ColTracker yields, per subscriber, exactly the
+// sessions Group reconstructs from it.
 //
 // ColTracker is not safe for concurrent use; the engine gives each
 // shard its own instance.
@@ -164,15 +164,16 @@ const maxFreeChunks = 1 << 13
 
 // NewColTracker returns an empty columnar flow table with the given
 // splitting parameters and layout: of the live transport fields, those
-// read only as extremes (cfg.Mins, cfg.Maxes) fold into the flow header
-// in field order while its maxFolds slots last; the rest are row
+// read only as extremes (cfg.Layout's Mins and Maxes) fold into the flow
+// header in field order while its maxFolds slots last; the rest are row
 // columns.
 func NewColTracker(cfg Config) *ColTracker {
 	if cfg.IdleGap <= 0 {
 		cfg.IdleGap = 30
 	}
-	if cfg.Fields == 0 {
-		cfg.Fields = features.AllFields
+	l := cfg.Layout
+	if l.Fields == 0 {
+		l.Fields = features.AllFields
 	}
 	const initSlots = 256
 	t := &ColTracker{
@@ -184,10 +185,10 @@ func NewColTracker(cfg Config) *ColTracker {
 	var ext uint8 // header slots taken
 	for i := uint8(0); i < 8; i++ {
 		bit := features.FieldRTTMin << i
-		if cfg.Fields&bit == 0 {
+		if l.Fields&bit == 0 {
 			continue
 		}
-		fd := fold{field: i, lo: ext, hi: ext, min: cfg.Mins&bit != 0, max: cfg.Maxes&bit != 0}
+		fd := fold{field: i, lo: ext, hi: ext, min: l.Mins&bit != 0, max: l.Maxes&bit != 0}
 		if fd.min && fd.max {
 			fd.hi++
 		}

@@ -290,8 +290,7 @@ func TestColTrackerRecycledBuffersStayIdentical(t *testing.T) {
 		Seed:                  99,
 	})
 	in := newTestInterner()
-	cfg := DefaultConfig()
-	cfg.Fields = benchFields
+	cfg := layoutConfig(features.Layout{Fields: benchFields})
 	col := NewColTracker(cfg)
 	col.Resolve = in.name
 	const far = 1e9
@@ -370,8 +369,7 @@ func TestPushIntoAppends(t *testing.T) {
 			recs = append(recs, Rec{Sub: r.Sub, Kind: weblog.HostOther, Ts: r.Ts, Dur: 1, KB: 9})
 		}
 	}
-	cfg := DefaultConfig()
-	cfg.Fields = benchFields
+	cfg := layoutConfig(features.Layout{Fields: benchFields})
 	ref, col := NewColTracker(cfg), NewColTracker(cfg)
 	ref.Resolve, col.Resolve = in.name, in.name
 

@@ -27,17 +27,14 @@ type Config struct {
 	IdleGap float64
 	// PageBoundary treats every watch-page load as a session start.
 	PageBoundary bool
-	// Fields is which chunk-observation fields a ColTracker stores for
-	// its open flows. It is derived, not tuned: the engine sets it to
-	// what its framework reads (core.Framework.ChunkFields). The zero
-	// value keeps all eleven; Group ignores it.
-	Fields features.FieldSet
-	// Mins and Maxes are the Fields read only as a session minimum or
-	// maximum (core.Framework.ChunkExtremes), derived like Fields. A
-	// ColTracker keeps such a field as running extremes in the flow
-	// header, as far as the header has room, instead of a value a chunk
-	// (see ColClosed). Zero keeps every field in rows.
-	Mins, Maxes features.FieldSet
+	// Layout is what a ColTracker keeps of its open flows' chunks. It is
+	// derived, not tuned: the engine sets it to what its framework reads
+	// (core.Framework.Layout). The zero value keeps all eleven fields
+	// per chunk; Group ignores it. An open flow holds its chunks in the
+	// Layout it was opened under, so a hot swap to models whose Layout
+	// differs (old.Layout != new.Layout) flushes the open flows under
+	// the old models first.
+	Layout features.Layout
 }
 
 // DefaultConfig returns the parameters used in the evaluation.

@@ -24,12 +24,18 @@ const benchFields = features.CoreFields | features.FieldRTTMax | features.FieldB
 // and packet loss only as a session maximum and BIF avg only as a
 // minimum, so all three fold into the flow header and a row is the core
 // fields alone.
-var benchLayout = Config{IdleGap: 30, PageBoundary: true, Fields: benchFields,
-	Mins: features.FieldBIFAvg, Maxes: features.FieldRTTMax | features.FieldLossPct}
+var benchLayout = features.Layout{Fields: benchFields, Mins: features.FieldBIFAvg, Maxes: features.FieldRTTMax | features.FieldLossPct}
 
-// storeFieldSets are the layouts the store tests run under: the
+// storeLayouts are the unfolded layouts the store tests run under: the
 // three-field minimum, the benchmark's six, all eleven.
-var storeFieldSets = []features.FieldSet{features.CoreFields, benchFields, features.AllFields}
+var storeLayouts = []features.Layout{{Fields: features.CoreFields}, {Fields: benchFields}, {Fields: features.AllFields}}
+
+// layoutConfig is DefaultConfig with layout l.
+func layoutConfig(l features.Layout) Config {
+	cfg := DefaultConfig()
+	cfg.Layout = l
+	return cfg
+}
 
 // fieldsOf reads a chunk observation as its eleven fields in FieldSet
 // bit order.
@@ -70,14 +76,12 @@ func assertProjected(t *testing.T, what string, fs features.FieldSet, got, dense
 // bit" covers them.
 func TestProjectedStoreMatchesDenseLive(t *testing.T) {
 	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
-	for _, fs := range storeFieldSets {
+	for _, l := range storeLayouts {
 		for _, seed := range []int64{3, 11} {
-			t.Run(fmt.Sprintf("fields=%#x/seed=%d", fs, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("fields=%#x/seed=%d", l.Fields, seed), func(t *testing.T) {
 				live := workload.GenerateLive(workload.LiveConfig{Subscribers: 24, SessionsPerSubscriber: 3, Seed: seed})
-				cfg := DefaultConfig()
-				dense, in := newTestTracker(cfg)
-				cfg.Fields = fs
-				proj := NewColTracker(cfg)
+				dense, in := newTestTracker(DefaultConfig())
+				proj := NewColTracker(layoutConfig(l))
 				proj.Resolve = in.name
 				var got, want []ColClosed
 				for i, e := range live.Entries {
@@ -109,7 +113,7 @@ func TestProjectedStoreMatchesDenseLive(t *testing.T) {
 					t.Fatalf("closed %d sessions, dense %d", len(got), len(want))
 				}
 				for i := range got {
-					assertProjected(t, fmt.Sprintf("session %d", i), fs, got[i], want[i])
+					assertProjected(t, fmt.Sprintf("session %d", i), l.Fields, got[i], want[i])
 				}
 				if proj.StoreBytes() != 0 || dense.StoreBytes() != 0 {
 					t.Errorf("flushed trackers still hold %d and %d store bytes", proj.StoreBytes(), dense.StoreBytes())
@@ -138,9 +142,9 @@ func seamRec(sub uint32, gen, j int) Rec {
 // The closed buffers come out of a pool seeded with a dirty one.
 func TestStorePageSeams(t *testing.T) {
 	counts := []int{0, 1, 7, 8, 9, 16, 17, 5*pageRows + 3}
-	for _, fs := range storeFieldSets {
-		t.Run(fmt.Sprintf("fields=%#x", fs), func(t *testing.T) {
-			tr := NewColTracker(Config{IdleGap: 1e9, PageBoundary: true, Fields: fs})
+	for _, l := range storeLayouts {
+		t.Run(fmt.Sprintf("fields=%#x", l.Fields), func(t *testing.T) {
+			tr := NewColTracker(Config{IdleGap: 1e9, PageBoundary: true, Layout: l})
 			tr.Resolve = func(id uint32) string { return fmt.Sprint(id) }
 			check := func(c ColClosed, gen, n int) {
 				t.Helper()
@@ -151,7 +155,7 @@ func TestStorePageSeams(t *testing.T) {
 					r := seamRec(c.Sub, gen, j)
 					want := [11]float64{r.Ts + r.Dur, r.KB, r.Dur, r.RTTMin, r.RTTAvg, r.RTTMax, r.BDP, r.BIFAvg, r.BIFMax, r.Loss, r.Retrans}
 					for b, g := range fieldsOf(c.Chunks[j]) {
-						if fs&(1<<b) == 0 {
+						if l.Fields&(1<<b) == 0 {
 							want[b] = 0
 						}
 						if g != want[b] {
@@ -246,11 +250,11 @@ func TestColFlowIsOneCacheLine(t *testing.T) {
 // rows. folded is what the header must take.
 var foldLayouts = []struct {
 	name   string
-	cfg    Config
+	layout features.Layout
 	folded features.FieldSet
 }{
 	{"bench", benchLayout, features.FieldRTTMax | features.FieldBIFAvg | features.FieldLossPct},
-	{"crowded", Config{IdleGap: 30, PageBoundary: true, Fields: features.AllFields,
+	{"crowded", features.Layout{Fields: features.AllFields,
 		Mins:  features.FieldRTTMin | features.FieldBDP | features.FieldLossPct,
 		Maxes: features.FieldRTTMin | features.FieldBIFMax}, features.FieldRTTMin | features.FieldBDP},
 }
@@ -261,7 +265,7 @@ var foldLayouts = []struct {
 // minimum in row 0 and its maximum in the others (either one throughout
 // when only it is read), as stats.Extremes finds them over the dense
 // column, and stats.Extremes over the folded column finds the same.
-func assertFolded(t *testing.T, what string, cfg Config, folded features.FieldSet, got, dense ColClosed) {
+func assertFolded(t *testing.T, what string, l features.Layout, folded features.FieldSet, got, dense ColClosed) {
 	t.Helper()
 	g, d := got, dense
 	g.Chunks, d.Chunks = nil, nil
@@ -277,7 +281,7 @@ func assertFolded(t *testing.T, what string, cfg Config, folded features.FieldSe
 			gc[i], dc[i] = fieldsOf(got.Chunks[i])[b], fieldsOf(dense.Chunks[i])[b]
 		}
 		switch {
-		case cfg.Fields&bit == 0:
+		case l.Fields&bit == 0:
 			for i, v := range gc {
 				if bitsOf(v) != 0 {
 					t.Fatalf("%s chunk %d dead field %d reads %v", what, i, b, v)
@@ -292,10 +296,10 @@ func assertFolded(t *testing.T, what string, cfg Config, folded features.FieldSe
 		case n > 0:
 			lo, hi := stats.Extremes(dc)
 			first, rest := lo, hi
-			if cfg.Mins&bit == 0 {
+			if l.Mins&bit == 0 {
 				first = hi
 			}
-			if cfg.Maxes&bit == 0 {
+			if l.Maxes&bit == 0 {
 				rest = lo
 			}
 			for i, v := range gc {
@@ -308,7 +312,7 @@ func assertFolded(t *testing.T, what string, cfg Config, folded features.FieldSe
 				}
 			}
 			glo, ghi := stats.Extremes(gc)
-			if (cfg.Mins&bit != 0 && bitsOf(glo) != bitsOf(lo)) || (cfg.Maxes&bit != 0 && bitsOf(ghi) != bitsOf(hi)) {
+			if (l.Mins&bit != 0 && bitsOf(glo) != bitsOf(lo)) || (l.Maxes&bit != 0 && bitsOf(ghi) != bitsOf(hi)) {
 				t.Fatalf("%s folded field %d: extremes %v, %v; dense column's %v, %v", what, b, glo, ghi, lo, hi)
 			}
 		}
@@ -330,15 +334,14 @@ func TestFoldedStoreMatchesDense(t *testing.T) {
 	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
 	for _, l := range foldLayouts {
 		t.Run(l.name, func(t *testing.T) {
-			cfg := l.cfg
-			dense, in := newTestTracker(Config{IdleGap: cfg.IdleGap, PageBoundary: cfg.PageBoundary})
-			fold := NewColTracker(cfg)
+			dense, in := newTestTracker(DefaultConfig())
+			fold := NewColTracker(layoutConfig(l.layout))
 			fold.Resolve = in.name
 			var took features.FieldSet
 			for _, fd := range fold.folds {
 				took |= features.FieldRTTMin << fd.field
 			}
-			rows := bits.OnesCount16(uint16(cfg.Fields &^ features.CoreFields &^ l.folded))
+			rows := bits.OnesCount16(uint16(l.layout.Fields &^ features.CoreFields &^ l.folded))
 			if took != l.folded || fold.arena.k != 3+rows {
 				t.Fatalf("header folds %#b and rows hold %d floats, want %#b and %d", took, fold.arena.k, l.folded, 3+rows)
 			}
@@ -357,7 +360,7 @@ func TestFoldedStoreMatchesDense(t *testing.T) {
 					t.Fatalf("closed %d sessions, dense %d", len(got), len(want))
 				}
 				for i := range got {
-					assertFolded(t, fmt.Sprintf("session %d", checked), cfg, l.folded, got[i], want[i])
+					assertFolded(t, fmt.Sprintf("session %d", checked), l.layout, l.folded, got[i], want[i])
 					fold.Recycle(got[i].Chunks)
 					dense.Recycle(want[i].Chunks)
 					checked++
@@ -470,7 +473,7 @@ func growFlowTable(tr *ColTracker, n int) {
 // 56 B a flow at peak and do not shrink, are grown beforehand.
 func TestArenaReleasesAfterFlashCrowd(t *testing.T) {
 	const flows, chunks = 50_000, 12
-	tr := NewColTracker(Config{IdleGap: 30, PageBoundary: true, Fields: benchFields})
+	tr := NewColTracker(layoutConfig(features.Layout{Fields: benchFields}))
 	tr.Resolve = func(id uint32) string { return fmt.Sprint(id) }
 	growFlowTable(tr, flows)
 	heap := func() uint64 {
@@ -529,7 +532,7 @@ func TestArenaReleasesAfterFlashCrowd(t *testing.T) {
 // looks.
 func TestArenaTrimKeepsWavesReturnsQuiet(t *testing.T) {
 	const flows, chunks = 3000, 12
-	tr := NewColTracker(Config{IdleGap: 30, PageBoundary: true, Fields: benchFields})
+	tr := NewColTracker(layoutConfig(features.Layout{Fields: benchFields}))
 	tr.Resolve = func(id uint32) string { return fmt.Sprint(id) }
 	var buf []ColClosed
 	sweep := func() int {
@@ -566,7 +569,7 @@ func TestArenaTrimKeepsWavesReturnsQuiet(t *testing.T) {
 // the extremes of the benchmark layout's folds included.
 func TestPushNewFlowsAllocatePerSlabNotPerFlow(t *testing.T) {
 	const flows, chunks = 20_000, 12
-	tr := NewColTracker(benchLayout)
+	tr := NewColTracker(layoutConfig(benchLayout))
 	tr.Resolve = func(id uint32) string { return fmt.Sprint(id) }
 	growFlowTable(tr, 2*flows)
 	next := uint32(1)
@@ -592,7 +595,7 @@ func TestPushNewFlowsAllocatePerSlabNotPerFlow(t *testing.T) {
 // one-record form, must stay allocation-free as well: its one-element
 // buffer lives on its stack.
 func TestPushSteadyStateZeroAlloc(t *testing.T) {
-	tr := NewColTracker(benchLayout)
+	tr := NewColTracker(layoutConfig(benchLayout))
 	chunks := make([]Rec, 45)
 	for j := range chunks {
 		chunks[j] = seamRec(1, 0, j)
@@ -639,7 +642,7 @@ func TestPushSteadyStateZeroAlloc(t *testing.T) {
 // still close with each non-live field exactly +0 and each live field
 // what was pushed.
 func TestCloseZeroesNonLiveFieldsOfRecycledBuffers(t *testing.T) {
-	tr := NewColTracker(Config{IdleGap: 30, PageBoundary: true, Fields: benchFields})
+	tr := NewColTracker(layoutConfig(features.Layout{Fields: benchFields}))
 	dirty := make([]features.ChunkObs, 16)
 	for i := range dirty {
 		dirty[i] = features.ChunkObs{Time: 1e9, SizeKB: 1e9, DurationSec: 1e9, RTTMin: 1e9, RTTAvg: 1e9, RTTMax: 1e9,
@@ -689,7 +692,7 @@ func TestCloseZeroesNonLiveFieldsOfRecycledBuffers(t *testing.T) {
 // touches its slots first, as the shard does. ns/op is per sub-batch.
 func BenchmarkPushWide(b *testing.B) {
 	const flows, batch, batches = 1 << 17, 128, 1 << 10
-	tr := NewColTracker(benchLayout)
+	tr := NewColTracker(layoutConfig(benchLayout))
 	for sub := uint32(1); sub <= flows; sub++ {
 		tr.Push(&Rec{Sub: sub, Kind: weblog.HostWatchPage})
 	}
