@@ -18,6 +18,7 @@ import (
 	"vqoe/internal/features"
 	"vqoe/internal/ml"
 	"vqoe/internal/packet"
+	"vqoe/internal/qualitymon"
 	"vqoe/internal/sessionizer"
 	"vqoe/internal/stats"
 	"vqoe/internal/workload"
@@ -138,16 +139,13 @@ func BenchmarkTable6RepCleartext(b *testing.B) {
 	b.ReportMetric(100*acc, "acc%")
 }
 
-func BenchmarkTable8StallEncrypted(b *testing.B) {
-	s := suite(b)
-	det, _, err := s.StallModel()
-	if err != nil {
-		b.Fatal(err)
-	}
+// benchTable times one of Tables 8–11 as qoereport computes it, over
+// the suite's pre-built detectors and study.
+func benchTable(b *testing.B, table func() (*qualitymon.Tally, error)) {
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		conf, err := det.EvaluateCorpus(s.Study().Corpus)
+		conf, err := table()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,23 +154,9 @@ func BenchmarkTable8StallEncrypted(b *testing.B) {
 	b.ReportMetric(100*acc, "acc%")
 }
 
-func BenchmarkTable10RepEncrypted(b *testing.B) {
-	s := suite(b)
-	det, _, err := s.RepModel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		conf, err := det.EvaluateCorpus(s.Study().Corpus)
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc = conf.Accuracy()
-	}
-	b.ReportMetric(100*acc, "acc%")
-}
+func BenchmarkTable8StallEncrypted(b *testing.B) { benchTable(b, suite(b).Table8and9) }
+
+func BenchmarkTable10RepEncrypted(b *testing.B) { benchTable(b, suite(b).Table10and11) }
 
 func BenchmarkFigure1ChunkSizes(b *testing.B) {
 	var chunks int

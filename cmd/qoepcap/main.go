@@ -4,13 +4,17 @@
 //	  encrypted study and write it as a header-only libpcap capture
 //	  (opens in tcpdump/Wireshark);
 //
-//	qoepcap -analyze capture.pcap [-hosts map.txt]   run the passive
-//	  measurement chain on a capture: flow metering → session
-//	  reconstruction → QoE reports. The session flight recorder rides
-//	  along: sessions kept by a retention policy (stalled, worst MOS
-//	  decile, low confidence, uniform sample) close the run with a
-//	  "worst sessions" report; -flight-sample tunes the uniform
-//	  sample, -no-flight disables recording. The SLO rules run too,
+//	qoepcap -analyze capture.pcap [-hosts map.txt] [-stall S -rep R]
+//	  run the passive measurement chain on a capture: flow metering →
+//	  session reconstruction → QoE reports, from the framework qoeserve
+//	  would serve (core.ServingFramework): the model files qoereport
+//	  -save-stall/-save-rep write when both are given, else the models
+//	  trained on -train-n synthetic sessions with -seed, exactly those
+//	  qoeserve trains with the same two flags. The session flight
+//	  recorder rides along: sessions kept by a retention policy
+//	  (stalled, worst MOS decile, low confidence, uniform sample) close
+//	  the run with a "worst sessions" report; -flight-sample tunes the
+//	  uniform sample, -no-flight disables recording. The SLO rules run too,
 //	  in capture time: the engine ticks once per -slo-cadence seconds
 //	  of capture, so a silent gap in the trace raises ingest-stale
 //	  exactly as it would have live; -alert-log appends the
@@ -60,7 +64,9 @@ func main() {
 		hosts      = flag.String("hosts", "", "ip→host map file for -analyze/-replay")
 		sessions   = flag.Int("sessions", 20, "sessions to synthesize for -export")
 		seed       = flag.Int64("seed", 1, "seed")
-		trainN     = flag.Int("train-n", 800, "training corpus size for -analyze")
+		stallPath  = flag.String("stall", "", "trained stall model for -analyze (with -rep)")
+		repPath    = flag.String("rep", "", "trained representation model for -analyze (with -stall)")
+		trainN     = flag.Int("train-n", 800, "synthetic training size for -analyze when no models given")
 		flightN    = flag.Int("flight-sample", 0, "flight recorder uniform sample for -analyze: retain 1 in N sessions (0 = default 32, negative = outcome-driven policies only)")
 		noFlight   = flag.Bool("no-flight", false, "disable the session flight recorder for -analyze")
 		alertLog   = flag.String("alert-log", "", "append SLO alert transitions (capture-time) from -analyze as JSON lines to this file")
@@ -75,7 +81,14 @@ func main() {
 			os.Exit(1)
 		}
 	case *analyze != "":
-		if err := doAnalyze(*analyze, *hosts, *trainN, *seed, *flightN, *noFlight, *alertLog, *sloCadence); err != nil {
+		if *stallPath == "" && *repPath == "" {
+			fmt.Fprintln(os.Stderr, "training framework...")
+		}
+		fw, err := core.ServingFramework(*stallPath, *repPath, *trainN, *seed)
+		if err == nil {
+			err = doAnalyze(fw, *analyze, *hosts, *flightN, *noFlight, *alertLog, *sloCadence)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "qoepcap:", err)
 			os.Exit(1)
 		}
@@ -138,27 +151,12 @@ func openCapture(path, hostsPath string) (*pcapio.Reader, error) {
 	return r, err
 }
 
-func doAnalyze(path, hostsPath string, trainN int, seed int64, flightN int, noFlight bool, alertLog string, sloCadence float64) error {
+func doAnalyze(fw *core.Framework, path, hostsPath string, flightN int, noFlight bool, alertLog string, sloCadence float64) error {
 	r, err := openCapture(path, hostsPath)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-
-	// train and assess
-	fmt.Fprintln(os.Stderr, "training framework...")
-	clearCfg := workload.DefaultConfig(trainN)
-	clearCfg.Seed = seed + 1
-	hasCfg := workload.DefaultConfig(trainN / 2)
-	hasCfg.AdaptiveFraction = 1
-	hasCfg.Seed = seed + 2
-	tcfg := core.DefaultTrainConfig()
-	tcfg.CVFolds = 3
-	tcfg.Forest.Trees = 30
-	fw, _, err := core.TrainFramework(workload.Generate(clearCfg), workload.Generate(hasCfg), tcfg)
-	if err != nil {
-		return err
-	}
 
 	rec := flight.New(flight.Config{Shards: 1, SampleN: flightN, Disabled: noFlight})
 	ob := obs.NewObserver(1, 0)

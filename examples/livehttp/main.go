@@ -22,7 +22,6 @@ import (
 	"vqoe/internal/features"
 	"vqoe/internal/mos"
 	"vqoe/internal/weblog"
-	"vqoe/internal/workload"
 )
 
 // demo parameters: small segments and a generous rate keep the whole
@@ -36,17 +35,10 @@ const (
 )
 
 func main() {
-	// 1. Train the framework (quickly, on a small synthetic corpus).
+	// 1. Train the framework the live tools serve without model files
+	//    (quickly, on a small synthetic corpus).
 	fmt.Println("training framework on a synthetic corpus...")
-	clearCfg := workload.DefaultConfig(600)
-	clearCfg.Seed = 41
-	hasCfg := workload.DefaultConfig(300)
-	hasCfg.AdaptiveFraction = 1
-	hasCfg.Seed = 42
-	tcfg := core.DefaultTrainConfig()
-	tcfg.CVFolds = 3
-	tcfg.Forest.Trees = 20
-	fw, _, err := core.TrainFramework(workload.Generate(clearCfg), workload.Generate(hasCfg), tcfg)
+	fw, err := core.ServingFramework("", "", 600, 41)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,9 +23,9 @@ var (
 	stallCorpus *workload.Corpus
 	hasCorpus   *workload.Corpus
 	encCorpus   *workload.Corpus
-	stallDet    *StallDetector
+	stallDet    *Detector
 	stallRep    *TrainReport
-	repDet      *RepresentationDetector
+	repDet      *Detector
 	repRep      *TrainReport
 )
 
@@ -50,11 +50,11 @@ func testCorpora(t testing.TB) {
 		tcfg.CVFolds = 5
 		tcfg.Forest.Trees = 30
 		var err error
-		stallDet, stallRep, err = TrainStall(stallCorpus, tcfg)
+		stallDet, stallRep, err = Train(BuildStallDataset(stallCorpus), tcfg)
 		if err != nil {
 			panic(err)
 		}
-		repDet, repRep, err = TrainRepresentation(hasCorpus, tcfg)
+		repDet, repRep, err = Train(BuildRepDataset(hasCorpus), tcfg)
 		if err != nil {
 			panic(err)
 		}
@@ -143,7 +143,7 @@ func TestRepTrainingQuality(t *testing.T) {
 
 func TestEncryptedEvaluationCloseToCleartext(t *testing.T) {
 	testCorpora(t)
-	conf, err := stallDet.EvaluateCorpus(encCorpus)
+	conf, err := stallDet.Evaluate(BuildStallDataset(encCorpus))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestDetectorSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := obsFrom(encCorpus.Sessions[:30])
-	a, ac := verdicts(stallDet.Forest, denseRows(t, &stallDet.Detector, features.StallFeatures, obs))
+	a, ac := verdicts(stallDet.Forest, denseRows(t, stallDet, features.StallFeatures, obs))
 	b, bc := verdicts(loaded.Forest, denseRows(t, loaded, features.StallFeatures, obs))
 	if !slices.Equal(a, b) || !slices.Equal(ac, bc) {
 		t.Fatal("loaded detector diverges from original")
@@ -223,7 +223,7 @@ func TestLoadFrameworkMatchesAssembled(t *testing.T) {
 		}
 		return path
 	}
-	stallPath, repPath := save("stall.model", &stallDet.Detector), save("rep.model", &repDet.Detector)
+	stallPath, repPath := save("stall.model", stallDet), save("rep.model", repDet)
 	loaded, err := LoadFramework(stallPath, repPath)
 	if err != nil {
 		t.Fatal(err)
@@ -469,9 +469,9 @@ func TestBaselineBinaryClassifier(t *testing.T) {
 	}
 }
 
-func TestRepDetectorEvaluateCorpus(t *testing.T) {
+func TestRepDetectorEvaluateEncrypted(t *testing.T) {
 	testCorpora(t)
-	conf, err := repDet.EvaluateCorpus(encCorpus)
+	conf, err := repDet.Evaluate(BuildRepDataset(encCorpus))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,8 +536,8 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
 	obs := obsFrom(encCorpus.Sessions)
 	batch := fw.AnalyzeBatchInto(obs, nil, nil)
-	stalls, stallConf := verdicts(stallDet.Forest, denseRows(t, &stallDet.Detector, features.StallFeatures, obs))
-	reps, repConf := verdicts(repDet.Forest, denseRows(t, &repDet.Detector, features.RepFeatures, obs))
+	stalls, stallConf := verdicts(stallDet.Forest, denseRows(t, stallDet, features.StallFeatures, obs))
+	reps, repConf := verdicts(repDet.Forest, denseRows(t, repDet, features.RepFeatures, obs))
 	for i, r := range batch {
 		if int(r.Stall) != stalls[i] || r.StallConf != stallConf[i] {
 			t.Fatalf("stall session %d: batch (%v, %v) != dense (%d, %v)", i, r.Stall, r.StallConf, stalls[i], stallConf[i])
@@ -557,8 +557,8 @@ func TestProjectedVectorsMatchDense(t *testing.T) {
 	testCorpora(t)
 	fw := &Framework{Stall: stallDet, Rep: repDet, Switch: NewSwitchDetector()}
 	obs := obsFrom(encCorpus.Sessions)
-	stallRows := denseRows(t, &stallDet.Detector, features.StallFeatures, obs)
-	repRows := denseRows(t, &repDet.Detector, features.RepFeatures, obs)
+	stallRows := denseRows(t, stallDet, features.StallFeatures, obs)
+	repRows := denseRows(t, repDet, features.RepFeatures, obs)
 	var sc AnalyzeScratch
 	for lo := 0; lo < len(obs); lo += 32 {
 		batch := obs[lo:min(lo+32, len(obs))]

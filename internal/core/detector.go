@@ -10,7 +10,6 @@ import (
 	"vqoe/internal/ml"
 	"vqoe/internal/qualitymon"
 	"vqoe/internal/stats"
-	"vqoe/internal/workload"
 )
 
 // Detector is a trained Random Forest classifier over a selected
@@ -20,9 +19,6 @@ type Detector struct {
 	Forest *ml.Forest
 	// Selected is the CFS-chosen feature subset, ordered by gain.
 	Selected []string
-	// Gains reports the information gain of each selected feature
-	// (the content of Tables 2 and 5).
-	Gains []ml.RankedFeature
 	// full is the feature schema the raw vectors arrive in.
 	full []string
 	// selIdx maps Selected positions to full-schema columns (-1 when a
@@ -82,8 +78,6 @@ type TrainReport struct {
 	// CV is the merged 10-fold cross-validation tally (Tables 3/4 and
 	// 6/7). It is the forest baseline's Calibration, not a copy.
 	CV *qualitymon.Tally
-	// ClassCounts is the label distribution of the training corpus.
-	ClassCounts []int
 }
 
 // Train runs the paper's full §4 pipeline on a labelled dataset:
@@ -150,16 +144,10 @@ func Train(ds *ml.Dataset, cfg TrainConfig) (*Detector, *TrainReport, error) {
 	det := &Detector{
 		Forest:   forest,
 		Selected: selected,
-		Gains:    gains,
 		full:     ds.Names,
 	}
 	det.indexSelected()
-	rep := &TrainReport{
-		Selected:    gains,
-		CV:          &forest.Baseline.Calibration,
-		ClassCounts: ds.ClassCounts(),
-	}
-	return det, rep, nil
+	return det, &TrainReport{Selected: gains, CV: &forest.Baseline.Calibration}, nil
 }
 
 // Evaluate applies the trained detector to a dataset in the detector's
@@ -287,8 +275,11 @@ func LoadDetector(r io.Reader) (*Detector, error) {
 }
 
 // LoadDetectorFile is LoadDetector on a model file written by
-// qoereport -save-stall / -save-rep.
-func LoadDetectorFile(path string) (*Detector, error) {
+// qoereport -save-stall / -save-rep, for a slot that featurizes
+// sessions into schema (features.StallFeatureNames or RepFeatureNames):
+// a detector trained on any other schema — a swapped or foreign file —
+// is an error, not a misprediction.
+func LoadDetectorFile(path string, schema []string) (*Detector, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -297,6 +288,9 @@ func LoadDetectorFile(path string) (*Detector, error) {
 	det, err := LoadDetector(bufio.NewReader(f))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if !slices.Equal(det.full, schema) {
+		return nil, fmt.Errorf("%s: model trained on a %d-feature schema, not the %d-feature schema of its slot", path, len(det.full), len(schema))
 	}
 	return det, nil
 }
@@ -318,41 +312,4 @@ func readRawLines(r io.Reader, n int) ([]string, error) {
 		out[i] = string(line)
 	}
 	return out, nil
-}
-
-// StallDetector wraps a Detector for the stall impairment.
-type StallDetector struct{ Detector }
-
-// TrainStall trains the stall model on a corpus (§4.1).
-func TrainStall(c *workload.Corpus, cfg TrainConfig) (*StallDetector, *TrainReport, error) {
-	det, rep, err := Train(BuildStallDataset(c), cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &StallDetector{Detector: *det}, rep, nil
-}
-
-// EvaluateCorpus applies the model to a labelled corpus (e.g. the
-// encrypted study) and returns its tally.
-func (d *StallDetector) EvaluateCorpus(c *workload.Corpus) (*qualitymon.Tally, error) {
-	return d.Evaluate(BuildStallDataset(c))
-}
-
-// RepresentationDetector wraps a Detector for the average
-// representation impairment.
-type RepresentationDetector struct{ Detector }
-
-// TrainRepresentation trains the representation model on a corpus's
-// adaptive sessions (§4.2).
-func TrainRepresentation(c *workload.Corpus, cfg TrainConfig) (*RepresentationDetector, *TrainReport, error) {
-	det, rep, err := Train(BuildRepDataset(c), cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &RepresentationDetector{Detector: *det}, rep, nil
-}
-
-// EvaluateCorpus applies the model to a labelled corpus.
-func (d *RepresentationDetector) EvaluateCorpus(c *workload.Corpus) (*qualitymon.Tally, error) {
-	return d.Evaluate(BuildRepDataset(c))
 }

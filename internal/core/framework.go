@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -15,9 +14,8 @@ import (
 // paper proposes: train on cleartext once, then report QoE impairments
 // for every (encrypted) session observed at a single vantage point.
 type Framework struct {
-	Stall  *StallDetector
-	Rep    *RepresentationDetector
-	Switch *SwitchDetector
+	Stall, Rep *Detector
+	Switch     *SwitchDetector
 
 	// sparse is the two-model session evaluator, built once from the
 	// two selections on first use (a Framework literal leaves it unset)
@@ -49,11 +47,11 @@ func TrainFramework(stallCorpus, repCorpus *workload.Corpus, cfg TrainConfig) (*
 	if repCorpus == nil {
 		repCorpus = stallCorpus
 	}
-	stall, stallRep, err := TrainStall(stallCorpus, cfg)
+	stall, stallRep, err := Train(BuildStallDataset(stallCorpus), cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("training stall model: %w", err)
 	}
-	rep, repRep, err := TrainRepresentation(repCorpus, cfg)
+	rep, repRep, err := Train(BuildRepDataset(repCorpus), cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("training representation model: %w", err)
 	}
@@ -66,35 +64,25 @@ func TrainFramework(stallCorpus, repCorpus *workload.Corpus, cfg TrainConfig) (*
 }
 
 // LoadFramework assembles the deployable unit from the two model files
-// qoereport -save-stall and -save-rep write. Each detector must have
-// been trained on the schema its slot featurizes sessions into —
-// swapped or foreign files are an error, not a misprediction.
+// qoereport -save-stall and -save-rep write; LoadDetectorFile refuses a
+// file trained on another schema than its slot's.
 func LoadFramework(stallPath, repPath string) (*Framework, error) {
-	stall, err := LoadDetectorFile(stallPath)
+	stall, err := LoadDetectorFile(stallPath, features.StallFeatureNames())
 	if err != nil {
 		return nil, err
 	}
-	rep, err := LoadDetectorFile(repPath)
+	rep, err := LoadDetectorFile(repPath, features.RepFeatureNames())
 	if err != nil {
 		return nil, err
 	}
-	if !slices.Equal(stall.full, features.StallFeatureNames()) {
-		return nil, fmt.Errorf("%s: not a stall model (feature schema differs)", stallPath)
-	}
-	if !slices.Equal(rep.full, features.RepFeatureNames()) {
-		return nil, fmt.Errorf("%s: not a representation model (feature schema differs)", repPath)
-	}
-	return &Framework{
-		Stall:  &StallDetector{Detector: *stall},
-		Rep:    &RepresentationDetector{Detector: *rep},
-		Switch: NewSwitchDetector(),
-	}, nil
+	return &Framework{Stall: stall, Rep: rep, Switch: NewSwitchDetector()}, nil
 }
 
-// ServingFramework is how the live tools (qoeserve, qoewatch) get their
-// models: loaded from both files when both paths are given, trained by
-// trainServingFramework when neither is. One path alone is an error —
-// a lone model file is never silently replaced by training.
+// ServingFramework is how the live tools (qoeserve, qoewatch, qoepcap
+// -analyze, examples/livehttp) get their models: loaded from both files
+// when both paths are given, trained by trainServingFramework when
+// neither is. One path alone is an error — a lone model file is never
+// silently replaced by training.
 func ServingFramework(stallPath, repPath string, trainN int, seed int64) (*Framework, error) {
 	switch {
 	case stallPath != "" && repPath != "":

@@ -18,8 +18,8 @@ func TestTrainCapturesBaseline(t *testing.T) {
 		det  *Detector
 		rep  *TrainReport
 	}{
-		{"stall", &stallDet.Detector, stallRep},
-		{"rep", &repDet.Detector, repRep},
+		{"stall", stallDet, stallRep},
+		{"rep", repDet, repRep},
 	} {
 		b := tc.det.Forest.Baseline
 		if b == nil {

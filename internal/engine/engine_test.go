@@ -319,9 +319,10 @@ func matchesOfflineReference(t *testing.T, fw *core.Framework, live *workload.Li
 
 // frameworkFor is a framework whose models read the given selections,
 // brought in the way a retrained model file reaches qoeserve -stall and
-// -rep: each model is the fixture's detector with a three-tree forest
-// over its selection in place of its own (drift baseline captured as
-// core.Train captures it), saved with Detector.Save and read back by
+// -rep: each model is a copy of the fixture's detector (tests that run
+// at once share the fixture) with a three-tree forest over its
+// selection in place of its own (drift baseline captured as core.Train
+// captures it), saved with Detector.Save and read back by
 // core.LoadFramework.
 func frameworkFor(t *testing.T, stall, rep []string) *core.Framework {
 	t.Helper()
@@ -330,7 +331,7 @@ func frameworkFor(t *testing.T, stall, rep []string) *core.Framework {
 		fixDatasets = [2]*ml.Dataset{core.BuildStallDataset(fixCorpora[0]), core.BuildRepDataset(fixCorpora[1])}
 	})
 	var paths [2]string
-	for i, det := range []core.Detector{fw.Stall.Detector, fw.Rep.Detector} {
+	for i, det := range []core.Detector{*fw.Stall, *fw.Rep} {
 		sel := [2][]string{stall, rep}[i]
 		reduced, err := fixDatasets[i].SelectFeatures(sel)
 		if err != nil {

@@ -58,12 +58,12 @@ type Suite struct {
 	study     *workload.Study
 
 	onceStall sync.Once
-	stallDet  *core.StallDetector
+	stallDet  *core.Detector
 	stallRep  *core.TrainReport
 	stallErr  error
 
 	onceRep sync.Once
-	repDet  *core.RepresentationDetector
+	repDet  *core.Detector
 	repRep  *core.TrainReport
 	repErr  error
 
@@ -117,17 +117,17 @@ func (s *Suite) trainCfg() core.TrainConfig {
 
 // StallModel trains (once) and returns the stall detector with its
 // training report.
-func (s *Suite) StallModel() (*core.StallDetector, *core.TrainReport, error) {
+func (s *Suite) StallModel() (*core.Detector, *core.TrainReport, error) {
 	s.onceStall.Do(func() {
-		s.stallDet, s.stallRep, s.stallErr = core.TrainStall(s.Cleartext(), s.trainCfg())
+		s.stallDet, s.stallRep, s.stallErr = core.Train(core.BuildStallDataset(s.Cleartext()), s.trainCfg())
 	})
 	return s.stallDet, s.stallRep, s.stallErr
 }
 
 // RepModel trains (once) and returns the representation detector.
-func (s *Suite) RepModel() (*core.RepresentationDetector, *core.TrainReport, error) {
+func (s *Suite) RepModel() (*core.Detector, *core.TrainReport, error) {
 	s.onceRep.Do(func() {
-		s.repDet, s.repRep, s.repErr = core.TrainRepresentation(s.HAS(), s.trainCfg())
+		s.repDet, s.repRep, s.repErr = core.Train(core.BuildRepDataset(s.HAS()), s.trainCfg())
 	})
 	return s.repDet, s.repRep, s.repErr
 }
@@ -135,17 +135,28 @@ func (s *Suite) RepModel() (*core.RepresentationDetector, *core.TrainReport, err
 // LoadModels reads detectors saved by Detector.Save (qoereport
 // -save-stall/-save-rep) for Tables 8–11 to evaluate on the encrypted
 // study in place of the trained ones — the deployment the paper
-// proposes. An empty path keeps that table's trained detector.
+// proposes. An empty path keeps that table's trained detector; a file
+// trained on another schema than its table's is an error.
 func (s *Suite) LoadModels(stallPath, repPath string) (err error) {
 	if stallPath != "" {
-		if s.loadedStall, err = core.LoadDetectorFile(stallPath); err != nil {
+		if s.loadedStall, err = core.LoadDetectorFile(stallPath, features.StallFeatureNames()); err != nil {
 			return err
 		}
 	}
 	if repPath != "" {
-		s.loadedRep, err = core.LoadDetectorFile(repPath)
+		s.loadedRep, err = core.LoadDetectorFile(repPath, features.RepFeatureNames())
 	}
 	return err
+}
+
+// deployed is the detector Tables 8–11 evaluate: the loaded file's when
+// LoadModels read one (nothing is trained then), the trained one else.
+func deployed(loaded *core.Detector, train func() (*core.Detector, *core.TrainReport, error)) (*core.Detector, error) {
+	if loaded != nil {
+		return loaded, nil
+	}
+	det, _, err := train()
+	return det, err
 }
 
 // ---- Tables ----
@@ -192,27 +203,21 @@ func (s *Suite) Table6and7() (*qualitymon.Tally, error) {
 // Table8and9 applies the cleartext-trained stall model, or the loaded
 // one, to the encrypted study.
 func (s *Suite) Table8and9() (*qualitymon.Tally, error) {
-	if s.loadedStall != nil {
-		return s.loadedStall.Evaluate(core.BuildStallDataset(s.Study().Corpus))
-	}
-	det, _, err := s.StallModel()
+	det, err := deployed(s.loadedStall, s.StallModel)
 	if err != nil {
 		return nil, err
 	}
-	return det.EvaluateCorpus(s.Study().Corpus)
+	return det.Evaluate(core.BuildStallDataset(s.Study().Corpus))
 }
 
 // Table10and11 applies the representation model, or the loaded one, to
 // the encrypted study.
 func (s *Suite) Table10and11() (*qualitymon.Tally, error) {
-	if s.loadedRep != nil {
-		return s.loadedRep.Evaluate(core.BuildRepDataset(s.Study().Corpus))
-	}
-	det, _, err := s.RepModel()
+	det, err := deployed(s.loadedRep, s.RepModel)
 	if err != nil {
 		return nil, err
 	}
-	return det.EvaluateCorpus(s.Study().Corpus)
+	return det.Evaluate(core.BuildRepDataset(s.Study().Corpus))
 }
 
 // ---- Switch detection (§4.3 / §5.6) ----

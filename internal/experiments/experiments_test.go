@@ -6,10 +6,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"vqoe/internal/core"
+	"vqoe/internal/features"
 	"vqoe/internal/qualitymon"
 )
 
@@ -112,7 +115,9 @@ func TestTables8Through11(t *testing.T) {
 // TestLoadModelsEvaluatesTheFiles: Tables 8–11 over detectors saved and
 // loaded back (qoereport -save-*, then -load-*) are the trained
 // detectors' tables, and a suite given both files trains nothing for
-// them; a file in the wrong slot is an error, not a table.
+// them; a file trained on another schema than its table's — swapped, or
+// over a schema whose names all appear in the table's dataset — is an
+// error at load, not a table.
 func TestLoadModelsEvaluatesTheFiles(t *testing.T) {
 	s := testSuite(t)
 	stallDet, _, err := s.StallModel()
@@ -136,6 +141,28 @@ func TestLoadModelsEvaluatesTheFiles(t *testing.T) {
 		return path
 	}
 	stallPath, repPath := save("stall.model", stallDet.Save), save("rep.model", repDet.Save)
+	// a stall-labelled model over the stall features that are also
+	// representation features: every name it reads is in Table 10's
+	// dataset, so only the schema check keeps its verdicts out of the
+	// LD/SD/HD tally
+	repNames := features.RepFeatureNames()
+	var shared []string
+	for _, n := range features.StallFeatureNames() {
+		if slices.Contains(repNames, n) {
+			shared = append(shared, n)
+		}
+	}
+	sharedDS, err := core.BuildStallDataset(s.Cleartext()).SelectFeatures(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcfg := core.DefaultTrainConfig()
+	tcfg.Forest.Trees, tcfg.CVFolds = 3, 2
+	foreign, _, err := core.Train(sharedDS, tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreignPath := save("foreign.model", foreign.Save)
 
 	loaded := NewSuite(s.Scale)
 	if err := loaded.LoadModels(stallPath, repPath); err != nil {
@@ -164,12 +191,10 @@ func TestLoadModelsEvaluatesTheFiles(t *testing.T) {
 		t.Error("a suite with both model files loaded trained a detector for Tables 8–11")
 	}
 
-	swapped := NewSuite(s.Scale)
-	if err := swapped.LoadModels(repPath, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := swapped.Table8and9(); err == nil {
-		t.Error("a representation model evaluated as Table 8's stall model")
+	for _, paths := range [][2]string{{repPath, ""}, {"", stallPath}, {"", foreignPath}} {
+		if err := NewSuite(s.Scale).LoadModels(paths[0], paths[1]); err == nil {
+			t.Errorf("LoadModels(%q, %q) accepted a model trained on another schema", paths[0], paths[1])
+		}
 	}
 }
 

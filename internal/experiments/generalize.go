@@ -36,7 +36,7 @@ func (s *Suite) CrossServiceStall() ([]CrossService, error) {
 		cfg.Service = sp
 		cfg.Seed = s.Scale.Seed + 100 + int64(i)
 		corpus := workload.Generate(cfg)
-		conf, err := det.EvaluateCorpus(corpus)
+		conf, err := det.Evaluate(core.BuildStallDataset(corpus))
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,7 @@ func (s *Suite) TransferSensitivity(fractions []float64) ([]TransferPoint, error
 		cfg.CommuterFraction = frac
 		cfg.Seed = s.Scale.Seed + 300 + int64(i)
 		study := workload.GenerateStudy(cfg)
-		conf, err := det.EvaluateCorpus(study.Corpus)
+		conf, err := det.Evaluate(core.BuildStallDataset(study.Corpus))
 		if err != nil {
 			return nil, err
 		}

@@ -6,12 +6,12 @@
 # qoepcap -replay, and check the drain's closing reports; then run the
 # two CLI tools that embed the same engine at one shard (qoewatch,
 # qoepcap -analyze) and assert their reports and closing sections;
-# then round-trip the model files qoereport saves through qoewatch and
-# back into qoereport's Tables 8-11, and check qoewatch's warning for a
-# malformed line; run `make report` at quick scale on a copy of
-# EXPERIMENTS.md and assert the hand-written record below the generated
-# part survives; last, run the four examples and check each prints its
-# result line. CI runs this after the unit suite; it is also the
+# then round-trip the model files qoereport saves through qoewatch,
+# qoepcap -analyze and back into qoereport's Tables 8-11, and check
+# qoewatch's warning for a malformed line; run `make report` at quick
+# scale on a copy of EXPERIMENTS.md and assert the hand-written record
+# below the generated part survives; last, run the four examples and
+# check each prints its result line. CI runs this after the unit suite; it is also the
 # fastest way to sanity-check a local build:
 #
 #   ./scripts/smoke.sh
@@ -395,7 +395,7 @@ for section in \
 done
 echo "   $PCAP_REPORTS sessions assessed, closing sections present"
 
-echo "== model files: qoereport saves them, qoewatch serves them, qoereport evaluates them"
+echo "== model files: qoereport saves them, qoewatch and qoepcap serve them, qoereport evaluates them"
 "$TMP/qoereport" -quick -only table2 -save-stall "$TMP/stall.model" -save-rep "$TMP/rep.model" >/dev/null
 "$TMP/qoewatch" -stall "$TMP/stall.model" -rep "$TMP/rep.model" <"$TMP/watch.jsonl" \
     >"$TMP/watch-models.out" 2>"$TMP/watch-models.log"
@@ -407,6 +407,17 @@ test "$MODEL_REPORTS" -eq $((WATCH_SUBS * WATCH_N)) ||
 if "$TMP/qoewatch" -stall "$TMP/stall.model" </dev/null >/dev/null 2>&1; then
     echo "qoewatch accepted a stall model without a representation model" >&2; exit 1
 fi
+"$TMP/qoepcap" -analyze "$TMP/t.pcap" -stall "$TMP/stall.model" -rep "$TMP/rep.model" \
+    >"$TMP/pcap-models.out" 2>"$TMP/pcap-models.log"
+grep -q "^$PCAP_SESSIONS sessions assessed\$" "$TMP/pcap-models.out" &&
+    test "$(grep -c '^session ' "$TMP/pcap-models.out")" -eq $PCAP_SESSIONS ||
+    { echo "qoepcap on saved models did not assess all $PCAP_SESSIONS sessions" >&2; cat "$TMP/pcap-models.out" >&2; exit 1; }
+# one file alone is refused before the capture is read: nothing metered, nothing on stdout
+if "$TMP/qoepcap" -analyze "$TMP/t.pcap" -stall "$TMP/stall.model" >"$TMP/pcap-lone.out" 2>/dev/null; then
+    echo "qoepcap accepted a stall model without a representation model" >&2; exit 1
+fi
+test ! -s "$TMP/pcap-lone.out" ||
+    { echo "qoepcap read the capture before refusing a lone model file" >&2; exit 1; }
 "$TMP/qoereport" -quick -only table8,table10 >"$TMP/tables-trained.md"
 "$TMP/qoereport" -quick -only table8,table10 -load-stall "$TMP/stall.model" -load-rep "$TMP/rep.model" \
     >"$TMP/tables-loaded.md"
@@ -414,7 +425,7 @@ grep -q '^## Tables 8 & 9' "$TMP/tables-loaded.md" && grep -q '^## Tables 10 & 1
     { echo "qoereport -only table8,table10 printed no Tables 8-11" >&2; exit 1; }
 cmp "$TMP/tables-trained.md" "$TMP/tables-loaded.md" ||
     { echo "Tables 8-11 differ between the trained and the saved-then-loaded models" >&2; exit 1; }
-echo "   $MODEL_REPORTS reports from saved models; Tables 8-11 identical loaded and trained"
+echo "   $MODEL_REPORTS qoewatch reports and $PCAP_SESSIONS qoepcap sessions from saved models; Tables 8-11 identical loaded and trained"
 
 echo "== qoewatch: a malformed line is warned by its input line number"
 # label lines, a blank line and a bad line before it all count
