@@ -55,7 +55,7 @@ func BenchmarkTable2StallFeatureSelection(b *testing.B) {
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		n = len(ml.CFSSelect(ds, ml.CFSConfig{MaxStale: 5}))
+		n = len(ml.CFSSelect(ds))
 	}
 	b.ReportMetric(float64(n), "features")
 }
@@ -110,7 +110,7 @@ func BenchmarkTable5RepFeatureSelection(b *testing.B) {
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		n = len(ml.CFSSelect(bal, ml.CFSConfig{MaxStale: 5}))
+		n = len(ml.CFSSelect(bal))
 	}
 	b.ReportMetric(float64(n), "features")
 }

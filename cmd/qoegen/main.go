@@ -43,11 +43,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 
 	"vqoe/internal/features"
 	"vqoe/internal/qualitymon"
+	"vqoe/internal/weblog"
 	"vqoe/internal/wire"
 	"vqoe/internal/workload"
 )
@@ -201,35 +203,43 @@ func writeCSV(out *bufio.Writer, corpus *workload.Corpus, set string) error {
 	return w.Error()
 }
 
-// writeLiveJSONL merges the entry stream (by timestamp) with the label
-// side-channel (by availability time) into one time-ordered JSONL
-// stream — the interleaving a monitor would see live, where a
-// session's truth arrives well after its traffic.
-func writeLiveJSONL(live *workload.Live) error {
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-	enc := json.NewEncoder(out)
+// interleave hands the live workload to its sinks in one time order:
+// entries by timestamp, each label at its availability time — the
+// stream a monitor would see live, where a session's truth arrives
+// well after its traffic.
+func interleave(live *workload.Live, entry func(*weblog.Entry) error, label func(*qualitymon.Label) error) error {
 	li := 0
-	emitLabel := func(l workload.SessionLabel) error {
-		return enc.Encode(liveLabel(l))
-	}
-	for _, e := range live.Entries {
-		for li < len(live.Labels) && live.Labels[li].AvailableAt <= e.Timestamp {
-			if err := emitLabel(live.Labels[li]); err != nil {
+	labelsUntil := func(t float64) error {
+		for ; li < len(live.Labels) && live.Labels[li].AvailableAt <= t; li++ {
+			l := liveLabel(live.Labels[li])
+			if err := label(&l); err != nil {
 				return err
 			}
-			li++
 		}
-		if err := enc.Encode(e); err != nil {
+		return nil
+	}
+	for i := range live.Entries {
+		if err := labelsUntil(live.Entries[i].Timestamp); err != nil {
+			return err
+		}
+		if err := entry(&live.Entries[i]); err != nil {
 			return err
 		}
 	}
-	for ; li < len(live.Labels); li++ {
-		if err := emitLabel(live.Labels[li]); err != nil {
-			return err
-		}
+	return labelsUntil(math.Inf(1))
+}
+
+// writeLiveJSONL writes the interleaved live stream as JSONL.
+func writeLiveJSONL(live *workload.Live) error {
+	out := bufio.NewWriter(os.Stdout)
+	enc := json.NewEncoder(out)
+	err := interleave(live,
+		func(e *weblog.Entry) error { return enc.Encode(e) },
+		func(l *qualitymon.Label) error { return enc.Encode(l) })
+	if err != nil {
+		return err
 	}
-	return nil
+	return out.Flush()
 }
 
 func liveLabel(l workload.SessionLabel) qualitymon.Label {
@@ -244,34 +254,17 @@ func liveLabel(l workload.SessionLabel) qualitymon.Label {
 	}
 }
 
-// sendLiveWire streams the live workload over the binary frame
-// protocol in the same time order writeLiveJSONL emits — entries by
-// timestamp, labels interleaved at availability — then syncs, so a
-// clean exit means the server decoded everything.
+// sendLiveWire streams the interleaved live stream over the binary
+// frame protocol, then syncs, so a clean exit means the server decoded
+// everything.
 func sendLiveWire(live *workload.Live, addr string) error {
 	c, err := wire.Dial(addr)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	li := 0
-	for i := range live.Entries {
-		for li < len(live.Labels) && live.Labels[li].AvailableAt <= live.Entries[i].Timestamp {
-			l := liveLabel(live.Labels[li])
-			if err := c.AppendLabel(&l); err != nil {
-				return err
-			}
-			li++
-		}
-		if err := c.AppendEntry(&live.Entries[i]); err != nil {
-			return err
-		}
-	}
-	for ; li < len(live.Labels); li++ {
-		l := liveLabel(live.Labels[li])
-		if err := c.AppendLabel(&l); err != nil {
-			return err
-		}
+	if err := interleave(live, c.AppendEntry, c.AppendLabel); err != nil {
+		return err
 	}
 	ack, err := c.Sync()
 	if err != nil {

@@ -75,7 +75,10 @@ func TestBuildDatasets(t *testing.T) {
 	if bds.NumClasses() != 2 {
 		t.Error("binary dataset should have 2 classes")
 	}
-	counts := bds.ClassCounts()
+	var counts [2]int
+	for _, y := range bds.Y {
+		counts[y]++
+	}
 	if counts[0] == 0 || counts[1] == 0 {
 		t.Errorf("binary classes degenerate: %v", counts)
 	}

@@ -47,27 +47,24 @@ func (d *Detector) indexSelected() {
 // TrainConfig bundles the training hyperparameters.
 type TrainConfig struct {
 	Forest ml.ForestConfig
-	CFS    ml.CFSConfig
 	// CVFolds is the cross-validation fold count (paper: 10).
 	CVFolds int
 	// Seed drives balancing and fold assignment.
 	Seed int64
-	// SelectionSample caps the instances used for feature selection —
-	// CFS is quadratic in features and linear in instances, and a
-	// sample this size selects the same subsets in practice. 0 means
-	// all instances.
-	SelectionSample int
 }
+
+// selectionSample caps the instances used for feature selection — CFS
+// is quadratic in features and linear in instances, and a sample this
+// size selects the same subsets in practice.
+const selectionSample = 4000
 
 // DefaultTrainConfig mirrors the paper's setup: Random Forest with
 // 10-fold cross-validation.
 func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{
-		Forest:          ml.ForestConfig{Trees: 60, MinLeaf: 2, Seed: 1},
-		CFS:             ml.CFSConfig{MaxStale: 5},
-		CVFolds:         10,
-		Seed:            1,
-		SelectionSample: 4000,
+		Forest:  ml.ForestConfig{Trees: 60, Seed: 1},
+		CVFolds: 10,
+		Seed:    1,
 	}
 }
 
@@ -96,11 +93,11 @@ func Train(ds *ml.Dataset, cfg TrainConfig) (*Detector, *TrainReport, error) {
 	// Feature selection runs on a balanced sample so the merit is not
 	// dominated by the majority class.
 	selDS := ds.Balance(r)
-	if cfg.SelectionSample > 0 && selDS.Len() > cfg.SelectionSample {
-		idx := r.Perm(selDS.Len())[:cfg.SelectionSample]
+	if selDS.Len() > selectionSample {
+		idx := r.Perm(selDS.Len())[:selectionSample]
 		selDS = selDS.Subset(idx)
 	}
-	selected := ml.CFSSelect(selDS, cfg.CFS)
+	selected := ml.CFSSelect(selDS)
 	if len(selected) == 0 {
 		// degenerate corpus: fall back to the top info-gain features
 		for i, rf := range ml.RankByInfoGain(selDS) {

@@ -338,7 +338,7 @@ func frameworkFor(t *testing.T, stall, rep []string) *core.Framework {
 			t.Fatal(err)
 		}
 		det.Selected = sel
-		det.Forest = ml.TrainForest(reduced, ml.ForestConfig{Trees: 3, MinLeaf: 2, Seed: 1})
+		det.Forest = ml.TrainForest(reduced, ml.ForestConfig{Trees: 3, Seed: 1})
 		det.Forest.Baseline = qualitymon.CaptureBaseline(sel, reduced.X, reduced.Y, reduced.Classes, qualitymon.DefaultBins)
 		paths[i] = filepath.Join(t.TempDir(), "model")
 		f, err := os.Create(paths[i])

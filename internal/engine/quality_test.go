@@ -64,7 +64,7 @@ func runLive(t *testing.T, fw *core.Framework, lcfg workload.LiveConfig, shards 
 	live := workload.GenerateLive(lcfg)
 	cfg := engine.DefaultConfig()
 	cfg.Shards = shards
-	cfg.Quality = core.NewQualityMonitor(fw, shards, qualitymon.Thresholds{MinSamples: 100, MinLabels: 40})
+	cfg.Quality = core.NewQualityMonitor(fw, shards, qualitymon.Thresholds{})
 	eng := engine.New(fw, cfg, nil)
 	var reports []engine.Report
 	for lo := 0; lo < len(live.Entries); lo += 512 {
@@ -102,8 +102,8 @@ func TestEngineDriftDetection(t *testing.T) {
 		if !ms.HasBaseline {
 			t.Fatalf("model %s trained without a baseline", ms.Name)
 		}
-		if ms.Samples < 100 {
-			t.Fatalf("model %s saw only %d samples; fixture too small for the gate", ms.Name, ms.Samples)
+		if ms.Samples < 200 {
+			t.Fatalf("model %s saw only %d samples; fixture too small for the 200-sample gate", ms.Name, ms.Samples)
 		}
 		for _, fd := range ms.Features {
 			if fd.Drifted {

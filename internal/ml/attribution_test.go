@@ -9,17 +9,13 @@ import (
 
 // TestPathAttributionSumsToOne: for any trained forest and any probe,
 // the decision-path weights are non-negative, live only on features
-// the forest actually splits on, and sum to exactly 1.
+// the forest actually splits on, and sum to exactly 1. The data's
+// size, width, class count and cluster spread vary the trees' shape.
 func TestPathAttributionSumsToOne(t *testing.T) {
 	r := stats.NewRand(83)
 	for trial := 0; trial < 6; trial++ {
-		ds := randomDataset(r, 100+r.Intn(300), 2+r.Intn(8), 2+r.Intn(3))
-		f := TrainForest(ds, ForestConfig{
-			Trees:    3 + r.Intn(8),
-			MaxDepth: r.Intn(8),
-			MinLeaf:  1 + r.Intn(4),
-			Seed:     r.Int63(),
-		})
+		ds := spreadDataset(r, 100+r.Intn(300), 2+r.Intn(8), 2+r.Intn(3), 0.2+3*r.Float64())
+		f := TrainForest(ds, ForestConfig{Trees: 3 + r.Intn(8), Seed: r.Int63()})
 		var buf []float64
 		for probe := 0; probe < 20; probe++ {
 			x := randomProbe(r, len(ds.Names))
@@ -67,7 +63,7 @@ func (t *Tree) pathAttributionPointer(x []float64, acc []float64) bool {
 func TestPathAttributionFlatMatchesPointer(t *testing.T) {
 	r := stats.NewRand(97)
 	ds := randomDataset(r, 300, 6, 3)
-	f := TrainForest(ds, ForestConfig{Trees: 9, MinLeaf: 2, Seed: 5})
+	f := TrainForest(ds, ForestConfig{Trees: 9, Seed: 5})
 	for probe := 0; probe < 30; probe++ {
 		x := randomProbe(r, len(ds.Names))
 		flat := f.PathAttribution(x, nil)

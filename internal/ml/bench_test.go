@@ -24,16 +24,6 @@ func benchDataset(n, feats int) *Dataset {
 	return ds
 }
 
-func BenchmarkTrainTree(b *testing.B) {
-	ds := benchDataset(2000, 10)
-	r := stats.NewRand(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TrainTree(ds, ForestConfig{MinLeaf: 2, MaxThresholds: 64}, r)
-	}
-}
-
 func BenchmarkTrainForest(b *testing.B) {
 	ds := benchDataset(1000, 10)
 	b.ReportAllocs()
@@ -124,11 +114,10 @@ func BenchmarkForestPredictBatchParallel(b *testing.B) {
 func BenchmarkTreeInduction(b *testing.B) {
 	ds := benchDataset(2000, 10)
 	r := stats.NewRand(2)
-	cfg := ForestConfig{MinLeaf: 2, FeaturesPerSplit: 4, MaxThresholds: 64}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TrainTree(ds, cfg, r)
+		TrainTree(ds, r)
 	}
 }
 
@@ -144,7 +133,7 @@ func BenchmarkCFSSelect(b *testing.B) {
 	ds := benchDataset(1000, 70)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CFSSelect(ds, CFSConfig{MaxStale: 5})
+		CFSSelect(ds)
 	}
 }
 

@@ -48,15 +48,6 @@ func (d *Dataset) NumFeatures() int { return len(d.Names) }
 // NumClasses reports the number of classes.
 func (d *Dataset) NumClasses() int { return len(d.Classes) }
 
-// ClassCounts returns the number of instances per class.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, len(d.Classes))
-	for _, y := range d.Y {
-		counts[y]++
-	}
-	return counts
-}
-
 // Subset returns a view containing the rows at the given indices. Rows
 // are shared, not copied; mutating instance values through a subset
 // mutates the parent.

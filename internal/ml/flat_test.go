@@ -14,6 +14,13 @@ import (
 // m features, gaussian clusters with enough overlap that trees grow
 // real depth.
 func randomDataset(r *stats.Rand, n, m, nc int) *Dataset {
+	return spreadDataset(r, n, m, nc, 1.5)
+}
+
+// spreadDataset is randomDataset with the clusters' standard deviation
+// sd: class means sit 2 apart, so a small sd gives shallow trees and a
+// large one deep trees.
+func spreadDataset(r *stats.Rand, n, m, nc int, sd float64) *Dataset {
 	names := make([]string, m)
 	for i := range names {
 		names[i] = "f" + string(rune('a'+i%26)) + string(rune('0'+i/26%10))
@@ -27,7 +34,7 @@ func randomDataset(r *stats.Rand, n, m, nc int) *Dataset {
 		c := r.Intn(nc)
 		row := make([]float64, m)
 		for j := range row {
-			row[j] = r.Normal(float64(c*2), 1.5)
+			row[j] = r.Normal(float64(c*2), sd)
 		}
 		ds.Add(row, c)
 	}
@@ -78,26 +85,27 @@ func (f *Forest) predictOne(x []float64) (int, []float64) {
 	return f.PredictBatchInto([][]float64{x}, votes, make([]int, 1))[0], votes
 }
 
-// TestFlatMatchesPointerProperty is the tentpole's equivalence
-// property: over randomized forests (shape, depth caps, leaf sizes)
-// and randomized inputs, the flattened slab walk must agree
-// bit-for-bit with the pointer-chasing reference walk — per tree (the
-// leaf leafOff lands on) and per forest (PredictBatchInto's votes and
-// classes, one row and whole batches).
+// TestFlatMatchesPointerProperty is the slab walk's equivalence
+// property: over randomized forests on randomized data (size, width,
+// class count, cluster spread) and randomized inputs, the flattened
+// slab walk must agree bit-for-bit with the pointer-chasing reference
+// walk — per tree (the leaf leafOff lands on) and per forest
+// (PredictBatchInto's votes and classes, one row and whole batches).
+// The draws must span tree shapes from a lone leaf to more than 7
+// levels deep.
 func TestFlatMatchesPointerProperty(t *testing.T) {
 	r := stats.NewRand(71)
+	minDepth, maxDepth := maxTreeDepth, 0
 	for trial := 0; trial < 8; trial++ {
 		n := 100 + r.Intn(400)
 		m := 2 + r.Intn(8)
-		nc := 2 + r.Intn(3)
-		ds := randomDataset(r, n, m, nc)
-		cfg := ForestConfig{
-			Trees:    3 + r.Intn(10),
-			MaxDepth: r.Intn(8), // 0 = unbounded
-			MinLeaf:  1 + r.Intn(4),
-			Seed:     r.Int63(),
+		nc := 1 + r.Intn(4) // one class grows single-leaf trees
+		ds := spreadDataset(r, n, m, nc, 0.2+3*r.Float64())
+		f := TrainForest(ds, ForestConfig{Trees: 3 + r.Intn(10), Seed: r.Int63()})
+		for _, tr := range f.Trees {
+			d := depth(tr.toDTO(0))
+			minDepth, maxDepth = min(minDepth, d), max(maxDepth, d)
 		}
-		f := TrainForest(ds, cfg)
 
 		for probe := 0; probe < 50; probe++ {
 			x := randomProbe(r, m)
@@ -147,6 +155,9 @@ func TestFlatMatchesPointerProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+	if minDepth != 0 || maxDepth <= 7 {
+		t.Errorf("tree depths span %d..%d, want a single leaf and a tree deeper than 7", minDepth, maxDepth)
 	}
 }
 

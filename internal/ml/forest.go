@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"math"
 	"runtime"
 	"sync"
 
@@ -9,37 +8,13 @@ import (
 	"vqoe/internal/stats"
 )
 
-// ForestConfig controls Random Forest training.
+// ForestConfig controls Random Forest training. Every tree is grown by
+// TrainTree's fixed rules.
 type ForestConfig struct {
 	// Trees is the ensemble size (default 60).
 	Trees int
-	// MaxDepth bounds each tree (0 = unbounded).
-	MaxDepth int
-	// MinLeaf is the minimum leaf size (default 2).
-	MinLeaf int
-	// FeaturesPerSplit is the per-node feature subsample; 0 selects
-	// ⌈√m⌉, the standard Random Forest choice.
-	FeaturesPerSplit int
-	// MaxThresholds caps split candidates per feature (default 64).
-	MaxThresholds int
 	// Seed makes training deterministic.
 	Seed int64
-}
-
-func (c ForestConfig) withDefaults(numFeatures int) ForestConfig {
-	if c.Trees <= 0 {
-		c.Trees = 60
-	}
-	if c.MinLeaf <= 0 {
-		c.MinLeaf = 2
-	}
-	if c.FeaturesPerSplit <= 0 {
-		c.FeaturesPerSplit = int(math.Ceil(math.Sqrt(float64(numFeatures))))
-	}
-	if c.MaxThresholds == 0 {
-		c.MaxThresholds = 64
-	}
-	return c
 }
 
 // Forest is a trained Random Forest classifier. It is safe for
@@ -62,7 +37,9 @@ type Forest struct {
 // split. Training parallelizes across available CPUs but remains
 // deterministic for a given seed (each tree owns a derived source).
 func TrainForest(ds *Dataset, cfg ForestConfig) *Forest {
-	cfg = cfg.withDefaults(ds.NumFeatures())
+	if cfg.Trees <= 0 {
+		cfg.Trees = 60
+	}
 	f := &Forest{
 		Trees:      make([]*Tree, cfg.Trees),
 		Features:   append([]string(nil), ds.Names...),
@@ -90,7 +67,7 @@ func TrainForest(ds *Dataset, cfg ForestConfig) *Forest {
 			for t := range jobs {
 				r := stats.NewRand(seeds[t])
 				boot := bootstrap(ds, r)
-				f.Trees[t] = TrainTree(boot, cfg, r)
+				f.Trees[t] = TrainTree(boot, r)
 			}
 		}()
 	}

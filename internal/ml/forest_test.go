@@ -72,7 +72,7 @@ func TestForestBeatsOrMatchesSingleTreeOnNoise(t *testing.T) {
 	train := noisyThreeClass(600, 5)
 	test := noisyThreeClass(300, 6)
 	forest := TrainForest(train, ForestConfig{Trees: 40, Seed: 7})
-	tree := TrainTree(train, ForestConfig{MinLeaf: 2}, stats.NewRand(7))
+	tree := TrainTree(train, stats.NewRand(7))
 	fErr, tErr := 0, 0
 	pred, _ := forest.PredictAll(test)
 	for i, p := range pred {
@@ -128,13 +128,14 @@ func TestPredictAllMatchesPredict(t *testing.T) {
 }
 
 func TestForestDefaultsApplied(t *testing.T) {
-	cfg := ForestConfig{}.withDefaults(70)
-	if cfg.Trees != 60 || cfg.MinLeaf != 2 || cfg.MaxThresholds != 64 {
-		t.Errorf("defaults wrong: %+v", cfg)
+	if f := TrainForest(noisyThreeClass(30, 1), ForestConfig{}); len(f.Trees) != 60 {
+		t.Errorf("ForestConfig{} grew %d trees, want 60", len(f.Trees))
 	}
-	// sqrt(70) ≈ 8.37 → 9
-	if cfg.FeaturesPerSplit != 9 {
-		t.Errorf("FeaturesPerSplit = %d, want 9", cfg.FeaturesPerSplit)
+	// sqrt(70) ≈ 8.37 → 9; a perfect square takes its root
+	for _, c := range []struct{ m, want int }{{70, 9}, {64, 8}, {2, 2}, {1, 1}} {
+		if got := featuresPerSplit(c.m); got != c.want {
+			t.Errorf("featuresPerSplit(%d) = %d, want %d", c.m, got, c.want)
+		}
 	}
 }
 

@@ -199,22 +199,14 @@ func (c *cfsMatrices) merit(subset []int) float64 {
 	return k * rcf / denom
 }
 
-// CFSConfig controls the best-first search.
-type CFSConfig struct {
-	// MaxStale stops the search after this many consecutive expansions
-	// without merit improvement (Weka's default is 5).
-	MaxStale int
-	// MaxFeatures optionally caps the subset size (0 = unlimited).
-	MaxFeatures int
-}
+// cfsMaxStale stops the best-first search after this many consecutive
+// expansions without merit improvement (Weka's BestFirst default).
+const cfsMaxStale = 5
 
 // CFSSelect runs CfsSubsetEval with a forward best-first search and
 // returns the selected feature names ordered by descending information
 // gain (the presentation order of the paper's tables).
-func CFSSelect(ds *Dataset, cfg CFSConfig) []string {
-	if cfg.MaxStale <= 0 {
-		cfg.MaxStale = 5
-	}
+func CFSSelect(ds *Dataset) []string {
 	m := ds.NumFeatures()
 	if m == 0 {
 		return nil
@@ -241,7 +233,7 @@ func CFSSelect(ds *Dataset, cfg CFSConfig) []string {
 	best := state{}
 	stale := 0
 
-	for len(open) > 0 && stale < cfg.MaxStale {
+	for len(open) > 0 && stale < cfsMaxStale {
 		// pop the highest-merit open state
 		bi := 0
 		for i := range open {
@@ -253,23 +245,21 @@ func CFSSelect(ds *Dataset, cfg CFSConfig) []string {
 		open = append(open[:bi], open[bi+1:]...)
 
 		improved := false
-		if cfg.MaxFeatures <= 0 || len(cur.subset) < cfg.MaxFeatures {
-			for f := 0; f < m; f++ {
-				if contains(cur.subset, f) {
-					continue
-				}
-				child := append(append([]int(nil), cur.subset...), f)
-				kk := key(child)
-				if visited[kk] {
-					continue
-				}
-				visited[kk] = true
-				st := state{subset: child, merit: c.merit(child)}
-				open = append(open, st)
-				if st.merit > best.merit {
-					best = st
-					improved = true
-				}
+		for f := 0; f < m; f++ {
+			if contains(cur.subset, f) {
+				continue
+			}
+			child := append(append([]int(nil), cur.subset...), f)
+			kk := key(child)
+			if visited[kk] {
+				continue
+			}
+			visited[kk] = true
+			st := state{subset: child, merit: c.merit(child)}
+			open = append(open, st)
+			if st.merit > best.merit {
+				best = st
+				improved = true
 			}
 		}
 		if improved {

@@ -131,7 +131,7 @@ func TestSymmetricUncertaintyBounds(t *testing.T) {
 
 func TestCFSSelectsSignalDropsRedundantAndNoise(t *testing.T) {
 	ds := informativeAndNoise(2000, 3)
-	sel := CFSSelect(ds, CFSConfig{})
+	sel := CFSSelect(ds)
 	if len(sel) == 0 {
 		t.Fatal("CFS selected nothing")
 	}
@@ -154,17 +154,9 @@ func TestCFSSelectsSignalDropsRedundantAndNoise(t *testing.T) {
 	}
 }
 
-func TestCFSMaxFeaturesCap(t *testing.T) {
-	ds := informativeAndNoise(800, 4)
-	sel := CFSSelect(ds, CFSConfig{MaxFeatures: 1})
-	if len(sel) > 1 {
-		t.Errorf("cap violated: %v", sel)
-	}
-}
-
 func TestCFSEmptyDataset(t *testing.T) {
 	ds := NewDataset(nil, []string{"a"})
-	if sel := CFSSelect(ds, CFSConfig{}); sel != nil {
+	if sel := CFSSelect(ds); sel != nil {
 		t.Errorf("empty schema should select nothing, got %v", sel)
 	}
 }

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"vqoe/internal/stats"
@@ -12,6 +13,21 @@ import (
 // and LoadForest refuses anything deeper, so the recursive passes over
 // a tree — build, toDTO, fromDTO — run on a bounded stack.
 const maxTreeDepth = 512
+
+// The forest's split rules: a leaf holds at least minLeaf instances,
+// and bestSplit scores at most maxThresholds split positions per
+// feature (every stride-th one on a larger node) over featuresPerSplit
+// randomly drawn features.
+const (
+	minLeaf       = 2
+	maxThresholds = 64
+)
+
+// featuresPerSplit is the per-node feature subsample for m features,
+// ⌈√m⌉, the standard Random Forest choice.
+func featuresPerSplit(m int) int {
+	return int(math.Ceil(math.Sqrt(float64(m))))
+}
 
 // Tree is a trained CART classification tree, held in the packed
 // preorder form described in flat.go.
@@ -29,6 +45,7 @@ type Tree struct {
 type scratch struct {
 	pairs       []vy  // (value, label) column buffer, sorted per feature
 	features    []int // candidate feature ids, reshuffled per node
+	perSplit    int   // how many of features each node examines
 	counts      []int // class counts of the current node
 	leftCounts  []int
 	rightCounts []int
@@ -44,28 +61,25 @@ func newScratch(n, m, nc int) *scratch {
 	return &scratch{
 		pairs:       make([]vy, n),
 		features:    make([]int, m),
+		perSplit:    featuresPerSplit(m),
 		counts:      make([]int, nc),
 		leftCounts:  make([]int, nc),
 		rightCounts: make([]int, nc),
 	}
 }
 
-// TrainTree induces a CART tree on ds using Gini impurity, writing it
-// straight into the preorder slab the prediction paths walk. It reads
-// MaxDepth, MinLeaf, FeaturesPerSplit and MaxThresholds of cfg as
-// given, with zero meaning unbounded depth, leaves of one instance, all
-// features and all thresholds; Trees and Seed are TrainForest's.
-func TrainTree(ds *Dataset, cfg ForestConfig, r *stats.Rand) *Tree {
-	if cfg.MinLeaf < 1 {
-		cfg.MinLeaf = 1
-	}
+// TrainTree induces one of the forest's CART trees on ds using Gini
+// impurity under the split rules above, writing it straight into the
+// preorder slab the prediction paths walk; r draws each node's
+// feature subsample.
+func TrainTree(ds *Dataset, r *stats.Rand) *Tree {
 	idx := make([]int, ds.Len())
 	for i := range idx {
 		idx[i] = i
 	}
 	t := &Tree{numClasses: ds.NumClasses()}
 	sc := newScratch(ds.Len(), ds.NumFeatures(), ds.NumClasses())
-	t.build(ds, idx, cfg, r, 0, sc)
+	t.build(ds, idx, r, 0, sc)
 	return t
 }
 
@@ -73,7 +87,7 @@ func TrainTree(ds *Dataset, cfg ForestConfig, r *stats.Rand) *Tree {
 // preorder. It owns idx and partitions it in place — children recurse
 // into disjoint subslices of the same backing array, so induction never
 // allocates index slices past the root.
-func (t *Tree) build(ds *Dataset, idx []int, cfg ForestConfig, r *stats.Rand, depth int, sc *scratch) {
+func (t *Tree) build(ds *Dataset, idx []int, r *stats.Rand, depth int, sc *scratch) {
 	counts := sc.counts
 	for i := range counts {
 		counts[i] = 0
@@ -81,14 +95,12 @@ func (t *Tree) build(ds *Dataset, idx []int, cfg ForestConfig, r *stats.Rand, de
 	for _, i := range idx {
 		counts[ds.Y[i]]++
 	}
-	if len(idx) < 2*cfg.MinLeaf ||
-		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) || depth >= maxTreeDepth ||
-		pure(counts) {
+	if len(idx) < 2*minLeaf || depth >= maxTreeDepth || pure(counts) {
 		t.leaf(counts, len(idx))
 		return
 	}
 
-	feat, thresh, ok := bestSplit(ds, idx, counts, cfg, r, sc)
+	feat, thresh, ok := bestSplit(ds, idx, counts, r, sc)
 	if !ok {
 		t.leaf(counts, len(idx))
 		return
@@ -104,15 +116,15 @@ func (t *Tree) build(ds *Dataset, idx []int, cfg ForestConfig, r *stats.Rand, de
 		}
 	}
 	left, right := idx[:k], idx[k:]
-	if len(left) < cfg.MinLeaf || len(right) < cfg.MinLeaf {
+	if len(left) < minLeaf || len(right) < minLeaf {
 		t.leaf(counts, len(idx))
 		return
 	}
 	i := len(t.nodes)
 	t.nodes = append(t.nodes, node{feature: int32(feat), threshold: thresh})
-	t.build(ds, left, cfg, r, depth+1, sc) // lands at i+1, the implicit left child
+	t.build(ds, left, r, depth+1, sc) // lands at i+1, the implicit left child
 	t.nodes[i].right = int32(len(t.nodes))
-	t.build(ds, right, cfg, r, depth+1, sc)
+	t.build(ds, right, r, depth+1, sc)
 }
 
 // leaf appends a leaf holding the class distribution counts/n (all
@@ -153,15 +165,15 @@ func gini(counts []int, n int) float64 {
 // bestSplit scans candidate (feature, threshold) pairs and returns the
 // one with the lowest weighted child Gini impurity. All working memory
 // comes from the per-tree scratch arena.
-func bestSplit(ds *Dataset, idx []int, parentCounts []int, cfg ForestConfig, r *stats.Rand, sc *scratch) (feat int, thresh float64, ok bool) {
+func bestSplit(ds *Dataset, idx []int, parentCounts []int, r *stats.Rand, sc *scratch) (feat int, thresh float64, ok bool) {
 	m := ds.NumFeatures()
 	features := sc.features[:m]
 	for i := range features {
 		features[i] = i
 	}
-	if cfg.FeaturesPerSplit > 0 && cfg.FeaturesPerSplit < m {
+	if sc.perSplit < m {
 		r.Shuffle(m, func(i, j int) { features[i], features[j] = features[j], features[i] })
-		features = features[:cfg.FeaturesPerSplit]
+		features = features[:sc.perSplit]
 	}
 
 	n := len(idx)
@@ -186,8 +198,8 @@ func bestSplit(ds *Dataset, idx []int, parentCounts []int, cfg ForestConfig, r *
 		}
 		// subsample split positions on very large nodes
 		stride := 1
-		if cfg.MaxThresholds > 0 && n > cfg.MaxThresholds {
-			stride = n / cfg.MaxThresholds
+		if n > maxThresholds {
+			stride = n / maxThresholds
 		}
 		for i := 0; i < n-1; i++ {
 			leftCounts[pairs[i].y]++

@@ -35,7 +35,7 @@ func treeClass(t *Tree, x []float64) int {
 
 func TestTreeLearnsSeparableData(t *testing.T) {
 	ds := linearlySeparable(500, 1)
-	tree := TrainTree(ds, ForestConfig{MinLeaf: 2}, stats.NewRand(2))
+	tree := TrainTree(ds, stats.NewRand(2))
 	errors := 0
 	for i, x := range ds.X {
 		if treeClass(tree, x) != ds.Y[i] {
@@ -50,7 +50,7 @@ func TestTreeLearnsSeparableData(t *testing.T) {
 func TestTreeGeneralizes(t *testing.T) {
 	train := linearlySeparable(500, 1)
 	test := linearlySeparable(200, 99)
-	tree := TrainTree(train, ForestConfig{MinLeaf: 5}, stats.NewRand(2))
+	tree := TrainTree(train, stats.NewRand(2))
 	errors := 0
 	for i, x := range test.X {
 		if treeClass(tree, x) != test.Y[i] {
@@ -82,18 +82,10 @@ func TestTreePureNodeIsLeaf(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ds.Add([]float64{float64(i)}, 0)
 	}
-	tree := TrainTree(ds, ForestConfig{}, stats.NewRand(1))
+	tree := TrainTree(ds, stats.NewRand(1))
 	if depth(tree.toDTO(0)) != 0 || leaves(tree.toDTO(0)) != 1 {
 		t.Errorf("pure data should yield a single leaf; depth=%d leaves=%d",
 			depth(tree.toDTO(0)), leaves(tree.toDTO(0)))
-	}
-}
-
-func TestTreeMaxDepthRespected(t *testing.T) {
-	ds := linearlySeparable(500, 3)
-	tree := TrainTree(ds, ForestConfig{MaxDepth: 2, MinLeaf: 1}, stats.NewRand(1))
-	if d := depth(tree.toDTO(0)); d > 2 {
-		t.Errorf("depth %d exceeds max 2", d)
 	}
 }
 
@@ -102,7 +94,7 @@ func TestTreeConstantFeaturesYieldLeaf(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ds.Add([]float64{42}, i%2)
 	}
-	tree := TrainTree(ds, ForestConfig{}, stats.NewRand(1))
+	tree := TrainTree(ds, stats.NewRand(1))
 	if leaves(tree.toDTO(0)) != 1 {
 		t.Errorf("constant features can't split; leaves=%d", leaves(tree.toDTO(0)))
 	}
@@ -114,7 +106,7 @@ func TestTreeConstantFeaturesYieldLeaf(t *testing.T) {
 
 func TestTreeProbaSumsToOne(t *testing.T) {
 	ds := linearlySeparable(200, 5)
-	tree := TrainTree(ds, ForestConfig{MinLeaf: 10}, stats.NewRand(1))
+	tree := TrainTree(ds, stats.NewRand(1))
 	p := tree.probaPointer([]float64{3, 50})
 	var sum float64
 	for _, v := range p {
@@ -133,7 +125,7 @@ func TestTreeProbaSumsToOne(t *testing.T) {
 // distribution.
 func TestTreePredictInRangeProperty(t *testing.T) {
 	ds := linearlySeparable(300, 7)
-	tree := TrainTree(ds, ForestConfig{MinLeaf: 3}, stats.NewRand(1))
+	tree := TrainTree(ds, stats.NewRand(1))
 	f := func(a, b float64) bool {
 		c := treeClass(tree, []float64{a, b})
 		return c >= 0 && c < 2
@@ -143,24 +135,45 @@ func TestTreePredictInRangeProperty(t *testing.T) {
 	}
 }
 
+// stepDataset is x = 0..n-1 on one feature, class 1 from x = 2 on: the
+// one perfect split sits between the second and third instance.
+func stepDataset(n int) *Dataset {
+	ds := NewDataset([]string{"x"}, []string{"lo", "hi"})
+	for i := 0; i < n; i++ {
+		ds.Add([]float64{float64(i)}, min(i/2, 1))
+	}
+	return ds
+}
+
+// TestTreeThresholdSubsampling: a node of at most maxThresholds
+// instances scores every split position, so the root takes the perfect
+// split at 1.5; on a node of twice that only every other position is
+// scored, the perfect one is skipped, and the root settles for 2.5. A
+// large node still learns a separable rule.
 func TestTreeThresholdSubsampling(t *testing.T) {
-	ds := linearlySeparable(2000, 11)
-	full := TrainTree(ds, ForestConfig{MinLeaf: 5}, stats.NewRand(1))
-	capped := TrainTree(ds, ForestConfig{MinLeaf: 5, MaxThresholds: 16}, stats.NewRand(1))
-	// both should still learn the x0>5 rule
-	for _, tree := range []*Tree{full, capped} {
-		if treeClass(tree, []float64{1, 0}) != 0 || treeClass(tree, []float64{9, 0}) != 1 {
-			t.Error("tree failed to learn the separable rule")
+	for _, c := range []struct {
+		n    int
+		want float64
+	}{{maxThresholds, 1.5}, {2 * maxThresholds, 2.5}} {
+		tree := TrainTree(stepDataset(c.n), stats.NewRand(1))
+		if root := tree.nodes[0]; root.feature != 0 || root.threshold != c.want {
+			t.Errorf("n=%d: root splits feature %d at %v, want feature 0 at %v", c.n, root.feature, root.threshold, c.want)
 		}
+	}
+	tree := TrainTree(linearlySeparable(2000, 11), stats.NewRand(1))
+	if treeClass(tree, []float64{1, 0}) != 0 || treeClass(tree, []float64{9, 0}) != 1 {
+		t.Error("tree failed to learn the separable rule")
 	}
 }
 
+// TestTreeMinLeafRespected: three separable instances cannot be split
+// into two leaves of minLeaf (2) each, so they stay one leaf; four can,
+// and split once.
 func TestTreeMinLeafRespected(t *testing.T) {
-	ds := linearlySeparable(100, 13)
-	tree := TrainTree(ds, ForestConfig{MinLeaf: 50}, stats.NewRand(1))
-	// with MinLeaf 50 of 100 instances, at most one split is possible
-	if depth(tree.toDTO(0)) > 1 {
-		t.Errorf("depth %d with MinLeaf=50", depth(tree.toDTO(0)))
+	for n, wantDepth := range map[int]int{3: 0, 4: 1} {
+		if d := depth(TrainTree(stepDataset(n), stats.NewRand(1)).toDTO(0)); d != wantDepth {
+			t.Errorf("%d instances: depth %d, want %d", n, d, wantDepth)
+		}
 	}
 }
 
@@ -174,7 +187,7 @@ func TestTreeSlabsPinned(t *testing.T) {
 	const want = "d4412bfb9d0a8ef3b3bece0546a5e5b455cba77a54ef1a41fe5dcaec5648c32a"
 	r := stats.NewRand(71)
 	ds := randomDataset(r, 400, 6, 3)
-	f := TrainForest(ds, ForestConfig{Trees: 9, MinLeaf: 2, Seed: 71})
+	f := TrainForest(ds, ForestConfig{Trees: 9, Seed: 71})
 	h := sha256.New()
 	var b [8]byte
 	for _, tr := range f.Trees {

@@ -38,7 +38,7 @@ const audioBatch = 8
 
 func runAdaptive(tr *SessionTrace, net netsim.Network, cfg Config, r *stats.Rand) {
 	v := tr.Video
-	pb := newPlayback(tr, cfg)
+	pb := newPlayback(tr)
 	videoConn := netsim.NewConn(net, r.Fork())
 	audioConn := netsim.NewConn(net, r.Fork())
 	ctl := newABR(cfg.MaxQuality, cfg)
@@ -61,8 +61,8 @@ func runAdaptive(tr *SessionTrace, net netsim.Network, cfg Config, r *stats.Rand
 	for seg := 0; seg < segCount; seg++ {
 		// ON–OFF pacing: above the buffer target the downloader sleeps
 		// until the buffer drains back to it.
-		if pb.buffer > cfg.BufferTargetSec {
-			pb.advance(pb.buffer - cfg.BufferTargetSec)
+		if pb.buffer > adaptiveBufferTargetSec {
+			pb.advance(pb.buffer - adaptiveBufferTargetSec)
 			if pb.watchTargetReached(watched) {
 				break
 			}

@@ -13,19 +13,10 @@ type playback struct {
 
 	startedAt    float64 // wall time playback first started, -1 before
 	stalledSince float64 // wall time the current stall began, -1 if none
-
-	startThreshold  float64
-	resumeThreshold float64
 }
 
-func newPlayback(tr *SessionTrace, cfg Config) *playback {
-	return &playback{
-		tr:              tr,
-		startedAt:       -1,
-		stalledSince:    -1,
-		startThreshold:  cfg.StartThresholdSec,
-		resumeThreshold: cfg.ResumeThresholdSec,
-	}
+func newPlayback(tr *SessionTrace) *playback {
+	return &playback{tr: tr, startedAt: -1, stalledSince: -1}
 }
 
 // advance moves the wall clock forward by d seconds (a download or a
@@ -63,9 +54,9 @@ func (p *playback) maybeStart(force bool) {
 	if p.playing || p.buffer <= 0 {
 		return
 	}
-	threshold := p.startThreshold
+	threshold := float64(startThresholdSec)
 	if p.stalledSince >= 0 {
-		threshold = p.resumeThreshold
+		threshold = resumeThresholdSec
 	}
 	if !force && p.buffer < threshold {
 		return

@@ -190,13 +190,6 @@ type Config struct {
 	Mode Mode
 	// MaxQuality caps the representation (device screen / user choice).
 	MaxQuality video.Quality
-	// StartThresholdSec is the buffer level at which playback begins.
-	StartThresholdSec float64
-	// ResumeThresholdSec is the buffer level at which playback resumes
-	// after a stall.
-	ResumeThresholdSec float64
-	// BufferTargetSec is the steady-state buffer the downloader keeps.
-	BufferTargetSec float64
 	// AbandonStallSec: a single stall longer than this makes the user
 	// quit (plus per-user patience noise).
 	AbandonStallSec float64
@@ -210,20 +203,25 @@ type Config struct {
 
 // DefaultConfig returns sensible player parameters for the mode.
 func DefaultConfig(mode Mode) Config {
-	cfg := Config{
-		Mode:               mode,
-		MaxQuality:         video.Q480,
-		StartThresholdSec:  2,
-		ResumeThresholdSec: 3,
-		BufferTargetSec:    30,
-		AbandonStallSec:    45,
-		WatchFraction:      1,
+	return Config{
+		Mode:            mode,
+		MaxQuality:      video.Q480,
+		AbandonStallSec: 45,
+		WatchFraction:   1,
 	}
-	if mode == Progressive {
-		cfg.BufferTargetSec = 40
-	}
-	return cfg
 }
+
+// Playout-buffer levels, in content seconds: playback begins once
+// startThresholdSec is buffered and resumes after a stall at
+// resumeThresholdSec; above its mode's buffer target the downloader
+// sleeps until the buffer drains back to it (a progressive player
+// paces further ahead).
+const (
+	startThresholdSec          = 2
+	resumeThresholdSec         = 3
+	adaptiveBufferTargetSec    = 30
+	progressiveBufferTargetSec = 40
+)
 
 // Run simulates one session of v over net and returns its trace.
 func Run(v *video.Video, net netsim.Network, cfg Config, r *stats.Rand) *SessionTrace {

@@ -15,7 +15,7 @@ const blockSeconds = 5.0
 
 func runProgressive(tr *SessionTrace, net netsim.Network, cfg Config, r *stats.Rand) {
 	v := tr.Video
-	pb := newPlayback(tr, cfg)
+	pb := newPlayback(tr)
 	conn := netsim.NewConn(net, r.Fork())
 
 	emitStartSignals(tr, pb, r)
@@ -38,8 +38,8 @@ func runProgressive(tr *SessionTrace, net netsim.Network, cfg Config, r *stats.R
 	ramp := 0 // the startup burst uses full-size blocks
 
 	for remaining > 0 {
-		if pb.buffer > cfg.BufferTargetSec {
-			pb.advance(pb.buffer - cfg.BufferTargetSec)
+		if pb.buffer > progressiveBufferTargetSec {
+			pb.advance(pb.buffer - progressiveBufferTargetSec)
 			if pb.watchTargetReached(watched) {
 				break
 			}

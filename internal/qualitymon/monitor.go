@@ -20,16 +20,19 @@ type Thresholds struct {
 	// below the held-out baseline accuracy (fraction, e.g. 0.05 = five
 	// points). Default 0.05.
 	AccuracyDrop float64 `json:"accuracy_drop"`
-	// MinSamples gates the distribution checks: below this many
-	// predictions the PSI estimates are noise. Default 200.
-	MinSamples int64 `json:"min_samples"`
-	// MinLabels gates the accuracy check. Default 50.
-	MinLabels int64 `json:"min_labels"`
 }
+
+// The tripwires' gates: below minSamples predictions the PSI estimates
+// are noise, so the distribution checks wait for them, and the
+// accuracy check waits for minLabels labels.
+const (
+	minSamples = 200
+	minLabels  = 50
+)
 
 // DefaultThresholds returns the documented defaults.
 func DefaultThresholds() Thresholds {
-	return Thresholds{PSI: 0.2, AccuracyDrop: 0.05, MinSamples: 200, MinLabels: 50}
+	return Thresholds{PSI: 0.2, AccuracyDrop: 0.05}
 }
 
 // WithDefaults resolves zero fields.
@@ -40,12 +43,6 @@ func (t Thresholds) WithDefaults() Thresholds {
 	}
 	if t.AccuracyDrop <= 0 {
 		t.AccuracyDrop = d.AccuracyDrop
-	}
-	if t.MinSamples <= 0 {
-		t.MinSamples = d.MinSamples
-	}
-	if t.MinLabels <= 0 {
-		t.MinLabels = d.MinLabels
 	}
 	return t
 }

@@ -178,10 +178,9 @@ func testBaseline(t *testing.T) *Baseline {
 func testMonitor(t *testing.T, stallBase *Baseline) *Monitor {
 	t.Helper()
 	m := New(Config{
-		Shards:     2,
-		Thresholds: Thresholds{MinSamples: 10, MinLabels: 5},
-		Stall:      ModelConfig{Name: "stall", Classes: []string{"a", "b"}, Baseline: stallBase},
-		Rep:        ModelConfig{Name: "rep", Classes: []string{"x", "y"}},
+		Shards: 2,
+		Stall:  ModelConfig{Name: "stall", Classes: []string{"a", "b"}, Baseline: stallBase},
+		Rep:    ModelConfig{Name: "rep", Classes: []string{"x", "y"}},
 	})
 	if m == nil {
 		t.Fatal("New returned nil for a valid config")
@@ -215,7 +214,7 @@ func TestMonitorNoBaselineStatus(t *testing.T) {
 func TestMonitorDriftDegrades(t *testing.T) {
 	// in-distribution traffic: uniform over the training range
 	m := testMonitor(t, testBaseline(t))
-	for i := 0; i < 100; i++ {
+	for i := 0; i < minSamples; i++ {
 		m.Stall.Observe(i%2, []float64{float64(i % 100)}, i%2, 0.9)
 	}
 	sn := m.Snapshot()
@@ -230,7 +229,7 @@ func TestMonitorDriftDegrades(t *testing.T) {
 	// drifted traffic: every value beyond the training range lands in
 	// the top bin
 	m2 := testMonitor(t, testBaseline(t))
-	for i := 0; i < 100; i++ {
+	for i := 0; i < minSamples; i++ {
 		m2.Stall.Observe(i%2, []float64{1000 + float64(i)}, i%2, 0.9)
 	}
 	sn2 := m2.Snapshot()
@@ -246,14 +245,21 @@ func TestMonitorDriftDegrades(t *testing.T) {
 	}
 }
 
+// TestMonitorBelowMinSamplesNeverDegrades: fully drifted traffic
+// leaves the model ok until the minSamples-th prediction, which trips
+// the PSI checks.
 func TestMonitorBelowMinSamplesNeverDegrades(t *testing.T) {
 	m := testMonitor(t, testBaseline(t))
-	for i := 0; i < 5; i++ { // below MinSamples=10
+	for i := 0; i < minSamples-1; i++ {
 		m.Stall.Observe(0, []float64{1000}, 0, 0.9)
 	}
 	ms := m.Snapshot().Models[0]
 	if ms.Status != StatusOK {
-		t.Fatalf("status %q with %d samples, want %q (PSI gated by MinSamples)", ms.Status, ms.Samples, StatusOK)
+		t.Fatalf("status %q with %d samples, want %q (PSI gated by minSamples)", ms.Status, ms.Samples, StatusOK)
+	}
+	m.Stall.Observe(0, []float64{1000}, 0, 0.9)
+	if ms := m.Snapshot().Models[0]; ms.Status != StatusDegraded {
+		t.Fatalf("status %q with %d samples, want %q", ms.Status, ms.Samples, StatusDegraded)
 	}
 }
 
@@ -333,7 +339,7 @@ func TestMonitorAccuracyDropDegrades(t *testing.T) {
 	for i := 0; i < 100; i++ {           // healthy feature distribution
 		m.Stall.Observe(0, []float64{float64(i % 100)}, 0, 0.9)
 	}
-	for i := 0; i < 8; i++ { // above MinLabels=5, all wrong
+	for i := 0; i < minLabels; i++ { // all wrong
 		sub := string(rune('a' + i))
 		m.TrackPrediction(Prediction{Subscriber: sub, Start: 0, End: 10, Stall: 0, Rep: 0, StallConf: 0.9})
 		m.ObserveLabel(Label{Subscriber: sub, Start: 0, End: 10, Stall: 1, Rep: 0})

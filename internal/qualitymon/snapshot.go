@@ -208,7 +208,7 @@ func (mm *ModelMonitor) snapshot(th Thresholds) ModelSnapshot {
 	ms.BaselineAccuracy = mm.base.Calibration.Accuracy()
 	ms.BaselineECE = mm.base.Calibration.ECE()
 	ms.Features = make([]FeatureDrift, len(mm.base.Features))
-	enough := ms.Samples >= th.MinSamples
+	enough := ms.Samples >= minSamples
 	for f, name := range mm.base.Features {
 		psi := PSI(mm.base.Expected[f], Proportions(featCounts[f*mm.bins:(f+1)*mm.bins]))
 		drifted := enough && psi > th.PSI
@@ -226,7 +226,7 @@ func (mm *ModelMonitor) snapshot(th Thresholds) ModelSnapshot {
 		ms.Reasons = append(ms.Reasons,
 			fmt.Sprintf("prediction-prior shift: PSI %.3f > %.2f", ms.PriorPSI, th.PSI))
 	}
-	if ms.Labeled >= th.MinLabels {
+	if ms.Labeled >= minLabels {
 		ms.AccuracyDrop = ms.BaselineAccuracy - ms.OnlineAccuracy
 		if ms.AccuracyDrop > th.AccuracyDrop {
 			ms.Reasons = append(ms.Reasons,

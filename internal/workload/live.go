@@ -26,12 +26,6 @@ type LiveConfig struct {
 	Subscribers int
 	// SessionsPerSubscriber is how many videos each subscriber watches.
 	SessionsPerSubscriber int
-	// MeanGapSec is the mean think time between a subscriber's
-	// consecutive sessions (exponential).
-	MeanGapSec float64
-	// StartSpreadSec staggers subscriber arrival over this window so
-	// the population does not start in lockstep.
-	StartSpreadSec float64
 	// CatalogSize bounds the shared content pool.
 	CatalogSize int
 	// Seed fixes the workload.
@@ -112,12 +106,19 @@ func DefaultLiveConfig() LiveConfig {
 	return LiveConfig{
 		Subscribers:           64,
 		SessionsPerSubscriber: 3,
-		MeanGapSec:            120,
-		StartSpreadSec:        300,
 		CatalogSize:           200,
 		Seed:                  1,
 	}
 }
+
+// A live subscriber arrives at a uniform offset within
+// liveStartSpreadSec, so the population does not start in lockstep,
+// and thinks for an exponential liveMeanGapSec (plus 20 s) between
+// consecutive sessions.
+const (
+	liveStartSpreadSec = 300
+	liveMeanGapSec     = 120
+)
 
 // SessionLabel is the delayed ground truth for one generated session:
 // what an instrumented client (or subscriber panel) would report some
@@ -166,9 +167,6 @@ func GenerateLive(cfg LiveConfig) *Live {
 	}
 	if cfg.SessionsPerSubscriber <= 0 {
 		cfg.SessionsPerSubscriber = 1
-	}
-	if cfg.MeanGapSec <= 0 {
-		cfg.MeanGapSec = 120
 	}
 	if cfg.CatalogSize <= 0 {
 		cfg.CatalogSize = 200
@@ -291,7 +289,7 @@ func liveSubscriber(cfg LiveConfig, catalog *video.Catalog, seed int64, idx int)
 		delayMean = 120
 	}
 	sub := fmt.Sprintf("live%05d", idx)
-	offset := r.Float64() * cfg.StartSpreadSec
+	offset := r.Float64() * liveStartSpreadSec
 	var out []weblog.Entry
 	var labels []SessionLabel
 	for k := 0; k < cfg.SessionsPerSubscriber; k++ {
@@ -324,7 +322,7 @@ func liveSubscriber(cfg LiveConfig, catalog *video.Catalog, seed int64, idx int)
 				Rep:         features.LabelRepresentation(tr.AverageQuality()),
 			})
 		}
-		offset += tr.Duration + r.Exp(cfg.MeanGapSec) + 20
+		offset += tr.Duration + r.Exp(liveMeanGapSec) + 20
 	}
 	return out, labels
 }

@@ -27,25 +27,26 @@ type StudyConfig struct {
 	// Sessions is the number of video sessions (the paper collected
 	// 722 over 25 days).
 	Sessions int
-	// TopVideos is the popularity pool: the app replayed the 100 most
-	// popular videos (§5.1).
-	TopVideos int
 	// CommuterFraction is the share of sessions launched while moving;
 	// the user was instructed to favour that (§5.2).
 	CommuterFraction float64
-	// MeanGapSec separates consecutive sessions.
-	MeanGapSec float64
-	Seed       int64
+	Seed             int64
 }
+
+// studyTopVideos is the popularity pool: the app replayed the 100 most
+// popular videos (§5.1). studyMeanGapSec is the mean exponential gap
+// (plus 20 s) between consecutive sessions.
+const (
+	studyTopVideos  = 100
+	studyMeanGapSec = 240
+)
 
 // DefaultStudyConfig mirrors §5: 722 adaptive sessions, top-100
 // content, commuting-heavy usage.
 func DefaultStudyConfig() StudyConfig {
 	return StudyConfig{
 		Sessions:         722,
-		TopVideos:        100,
 		CommuterFraction: 0.55,
-		MeanGapSec:       240,
 		Seed:             99,
 	}
 }
@@ -58,12 +59,9 @@ func GenerateStudy(cfg StudyConfig) *Study {
 	if cfg.Sessions <= 0 {
 		return &Study{Corpus: &Corpus{}}
 	}
-	if cfg.TopVideos <= 0 {
-		cfg.TopVideos = 100
-	}
 	r := stats.NewRand(cfg.Seed)
-	catalog := video.NewCatalog(cfg.TopVideos*3, r)
-	top := catalog.Top(cfg.TopVideos)
+	catalog := video.NewCatalog(studyTopVideos*3, r)
+	top := catalog.Top(studyTopVideos)
 
 	st := &Study{Corpus: &Corpus{}}
 	offset := 0.0
@@ -106,7 +104,7 @@ func GenerateStudy(cfg StudyConfig) *Study {
 		for range entries {
 			st.StreamLabels = append(st.StreamLabels, tr.SessionID)
 		}
-		offset += tr.Duration + r.Exp(cfg.MeanGapSec) + 20
+		offset += tr.Duration + r.Exp(studyMeanGapSec) + 20
 	}
 	return st
 }

@@ -81,15 +81,6 @@ type Config struct {
 	AdaptiveFraction float64
 	// Encrypted renders the TLS view (no URIs).
 	Encrypted bool
-	// CatalogSize bounds the content pool.
-	CatalogSize int
-	// ProfileWeights select the network profile per session:
-	// static, commuter, congested.
-	ProfileWeights [3]float64
-	// QualityCapWeights select the session's maximum representation
-	// over the ladder (144..1080) — device screens and data plans skew
-	// users toward low caps (§4.2).
-	QualityCapWeights [6]float64
 	// Service selects the content packaging (§7 generalization); the
 	// zero value means the reference YouTube-like service.
 	Service video.ServiceProfile
@@ -110,15 +101,23 @@ func DefaultConfig(sessions int) Config {
 	return Config{
 		Sessions:         sessions,
 		AdaptiveFraction: 0.12,
-		CatalogSize:      500,
-		// tuned so roughly 12% of sessions stall and ~4% severely,
-		// Figure 2's marginals
-		ProfileWeights: [3]float64{0.80, 0.14, 0.06},
-		// tuned toward 57% LD / 38% SD / 5% HD average representation
-		QualityCapWeights: [6]float64{0.06, 0.16, 0.22, 0.44, 0.08, 0.04},
-		Seed:              1,
+		Seed:             1,
 	}
 }
+
+// The corpus's fixed mix. catalogSize bounds the content pool.
+// profileWeights select the network profile per session (static,
+// commuter, congested), tuned so roughly 12% of sessions stall and ~4%
+// severely, Figure 2's marginals. qualityCapWeights select the
+// session's maximum representation over the ladder (144..1080) —
+// device screens and data plans skew users toward low caps (§4.2) —
+// tuned toward 57% LD / 38% SD / 5% HD average representation.
+const catalogSize = 500
+
+var (
+	profileWeights    = []float64{0.80, 0.14, 0.06}
+	qualityCapWeights = []float64{0.06, 0.16, 0.22, 0.44, 0.08, 0.04}
+)
 
 // profile instantiates the chosen mobility profile.
 func profileByIndex(i int) (string, netsim.Profile) {
@@ -139,15 +138,12 @@ func Generate(cfg Config) *Corpus {
 	if cfg.Sessions <= 0 {
 		return &Corpus{}
 	}
-	if cfg.CatalogSize <= 0 {
-		cfg.CatalogSize = 500
-	}
 	master := stats.NewRand(cfg.Seed)
 	service := cfg.Service
 	if service.Name == "" {
 		service = video.YouTubeLike()
 	}
-	catalog := video.NewServiceCatalog(cfg.CatalogSize, master, service)
+	catalog := video.NewServiceCatalog(catalogSize, master, service)
 	seeds := make([]int64, cfg.Sessions)
 	for i := range seeds {
 		seeds[i] = master.Int63()
@@ -178,7 +174,7 @@ func generateOne(cfg Config, catalog *video.Catalog, seed int64, idx int) *Sessi
 	r := stats.NewRand(seed)
 	v := catalog.Videos[r.Intn(len(catalog.Videos))]
 
-	profIdx := r.WeightedChoice(cfg.ProfileWeights[:])
+	profIdx := r.WeightedChoice(profileWeights)
 	profName, prof := profileByIndex(profIdx)
 	net := netsim.NewPath(prof, r.Fork())
 
@@ -187,7 +183,7 @@ func generateOne(cfg Config, catalog *video.Catalog, seed int64, idx int) *Sessi
 		mode = player.Adaptive
 	}
 	pcfg := player.DefaultConfig(mode)
-	pcfg.MaxQuality = video.Ladder[r.WeightedChoice(cfg.QualityCapWeights[:])]
+	pcfg.MaxQuality = video.Ladder[r.WeightedChoice(qualityCapWeights)]
 	if mode == player.Progressive && profIdx != 0 {
 		// legacy players cannot adapt, so users on bad networks drop
 		// the quality setting themselves (limited plans, §4.2)

@@ -14,28 +14,37 @@ import (
 	"testing"
 )
 
-// settingPackages are the serving stack: every exported field of an
-// exported struct named *Config, *Options, *Objectives or *Thresholds
-// declared in one of them is a setting, and a setting must be written by
-// some non-test code outside its own package (cmd/, bench/ and examples/
-// count). A value no program sets is a constant.
-var settingPackages = []string{"engine", "pipeline", "slo", "flight", "qualitymon", "cohort", "wire", "sessionizer"}
+// settingPackages are the packages whose settings the guard checks: the
+// serving stack, the learners, the generators and the experiment suite.
+// Every exported field of an exported struct named *Config, *Options,
+// *Objectives, *Thresholds or *Scale declared in one of them is a
+// setting, and a setting must be written by some non-test code outside
+// its own package (cmd/, bench/ and examples/ count). A value no program
+// sets is a constant.
+var settingPackages = []string{
+	"engine", "pipeline", "slo", "flight", "qualitymon", "cohort", "wire", "sessionizer",
+	"ml", "core", "workload", "player", "experiments",
+}
 
 const benchReads = "bench/layers.go reads it from engine.DefaultConfig, so removing it changes the benchmark"
-const qualityShown = "/debug/quality reports it in thresholds beside PSI and AccuracyDrop, which qoeserve sets by flag; the engine and pipeline e2e fixtures lower it"
+const constructorArg = "a constructor parameter: every caller sets it through DefaultConfig's argument"
+const cohortFixtures = "set only by e2e fixtures: the cohort, flight and fused-door ones concentrate cohorts, the drift ones match the training mix"
 
 // uncalledSettings are the settings allowed to have no caller, and why.
 var uncalledSettings = map[string]string{
-	"engine.Config.IdleGapSec":         benchReads,
-	"engine.Config.MinChunks":          benchReads,
-	"engine.Config.EvictSlackSec":      benchReads,
-	"qualitymon.Thresholds.MinSamples": qualityShown,
-	"qualitymon.Thresholds.MinLabels":  qualityShown,
+	"engine.Config.IdleGapSec":              benchReads,
+	"engine.Config.MinChunks":               benchReads,
+	"engine.Config.EvictSlackSec":           benchReads,
+	"workload.Config.Sessions":              constructorArg,
+	"player.Config.Mode":                    constructorArg,
+	"workload.LiveConfig.DeviceWeights":     cohortFixtures,
+	"workload.LiveConfig.QualityCapWeights": cohortFixtures,
 }
 
 // TestEverySettingHasACaller type-checks the module's non-test code and
 // fails on any setting no program writes, by composite-literal key or by
-// assignment, outside its declaring package.
+// assignment, outside its declaring package. An assignment through a
+// selector chain (cfg.Forest.Trees = 30) writes every field on the way.
 func TestEverySettingHasACaller(t *testing.T) {
 	m := loadModule(t)
 
@@ -81,7 +90,7 @@ func TestEverySettingHasACaller(t *testing.T) {
 					lhs = []ast.Expr{n.X}
 				}
 				for _, e := range lhs {
-					if sel, ok := e.(*ast.SelectorExpr); ok && info.Selections[sel] != nil {
+					for sel, ok := e.(*ast.SelectorExpr); ok && info.Selections[sel] != nil; sel, ok = sel.X.(*ast.SelectorExpr) {
 						write(path, info.Selections[sel].Obj())
 					}
 				}
@@ -90,6 +99,7 @@ func TestEverySettingHasACaller(t *testing.T) {
 		}
 	}
 
+	t.Logf("%d settings checked", len(settings))
 	var uncalled []string
 	for f, name := range settings {
 		if !written[f] && uncalledSettings[name] == "" {
@@ -117,7 +127,7 @@ func TestEverySettingHasACaller(t *testing.T) {
 }
 
 func isSettingType(name string) bool {
-	for _, suffix := range []string{"Config", "Options", "Objectives", "Thresholds"} {
+	for _, suffix := range []string{"Config", "Options", "Objectives", "Thresholds", "Scale"} {
 		if strings.HasSuffix(name, suffix) {
 			return true
 		}
