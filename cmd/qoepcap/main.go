@@ -6,19 +6,22 @@
 //
 //	qoepcap -analyze capture.pcap [-hosts map.txt] [-stall S -rep R]
 //	  run the passive measurement chain on a capture: flow metering →
-//	  session reconstruction → QoE reports, from the framework qoeserve
-//	  would serve (core.ServingFramework): the model files qoereport
-//	  -save-stall/-save-rep write when both are given, else the models
-//	  trained on -train-n synthetic sessions with -seed, exactly those
-//	  qoeserve trains with the same two flags. The session flight
-//	  recorder rides along: sessions kept by a retention policy
-//	  (stalled, worst MOS decile, low confidence, uniform sample) close
-//	  the run with a "worst sessions" report; -flight-sample tunes the
-//	  uniform sample, -no-flight disables recording. The SLO rules run too,
-//	  in capture time: the engine ticks once per -slo-cadence seconds
-//	  of capture, so a silent gap in the trace raises ingest-stale
-//	  exactly as it would have live; -alert-log appends the
-//	  transitions (timestamps are capture seconds) as JSON lines.
+//	  session reconstruction → QoE reports, through the server qoeserve
+//	  runs (pipeline.Server, at one shard with sweeps off) and the
+//	  framework it would serve (core.ServingFramework): the model files
+//	  qoereport -save-stall/-save-rep write when both are given, else
+//	  the models trained on -train-n synthetic sessions with -seed,
+//	  exactly those qoeserve trains with the same two flags. The
+//	  session flight recorder rides along: sessions kept by a retention
+//	  policy (stalled, worst MOS decile, low confidence, uniform sample)
+//	  close the run with a "worst sessions" report; -flight-sample tunes
+//	  the uniform sample, -no-flight disables recording. The server's
+//	  SLO rule set runs too — the same eight rules a -replay into
+//	  qoeserve meets — in capture time: the SLO engine ticks once per
+//	  -slo-cadence seconds of capture, so a silent gap in the trace
+//	  raises ingest-stale exactly as it would have live; -alert-log
+//	  appends the transitions (timestamps are capture seconds) as JSON
+//	  lines.
 //
 //	qoepcap -replay capture.pcap -wire 127.0.0.1:9090   push the
 //	  synthesized entries to a qoeserve wire listener as they are
@@ -44,7 +47,6 @@ import (
 	"vqoe/internal/core"
 	"vqoe/internal/engine"
 	"vqoe/internal/flight"
-	"vqoe/internal/obs"
 	"vqoe/internal/packet"
 	"vqoe/internal/pcapio"
 	"vqoe/internal/pipeline"
@@ -158,38 +160,31 @@ func doAnalyze(fw *core.Framework, path, hostsPath string, flightN int, noFlight
 	}
 	defer r.Close()
 
-	rec := flight.New(flight.Config{Shards: 1, SampleN: flightN, Disabled: noFlight})
-	ob := obs.NewObserver(1, 0)
-
-	// offline SLO pass: a manually-ticked engine whose clock is the
-	// capture's own timestamps, so staleness and latency rules judge
-	// the trace exactly as they would have judged the live stream
+	// the server qoeserve runs, at one shard with sweeps off — sessions
+	// close on §5.2 boundaries and at end of capture — with its SLO
+	// engine ticked by hand on the capture's own timestamps, so every
+	// rule judges the trace exactly as it would have judged the live
+	// stream
 	if sloCadence <= 0 {
 		sloCadence = 1
 	}
 	capNow := 0.0
-	scfg := slo.Config{Manual: true, CadenceSec: sloCadence, Now: func() float64 { return capNow }}
+	opts := pipeline.Options{
+		Engine: engine.Config{Shards: 1, SweepEverySec: -1},
+		Flight: flight.Config{SampleN: flightN, Disabled: noFlight},
+		SLO:    slo.Config{Manual: true, CadenceSec: sloCadence, Now: func() float64 { return capNow }},
+	}
 	if alertLog != "" {
 		lf, err := os.OpenFile(alertLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
 		defer lf.Close()
-		scfg.AlertLog = lf
+		opts.SLO.AlertLog = lf
 	}
-	sloEng := slo.New(scfg)
-
-	// stream through the live engine at one shard, one entry per call
-	// in the start order the capture loop releases them, so the flight
-	// recorder sees the capture exactly as a deployment would; sweeps
-	// are off — sessions close on §5.2 boundaries and at end of capture
-	eng := engine.New(fw, engine.Config{Shards: 1, SweepEverySec: -1, Obs: ob, Flight: rec}, nil)
-	// the engine's own count: Ingest is synchronous, so a tick reads what was pushed
-	pipeline.EntriesTelemetry(sloEng, func() int64 { return eng.Snapshot()[0].Events }, nil)
-	pipeline.StageTelemetry(nil, sloEng, ob.StageSnapshots)
-	pipeline.FlightTelemetry(nil, sloEng, rec)
+	srv := pipeline.NewServerOpts(fw, opts)
 	n := 0
-	emit := func(reports []engine.Report) {
+	emit := func(reports []pipeline.SessionReport) {
 		for _, rep := range reports {
 			n++
 			fmt.Printf("session %2d  t=%8.1fs  %s\n", n, rep.Start, rep.Report)
@@ -197,6 +192,9 @@ func doAnalyze(fw *core.Framework, path, hostsPath string, flightN int, noFlight
 	}
 	started := false
 	var nextTick float64
+	// one entry per call, in the start order the capture loop releases
+	// them, so the engine and the flight recorder see the capture
+	// exactly as a deployment would
 	st, err := streamCapture(r, func(entries []weblog.Entry) error {
 		for i, e := range entries {
 			if !started {
@@ -206,13 +204,13 @@ func doAnalyze(fw *core.Framework, path, hostsPath string, flightN int, noFlight
 			}
 			for e.Timestamp >= nextTick {
 				capNow = nextTick
-				sloEng.Tick(capNow)
+				srv.SLO().Tick(capNow)
 				nextTick += sloCadence
 			}
 			if e.Timestamp > capNow {
 				capNow = e.Timestamp
 			}
-			reports, _ := eng.Ingest(entries[i : i+1])
+			reports, _ := srv.Engine().Ingest(entries[i : i+1])
 			emit(reports)
 		}
 		return nil
@@ -220,12 +218,11 @@ func doAnalyze(fw *core.Framework, path, hostsPath string, flightN int, noFlight
 	if err != nil {
 		return err
 	}
-	emit(eng.Drain())
-	sloEng.Tick(capNow)
+	emit(srv.Drain())
 	fmt.Printf("\nmetered %d transactions from %d packets\n", st.Entries, st.Packets)
 	fmt.Printf("%d sessions assessed\n\n", n)
-	rec.Snapshot().WriteWorst(os.Stdout)
-	sloEng.Alerts().WriteSummary(os.Stdout)
+	srv.Flight().Snapshot().WriteWorst(os.Stdout)
+	srv.SLO().Alerts().WriteSummary(os.Stdout)
 	return nil
 }
 

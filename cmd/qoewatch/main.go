@@ -22,10 +22,11 @@
 // summary — feature drift vs the training baseline, calibration, and
 // online accuracy — flagging any tripped degradation threshold.
 //
-// When entries carry cohort metadata (region/device/cap, as qoegen
-// -kind live emits), the run also closes with a "worst cohorts" fleet
-// summary: the five cohorts with the lowest median MOS, with their
-// impairment rates — the same rollup qoeserve serves at /debug/cohorts.
+// The run also closes with a "worst cohorts" fleet summary: the five
+// cohorts (region/device/cap, as qoegen -kind live emits) with the
+// lowest median MOS, with their impairment rates — the same rollup
+// qoeserve serves at /debug/cohorts. Sessions without cohort metadata
+// roll up under "unknown".
 //
 // The session flight recorder rides along: sessions that stall,
 // score in the worst MOS decile, confuse a detector, or land on the
@@ -160,13 +161,9 @@ func main() {
 		log.Error("read failed", "err", err)
 		os.Exit(1)
 	}
-	// Drain stops the background SLO sampler before it flushes; one
-	// final tick then picks up the flush before the summary reads the
-	// alert table
 	for _, rep := range srv.Drain() {
 		emitted += printReport(out, rep, *quietOK)
 	}
-	srv.SLO().Tick(srv.SLO().Now())
 	sn := srv.Engine().Quality().Snapshot()
 	fmt.Fprintf(out, "-- %d entries, %d session reports\n", lines, emitted)
 	if labels > 0 {
@@ -203,8 +200,9 @@ func printModelHealth(w io.Writer, sn qualitymon.Snapshot) {
 }
 
 // printWorstCohorts closes the run with the fleet view an operator
-// pages on: up to five cohorts, worst median MOS first. Streams
-// without cohort metadata produce an empty rollup and no output.
+// pages on: up to five cohorts, worst median MOS first. Sessions
+// without cohort metadata count under "unknown"; only a run that
+// assessed no session prints nothing.
 func printWorstCohorts(w io.Writer, snap *cohort.Snapshot) {
 	if snap == nil || len(snap.Cohorts) == 0 {
 		return

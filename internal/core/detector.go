@@ -44,13 +44,13 @@ func (d *Detector) indexSelected() {
 	d.selIdx = idx
 }
 
-// TrainConfig bundles the training hyperparameters.
+// TrainConfig bundles the training hyperparameters. Forest.Seed is
+// the one training seed: it draws the balancing, the selection sample
+// and the folds as well as the forest.
 type TrainConfig struct {
 	Forest ml.ForestConfig
 	// CVFolds is the cross-validation fold count (paper: 10).
 	CVFolds int
-	// Seed drives balancing and fold assignment.
-	Seed int64
 }
 
 // selectionSample caps the instances used for feature selection — CFS
@@ -64,7 +64,6 @@ func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{
 		Forest:  ml.ForestConfig{Trees: 60, Seed: 1},
 		CVFolds: 10,
-		Seed:    1,
 	}
 }
 
@@ -88,7 +87,7 @@ func Train(ds *ml.Dataset, cfg TrainConfig) (*Detector, *TrainReport, error) {
 	if cfg.CVFolds < 2 {
 		cfg.CVFolds = 10
 	}
-	r := stats.NewRand(cfg.Seed)
+	r := stats.NewRand(cfg.Forest.Seed)
 
 	// Feature selection runs on a balanced sample so the merit is not
 	// dominated by the majority class.
@@ -127,7 +126,7 @@ func Train(ds *ml.Dataset, cfg TrainConfig) (*Detector, *TrainReport, error) {
 		gains[i] = ml.RankedFeature{Name: n, Gain: gainByName[n]}
 	}
 
-	finalTrain := reduced.Balance(stats.NewRand(cfg.Seed + 1))
+	finalTrain := reduced.Balance(stats.NewRand(cfg.Forest.Seed + 1))
 	forest := ml.TrainForest(finalTrain, cfg.Forest)
 	// the drift baseline sketches the corpus at its natural class
 	// distribution (reduced, not the balanced finalTrain): serve-time
@@ -136,7 +135,7 @@ func Train(ds *ml.Dataset, cfg TrainConfig) (*Detector, *TrainReport, error) {
 	// cross-validation's held-out tally is both the CV report and the
 	// reference the quality monitor compares live accuracy and
 	// calibration against
-	forest.Baseline.Calibration = *ml.CrossValidate(reduced, cfg.CVFolds, cfg.Forest, cfg.Seed)
+	forest.Baseline.Calibration = *ml.CrossValidate(reduced, cfg.CVFolds, cfg.Forest, cfg.Forest.Seed)
 
 	det := &Detector{
 		Forest:   forest,

@@ -111,7 +111,7 @@ func (s *Suite) trainCfg() core.TrainConfig {
 	cfg := core.DefaultTrainConfig()
 	cfg.Forest.Trees = s.Scale.Trees
 	cfg.CVFolds = s.Scale.Folds
-	cfg.Seed = s.Scale.Seed
+	cfg.Forest.Seed = s.Scale.Seed
 	return cfg
 }
 
@@ -351,7 +351,7 @@ func (s *Suite) AblationStallWithoutChunkFeatures() (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	cfg := s.trainCfg()
-	cv := ml.CrossValidate(reduced, cfg.CVFolds, cfg.Forest, cfg.Seed)
+	cv := ml.CrossValidate(reduced, cfg.CVFolds, cfg.Forest, cfg.Forest.Seed)
 	return AblationResult{
 		Name:      "stall model without chunk features",
 		Reference: rep.CV.Accuracy(),
@@ -368,7 +368,7 @@ func (s *Suite) AblationStallAllFeatures() (AblationResult, error) {
 	}
 	ds := core.BuildStallDataset(s.Cleartext())
 	cfg := s.trainCfg()
-	cv := ml.CrossValidate(ds, cfg.CVFolds, cfg.Forest, cfg.Seed)
+	cv := ml.CrossValidate(ds, cfg.CVFolds, cfg.Forest, cfg.Forest.Seed)
 	return AblationResult{
 		Name:      "stall model on all 70 features (no CFS)",
 		Reference: rep.CV.Accuracy(),
@@ -466,7 +466,7 @@ func (s *Suite) AblationSwitchML() AblationResult {
 		ds.Add(features.RepFeatures(sess.Obs), label)
 	}
 	cfg := s.trainCfg()
-	cv := ml.CrossValidate(ds, cfg.CVFolds, cfg.Forest, cfg.Seed)
+	cv := ml.CrossValidate(ds, cfg.CVFolds, cfg.Forest, cfg.Forest.Seed)
 	return AblationResult{
 		Name:      "ML classifier for switch detection (balanced rate)",
 		Reference: (ref.SteadyBelow + ref.VaryingAbove) / 2,

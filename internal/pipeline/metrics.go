@@ -54,12 +54,8 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// collect appends one subsystem's exposition collector. A nil Metrics
-// is the "no /metrics served" mode: the collector is dropped.
+// collect appends one subsystem's exposition collector.
 func (m *Metrics) collect(fn func(*expoWriter)) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	m.collectors = append(m.collectors, fn)
 	m.mu.Unlock()

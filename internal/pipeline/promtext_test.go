@@ -617,7 +617,7 @@ func BenchmarkExpositionWrite(b *testing.B) {
 	for i := 0; i < 1000; i++ {
 		set.Observe(obs.StageIngest, float64(i)*1e-6)
 	}
-	StageTelemetry(m, slo.New(slo.Config{Manual: true}), func() []obs.StageSetSnapshot {
+	stageTelemetry(m, slo.New(slo.Config{Manual: true}), func() []obs.StageSetSnapshot {
 		return []obs.StageSetSnapshot{set.Snapshot()}
 	})
 	var buf bytes.Buffer

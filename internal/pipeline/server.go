@@ -163,11 +163,11 @@ func NewServerOpts(fw *core.Framework, opts Options) *Server {
 	}
 	s.eng = engine.New(fw, ecfg, opts.OnReport)
 	s.slo = slo.New(opts.SLO)
-	EngineTelemetry(s.metrics, s.slo, s.eng)
-	StageTelemetry(s.metrics, s.slo, s.obs.StageSnapshots)
+	engineTelemetry(s.metrics, s.slo, s.eng)
+	stageTelemetry(s.metrics, s.slo, s.obs.StageSnapshots)
 	qualityTelemetry(s.metrics, s.slo, qm)
 	cohortTelemetry(s.metrics, s.slo, ecfg.Cohorts)
-	FlightTelemetry(s.metrics, s.slo, rec)
+	flightTelemetry(s.metrics, s.slo, rec)
 	alertTelemetry(s.metrics, s.slo)
 	s.slo.Start()
 	return s
@@ -218,8 +218,8 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Drain flushes the engine's open sessions for graceful shutdown and
 // returns their final reports (also handed to Options.OnReport). It also
-// stops the SLO sampler: alert states freeze at their final values for
-// the closing summary.
+// stops the SLO sampler and ticks it once more on its own clock, so the
+// alert states count the flush and then freeze for the closing summary.
 func (s *Server) Drain() []SessionReport {
 	s.slo.Close()
 	reports := s.eng.Drain()
@@ -228,6 +228,7 @@ func (s *Server) Drain() []SessionReport {
 			s.opts.OnReport(rep)
 		}
 	}
+	s.slo.Tick(s.slo.Now())
 	return reports
 }
 

@@ -331,3 +331,70 @@ func sampleValue(fams map[string]*promFamily, family string, labels map[string]s
 	}
 	return 0, false
 }
+
+// TestCaptureClockServerRaisesIngestStale runs the server the way
+// qoepcap -analyze does — one shard, sweeps off, the SLO engine ticked
+// by hand on a capture clock near 10³ s — across a 200 s silence in
+// the traffic: ingest-stale must go pending, then firing, and resolve
+// once entries flow again. The freshness gauge reads the SLO clock
+// alone; a gauge that also took the shards' wall-clock taps (unix
+// seconds, ≈1.7·10⁹) read a negative age on this clock and never
+// breached.
+func TestCaptureClockServerRaisesIngestStale(t *testing.T) {
+	fw, capture := testFramework(t)
+	now := 1000.0
+	srv := NewServerOpts(fw, Options{
+		Engine: engine.Config{Shards: 1, SweepEverySec: -1},
+		SLO:    slo.Config{Manual: true, Now: func() float64 { return now }},
+	})
+	defer srv.Drain()
+	se := srv.SLO()
+	stale := func() slo.State {
+		for _, r := range se.StateRows() {
+			if r.Rule == "ingest-stale" {
+				return r.State
+			}
+		}
+		t.Fatal("ingest-stale not installed")
+		return slo.Inactive
+	}
+	var seen []slo.State
+	tick := func() {
+		now++
+		se.Tick(now)
+		if st := stale(); len(seen) == 0 || seen[len(seen)-1] != st {
+			seen = append(seen, st)
+		}
+	}
+	entries := capture.Stream
+	half := len(entries) / 2
+	for i := range entries[:half] {
+		srv.Engine().Ingest(entries[i : i+1])
+		if i%20 == 0 {
+			tick()
+		}
+	}
+	if s := stale(); s != slo.Inactive {
+		t.Fatalf("ingest-stale %v while entries flow, want inactive", s)
+	}
+	for i := 0; i < 200; i++ {
+		tick()
+	}
+	if s := stale(); s != slo.Firing {
+		t.Fatalf("ingest-stale %v after a 200 s silence on the capture clock (states %v), want firing", s, seen)
+	}
+	for i := range entries[half:] {
+		srv.Engine().Ingest(entries[half+i : half+i+1])
+		if i%20 == 0 {
+			tick()
+		}
+	}
+	for i := 0; i < 2*int(slo.ClearForSec) && stale() != slo.Resolved; i++ {
+		srv.Engine().Ingest(entries[len(entries)-1:])
+		tick()
+	}
+	want := []slo.State{slo.Inactive, slo.Pending, slo.Firing, slo.Resolved}
+	if !containsSubsequence(seen, want) {
+		t.Errorf("ingest-stale walked %v, want inactive→pending→firing→resolved", seen)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"vqoe/internal/cohort"
 	"vqoe/internal/engine"
@@ -23,19 +24,18 @@ import (
 // is checked once, at the top. To monitor something new, write one more
 // function here and call it once where the source is built.
 //
-// m may be nil when the caller serves no /metrics (qoepcap -analyze).
 // Collectors render in registration order; series registered after the
 // sampler started backfill as missing samples.
 
-// EngineTelemetry declares the sharded engine, the one place an entry and
+// engineTelemetry declares the sharded engine, the one place an entry and
 // an assessed session are counted: vqoe_entries_total (what the shards
 // took, through any door), vqoe_sessions_total (the sessions they
 // assessed), vqoe_ingest_rejected_total (what the admission rule refused), the
 // interner's and the per-shard vqoe_engine_* families, the ingest/session/
-// mailbox/interner series, the session-freshness series (seconds since
-// the report count last moved), and the drop-rate, mailbox-saturation,
-// ingest-stale and shard-wedged rules.
-func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
+// mailbox/interner series, the freshness series (SLO-clock seconds since
+// the entry and report counts last moved), and the drop-rate,
+// mailbox-saturation, ingest-stale and shard-wedged rules.
+func engineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 	m.collect(func(e *expoWriter) {
 		stats := eng.Snapshot()
 		var events, reports int64
@@ -90,12 +90,14 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 		events, dropped, rejected, reports, evicted int64
 		open, wedged                                int
 		maxMailboxUtil                              float64
-		lastWorkSec                                 float64 // newest shard tap, unix seconds (0 = none)
 	}
 	var cur totals
-	var sessions counterClock
+	var events, sessions counterClock
 	h.Prelude(func() {
-		now := se.Now()
+		// a shard's liveness tap is stamped by the wall clock, so
+		// shard-wedged reads that clock whatever clock the SLO engine
+		// ticks on
+		wall := time.Now().UnixNano()
 		mailboxCap := eng.MailboxCap()
 		cur = totals{}
 		for _, n := range eng.Rejected() {
@@ -112,23 +114,25 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 					cur.maxMailboxUtil = u
 				}
 			}
-			tap := float64(sh.LastWorkUnixNano) / 1e9
-			if tap > cur.lastWorkSec {
-				cur.lastWorkSec = tap
-			}
-			if sh.Mailbox > 0 && sh.LastWorkUnixNano > 0 && now-tap > slo.StaleAfterSec {
+			if sh.Mailbox > 0 && sh.LastWorkUnixNano > 0 && float64(wall-sh.LastWorkUnixNano)/1e9 > slo.StaleAfterSec {
 				cur.wedged++
 			}
 		}
+		now := se.Now()
+		events.tick(float64(cur.events), now)
 		sessions.tick(float64(cur.reports), now)
 	})
-	EntriesTelemetry(se, func() int64 { return cur.events }, func() float64 { return cur.lastWorkSec })
+	h.AddCounter("ingest.entries", func() float64 { return float64(cur.events) })
+	ingestAge := h.AddGauge("fresh.ingest_age_seconds", func() float64 { return events.age(se.Now()) })
+	se.AddRule(slo.StaleRule("ingest-stale",
+		"No entry has been processed for longer than the staleness budget: wedged listener or silent upstream.",
+		ingestAge, slo.StaleAfterSec))
 	dropped := h.AddCounter("ingest.dropped", func() float64 { return float64(cur.dropped) })
 	h.AddCounter("ingest.rejected", func() float64 { return float64(cur.rejected) })
 	offered := h.AddCounter("ingest.offered", func() float64 { return float64(cur.events + cur.dropped + cur.rejected) })
 	h.AddCounter("sessions.reports", func() float64 { return float64(cur.reports) })
 	h.AddCounter("sessions.evicted", func() float64 { return float64(cur.evicted) })
-	h.AddGauge("fresh.session_age_seconds", func() float64 { return sessions.age(se.Now(), 0) })
+	h.AddGauge("fresh.session_age_seconds", func() float64 { return sessions.age(se.Now()) })
 	h.AddGauge("engine.open_sessions", func() float64 { return float64(cur.open) })
 	h.AddGauge("engine.interner_bytes", func() float64 { _, _, b := eng.InternerStats(); return float64(b) })
 	mailboxUtil := h.AddGauge("engine.mailbox_util", func() float64 { return cur.maxMailboxUtil })
@@ -150,37 +154,10 @@ func EngineTelemetry(m *Metrics, se *slo.Engine, eng *engine.Engine) {
 	})
 }
 
-// EntriesTelemetry declares ingest progress from a processed-entry
-// counter: the throughput series, the freshness gauge and the
-// ingest-stale rule. EngineTelemetry calls it with the shard taps;
-// qoepcap -analyze calls it directly with lastWorkSec nil, because it
-// ticks on the capture clock, where the shards' wall-clock liveness
-// taps mean nothing.
-func EntriesTelemetry(se *slo.Engine, entries func() int64, lastWorkSec func() float64) {
-	h := se.History()
-	// engines without an observer take no wall-clock taps, the counter
-	// still moves
-	var events counterClock
-	h.Prelude(func() { events.tick(float64(entries()), se.Now()) })
-	h.AddCounter("ingest.entries", func() float64 { return events.v })
-	// Freshness: seconds since the pipeline last made progress — the
-	// newer of the shard wall-clock tap and the counter's last move.
-	ingestAge := h.AddGauge("fresh.ingest_age_seconds", func() float64 {
-		tap := 0.0
-		if lastWorkSec != nil {
-			tap = lastWorkSec()
-		}
-		return events.age(se.Now(), tap)
-	})
-	se.AddRule(slo.StaleRule("ingest-stale",
-		"No entry has been processed for longer than the staleness budget: wedged listener or silent upstream.",
-		ingestAge, slo.StaleAfterSec))
-}
-
-// StageTelemetry declares the per-shard stage-latency histograms: the
+// stageTelemetry declares the per-shard stage-latency histograms: the
 // vqoe_stage_duration_seconds family (stage and shard labels), the
 // merged ingest-stage history and the ingest-latency-p99 rule.
-func StageTelemetry(m *Metrics, se *slo.Engine, stages func() []obs.StageSetSnapshot) {
+func stageTelemetry(m *Metrics, se *slo.Engine, stages func() []obs.StageSetSnapshot) {
 	m.collect(func(e *expoWriter) {
 		const name = "vqoe_stage_duration_seconds"
 		e.family(name, "Pipeline stage latency per engine shard.", "histogram")
@@ -358,7 +335,7 @@ func qualityTelemetry(m *Metrics, se *slo.Engine, qm *qualitymon.Monitor) {
 	h.AddGauge("model.max_ece", func() float64 {
 		return worst(func(ms qualitymon.ModelSnapshot) float64 { return ms.ECE })
 	})
-	h.AddGauge("fresh.label_age_seconds", func() float64 { return labels.age(se.Now(), 0) })
+	h.AddGauge("fresh.label_age_seconds", func() float64 { return labels.age(se.Now()) })
 
 	se.AddRule(slo.Rule{
 		Name: "model-degraded",
@@ -432,12 +409,12 @@ func cohortTelemetry(m *Metrics, se *slo.Engine, rollup *cohort.Rollup) {
 		worstP50, slo.MOSFloor, slo.FastWindowSec))
 }
 
-// FlightTelemetry declares the session flight recorder: the
+// flightTelemetry declares the session flight recorder: the
 // vqoe_flight_* families (sampling counters split by retention policy,
 // the resident-memory gauges behind the per-shard byte caps), the
 // eviction and occupancy series and the flight-pressure rule. No-op
 // when recording is off.
-func FlightTelemetry(m *Metrics, se *slo.Engine, rec *flight.Recorder) {
+func flightTelemetry(m *Metrics, se *slo.Engine, rec *flight.Recorder) {
 	if rec == nil {
 		return
 	}
@@ -572,18 +549,14 @@ func (c *counterClock) tick(v, now float64) {
 	}
 }
 
-// age returns the seconds from the newer of the counter's last move and
-// tap (a unix-seconds time, 0 = none) to now; NaN until either has
-// happened (a source that has not been fed is idle, not stale).
-func (c *counterClock) age(now, tap float64) float64 {
-	last := tap
-	if c.v != 0 && c.at > last {
-		last = c.at
-	}
-	if last == 0 {
+// age returns the seconds from the counter's last move to now; NaN
+// until it has moved (a source that has not been fed is idle, not
+// stale).
+func (c *counterClock) age(now float64) float64 {
+	if c.v == 0 {
 		return math.NaN()
 	}
-	return now - last
+	return now - c.at
 }
 
 // uint64s converts the monitor's per-bin counts for the histogram

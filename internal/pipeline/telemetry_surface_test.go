@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"vqoe/internal/engine"
-	"vqoe/internal/flight"
-	"vqoe/internal/obs"
 	"vqoe/internal/qualitymon"
 	"vqoe/internal/slo"
 	"vqoe/internal/wire"
@@ -30,9 +28,8 @@ var updateSurface = flag.Bool("update-surface", false,
 // sets and (where deterministic) values in /metrics, the series and
 // quantile names of /debug/timeseries, and the rule names and help
 // strings of /debug/alerts — against goldens recorded before the
-// telemetry wiring was restructured. Two shapes: the full server
-// (every subsystem plus one wire listener) and the three-source
-// capture-clock shape qoepcap -analyze builds.
+// telemetry wiring was restructured: the full server (every subsystem
+// plus one wire listener), which every live tool runs.
 func TestTelemetrySurfacePinned(t *testing.T) {
 	fw, _ := testFramework(t)
 	fixed := 1_700_000_000.0
@@ -117,24 +114,6 @@ func TestTelemetrySurfacePinned(t *testing.T) {
 	got := "# metrics\n" + surfaceMetrics(string(get("/metrics"))) +
 		"# timeseries\n" + surfaceSeries(ts) + "# alerts\n" + surfaceRules(al)
 	checkSurface(t, "surface_server.golden", got)
-
-	se := pcapShapeSLO()
-	se.Tick(fixed)
-	got = "# timeseries\n" + surfaceSeries(se.Timeseries(0)) + "# alerts\n" + surfaceRules(se.Alerts())
-	checkSurface(t, "surface_qoepcap.golden", got)
-}
-
-// pcapShapeSLO wires the sources qoepcap -analyze has — a bare entry
-// counter on the capture clock, one observer's stages, one flight
-// recorder — the way cmd/qoepcap does.
-func pcapShapeSLO() *slo.Engine {
-	rec := flight.New(flight.Config{Shards: 1})
-	ob := obs.NewObserver(1, 0)
-	se := slo.New(slo.Config{Manual: true, Now: func() float64 { return 1_700_000_000 }})
-	EntriesTelemetry(se, func() int64 { return 0 }, nil)
-	StageTelemetry(nil, se, ob.StageSnapshots)
-	FlightTelemetry(nil, se, rec)
-	return se
 }
 
 // surfaceMetrics reduces an exposition to sorted lines. Samples of

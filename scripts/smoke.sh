@@ -375,12 +375,12 @@ for section in \
 done
 echo "   $WATCH_REPORTS reports over $WATCH_ENTRIES entries, closing sections present"
 
-echo "== qoepcap -analyze: capture through the one-shard engine"
+echo "== qoepcap -analyze: capture through the one-shard server on the capture clock"
 # the capture is the one -replay sent to qoeserve above;
 # -flight-sample 1 retains every session, so the worst-sessions section
 # does not depend on what the quick-trained model happens to flag
 "$TMP/qoepcap" -analyze "$TMP/t.pcap" -train-n 200 -flight-sample 1 \
-    >"$TMP/pcap.out" 2>"$TMP/pcap.log"
+    -alert-log "$TMP/pcap-alerts.jsonl" >"$TMP/pcap.out" 2>"$TMP/pcap.log"
 PCAP_REPORTS=$(grep -c '^session ' "$TMP/pcap.out")
 grep -q "^$PCAP_REPORTS sessions assessed\$" "$TMP/pcap.out" ||
     { echo "qoepcap summary disagrees with its $PCAP_REPORTS report lines" >&2; cat "$TMP/pcap.out" >&2; exit 1; }
@@ -393,7 +393,15 @@ for section in \
     grep -q "^$section" "$TMP/pcap.out" ||
         { echo "qoepcap output lacks section: $section" >&2; exit 1; }
 done
-echo "   $PCAP_REPORTS sessions assessed, closing sections present"
+# the capture's silences raise ingest-stale (8 firings, the first at
+# 341.05), and every transition is stamped in capture seconds
+PCAP_FIRED=$(grep -c '"rule":"ingest-stale".*"to":"firing"' "$TMP/pcap-alerts.jsonl" || true)
+test "${PCAP_FIRED:-0}" -gt 0 ||
+    { echo "qoepcap -alert-log holds no ingest-stale firing" >&2; cat "$TMP/pcap-alerts.jsonl" >&2; exit 1; }
+PCAP_WALL=$(grep -o '"ts":[^,]*' "$TMP/pcap-alerts.jsonl" | cut -d: -f2 | awk '$1 + 0 >= 1e9' | wc -l)
+test "$PCAP_WALL" -eq 0 ||
+    { echo "qoepcap -alert-log has $PCAP_WALL transitions not in capture seconds" >&2; cat "$TMP/pcap-alerts.jsonl" >&2; exit 1; }
+echo "   $PCAP_REPORTS sessions assessed, closing sections present, ingest-stale fired $PCAP_FIRED times on the capture clock"
 
 echo "== model files: qoereport saves them, qoewatch and qoepcap serve them, qoereport evaluates them"
 "$TMP/qoereport" -quick -only table2 -save-stall "$TMP/stall.model" -save-rep "$TMP/rep.model" >/dev/null
