@@ -264,6 +264,52 @@ func TestLoadFrameworkMatchesAssembled(t *testing.T) {
 	}
 }
 
+// TestServingFrameworkSeedReachesForests: the live tools' -seed draws
+// the forests as well as the corpora, as qoereport -seed does. Two
+// trainings at seed 2 save byte-identical model files, which differ
+// from seed 1's and from the files of the same seed-2 corpora trained
+// with the forests at seed 1 (all the -seed flag reached before).
+func TestServingFrameworkSeedReachesForests(t *testing.T) {
+	const trainN = 120
+	files := func(fw *Framework) string {
+		var buf bytes.Buffer
+		for _, d := range []*Detector{fw.Stall, fw.Rep} {
+			if err := d.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.String()
+	}
+	served := func(seed int64) string {
+		fw, err := ServingFramework("", "", trainN, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files(fw)
+	}
+	a, b, one := served(2), served(2), served(1)
+	if a != b {
+		t.Fatal("two trainings at seed 2 saved different model files")
+	}
+	if a == one {
+		t.Error("seed 2 saved seed 1's model files")
+	}
+	// trainServingFramework's corpora at seed 2, its forests at seed 1
+	stallCfg := workload.DefaultConfig(trainN)
+	stallCfg.AdaptiveFraction, stallCfg.Encrypted, stallCfg.Seed = 1, true, 2
+	hasCfg := workload.DefaultConfig(trainN / 2)
+	hasCfg.AdaptiveFraction, hasCfg.Encrypted, hasCfg.Seed = 1, true, 3
+	tcfg := DefaultTrainConfig()
+	tcfg.CVFolds, tcfg.Forest.Trees = 3, 30
+	fw, _, err := TrainFramework(workload.Generate(stallCfg), workload.Generate(hasCfg), tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files(fw) == a {
+		t.Error("seed 2 trained its forests at seed 1")
+	}
+}
+
 // savedDetector is stallDet's model file, split after the text header.
 func savedDetector(t testing.TB) (header []string, forest []byte) {
 	testCorpora(t)

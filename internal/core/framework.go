@@ -97,7 +97,9 @@ func ServingFramework(stallPath, repPath string, trainN int, seed int64) (*Frame
 // train on the traffic the engine serves — trainN encrypted adaptive
 // sessions for the stall model, half as many for the representation
 // model — so the quality monitor's baseline describes the live
-// population rather than flagging a train/serve mismatch at once.
+// population rather than flagging a train/serve mismatch at once. seed
+// draws the corpora, the balancing, the folds and the forests, as
+// qoereport -seed does.
 func trainServingFramework(trainN int, seed int64) (*Framework, error) {
 	stallCfg := workload.DefaultConfig(trainN)
 	stallCfg.AdaptiveFraction = 1
@@ -110,6 +112,7 @@ func trainServingFramework(trainN int, seed int64) (*Framework, error) {
 	tcfg := DefaultTrainConfig()
 	tcfg.CVFolds = 3
 	tcfg.Forest.Trees = 30
+	tcfg.Forest.Seed = seed
 	fw, _, err := TrainFramework(workload.Generate(stallCfg), workload.Generate(hasCfg), tcfg)
 	return fw, err
 }

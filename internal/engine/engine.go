@@ -140,12 +140,10 @@ type Engine struct {
 
 	// interner maps subscriber strings and cohort keys to dense uint32
 	// IDs at the front door; slabs pools the per-batch routing storage
-	// (recycled when the last shard acks its sub-batch), digests the Entry
-	// doors' conversion scratch; rejected counts what the admission rule
-	// refused, by reason.
+	// (recycled when the last shard acks its share); rejected counts what
+	// the admission rule refused, by reason.
 	interner *interner
 	slabs    sync.Pool
-	digests  sync.Pool
 	rejected [rejectReasons]atomic.Int64
 
 	mu     sync.RWMutex
@@ -165,14 +163,24 @@ func New(fw *core.Framework, cfg Config, sink func(Report)) *Engine {
 		shards:   make([]*shard, cfg.Shards),
 		interner: newInterner(cfg.Shards),
 	}
-	e.slabs.New = func() any { return &recSlab{pool: &e.slabs} }
-	e.digests.New = func() any { return new(digested) }
+	e.slabs.New = e.newSlab
 	for i := range e.shards {
 		e.shards[i] = newShard(i, fw, cfg, sink, e.interner)
 		e.wg.Add(1)
 		go e.shards[i].run(&e.wg)
 	}
 	return e
+}
+
+// newSlab is the slab pool's New: a slab whose feed, made once, submits
+// it to this engine.
+func (e *Engine) newSlab() any {
+	b := &recSlab{pool: &e.slabs}
+	b.feed = func(k int, done func()) {
+		b.recs = b.recs[:k]
+		e.submit(b, false, nil, done)
+	}
+	return b
 }
 
 // Shards reports the shard count.
@@ -202,52 +210,49 @@ func (e *Engine) ObserveLabel(l qualitymon.Label) bool {
 type Tally struct{ Accepted, Dropped, Rejected int }
 
 // submit is the engine's only way in, the one admit-scatter-and-mail
-// loop behind every door: recs[i] is bound for shard shardOf[i], as the
-// wire door's decoder or the Entry doors' interner.digest resolved them.
-// The scatter runs the admission rule, counts the rejects and copies the
-// rest into a pooled slab of per-shard sub-batches; every non-empty one
-// is mailed. shed picks the full-mailbox policy — drop and count the
-// sub-batch instead of blocking; reply, when non-nil, receives each
-// mailed sub-batch's reports instead of the sink; done, when non-nil, is
-// called once the batch is finished with (see FeedRecs). It returns the
-// tally and the sub-batches mailed (the replies to wait for). The
-// caller's slices are only read, never retained: scratch can be reused
-// on return.
-func (e *Engine) submit(recs []sessionizer.Rec, shardOf []uint32, shed bool, reply chan []Report, done func()) (t Tally, mailed int) {
+// loop behind every door: the slab's recs[i] is bound for shard
+// shardOf[i], as the wire door's decoder or the Entry doors'
+// interner.digest wrote and resolved them. The scatter runs the admission
+// rule, counts the rejects and lists each shard's admitted positions;
+// every shard with any is mailed its list, and reads its recs where they
+// lie. shed picks the full-mailbox policy — drop and count the share
+// instead of blocking; reply, when non-nil, receives each mailed share's
+// reports instead of the sink; done, when non-nil, is called once the
+// batch is finished with (see Batch). It returns the tally and the shares
+// mailed (the replies to wait for). From here on the slab is the
+// engine's: the last release returns it to the pool.
+func (e *Engine) submit(b *recSlab, shed bool, reply chan []Report, done func()) (t Tally, mailed int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.closed || len(recs) == 0 {
-		if done != nil {
-			done()
-		}
-		return t, 0
+	if e.closed {
+		b.recs = b.recs[:0] // a drained engine takes nothing
 	}
-	b := e.slabs.Get().(*recSlab)
 	b.done = done
-	for why, n := range b.scatter(recs, shardOf, len(e.shards)) {
+	for why, n := range b.scatter(len(e.shards)) {
 		e.rejected[why].Add(int64(n))
 		t.Rejected += int(n)
 	}
-	// the scatter left this loop a reference of its own: b and its views
+	// the scatter left this loop a reference of its own: b and its shares
 	// stay put until the release below, whatever the shards have finished
-	for i, batch := range b.per {
-		if len(batch) == 0 {
+	for i := range e.shards {
+		at := b.positions(i)
+		if len(at) == 0 {
 			continue
 		}
-		msg := message{recs: batch, slab: b, reply: reply}
+		msg := message{at: at, slab: b, reply: reply}
 		if shed {
 			select {
 			case e.shards[i].mail <- msg:
 			default:
-				e.shards[i].dropped.Add(int64(len(batch)))
-				t.Dropped += len(batch)
-				b.release() // undelivered sub-batch: drop its slab reference
+				e.shards[i].dropped.Add(int64(len(at)))
+				t.Dropped += len(at)
+				b.release() // undelivered share: drop its slab reference
 				continue
 			}
 		} else {
 			e.shards[i].mail <- msg
 		}
-		t.Accepted += len(batch)
+		t.Accepted += len(at)
 		mailed++
 	}
 	b.release()
@@ -263,30 +268,29 @@ func (e *Engine) submit(recs []sessionizer.Rec, shardOf []uint32, shed bool, rep
 func (e *Engine) Ingest(entries []weblog.Entry) ([]Report, Tally) {
 	// one slot per shard, so no worker ever blocks on its reply
 	reply := make(chan []Report, len(e.shards))
-	d := e.digests.Get().(*digested)
-	e.interner.digest(d, entries)
-	t, mailed := e.submit(d.recs, d.shardOf, false, reply, nil)
-	e.digests.Put(d)
+	b := e.slabs.Get().(*recSlab)
+	e.interner.digest(b, entries)
+	t, mailed := e.submit(b, false, reply, nil)
 	return collect(reply, mailed), t
 }
 
 // Feed processes a batch asynchronously: entries are enqueued (blocking
 // when mailboxes are full) and completed sessions flow to the sink.
 // Outside tests only the benchmark's layer harness calls it; captures
-// reach a running server through the wire listener, which feeds recs
-// (FeedRecs).
+// reach a running server through the wire listener, which writes recs
+// itself (Batch).
 func (e *Engine) Feed(entries []weblog.Entry) {
-	d := e.digests.Get().(*digested)
-	e.interner.digest(d, entries)
-	e.submit(d.recs, d.shardOf, false, nil, nil)
-	e.digests.Put(d)
+	b := e.slabs.Get().(*recSlab)
+	e.interner.digest(b, entries)
+	e.submit(b, false, nil, nil)
 }
 
-// Settle, Find and FeedRecs are the fused wire door (wire.RecSink): the
-// listener's decoder has a validated frame's identities resolved through
-// one Settle — the routine the Entry doors' batches go through too — its
-// label subscribers through Find, and hands FeedRecs recs it built
-// itself, so no weblog.Entry exists on that path.
+// Settle, Find and Batch are the fused wire door (wire.RecSink): the
+// listener's decoder writes a frame's recs into a batch Batch lends it,
+// has the validated frame's identities resolved through one Settle — the
+// routine the Entry doors' batches go through too — and its label
+// subscribers through Find, and hands the batch back, so no weblog.Entry
+// exists on that path and no rec is copied after it is written.
 //
 // Settle resolves rec i's subscriber subs[i] into recs[i].Sub and
 // shardOf[i], and its canonical cohort key keys[i]
@@ -302,25 +306,28 @@ func (e *Engine) Settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf []u
 // zero SubRef. Nothing passed in is retained.
 func (e *Engine) Find(subs [][]byte, refs []sessionizer.SubRef) { e.interner.find(subs, refs) }
 
-// FeedRecs is Feed for recs already resolved through Settle: recs[i]
-// goes to shard shardOf[i], which must be what Settle returned for its
-// subscriber. done, when non-nil, is called exactly once, when the last
-// shard has processed its share of the batch — at once when the engine
-// takes none of it (closed, no recs, every rec rejected) — by that shard
-// or by FeedRecs on its way out; the listener bounds each connection's
-// batches in flight with it.
-func (e *Engine) FeedRecs(recs []sessionizer.Rec, shardOf []uint32, done func()) {
-	e.submit(recs, shardOf, false, nil, done)
+// Batch lends a pooled routing slab's storage for at most n recs: the
+// caller writes recs[i] and, through Settle, its shard shardOf[i] (both
+// n long and dirty), and hands the slab back with feed(k, done), which is
+// Feed for the first k recs — read in place by the shards, never copied.
+// done, when non-nil, is called exactly once, when the last shard has
+// processed its share of the batch — at once when the engine takes none
+// of it (closed, k = 0, every rec rejected) — by that shard or by feed on
+// its way out; the listener bounds each connection's batches in flight
+// with it. Neither slice may be touched after feed.
+func (e *Engine) Batch(n int) (recs []sessionizer.Rec, shardOf []uint32, feed func(k int, done func())) {
+	b := e.slabs.Get().(*recSlab)
+	b.recs, b.shardOf = growCap(b.recs, n), growCap(b.shardOf, n)
+	return b.recs, b.shardOf, b.feed
 }
 
 // Offer is Feed without backpressure: when a shard's mailbox is full
 // its slice of the batch is dropped and counted (load shedding under
 // overload).
 func (e *Engine) Offer(entries []weblog.Entry) Tally {
-	d := e.digests.Get().(*digested)
-	e.interner.digest(d, entries)
-	t, _ := e.submit(d.recs, d.shardOf, true, nil, nil)
-	e.digests.Put(d)
+	b := e.slabs.Get().(*recSlab)
+	e.interner.digest(b, entries)
+	t, _ := e.submit(b, true, nil, nil)
 	return t
 }
 

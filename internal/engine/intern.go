@@ -323,22 +323,31 @@ func (e *Engine) InternerStats() (subscribers, slots int, bytes int64) {
 		16*(cap(v.subs.names)+cap(v.cohorts.names)+cap(v.labels))+4*cap(v.homes)+48*cap(v.keys)) + e.interner.blocks.Load()
 }
 
-// recSlab is one batch's reusable routing storage: the shard-contiguous
-// Rec backing the per-shard sub-batches view into and the scatter's
-// counts. Slabs live in a sync.Pool; the batch hand-off owns them by
-// refcount — scatter pre-sets pending to the number of non-empty
-// sub-batches plus one for the submit loop, each shard releases after
-// fully processing its message (submit for a sub-batch it sheds, and
-// once more after the last), and the last release returns the slab. A
-// per-shard view is valid until its shard's release — shards must not
-// retain it past the message.
+// recSlab is one batch's routing storage, written once and read in
+// place: the batch's recs in arrival order and the shard each is bound
+// for, as the door wrote them (the wire door's decoder through Batch, the
+// Entry doors' digest), and per shard the positions of its admitted recs.
+// Slabs live in a sync.Pool; the batch hand-off owns them by refcount —
+// scatter pre-sets pending to the number of non-empty shares plus one for
+// the submit loop, each shard releases after fully processing its
+// message (submit for a share it sheds, and once more after the last),
+// and the last release returns the slab. A shard reads recs through its
+// positions until its release — shards must not retain either past the
+// message.
 type recSlab struct {
 	pool    *sync.Pool
-	out     []sessionizer.Rec // scatter backing, shard-contiguous
-	counts  []uint32          // per shard, then per reject reason
-	per     [][]sessionizer.Rec
+	recs    []sessionizer.Rec // the batch, in arrival order
+	shardOf []uint32          // recs[i]'s shard; scatter moves a reject's to nsh+reason
+	at      []uint32          // admitted positions, shard-contiguous
+	counts  []uint32          // per shard (after scatter: where its positions end), then per reject reason
 	pending atomic.Int32
-	done    func() // the batch's completion callback, if any
+	done    func()                   // the batch's completion callback, if any
+	feed    func(k int, done func()) // Batch's hand-back, made once per slab
+
+	// the Entry doors' conversion scratch: each entry's subscriber and
+	// canonical cohort key, written into buf
+	subs, keys [][]byte
+	buf        []byte
 }
 
 // release drops one reference; the last one reports the batch done and
@@ -362,43 +371,32 @@ func growCap[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// digested is the Entry doors' pooled conversion scratch: a batch's recs
-// in entry order, the shard each is bound for, and each entry's
-// subscriber and canonical cohort key, written into buf.
-type digested struct {
-	recs       []sessionizer.Rec
-	shardOf    []uint32
-	subs, keys [][]byte
-	buf        []byte
-}
-
 // digest is the one Entry→Rec edge adapter, in front of submit for
-// Ingest, Feed and Offer: it builds the batch's recs into d and writes
-// every entry's identities as the wire door's decoder finds them in a
-// frame, then settles them as that door does. It judges nothing (see
-// admit).
-func (n *interner) digest(d *digested, entries []weblog.Entry) {
-	d.recs = growCap(d.recs, len(entries))
-	d.shardOf = growCap(d.shardOf, len(entries))
-	d.subs = growCap(d.subs, len(entries))
-	d.keys = growCap(d.keys, len(entries))
-	d.buf = d.buf[:0]
+// Ingest, Feed and Offer: it writes the batch's recs into the slab, each
+// once, in entry order, and every entry's identities as the wire door's
+// decoder finds them in a frame, then settles them as that door does. It
+// judges nothing (see admit).
+func (n *interner) digest(b *recSlab, entries []weblog.Entry) {
+	b.recs = growCap(b.recs, len(entries))
+	b.shardOf = growCap(b.shardOf, len(entries))
+	b.subs = growCap(b.subs, len(entries))
+	b.keys = growCap(b.keys, len(entries))
+	b.buf = b.buf[:0]
 	for i := range entries {
 		e := &entries[i]
 		// an append that moves buf leaves what was cut from it before intact
-		off := len(d.buf)
-		d.buf = append(d.buf, e.Subscriber...)
-		d.subs[i], off = d.buf[off:], len(d.buf)
-		d.buf = weblog.AppendCohortKey(d.buf, e.Region, e.Device, e.Cap)
-		d.keys[i] = d.buf[off:]
+		off := len(b.buf)
+		b.buf = append(b.buf, e.Subscriber...)
+		b.subs[i], off = b.buf[off:], len(b.buf)
+		b.buf = weblog.AppendCohortKey(b.buf, e.Region, e.Device, e.Cap)
+		b.keys[i] = b.buf[off:]
 		// in place, as the wire door's emit fills its recs (DESIGN §13)
-		r := &d.recs[i]
-		*r = sessionizer.Rec{}
+		r := &b.recs[i]
 		r.Kind, r.Ts, r.Dur, r.KB = weblog.ClassifyHost(e.Host), e.Timestamp, e.TransactionSec, float64(e.Bytes)/1000
 		r.RTTMin, r.RTTAvg, r.RTTMax, r.BDP = e.RTTMin, e.RTTAvg, e.RTTMax, e.BDP
 		r.BIFAvg, r.BIFMax, r.Loss, r.Retrans = e.BIFAvg, e.BIFMax, e.LossPct, e.RetransPct
 	}
-	n.settle(d.subs, d.keys, d.recs, d.shardOf)
+	n.settle(b.subs, b.keys, b.recs, b.shardOf)
 }
 
 // RejectReasons names the admission rule's reject reasons, in the order
@@ -431,35 +429,36 @@ func admit(r *sessionizer.Rec) int {
 	return -1
 }
 
-// scatter routes recs — recs[i] bound for shard shardOf[i] — into the
-// slab's shard-contiguous backing, copying each admitted one exactly
-// once: a counting sort with one bucket per shard and one per reject
-// reason. The counting pass runs the admission rule; a reject is counted
-// (and returned, by reason), never copied, never mailed, and the
-// caller's slices are only read. The per[s] views are then ready to
-// mail, and the refcount is pre-accounted with the number of non-empty
-// views plus one: every view must be matched by exactly one release —
-// the shard's after processing it, or the caller's for a view it does
-// NOT deliver — and the caller releases once more when done with per.
-func (b *recSlab) scatter(recs []sessionizer.Rec, shardOf []uint32, nsh int) (rejected [rejectReasons]uint32) {
+// scatter routes the slab's recs — recs[i] bound for shard shardOf[i]
+// — to their shards without moving one: a counting sort of positions,
+// with one bucket per shard and one per reject reason. The counting pass
+// runs the admission rule; a reject is counted (and returned, by
+// reason), its shardOf entry moved to its reason's bucket, and it is
+// never listed, never mailed. Each shard's positions (positions) are then
+// listed in arrival order, ready to mail, and the refcount is
+// pre-accounted with the number of shards that have any plus one: every
+// non-empty share must be matched by exactly one release — the shard's
+// after processing it, or the caller's for a share it does NOT deliver —
+// and the caller releases once more when done with the shares.
+func (b *recSlab) scatter(nsh int) (rejected [rejectReasons]uint32) {
 	b.counts = growCap(b.counts, nsh+rejectReasons)
 	clear(b.counts)
-	rejects := 0
-	for i := range recs {
-		if why := admit(&recs[i]); why >= 0 {
-			b.counts[nsh+why]++
-			rejects++
-		} else {
-			b.counts[shardOf[i]]++
+	shardOf := b.shardOf[:len(b.recs)]
+	for i := range b.recs {
+		if why := admit(&b.recs[i]); why >= 0 {
+			shardOf[i] = uint32(nsh + why)
 		}
+		b.counts[shardOf[i]]++
 	}
-	copy(rejected[:], b.counts[nsh:])
-	b.out = growCap(b.out, len(recs)-rejects)
-	b.per = growCap(b.per, nsh)
+	admitted := len(b.recs)
+	for why, n := range b.counts[nsh:] {
+		rejected[why] = n
+		admitted -= int(n)
+	}
+	b.at = growCap(b.at, admitted)
 	off := uint32(0)
 	refs := int32(1)
 	for s, c := range b.counts[:nsh] {
-		b.per[s] = b.out[off : off+c]
 		b.counts[s] = off // from here on: shard s's next write position
 		off += c
 		if c > 0 {
@@ -467,14 +466,21 @@ func (b *recSlab) scatter(recs []sessionizer.Rec, shardOf []uint32, nsh int) (re
 		}
 	}
 	b.pending.Store(refs)
-	for i := range recs {
-		// the rule runs again only for a batch that has a reject in it
-		if rejects > 0 && admit(&recs[i]) >= 0 {
-			continue
+	for i, s := range shardOf {
+		if int(s) < nsh {
+			b.at[b.counts[s]] = uint32(i)
+			b.counts[s]++
 		}
-		s := shardOf[i]
-		b.out[b.counts[s]] = recs[i]
-		b.counts[s]++
 	}
 	return rejected
+}
+
+// positions is shard s's share after scatter: the positions in recs of
+// its admitted recs, in arrival order.
+func (b *recSlab) positions(s int) []uint32 {
+	lo := uint32(0)
+	if s > 0 {
+		lo = b.counts[s-1]
+	}
+	return b.at[lo:b.counts[s]]
 }

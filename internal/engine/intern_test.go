@@ -425,7 +425,7 @@ func FuzzSubIndex(f *testing.F) {
 					cohortIDs = append(cohortIDs, r.Cohort)
 				}
 			case 3:
-				var d digested
+				var d recSlab
 				entries := make([]weblog.Entry, len(batch))
 				for k, r := range batch {
 					entries[k] = weblog.Entry{Subscriber: string(r.name), Region: r.tr[0], Device: r.tr[1], Cap: r.tr[2]}

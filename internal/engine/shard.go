@@ -22,10 +22,11 @@ import (
 // observability snapshot request: the worker answers with its open
 // flow-table view and processes nothing else for that message.
 //
-// recs is a view into slab's shard-contiguous backing; the shard owns
-// it only until it releases the slab at the end of the message.
+// at lists the positions of the shard's recs in slab's batch, in
+// arrival order; the shard reads them in place, and only until it
+// releases the slab at the end of the message.
 type message struct {
-	recs     []sessionizer.Rec
+	at       []uint32
 	slab     *recSlab
 	advance  float64 // >0: eviction sweep at this capture-clock time
 	flush    bool    // close everything (drain)
@@ -204,16 +205,18 @@ func (s *shard) handle(msg message) {
 		t0 = tIngest
 	}
 	closed := s.closedBuf[:0]
-	recs := msg.recs
-	if len(recs) > 0 {
+	var recs []sessionizer.Rec
+	at := msg.at
+	if len(at) > 0 {
+		recs = msg.slab.recs
 		// hoisted per-batch accounting: one counter add for the
-		// whole sub-batch instead of one per entry
-		s.events.Add(int64(len(recs)))
+		// whole share instead of one per entry
+		s.events.Add(int64(len(at)))
 	}
 	traced := s.tracer != nil
-	s.tracker.Touch(recs)
-	for i := range recs {
-		r := &recs[i]
+	s.tracker.Touch(recs, at)
+	for _, p := range at {
+		r := &recs[p]
 		n := len(closed)
 		if closed = s.tracker.PushInto(r, closed); len(closed) > n {
 			s.traceClosed(obs.EvClose, r.Ts, &closed[n])
@@ -226,7 +229,7 @@ func (s *shard) handle(msg message) {
 			s.highWater = r.Ts
 		}
 	}
-	if timed && len(recs) > 0 {
+	if timed && len(at) > 0 {
 		s.stages.ObserveSince(obs.StageSessionize, t0)
 	}
 	// idle-eviction clock: sweep when event time has advanced

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -16,6 +18,7 @@ import (
 	"vqoe/internal/qualitymon"
 	"vqoe/internal/sessionizer"
 	"vqoe/internal/weblog"
+	"vqoe/internal/wire"
 	"vqoe/internal/workload"
 )
 
@@ -31,7 +34,7 @@ import (
 // none).
 func TestTracedPushLoopAllocatesNothing(t *testing.T) {
 	in := newInterner(1)
-	var first digested
+	var first recSlab
 	in.digest(&first, []weblog.Entry{{Subscriber: "sub-a"}})
 	sub := [1]uint32{first.recs[0].Sub}
 
@@ -42,7 +45,7 @@ func TestTracedPushLoopAllocatesNothing(t *testing.T) {
 	for i := 1; i <= chunks; i++ {
 		recs = append(recs, sessionizer.Rec{Sub: sub[0], Kind: weblog.HostMedia, Ts: float64(i), Dur: 0.5, KB: 300})
 	}
-	msg := message{recs: recs}
+	msg := share(recs)
 	s.handle(msg) // opens the first session, grows the buffers
 	s.handle(msg)
 
@@ -67,14 +70,26 @@ func TestTracedPushLoopAllocatesNothing(t *testing.T) {
 	}
 }
 
+// share is a message handing a shard every rec of recs, as submit mails
+// a shard its share of a batch; its slab is never returned to a pool.
+func share(recs []sessionizer.Rec) message {
+	b := &recSlab{recs: recs}
+	b.pending.Store(math.MaxInt32)
+	at := make([]uint32, len(recs))
+	for i := range at {
+		at[i] = uint32(i)
+	}
+	return message{at: at, slab: b}
+}
+
 // TestScatterSteadyStateZeroAlloc pins the engine half of the fused
 // wire door (the decode half is pinned beside the decoder): a frame of
-// resolved recs — two of them rejects, one of each reason — scattered
-// into a slab and pushed through both shards' loops allocates nothing
-// once the slab and the flow buffers have grown, and the caller's slices
-// come back as they went in. The shards are driven on this goroutine,
-// views in hand, so the count is exact; what submit adds is a pool Get
-// and two channel sends.
+// resolved recs — two of them rejects, one of each reason — written into
+// a slab as the decoder writes it, scattered, and read in place by both
+// shards' loops allocates nothing once the slab and the flow buffers
+// have grown, and the scatter moves no rec. The shards are driven on this
+// goroutine, views in hand, so the count is exact; what submit adds is a
+// pool Get and two channel sends.
 // Each frame closes the previous session of every subscriber on the
 // watch-page boundary, so flow state does not accumulate; MinChunks is
 // out of reach, so the fragments are discarded before the forests (the
@@ -101,16 +116,17 @@ func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 		shardOf = append(shardOf, ref.Shard)
 	}
 	recs[100].Dur, recs[200].KB = math.NaN(), -1
-	before := append([]sessionizer.Rec(nil), recs...)
-	b := &recSlab{}
+	b := &recSlab{recs: make([]sessionizer.Rec, len(recs)), shardOf: make([]uint32, len(recs))}
 	frame := func() {
-		if rejected := b.scatter(recs, shardOf, nsh); rejected != [rejectReasons]uint32{rejectNegative: 1, rejectNonFinite: 1} {
+		copy(b.recs, recs) // the decoder's one write
+		copy(b.shardOf, shardOf)
+		if rejected := b.scatter(nsh); rejected != [rejectReasons]uint32{rejectNegative: 1, rejectNonFinite: 1} {
 			t.Fatalf("scatter rejected %v, want one rec of each reason", rejected)
 		}
 		refs := b.pending.Load() - 1 // the submit loop's own
 		for i, s := range shards {
-			if len(b.per[i]) > 0 {
-				s.handle(message{recs: b.per[i]})
+			if at := b.positions(i); len(at) > 0 {
+				s.handle(message{at: at, slab: b})
 				refs--
 			}
 		}
@@ -127,8 +143,8 @@ func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("shards took %d recs, want %d", got, 53*(len(recs)-2))
 	}
 	for i := range recs {
-		if math.Float64bits(recs[i].Dur) != math.Float64bits(before[i].Dur) || recs[i].KB != before[i].KB || recs[i].Sub != before[i].Sub {
-			t.Fatalf("scatter wrote to the caller's rec %d: %+v", i, recs[i])
+		if math.Float64bits(b.recs[i].Dur) != math.Float64bits(recs[i].Dur) || b.recs[i].KB != recs[i].KB || b.recs[i].Sub != recs[i].Sub {
+			t.Fatalf("scatter moved or wrote rec %d: %+v", i, b.recs[i])
 		}
 	}
 	if shards[0].events.Load() == 0 || shards[1].events.Load() == 0 {
@@ -136,11 +152,11 @@ func TestScatterSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFeedRecsReportsDone: the completion callback of the fused door
+// TestBatchFeedReportsDone: the completion callback of the fused door
 // runs exactly once per batch — after every shard has processed its
 // share, or at once when the engine takes none of the batch (empty,
 // every rec rejected, or fed after Drain).
-func TestFeedRecsReportsDone(t *testing.T) {
+func TestBatchFeedReportsDone(t *testing.T) {
 	e := New(nil, Config{Shards: 2, MinChunks: 1 << 30, SweepEverySec: -1}, nil)
 	names := [][]byte{[]byte("sub-a"), []byte("sub-b"), []byte("sub-c"), []byte("sub-d"), []byte("sub-e")}
 	refs := refsOf(e.interner, names)
@@ -150,22 +166,30 @@ func TestFeedRecsReportsDone(t *testing.T) {
 		recs = append(recs, sessionizer.Rec{Sub: ref.ID, Kind: weblog.HostMedia, Ts: float64(i)})
 		shardOf = append(shardOf, ref.Shard)
 	}
+	// feed writes recs into a lent batch, as the decoder does, and hands
+	// it back
+	feed := func(recs []sessionizer.Rec, shardOf []uint32, done func()) {
+		to, shards, feed := e.Batch(len(recs))
+		copy(to, recs)
+		copy(shards, shardOf)
+		feed(len(recs), done)
+	}
 	calls := make(chan int64, 4)
 	done := func() { calls <- e.shards[0].events.Load() + e.shards[1].events.Load() }
 	for batch := int64(1); batch <= 3; batch++ {
-		e.FeedRecs(recs, shardOf, done)
+		feed(recs, shardOf, done)
 		if took := <-calls; took != batch*int64(len(recs)) {
 			t.Fatalf("batch %d reported done with %d of %d recs taken", batch, took, batch*int64(len(recs)))
 		}
 	}
-	e.FeedRecs(nil, nil, done)
+	feed(nil, nil, done)
 	bad := append([]sessionizer.Rec(nil), recs...)
 	for i := range bad {
 		bad[i].Ts = math.Inf(1)
 	}
-	e.FeedRecs(bad, shardOf, done)
+	feed(bad, shardOf, done)
 	e.Drain()
-	e.FeedRecs(recs, shardOf, done)
+	feed(recs, shardOf, done)
 	for i := 0; i < 3; i++ {
 		select {
 		case <-calls:
@@ -181,6 +205,155 @@ func TestFeedRecsReportsDone(t *testing.T) {
 		t.Fatal("done ran more than once for some batch")
 	default:
 	}
+}
+
+// inertEngine is an Engine whose shards have no worker: its doors
+// intern, admit, scatter and mail as ever, and drain reads the mailboxes
+// as the shard loop does — each message's positions, in order, into its
+// slab's recs — answering replies and releasing slabs, until the
+// mailboxes close. pushed[s] is then every rec shard s would have pushed.
+func inertEngine(nsh int) (e *Engine, drain func() (pushed [][]sessionizer.Rec)) {
+	e = &Engine{cfg: Config{Shards: nsh, Mailbox: 64}.WithDefaults(), interner: newInterner(nsh)}
+	e.slabs.New = e.newSlab
+	pushed := make([][]sessionizer.Rec, nsh)
+	var wg sync.WaitGroup
+	for i := 0; i < nsh; i++ {
+		s := &shard{id: i, mail: make(chan message, e.cfg.Mailbox)}
+		e.shards = append(e.shards, s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for msg := range s.mail {
+				for _, p := range msg.at {
+					pushed[i] = append(pushed[i], msg.slab.recs[p])
+				}
+				if msg.reply != nil {
+					msg.reply <- nil
+				}
+				msg.slab.release()
+			}
+		}()
+	}
+	return e, func() [][]sessionizer.Rec {
+		for _, s := range e.shards {
+			close(s.mail)
+		}
+		wg.Wait()
+		return pushed
+	}
+}
+
+// TestHandOffMatchesScatter holds the one-copy hand-off to the copying
+// one it replaced: frames whose entries reach every shard, with NaN and
+// negative floats among them, sent through the wire door (a listener
+// feeding the engine's lent batches) and through Ingest, make each shard
+// push exactly the recs a copying scatter gave it — every admitted rec of
+// the batch bound for that shard, whole, in arrival order — and the
+// rejects nowhere.
+func TestHandOffMatchesScatter(t *testing.T) {
+	const nsh, frames, perFrame = 4, 6, 97
+	var batches [][]weblog.Entry
+	for f := 0; f < frames; f++ {
+		var b []weblog.Entry
+		for i := 0; i < perFrame; i++ {
+			n := f*perFrame + i
+			e := weblog.Entry{
+				Timestamp: float64(n), Subscriber: fmt.Sprintf("sub-%d", n%23), Host: "r1---sn-a.googlevideo.com",
+				Bytes: 1000 + n, TransactionSec: 0.5, RTTMin: 0.01, RTTAvg: 0.02, RTTMax: float64(n%5) / 10,
+				BDP: 1e4, BIFAvg: 2e3, BIFMax: 4e3, LossPct: 0.1, RetransPct: float64(n % 3),
+			}
+			if n%5 == 0 {
+				e.Host = weblog.HostPage
+				e.Region, e.Device = fmt.Sprintf("r%d", n%3), "tv"
+			}
+			switch n % 13 {
+			case 3:
+				e.RTTAvg = math.NaN()
+			case 7:
+				e.BDP = -1
+			case 11:
+				e.Timestamp = math.Inf(1)
+			}
+			b = append(b, e)
+		}
+		batches = append(batches, b)
+	}
+
+	// what a copying scatter gives each shard, from the entries alone
+	scatter := func(e *Engine) (want [][]sessionizer.Rec, rejects int) {
+		want = make([][]sessionizer.Rec, nsh)
+		for _, b := range batches {
+			for i := range b {
+				en := &b[i]
+				var id [1]sessionizer.SubRef
+				e.Find([][]byte{[]byte(en.Subscriber)}, id[:])
+				var c [1]sessionizer.Rec
+				e.Settle(nil, [][]byte{weblog.AppendCohortKey(nil, en.Region, en.Device, en.Cap)}, c[:], nil)
+				r := sessionizer.Rec{Sub: id[0].ID, Cohort: c[0].Cohort, Kind: weblog.ClassifyHost(en.Host),
+					Ts: en.Timestamp, Dur: en.TransactionSec, KB: float64(en.Bytes) / 1000,
+					RTTMin: en.RTTMin, RTTAvg: en.RTTAvg, RTTMax: en.RTTMax, BDP: en.BDP,
+					BIFAvg: en.BIFAvg, BIFMax: en.BIFMax, Loss: en.LossPct, Retrans: en.RetransPct}
+				if admit(&r) >= 0 {
+					rejects++
+					continue
+				}
+				want[id[0].Shard] = append(want[id[0].Shard], r)
+			}
+		}
+		return want, rejects
+	}
+	check := func(door string, e *Engine, got [][]sessionizer.Rec) {
+		t.Helper()
+		want, rejects := scatter(e)
+		if rejects == 0 {
+			t.Fatal("fixture has no rejects")
+		}
+		if r := e.Rejected(); r[rejectNegative]+r[rejectNonFinite] != int64(rejects) {
+			t.Errorf("%s: engine rejected %v, want %d", door, r, rejects)
+		}
+		for s := range want {
+			if len(want[s]) == 0 {
+				t.Fatalf("fixture routes nothing to shard %d", s)
+			}
+			if len(got[s]) != len(want[s]) {
+				t.Fatalf("%s: shard %d pushed %d recs, want %d", door, s, len(got[s]), len(want[s]))
+			}
+			for i := range want[s] {
+				if fmt.Sprintf("%#v", got[s][i]) != fmt.Sprintf("%#v", want[s][i]) {
+					t.Fatalf("%s: shard %d rec %d is %+v, want %+v", door, s, i, got[s][i], want[s][i])
+				}
+			}
+		}
+	}
+
+	ingest, drain := inertEngine(nsh)
+	for _, b := range batches {
+		ingest.Ingest(b)
+	}
+	check("Ingest", ingest, drain())
+
+	fused, drain := inertEngine(nsh)
+	srv := wire.NewServer(wire.Config{Handler: wire.Handler{Recs: fused}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	c, err := wire.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if err := c.SendEntries(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ack, err := c.Sync(); err != nil || ack.Entries != frames*perFrame {
+		t.Fatalf("ack %+v, %v", ack, err)
+	}
+	c.Close()
+	srv.Close()
+	check("wire", fused, drain())
 }
 
 // TestDigestSteadyStateZeroAlloc pins the Entry doors' front half the
@@ -201,10 +374,10 @@ func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 			Region: fmt.Sprintf("region-%d", i%5), Device: fmt.Sprintf("device-%d", i%3), Cap: "cap-a",
 		}
 	}
-	b, d := &recSlab{}, &digested{}
+	b := &recSlab{}
 	batch := func() {
-		in.digest(d, entries)
-		if b.scatter(d.recs, d.shardOf, nsh); b.pending.Load() != nsh+1 {
+		in.digest(b, entries)
+		if b.scatter(nsh); b.pending.Load() != nsh+1 {
 			t.Fatalf("scatter filled %d of %d shards", b.pending.Load()-1, nsh)
 		}
 	}
@@ -234,7 +407,7 @@ func TestDigestSteadyStateZeroAlloc(t *testing.T) {
 	if len(in.keys) != 1+15 {
 		t.Errorf("%d cohort keys, want 15", len(in.keys)-1)
 	}
-	for i, r := range d.recs {
+	for i, r := range b.recs {
 		if r.Sub == 0 || r.Cohort == 0 || r.Kind != weblog.HostMedia || r.KB != 300 {
 			t.Fatalf("rec %d digested as %+v", i, r)
 		}
@@ -398,7 +571,7 @@ func TestInternAllocatesPerBatchNotPerName(t *testing.T) {
 			entries[i] = append(entries[i], weblog.Entry{Subscriber: string(b), Region: tr[j][0], Device: tr[j][1], Cap: tr[j][2]})
 		}
 	}
-	scratch := &digested{}
+	scratch := &recSlab{}
 	in.digest(scratch, entries[0]) // grows the scratch
 	k = 1
 	if allocs := testing.AllocsPerRun(runs-1, func() {
@@ -484,12 +657,13 @@ func TestAssessSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}
 	clock := 0.0
+	msg := share(recs)
 	message := func() {
 		for i := range recs {
 			clock += 0.5
 			recs[i].Ts = clock
 		}
-		s.handle(message{recs: recs})
+		s.handle(msg)
 	}
 	for rec.Metrics().Evicted < 2*rec.Metrics().Resident+subs {
 		message()
@@ -579,18 +753,18 @@ func TestAssessDiscardsFragmentsBeforeCopying(t *testing.T) {
 }
 
 // BenchmarkScatter times the seam's one loop over a clean 256-rec frame
-// on two shards: ns/op ÷ 256 is the scatter's cost per entry, admission
-// rule included (CHANGES.md, PR 22, has it beside the parent's).
+// on two shards, written into its slab as a door writes it: ns/op ÷ 256
+// is the scatter's cost per entry, admission rule included (CHANGES.md
+// has its readings).
 func BenchmarkScatter(b *testing.B) {
-	recs, shardOf := make([]sessionizer.Rec, 256), make([]uint32, 256)
-	for i := range recs {
-		recs[i] = sessionizer.Rec{Sub: uint32(i%37 + 1), Kind: weblog.HostMedia, Ts: float64(i), Dur: 0.5, KB: 300, RTTMin: 20, RTTAvg: 30, RTTMax: 50, BDP: 90, BIFAvg: 40, BIFMax: 80}
-		shardOf[i] = uint32(i % 37 % 2)
+	slab := &recSlab{recs: make([]sessionizer.Rec, 256), shardOf: make([]uint32, 256)}
+	for i := range slab.recs {
+		slab.recs[i] = sessionizer.Rec{Sub: uint32(i%37 + 1), Kind: weblog.HostMedia, Ts: float64(i), Dur: 0.5, KB: 300, RTTMin: 20, RTTAvg: 30, RTTMax: 50, BDP: 90, BIFAvg: 40, BIFMax: 80}
+		slab.shardOf[i] = uint32(i % 37 % 2)
 	}
-	slab := &recSlab{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		slab.scatter(recs, shardOf, 2)
+		slab.scatter(2)
 	}
 }
 
@@ -611,34 +785,42 @@ func BenchmarkShardHandleWide(b *testing.B) {
 	for j := range entries {
 		entries[j].Subscriber = fmt.Sprintf("wide%07d", j)
 	}
-	var d digested
+	var d recSlab
 	in.digest(&d, entries)
 	// one pass of watch pages, one of media chunks: a subscriber's recs
 	// share one timestamp, so no pass idles a session out
-	pages, media := make([]sessionizer.Rec, subs), make([]sessionizer.Rec, subs)
-	for j := range media {
+	pageRecs, mediaRecs := make([]sessionizer.Rec, subs), make([]sessionizer.Rec, subs)
+	for j := range mediaRecs {
 		ts := float64(j) * 10 / subs
-		pages[j] = sessionizer.Rec{Sub: d.recs[j].Sub, Kind: weblog.HostWatchPage, Ts: ts, Dur: 0.1, KB: 40}
-		media[j] = sessionizer.Rec{Sub: d.recs[j].Sub, Kind: weblog.HostMedia, Ts: ts, Dur: 0.5, KB: 300,
+		pageRecs[j] = sessionizer.Rec{Sub: d.recs[j].Sub, Kind: weblog.HostWatchPage, Ts: ts, Dur: 0.1, KB: 40}
+		mediaRecs[j] = sessionizer.Rec{Sub: d.recs[j].Sub, Kind: weblog.HostMedia, Ts: ts, Dur: 0.5, KB: 300,
 			RTTMin: 20, RTTAvg: 30, RTTMax: 50, BDP: 90, BIFAvg: 40, BIFMax: 80, Loss: 0.1, Retrans: 0.2}
 	}
 	cfg := Config{Shards: 1, MinChunks: 1 << 30, SweepEverySec: -1, Obs: obs.NewObserver(1, 0)}.WithDefaults()
 	s := newShard(0, nil, cfg, nil, in)
-	pass := func(recs []sessionizer.Rec, from, to int) {
+	shares := func(recs []sessionizer.Rec) []message {
+		msgs := make([]message, perPass)
+		for m := range msgs {
+			msgs[m] = share(recs[m*batch : (m+1)*batch])
+		}
+		return msgs
+	}
+	pages, media := shares(pageRecs), shares(mediaRecs)
+	pass := func(msgs []message, from, to int) {
 		for m := from; m < to; m++ {
-			s.handle(message{recs: recs[m*batch : (m+1)*batch]})
+			s.handle(msgs[m])
 		}
 	}
 	pass(pages, 0, perPass) // every flow open before the clock starts
 	pass(media, 0, perPass)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		recs := media
+		msgs := media
 		if n/perPass%wideTicks == 0 {
-			recs = pages
+			msgs = pages
 		}
 		m := n % perPass
-		pass(recs, m, m+1)
+		pass(msgs, m, m+1)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/entry")
 	if s.tracker.Open() != subs {

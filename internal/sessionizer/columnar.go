@@ -228,12 +228,13 @@ func (t *ColTracker) find(sub uint32) (uint32, int) {
 	}
 }
 
-// Touch loads the home slot of every rec's subscriber, so that a batch's
-// flow-table cache misses are in flight together before PushInto takes them
-// one at a time (Go has no prefetch; a tight loop is what overlaps them).
-func (t *ColTracker) Touch(recs []Rec) {
+// Touch loads the home slot of the subscriber of every rec recs[i] for
+// i in at, so that a batch's flow-table cache misses are in flight
+// together before PushInto takes them one at a time (Go has no prefetch;
+// a tight loop is what overlaps them).
+func (t *ColTracker) Touch(recs []Rec, at []uint32) {
 	var sum uint32
-	for i := range recs {
+	for _, i := range at {
 		sum += t.slots[t.home(recs[i].Sub)].ref
 	}
 	t.touched = sum

@@ -601,6 +601,7 @@ func TestPushSteadyStateZeroAlloc(t *testing.T) {
 		chunks[j] = seamRec(1, 0, j)
 	}
 	page := Rec{Sub: 1, Kind: weblog.HostWatchPage}
+	every := positions(len(chunks))
 	closed := make([]ColClosed, 0, 1)
 	check := func(c ColClosed) {
 		if len(c.Chunks) != 45 {
@@ -612,7 +613,7 @@ func TestPushSteadyStateZeroAlloc(t *testing.T) {
 		if closed = tr.PushInto(&page, closed[:0]); len(closed) == 1 {
 			check(closed[0])
 		}
-		tr.Touch(chunks)
+		tr.Touch(chunks, every)
 		for j := range chunks {
 			closed = tr.PushInto(&chunks[j], closed[:0])
 		}
@@ -621,7 +622,7 @@ func TestPushSteadyStateZeroAlloc(t *testing.T) {
 		if c, ok := tr.Push(&page); ok {
 			check(c)
 		}
-		tr.Touch(chunks)
+		tr.Touch(chunks, every)
 		for j := range chunks {
 			tr.Push(&chunks[j])
 		}
@@ -685,6 +686,16 @@ func TestCloseZeroesNonLiveFieldsOfRecycledBuffers(t *testing.T) {
 	}
 }
 
+// positions is 0, 1, …, n-1: every rec of a batch, as a shard's share
+// lists them.
+func positions(n int) []uint32 {
+	at := make([]uint32, n)
+	for i := range at {
+		at[i] = uint32(i)
+	}
+	return at
+}
+
 // BenchmarkPushWide is the shard's push loop over a flow table far
 // beyond cache: 2¹⁷ open flows, sub-batches of 128 signalling recs in
 // random subscriber order (find and the flow header, no arena row, and
@@ -697,6 +708,7 @@ func BenchmarkPushWide(b *testing.B) {
 		tr.Push(&Rec{Sub: sub, Kind: weblog.HostWatchPage})
 	}
 	rng := rand.New(rand.NewSource(1))
+	every := positions(batch)
 	recs := make([][]Rec, batches)
 	for i := range recs {
 		recs[i] = make([]Rec, batch)
@@ -713,7 +725,7 @@ func BenchmarkPushWide(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rs := recs[i%batches]
 				if touch {
-					tr.Touch(rs)
+					tr.Touch(rs, every)
 				}
 				for j := range rs {
 					tr.Push(&rs[j])

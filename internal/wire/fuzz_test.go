@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"testing"
+	"testing/iotest"
 
 	"vqoe/internal/engine"
 	"vqoe/internal/qualitymon"
@@ -19,11 +20,14 @@ import (
 // input. The invariants under fuzz are exactly the package contract:
 // no panic, no over-allocation (payload and string bounds hold), and
 // every malformed stream surfaces as a clean error rather than
-// garbage records. Every frame also goes through the rec emitter (over
-// a map-backed resolver), which must take the same accept/reject
-// decision with the same error class and, on accept, emit the same
-// records field for field. Seed corpus lives in
-// testdata/fuzz/FuzzFrameStream/.
+// garbage records. The stream is also read through short reads — one
+// byte at a time, and in chunks whose sizes the input's own bytes pick —
+// so frames straddle the reader's buffer end, move to its front and grow
+// it: every way of reading must give the same frames and the same end.
+// Every frame also goes through the rec emitter (over a map-backed
+// resolver), which must take the same accept/reject decision with the
+// same error class and, on accept, emit the same records field for
+// field. Seed corpus lives in testdata/fuzz/FuzzFrameStream/.
 func FuzzFrameStream(f *testing.F) {
 	// valid single-frame stream
 	var buf bytes.Buffer
@@ -63,18 +67,26 @@ func FuzzFrameStream(f *testing.F) {
 	f.Add([]byte("GET / HTTP/1.1\r\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := NewFrameReader(bytes.NewReader(data))
+		frames, end := readFrames(t, bytes.NewReader(data))
+		for name, r := range map[string]io.Reader{
+			"one byte": iotest.OneByteReader(bytes.NewReader(data)),
+			"chunks":   &chunkReader{sizes: data, rest: data},
+		} {
+			got, gotEnd := readFrames(t, r)
+			if len(got) != len(frames) || (gotEnd == io.EOF) != (end == io.EOF) || wireClass(gotEnd) != wireClass(end) {
+				t.Fatalf("%s: %d frames ending in %v; whole reads give %d ending in %v", name, len(got), gotEnd, len(frames), end)
+			}
+			for i := range got {
+				if got[i].h != frames[i].h || !bytes.Equal(got[i].payload, frames[i].payload) {
+					t.Fatalf("%s: frame %d differs", name, i)
+				}
+			}
+		}
 		dec := NewDecoder()
 		sink := newStubSink(3)
 		rd := newRecDecoder(sink)
-		for {
-			h, payload, err := fr.Next()
-			if err != nil {
-				if err != io.EOF && !isWireError(err) {
-					t.Fatalf("non-protocol error from reader: %v", err)
-				}
-				return
-			}
+		for _, fr := range frames {
+			h, payload := fr.h, fr.payload
 			if h.Len > MaxPayload || len(payload) > MaxPayload {
 				t.Fatalf("payload bound breached: %d", len(payload))
 			}
@@ -105,6 +117,47 @@ func FuzzFrameStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// frame is one frame as a FrameReader returned it, its payload copied.
+type frame struct {
+	h       Header
+	payload []byte
+}
+
+// readFrames reads r to its end and returns every frame and the error
+// that ended it, which must be io.EOF or a protocol error.
+func readFrames(t *testing.T, r io.Reader) ([]frame, error) {
+	fr := NewFrameReader(r)
+	var frames []frame
+	for {
+		h, payload, err := fr.Next()
+		if err != nil {
+			if err != io.EOF && !isWireError(err) {
+				t.Fatalf("non-protocol error from reader: %v", err)
+			}
+			return frames, err
+		}
+		frames = append(frames, frame{h, append([]byte(nil), payload...)})
+	}
+}
+
+// chunkReader reads rest in chunks of 1 to 64 bytes, the size of each
+// the next byte of sizes picks (cycling).
+type chunkReader struct {
+	sizes, rest []byte
+	n           int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.rest) == 0 {
+		return 0, io.EOF
+	}
+	size := 1 + int(c.sizes[c.n%len(c.sizes)])%64
+	c.n++
+	n := copy(p, c.rest[:min(size, len(c.rest))])
+	c.rest = c.rest[n:]
+	return n, nil
 }
 
 // FuzzRecDecoderMatchesDecoder holds the rec emitter to the entry

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -23,10 +24,10 @@ import (
 )
 
 // stubSink is a map-backed RecSink: IDs from 1 in first-seen order,
-// shard = id mod shards, cohorts by canonical key. FeedRecs drops the
-// batch and reports it done. It counts the Find and Settle calls it
-// gets, and the Settle calls with a miss, which the engine settles under
-// its lock.
+// shard = id mod shards, cohorts by canonical key. Batch lends one
+// reused batch, whose feed drops it and reports it done. It counts the
+// Find and Settle calls it gets, and the Settle calls with a miss, which
+// the engine settles under its lock.
 type stubSink struct {
 	shards  uint32
 	subs    map[string]sessionizer.SubRef
@@ -36,6 +37,10 @@ type stubSink struct {
 	finds   int
 	settles int
 	misses  int
+
+	recs    []sessionizer.Rec
+	shardOf []uint32
+	feed    func(int, func())
 }
 
 func newStubSink(shards int) *stubSink {
@@ -43,7 +48,17 @@ func newStubSink(shards int) *stubSink {
 		shards:  uint32(shards),
 		subs:    map[string]sessionizer.SubRef{},
 		cohorts: map[string]uint32{},
+		feed: func(_ int, done func()) {
+			if done != nil {
+				done()
+			}
+		},
 	}
+}
+
+func (s *stubSink) Batch(n int) ([]sessionizer.Rec, []uint32, func(int, func())) {
+	s.recs, s.shardOf = slices.Grow(s.recs[:0], n)[:n], slices.Grow(s.shardOf[:0], n)[:n]
+	return s.recs, s.shardOf, s.feed
 }
 
 func (s *stubSink) Find(subs [][]byte, refs []sessionizer.SubRef) {
@@ -106,12 +121,6 @@ func (s *stubSink) Settle(subs, keys [][]byte, recs []sessionizer.Rec, shardOf [
 	}
 	if missed {
 		s.misses++
-	}
-}
-
-func (s *stubSink) FeedRecs(_ []sessionizer.Rec, _ []uint32, done func()) {
-	if done != nil {
-		done()
 	}
 }
 
@@ -453,14 +462,16 @@ type heldSink struct {
 	*stubSink
 	mu   sync.Mutex
 	held []func()
-	fed  chan struct{} // one token per FeedRecs call
+	fed  chan struct{} // one token per batch fed
 }
 
-func (h *heldSink) FeedRecs(recs []sessionizer.Rec, shardOf []uint32, done func()) {
-	h.mu.Lock()
-	h.held = append(h.held, done)
-	h.mu.Unlock()
-	h.fed <- struct{}{}
+func (h *heldSink) Batch(n int) ([]sessionizer.Rec, []uint32, func(int, func())) {
+	return make([]sessionizer.Rec, n), make([]uint32, n), func(_ int, done func()) {
+		h.mu.Lock()
+		h.held = append(h.held, done)
+		h.mu.Unlock()
+		h.fed <- struct{}{}
+	}
 }
 
 func (h *heldSink) finishOne() {
@@ -553,7 +564,8 @@ func TestNonFiniteCarriedByCodecRefusedByEngine(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8dead0000beef)
 	binary.LittleEndian.PutUint64(payload[len(payload)-8:], math.Float64bits(nan)) // retrans_pct
 	h.CRC = crc32.ChecksumIEEE(payload)
-	recs, shardOf, _, err := newRecDecoder(eng).DecodeFrame(h, payload)
+	rd := newRecDecoder(eng)
+	recs, _, _, err := rd.DecodeFrame(h, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +577,7 @@ func TestNonFiniteCarriedByCodecRefusedByEngine(t *testing.T) {
 	}
 
 	done := make(chan struct{})
-	eng.FeedRecs(recs, shardOf, func() { close(done) })
+	rd.Feed(func() { close(done) })
 	<-done
 	eng.Feed(got)
 	if rej := eng.Rejected(); rej != [2]int64{0, 2} {

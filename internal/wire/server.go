@@ -22,14 +22,15 @@ import (
 // Handler receives the decoded batches. The callbacks run on the
 // connection's goroutine, one frame at a time; the slices they are
 // handed alias per-connection scratch and must not be retained past
-// the call (the engine's Ingest/Feed/Offer copy, so handing them
-// straight through is safe). Entries runs before Labels for a frame
-// that carries both, mirroring the HTTP ingest path. A nil callback
-// drops that record type.
+// the call (the engine's Ingest/Feed/Offer digest them into recs of
+// their own, so handing them straight through is safe). Entries runs
+// before Labels for a frame that carries both, mirroring the HTTP ingest
+// path. A nil callback drops that record type.
 //
 // Recs, when set, is the fused door and takes the listener's entry
 // records instead of Entries: connections decode frames straight into
-// routed recs (see RecSink) and build no weblog.Entry. The service always
+// routed recs, in batches the sink lends (see RecSink), and build no
+// weblog.Entry. The service always
 // sets it; Entries and the listener's Entry decoder behind it are left for
 // bench/layers.go and tests, until ROADMAP's "One benchmark PR" item re-points them.
 type Handler struct {
@@ -195,7 +196,7 @@ func (s *Server) handle(c *serverConn) {
 		log.Debug("wire connection open", "remote", remoteName(c.nc))
 	}
 	var connEntries, connLabels int64
-	fr := NewFrameReader(bufio.NewReaderSize(c.nc, 64<<10))
+	fr := newConnFrameReader(c.nc)
 	// one decoder per connection, by door
 	var dec *Decoder
 	var recDec *recDecoder
@@ -228,10 +229,9 @@ func (s *Server) handle(c *serverConn) {
 		}
 		var entries []weblog.Entry
 		var recs []sessionizer.Rec
-		var shardOf []uint32
 		var labels []qualitymon.Label
 		if recDec != nil {
-			recs, shardOf, labels, err = recDec.DecodeFrame(h, payload)
+			recs, _, labels, err = recDec.DecodeFrame(h, payload)
 		} else {
 			entries, labels, err = dec.DecodeFrame(h, payload)
 		}
@@ -251,7 +251,7 @@ func (s *Server) handle(c *serverConn) {
 		s.bytes.Add(int64(HeaderLen + h.Len))
 		if len(recs) > 0 {
 			window <- struct{}{} // done takes it back
-			s.cfg.Handler.Recs.FeedRecs(recs, shardOf, done)
+			recDec.Feed(done)
 		} else if len(entries) > 0 && s.cfg.Handler.Entries != nil {
 			s.cfg.Handler.Entries(entries)
 		}

@@ -10,16 +10,19 @@
 // the entry rates the sharded engine sustains, that decode — not the
 // forest — is the wall. The wire format is built so the serve-side
 // decoder does no per-entry allocation on the hot path: fixed-width
-// little-endian numerics, uvarint-prefixed strings interned into a
-// per-connection table, and frame payloads read into a reusable
-// buffer that the decoded batch aliases until the next frame.
+// little-endian numerics and uvarint-prefixed strings, parsed where they
+// lie. A FrameReader reads the socket into one buffer and hands out each
+// payload in place, valid until the next frame; nothing copies it.
 //
-// One frame walk and one record parser (decode.go) validate everything;
-// two emitters sit behind them. Decoder.DecodeFrame yields
-// weblog.Entry batches for clients and tests. The listener,
-// when its Handler carries a RecSink (the engine), decodes straight
-// into routed sessionizer.Recs through per-connection identity caches
-// (recs.go) and builds no Entry at all.
+// One frame walk and one record parser (decode.go) validate everything,
+// walking the payload with a cursor and keeping each field as an offset;
+// two emitters sit behind them. Decoder.DecodeFrame yields weblog.Entry
+// batches, strings interned into a per-decoder table, for clients and
+// tests. The listener, when its Handler carries a RecSink (the engine),
+// decodes straight into routed sessionizer.Recs (recs.go) and builds no
+// Entry at all: each rec is written once, into a batch the engine lends,
+// its identities resolved by the engine's own indexes, and the shards
+// read it there.
 //
 // Frame layout (byte offsets, little-endian):
 //

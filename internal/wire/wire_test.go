@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -447,6 +449,157 @@ func TestFrameReaderEOFSemantics(t *testing.T) {
 	fr = NewFrameReader(bytes.NewReader(raw[:len(raw)-1]))
 	if _, _, err := fr.Next(); !errors.Is(err, ErrTruncated) {
 		t.Errorf("mid-payload cut: %v, want ErrTruncated", err)
+	}
+}
+
+// TestFrameReaderGrowsToTheFrame: frames larger than the reader's
+// initial buffer, between small ones and read a few bytes at a time, come
+// back whole and in order; the buffer grows to the power of two that
+// holds the largest, and no further.
+func TestFrameReaderGrowsToTheFrame(t *testing.T) {
+	var stream bytes.Buffer
+	var want [][]byte
+	for _, n := range []int{3, 200, 1, 400, 7} { // 200 entries is over 20 KB
+		var buf bytes.Buffer
+		if err := EncodeBatch(&buf, benchEntries(n), nil); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, append([]byte(nil), buf.Bytes()[HeaderLen:]...))
+		stream.Write(buf.Bytes())
+	}
+	largest := 0
+	for _, p := range want {
+		largest = max(largest, HeaderLen+len(p))
+	}
+	if largest <= frameBufMin {
+		t.Fatalf("largest frame %d bytes fits the initial buffer", largest)
+	}
+	fr := NewFrameReader(&chunkReader{sizes: []byte{6, 200, 13, 255, 0}, rest: stream.Bytes()})
+	for i, w := range want {
+		h, payload, err := fr.Next()
+		if err != nil || h.Len != len(w) || !bytes.Equal(payload, w) {
+			t.Fatalf("frame %d: %d bytes, %v; want %d bytes as sent", i, len(payload), err, len(w))
+		}
+	}
+	if _, _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	if want := 1 << bits.Len(uint(largest-1)); len(fr.buf) != want {
+		t.Errorf("buffer grew to %d bytes for a largest frame of %d, want %d", len(fr.buf), largest, want)
+	}
+}
+
+// TestFrameReaderPayloadBound: a frame of exactly MaxPayload reads, into
+// a buffer of exactly HeaderLen+MaxPayload; a header announcing one byte
+// more is refused as oversize before anything of that size is allocated.
+func TestFrameReaderPayloadBound(t *testing.T) {
+	payload := make([]byte, MaxPayload)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	raw := rawFrame(0, payload)
+	fr := NewFrameReader(bytes.NewReader(raw))
+	h, got, err := fr.Next()
+	if err != nil || h.Len != MaxPayload || !bytes.Equal(got, payload) {
+		t.Fatalf("MaxPayload frame: %d bytes, %v", len(got), err)
+	}
+	if len(fr.buf) != HeaderLen+MaxPayload {
+		t.Errorf("buffer is %d bytes for a MaxPayload frame, want %d", len(fr.buf), HeaderLen+MaxPayload)
+	}
+
+	binary.LittleEndian.PutUint32(raw[8:], MaxPayload+1)
+	raw = append(raw, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fr = NewFrameReader(bytes.NewReader(raw))
+	if _, _, err := fr.Next(); !errors.Is(err, ErrOversize) {
+		t.Fatalf("MaxPayload+1 header: %v, want ErrOversize", err)
+	}
+	runtime.ReadMemStats(&after)
+	if len(fr.buf) > frameBufMin || after.TotalAlloc-before.TotalAlloc > 1<<20 {
+		t.Errorf("refusing an oversize header allocated %d bytes (buffer %d)", after.TotalAlloc-before.TotalAlloc, len(fr.buf))
+	}
+}
+
+// countingReader serves a backlog: every read takes as much as it asks
+// for, and is counted.
+type countingReader struct {
+	rest  []byte
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	if len(c.rest) == 0 {
+		return 0, io.EOF
+	}
+	c.reads++
+	n := copy(p, c.rest)
+	c.rest = c.rest[n:]
+	return n, nil
+}
+
+// TestConnFrameReaderTakesWholeReads: over a backlog of one-entry
+// frames the listener's reader takes the socket in reads of half its
+// 64 KB buffer or more on average, not in reads of the 4 KB a reader of
+// acks starts at.
+func TestConnFrameReaderTakesWholeReads(t *testing.T) {
+	var stream bytes.Buffer
+	frames := 0
+	for stream.Len() < 1<<20 {
+		if err := EncodeBatch(&stream, benchEntries(1), nil); err != nil {
+			t.Fatal(err)
+		}
+		frames++
+	}
+	src := &countingReader{rest: stream.Bytes()}
+	fr := newConnFrameReader(src)
+	for i := 0; i < frames; i++ {
+		if _, _, err := fr.Next(); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	if _, _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	if per := stream.Len() / src.reads; per < connFrameBuf/2 {
+		t.Errorf("%d frames, %d bytes in %d reads: %d bytes a read, want at least %d", frames, stream.Len(), src.reads, per, connFrameBuf/2)
+	}
+}
+
+// loopReader serves stream over and over, at most chunk bytes a read.
+type loopReader struct {
+	stream []byte
+	at     int
+	chunk  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.stream[l.at:min(l.at+l.chunk, len(l.stream))])
+	l.at = (l.at + n) % len(l.stream)
+	return n, nil
+}
+
+// TestFrameReaderSteadyStateZeroAlloc: once its buffer has grown to the
+// stream's largest frame, Next allocates nothing — through frames cut at
+// read boundaries and moved to the buffer's front alike.
+func TestFrameReaderSteadyStateZeroAlloc(t *testing.T) {
+	var stream bytes.Buffer
+	for _, n := range []int{256, 5, 100, 256, 1} {
+		if err := EncodeBatch(&stream, benchEntries(n), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(&loopReader{stream: stream.Bytes(), chunk: 9000})
+	next := func() {
+		if _, _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		next()
+	}
+	if allocs := testing.AllocsPerRun(200, next); allocs != 0 {
+		t.Fatalf("a warm Next allocates %v times, want 0", allocs)
 	}
 }
 
