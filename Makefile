@@ -40,7 +40,7 @@ cover:
 # ratchet, the count at the last PR that moved it: loc-check (CI) fails
 # above it, so a PR that needs more lines raises the number in its own
 # diff, where the reviewer sees it, and one that deletes lowers it.
-LOC_BAR := 21117
+LOC_BAR := 21091
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 

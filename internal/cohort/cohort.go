@@ -107,12 +107,6 @@ type stripe struct {
 type Rollup struct {
 	cfg     Config
 	stripes []*stripe
-
-	// exemplars, when set, resolves a cohort key to retained
-	// flight-recorder session IDs so /debug/cohorts entries link
-	// straight to per-session timelines. Set once at wiring time,
-	// before traffic.
-	exemplars func(cohort string) []string
 }
 
 // NewRollup builds a rollup with cfg.Shards stripes.
@@ -187,8 +181,8 @@ type Stats struct {
 	LowQuality int64 `json:"low_quality"`
 	Switched   int64 `json:"switched"`
 	// Exemplars links to retained flight-recorder sessions from this
-	// cohort ("subscriber/start" IDs, worst MOS first), when a flight
-	// recorder is wired. Filled per Snapshot call.
+	// cohort ("subscriber/start" IDs, worst MOS first). Snapshot leaves
+	// it empty; the /debug/cohorts handler fills it from the recorder.
 	Exemplars []string `json:"exemplars,omitempty"`
 }
 
@@ -206,21 +200,9 @@ type Snapshot struct {
 	Evicted int64 `json:"evicted_cohorts"`
 }
 
-// SetExemplars attaches the flight recorder's exemplar resolver so
-// each cohort's snapshot entry carries links to retained per-session
-// timelines. Wire it before traffic; pass nil to detach.
-func (r *Rollup) SetExemplars(fn func(cohort string) []string) {
-	if r == nil {
-		return
-	}
-	r.exemplars = fn
-}
-
 // Snapshot merges all stripes into the fleet view, one row per label:
 // the tallies of every key that renders it (region "" and "-" both
-// render "-"), summed over the stripes, under the smallest such key. It
-// decorates every cohort with its exemplar links, which are keyed by
-// label too.
+// render "-"), summed over the stripes, under the smallest such key.
 func (r *Rollup) Snapshot() *Snapshot {
 	if r == nil {
 		return &Snapshot{}
@@ -281,9 +263,6 @@ func (r *Rollup) Snapshot() *Snapshot {
 	snap := &Snapshot{Capacity: r.cfg.MaxCohorts, Evicted: evicted}
 	for _, a := range all {
 		st := statsOf(a.label, a.key, a.t)
-		if r.exemplars != nil {
-			st.Exemplars = r.exemplars(st.Cohort)
-		}
 		snap.Cohorts = append(snap.Cohorts, st)
 		snap.Total += st.Sessions
 	}

@@ -682,7 +682,7 @@ func TestAssessSteadyStateZeroAlloc(t *testing.T) {
 	if got := qm.Snapshot().Labels.PredsEvicted; got < int64(reports) {
 		t.Errorf("%d pending predictions evicted, want every one of %d tracked sessions to have replaced one", got, reports)
 	}
-	ex := rec.ExemplarIDs("eu-west/phone/-")
+	ex := rec.Exemplars()["eu-west/phone/-"]
 	if len(ex) == 0 {
 		t.Fatal("no retained session under the interner's cohort label")
 	}

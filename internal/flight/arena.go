@@ -98,7 +98,8 @@ func (w *floatWriter) put(v float64) {
 // engine's interned subscriber, the interner's cohort label) and the
 // class and verbal names are static, so retention builds none, and the
 // header segments are all of a recorder the collector scans. Fixed at
-// retention except reasons and bytes, which ObserveOutcome grows.
+// retention except reasons, models and bytes, which ObserveOutcome
+// grows.
 type header struct {
 	subscriber, cohort string
 	start, end, mos    float64
@@ -116,6 +117,7 @@ type header struct {
 	kept, nStall, nRep int
 
 	reasons Reason
+	models  uint8 // exemplarStall, exemplarRep: the models it is an exemplar of
 	bytes   int64 // accounted footprint, label events included
 }
 
@@ -151,7 +153,7 @@ func eventBytes(ev *Event) int64 { return int64(eventOverheadBytes + len(ev.Note
 // that compacts the first maxEvents of them and folds the whole-session
 // totals, then both projected vectors. Nothing of a is referenced
 // afterwards but its two strings. The caller holds s.mu.
-func (s *ShardRecorder) push(a *Assessment, score float64, reasons Reason) (uint64, *header) {
+func (s *ShardRecorder) push(a *Assessment, score float64, reasons Reason) *header {
 	seq := s.hdrs.extend(1)
 	h := s.hdrs.at(seq)
 	*h = header{
@@ -184,7 +186,7 @@ func (s *ShardRecorder) push(a *Assessment, score float64, reasons Reason) (uint
 	h.totalKB, h.totalSec = totalKB, totalSec
 	h.bytes = h.accounted()
 	s.bytes += h.bytes
-	return seq, h
+	return h
 }
 
 // evictOldest drops the session at the head of both stores. The caller

@@ -2,6 +2,8 @@ package flight
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -75,13 +77,12 @@ func everyPolicy() []Reason {
 // TestRetainSteadyStateZeroAlloc: a recorder at its budget retains
 // without allocating, whatever policies matched — the chunk records and
 // both vectors go into reused float segments, the header into a reused
-// header slot, the strings are the caller's, and the exemplar lists
-// live in the map by value.
+// header slot, and the strings are the caller's.
 func TestRetainSteadyStateZeroAlloc(t *testing.T) {
 	rec := New(Config{Shards: 1, MaxBytes: 256 << 10})
 	sh := rec.Shard(0)
 	a := assessment("sub", 10, stalledReport(45), videoChunks(10, 45, 4))
-	a.Report.StallConf, a.Report.RepConf = 0.3, 0.3 // registers under both model keys
+	a.Report.StallConf, a.Report.RepConf = 0.3, 0.3 // an exemplar of both models
 	a.StallProj, a.RepProj = make([]float64, 9), make([]float64, 14)
 	policies := everyPolicy()
 	k := 0
@@ -182,12 +183,7 @@ func TestFlightReadersRaceRetention(t *testing.T) {
 	})
 	reader(func(i int) {
 		rec.ObserveOutcome(fmt.Sprintf("sub-%d", i%7), float64(i), float64(i)+1, "stall", "wrong")
-		for _, id := range rec.ExemplarIDs("eu-west/mobile/50") {
-			if id == "" {
-				t.Error("empty exemplar id")
-			}
-		}
-		rec.ModelExemplars("stall")
+		checkExemplarRead(t, rec.Exemplars())
 	})
 
 	for i := 0; i < sessions; i++ {
@@ -209,5 +205,103 @@ func TestFlightReadersRaceRetention(t *testing.T) {
 	m := rec.Metrics()
 	if m.Evicted == 0 || m.Bytes > m.CapacityBytes || m.Resident != m.Retained-m.Evicted {
 		t.Errorf("after the run: %+v", m)
+	}
+}
+
+// checkExemplarRead holds one exemplar read to its shape: every list
+// non-empty, at most exemplarsPerKey long, of well-formed IDs, none of
+// them twice.
+func checkExemplarRead(t *testing.T, ex map[string][]string) {
+	t.Helper()
+	for key, ids := range ex {
+		if len(ids) == 0 || len(ids) > exemplarsPerKey {
+			t.Errorf("%s: %d exemplars", key, len(ids))
+		}
+		seen := map[string]bool{}
+		for _, id := range ids {
+			if id == "" || seen[id] {
+				t.Errorf("%s: exemplars %q hold an empty or repeated id", key, ids)
+			}
+			seen[id] = true
+		}
+	}
+}
+
+// TestFlightExemplarsRaceRetention: exemplar reads run against two
+// shard workers retaining past their budgets — sessions in two cohorts
+// and in none, some unsure of one model — and a label goroutine
+// promoting retained sessions for both models. Run with -race. Every
+// read is well formed, and once the writers stop it links each model
+// key to sessions that are still retained.
+func TestFlightExemplarsRaceRetention(t *testing.T) {
+	rec := New(Config{Shards: 2, SampleN: -1, MaxBytes: 16 << 10})
+	cohorts := []string{"eu-west/mobile/50", "us-east/tv/-", ""}
+	const perShard = 3000
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for shard := 0; shard < 2; shard++ {
+		writers.Add(1)
+		go func(shard int) {
+			defer writers.Done()
+			sh := rec.Shard(shard)
+			for i := 0; i < perShard; i++ {
+				rep := stalledReport(4)
+				switch i % 5 {
+				case 1:
+					rep.StallConf = 0.3
+				case 2:
+					rep.RepConf = 0.3
+				}
+				a := assessment(fmt.Sprintf("sub-%d-%d", shard, i%11), float64(i), rep, videoChunks(float64(i), 4, 1))
+				a.Cohort = cohorts[i%len(cohorts)]
+				assess(sh, a)
+			}
+		}(shard)
+	}
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			shard, at := i%2, (i/2)%perShard
+			model := [2]string{"stall", "rep"}[i%2]
+			rec.ObserveOutcome(fmt.Sprintf("sub-%d-%d", shard, at%11), float64(at), float64(at)+60, model, "wrong")
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			checkExemplarRead(t, rec.Exemplars())
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	ex := rec.Exemplars()
+	checkExemplarRead(t, ex)
+	for _, key := range []string{"eu-west/mobile/50", "us-east/tv/-", "model/stall", "model/rep"} {
+		if len(ex[key]) != exemplarsPerKey {
+			t.Errorf("%s: exemplars %q, want %d", key, ex[key], exemplarsPerKey)
+		}
+		for _, id := range ex[key] {
+			slash := strings.LastIndex(id, "/")
+			start, err := strconv.ParseFloat(id[slash+1:], 64)
+			if err != nil || rec.Get(id[:slash], start) == nil {
+				t.Errorf("%s: exemplar %q does not resolve", key, id)
+			}
+		}
+	}
+	if _, ok := ex[""]; ok {
+		t.Error("sessions without a cohort are read under the empty key")
 	}
 }

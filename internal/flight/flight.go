@@ -42,9 +42,10 @@
 //
 // Memory is hard-capped: retained sessions are accounted in bytes; the
 // oldest are evicted (and counted) when a shard exceeds its budget, and
-// each timeline caps its event count (truncation counted). Exemplar
-// registries index the worst retained sessions per cohort key and per
-// degraded model so /debug/cohorts and /debug/quality can link to them.
+// each timeline caps its event count (truncation counted). Exemplars
+// reads the worst live retained sessions per cohort label and per
+// degraded model in one pass, so /debug/cohorts and /debug/quality can
+// link to them; retention keeps no index for it.
 package flight
 
 import (
@@ -192,11 +193,10 @@ type Assessment struct {
 type Attributor func(stallProj, repProj []float64, k int) (stall, rep []core.FeatureAttribution)
 
 // Recorder is the engine-wide flight recorder: one ShardRecorder per
-// engine shard. Exemplar indexing is striped with the shards — each
-// shard registers its own retained sessions under its own ring lock,
-// and the rare debug-endpoint reads merge the per-shard lists — so
-// retention never contends on recorder-global state. All methods are
-// nil-safe so call sites wire it unconditionally.
+// engine shard, each retaining under its own ring lock, so retention
+// never contends on recorder-global state; the rare debug reads visit
+// the shards in turn. All methods are nil-safe so call sites wire it
+// unconditionally.
 type Recorder struct {
 	cfg    Config
 	shards []*ShardRecorder
@@ -241,10 +241,9 @@ func New(cfg Config) *Recorder {
 	for i := range r.shards {
 		r.shards[i] = &ShardRecorder{
 			rec: r, shard: i,
-			hdrs:      fifo[header]{segLen: headerSegLen},
-			floats:    fifo[float64]{segLen: floatSegLen},
-			labels:    make(map[uint64][]Event),
-			exemplars: make(map[string]exemplarList),
+			hdrs:   fifo[header]{segLen: headerSegLen},
+			floats: fifo[float64]{segLen: floatSegLen},
+			labels: make(map[uint64][]Event),
 		}
 	}
 	return r
@@ -282,15 +281,6 @@ type ShardRecorder struct {
 	// labels holds the delayed EvLabel events of ObserveOutcome, by
 	// sequence number, until the session is evicted
 	labels map[uint64][]Event
-	// exemplars indexes this shard's retained sessions by exemplar
-	// key, each list the worst-MOS exemplarsPerKey sessions, sorted.
-	// Cohort entries use the bare region/device/cap key — a static
-	// string on the retention path, no per-retention concatenation —
-	// and model entries the literals "model/<stall|rep>"; the shapes
-	// can't collide (cohort keys always carry two slashes). Guarded by
-	// mu; reads merge the per-shard lists so retention never touches
-	// recorder-global state.
-	exemplars map[string]exemplarList
 
 	recorded  atomic.Int64
 	retained  atomic.Int64
@@ -344,8 +334,8 @@ func (s *ShardRecorder) Decide(rep core.Report) (Reason, float64, bool) {
 // Retain keeps one session Decide said to keep. Callers pass Decide's
 // reasons and score through. It compacts the raw material into the
 // shard's stores (see push) and evicts oldest-first past the byte
-// budget: one float-only pass over the chunks plus store and exemplar
-// bookkeeping, at the budget no allocation. The timeline is NOT
+// budget: one float-only pass over the chunks plus store bookkeeping,
+// at the budget no allocation. The timeline is NOT
 // materialized here — that happens at drill-down render time.
 func (s *ShardRecorder) Retain(a Assessment, score float64, reasons Reason) {
 	if s == nil {
@@ -359,18 +349,17 @@ func (s *ShardRecorder) Retain(a Assessment, score float64, reasons Reason) {
 	}
 
 	s.mu.Lock()
-	seq, h := s.push(&a, score, reasons)
-	truncated := h.truncated()
-	s.evictOverBudget()
-	s.register(a.Cohort, seq)
+	h := s.push(&a, score, reasons)
 	if reasons&ReasonLowConfidence != 0 {
 		if a.Report.StallConf < s.rec.lowConfidence {
-			s.register("model/stall", seq)
+			h.models |= exemplarStall
 		}
 		if a.Report.RepConf < s.rec.lowConfidence {
-			s.register("model/rep", seq)
+			h.models |= exemplarRep
 		}
 	}
+	truncated := h.truncated()
+	s.evictOverBudget()
 	s.mu.Unlock()
 	s.truncated.Add(truncated)
 }
@@ -384,16 +373,34 @@ func (s *ShardRecorder) evictOverBudget() {
 	}
 }
 
-// exemplarList is one key's worst retained sessions on one shard, by
-// sequence number, worst first; the extra slot is the newcomer's.
-type exemplarList struct {
-	n   int
-	seq [exemplarsPerKey + 1]uint64
+// Exemplar model bits: the detectors a retained session is a
+// degraded-model exemplar of (header.models).
+const (
+	exemplarStall uint8 = 1 << iota
+	exemplarRep
+)
+
+// modelBit maps a detector name ("stall" or "rep") to its exemplar bit.
+func modelBit(model string) uint8 {
+	switch model {
+	case "stall":
+		return exemplarStall
+	case "rep":
+		return exemplarRep
+	}
+	return 0
+}
+
+// exemplar is what an exemplar link is ordered by and rendered from.
+type exemplar struct {
+	mos        float64
+	subscriber string
+	start      float64
 }
 
 // exemplarLess is the worst-first exemplar order: lowest MOS, then
-// subscriber, then start — total, so merged renders are deterministic.
-func exemplarLess(a, b *header) bool {
+// subscriber, then start — total, so renders are deterministic.
+func exemplarLess(a, b *exemplar) bool {
 	if a.mos != b.mos {
 		return a.mos < b.mos
 	}
@@ -403,74 +410,81 @@ func exemplarLess(a, b *header) bool {
 	return a.start < b.start
 }
 
-// register indexes a retained session under one exemplar key on this
-// shard, keeping the exemplarsPerKey worst (lowest-MOS) live sessions
-// per key; evicted ones drop out here, lazily. Callers hold s.mu. The
-// list is tiny and shard-local, and lives in the map by value, so only a
-// key's first registration allocates.
-func (s *ShardRecorder) register(key string, seq uint64) {
-	l := s.exemplars[key]
-	n := 0
-	for _, e := range l.seq[:l.n] {
-		if e >= s.hdrs.head {
-			l.seq[n] = e
-			n++
-		}
-	}
-	l.seq[n] = seq
-	for i := n; i > 0 && exemplarLess(s.hdrs.at(l.seq[i]), s.hdrs.at(l.seq[i-1])); i-- {
-		l.seq[i], l.seq[i-1] = l.seq[i-1], l.seq[i]
-	}
-	l.n = min(n+1, exemplarsPerKey)
-	s.exemplars[key] = l
+// worstN is one exemplar key's exemplarsPerKey worst sessions seen so
+// far, worst first.
+type worstN struct {
+	n int
+	e [exemplarsPerKey]exemplar
 }
 
-// ExemplarIDs returns up to exemplarsPerKey retained session IDs for
-// one exemplar key (a bare "region/device/cap" cohort key — the cohort
-// rollup's hook — or "model/<stall|rep>"), worst MOS first. IDs are
-// "subscriber/start" — the /debug/flight path form. The per-shard lists
-// are merged here, on the rare debug-read path, so the retention path
-// never touches shared state. Evicted sessions drop out lazily.
-func (r *Recorder) ExemplarIDs(key string) []string {
+func (l *worstN) offer(h *header) {
+	e := exemplar{h.mos, h.subscriber, h.start}
+	if l.n == exemplarsPerKey && !exemplarLess(&e, &l.e[l.n-1]) {
+		return
+	}
+	i := min(l.n, exemplarsPerKey-1)
+	for ; i > 0 && exemplarLess(&e, &l.e[i-1]); i-- {
+		l.e[i] = l.e[i-1]
+	}
+	l.e[i] = e
+	l.n = min(l.n+1, exemplarsPerKey)
+}
+
+// Exemplars returns the drill-down links of every exemplar key: for
+// each cohort label a retained session carries, and for "model/stall"
+// and "model/rep", the IDs ("subscriber/start", the /debug/flight path
+// form) of up to exemplarsPerKey live retained sessions, worst first by
+// exemplarLess, each at most once. A model key holds the sessions
+// retained as low-confidence with that detector under the floor, and
+// those a label for that detector promoted. It is one pass over every
+// shard's live headers, each shard under its lock as in Snapshot, made
+// by the debug handlers that serve the links; retention keeps no index.
+// Nil on a nil recorder.
+func (r *Recorder) Exemplars() map[string][]string {
 	if r == nil {
 		return nil
 	}
-	var merged []header
+	worst := make(map[string]*worstN)
+	offer := func(key string, h *header) {
+		l := worst[key]
+		if l == nil {
+			l = new(worstN)
+			worst[key] = l
+		}
+		l.offer(h)
+	}
 	for _, s := range r.shards {
 		s.mu.Lock()
-		l := s.exemplars[key]
-		for _, e := range l.seq[:l.n] {
-			if e >= s.hdrs.head {
-				merged = append(merged, *s.hdrs.at(e))
+		for seq := s.hdrs.head; seq < s.hdrs.tail; seq++ {
+			h := s.hdrs.at(seq)
+			if h.cohort != "" {
+				offer(h.cohort, h)
+			}
+			if h.models&exemplarStall != 0 {
+				offer("model/stall", h)
+			}
+			if h.models&exemplarRep != 0 {
+				offer("model/rep", h)
 			}
 		}
 		s.mu.Unlock()
 	}
-	if len(merged) == 0 {
-		return nil
-	}
-	sort.Slice(merged, func(i, j int) bool { return exemplarLess(&merged[i], &merged[j]) })
-	if len(merged) > exemplarsPerKey {
-		merged = merged[:exemplarsPerKey]
-	}
-	out := make([]string, len(merged))
-	for i := range merged {
-		out[i] = sessionID(merged[i].subscriber, merged[i].start)
+	out := make(map[string][]string, len(worst))
+	for key, l := range worst {
+		ids := make([]string, l.n)
+		for i := range ids {
+			ids[i] = sessionID(l.e[i].subscriber, l.e[i].start)
+		}
+		out[key] = ids
 	}
 	return out
-}
-
-// ModelExemplars adapts ExemplarIDs to the quality monitor's hook
-// shape (model is "stall" or "rep").
-func (r *Recorder) ModelExemplars(model string) []string {
-	return r.ExemplarIDs("model/" + model)
 }
 
 // ObserveOutcome promotes a retained session whose delayed
 // ground-truth label contradicted the prediction: the labeled_wrong
 // reason is added, a label event is appended to its timeline (evicting
 // oldest-first if that takes the shard past its byte budget), and the
-// session is indexed as a degraded-model exemplar. Sessions that were
+// session becomes an exemplar of that model. Sessions that were
 // never retained cannot be resurrected — the label arrives after the
 // timeline is gone; the low-confidence policy exists to keep most
 // future mispredictions. Safe from any goroutine.
@@ -491,7 +505,7 @@ func (r *Recorder) ObserveOutcome(subscriber string, start, end float64, model, 
 		b := eventBytes(&ev)
 		h.bytes += b
 		s.bytes += b
-		s.register("model/"+model, seq)
+		h.models |= modelBit(model)
 		s.evictOverBudget()
 		s.mu.Unlock()
 		s.byReason[reasonIndex(ReasonLabeledWrong)].Add(1)

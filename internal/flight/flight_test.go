@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -123,16 +124,17 @@ func TestFlightRetentionPolicies(t *testing.T) {
 	if !found {
 		t.Fatal("low-confidence session not retained")
 	}
-	if got := rec.ModelExemplars("stall"); len(got) != 1 || !strings.HasPrefix(got[0], "sub-unsure/") {
+	exemplars := rec.Exemplars()
+	if got := exemplars["model/stall"]; len(got) != 1 || !strings.HasPrefix(got[0], "sub-unsure/") {
 		t.Fatalf("model/stall exemplars = %v", got)
 	}
-	if got := rec.ModelExemplars("rep"); len(got) != 0 {
+	if got := exemplars["model/rep"]; len(got) != 0 {
 		t.Fatalf("model/rep exemplars = %v, want none (rep was confident)", got)
 	}
 
 	// cohort exemplars: both retained sessions share the cohort key,
 	// worst MOS first
-	ex := rec.ExemplarIDs("eu-west/mobile/50")
+	ex := exemplars["eu-west/mobile/50"]
 	if len(ex) != 2 || !strings.HasPrefix(ex[0], "sub-stall/") {
 		t.Fatalf("cohort exemplars = %v, want stalled session first", ex)
 	}
@@ -299,7 +301,7 @@ func TestFlightEvictionHostileLoad(t *testing.T) {
 	}
 
 	// exemplar links never point at evicted sessions
-	for _, id := range rec.ExemplarIDs("eu-west/mobile/50") {
+	for _, id := range rec.Exemplars()["eu-west/mobile/50"] {
 		slash := strings.LastIndex(id, "/")
 		start, err := strconv.ParseFloat(id[slash+1:], 64)
 		if err != nil {
@@ -412,7 +414,7 @@ func TestFlightObserveOutcome(t *testing.T) {
 	if !hasReason || !hasLabel {
 		t.Fatalf("promotion missing reason (%v) or label event (%v): %+v", hasReason, hasLabel, got)
 	}
-	if ex := rec.ModelExemplars("stall"); len(ex) != 1 || ex[0] != "sub/10" {
+	if ex := rec.Exemplars()["model/stall"]; len(ex) != 1 || ex[0] != "sub/10" {
 		t.Fatalf("model/stall exemplars after promotion = %v", ex)
 	}
 }
@@ -497,11 +499,8 @@ func TestFlightNilSafety(t *testing.T) {
 	sh.Discard()
 	assess(sh, assessment("sub", 10, stalledReport(8), nil))
 	rec.ObserveOutcome("sub", 10, 70, "stall", "x")
-	if got := rec.ExemplarIDs("cohort/x"); got != nil {
+	if got := rec.Exemplars(); got != nil {
 		t.Fatalf("nil recorder exemplars = %v", got)
-	}
-	if got := rec.ModelExemplars("stall"); got != nil {
-		t.Fatalf("nil recorder model exemplars = %v", got)
 	}
 	if got := rec.Get("sub", 10); got != nil {
 		t.Fatalf("nil recorder Get = %v", got)
@@ -565,5 +564,108 @@ func TestWriteWorst(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[5], "--   sub4/40.5 ") {
 		t.Errorf("last row %q, want the fifth-worst session sub4/40.5", lines[5])
+	}
+}
+
+// TestExemplarsMatchLiveOracle drives a seeded stream of retentions,
+// evictions and label promotions through two shards with small budgets
+// — sessions in three cohorts and in none, some unsure of one model or
+// both, labels for both models landing on live and on evicted sessions,
+// MOS scores drawn from a few values so the order's ties are exercised
+// — and after every step holds the exemplar read to a brute-force
+// oracle over the live headers: per cohort label and per model, the
+// exemplarsPerKey worst by exemplarLess, each session once. The oracle
+// tracks model eligibility itself (a low-confidence retention with that
+// model under the floor, or a label for that model that found the
+// session retained), so the header bits are checked too.
+func TestExemplarsMatchLiveOracle(t *testing.T) {
+	rec := New(Config{Shards: 2, SampleN: -1, MaxBytes: 6 << 10})
+	rng := rand.New(rand.NewSource(52))
+	cohorts := []string{"eu-west/mobile/50", "us-east/tv/-", "ap-south/-/-", ""}
+	eligible := map[string]uint8{} // session ID → models it is an exemplar of
+	type ref struct {
+		sub   string
+		start float64
+	}
+	var retained []ref
+
+	live := func() []*header {
+		var hs []*header
+		for _, s := range rec.shards {
+			for seq := s.hdrs.head; seq < s.hdrs.tail; seq++ {
+				hs = append(hs, s.hdrs.at(seq))
+			}
+		}
+		return hs
+	}
+	oracle := func() map[string][]string {
+		byKey := map[string][]exemplar{}
+		for _, h := range live() {
+			e := exemplar{h.mos, h.subscriber, h.start}
+			if h.cohort != "" {
+				byKey[h.cohort] = append(byKey[h.cohort], e)
+			}
+			bits := eligible[sessionID(h.subscriber, h.start)]
+			if bits&exemplarStall != 0 {
+				byKey["model/stall"] = append(byKey["model/stall"], e)
+			}
+			if bits&exemplarRep != 0 {
+				byKey["model/rep"] = append(byKey["model/rep"], e)
+			}
+		}
+		out := map[string][]string{}
+		for key, es := range byKey {
+			sort.Slice(es, func(i, j int) bool { return exemplarLess(&es[i], &es[j]) })
+			for _, e := range es[:min(len(es), exemplarsPerKey)] {
+				out[key] = append(out[key], sessionID(e.subscriber, e.start))
+			}
+		}
+		return out
+	}
+
+	for step := 0; step < 3000; step++ {
+		if step%4 == 3 && len(retained) > 0 {
+			// a label for a recent retention, live or evicted by now
+			r := retained[len(retained)-1-rng.Intn(min(len(retained), 40))]
+			model := [2]string{"stall", "rep"}[rng.Intn(2)]
+			for _, h := range live() {
+				if h.subscriber == r.sub && h.start == r.start {
+					eligible[sessionID(r.sub, r.start)] |= modelBit(model)
+				}
+			}
+			rec.ObserveOutcome(r.sub, r.start, r.start+60, model, "predicted x, labeled y")
+		} else {
+			r := ref{fmt.Sprintf("sub-%d", rng.Intn(9)), float64(step)}
+			rep := stalledReport(4)
+			reasons := ReasonStalled
+			if rng.Intn(3) == 0 {
+				rep.StallConf, rep.RepConf = 0.3+0.5*rng.Float64(), 0.3+0.5*rng.Float64()
+				reasons |= ReasonLowConfidence
+				var bits uint8
+				if rep.StallConf < lowConfidenceFloor {
+					bits |= exemplarStall
+				}
+				if rep.RepConf < lowConfidenceFloor {
+					bits |= exemplarRep
+				}
+				eligible[sessionID(r.sub, r.start)] = bits
+			}
+			a := assessment(r.sub, r.start, rep, videoChunks(r.start, 1+rng.Intn(12), 1))
+			a.Cohort = cohorts[rng.Intn(len(cohorts))]
+			rec.Shard(rng.Intn(2)).Retain(a, 1+0.5*float64(rng.Intn(5)), reasons)
+			retained = append(retained, r)
+		}
+		got, want := rec.Exemplars(), oracle()
+		if len(got) != len(want) {
+			t.Fatalf("step %d: exemplar keys %v, oracle %v", step, got, want)
+		}
+		for key, ids := range want {
+			if fmt.Sprint(got[key]) != fmt.Sprint(ids) {
+				t.Fatalf("step %d: %s exemplars %q, oracle %q", step, key, got[key], ids)
+			}
+		}
+	}
+	if n := rec.Metrics().Evicted; n < 1000 {
+		t.Fatalf("stream evicted %d sessions; the budget is too small a share of it to test backfill", n)
 	}
 }

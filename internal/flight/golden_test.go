@@ -82,8 +82,9 @@ func TestFlightGoldenStream(t *testing.T) {
 			fmt.Fprintf(&got, "%s\n", row)
 		}
 		fmt.Fprintf(&got, "== exemplars@%d\n", at)
+		ex := rec.Exemplars()
 		for _, key := range []string{cohortKey, "model/stall", "model/rep"} {
-			fmt.Fprintf(&got, "%s: %q\n", key, rec.ExemplarIDs(key))
+			fmt.Fprintf(&got, "%s: %q\n", key, ex[key])
 		}
 		m, _ := json.Marshal(rec.Metrics())
 		fmt.Fprintf(&got, "== metrics@%d\n%s\n", at, m)

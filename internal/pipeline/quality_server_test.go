@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
+	"vqoe/internal/flight"
 	"vqoe/internal/qualitymon"
 	"vqoe/internal/weblog"
 	"vqoe/internal/workload"
@@ -226,5 +229,89 @@ func TestPipelineObserveLabel(t *testing.T) {
 	}
 	if sn.Models[0].Samples == 0 {
 		t.Fatal("one-shard engine fed no predictions to the monitor")
+	}
+}
+
+// TestAnalyzeSkipsLabelLines: an /analyze body's label lines never reach
+// the live label matcher. A label covering a live session's span would
+// otherwise match that session's tracked prediction and move online
+// accuracy; here neither the label total nor either model's labeled
+// count moves.
+func TestAnalyzeSkipsLabelLines(t *testing.T) {
+	fw, study := testFramework(t)
+	srv := NewServer(fw)
+	h := srv.Handler()
+	live := labeledLive(t)
+	srv.Engine().Ingest(live.Entries)
+	srv.Drain() // every live prediction is tracked and waiting for its label
+
+	var before qualitymon.Snapshot
+	getJSON(t, h, "/debug/quality", &before)
+	body := entriesJSONL(t, study.Corpus.Sessions[0].Entries)
+	body.Write(labelsJSONL(t, live.Labels[:1]).Bytes())
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/analyze", body))
+	if rec.Code != 200 {
+		t.Fatalf("analyze status %d: %s", rec.Code, rec.Body.String())
+	}
+	var after qualitymon.Snapshot
+	getJSON(t, h, "/debug/quality", &after)
+	if after.Labels.Total != before.Labels.Total {
+		t.Errorf("labels.total %d → %d after /analyze", before.Labels.Total, after.Labels.Total)
+	}
+	for i := range after.Models {
+		if a, b := after.Models[i].Labeled, before.Models[i].Labeled; a != b {
+			t.Errorf("model %s labeled %d → %d after /analyze", after.Models[i].Name, b, a)
+		}
+	}
+}
+
+// TestDebugQualityLinksDegradedModels: labels contradicting every
+// prediction degrade both models, and /debug/quality links each to
+// exemplar sessions — the labeled-wrong promotions and low-confidence
+// retentions of that model — every one of which drills down at
+// /debug/flight and carries the evidence for its model.
+func TestDebugQualityLinksDegradedModels(t *testing.T) {
+	fw, _ := testFramework(t)
+	srv := NewServer(fw)
+	h := srv.Handler()
+	lcfg := workload.DefaultLiveConfig()
+	lcfg.Subscribers, lcfg.SessionsPerSubscriber, lcfg.Seed = 60, 2, 7
+	live := workload.GenerateLive(lcfg)
+	reports, _ := srv.Engine().Ingest(live.Entries)
+	reports = append(reports, srv.Drain()...)
+	var wrong []workload.SessionLabel
+	for _, r := range reports {
+		wrong = append(wrong, workload.SessionLabel{
+			Subscriber: r.Subscriber, Start: r.Start, End: r.End, AvailableAt: r.End,
+			Stall: (r.Report.Stall + 1) % 3, Rep: (r.Report.Representation + 1) % 3,
+		})
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/labels", labelsJSONL(t, wrong)))
+	if rec.Code != 200 {
+		t.Fatalf("labels status %d: %s", rec.Code, rec.Body.String())
+	}
+
+	var sn qualitymon.Snapshot
+	getJSON(t, h, "/debug/quality", &sn)
+	for _, ms := range sn.Models {
+		if !ms.Degraded {
+			t.Fatalf("model %s not degraded after %d contradicting labels (%d labeled)", ms.Name, len(wrong), ms.Labeled)
+		}
+		if len(ms.Exemplars) == 0 {
+			t.Fatalf("degraded model %s links no exemplar", ms.Name)
+		}
+		for _, id := range ms.Exemplars {
+			var sess flight.SessionJSON
+			getJSON(t, h, "/debug/flight/"+id, &sess)
+			evidence := false
+			for _, ev := range sess.Timeline {
+				evidence = evidence || ev.Kind == "label" && strings.HasPrefix(ev.Note, ms.Name+": ")
+			}
+			if !evidence && !slices.Contains(sess.Reasons, "low_confidence") {
+				t.Errorf("model %s exemplar %s carries neither a %s label nor low confidence: %v", ms.Name, id, ms.Name, sess.Reasons)
+			}
+		}
 	}
 }

@@ -69,7 +69,9 @@ import (
 // (features.FromEntries → Framework.Analyze) directly, since the
 // request carries one complete session and there is no flow state to
 // track. An /analyze session is not a live one: it counts in no
-// vqoe_sessions_* family, no model-quality sample and no cohort. Call
+// vqoe_sessions_* family, no model-quality sample and no cohort, and
+// the "type":"label" lines of an /analyze body are skipped — a label
+// there could only match a live session of the same subscriber. Call
 // Drain before shutdown to flush sessions still open in the engine.
 type Server struct {
 	fw      *core.Framework
@@ -156,9 +158,6 @@ func NewServerOpts(fw *core.Framework, opts Options) *Server {
 	ecfg.Flight = rec
 	s.flight = rec
 	if rec != nil {
-		// the drill-down chain: cohort and quality snapshots link to
-		// retained sessions, labeled-wrong outcomes promote them
-		ecfg.Cohorts.SetExemplars(rec.ExemplarIDs)
 		wireFlightQuality(qm, rec)
 	}
 	s.eng = engine.New(fw, ecfg, opts.OnReport)
@@ -174,11 +173,10 @@ func NewServerOpts(fw *core.Framework, opts Options) *Server {
 }
 
 // wireFlightQuality connects the model-quality monitor to the flight
-// recorder: degraded-model verdicts expose exemplar session IDs, and
-// mispredicted labels promote the retained session (labeled_wrong)
-// with a note naming both classes. Both arguments must be non-nil.
+// recorder: mispredicted labels promote the retained session
+// (labeled_wrong, and an exemplar of the model it got wrong) with a
+// note naming both classes. Both arguments must be non-nil.
 func wireFlightQuality(qm *qualitymon.Monitor, rec *flight.Recorder) {
-	qm.SetExemplarSource(rec.ModelExemplars)
 	qm.SetOutcomeHook(func(o qualitymon.Outcome) {
 		if !o.StallCorrect {
 			rec.ObserveOutcome(o.Prediction.Subscriber, o.Prediction.Start, o.Prediction.End,
@@ -375,12 +373,33 @@ func (s *Server) handleDebugAlerts(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.slo.Alerts())
 }
 
+// handleDebugQuality serves the quality snapshot with each degraded
+// model linked to its exemplar sessions: one flight-recorder read, made
+// only when a model is degraded and recording is on.
 func (s *Server) handleDebugQuality(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.eng.Quality().Snapshot())
+	snap := s.eng.Quality().Snapshot()
+	if snap.Degraded {
+		ex := s.flight.Exemplars()
+		for i := range snap.Models {
+			if m := &snap.Models[i]; m.Degraded {
+				m.Exemplars = ex["model/"+m.Name]
+			}
+		}
+	}
+	writeJSON(w, snap)
 }
 
+// handleDebugCohorts serves the fleet rollup with every cohort row
+// linked to its exemplar sessions: one flight-recorder read per request,
+// none when recording is off.
 func (s *Server) handleDebugCohorts(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.eng.Cohorts().Snapshot())
+	snap := s.eng.Cohorts().Snapshot()
+	if ex := s.flight.Exemplars(); ex != nil {
+		for i := range snap.Cohorts {
+			snap.Cohorts[i].Exemplars = ex[snap.Cohorts[i].Cohort]
+		}
+	}
+	writeJSON(w, snap)
 }
 
 // LabelsResponse is the JSON shape of /labels results.
@@ -444,13 +463,10 @@ func toResponse(r core.Report) AnalyzeResponse {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	entries, labels, err := decodeJSONL(r)
+	entries, _, err := decodeJSONL(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	for _, l := range labels {
-		s.eng.ObserveLabel(l)
 	}
 	obs := features.FromEntries(entries)
 	if obs.Len() == 0 {

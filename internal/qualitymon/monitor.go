@@ -152,10 +152,6 @@ type Monitor struct {
 	// whose label contradicted the prediction. Set at wiring time,
 	// before traffic.
 	outcome func(Outcome)
-
-	// exemplars, when set, resolves a degraded model name ("stall" or
-	// "rep") to retained flight-recorder session IDs for the snapshot.
-	exemplars func(model string) []string
 }
 
 // Outcome is one resolved (prediction, ground-truth label) pair, as
@@ -365,16 +361,6 @@ func (m *Monitor) SetOutcomeHook(fn func(Outcome)) {
 		return
 	}
 	m.outcome = fn
-}
-
-// SetExemplarSource attaches the flight recorder's degraded-model
-// exemplar resolver for Snapshot. Wire it before traffic; pass nil to
-// detach.
-func (m *Monitor) SetExemplarSource(fn func(model string) []string) {
-	if m == nil {
-		return
-	}
-	m.exemplars = fn
 }
 
 // resolve feeds one matched (prediction, label) pair into both models'

@@ -49,8 +49,8 @@ type ModelSnapshot struct {
 	Reasons  []string `json:"reasons,omitempty"`
 	// Exemplars links a degraded model to retained flight-recorder
 	// sessions ("subscriber/start" IDs: low-confidence predictions and
-	// labeled-wrong outcomes, worst MOS first), when a flight recorder
-	// is wired. Filled per Snapshot call, degraded models only.
+	// labeled-wrong outcomes, worst MOS first). Snapshot leaves it
+	// empty; the /debug/quality handler fills it for degraded models.
 	Exemplars []string `json:"exemplars,omitempty"`
 }
 
@@ -113,15 +113,8 @@ func (m *Monitor) Snapshot() Snapshot {
 		},
 		Thresholds: m.th,
 	}
-	modelKeys := [...]string{"stall", "rep"} // Models order above
 	for i := range s.Models {
-		if !s.Models[i].Degraded {
-			continue
-		}
-		s.Degraded = true
-		if m.exemplars != nil {
-			s.Models[i].Exemplars = m.exemplars(modelKeys[i])
-		}
+		s.Degraded = s.Degraded || s.Models[i].Degraded
 	}
 	return s
 }

@@ -112,28 +112,12 @@ func CanonicalCohortKey(scratch *[]byte, span, region, device, cp []byte) []byte
 
 // IsVideoHost reports whether the entry hits the media delivery CDN
 // (googlevideo.com edge nodes) rather than page or stats machinery.
-func (e Entry) IsVideoHost() bool { return IsVideoHost(e.Host) }
-
-// IsVideoHost reports whether host is a media (chunk-serving) CDN
-// server name. The free function spares hot loops the Entry copy the
-// value-receiver method costs.
-func IsVideoHost(host string) bool {
-	return len(host) > len(videoHostSuffix) &&
-		host[len(host)-len(videoHostSuffix):] == videoHostSuffix
-}
-
-const videoHostSuffix = ".googlevideo.com"
+func (e Entry) IsVideoHost() bool { return classifyHost(e.Host) == HostMedia }
 
 // IsServiceHost reports whether the entry belongs to the video service
 // at all (media, page, thumbnails or stats) — the domain filter of
 // §5.2 keeps exactly these.
-func (e Entry) IsServiceHost() bool {
-	switch e.Host {
-	case HostPage, HostImage, HostStats:
-		return true
-	}
-	return e.IsVideoHost()
-}
+func (e Entry) IsServiceHost() bool { return classifyHost(e.Host) != HostOther }
 
 // HostClass partitions server names by their role in the delivery
 // machinery. Hot paths classify a host once at ingest and branch on the
@@ -155,10 +139,8 @@ const (
 	HostMedia
 )
 
-// ClassifyHost maps a server name to its HostClass. The partition is
-// exactly IsServiceHost/IsVideoHost/HostPage restated: class != HostOther
-// iff IsServiceHost, class == HostMedia iff IsVideoHost, and class ==
-// HostWatchPage iff host == HostPage.
+// ClassifyHost maps a server name to its HostClass: the one statement
+// of the §5.2 domain filter, which IsServiceHost and IsVideoHost read.
 func ClassifyHost(host string) HostClass { return classifyHost(host) }
 
 // ClassifyHostBytes is ClassifyHost for a name still in a decode
@@ -179,6 +161,8 @@ func classifyHost[S string | []byte](host S) HostClass {
 	}
 	return HostOther
 }
+
+const videoHostSuffix = ".googlevideo.com"
 
 // videoHost derives the CDN edge host for a video, stable per content.
 func videoHost(videoID string) string {

@@ -227,20 +227,29 @@ func TestVideoHostDetection(t *testing.T) {
 	}
 }
 
-// TestClassifyHostPartition: ClassifyHost restates the Is*Host
-// predicates, and the bytes form — what the wire decoder calls on a
-// name still in its frame buffer — agrees on every name, long ones
-// included, without building a string.
+// TestClassifyHostPartition: ClassifyHost sorts every name into its
+// class, the Is*Host predicates agree with it, and the bytes form —
+// what the wire decoder calls on a name still in its frame buffer —
+// agrees on every name, long ones included, without building a string.
 func TestClassifyHostPartition(t *testing.T) {
-	hosts := []string{
-		"", HostPage, HostImage, HostStats, "example.com", videoHostSuffix,
-		"r3---sn-1234.googlevideo.com", "x" + videoHostSuffix, "googlevideo.com",
-		strings.Repeat("edge-", 40) + videoHostSuffix, strings.Repeat("y", 300),
+	want := map[string]HostClass{
+		"": HostOther, HostPage: HostWatchPage, HostImage: HostSignal, HostStats: HostSignal,
+		"example.com": HostOther, videoHostSuffix: HostOther,
+		"r3---sn-1234.googlevideo.com": HostMedia, "x" + videoHostSuffix: HostMedia,
+		"googlevideo.com": HostOther, strings.Repeat("edge-", 40) + videoHostSuffix: HostMedia,
+		strings.Repeat("y", 300): HostOther,
+	}
+	var hosts []string
+	for h := range want {
+		hosts = append(hosts, h)
 	}
 	for _, h := range hosts {
 		e := Entry{Host: h}
 		c := ClassifyHost(h)
-		if (c != HostOther) != e.IsServiceHost() || (c == HostMedia) != e.IsVideoHost() || (c == HostWatchPage) != (h == HostPage) {
+		if c != want[h] {
+			t.Errorf("ClassifyHost(%q) = %d, want %d", h, c, want[h])
+		}
+		if (c != HostOther) != e.IsServiceHost() || (c == HostMedia) != e.IsVideoHost() {
 			t.Errorf("ClassifyHost(%q) = %d disagrees with the predicates", h, c)
 		}
 		if b := ClassifyHostBytes([]byte(h)); b != c {

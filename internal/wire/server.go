@@ -32,7 +32,7 @@ import (
 // routed recs, in batches the sink lends (see RecSink), and build no
 // weblog.Entry. The service always
 // sets it; Entries and the listener's Entry decoder behind it are left for
-// bench/layers.go and tests, until ROADMAP's "One benchmark PR" item re-points them.
+// bench/layers.go and tests, until ROADMAP item 2(h) deletes them.
 type Handler struct {
 	Entries func([]weblog.Entry)
 	Labels  func([]qualitymon.Label)
