@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"os"
@@ -379,10 +380,90 @@ func predictZero(det *Detector) (int, float64) {
 	return classes[0], conf[0]
 }
 
+// wireNode and wireForest mirror the gob wire form of a forest, the
+// fields of it LoadForest reads: decoded from a saved detector's bytes,
+// they are a model as the file states it, and walking them root to leaf
+// is the reference PredictBatchInto must reproduce.
+type wireNode struct {
+	Feature     int
+	Threshold   float64
+	Leaf        bool
+	Dist        []float64
+	Left, Right *wireNode
+}
+
+type wireForest struct {
+	Classes []string
+	Trees   []*wireNode
+}
+
+// savedWireForest decodes the forest of det as Save writes it.
+func savedWireForest(t *testing.T, det *Detector) *wireForest {
+	var buf bytes.Buffer
+	if err := det.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n := 1 + len(det.Selected) + len(det.full)
+	lines := bytes.SplitAfterN(buf.Bytes(), []byte("\n"), n+1)
+	var wf wireForest
+	if err := gob.NewDecoder(bytes.NewReader(lines[n])).Decode(&wf); err != nil {
+		t.Fatalf("saved forest does not decode: %v", err)
+	}
+	return &wf
+}
+
+// walkVotes walks every tree to the leaf x falls into and sums the
+// leaf distributions in tree order.
+func (wf *wireForest) walkVotes(x []float64) []float64 {
+	votes := make([]float64, len(wf.Classes))
+	for _, n := range wf.Trees {
+		for !n.Leaf {
+			if x[n.Feature] <= n.Threshold {
+				n = n.Left
+			} else {
+				n = n.Right
+			}
+		}
+		for c, p := range n.Dist {
+			votes[c] += p
+		}
+	}
+	return votes
+}
+
+// wireProbes are inputs aimed at the forest's splits: every feature at
+// 0, −0, NaN, +Inf and −Inf, then every feature at one split's
+// threshold and just above it, for up to 16 splits.
+func (wf *wireForest) wireProbes(width int) [][]float64 {
+	fill := func(v float64) []float64 {
+		x := make([]float64, width)
+		for j := range x {
+			x[j] = v
+		}
+		return x
+	}
+	probes := [][]float64{fill(0), fill(math.Copysign(0, -1)), fill(math.NaN()), fill(math.Inf(1)), fill(math.Inf(-1))}
+	var visit func(n *wireNode)
+	visit = func(n *wireNode) {
+		if n.Leaf || len(probes) >= 5+2*16 {
+			return
+		}
+		probes = append(probes, fill(n.Threshold), fill(math.Nextafter(n.Threshold, math.Inf(1))))
+		visit(n.Left)
+		visit(n.Right)
+	}
+	for _, n := range wf.Trees {
+		visit(n)
+	}
+	return probes
+}
+
 // FuzzLoadDetector: whatever the bytes, LoadDetector returns a detector
 // or an error — and a detector it returns predicts without panicking,
-// saves to a file that loads again and saves byte-identically, and
-// predicts the same after the round trip.
+// gives the votes and classes of a walk over the trees its file states,
+// bit for bit, through PredictBatchInto (whichever kernel the forest
+// selected), saves to a file that loads again and saves
+// byte-identically, and predicts the same after the round trip.
 func FuzzLoadDetector(f *testing.F) {
 	header, forest := savedDetector(f)
 	f.Add(append([]byte(strings.Join(header, "")), forest...))
@@ -394,6 +475,23 @@ func FuzzLoadDetector(f *testing.F) {
 		}
 		c1, p1 := predictZero(det)
 		det.Forest.PathAttribution(make([]float64, len(det.Selected)), nil)
+
+		wf := savedWireForest(t, det)
+		probes := wf.wireProbes(len(det.Selected))
+		nc := len(wf.Classes)
+		votes := make([]float64, len(probes)*nc)
+		classes := det.Forest.PredictBatchInto(probes, votes, make([]int, len(probes)))
+		for i, x := range probes {
+			want := wf.walkVotes(x)
+			for c := range want {
+				if math.Float64bits(votes[i*nc+c]) != math.Float64bits(want[c]) {
+					t.Fatalf("probe %v: votes[%d] %v, walk %v", x, c, votes[i*nc+c], want[c])
+				}
+			}
+			if classes[i] != slices.Index(want, slices.Max(want)) {
+				t.Fatalf("probe %v: class %d, walk's votes %v", x, classes[i], want)
+			}
+		}
 
 		var first, second bytes.Buffer
 		if err := det.Save(&first); err != nil {

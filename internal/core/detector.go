@@ -193,10 +193,10 @@ func (d *Detector) rows(s *PredictScratch, n int) [][]float64 {
 	return s.proj
 }
 
-// predictRows classifies the vectors rows handed out, tree-major, and
-// appends each instance's top-vote confidence — read off the vote
-// distributions the forest pass just left — to conf[:0]. The class
-// indices alias the scratch.
+// predictRows classifies the vectors rows handed out in one
+// PredictBatchInto pass and appends each instance's top-vote
+// confidence — read off the vote distributions the forest pass just
+// left — to conf[:0]. The class indices alias the scratch.
 func (d *Detector) predictRows(s *PredictScratch, conf []float64) ([]int, []float64) {
 	n := len(s.proj)
 	nc := len(d.Forest.Classes)

@@ -169,9 +169,9 @@ func (f *Framework) AnalyzeBatchInto(o []features.SessionObs, set *obs.StageSet,
 }
 
 // AnalyzeBatchSince assesses many sessions at once, with stage timing
-// and caller-owned buffers. The two forests run in tree-major batch
-// mode (each tree traverses the whole batch while its nodes are
-// cache-hot), which is how the live engine amortizes inference over
+// and caller-owned buffers. Each forest scores the whole batch in one
+// PredictBatchInto pass (a threshold scan on the serving models, ml's
+// scan.go), which is how the live engine amortizes inference over
 // the sessions a shard closes together; reports come back in input
 // order and do not depend on the batch size. When set is
 // non-nil, one StageFeaturize observation runs from t0 — when the

@@ -1,6 +1,9 @@
 package flight
 
 import (
+	"hash/maphash"
+	"math"
+
 	"vqoe/internal/core"
 	"vqoe/internal/mos"
 )
@@ -118,7 +121,12 @@ type header struct {
 
 	reasons Reason
 	models  uint8 // exemplarStall, exemplarRep: the models it is an exemplar of
-	bytes   int64 // accounted footprint, label events included
+	// seqIndex's: the key's tag, the distance to the next newer live
+	// session of the key (0: none) and, on the oldest of its key, to the
+	// newest (0: itself)
+	tag        uint32
+	bytes      int64 // accounted footprint, label events included
+	next, last uint32
 }
 
 const chunkRecFloats = 3
@@ -186,6 +194,7 @@ func (s *ShardRecorder) push(a *Assessment, score float64, reasons Reason) *head
 	h.totalKB, h.totalSec = totalKB, totalSec
 	h.bytes = h.accounted()
 	s.bytes += h.bytes
+	s.indexAdd(seq, h)
 	return h
 }
 
@@ -198,20 +207,154 @@ func (s *ShardRecorder) evictOldest() {
 	if old.reasons&ReasonLabeledWrong != 0 {
 		delete(s.labels, seq)
 	}
+	s.indexRemove(seq, old)
 	s.floats.release(old.off + uint64(old.floats()))
 	*old = header{} // the slot outlives the session; its strings need not
 	s.hdrs.release(seq + 1)
 }
 
+// seqIndex finds a shard's live sessions by (subscriber, start): an
+// open-addressing table with one 8-byte slot per live key, probed
+// linearly from the slot the key's tag picks. A slot holds the key's
+// 32-bit tag (its hash, low bit set, so 0 marks an empty slot) and the
+// low 32 bits of the sequence number of the oldest live session of the
+// key: live sessions span far fewer than 2³² positions, so those bits
+// name one. That session's header holds the distance to the newest one
+// of its key and each header the distance to the next newer one, so a
+// repeated key costs no more than a fresh one. The tag is computed once,
+// at retention, and kept in the header too, so neither eviction nor a
+// probe past other keys reads a subscriber's bytes. The table is kept at
+// most half full: 16 to 32 bytes per live key, plus 8 in the header. A
+// removal shifts the rest of its run back instead of leaving a
+// tombstone, so once the live count stops growing the table never
+// allocates. The owning ShardRecorder's mutex guards it.
+type seqIndex struct {
+	slots []keySlot
+	keys  int
+	seed  maphash.Seed
+}
+
+// keySlot is one live key: its tag and its oldest session's sequence
+// number, mod 2³².
+type keySlot struct{ tag, seq uint32 }
+
+// tag hashes a key to its nonzero 32-bit tag. −0 and +0 are one start,
+// as == has it.
+func (x *seqIndex) tag(subscriber string, start float64) uint32 {
+	if start == 0 {
+		start = 0
+	}
+	h := maphash.String(x.seed, subscriber) ^ math.Float64bits(start)
+	h ^= h >> 33 // murmur3's finalizer: every bit of start reaches the tag
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return uint32(h) | 1
+}
+
+// home is the slot a tag's probe starts at.
+func (x *seqIndex) home(tag uint32) int { return int(tag>>1) & (len(x.slots) - 1) }
+
+// seqOf widens a slot's 32 sequence bits back to the live session's
+// sequence number. The caller holds s.mu.
+func (s *ShardRecorder) seqOf(k keySlot) uint64 {
+	head := s.hdrs.head
+	return head + uint64(k.seq-uint32(head))
+}
+
+// find returns the slot of the live key (subscriber, start) of this
+// tag, or the empty slot that ends its probe. The caller holds s.mu.
+func (s *ShardRecorder) find(subscriber string, start float64, tag uint32) (int, bool) {
+	x := &s.index
+	mask := len(x.slots) - 1
+	i := x.home(tag)
+	for ; x.slots[i].tag != 0; i = (i + 1) & mask {
+		if x.slots[i].tag != tag {
+			continue
+		}
+		if o := s.hdrs.at(s.seqOf(x.slots[i])); o.start == start && o.subscriber == subscriber {
+			return i, true
+		}
+	}
+	return i, false
+}
+
+// indexAdd enters the session just pushed at seq: after the newest one
+// of its key, or in a new slot, doubling the table first when it would
+// pass half full. The caller holds s.mu.
+func (s *ShardRecorder) indexAdd(seq uint64, h *header) {
+	x := &s.index
+	h.tag = x.tag(h.subscriber, h.start)
+	if 2*(x.keys+1) > len(x.slots) {
+		old := x.slots
+		x.slots = make([]keySlot, max(16, 2*len(old)))
+		mask := len(x.slots) - 1
+		for _, k := range old {
+			if k.tag == 0 {
+				continue
+			}
+			i := x.home(k.tag)
+			for x.slots[i].tag != 0 {
+				i = (i + 1) & mask
+			}
+			x.slots[i] = k
+		}
+	}
+	i, ok := s.find(h.subscriber, h.start, h.tag)
+	if !ok {
+		x.slots[i] = keySlot{h.tag, uint32(seq)}
+		x.keys++
+		return
+	}
+	first := s.seqOf(x.slots[i])
+	oldest := s.hdrs.at(first)
+	last := first + uint64(oldest.last)
+	s.hdrs.at(last).next = uint32(seq - last)
+	oldest.last = uint32(seq - first)
+}
+
+// indexRemove takes the oldest live session, at seq, out of the index:
+// the oldest of its key too. The next newer one of the key, if any,
+// takes its place; else the key gives up its slot, and each later entry
+// of the probe run that may fill the hole moves back into it. The slot
+// is matched on seq, not on the key, so a NaN start (equal to nothing)
+// is found too. The caller holds s.mu.
+func (s *ShardRecorder) indexRemove(seq uint64, h *header) {
+	x := &s.index
+	mask := len(x.slots) - 1
+	i := x.home(h.tag)
+	for x.slots[i] != (keySlot{h.tag, uint32(seq)}) {
+		i = (i + 1) & mask
+	}
+	if h.next != 0 {
+		next := seq + uint64(h.next)
+		s.hdrs.at(next).last = h.last - h.next
+		x.slots[i].seq = uint32(next)
+		return
+	}
+	for j := (i + 1) & mask; x.slots[j].tag != 0; j = (j + 1) & mask {
+		// the entry at j may move to the hole at i unless its home
+		// lies cyclically in (i, j]
+		if k := x.home(x.slots[j].tag); (j-k)&mask >= (j-i)&mask {
+			x.slots[i] = x.slots[j]
+			i = j
+		}
+	}
+	x.slots[i] = keySlot{}
+	x.keys--
+}
+
 // lookup finds the oldest retained session with this exact subscriber
 // and start. The caller holds s.mu.
 func (s *ShardRecorder) lookup(subscriber string, start float64) (uint64, *header) {
-	for seq := s.hdrs.head; seq < s.hdrs.tail; seq++ {
-		if h := s.hdrs.at(seq); h.start == start && h.subscriber == subscriber {
-			return seq, h
-		}
+	if s.index.keys == 0 {
+		return 0, nil
 	}
-	return 0, nil
+	i, ok := s.find(subscriber, start, s.index.tag(subscriber, start))
+	if !ok {
+		return 0, nil
+	}
+	seq := s.seqOf(s.index.slots[i])
+	return seq, s.hdrs.at(seq)
 }
 
 // replay is one retained session copied out for a drill-down, under the

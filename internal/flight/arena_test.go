@@ -2,6 +2,7 @@ package flight
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"vqoe/internal/core"
 	"vqoe/internal/features"
+	"vqoe/internal/stats"
 )
 
 // TestFifoSeamsAndReuse drives the segmented store the way the recorder
@@ -103,6 +105,90 @@ func TestRetainSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if got := rec.Get("sub", a.Start); got == nil || len(got.Timeline) < 45 {
 		t.Errorf("newest session does not drill down: %+v", got)
+	}
+}
+
+// lookupScan is the linear scan the index replaced: the oldest live
+// header with this exact subscriber and start. The caller holds s.mu.
+func (s *ShardRecorder) lookupScan(subscriber string, start float64) (uint64, *header) {
+	return s.lookupScanAfter(subscriber, start, s.hdrs.head-1)
+}
+
+// lookupScanAfter is lookupScan over the sessions newer than seq.
+func (s *ShardRecorder) lookupScanAfter(subscriber string, start float64, seq uint64) (uint64, *header) {
+	for seq++; seq < s.hdrs.tail; seq++ {
+		if h := s.hdrs.at(seq); h.start == start && h.subscriber == subscriber {
+			return seq, h
+		}
+	}
+	return 0, nil
+}
+
+// TestIndexMatchesLinearScan drives two shards with a seeded stream of
+// retentions past a small budget (so every few steps evicts), label
+// promotions that grow a session and evict in turn, and lookups, over
+// few subscribers and starts so keys repeat among the live sessions;
+// −0 and +0 are both drawn, and NaN. After every step, every key's
+// lookup through the index returns the linear scan's session (the
+// oldest of its key), and the table's runs hold exactly the live
+// sessions.
+func TestIndexMatchesLinearScan(t *testing.T) {
+	r := stats.NewRand(29)
+	rec := New(Config{Shards: 2, SampleN: -1, MaxBytes: 24 << 10})
+	subs := []string{"sub-a", "sub-b", "sub-c", "sub-d", "sub-e"}
+	starts := []float64{0, math.Copysign(0, -1), 1, 2.5, 17, 1e9, math.NaN()}
+	found, repeated := 0, 0
+	for step := 0; step < 4000; step++ {
+		sub, start := subs[r.Intn(len(subs))], starts[r.Intn(len(starts))]
+		switch r.Intn(4) {
+		case 0:
+			rec.ObserveOutcome(sub, start, start+60, [2]string{"stall", "rep"}[r.Intn(2)], "labeled wrong")
+		default:
+			rep := stalledReport(1 + r.Intn(60))
+			rec.Shard(r.Intn(2)).Retain(assessment(sub, start, rep, videoChunks(0, rep.Chunks, 4)), 1, ReasonStalled)
+		}
+		for _, s := range rec.shards {
+			s.mu.Lock()
+			indexed := 0
+			for _, k := range s.index.slots {
+				if k.tag == 0 {
+					continue
+				}
+				first := s.seqOf(k)
+				seq := first
+				for ; ; seq += uint64(s.hdrs.at(seq).next) {
+					indexed++
+					if s.hdrs.at(seq).next == 0 {
+						break
+					}
+				}
+				if want := first + uint64(s.hdrs.at(first).last); seq != want {
+					t.Fatalf("step %d shard %d: a key's newest session is %d, its oldest names %d", step, s.shard, seq, want)
+				}
+			}
+			if indexed != s.hdrs.live() {
+				t.Fatalf("step %d shard %d: index holds %d sessions, %d live", step, s.shard, indexed, s.hdrs.live())
+			}
+			for _, sub := range subs {
+				for _, start := range starts {
+					seq, h := s.lookup(sub, start)
+					wantSeq, want := s.lookupScan(sub, start)
+					if h != want || seq != wantSeq {
+						t.Fatalf("step %d shard %d key %s/%v: index gives seq %d (%p), scan %d (%p)", step, s.shard, sub, start, seq, h, wantSeq, want)
+					}
+					if h != nil {
+						found++
+						if _, later := s.lookupScanAfter(sub, start, seq); later != nil {
+							repeated++
+						}
+					}
+				}
+			}
+			s.mu.Unlock()
+		}
+	}
+	if m := rec.Metrics(); m.Evicted < 1000 || repeated == 0 || m.ByReason["labeled_wrong"] == 0 {
+		t.Errorf("stream too tame: %d evicted, %d hits (%d of a repeated key), %d promoted", m.Evicted, found, repeated, m.ByReason["labeled_wrong"])
 	}
 }
 

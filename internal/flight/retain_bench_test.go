@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"fmt"
 	"testing"
 
 	"vqoe/internal/core"
@@ -48,4 +49,27 @@ func BenchmarkTimelineRender(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = sess.timeline()
 	}
+}
+
+// BenchmarkObserveOutcomeMiss times a wrong label for a session the
+// recorder does not hold — most of them, since retention keeps a
+// sampled tail — at the default budget: four shards full of 55-chunk
+// sessions, each shard's lookup made under its lock.
+func BenchmarkObserveOutcomeMiss(b *testing.B) {
+	rec := New(Config{Shards: 4})
+	a := benchAssessment(videoChunks(0, 55, 4))
+	subs := make([]string, 512)
+	for i := range subs {
+		subs[i] = fmt.Sprintf("sub-%d", i)
+	}
+	for i := 0; rec.Metrics().Evicted < 4*64; i++ {
+		a.Subscriber, a.Start = subs[i%len(subs)], float64(i)
+		rec.Shard(i%4).Retain(a, 2.5, ReasonStalled)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.ObserveOutcome("never-retained", float64(i), float64(i)+60, "stall", "labeled wrong")
+	}
+	b.ReportMetric(float64(rec.Metrics().Resident), "sessions")
 }

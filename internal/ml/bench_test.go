@@ -91,6 +91,27 @@ func BenchmarkForestPredictBatchInto(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(xs))/b.Elapsed().Seconds(), "instances/s")
 }
 
+// BenchmarkForestPredictWide is the same engine-sized batch through a
+// forest past the threshold scan's limit — trees of more than 64
+// leaves, grown on a larger sample — which keeps the preorder walk.
+func BenchmarkForestPredictWide(b *testing.B) {
+	ds := benchDataset(4096, 10)
+	f := TrainForest(ds, ForestConfig{Trees: 40, Seed: 1})
+	if f.scan != nil {
+		b.Fatal("the forest selected the threshold scan")
+	}
+	xs := ds.X[:128]
+	dist := make([]float64, len(xs)*f.numClasses)
+	out := make([]int, len(xs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.PredictBatchInto(xs, dist, out)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*len(xs))/b.Elapsed().Seconds(), "instances/s")
+}
+
 // BenchmarkForestPredictBatchParallel crosses the worker-pool
 // threshold: a bulk batch split across the bounded pool.
 func BenchmarkForestPredictBatchParallel(b *testing.B) {

@@ -10,7 +10,11 @@ package ml
 // next cache line) and only jumps for the right branch. This is the
 // only form a tree has: induction (build) and the model loader
 // (fromDTO) append to the slab directly, and the pointer-shaped nodeDTO
-// exists only on the wire and as the tests' reference walk.
+// exists only on the wire and as the tests' reference walk. A forest
+// whose trees all fit the threshold scan (scan.go) is scored from
+// tables built off these slabs; the walk below scores every other
+// forest, replays decision paths, and is the only way to reach a leaf
+// of a tree of more than 64 leaves.
 
 // node is one packed tree node. For internal nodes, feature ≥ 0 and
 // right is the right-child slab index (the left child is the next

@@ -2,6 +2,8 @@ package ml
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -85,14 +87,142 @@ func (f *Forest) predictOne(x []float64) (int, []float64) {
 	return f.PredictBatchInto([][]float64{x}, votes, make([]int, 1))[0], votes
 }
 
-// TestFlatMatchesPointerProperty is the slab walk's equivalence
-// property: over randomized forests on randomized data (size, width,
-// class count, cluster spread) and randomized inputs, the flattened
-// slab walk must agree bit-for-bit with the pointer-chasing reference
-// walk — per tree (the leaf leafOff lands on) and per forest
-// (PredictBatchInto's votes and classes, one row and whole batches).
-// The draws must span tree shapes from a lone leaf to more than 7
-// levels deep.
+// walkOf is f without its scan tables: the same trees, predicted by the
+// preorder walk.
+func walkOf(f *Forest) *Forest {
+	g := *f
+	g.scan = nil
+	return &g
+}
+
+// scans reports whether the selection rule gives f the threshold scan:
+// at most scanWidth trees, none of more than scanWidth leaves.
+func scans(f *Forest) bool {
+	if len(f.Trees) > scanWidth {
+		return false
+	}
+	for _, t := range f.Trees {
+		leaves := 0
+		for _, n := range t.nodes {
+			if n.feature < 0 {
+				leaves++
+			}
+		}
+		if leaves > scanWidth {
+			return false
+		}
+	}
+	return true
+}
+
+// checkMatchesPointer predicts xs as one batch through PredictBatchInto
+// and holds every row's votes and class to the pointer reference walk,
+// bit for bit.
+func checkMatchesPointer(t testing.TB, f *Forest, xs [][]float64) {
+	t.Helper()
+	nc := f.numClasses
+	dist := make([]float64, len(xs)*nc)
+	out := f.PredictBatchInto(xs, dist, make([]int, len(xs)))
+	for i, x := range xs {
+		want := f.pointerVotes(x)
+		for c := range want {
+			if got := dist[i*nc+c]; math.Float64bits(got) != math.Float64bits(want[c]) {
+				t.Fatalf("instance %d %v: votes[%d] = %v, pointer walk %v", i, x, c, got, want[c])
+			}
+		}
+		if out[i] != argmax(want) {
+			t.Fatalf("instance %d %v: class %d, pointer walk %d", i, x, out[i], argmax(want))
+		}
+	}
+}
+
+// thresholdProbe draws a query point aimed at f's splits: each feature
+// is one of the thresholds f tests it at, or the float just above or
+// below one, or NaN, ±Inf, ±0, or a wide normal draw.
+func thresholdProbe(r *stats.Rand, f *Forest) []float64 {
+	th := make([][]float64, len(f.Features))
+	for _, t := range f.Trees {
+		for _, n := range t.nodes {
+			if n.feature >= 0 {
+				th[n.feature] = append(th[n.feature], n.threshold)
+			}
+		}
+	}
+	x := make([]float64, len(f.Features))
+	for j := range x {
+		switch k := r.Intn(10); {
+		case k < 6 && len(th[j]) > 0:
+			v := th[j][r.Intn(len(th[j]))]
+			x[j] = [3]float64{v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1))}[k%3]
+		case k == 6:
+			x[j] = math.NaN()
+		case k == 7:
+			x[j] = [4]float64{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}[r.Intn(4)]
+		default:
+			x[j] = r.Normal(3, 5)
+		}
+	}
+	return x
+}
+
+// randomTreeDTO builds a wire-form tree of exactly leaves leaves over m
+// features and nc classes. Thresholds come from a small palette — ties,
+// ±Inf and both zeros included — or a normal draw.
+func randomTreeDTO(r *stats.Rand, leaves, m, nc int) *nodeDTO {
+	if leaves == 1 {
+		d := make([]float64, nc)
+		for c := range d {
+			d[c] = r.Float64()
+		}
+		return &nodeDTO{Leaf: true, Dist: d}
+	}
+	palette := [...]float64{math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1), 1, 2, 3}
+	th := r.Normal(2, 3)
+	if r.Intn(2) == 0 {
+		th = palette[r.Intn(len(palette))]
+	}
+	left := 1 + r.Intn(leaves-1)
+	return &nodeDTO{
+		Feature: r.Intn(m), Threshold: th,
+		Left:  randomTreeDTO(r, left, m, nc),
+		Right: randomTreeDTO(r, leaves-left, m, nc),
+	}
+}
+
+// loadTrees builds a forest of the given wire-form trees through
+// LoadForest, the loader constructor.
+func loadTrees(t testing.TB, m, nc int, trees []*nodeDTO) *Forest {
+	t.Helper()
+	dto := forestDTO{Trees: trees}
+	for j := 0; j < m; j++ {
+		dto.Features = append(dto.Features, fmt.Sprintf("f%d", j))
+	}
+	for c := 0; c < nc; c++ {
+		dto.Classes = append(dto.Classes, fmt.Sprintf("c%d", c))
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&dto); err != nil {
+		t.Fatal(err)
+	}
+	f, err := LoadForest(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestFlatMatchesPointerProperty holds both prediction kernels to the
+// pointer-chasing reference walk, bit for bit. Over randomized trained
+// forests (size, width, class count, cluster spread) the slab walk
+// lands on the reference leaf in every tree, and PredictBatchInto —
+// the threshold scan or the walk, whichever the forest selects — gives
+// the reference votes and class, per instance and per batch, on random
+// inputs and on inputs at, just beside and far from every threshold,
+// NaN, ±Inf and −0 included. The draws must span tree shapes from a
+// lone leaf to more than 7 levels deep. Loaded forests then pin the
+// selection's edges: lone-leaf trees, one class, a tree of exactly 64
+// leaves (scan) and of 65 (walk), forests of 64 trees (scan) and 65
+// (walk), with ties, ±Inf and both zeros among the thresholds.
 func TestFlatMatchesPointerProperty(t *testing.T) {
 	r := stats.NewRand(71)
 	minDepth, maxDepth := maxTreeDepth, 0
@@ -106,9 +236,19 @@ func TestFlatMatchesPointerProperty(t *testing.T) {
 			d := depth(tr.toDTO(0))
 			minDepth, maxDepth = min(minDepth, d), max(maxDepth, d)
 		}
+		if (f.scan != nil) != scans(f) {
+			t.Fatalf("trial %d: scan tables %v, selection rule says %v", trial, f.scan != nil, scans(f))
+		}
 
-		for probe := 0; probe < 50; probe++ {
-			x := randomProbe(r, m)
+		probes := make([][]float64, 300)
+		for i := range probes {
+			if i%2 == 0 {
+				probes[i] = randomProbe(r, m)
+			} else {
+				probes[i] = thresholdProbe(r, f)
+			}
+		}
+		for _, x := range probes[:100] {
 			for ti, tr := range f.Trees {
 				off := tr.leafOff(x)
 				flat := tr.dists[off : off+int32(f.numClasses)]
@@ -123,27 +263,13 @@ func TestFlatMatchesPointerProperty(t *testing.T) {
 					}
 				}
 			}
-			// forest-level agreement: accumulate by pointer walk and
-			// compare with a one-row batch's votes, bit for bit (same
-			// summation order: tree 0..T-1)
-			want := f.pointerVotes(x)
-			class, got := f.predictOne(x)
-			for c := range want {
-				if got[c] != want[c] {
-					t.Fatalf("trial %d: forest votes[%d] flat %v != pointer %v", trial, c, got[c], want[c])
-				}
-			}
-			if class != argmax(want) {
-				t.Fatalf("trial %d: class %d, pointer argmax %d", trial, class, argmax(want))
-			}
+			// one-row batches: the same summation order, tree 0..T-1
+			checkMatchesPointer(t, f, [][]float64{x})
+			checkMatchesPointer(t, walkOf(f), [][]float64{x})
 		}
-
-		// a whole batch agrees with one-row batches, including the
-		// caller buffers reused across calls
-		probes := make([][]float64, 300)
-		for i := range probes {
-			probes[i] = randomProbe(r, m)
-		}
+		// whole batches, caller buffers reused across calls
+		checkMatchesPointer(t, f, probes)
+		checkMatchesPointer(t, walkOf(f), probes)
 		dist := make([]float64, len(probes)*f.numClasses)
 		out := make([]int, len(probes))
 		for pass := 0; pass < 2; pass++ {
@@ -159,6 +285,50 @@ func TestFlatMatchesPointerProperty(t *testing.T) {
 	if minDepth != 0 || maxDepth <= 7 {
 		t.Errorf("tree depths span %d..%d, want a single leaf and a tree deeper than 7", minDepth, maxDepth)
 	}
+
+	cases := []struct {
+		name   string
+		nc     int
+		leaves []int // per tree
+		scan   bool
+	}{
+		{"lone leaves", 3, []int{1, 1, 1, 1}, true},
+		{"one class", 1, []int{1, 5, 17, 64}, true},
+		{"a tree of 64 leaves", 3, []int{2, 64, 9}, true},
+		{"a tree of 65 leaves", 3, []int{2, 65, 9}, false},
+		{"64 trees", 2, repeat(64, 12), true},
+		{"65 trees", 2, repeat(65, 12), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := 4
+			trees := make([]*nodeDTO, len(tc.leaves))
+			for i, l := range tc.leaves {
+				trees[i] = randomTreeDTO(r, l, m, tc.nc)
+			}
+			f := loadTrees(t, m, tc.nc, trees)
+			if (f.scan != nil) != tc.scan {
+				t.Fatalf("scan tables %v, want %v", f.scan != nil, tc.scan)
+			}
+			probes := make([][]float64, 200)
+			for i := range probes {
+				probes[i] = thresholdProbe(r, f)
+			}
+			for _, x := range probes {
+				checkMatchesPointer(t, f, [][]float64{x})
+			}
+			checkMatchesPointer(t, f, probes)
+		})
+	}
+}
+
+// repeat is n copies of v.
+func repeat(n, v int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // TestPredictBatchIntoParallelMatchesSerial drives batches on both
@@ -257,7 +427,8 @@ func TestCrossValidateParallelMatchesSerial(t *testing.T) {
 }
 
 // TestProbaIntoZeroAlloc asserts PredictBatchInto allocates nothing
-// once buffers exist — the property the engine's hot path relies on.
+// once buffers exist, by either kernel — the property the engine's hot
+// path relies on.
 func TestProbaIntoZeroAlloc(t *testing.T) {
 	r := stats.NewRand(23)
 	ds := randomDataset(r, 300, 5, 3)
@@ -266,9 +437,17 @@ func TestProbaIntoZeroAlloc(t *testing.T) {
 	for i := range probes {
 		probes[i] = randomProbe(r, 5)
 	}
+	if f.scan == nil {
+		t.Fatal("the forest does not select the threshold scan")
+	}
 	bdist := make([]float64, len(probes)*f.numClasses)
 	bout := make([]int, len(probes))
-	if avg := testing.AllocsPerRun(200, func() { f.PredictBatchInto(probes, bdist, bout) }); avg != 0 {
-		t.Errorf("PredictBatchInto allocates %v per run", avg)
+	for _, k := range []struct {
+		name string
+		f    *Forest
+	}{{"scan", f}, {"walk", walkOf(f)}} {
+		if avg := testing.AllocsPerRun(200, func() { k.f.PredictBatchInto(probes, bdist, bout) }); avg != 0 {
+			t.Errorf("PredictBatchInto by the %s allocates %v per run", k.name, avg)
+		}
 	}
 }

@@ -30,6 +30,11 @@ type Forest struct {
 	// model; nil on forests trained by hand or loaded from model files
 	// written before baselines existed.
 	Baseline *qualitymon.Baseline
+	// scan is the threshold-scan form (scan.go) the forest predicts
+	// by, nil when it is too wide for one and is walked instead. The
+	// only two constructors, TrainForest and LoadForest, set it last,
+	// from the trees alone.
+	scan *scanTables
 }
 
 // TrainForest trains a Random Forest on ds: each tree sees a bootstrap
@@ -76,6 +81,7 @@ func TrainForest(ds *Dataset, cfg ForestConfig) *Forest {
 	}
 	close(jobs)
 	wg.Wait()
+	f.scan = newScanTables(f.Trees, f.numClasses)
 	return f
 }
 
@@ -107,8 +113,8 @@ const batchChunk = 256
 // ≥ len(xs). It returns out[:len(xs)] and leaves each instance's
 // unnormalized votes in its row of dist. Sub-threshold batches
 // allocate nothing; larger batches are split into instance ranges
-// walked tree-major by a bounded worker pool (disjoint slices of
-// dist/out, no merging).
+// that a bounded worker pool scores by predictRange (disjoint slices
+// of dist/out, no merging).
 func (f *Forest) PredictBatchInto(xs [][]float64, dist []float64, out []int) []int {
 	n := len(xs)
 	out = out[:n]
@@ -146,11 +152,18 @@ func (f *Forest) PredictBatchInto(xs [][]float64, dist []float64, out []int) []i
 	return out
 }
 
-// predictRange is the serial tree-major kernel — every tree is walked
-// over the whole range before the next, so its node slab stays hot in
-// cache: votes for xs are accumulated into dist (len(xs)·numClasses,
-// overwritten) and the argmax classes written to out (len(xs)).
+// predictRange is the serial kernel: votes for xs are accumulated into
+// dist (len(xs)·numClasses, overwritten) and the argmax classes written
+// to out (len(xs)). A forest with scan tables is scored by the
+// threshold scan; any other is walked tree-major — every tree over the
+// whole range before the next, so its node slab stays hot in cache.
+// Both sum the trees' leaf distributions in tree order, so they give
+// the same votes bit for bit.
 func (f *Forest) predictRange(xs [][]float64, dist []float64, out []int) {
+	if f.scan != nil {
+		f.scan.predictRange(xs, dist, out, f.numClasses)
+		return
+	}
 	for i := range dist {
 		dist[i] = 0
 	}

@@ -231,6 +231,18 @@ func TestLoadForestRejectsMalformed(t *testing.T) {
 		{"NaN leaf", func(d *forestDTO) { d.Trees = []*nodeDTO{leaf(math.NaN(), 0)} }, "non-finite"},
 		{"Inf leaf", func(d *forestDTO) { d.Trees = []*nodeDTO{leaf(0, math.Inf(1))} }, "non-finite"},
 		{"too deep", func(d *forestDTO) { d.Trees = []*nodeDTO{deep} }, "deeper than"},
+		{"NaN threshold", func(d *forestDTO) {
+			d.Trees = []*nodeDTO{{Feature: 1, Threshold: math.NaN(), Left: leaf(1, 0), Right: leaf(0, 1)}}
+		}, "NaN threshold"},
+		{"valid at infinite and signed-zero thresholds", func(d *forestDTO) {
+			at := func(th float64, l, r *nodeDTO) *nodeDTO {
+				return &nodeDTO{Feature: 0, Threshold: th, Left: l, Right: r}
+			}
+			d.Trees = []*nodeDTO{
+				at(math.Inf(-1), leaf(1, 0), at(math.Copysign(0, -1), leaf(0, 1), leaf(1, 0))),
+				at(0, at(math.Inf(1), leaf(0, 1), leaf(1, 0)), leaf(0, 1)),
+			}
+		}, ""},
 		{"baseline of another schema", func(d *forestDTO) {
 			b := *base
 			b.Edges = b.Edges[:1]
@@ -275,7 +287,8 @@ func TestLoadForestRejectsMalformed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("valid forest refused: %v", err)
 				}
-				f.predictOne([]float64{0, 0})
+				inf, negZero := math.Inf(1), math.Copysign(0, -1)
+				checkMatchesPointer(t, f, [][]float64{{0, 0}, {negZero, 1}, {inf, math.NaN()}, {-inf, negZero}, {math.NaN(), -inf}})
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -265,6 +265,7 @@ type sessionShard struct {
 	scores, chunks    *obs.Counters // bins of the edges above, then the overflow
 	varying, chunkSum atomic.Int64
 	scoreSum          obs.FloatCell
+	_                 [obs.CounterPad]byte // off the next shard's lines
 }
 
 // New builds a monitor. Returns nil when cfg.Shards <= 0.
@@ -440,9 +441,10 @@ type ModelMonitor struct {
 // modelShard is one engine shard's accumulator set; only that shard's
 // worker goroutine writes it.
 type modelShard struct {
-	feat    *obs.Counters // nf×bins feature-bin occupancy (nil without baseline)
-	pred    *obs.Counters // per-class prediction counts
-	confSum obs.FloatCell // Σ confidence (for the mean)
+	feat    *obs.Counters        // nf×bins feature-bin occupancy (nil without baseline)
+	pred    *obs.Counters        // per-class prediction counts
+	confSum obs.FloatCell        // Σ confidence (for the mean)
+	_       [obs.CounterPad]byte // off the next shard's lines
 }
 
 func newModelMonitor(cfg ModelConfig, shards int) *ModelMonitor {
@@ -465,20 +467,22 @@ func newModelMonitor(cfg ModelConfig, shards int) *ModelMonitor {
 
 // Observe records one prediction: x is the projected feature vector
 // (baseline column order), pred the class index, conf the forest's
-// top-vote fraction. Called only by shard's own worker; the counters
-// are atomic so Snapshot can read concurrently.
+// top-vote fraction. Called only by shard's own worker, which is each
+// cell's one writer: it writes them by atomic load and store, no
+// lock-prefixed add, and Snapshot reads them atomically. A shard
+// outside [0, Shards) panics rather than share another shard's cells.
 func (mm *ModelMonitor) Observe(shard int, x []float64, pred int, conf float64) {
-	if mm == nil || len(mm.shards) == 0 {
+	if mm == nil {
 		return
 	}
-	sh := &mm.shards[shard%len(mm.shards)]
+	sh := &mm.shards[shard]
 	if pred >= 0 && pred < sh.pred.Len() {
-		sh.pred.Inc(pred)
+		sh.pred.IncOwned(pred)
 	}
-	sh.confSum.Add(conf)
+	sh.confSum.AddOwned(conf)
 	if mm.base != nil {
 		for f, edges := range mm.base.Edges {
-			sh.feat.Inc(f*mm.bins + BinIndex(edges, x[f]))
+			sh.feat.IncOwned(f*mm.bins + BinIndex(edges, x[f]))
 		}
 	}
 }

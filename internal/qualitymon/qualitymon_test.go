@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -159,7 +160,7 @@ func TestCalibrationECEHandComputed(t *testing.T) {
 // testBaseline sketches a single uniform feature on [0,100) with a
 // perfect held-out calibration record, so drift and accuracy-drop
 // scenarios are easy to stage.
-func testBaseline(t *testing.T) *Baseline {
+func testBaseline(t testing.TB) *Baseline {
 	t.Helper()
 	X := make([][]float64, 200)
 	Y := make([]int, 200)
@@ -175,7 +176,7 @@ func testBaseline(t *testing.T) *Baseline {
 	return b
 }
 
-func testMonitor(t *testing.T, stallBase *Baseline) *Monitor {
+func testMonitor(t testing.TB, stallBase *Baseline) *Monitor {
 	t.Helper()
 	m := New(Config{
 		Shards: 2,
@@ -470,6 +471,29 @@ func TestMonitorPendingBounded(t *testing.T) {
 func BenchmarkTrackPredictionEmptyStripe(b *testing.B) { benchTrack(b, false) }
 func BenchmarkTrackPredictionFullStripe(b *testing.B)  { benchTrack(b, true) }
 
+// BenchmarkObserveShardsInParallel is two shard workers recording
+// sessions at once, each into its own cells — the engine's close path
+// at two shards. A line the two share would make every write of one
+// miss in the other's cache.
+func BenchmarkObserveShardsInParallel(b *testing.B) {
+	m := testMonitor(b, testBaseline(b))
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			x := []float64{0}
+			for i := 0; i < b.N; i++ {
+				x[0] = float64(i % 100)
+				m.Stall.Observe(s, x, i%2, 0.9)
+				m.ObserveSwitch(s, float64(i%1000), i%3 == 0, i%50)
+			}
+		}(s)
+	}
+	wg.Wait()
+}
+
 func benchTrack(b *testing.B, full bool) {
 	newMon := func() *Monitor {
 		m := New(Config{
@@ -567,4 +591,17 @@ func TestParseLabelLine(t *testing.T) {
 			t.Errorf("%s: decoded %+v", tc.line, l)
 		}
 	}
+}
+
+// TestObserveOutsideShardsPanics: a shard's drift cells have one
+// writer, so a shard index the monitor was not built for is an error,
+// never another shard's cells.
+func TestObserveOutsideShardsPanics(t *testing.T) {
+	m := testMonitor(t, testBaseline(t))
+	defer func() {
+		if recover() == nil {
+			t.Error("Observe on shard 2 of 2 did not panic")
+		}
+	}()
+	m.Stall.Observe(2, []float64{1}, 0, 0.9)
 }
