@@ -1,9 +1,6 @@
 package flight
 
 import (
-	"hash/maphash"
-	"math"
-
 	"vqoe/internal/core"
 	"vqoe/internal/mos"
 )
@@ -121,12 +118,10 @@ type header struct {
 
 	reasons Reason
 	models  uint8 // exemplarStall, exemplarRep: the models it is an exemplar of
-	// seqIndex's: the key's tag, the distance to the next newer live
-	// session of the key (0: none) and, on the oldest of its key, to the
-	// newest (0: itself)
-	tag        uint32
-	bytes      int64 // accounted footprint, label events included
-	next, last uint32
+	// next is the distance to the next newer live session of the same
+	// subscriber and start (0: none), kept while the shard has an index
+	next  uint32
+	bytes int64 // accounted footprint, label events included
 }
 
 const chunkRecFloats = 3
@@ -194,7 +189,9 @@ func (s *ShardRecorder) push(a *Assessment, score float64, reasons Reason) *head
 	h.totalKB, h.totalSec = totalKB, totalSec
 	h.bytes = h.accounted()
 	s.bytes += h.bytes
-	s.indexAdd(seq, h)
+	if s.index != nil {
+		s.indexAdd(seq, h)
+	}
 	return h
 }
 
@@ -207,154 +204,75 @@ func (s *ShardRecorder) evictOldest() {
 	if old.reasons&ReasonLabeledWrong != 0 {
 		delete(s.labels, seq)
 	}
-	s.indexRemove(seq, old)
+	if s.index != nil {
+		s.indexRemove(seq, old)
+	}
 	s.floats.release(old.off + uint64(old.floats()))
 	*old = header{} // the slot outlives the session; its strings need not
 	s.hdrs.release(seq + 1)
 }
 
-// seqIndex finds a shard's live sessions by (subscriber, start): an
-// open-addressing table with one 8-byte slot per live key, probed
-// linearly from the slot the key's tag picks. A slot holds the key's
-// 32-bit tag (its hash, low bit set, so 0 marks an empty slot) and the
-// low 32 bits of the sequence number of the oldest live session of the
-// key: live sessions span far fewer than 2³² positions, so those bits
-// name one. That session's header holds the distance to the newest one
-// of its key and each header the distance to the next newer one, so a
-// repeated key costs no more than a fresh one. The tag is computed once,
-// at retention, and kept in the header too, so neither eviction nor a
-// probe past other keys reads a subscriber's bytes. The table is kept at
-// most half full: 16 to 32 bytes per live key, plus 8 in the header. A
-// removal shifts the rest of its run back instead of leaving a
-// tombstone, so once the live count stops growing the table never
-// allocates. The owning ShardRecorder's mutex guards it.
-type seqIndex struct {
-	slots []keySlot
-	keys  int
-	seed  maphash.Seed
+// sessionKey is what a label or a drill-down names a session by.
+type sessionKey struct {
+	subscriber string
+	start      float64
 }
 
-// keySlot is one live key: its tag and its oldest session's sequence
-// number, mod 2³².
-type keySlot struct{ tag, seq uint32 }
+// keySeqs is one key's live sessions in a shard's index: the sequence
+// numbers of the oldest and the newest; any between are chained
+// through header.next.
+type keySeqs struct{ first, last uint64 }
 
-// tag hashes a key to its nonzero 32-bit tag. −0 and +0 are one start,
-// as == has it.
-func (x *seqIndex) tag(subscriber string, start float64) uint32 {
-	if start == 0 {
-		start = 0
-	}
-	h := maphash.String(x.seed, subscriber) ^ math.Float64bits(start)
-	h ^= h >> 33 // murmur3's finalizer: every bit of start reaches the tag
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return uint32(h) | 1
-}
-
-// home is the slot a tag's probe starts at.
-func (x *seqIndex) home(tag uint32) int { return int(tag>>1) & (len(x.slots) - 1) }
-
-// seqOf widens a slot's 32 sequence bits back to the live session's
-// sequence number. The caller holds s.mu.
-func (s *ShardRecorder) seqOf(k keySlot) uint64 {
-	head := s.hdrs.head
-	return head + uint64(k.seq-uint32(head))
-}
-
-// find returns the slot of the live key (subscriber, start) of this
-// tag, or the empty slot that ends its probe. The caller holds s.mu.
-func (s *ShardRecorder) find(subscriber string, start float64, tag uint32) (int, bool) {
-	x := &s.index
-	mask := len(x.slots) - 1
-	i := x.home(tag)
-	for ; x.slots[i].tag != 0; i = (i + 1) & mask {
-		if x.slots[i].tag != tag {
-			continue
-		}
-		if o := s.hdrs.at(s.seqOf(x.slots[i])); o.start == start && o.subscriber == subscriber {
-			return i, true
-		}
-	}
-	return i, false
-}
-
-// indexAdd enters the session just pushed at seq: after the newest one
-// of its key, or in a new slot, doubling the table first when it would
-// pass half full. The caller holds s.mu.
+// indexAdd enters the session just pushed at seq, the shard's newest,
+// after the newest one of its key. A NaN start equals no start, so no
+// lookup can find such a session and it is left out. The caller holds
+// s.mu.
 func (s *ShardRecorder) indexAdd(seq uint64, h *header) {
-	x := &s.index
-	h.tag = x.tag(h.subscriber, h.start)
-	if 2*(x.keys+1) > len(x.slots) {
-		old := x.slots
-		x.slots = make([]keySlot, max(16, 2*len(old)))
-		mask := len(x.slots) - 1
-		for _, k := range old {
-			if k.tag == 0 {
-				continue
-			}
-			i := x.home(k.tag)
-			for x.slots[i].tag != 0 {
-				i = (i + 1) & mask
-			}
-			x.slots[i] = k
-		}
-	}
-	i, ok := s.find(h.subscriber, h.start, h.tag)
-	if !ok {
-		x.slots[i] = keySlot{h.tag, uint32(seq)}
-		x.keys++
+	if h.start != h.start {
 		return
 	}
-	first := s.seqOf(x.slots[i])
-	oldest := s.hdrs.at(first)
-	last := first + uint64(oldest.last)
-	s.hdrs.at(last).next = uint32(seq - last)
-	oldest.last = uint32(seq - first)
+	k := sessionKey{h.subscriber, h.start}
+	e, ok := s.index[k]
+	if !ok {
+		s.index[k] = keySeqs{seq, seq}
+		return
+	}
+	s.hdrs.at(e.last).next = uint32(seq - e.last)
+	s.index[k] = keySeqs{e.first, seq}
 }
 
-// indexRemove takes the oldest live session, at seq, out of the index:
-// the oldest of its key too. The next newer one of the key, if any,
-// takes its place; else the key gives up its slot, and each later entry
-// of the probe run that may fill the hole moves back into it. The slot
-// is matched on seq, not on the key, so a NaN start (equal to nothing)
-// is found too. The caller holds s.mu.
+// indexRemove takes the shard's oldest session, at seq, out of the
+// index; it is the oldest of its key too, so the next newer one of the
+// key, if any, becomes the key's oldest. The caller holds s.mu.
 func (s *ShardRecorder) indexRemove(seq uint64, h *header) {
-	x := &s.index
-	mask := len(x.slots) - 1
-	i := x.home(h.tag)
-	for x.slots[i] != (keySlot{h.tag, uint32(seq)}) {
-		i = (i + 1) & mask
-	}
-	if h.next != 0 {
-		next := seq + uint64(h.next)
-		s.hdrs.at(next).last = h.last - h.next
-		x.slots[i].seq = uint32(next)
+	if h.start != h.start {
 		return
 	}
-	for j := (i + 1) & mask; x.slots[j].tag != 0; j = (j + 1) & mask {
-		// the entry at j may move to the hole at i unless its home
-		// lies cyclically in (i, j]
-		if k := x.home(x.slots[j].tag); (j-k)&mask >= (j-i)&mask {
-			x.slots[i] = x.slots[j]
-			i = j
-		}
+	k := sessionKey{h.subscriber, h.start}
+	if h.next == 0 {
+		delete(s.index, k)
+		return
 	}
-	x.slots[i] = keySlot{}
-	x.keys--
+	s.index[k] = keySeqs{seq + uint64(h.next), s.index[k].last}
 }
 
 // lookup finds the oldest retained session with this exact subscriber
-// and start. The caller holds s.mu.
+// and start (−0 and +0 are one start, as == has it). The first lookup
+// builds the shard's index from the live sessions, and retention keeps
+// it from then on, so a recorder nothing asks by key keeps none. The
+// caller holds s.mu.
 func (s *ShardRecorder) lookup(subscriber string, start float64) (uint64, *header) {
-	if s.index.keys == 0 {
-		return 0, nil
+	if s.index == nil {
+		s.index = make(map[sessionKey]keySeqs, s.hdrs.live())
+		for seq := s.hdrs.head; seq < s.hdrs.tail; seq++ {
+			s.indexAdd(seq, s.hdrs.at(seq))
+		}
 	}
-	i, ok := s.find(subscriber, start, s.index.tag(subscriber, start))
+	e, ok := s.index[sessionKey{subscriber, start}]
 	if !ok {
 		return 0, nil
 	}
-	seq := s.seqOf(s.index.slots[i])
-	return seq, s.hdrs.at(seq)
+	return e.first, s.hdrs.at(e.first)
 }
 
 // replay is one retained session copied out for a drill-down, under the

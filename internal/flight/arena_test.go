@@ -128,47 +128,32 @@ func (s *ShardRecorder) lookupScanAfter(subscriber string, start float64, seq ui
 // retentions past a small budget (so every few steps evicts), label
 // promotions that grow a session and evict in turn, and lookups, over
 // few subscribers and starts so keys repeat among the live sessions;
-// −0 and +0 are both drawn, and NaN. After every step, every key's
-// lookup through the index returns the linear scan's session (the
-// oldest of its key), and the table's runs hold exactly the live
-// sessions.
+// −0 and +0 are both drawn, and NaN. The first lookups come only after
+// the shards are full and evicting, so each index is built from a
+// populated shard. From then on, after every step, every key's lookup
+// through the index returns the linear scan's session (the oldest of
+// its key), and the index chains exactly the live sessions with a
+// number for a start, each key's from its oldest to its newest.
 func TestIndexMatchesLinearScan(t *testing.T) {
 	r := stats.NewRand(29)
 	rec := New(Config{Shards: 2, SampleN: -1, MaxBytes: 24 << 10})
 	subs := []string{"sub-a", "sub-b", "sub-c", "sub-d", "sub-e"}
 	starts := []float64{0, math.Copysign(0, -1), 1, 2.5, 17, 1e9, math.NaN()}
+	const quiet = 300 // steps of retention alone before the first lookup
 	found, repeated := 0, 0
 	for step := 0; step < 4000; step++ {
 		sub, start := subs[r.Intn(len(subs))], starts[r.Intn(len(starts))]
-		switch r.Intn(4) {
-		case 0:
+		if r.Intn(4) == 0 && step >= quiet {
 			rec.ObserveOutcome(sub, start, start+60, [2]string{"stall", "rep"}[r.Intn(2)], "labeled wrong")
-		default:
+		} else {
 			rep := stalledReport(1 + r.Intn(60))
 			rec.Shard(r.Intn(2)).Retain(assessment(sub, start, rep, videoChunks(0, rep.Chunks, 4)), 1, ReasonStalled)
 		}
+		if step < quiet {
+			continue
+		}
 		for _, s := range rec.shards {
 			s.mu.Lock()
-			indexed := 0
-			for _, k := range s.index.slots {
-				if k.tag == 0 {
-					continue
-				}
-				first := s.seqOf(k)
-				seq := first
-				for ; ; seq += uint64(s.hdrs.at(seq).next) {
-					indexed++
-					if s.hdrs.at(seq).next == 0 {
-						break
-					}
-				}
-				if want := first + uint64(s.hdrs.at(first).last); seq != want {
-					t.Fatalf("step %d shard %d: a key's newest session is %d, its oldest names %d", step, s.shard, seq, want)
-				}
-			}
-			if indexed != s.hdrs.live() {
-				t.Fatalf("step %d shard %d: index holds %d sessions, %d live", step, s.shard, indexed, s.hdrs.live())
-			}
 			for _, sub := range subs {
 				for _, start := range starts {
 					seq, h := s.lookup(sub, start)
@@ -183,6 +168,30 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 						}
 					}
 				}
+			}
+			indexed, numbered := 0, 0
+			for k, e := range s.index {
+				seq := e.first
+				for ; ; seq += uint64(s.hdrs.at(seq).next) {
+					if h := s.hdrs.at(seq); seq < s.hdrs.head || h.start != k.start || h.subscriber != k.subscriber {
+						t.Fatalf("step %d shard %d key %v: chain reaches seq %d, not a live session of the key", step, s.shard, k, seq)
+					}
+					indexed++
+					if s.hdrs.at(seq).next == 0 {
+						break
+					}
+				}
+				if seq != e.last {
+					t.Fatalf("step %d shard %d key %v: chain ends at %d, index names %d", step, s.shard, k, seq, e.last)
+				}
+			}
+			for seq := s.hdrs.head; seq < s.hdrs.tail; seq++ {
+				if st := s.hdrs.at(seq).start; st == st {
+					numbered++
+				}
+			}
+			if indexed != numbered {
+				t.Fatalf("step %d shard %d: index chains %d sessions, %d live with a number for a start", step, s.shard, indexed, numbered)
 			}
 			s.mu.Unlock()
 		}

@@ -49,7 +49,6 @@
 package flight
 
 import (
-	"hash/maphash"
 	"sort"
 	"strconv"
 	"sync"
@@ -245,7 +244,6 @@ func New(cfg Config) *Recorder {
 			hdrs:   fifo[header]{segLen: headerSegLen},
 			floats: fifo[float64]{segLen: floatSegLen},
 			labels: make(map[uint64][]Event),
-			index:  seqIndex{seed: maphash.MakeSeed()},
 		}
 	}
 	return r
@@ -283,8 +281,9 @@ type ShardRecorder struct {
 	// labels holds the delayed EvLabel events of ObserveOutcome, by
 	// sequence number, until the session is evicted
 	labels map[uint64][]Event
-	// index finds a live session by subscriber and start
-	index seqIndex
+	// index finds a live session by subscriber and start; nil until
+	// the first lookup
+	index map[sessionKey]keySeqs
 
 	recorded  atomic.Int64
 	retained  atomic.Int64

@@ -66,6 +66,7 @@ func BenchmarkObserveOutcomeMiss(b *testing.B) {
 		a.Subscriber, a.Start = subs[i%len(subs)], float64(i)
 		rec.Shard(i%4).Retain(a, 2.5, ReasonStalled)
 	}
+	rec.ObserveOutcome("never-retained", -1, 59, "stall", "labeled wrong") // builds the indexes
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -167,7 +167,7 @@ func thresholdProbe(r *stats.Rand, f *Forest) []float64 {
 
 // randomTreeDTO builds a wire-form tree of exactly leaves leaves over m
 // features and nc classes. Thresholds come from a small palette — ties,
-// ±Inf and both zeros included — or a normal draw.
+// ±Inf, both zeros and NaN included — or a normal draw.
 func randomTreeDTO(r *stats.Rand, leaves, m, nc int) *nodeDTO {
 	if leaves == 1 {
 		d := make([]float64, nc)
@@ -176,7 +176,7 @@ func randomTreeDTO(r *stats.Rand, leaves, m, nc int) *nodeDTO {
 		}
 		return &nodeDTO{Leaf: true, Dist: d}
 	}
-	palette := [...]float64{math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1), 1, 2, 3}
+	palette := [...]float64{math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1), math.NaN(), 1, 2, 3}
 	th := r.Normal(2, 3)
 	if r.Intn(2) == 0 {
 		th = palette[r.Intn(len(palette))]
@@ -222,7 +222,7 @@ func loadTrees(t testing.TB, m, nc int, trees []*nodeDTO) *Forest {
 // lone leaf to more than 7 levels deep. Loaded forests then pin the
 // selection's edges: lone-leaf trees, one class, a tree of exactly 64
 // leaves (scan) and of 65 (walk), forests of 64 trees (scan) and 65
-// (walk), with ties, ±Inf and both zeros among the thresholds.
+// (walk), with ties, ±Inf, both zeros and NaN among the thresholds.
 func TestFlatMatchesPointerProperty(t *testing.T) {
 	r := stats.NewRand(71)
 	minDepth, maxDepth := maxTreeDepth, 0

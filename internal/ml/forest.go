@@ -155,15 +155,19 @@ func (f *Forest) PredictBatchInto(xs [][]float64, dist []float64, out []int) []i
 // predictRange is the serial kernel: votes for xs are accumulated into
 // dist (len(xs)·numClasses, overwritten) and the argmax classes written
 // to out (len(xs)). A forest with scan tables is scored by the
-// threshold scan; any other is walked tree-major — every tree over the
-// whole range before the next, so its node slab stays hot in cache.
-// Both sum the trees' leaf distributions in tree order, so they give
-// the same votes bit for bit.
+// threshold scan, any other by walkRange. Both sum the trees' leaf
+// distributions in tree order, so they give the same votes bit for bit.
 func (f *Forest) predictRange(xs [][]float64, dist []float64, out []int) {
 	if f.scan != nil {
 		f.scan.predictRange(xs, dist, out, f.numClasses)
 		return
 	}
+	f.walkRange(xs, dist, out)
+}
+
+// walkRange is predictRange's walk, tree-major: every tree crosses the
+// whole range before the next, so its node slab stays hot in cache.
+func (f *Forest) walkRange(xs [][]float64, dist []float64, out []int) {
 	for i := range dist {
 		dist[i] = 0
 	}

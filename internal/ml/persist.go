@@ -84,8 +84,6 @@ func (t *Tree) fromDTO(d *nodeDTO, numFeatures, depth int) error {
 		return nil
 	case d.Feature < 0 || d.Feature >= numFeatures:
 		return fmt.Errorf("split on feature %d of %d", d.Feature, numFeatures)
-	case math.IsNaN(d.Threshold):
-		return fmt.Errorf("split on feature %d at a NaN threshold", d.Feature)
 	}
 	i := len(t.nodes)
 	t.nodes = append(t.nodes, node{feature: int32(d.Feature), threshold: d.Threshold})

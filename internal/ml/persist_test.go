@@ -89,6 +89,48 @@ func TestSaveLoadRoundTripsBaseline(t *testing.T) {
 	}
 }
 
+// TestNonFiniteTrainingRoundTrips: a forest trained on NaN and ±Inf
+// values saves, loads back, and the loaded one scores every probe as
+// the trained one and the pointer walk do, bit for bit. (A NaN midpoint
+// never becomes a split: no value is ≤ it, so its left side is empty
+// and induction makes the node a leaf. Loaded NaN thresholds are held
+// to the walk by TestFlatMatchesPointerProperty's palette.)
+func TestNonFiniteTrainingRoundTrips(t *testing.T) {
+	r := stats.NewRand(41)
+	ds := randomDataset(r, 300, 3, 2)
+	for i, row := range ds.X {
+		if i%5 == 0 {
+			row[0] = math.NaN()
+		}
+		if i%3 == 0 {
+			row[1] = math.Inf(2*ds.Y[i] - 1)
+		}
+	}
+	f := TrainForest(ds, ForestConfig{Trees: 9, Seed: 5})
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadForest(&buf)
+	if err != nil {
+		t.Fatalf("forest trained on non-finite values refused on load: %v", err)
+	}
+	probes := make([][]float64, 300)
+	for i := range probes {
+		probes[i] = thresholdProbe(r, f)
+	}
+	checkMatchesPointer(t, f, probes)
+	checkMatchesPointer(t, g, probes)
+	for i, x := range probes {
+		want, got := f.pointerVotes(x), g.pointerVotes(x)
+		for c := range want {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("probe %d: loaded votes %v, trained %v", i, got, want)
+			}
+		}
+	}
+}
+
 // calibrationOnlyDTO is the model file shape from before the baseline's
 // calibration became a Tally: the same forest, a baseline whose
 // Calibration holds only the three confidence-bin columns.
@@ -231,16 +273,14 @@ func TestLoadForestRejectsMalformed(t *testing.T) {
 		{"NaN leaf", func(d *forestDTO) { d.Trees = []*nodeDTO{leaf(math.NaN(), 0)} }, "non-finite"},
 		{"Inf leaf", func(d *forestDTO) { d.Trees = []*nodeDTO{leaf(0, math.Inf(1))} }, "non-finite"},
 		{"too deep", func(d *forestDTO) { d.Trees = []*nodeDTO{deep} }, "deeper than"},
-		{"NaN threshold", func(d *forestDTO) {
-			d.Trees = []*nodeDTO{{Feature: 1, Threshold: math.NaN(), Left: leaf(1, 0), Right: leaf(0, 1)}}
-		}, "NaN threshold"},
-		{"valid at infinite and signed-zero thresholds", func(d *forestDTO) {
+		{"valid at infinite, signed-zero and NaN thresholds", func(d *forestDTO) {
 			at := func(th float64, l, r *nodeDTO) *nodeDTO {
 				return &nodeDTO{Feature: 0, Threshold: th, Left: l, Right: r}
 			}
 			d.Trees = []*nodeDTO{
 				at(math.Inf(-1), leaf(1, 0), at(math.Copysign(0, -1), leaf(0, 1), leaf(1, 0))),
 				at(0, at(math.Inf(1), leaf(0, 1), leaf(1, 0)), leaf(0, 1)),
+				at(math.NaN(), leaf(1, 0), at(1, leaf(0, 1), leaf(1, 0))),
 			}
 		}, ""},
 		{"baseline of another schema", func(d *forestDTO) {

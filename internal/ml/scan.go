@@ -22,8 +22,9 @@ import (
 // scan applies masks until the first test that passes and moves on: one
 // predictable loop per feature instead of one data-dependent branch per
 // tree level. A NaN input fails every test, as it sends the walk right
-// at every node; a NaN threshold would break the sorted early exit,
-// which is why the loader refuses one (fromDTO).
+// at every node. A NaN threshold, which a model file may hold, sorts
+// first in its column and fails every test, as x ≤ NaN does in the
+// walk, so the failing nodes are still a prefix.
 //
 // The leaf distributions are copied out of the trees, in preorder and
 // tree after tree, so tree t's leaf l is row first[t]+l of dists. Votes

@@ -6,14 +6,12 @@ import (
 )
 
 // Counters is a fixed-size vector of monotonically increasing counters.
-// Inc is lock-free, allocation-free, and safe for concurrent use; a
-// vector with one writer goroutine uses IncOwned instead, which skips
-// the lock-prefixed add. Readers may race with increments and then see
-// a slightly torn but per-cell valid view — the same trade-off
-// Histogram makes. It is the accumulator the model-quality monitor
-// keeps per engine shard (feature-bin occupancy, prediction classes,
-// confidence bins), where single cells must be cheap enough for the
-// ingest path.
+// Inc/Add are lock-free, allocation-free, and safe for concurrent use;
+// Snapshot may race with concurrent increments and then returns a
+// slightly torn but per-cell valid view — the same trade-off Histogram
+// makes. It is the accumulator the model-quality monitor keeps per
+// engine shard (feature-bin occupancy, prediction classes, confidence
+// bins), where single cells must be cheap enough for the ingest path.
 type Counters struct {
 	v []atomic.Int64
 }
@@ -46,17 +44,6 @@ func (c *Counters) Inc(i int) {
 		return
 	}
 	c.v[i].Add(1)
-}
-
-// IncOwned increments cell i by an atomic load and store: cheaper than
-// Inc, and exact only while one goroutine is the cell's sole writer.
-// Readers still read it atomically.
-func (c *Counters) IncOwned(i int) {
-	if c == nil {
-		return
-	}
-	v := &c.v[i]
-	v.Store(v.Load() + 1)
 }
 
 // Get atomically reads cell i.
@@ -96,16 +83,6 @@ func (c *FloatCell) Add(v float64) {
 			return
 		}
 	}
-}
-
-// AddOwned accumulates v by an atomic load and store, for a cell with
-// one writer goroutine (see Counters.IncOwned): no compare-and-swap
-// loop.
-func (c *FloatCell) AddOwned(v float64) {
-	if c == nil {
-		return
-	}
-	c.bits.Store(math.Float64bits(math.Float64frombits(c.bits.Load()) + v))
 }
 
 // Load reads the current value.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -428,31 +427,4 @@ func TestObserverShards(t *testing.T) {
 	if evs := o.TraceEvents(); len(evs) != 1 {
 		t.Fatalf("trace events = %d, want 1", len(evs))
 	}
-}
-
-// TestOwnedWritesMatchAtomicAdds: the one-writer increments leave the
-// cells exactly where the lock-prefixed ones do, float sums bit for
-// bit, and are nil-safe like them.
-func TestOwnedWritesMatchAtomicAdds(t *testing.T) {
-	shared, owned := NewCounters(4), NewCounters(4)
-	var sharedSum, ownedSum FloatCell
-	for i := 0; i < 1000; i++ {
-		shared.Inc(i * i % 4)
-		owned.IncOwned(i * i % 4)
-		v := 1 / float64(i+3)
-		sharedSum.Add(v)
-		ownedSum.AddOwned(v)
-	}
-	for i := 0; i < 4; i++ {
-		if shared.Get(i) != owned.Get(i) {
-			t.Errorf("cell %d: IncOwned %d, Inc %d", i, owned.Get(i), shared.Get(i))
-		}
-	}
-	if math.Float64bits(sharedSum.Load()) != math.Float64bits(ownedSum.Load()) {
-		t.Errorf("AddOwned sum %v, Add sum %v", ownedSum.Load(), sharedSum.Load())
-	}
-	var c *Counters
-	var f *FloatCell
-	c.IncOwned(0)
-	f.AddOwned(1)
 }

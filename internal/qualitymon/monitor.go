@@ -467,22 +467,20 @@ func newModelMonitor(cfg ModelConfig, shards int) *ModelMonitor {
 
 // Observe records one prediction: x is the projected feature vector
 // (baseline column order), pred the class index, conf the forest's
-// top-vote fraction. Called only by shard's own worker, which is each
-// cell's one writer: it writes them by atomic load and store, no
-// lock-prefixed add, and Snapshot reads them atomically. A shard
-// outside [0, Shards) panics rather than share another shard's cells.
+// top-vote fraction. Called only by shard's own worker; the counters
+// are atomic so Snapshot can read concurrently.
 func (mm *ModelMonitor) Observe(shard int, x []float64, pred int, conf float64) {
-	if mm == nil {
+	if mm == nil || len(mm.shards) == 0 {
 		return
 	}
-	sh := &mm.shards[shard]
+	sh := &mm.shards[shard%len(mm.shards)]
 	if pred >= 0 && pred < sh.pred.Len() {
-		sh.pred.IncOwned(pred)
+		sh.pred.Inc(pred)
 	}
-	sh.confSum.AddOwned(conf)
+	sh.confSum.Add(conf)
 	if mm.base != nil {
 		for f, edges := range mm.base.Edges {
-			sh.feat.IncOwned(f*mm.bins + BinIndex(edges, x[f]))
+			sh.feat.Inc(f*mm.bins + BinIndex(edges, x[f]))
 		}
 	}
 }

@@ -592,16 +592,3 @@ func TestParseLabelLine(t *testing.T) {
 		}
 	}
 }
-
-// TestObserveOutsideShardsPanics: a shard's drift cells have one
-// writer, so a shard index the monitor was not built for is an error,
-// never another shard's cells.
-func TestObserveOutsideShardsPanics(t *testing.T) {
-	m := testMonitor(t, testBaseline(t))
-	defer func() {
-		if recover() == nil {
-			t.Error("Observe on shard 2 of 2 did not panic")
-		}
-	}()
-	m.Stall.Observe(2, []float64{1}, 0, 0.9)
-}
