@@ -99,7 +99,7 @@ func (w *floatWriter) put(v float64) {
 // class and verbal names are static, so retention builds none, and the
 // header segments are all of a recorder the collector scans. Fixed at
 // retention except reasons, models and bytes, which ObserveOutcome
-// grows.
+// grows, and next, which a newer session of the same key sets.
 type header struct {
 	subscriber, cohort string
 	start, end, mos    float64
